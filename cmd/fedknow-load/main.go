@@ -2,8 +2,8 @@
 // starts one asynchronous server process and a cohort of scripted wire
 // peers that upload precomputed sparse updates as fast as the server folds
 // them — no real training, so the aggregation fold is the bottleneck being
-// measured. The same cohort runs twice, against the single-loop
-// SparseFedAvg and against ShardedFedAvg at -shards, and the report
+// measured. The same cohort runs twice, against SparseFedAvg's single-loop
+// layout and against its -shards layout (ShardedFedAvg(P)), and the report
 // (updates/sec, commits/sec, p50/p99 fold latency, sharded/single speedup)
 // is written as JSON.
 //
@@ -14,10 +14,10 @@
 //	fedknow-load -bench-out bench/BENCH_throughput.json -baseline bench/BENCH_throughput_baseline.json
 //
 // Before any measurement the determinism pin replays a canned update
-// sequence through both aggregators across shard and kernel-thread counts
-// and aborts unless the folds agree bitwise — on a single-core box, where
-// no parallel speedup is measurable, that pin is the result that matters,
-// and the JSON is emitted either way.
+// sequence through the fold across shard and kernel-thread counts and aborts
+// unless every layout agrees bitwise with the reference — on a single-core
+// box, where no parallel speedup is measurable, that pin is the result that
+// matters, and the JSON is emitted either way.
 //
 // With -baseline the run is additionally gated against a committed report:
 // the cohort shape must match and the measured speedup must not fall below

@@ -22,16 +22,15 @@ import (
 // snapshot instead of restoring garbage.
 const (
 	magicSnapshot = uint32(0xFEDC0003)
-	// snapshotVersion is the written format. v3 added the seat flag for a
-	// cleanly departed seat (SeatRecord.Left), so elastic-membership churn
-	// composes with crash-restart: a retired seat restores retired, not as an
-	// awaited rejoiner. v2 appended the open commit window (the async
-	// scheduler's partial aggregation between commits) so a restart resumes
-	// mid-window instead of discarding up to K−1 folded uploads. v1 and v2
-	// files still load, with an empty window and no departed seats
-	// respectively.
-	snapshotVersion   = uint32(3)
-	snapshotVersionV1 = uint32(1)
+	// snapshotVersion is the format written and the only one read. v3 added
+	// the seat flag for a cleanly departed seat (SeatRecord.Left), so
+	// elastic-membership churn composes with crash-restart: a retired seat
+	// restores retired, not as an awaited rejoiner. v2 appended the open
+	// commit window (the async scheduler's partial aggregation between
+	// commits) so a restart resumes mid-window instead of discarding up to
+	// K−1 folded uploads. Files older than v3 carry an older job-fingerprint
+	// format that Store.Load refuses anyway, so no reader is kept for them.
+	snapshotVersion = uint32(3)
 	// snapshotHeaderLen is magic (4) + format version (4) + payload length (8).
 	snapshotHeaderLen = 16
 	// DefaultMaxSnapshotBytes caps the payload length ReadSnapshot accepts
@@ -131,7 +130,7 @@ type ServerSnapshot struct {
 	// commits, cut after every accepted (or staleness-rejected) upload so a
 	// restart resumes the window mid-fill instead of asking clients to
 	// retrain up to CommitEvery−1 uploads. WindowCount is the number of
-	// updates folded into the window (0 = empty window, the v1 semantics);
+	// updates folded into the window (0 = empty window);
 	// WindowStale, WindowTotal, WindowWorstCompute/WindowWorstComm and
 	// WindowUp/WindowDown mirror the scheduler's per-window accounting.
 	// The partial accumulation itself is WindowVals — the raw unscaled sums
@@ -212,7 +211,7 @@ func WriteSnapshot(w io.Writer, snap *ServerSnapshot) error {
 			pw.f64(v)
 		}
 	}
-	// v2: the open commit window.
+	// The open commit window.
 	var wflags byte
 	if snap.WindowDense {
 		wflags |= 1
@@ -259,7 +258,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (*ServerSnapshot, error) {
 		return nil, fmt.Errorf("checkpoint: bad snapshot magic %#x", m)
 	}
 	ver := binary.LittleEndian.Uint32(hdr[4:])
-	if ver < snapshotVersionV1 || ver > snapshotVersion {
+	if ver != snapshotVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported snapshot format version %d", ver)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:])
@@ -336,19 +335,17 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (*ServerSnapshot, error) {
 			snap.Matrix[i] = row
 		}
 	}
-	if ver >= 2 {
-		wflags := pr.u8()
-		snap.WindowDense = wflags&1 != 0
-		snap.WindowCount = pr.intField("window count")
-		snap.WindowStale = pr.intField("window stale count")
-		snap.WindowTotal = pr.f64()
-		snap.WindowWorstCompute = pr.f64()
-		snap.WindowWorstComm = pr.f64()
-		snap.WindowUp = pr.i64()
-		snap.WindowDown = pr.i64()
-		snap.WindowIdx = pr.i32s(pr.count("window indices", 4))
-		snap.WindowVals = pr.f32s(pr.count("window values", 4))
-	}
+	wflags := pr.u8()
+	snap.WindowDense = wflags&1 != 0
+	snap.WindowCount = pr.intField("window count")
+	snap.WindowStale = pr.intField("window stale count")
+	snap.WindowTotal = pr.f64()
+	snap.WindowWorstCompute = pr.f64()
+	snap.WindowWorstComm = pr.f64()
+	snap.WindowUp = pr.i64()
+	snap.WindowDown = pr.i64()
+	snap.WindowIdx = pr.i32s(pr.count("window indices", 4))
+	snap.WindowVals = pr.f32s(pr.count("window values", 4))
 	if pr.err != nil {
 		return nil, pr.err
 	}

@@ -130,42 +130,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsV1 pins backward compatibility: a version-1 file (no open
-// commit window section) still loads, with an empty window. The v1 bytes are
-// derived from a windowless v2 file by stripping the fixed-size empty window
-// section and patching the header version, payload length and CRC.
-func TestSnapshotReadsV1(t *testing.T) {
-	snap := sampleSnapshot(47)
-	snap.WindowCount, snap.WindowStale = 0, 0
-	snap.WindowTotal, snap.WindowWorstCompute, snap.WindowWorstComm = 0, 0, 0
-	snap.WindowUp, snap.WindowDown = 0, 0
-	snap.WindowDense, snap.WindowIdx, snap.WindowVals = false, nil, nil
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	full := append([]byte(nil), buf.Bytes()...)
-	// Empty window section: flags(1) + 7 scalars(56) + two zero counts(16).
-	const windowLen = 1 + 7*8 + 2*8
-	payload := full[snapshotHeaderLen : len(full)-4-windowLen]
-	v1 := make([]byte, 0, snapshotHeaderLen+len(payload)+4)
-	v1 = append(v1, full[:snapshotHeaderLen]...)
-	binary.LittleEndian.PutUint32(v1[4:], snapshotVersionV1)
-	binary.LittleEndian.PutUint64(v1[8:], uint64(len(payload)))
-	v1 = append(v1, payload...)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
-	got, err := ReadSnapshot(bytes.NewReader(v1), int64(len(v1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != snap.Version || !f32Equal(got.Global, snap.Global) {
-		t.Fatal("v1 payload corrupted")
-	}
-	if got.WindowCount != 0 || got.WindowIdx != nil || got.WindowVals != nil || got.WindowDense {
-		t.Fatalf("v1 file must load with an empty window, got %+v", got)
-	}
-}
-
 func TestSnapshotPropertyRoundTrip(t *testing.T) {
 	// Randomised seat books round-trip exactly across many shapes.
 	for seed := uint64(1); seed <= 25; seed++ {
@@ -223,6 +187,16 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	for _, cut := range []int{0, 3, snapshotHeaderLen - 1, snapshotHeaderLen + 5, len(full) - 5, len(full) - 1} {
 		if _, err := ReadSnapshot(bytes.NewReader(full[:cut]), int64(cut)); err == nil {
 			t.Fatalf("truncation at %d must error", cut)
+		}
+	}
+	// Any format version but the written one is refused at the header: the
+	// retired v1/v2 layouts and a future one alike.
+	for _, ver := range []uint32{1, 2, snapshotVersion + 1} {
+		other := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(other[4:], ver)
+		if _, err := ReadSnapshot(bytes.NewReader(other), int64(len(other))); err == nil ||
+			!strings.Contains(err.Error(), "unsupported snapshot format version") {
+			t.Fatalf("format version %d must be refused, got %v", ver, err)
 		}
 	}
 	// A flipped payload bit fails the CRC.

@@ -91,9 +91,9 @@ type LoadModePoint struct {
 	FoldP99Micros float64 `json:"fold_p99_micros"`
 }
 
-// LoadBenchReport is the BENCH_throughput.json payload: the single-loop and
-// sharded aggregation folds under an identical scripted cohort, plus the
-// determinism pin's verdict.
+// LoadBenchReport is the BENCH_throughput.json payload: the aggregation
+// fold's single-loop and sharded layouts under an identical scripted cohort,
+// plus the determinism pin's verdict.
 type LoadBenchReport struct {
 	Cores       int     `json:"cores"`
 	Clients     int     `json:"clients"`
@@ -102,10 +102,10 @@ type LoadBenchReport struct {
 	Density     float64 `json:"density"`
 	CommitEvery int     `json:"commit_every"`
 	Seed        uint64  `json:"seed"`
-	// Deterministic records that LoadDeterminismPin held for this build:
-	// sharded and single-loop folds agreed bitwise across shard and
-	// kernel-thread counts. The harness refuses to write a report when the
-	// pin fails, so a committed report always says true.
+	// Deterministic records that LoadDeterminismPin held for this build: the
+	// fold agreed bitwise with the reference across shard and kernel-thread
+	// counts. The harness refuses to write a report when the pin fails, so a
+	// committed report always says true.
 	Deterministic bool            `json:"deterministic"`
 	Modes         []LoadModePoint `json:"modes"`
 	// Speedup is sharded updates/sec over single-loop updates/sec.
@@ -251,12 +251,7 @@ func runLoadMode(opt LoadBenchOptions, shards int) (LoadModePoint, error) {
 	if err != nil {
 		return point, err
 	}
-	var inner fed.StreamAggregator
-	if shards > 1 {
-		inner = fed.NewShardedFedAvg(shards)
-	} else {
-		inner = &fed.SparseFedAvg{}
-	}
+	inner := fed.NewShardedFedAvg(shards)
 	timer := &foldTimer{inner: inner}
 	srv := fed.NewServer(fed.ServerConfig{
 		Method: "load", NumTasks: 1, Rounds: opt.Rounds,
@@ -291,12 +286,12 @@ func runLoadMode(opt LoadBenchOptions, shards int) (LoadModePoint, error) {
 }
 
 // RunLoadBench measures the aggregation fold under cohort-scale load: the
-// same scripted wire cohort is run once against the single-loop
-// SparseFedAvg and once against ShardedFedAvg at opt.Shards, and the two
-// throughput points plus their updates/sec ratio become the report. The
-// determinism pin runs first — a build whose sharded fold is not bitwise
-// identical to the single loop has no business publishing throughput
-// numbers for it.
+// same scripted wire cohort is run once against SparseFedAvg's single-loop
+// (1-shard) layout and once at opt.Shards shards, and the two throughput
+// points plus their updates/sec ratio become the report. The determinism
+// pin runs first — a build whose fold is not bitwise identical to the
+// reference at every layout has no business publishing throughput numbers
+// for it.
 func RunLoadBench(opt LoadBenchOptions) (*LoadBenchReport, error) {
 	opt.defaults()
 	if err := LoadDeterminismPin(4096, opt.Seed); err != nil {
@@ -324,12 +319,12 @@ func RunLoadBench(opt LoadBenchOptions) (*LoadBenchReport, error) {
 
 // LoadDeterminismPin replays one canned multi-round update sequence — mixed
 // sparse masks plus a dense straggler, the worst case for fold ordering —
-// through the single-loop SparseFedAvg and through ShardedFedAvg at shard
+// through the reference WeightedFedAvg and through SparseFedAvg at shard
 // counts {1, 2, 8} under kernel-thread budgets {1, 4}, and fails unless
-// every committed vector is bitwise identical to the single-loop reference.
-// This is the acceptance path a single-core builder relies on: it proves
-// the sharded fold safe to enable even when no parallel speedup is
-// measurable. It resets the kernel-thread budget to the default on return.
+// every committed vector is bitwise identical to the reference. This is the
+// acceptance path a single-core builder relies on: it proves the sharded
+// layouts safe to enable even when no parallel speedup is measurable. It
+// resets the kernel-thread budget to the default on return.
 func LoadDeterminismPin(n int, seed uint64) error {
 	defer tensor.SetKernelThreads(0)
 	const rounds, clients = 3, 5
@@ -347,19 +342,15 @@ func LoadDeterminismPin(n int, seed uint64) error {
 			updates[r] = append(updates[r], u)
 		}
 	}
-	fold := func(agg fed.StreamAggregator) [][]float32 {
+	fold := func(agg fed.Aggregator) [][]float32 {
 		out := make([][]float32, rounds)
 		for r, ups := range updates {
-			agg.BeginRound()
-			for _, u := range ups {
-				agg.Accumulate(u)
-			}
-			out[r] = append([]float32(nil), agg.FinishRound()...)
+			out[r] = append([]float32(nil), agg.Aggregate(ups)...)
 		}
 		return out
 	}
 	tensor.SetKernelThreads(1)
-	ref := fold(&fed.SparseFedAvg{})
+	ref := fold(&fed.WeightedFedAvg{})
 	for _, threads := range []int{1, 4} {
 		tensor.SetKernelThreads(threads)
 		for _, shards := range []int{1, 2, 8} {

@@ -1,6 +1,9 @@
 package fed
 
 import (
+	"fmt"
+
+	"repro/internal/shard"
 	"repro/internal/tensor"
 )
 
@@ -82,185 +85,80 @@ func (a *WeightedFedAvg) Aggregate(updates []*Update) []float32 {
 	return global
 }
 
-// sparseBuf is one of SparseFedAvg's two global scratch vectors, together
-// with the record of which coordinates its last round dirtied.
-type sparseBuf struct {
-	buf   []float32
-	dirty []int32 // coordinates to re-zero before this buffer's next round
-	// dirtyAll marks that the whole buffer must be re-zeroed (after a dense
-	// round).
-	dirtyAll bool
-}
-
-// ensure sizes the buffer to n and restores its all-zero invariant, clearing
-// only the coordinates its previous round touched.
-func (b *sparseBuf) ensure(n int) {
-	if cap(b.buf) < n {
-		b.buf = make([]float32, n) // fresh zeros
-		b.dirty = b.dirty[:0]
-		b.dirtyAll = false
-		return
-	}
-	full := b.buf[:cap(b.buf)]
-	if b.dirtyAll {
-		clear(full)
-	} else {
-		for _, j := range b.dirty {
-			full[j] = 0
-		}
-	}
-	b.dirty = b.dirty[:0]
-	b.dirtyAll = false
-	b.buf = full[:n]
-}
-
-// SparseFedAvg is WeightedFedAvg restructured so a round costs O(active
-// knowledge), not O(model × clients): it implements StreamAggregator,
-// folding each update into a global scratch as it arrives, and when every
-// update of a round is sparse it normalises and re-zeroes only the union of
-// touched coordinates. Dense updates take the exact arithmetic of
-// WeightedFedAvg (same clear → Axpy → one scale, same order), so for dense
-// rounds the two aggregators are bitwise interchangeable — which is why this
-// is the server default. Steady-state rounds allocate nothing.
+// SparseFedAvg is WeightedFedAvg as a StreamAggregator: the server default.
+// It keeps only the weight arithmetic — a zero weight counts as one, the
+// total accumulates in float64 arrival order, the round is scaled once by
+// float32(1/total) — and hands every already-weighted update to the repo's
+// one fold engine (internal/shard), which owns the double-buffered global,
+// the touched-coordinate bookkeeping that makes an all-sparse round cost
+// O(active knowledge), and the -shards fan-out. Per coordinate the engine
+// performs WeightedFedAvg's clear → Axpy → one scale in the same order, so
+// the two are bitwise interchangeable for every shard and thread count.
 //
-// Rounds alternate between two scratch vectors: a streaming reducer starts
-// writing when the next round's first update is decoded, which over the
-// zero-copy loopback transport can be before every participant has consumed
-// the previous broadcast — the broadcast slice aliases the *other* buffer,
-// which is not rewritten until one further full collection has proven every
-// participant acknowledged it.
+// The zero value is the 1-shard (single-loop) plan; NewShardedFedAvg picks
+// the shard count. The FinishRound result stays intact through the whole
+// next round: over the zero-copy loopback transport a streaming reducer
+// starts writing when the next round's first update is decoded, which can be
+// before every participant has consumed the previous broadcast.
 type SparseFedAvg struct {
-	bufs  [2]sparseBuf
-	cur   int // buffer accumulating the current round
+	r     *shard.Reducer // nil until the first round: one shard
 	total float64
 	count int
-	// full marks that this round normalises and re-zeroes the whole vector:
-	// a dense update joined, or the sparse union outgrew the point where
-	// per-coordinate bookkeeping beats one sequential sweep. Scaling a zero
-	// coordinate is the identity, so both modes produce the same bits.
-	full bool
-
-	union   []int32   // ascending union of this round's sparse coordinates
-	merge   []int32   // union merge scratch, swapped with union
-	winVals []float32 // windowState gather scratch
 }
 
-// Name identifies the aggregation rule.
-func (a *SparseFedAvg) Name() string { return "SparseFedAvg" }
+// NewShardedFedAvg builds the streaming aggregator at the given shard count
+// (minimum 1, the zero value's single-loop layout).
+func NewShardedFedAvg(shards int) *SparseFedAvg {
+	return &SparseFedAvg{r: shard.NewReducer(shards)}
+}
 
-// BeginRound flips to the other scratch vector and resets the round state.
+// Shards reports the fold's shard count.
+func (a *SparseFedAvg) Shards() int {
+	if a.r == nil {
+		return 1
+	}
+	return a.r.Shards()
+}
+
+// Name identifies the aggregation rule, and its shard count above one.
+func (a *SparseFedAvg) Name() string {
+	if p := a.Shards(); p > 1 {
+		return fmt.Sprintf("ShardedFedAvg(%d)", p)
+	}
+	return "SparseFedAvg"
+}
+
+// BeginRound opens a fresh round and resets the weight bookkeeping.
 func (a *SparseFedAvg) BeginRound() {
-	a.cur ^= 1
-	a.total, a.count, a.full = 0, 0, false
-	a.union = a.union[:0]
+	if a.r == nil {
+		a.r = shard.NewReducer(1)
+	}
+	a.r.BeginRound()
+	a.total, a.count = 0, 0
 }
 
-// Accumulate folds one participating update into the round's scratch.
+// Accumulate folds one participating update into the round.
 func (a *SparseFedAvg) Accumulate(u *Update) {
 	w := u.Weight
 	if w == 0 {
 		w = 1
 	}
 	a.total += w
-	b := &a.bufs[a.cur]
-	if a.count == 0 {
-		b.ensure(u.ParamLen())
-	}
 	a.count++
-	if u.Sparse == nil {
-		tensor.AxpySlice(b.buf, float32(w), u.Params)
-		a.full = true
+	if u.Sparse != nil {
+		a.r.FoldSparse(float32(w), u.Sparse)
 		return
 	}
-	tensor.AxpySparse(b.buf, float32(w), u.Sparse)
-	if a.full {
-		return
-	}
-	// Clients sharing one prune mask (the coordinated-sparsity regime) send
-	// identical index lists: detect that with one cheap scan and skip the
-	// branchier merge. When clients prune independently the union keeps
-	// growing; past a quarter of the vector, one sequential full sweep is
-	// cheaper than per-coordinate bookkeeping, so stop tracking.
-	if !equalIndices(a.union, u.Sparse.Indices) {
-		a.merge = tensor.MergeIndices(a.merge, a.union, u.Sparse.Indices)
-		a.union, a.merge = a.merge, a.union
-		if len(a.union)*4 > len(b.buf) {
-			a.full = true
-		}
-	}
+	a.r.FoldDense(float32(w), u.Params)
 }
 
-// FinishRound normalises by the total weight — over the whole vector in
-// full mode, over only the touched-coordinate union otherwise — and records
-// what must be re-zeroed before this buffer's next round.
+// FinishRound normalises the round by the accumulated weight; nil when no
+// update was accumulated.
 func (a *SparseFedAvg) FinishRound() []float32 {
 	if a.count == 0 {
 		return nil
 	}
-	b := &a.bufs[a.cur]
-	inv := float32(1 / a.total)
-	if a.full {
-		for i := range b.buf {
-			b.buf[i] *= inv
-		}
-		b.dirtyAll = true
-		return b.buf
-	}
-	tensor.ScaleIndexed(b.buf, inv, a.union)
-	b.dirty = append(b.dirty[:0], a.union...)
-	b.dirtyAll = false
-	return b.buf
-}
-
-// windowState exports the open round's raw (unscaled) partial accumulation
-// (windowedAggregator): the whole scratch vector in full mode, the
-// touched-coordinate union and its partial sums otherwise. The returns alias
-// aggregator scratch and are only valid until the next Accumulate.
-func (a *SparseFedAvg) windowState() (idx []int32, vals []float32, dense bool, total float64) {
-	b := &a.bufs[a.cur]
-	if a.full {
-		return nil, b.buf, true, a.total
-	}
-	if cap(a.winVals) < len(a.union) {
-		a.winVals = make([]float32, len(a.union))
-	}
-	a.winVals = a.winVals[:len(a.union)]
-	for i, j := range a.union {
-		a.winVals[i] = b.buf[j]
-	}
-	return a.union, a.winVals, false, a.total
-}
-
-// restoreWindow reinstates a partial accumulation captured by windowState
-// into a freshly begun round (windowedAggregator): subsequent Accumulates
-// stack on top exactly as they would have on the uninterrupted originals.
-func (a *SparseFedAvg) restoreWindow(n int, idx []int32, vals []float32, dense bool, total float64, count int) {
-	a.total, a.count = total, count
-	b := &a.bufs[a.cur]
-	b.ensure(n)
-	if dense {
-		copy(b.buf, vals)
-		a.full = true
-		return
-	}
-	for i, j := range idx {
-		b.buf[j] = vals[i]
-	}
-	a.union = append(a.union[:0], idx...)
-	a.full = len(a.union)*4 > n
-}
-
-// equalIndices reports whether two index lists are element-wise equal.
-func equalIndices(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+	return a.r.Merge(float32(1 / a.total))
 }
 
 // Aggregate implements the buffered Aggregator interface in terms of the
@@ -271,4 +169,18 @@ func (a *SparseFedAvg) Aggregate(updates []*Update) []float32 {
 		a.Accumulate(u)
 	}
 	return a.FinishRound()
+}
+
+// windowState exports the open commit window's raw partial accumulation
+// (windowedAggregator).
+func (a *SparseFedAvg) windowState() (idx []int32, vals []float32, dense bool, total float64) {
+	idx, vals, dense = a.r.Window()
+	return idx, vals, dense, a.total
+}
+
+// restoreWindow reinstates a captured open window after BeginRound
+// (windowedAggregator).
+func (a *SparseFedAvg) restoreWindow(n int, idx []int32, vals []float32, dense bool, total float64, count int) {
+	a.r.RestoreWindow(n, idx, vals, dense)
+	a.total, a.count = total, count
 }

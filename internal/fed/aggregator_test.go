@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -87,141 +88,40 @@ func TestWeightedFedAvgConformance(t *testing.T) {
 	}
 }
 
-func TestSparseFedAvgConformance(t *testing.T) {
-	testAggregatorConformance(t, func() Aggregator { return &SparseFedAvg{} })
-	if (&SparseFedAvg{}).Name() == "" {
-		t.Fatal("aggregator must be identifiable")
-	}
+// fedAvgShards is every fold layout the SparseFedAvg suite runs at: the
+// single loop, and shard counts that do and do not divide the test vectors.
+var fedAvgShards = []int{1, 2, 4, 8}
+
+// pinKernelThreads sets the kernel-thread budget for the rest of the test
+// and restores the previous setting — "follow GOMAXPROCS" included — when it
+// ends, so no test leaves a pinned width behind for a later alloc pin.
+func pinKernelThreads(t testing.TB, n int) {
+	prev := tensor.SetKernelThreads(n)
+	t.Cleanup(func() { tensor.SetKernelThreads(prev) })
 }
 
-func TestShardedFedAvgConformance(t *testing.T) {
-	for _, p := range []int{1, 2, 8} {
+// forEachFedAvgPlan runs fn as one subtest per fold layout, plus the zero
+// value (which must be the 1-shard plan).
+func forEachFedAvgPlan(t *testing.T, fn func(t *testing.T, newAgg func() *SparseFedAvg)) {
+	t.Run("zero value", func(t *testing.T) { fn(t, func() *SparseFedAvg { return &SparseFedAvg{} }) })
+	for _, p := range fedAvgShards {
 		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			testAggregatorConformance(t, func() Aggregator { return NewShardedFedAvg(p) })
+			fn(t, func() *SparseFedAvg { return NewShardedFedAvg(p) })
 		})
 	}
-	if NewShardedFedAvg(4).Name() == "" {
-		t.Fatal("aggregator must be identifiable")
-	}
 }
 
-// shardedTestUpdates builds a mixed dense/sparse update set large enough to
-// cross the sharded fold stage's parallel-dispatch threshold.
-func shardedTestUpdates(seed uint64, n, clients int) []*Update {
-	rng := tensor.NewRNG(seed)
-	var ups []*Update
-	for c := 0; c < clients; c++ {
-		params := make([]float32, n)
-		for i := range params {
-			if rng.Float64() < 0.15 {
-				params[i] = float32(rng.Norm())
-			}
-		}
-		u := &Update{ClientID: c, Participating: true, Weight: float64(7 + 3*c), Params: params}
-		if c%2 == 1 {
-			u = sparsify(u)
-		}
-		ups = append(ups, u)
-	}
-	return ups
-}
-
-// TestShardedFedAvgMatchesSparseBitwise is the ISSUE's determinism pin: for
-// shard counts {1, 2, 8} and kernel-thread budgets {1, 4, 16}, multi-round
-// streaming aggregation through ShardedFedAvg must equal SparseFedAvg bit
-// for bit — sparse, dense and mixed rounds, including the union-overflow
-// full mode — and the dense-only path must equal WeightedFedAvg exactly.
-func TestShardedFedAvgMatchesSparseBitwise(t *testing.T) {
-	const n, clients, rounds = 50_000, 6, 3
-	ref := &SparseFedAvg{}
-	var wants [][]float32
-	for r := 0; r < rounds; r++ {
-		wants = append(wants, append([]float32(nil), ref.Aggregate(shardedTestUpdates(uint64(100+r), n, clients))...))
-	}
-	oldThreads := tensor.KernelThreads()
-	defer tensor.SetKernelThreads(oldThreads)
-	for _, p := range []int{1, 2, 8} {
-		for _, threads := range []int{1, 4, 16} {
-			tensor.SetKernelThreads(threads)
-			agg := NewShardedFedAvg(p)
-			for r := 0; r < rounds; r++ {
-				got := agg.Aggregate(shardedTestUpdates(uint64(100+r), n, clients))
-				for i := range wants[r] {
-					if got[i] != wants[r][i] {
-						t.Fatalf("shards=%d threads=%d round %d coordinate %d: %v, want %v",
-							p, threads, r, i, got[i], wants[r][i])
-					}
-				}
-			}
-		}
-	}
-
-	// Dense path: every update dense must reproduce WeightedFedAvg's bits.
-	var dense []*Update
-	rng := tensor.NewRNG(41)
-	for c := 0; c < 4; c++ {
-		params := make([]float32, 8192)
-		for i := range params {
-			params[i] = float32(rng.Norm())
-		}
-		dense = append(dense, &Update{ClientID: c, Participating: true, Weight: float64(1 + c), Params: params})
-	}
-	want := (&WeightedFedAvg{}).Aggregate(dense)
-	for _, p := range []int{1, 2, 8} {
-		got := NewShardedFedAvg(p).Aggregate(dense)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d dense path diverges from WeightedFedAvg at %d: %v vs %v", p, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestShardedFedAvgBroadcastSurvivesNextRound pins the double-buffer
-// contract the async commit path relies on, same as SparseFedAvg's.
-func TestShardedFedAvgBroadcastSurvivesNextRound(t *testing.T) {
-	agg := NewShardedFedAvg(3)
-	first := agg.Aggregate([]*Update{{Participating: true, Weight: 1, Params: []float32{5, 6, 7}}})
-	agg.BeginRound()
-	agg.Accumulate(&Update{Participating: true, Weight: 1, Params: []float32{1, 2, 3}})
-	if first[0] != 5 || first[1] != 6 || first[2] != 7 {
-		t.Fatalf("round-r broadcast rewritten during round r+1 accumulation: %v", first)
-	}
-	second := agg.FinishRound()
-	if second[0] != 1 || second[1] != 2 || second[2] != 3 {
-		t.Fatalf("second round wrong: %v", second)
-	}
-}
-
-// TestShardedFedAvgZeroAllocSteadyState: after warmup, sharded rounds must
-// not allocate either — the fold stage reuses per-shard scratch.
-func TestShardedFedAvgZeroAllocSteadyState(t *testing.T) {
-	rng := tensor.NewRNG(33)
-	n := 8192
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = rng.Float64() < 0.1
-	}
-	w := make([]float32, n)
-	for i := range w {
-		w[i] = float32(rng.Norm())
-	}
-	ups := []*Update{
-		{Participating: true, Weight: 3, Sparse: tensor.GatherMask(nil, w, mask)},
-		{Participating: true, Weight: 2, Sparse: tensor.GatherMask(nil, w, mask)},
-	}
-	agg := NewShardedFedAvg(4)
-	agg.Aggregate(ups) // warm both merge buffers
-	agg.Aggregate(ups)
-	allocs := testing.AllocsPerRun(50, func() {
-		agg.BeginRound()
-		for _, u := range ups {
-			agg.Accumulate(u)
-		}
-		agg.FinishRound()
+func TestSparseFedAvgConformance(t *testing.T) {
+	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
+		testAggregatorConformance(t, func() Aggregator { return newAgg() })
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state sharded aggregation allocates %v per round", allocs)
+	for p, want := range map[int]string{0: "SparseFedAvg", 1: "SparseFedAvg", 4: "ShardedFedAvg(4)"} {
+		if got := NewShardedFedAvg(p).Name(); got != want {
+			t.Fatalf("NewShardedFedAvg(%d).Name() = %q, want %q", p, got, want)
+		}
+	}
+	if got := (&SparseFedAvg{}).Name(); got != "SparseFedAvg" {
+		t.Fatalf("zero value names itself %q", got)
 	}
 }
 
@@ -233,44 +133,102 @@ func sparsify(u *Update) *Update {
 	return &s
 }
 
-// TestSparseFedAvgMatchesDenseBitwise: aggregating sparse updates must equal
-// aggregating their densified forms bit for bit, and SparseFedAvg's dense
-// path must equal WeightedFedAvg bit for bit — the property that lets the
-// server default to SparseFedAvg without perturbing any reproducibility
-// invariant.
-func TestSparseFedAvgMatchesDenseBitwise(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	n := 4096
-	var dense []*Update
-	for c := 0; c < 5; c++ {
-		params := make([]float32, n)
-		for i := range params {
-			if rng.Float64() < 0.1 {
-				params[i] = float32(rng.Norm())
-			}
-		}
-		dense = append(dense, &Update{ClientID: c, Participating: true,
-			Weight: float64(10 + c), Params: params})
-	}
-	var sparse []*Update
-	for _, u := range dense {
-		sparse = append(sparse, sparsify(u))
-	}
+// fedAvgCase is one canned round of the bitwise pin, with the FNV-64a digest
+// of SparseFedAvg's result bits captured at the last commit that still had a
+// hand-written single-loop SparseFedAvg beside the sharded reducer (bc10130).
+type fedAvgCase struct {
+	name   string
+	ups    []*Update
+	digest uint64
+}
 
-	wantW := (&WeightedFedAvg{}).Aggregate(dense)
-	gotD := (&SparseFedAvg{}).Aggregate(dense)
-	gotS := (&SparseFedAvg{}).Aggregate(sparse)
-	gotM := (&SparseFedAvg{}).Aggregate([]*Update{sparse[0], dense[1], sparse[2], dense[3], sparse[4]})
-	for i := range wantW {
-		if gotD[i] != wantW[i] {
-			t.Fatalf("dense path diverges from WeightedFedAvg at %d: %v vs %v", i, gotD[i], wantW[i])
+// fedAvgCases builds the five round shapes the fold distinguishes, large
+// enough to cross the shard fan-out threshold: all dense; sparse under one
+// shared mask (the union fast path); sparse under independent masks (the
+// union merge); independent masks whose union passes a quarter of the
+// vector (the overflow to full mode); dense and sparse interleaved.
+func fedAvgCases() []fedAvgCase {
+	const n, clients = 50_000, 6
+	mk := func(seed uint64, density float64, sharedMask bool, sparse func(c int) bool) []*Update {
+		rng := tensor.NewRNG(seed)
+		shared := make([]bool, n)
+		for i := range shared {
+			shared[i] = rng.Float64() < density
 		}
-		if gotS[i] != wantW[i] {
-			t.Fatalf("sparse path diverges at %d: %v vs %v", i, gotS[i], wantW[i])
+		var ups []*Update
+		for c := 0; c < clients; c++ {
+			params := make([]float32, n)
+			for i := range params {
+				keep := shared[i]
+				if !sharedMask {
+					keep = rng.Float64() < density
+				}
+				if keep {
+					params[i] = float32(rng.Norm())
+				}
+			}
+			u := &Update{ClientID: c, Participating: true, Weight: float64(7 + 3*c), Params: params}
+			if sparse(c) {
+				u = sparsify(u)
+			}
+			ups = append(ups, u)
 		}
-		if gotM[i] != wantW[i] {
-			t.Fatalf("mixed path diverges at %d: %v vs %v", i, gotM[i], wantW[i])
+		return ups
+	}
+	all := func(int) bool { return true }
+	return []fedAvgCase{
+		{"dense", mk(100, 1, false, func(int) bool { return false }), 0x8631de5af36fd6ec},
+		{"shared-mask", mk(101, 0.10, true, all), 0xbfec0c5c010871eb},
+		{"distinct-masks", mk(102, 0.03, false, all), 0xe9d1421b5e27f6b7},
+		{"union-overflow", mk(103, 0.10, false, all), 0x8a1143e095720d9f},
+		{"mixed", mk(104, 0.15, false, func(c int) bool { return c%2 == 1 }), 0x3a66a636e1ab4e8a},
+	}
+}
+
+// digestBits is the FNV-64a hash of a vector's little-endian float32 bits.
+func digestBits(v []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, x := range v {
+		u := math.Float32bits(x)
+		b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestSparseFedAvgBitwise is the determinism pin of the one fold: for every
+// shard count and kernel-thread budgets {1, 4}, a multi-round streaming
+// sequence that walks each buffer through full → sparse → full transitions
+// must reproduce, bit for bit, both the reference WeightedFedAvg (which
+// densifies nothing but sweeps the whole vector) and the digests of the
+// retired single-loop implementation.
+func TestSparseFedAvgBitwise(t *testing.T) {
+	cases := fedAvgCases()
+	wants := make([][]float32, len(cases))
+	for i, c := range cases {
+		wants[i] = append([]float32(nil), (&WeightedFedAvg{}).Aggregate(c.ups)...)
+		if got := digestBits(wants[i]); got != c.digest {
+			t.Fatalf("%s: WeightedFedAvg digest %#x, want the parent-commit SparseFedAvg's %#x", c.name, got, c.digest)
 		}
+	}
+	// Buffer A sees dense, distinct, mixed, distinct; buffer B shared,
+	// overflow, shared.
+	order := []int{0, 1, 2, 3, 4, 1, 2}
+	for _, threads := range []int{1, 4} {
+		pinKernelThreads(t, threads)
+		forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
+			agg := newAgg()
+			for r, ci := range order {
+				got := agg.Aggregate(cases[ci].ups)
+				for i, want := range wants[ci] {
+					if math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("threads=%d round %d (%s) coordinate %d: %v, want %v",
+							threads, r, cases[ci].name, i, got[i], want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -278,9 +236,8 @@ func TestSparseFedAvgMatchesDenseBitwise(t *testing.T) {
 // the server does — BeginRound / Accumulate / FinishRound across several
 // rounds — and checks round isolation: coordinates touched in one round must
 // read zero in the next (the targeted re-zeroing), across both scratch
-// vectors.
+// vectors, including at more shards than coordinates.
 func TestSparseFedAvgStreaming(t *testing.T) {
-	agg := &SparseFedAvg{}
 	rounds := [][]*Update{
 		{{Participating: true, Weight: 1,
 			Sparse: &tensor.SparseVec{N: 6, Indices: []int32{0, 3}, Values: []float32{2, 4}}}},
@@ -299,46 +256,56 @@ func TestSparseFedAvgStreaming(t *testing.T) {
 		{1, 1, 1, 1, 1, 1},
 		{0, 0, 9, 0, 0, 0},
 	}
-	for r, ups := range rounds {
-		agg.BeginRound()
-		for _, u := range ups {
-			agg.Accumulate(u)
-		}
-		got := agg.FinishRound()
-		for i, want := range wants[r] {
-			if got[i] != want {
-				t.Fatalf("round %d coordinate %d = %v, want %v (stale scratch?)", r, i, got[i], want)
+	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
+		agg := newAgg()
+		for r, ups := range rounds {
+			agg.BeginRound()
+			for _, u := range ups {
+				agg.Accumulate(u)
+			}
+			got := agg.FinishRound()
+			for i, want := range wants[r] {
+				if got[i] != want {
+					t.Fatalf("round %d coordinate %d = %v, want %v (stale scratch?)", r, i, got[i], want)
+				}
 			}
 		}
-	}
-	// Empty round after activity.
-	agg.BeginRound()
-	if got := agg.FinishRound(); got != nil {
-		t.Fatalf("empty round returned %v", got)
-	}
+		// Empty round after activity.
+		agg.BeginRound()
+		if got := agg.FinishRound(); got != nil {
+			t.Fatalf("empty round returned %v", got)
+		}
+	})
 }
 
 // TestSparseFedAvgBroadcastSurvivesNextRound pins the double-buffer
 // contract: the vector returned for round r must stay intact while round
 // r+1 accumulates (over zero-copy loopback, clients may still be reading
-// the broadcast when the next round's first update arrives).
+// the broadcast when the next round's first update arrives) — and through
+// round r+1's FinishRound, which the async commit path relies on.
 func TestSparseFedAvgBroadcastSurvivesNextRound(t *testing.T) {
-	agg := &SparseFedAvg{}
-	first := agg.Aggregate([]*Update{{Participating: true, Weight: 1, Params: []float32{5, 6, 7}}})
-	agg.BeginRound()
-	agg.Accumulate(&Update{Participating: true, Weight: 1, Params: []float32{1, 2, 3}})
-	if first[0] != 5 || first[1] != 6 || first[2] != 7 {
-		t.Fatalf("round-r broadcast rewritten during round r+1 accumulation: %v", first)
-	}
-	second := agg.FinishRound()
-	if second[0] != 1 || second[1] != 2 || second[2] != 3 {
-		t.Fatalf("second round wrong: %v", second)
-	}
+	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
+		agg := newAgg()
+		first := agg.Aggregate([]*Update{{Participating: true, Weight: 1, Params: []float32{5, 6, 7}}})
+		agg.BeginRound()
+		agg.Accumulate(&Update{Participating: true, Weight: 1, Params: []float32{1, 2, 3}})
+		second := agg.FinishRound()
+		if first[0] != 5 || first[1] != 6 || first[2] != 7 {
+			t.Fatalf("round-r broadcast rewritten during round r+1: %v", first)
+		}
+		if second[0] != 1 || second[1] != 2 || second[2] != 3 {
+			t.Fatalf("second round wrong: %v", second)
+		}
+	})
 }
 
-// TestSparseFedAvgZeroAllocSteadyState: after the first round sizes the
-// scratch, further rounds — sparse or dense — must not allocate.
+// TestSparseFedAvgZeroAllocSteadyState: once the scratch is sized, further
+// rounds — sparse or dense — must not allocate at kernel width 1. (At any
+// greater width tensor.Parallel spawns a goroutine and closure per chunk, so
+// the sharded fan-out allocates by construction; the pin sets the width
+// itself rather than trusting whatever an earlier test left behind.)
 func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
+	pinKernelThreads(t, 1)
 	rng := tensor.NewRNG(32)
 	n := 8192
 	mask := make([]bool, n)
@@ -352,18 +319,24 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 	ups := []*Update{
 		{Participating: true, Weight: 3, Sparse: tensor.GatherMask(nil, w, mask)},
 		{Participating: true, Weight: 2, Sparse: tensor.GatherMask(nil, w, mask)},
+		{Participating: true, Weight: 1, Params: w},
 	}
-	agg := &SparseFedAvg{}
-	agg.Aggregate(ups) // warm both scratch vectors
-	agg.Aggregate(ups)
-	allocs := testing.AllocsPerRun(50, func() {
-		agg.BeginRound()
-		for _, u := range ups {
-			agg.Accumulate(u)
+	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
+		agg := newAgg()
+		for _, round := range [][]*Update{ups[:2], ups} {
+			for warm := 0; warm < 4; warm++ { // both buffers, and the union scratch they rotate
+				agg.Aggregate(round)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				agg.BeginRound()
+				for _, u := range round {
+					agg.Accumulate(u)
+				}
+				agg.FinishRound()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state aggregation of %d updates allocates %v per round", len(round), allocs)
+			}
 		}
-		agg.FinishRound()
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state sparse aggregation allocates %v per round", allocs)
-	}
 }

@@ -149,13 +149,13 @@ type Config struct {
 	// Async configures the asynchronous scheduler; ignored when Scheduler is
 	// sync. See AsyncConfig for the defaults applied to zero fields.
 	Async AsyncConfig
-	// Shards (-shards) partitions the server's aggregation fold across this
-	// many per-shard reducers folded concurrently on the kernel worker pool
-	// (ShardedFedAvg). Results are bitwise identical for every shard count —
-	// the knob buys server ingest throughput, never different bits — but it
-	// is still part of the job fingerprint so every process of one run agrees
-	// on the server layout it is load-testing against. 0 or 1 keeps the
-	// single-loop SparseFedAvg default.
+	// Shards (-shards) partitions the server's aggregation fold (SparseFedAvg
+	// over internal/shard) across this many index ranges folded concurrently
+	// on the kernel worker pool. Results are bitwise identical for every
+	// shard count — the knob buys server ingest throughput, never different
+	// bits — but it is still part of the job fingerprint so every process of
+	// one run agrees on the server layout it is load-testing against. 0 or 1
+	// is the single loop.
 	Shards int
 	// Robust (-aggregator) selects the server aggregation rule as a
 	// ParseAggregator spec ("fedavg", "trimmed-mean[:beta]", "median",

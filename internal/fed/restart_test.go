@@ -246,7 +246,7 @@ func TestServerSnapshotRestoreResumesMidTask(t *testing.T) {
 }
 
 // TestServerSnapshotRestoresMidWindow pins the open-window half of the
-// crash-only contract, for both the single-loop and the sharded aggregator:
+// crash-only contract, for both the single-loop and a sharded fold layout:
 // a server killed after folding 2 of the 3 updates of a CommitEvery=3 window
 // leaves a mid-window cut behind (the partial sums, not just the last
 // commit); the restored server's Catchup says Seen=2 — the client retrains
@@ -266,7 +266,7 @@ func TestServerSnapshotRestoresMidWindow(t *testing.T) {
 		return &Update{ClientID: 0, Participating: true, Weight: 1, BaseVersion: base, Sparse: sp}
 	}
 	// The uninterrupted reference: all three updates through one window.
-	ref := &SparseFedAvg{}
+	ref := &WeightedFedAvg{}
 	want := append([]float32(nil), ref.Aggregate([]*Update{mkUpdate(0, 0), mkUpdate(1, 0), mkUpdate(2, 0)})...)
 
 	for _, shards := range []int{0, 4} {

@@ -366,7 +366,8 @@ func gatherRows(rows [][]float32, ws []float64, updates []*Update) ([][]float32,
 // ParseAggregator builds the server aggregation rule from a -aggregator
 // spec:
 //
-//	fedavg                      weighted mean (the default; honours -shards)
+//	fedavg                      weighted mean (the default, also for an empty
+//	                            spec): SparseFedAvg at shards shards
 //	trimmed-mean[:beta]         coordinate trimmed mean, default beta 0.1
 //	median                      coordinate median
 //	krum[:f]                    Krum with Byzantine budget f, default 1
@@ -382,10 +383,7 @@ func ParseAggregator(spec string, shards int) (Aggregator, error) {
 		if arg != "" {
 			return nil, fmt.Errorf("fed: aggregator %q takes no argument", spec)
 		}
-		if shards > 1 {
-			return NewShardedFedAvg(shards), nil
-		}
-		return &SparseFedAvg{}, nil
+		return NewShardedFedAvg(shards), nil
 	}
 	if shards > 1 {
 		return nil, fmt.Errorf("fed: robust aggregator %q does not compose with -shards (the buffered round cannot be split into linear per-shard folds)", spec)

@@ -158,10 +158,8 @@ func TestRobustRulesDeterministicAcrossThreads(t *testing.T) {
 			return NewBuffered(NewFedOptServer(0.9, NewTrimmedMeanFedAvg(0.2)))
 		}},
 	}
-	oldThreads := tensor.KernelThreads()
-	defer tensor.SetKernelThreads(oldThreads)
 	for _, r := range rules {
-		tensor.SetKernelThreads(1)
+		pinKernelThreads(t, 1)
 		// Two rounds per setting so stateful rules (fedopt) are compared on a
 		// trajectory, not a single step.
 		refAgg := r.mk()
@@ -170,7 +168,7 @@ func TestRobustRulesDeterministicAcrossThreads(t *testing.T) {
 			wants = append(wants, append([]float32(nil), refAgg.Aggregate(robustTestUpdates(uint64(500+round), n, clients))...))
 		}
 		for _, threads := range []int{4, 16} {
-			tensor.SetKernelThreads(threads)
+			pinKernelThreads(t, threads)
 			agg := r.mk()
 			for round := 0; round < 2; round++ {
 				got := agg.Aggregate(robustTestUpdates(uint64(500+round), n, clients))
@@ -296,6 +294,7 @@ func TestBufferedAccumulateCopies(t *testing.T) {
 // buffered rounds must not allocate on the accumulate path (FinishRound's
 // sort may allocate its closure bookkeeping, so only accumulation is pinned).
 func TestBufferedZeroAllocSteadyState(t *testing.T) {
+	pinKernelThreads(t, 1)
 	agg := NewBuffered(&CoordinateMedianFedAvg{})
 	ups := robustTestUpdates(77, 4096, 6)
 	agg.Aggregate(ups)
@@ -367,8 +366,15 @@ func TestRobustServerConfig(t *testing.T) {
 	defer cl.Close()
 	s := NewServer(ServerConfig{NumClients: 1, NumTasks: 1, Rounds: 1, Robust: "median"},
 		nil, []Transport{sl})
-	if got := s.agg.Name(); got != "Buffered(CoordinateMedianFedAvg)" {
+	if got := s.stream.Name(); got != "Buffered(CoordinateMedianFedAvg)" {
 		t.Fatalf("ServerConfig.Robust built %q", got)
+	}
+	// A rule that only reduces whole rounds is buffered behind the streaming
+	// shape both schedulers drive — the async one included.
+	s = NewServer(ServerConfig{NumClients: 1, NumTasks: 1, Rounds: 1, Scheduler: SchedulerAsync},
+		&WeightedFedAvg{}, []Transport{sl})
+	if got := s.stream.Name(); got != "Buffered(WeightedFedAvg)" {
+		t.Fatalf("a batch-only aggregator was installed as %q", got)
 	}
 	defer func() {
 		if recover() == nil {

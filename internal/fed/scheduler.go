@@ -111,16 +111,13 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		}
 		// Collect every alive client's update (dropped-out clients send an
 		// empty acknowledgement). Ascending client ID keeps aggregation
-		// order deterministic. A streaming aggregator folds each update into
-		// the global scratch the moment it is decoded — the server never
-		// buffers per-client parameter vectors, so its hot path costs
-		// O(active knowledge) per update instead of holding O(model ×
-		// clients).
-		s.updates = s.updates[:0]
+		// order deterministic. The aggregator folds each update into the
+		// global scratch the moment it is decoded — the server itself never
+		// buffers per-client parameter vectors, so with the default rule its
+		// hot path costs O(active knowledge) per update instead of holding
+		// O(model × clients).
 		s.metas = s.metas[:0]
-		if s.stream != nil {
-			s.stream.BeginRound()
-		}
+		s.stream.BeginRound()
 		firstLen := -1
 		folded := 0
 		nonFiniteMark, evictMark := s.nonFiniteTotal, s.evictTotal
@@ -160,11 +157,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 				// still counts) but never reaches the aggregator.
 				if s.admitUpdate(u, taskIdx) {
 					folded++
-					if s.stream != nil {
-						s.stream.Accumulate(u)
-					} else {
-						s.updates = append(s.updates, u)
-					}
+					s.stream.Accumulate(u)
 				}
 				s.metas = append(s.metas, updateMeta{
 					clientID: i, computeSeconds: u.ComputeSeconds,
@@ -194,12 +187,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		// The global slice may alias aggregator scratch; every participant
 		// acknowledges (next Update or RoundEnd) before the next round
 		// rewrites it, so sharing is safe even over the zero-copy loopback.
-		var global []float32
-		if s.stream != nil {
-			global = s.stream.FinishRound()
-		} else {
-			global = s.agg.Aggregate(s.updates)
-		}
+		global := s.stream.FinishRound()
 		if global == nil && len(s.metas) > 0 {
 			// Every participating update was rejected: the participants are
 			// blocked waiting for a broadcast that will never come, so fail

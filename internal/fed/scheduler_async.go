@@ -291,7 +291,7 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 				// count it (Server.DroppedWindowUploads) so the loss is loud.
 				a.droppedWindow += snap.WindowCount
 				s.logf("fed: async: %s cannot restore an open commit window; dropping %d buffered uploads from the cut",
-					s.agg.Name(), snap.WindowCount)
+					s.stream.Name(), snap.WindowCount)
 				a.resetWindow()
 			}
 		}

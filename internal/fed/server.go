@@ -114,10 +114,10 @@ type ServerConfig struct {
 	// Async configures the asynchronous scheduler; ignored when Scheduler
 	// is sync.
 	Async AsyncConfig
-	// Shards selects the default aggregator's fold layout when no explicit
-	// Aggregator is passed to NewServer: > 1 builds ShardedFedAvg with that
-	// many per-shard reducers, otherwise the single-loop SparseFedAvg.
-	// Bitwise-identical results either way — see Config.Shards.
+	// Shards is the default aggregator's shard count when no explicit
+	// Aggregator is passed to NewServer: SparseFedAvg folds over that many
+	// index ranges concurrently (<= 1: the single loop). Bitwise-identical
+	// results at every count — see Config.Shards.
 	Shards int
 	// Robust selects the aggregation rule when no explicit Aggregator is
 	// passed to NewServer, as a ParseAggregator spec ("trimmed-mean:0.2",
@@ -157,8 +157,7 @@ type updateMeta struct {
 // AsyncScheduler.
 type Server struct {
 	cfg     ServerConfig
-	agg     Aggregator
-	stream  StreamAggregator // non-nil when agg reduces incrementally
+	stream  StreamAggregator
 	sched   Scheduler
 	links   []Transport // index = client ID
 	alive   []bool
@@ -205,22 +204,21 @@ type Server struct {
 	evictTotal     int
 	refusedTotal   int
 
-	updates []*Update    // per-round scratch (buffered aggregators only)
-	metas   []updateMeta // per-round scratch
-	rows    [][]float64  // per-task eval scratch
+	metas []updateMeta // per-round scratch
+	rows  [][]float64  // per-task eval scratch
 }
 
-// NewServer builds a server over one transport per client. The aggregator
-// defaults to SparseFedAvg when nil — the streaming reducer that handles
-// dense updates with WeightedFedAvg's exact arithmetic and sparse updates in
-// O(active knowledge) — or to ShardedFedAvg, its bitwise-identical
-// concurrent-fold layout, when cfg.Shards > 1. A StreamAggregator is fed each update as it is
-// decoded; any other Aggregator sees the buffered round. The scheduling
-// policy comes from cfg.Scheduler; NewServer panics on an unknown policy, on
-// SchedulerAsync with a non-streaming aggregator (the asynchronous policy
-// folds updates as they arrive and never buffers them), and on
-// SchedulerAsync with DropoutProb > 0 (round-level dropout is a lockstep
-// concept; asynchronous churn is modelled as eviction on transport failure).
+// NewServer builds a server over one transport per client. A nil aggregator
+// selects the rule cfg.Robust names (ParseAggregator): by default
+// SparseFedAvg — the streaming reducer that handles dense updates with
+// WeightedFedAvg's exact arithmetic and sparse updates in O(active
+// knowledge) — at cfg.Shards shards. Both schedulers drive the streaming
+// shape, feeding each update to the aggregator as it is decoded; an
+// Aggregator that only reduces whole rounds is wrapped in NewBuffered. The
+// scheduling policy comes from cfg.Scheduler; NewServer panics on an unknown
+// policy and on SchedulerAsync with DropoutProb > 0 (round-level dropout is a
+// lockstep concept; asynchronous churn is modelled as eviction on transport
+// failure).
 func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 	if cfg.NumClients == 0 {
 		cfg.NumClients = len(links)
@@ -235,21 +233,19 @@ func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 		panic(fmt.Sprintf("fed: MaxCohort %d below the initial cohort of %d", cfg.MaxCohort, cfg.NumClients))
 	}
 	if agg == nil {
-		if cfg.Robust != "" {
-			a, err := ParseAggregator(cfg.Robust, cfg.Shards)
-			if err != nil {
-				panic(err.Error())
-			}
-			agg = a
-		} else if cfg.Shards > 1 {
-			agg = NewShardedFedAvg(cfg.Shards)
-		} else {
-			agg = &SparseFedAvg{}
+		a, err := ParseAggregator(cfg.Robust, cfg.Shards)
+		if err != nil {
+			panic(err.Error())
 		}
+		agg = a
+	}
+	stream, ok := agg.(StreamAggregator)
+	if !ok {
+		stream = NewBuffered(agg)
 	}
 	s := &Server{
 		cfg:     cfg,
-		agg:     agg,
+		stream:  stream,
 		links:   links,
 		alive:   make([]bool, cfg.NumClients),
 		offline: make([]bool, cfg.NumClients),
@@ -257,14 +253,10 @@ func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 		dropRNG: tensor.NewRNG(cfg.Seed ^ 0xD209),
 		rows:    make([][]float64, cfg.NumClients),
 	}
-	s.stream, _ = agg.(StreamAggregator)
 	switch cfg.Scheduler {
 	case "", SchedulerSync:
 		s.sched = &SyncScheduler{}
 	case SchedulerAsync:
-		if s.stream == nil {
-			panic(fmt.Sprintf("fed: the async scheduler requires a StreamAggregator, %s only buffers", agg.Name()))
-		}
 		if cfg.DropoutProb > 0 {
 			panic("fed: the async scheduler does not support DropoutProb (churn is modelled as eviction on transport failure)")
 		}

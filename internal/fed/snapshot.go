@@ -47,7 +47,8 @@ type snapshotRestorer interface {
 // round can be captured into a snapshot and reinstated after a restart —
 // what lets the asynchronous scheduler cut a snapshot after every accepted
 // upload and resume the commit window mid-fill instead of discarding up to
-// CommitEvery−1 folded updates. SparseFedAvg and ShardedFedAvg implement it.
+// CommitEvery−1 folded updates. SparseFedAvg implements it, at every shard
+// count.
 type windowedAggregator interface {
 	// windowState exports the open round's raw (unscaled) partial
 	// accumulation: the whole scratch vector (idx nil, dense true) or the

@@ -1,28 +1,29 @@
-// Package shard implements hierarchical sharded aggregation: the parameter
-// vector is index-partitioned into P contiguous shards, each owned by one
-// per-shard reducer that folds its subrange of every incoming update into a
-// private accumulator, and at commit the per-shard partials are normalised
-// and merged — in ascending shard/index order — into one double-buffered
-// global vector.
+// Package shard is the repo's one streaming weighted-mean fold: the
+// parameter vector is index-partitioned into P contiguous shards, and every
+// incoming update's subrange is folded in place into its shard's range
+// [lo, hi) of a double-buffered global vector; closing the round scales each
+// range by the caller's normalisation factor. One shard is the single-loop
+// layout; more shards fold concurrently on the tensor.Parallel worker pool.
 //
 // The point of the partition is throughput without changing a single bit:
 // because the shards own disjoint coordinate ranges and every kernel is
-// per-coordinate independent, folding P shards concurrently on the
-// tensor.Parallel worker pool performs exactly the arithmetic, in exactly
-// the per-coordinate order, that the single-loop streaming aggregator
-// performs — so the merged result is bitwise identical to fed.SparseFedAvg
-// for every shard count and every thread count, and the fold stage scales
-// with cores while the ingest loop stays serial only in arrival order.
+// per-coordinate independent, folding P shards concurrently performs exactly
+// the arithmetic, in exactly the per-coordinate order, of the reference
+// clear → Axpy → one scale loop (fed.WeightedFedAvg) — so the result is
+// bitwise identical for every shard count and every thread count, and the
+// fold stage scales with cores while the ingest loop stays serial only in
+// arrival order.
 //
-// Ownership: each shard's accumulator (and its touched-coordinate union) is
-// single-buffered private scratch, lazily re-zeroed when the shard first
-// participates in a round. The merged global is double-buffered like
-// SparseFedAvg's scratch: the vector returned by Merge stays intact while
-// the next round accumulates and merges, which is what lets zero-copy
-// loopback clients still be reading a broadcast when the next commit lands.
+// Ownership: rounds alternate between two global vectors. The vector
+// returned by Merge stays intact while the next round folds and merges —
+// which is what lets zero-copy loopback clients still be reading a broadcast
+// when the next commit lands — and is reused by the round after that, each
+// shard first re-zeroing only what its range held.
 package shard
 
 import (
+	"slices"
+
 	"repro/internal/tensor"
 )
 
@@ -68,47 +69,44 @@ func (p Plan) Bounds(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// shardAcc is one shard's private fold state: the accumulator over its
-// contiguous range, and the record of which coordinates the open round has
-// touched (mirroring SparseFedAvg's union/full bookkeeping per range —
-// scaling a zero coordinate is the identity, so the mode never changes
-// bits). seen lags the reducer's round counter until the shard first
-// participates, which is what makes clearing lazy and parallel: it happens
-// inside the shard's own fold call.
-type shardAcc struct {
+// shardRange is one shard's range of one global buffer: what the range's
+// last round left in it, which is both the open round's touched-coordinate
+// record and what must be re-zeroed before the range is folded into again.
+// seen lags the reducer's round counter until the shard first participates,
+// which is what makes clearing lazy and parallel: it happens inside the
+// shard's own fold call.
+type shardRange struct {
 	lo, hi int
 	seen   uint64
-	acc    []float32 // len hi-lo, all-zero outside the open round's union
-	full   bool      // whole range participates (dense update, or union overflow)
-	union  []int32   // ascending global coords touched this round (unless full)
-	mrg    []int32   // union merge scratch, swapped with union
+	// full marks that the whole range participates: a dense update joined,
+	// or the sparse union outgrew the point where per-coordinate bookkeeping
+	// beats one sequential sweep. Scaling a zero coordinate is the identity,
+	// so both modes produce the same bits.
+	full  bool
+	union []int32 // ascending coordinates touched (unless full)
 }
 
-// mergeBuf is one of the two merged-global buffers, with per-shard records
-// of what its last merge dirtied (to re-zero before it is merged into
-// again, two rounds later).
-type mergeBuf struct {
-	buf      []float32
-	dirty    [][]int32
-	dirtyAll []bool
-}
-
-// Reducer is the sharded fold engine. Protocol, mirroring a streaming
-// aggregator round: BeginRound, any number of FoldDense/FoldSparse calls
-// (each the already-weighted contribution of one update), then Merge. The
-// caller owns arrival order and the weight arithmetic (including the total
-// being normalised by); the reducer owns the partition, the per-shard
-// scratch, and the parallel fan-out.
+// Reducer is the fold engine. Protocol, mirroring a streaming aggregator
+// round: BeginRound, any number of FoldDense/FoldSparse calls (each the
+// already-weighted contribution of one update), then Merge. The caller owns
+// arrival order and the weight arithmetic (including the total being
+// normalised by); the reducer owns the partition, the double-buffered
+// global, the touched-coordinate bookkeeping and the parallel fan-out.
 type Reducer struct {
 	shards int
 	plan   Plan
-	accs   []shardAcc
-	bufs   [2]mergeBuf
+	bufs   [2][]float32
+	ranges [2][]shardRange // [buffer][shard]
 	cur    int
 	round  uint64
 
-	winBuf  []float32 // Window dense-export scratch
-	winIdx  []int32   // Window sparse-export scratch
+	// Per-shard scratch: the union merge target (swapped with the range's
+	// union), and the shard's subrange view of the sparse update being
+	// folded — a field so that handing it to the kernel allocates nothing.
+	mrg  [][]int32
+	view []tensor.SparseVec
+
+	winIdx  []int32 // Window sparse-export scratch
 	winVals []float32
 
 	// Pending-operation operands plus persistent range closures over them:
@@ -116,11 +114,9 @@ type Reducer struct {
 	// the hot path stays allocation-free by parking the operands in fields
 	// for the duration of one dispatch. opX/opSp may alias transport decode
 	// scratch and are nilled as soon as the dispatch returns.
-	opW         float32
-	opScale     float32
+	opW         float32 // a fold's weight, or a merge's scale
 	opX         []float32
 	opSp        *tensor.SparseVec
-	opMb        *mergeBuf
 	denseRange  func(lo, hi int)
 	sparseRange func(lo, hi int)
 	mergeRange  func(lo, hi int)
@@ -145,7 +141,7 @@ func NewReducer(shards int) *Reducer {
 	}
 	r.mergeRange = func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			r.mergeShard(r.opMb, s, r.opScale)
+			r.mergeShard(s, r.opW)
 		}
 	}
 	return r
@@ -154,10 +150,10 @@ func NewReducer(shards int) *Reducer {
 // Shards reports the configured shard count.
 func (r *Reducer) Shards() int { return r.shards }
 
-// BeginRound opens a new round: the merge target flips to the other buffer
-// (the previous Merge result stays intact for one more full round) and every
-// shard's scratch is invalidated, to be cleared lazily when the shard next
-// participates.
+// BeginRound opens a new round on the other global buffer (the previous
+// Merge result stays intact for one more full round). What that buffer still
+// holds from two rounds ago is cleared lazily, per shard, when the shard
+// next participates.
 func (r *Reducer) BeginRound() {
 	r.cur ^= 1
 	r.round++
@@ -166,36 +162,35 @@ func (r *Reducer) BeginRound() {
 // size (re)builds the partition for vector length n. Steady state — the
 // length never changes within a run — this is one comparison.
 func (r *Reducer) size(n int) {
-	if r.plan.n == n && r.accs != nil {
+	if r.plan.n == n && r.mrg != nil {
 		return
 	}
 	r.plan = NewPlan(n, r.shards)
-	r.accs = make([]shardAcc, r.shards)
-	for s := range r.accs {
-		lo, hi := r.plan.Bounds(s)
-		r.accs[s] = shardAcc{lo: lo, hi: hi, acc: make([]float32, hi-lo)}
-	}
+	r.mrg = make([][]int32, r.shards)
+	r.view = make([]tensor.SparseVec, r.shards)
 	for b := range r.bufs {
-		r.bufs[b] = mergeBuf{
-			buf:      make([]float32, n),
-			dirty:    make([][]int32, r.shards),
-			dirtyAll: make([]bool, r.shards),
+		r.bufs[b] = make([]float32, n)
+		r.ranges[b] = make([]shardRange, r.shards)
+		for s := range r.ranges[b] {
+			lo, hi := r.plan.Bounds(s)
+			r.ranges[b][s] = shardRange{lo: lo, hi: hi}
 		}
 	}
 }
 
-// ensureRound restores one shard's all-zero accumulator invariant on its
-// first participation of the open round, clearing only what its previous
-// round touched.
-func (r *Reducer) ensureRound(sh *shardAcc) {
+// join restores one range's all-zero invariant on its shard's first
+// participation of the open round, clearing only what its previous round
+// touched.
+func (r *Reducer) join(sh *shardRange) {
 	if sh.seen == r.round {
 		return
 	}
+	buf := r.bufs[r.cur]
 	if sh.full {
-		clear(sh.acc)
+		clear(buf[sh.lo:sh.hi])
 	} else {
 		for _, j := range sh.union {
-			sh.acc[int(j)-sh.lo] = 0
+			buf[j] = 0
 		}
 	}
 	sh.union = sh.union[:0]
@@ -203,173 +198,138 @@ func (r *Reducer) ensureRound(sh *shardAcc) {
 	sh.seen = r.round
 }
 
-// parallel reports whether work of the given size fans out over the kernel
-// pool; below the threshold the dispatch costs more than the arithmetic.
-// Shards own disjoint state, so either execution produces the same bits.
-func (r *Reducer) parallel(work int) bool {
-	return len(r.accs) > 1 && work >= shardParMin
+// each runs fn over every shard: fanned out over the kernel pool when there
+// is more than one shard and the work is large enough to pay for the
+// dispatch, inline otherwise. Shards own disjoint state, so either
+// execution produces the same bits.
+func (r *Reducer) each(work int, fn func(lo, hi int)) {
+	if r.shards > 1 && work >= shardParMin {
+		tensor.Parallel(r.shards, fn)
+		return
+	}
+	fn(0, r.shards)
 }
 
 // FoldDense folds one dense already-weighted contribution: every shard adds
 // w·x over its range — per coordinate, exactly WeightedFedAvg's Axpy.
 func (r *Reducer) FoldDense(w float32, x []float32) {
 	r.size(len(x))
-	if r.parallel(len(x)) {
-		r.opW, r.opX = w, x
-		tensor.Parallel(len(r.accs), r.denseRange)
-		r.opX = nil
-		return
-	}
-	for s := range r.accs {
-		r.foldDenseShard(s, w, x)
-	}
+	r.opW, r.opX = w, x
+	r.each(len(x), r.denseRange)
+	r.opX = nil
 }
 
 // foldDenseShard folds one shard's range of a dense contribution.
 func (r *Reducer) foldDenseShard(s int, w float32, x []float32) {
-	sh := &r.accs[s]
-	r.ensureRound(sh)
-	tensor.AxpySlice(sh.acc, w, x[sh.lo:sh.hi])
+	sh := &r.ranges[r.cur][s]
+	r.join(sh)
+	tensor.AxpySlice(r.bufs[r.cur][sh.lo:sh.hi], w, x[sh.lo:sh.hi])
 	sh.full = true
 }
 
 // FoldSparse folds one sparse already-weighted contribution: each shard
 // locates its contiguous subrange of the ascending index list by binary
-// search and folds only that, maintaining its own touched-coordinate union
-// (with the same quarter-of-the-range overflow to full mode as the
-// single-loop aggregator). A shard with no coordinate in range does not
-// participate.
+// search and folds only that, maintaining its range's touched-coordinate
+// union. A shard with no coordinate in range does not participate.
 func (r *Reducer) FoldSparse(w float32, x *tensor.SparseVec) {
 	r.size(x.N)
-	if r.parallel(len(x.Indices)) {
-		r.opW, r.opSp = w, x
-		tensor.Parallel(len(r.accs), r.sparseRange)
-		r.opSp = nil
-		return
-	}
-	for s := range r.accs {
-		r.foldSparseShard(s, w, x)
-	}
+	r.opW, r.opSp = w, x
+	r.each(len(x.Indices), r.sparseRange)
+	r.opSp = nil
 }
 
 // foldSparseShard folds one shard's subrange of a sparse contribution.
 func (r *Reducer) foldSparseShard(s int, w float32, x *tensor.SparseVec) {
-	sh := &r.accs[s]
+	sh := &r.ranges[r.cur][s]
 	i0 := tensor.SearchInt32(x.Indices, int32(sh.lo))
 	i1 := i0 + tensor.SearchInt32(x.Indices[i0:], int32(sh.hi))
 	if i0 == i1 {
 		return
 	}
-	r.ensureRound(sh)
-	idx, val := x.Indices[i0:i1], x.Values[i0:i1]
-	tensor.AxpyOffset(sh.acc, w, idx, val, int32(sh.lo))
+	r.join(sh)
+	idx := x.Indices[i0:i1]
+	v := &r.view[s]
+	*v = tensor.SparseVec{N: x.N, Indices: idx, Values: x.Values[i0:i1]}
+	tensor.AxpySparse(r.bufs[r.cur], w, v)
+	*v = tensor.SparseVec{}
 	if sh.full {
 		return
 	}
-	if !equalInt32(sh.union, idx) {
-		sh.mrg = tensor.MergeIndices(sh.mrg, sh.union, idx)
-		sh.union, sh.mrg = sh.mrg, sh.union
+	// Clients sharing one prune mask (the coordinated-sparsity regime) send
+	// identical index lists: detect that with one cheap scan and skip the
+	// branchier merge. When clients prune independently the union keeps
+	// growing; past a quarter of the range, one sequential full sweep is
+	// cheaper than per-coordinate bookkeeping, so stop tracking.
+	if !slices.Equal(sh.union, idx) {
+		r.mrg[s] = tensor.MergeIndices(r.mrg[s], sh.union, idx)
+		sh.union, r.mrg[s] = r.mrg[s], sh.union
 		if len(sh.union)*4 > sh.hi-sh.lo {
 			sh.full = true
 		}
 	}
 }
 
-// Merge closes the round: every shard re-zeroes what this buffer's previous
-// merge left in its range, then scatters scale·acc at its touched
-// coordinates (or sweeps its whole range when full). The semantic write
-// order is ascending shard then ascending index; concurrent execution is
-// indistinguishable because the ranges are disjoint. The returned vector
+// Merge closes the round: every shard scales its range of the open buffer
+// by scale — the whole range when full, only the touched coordinates
+// otherwise — after a shard that sat the round out has re-zeroed what its
+// range still held. Concurrent execution is indistinguishable from the
+// ascending loop because the ranges are disjoint. The returned vector
 // aliases the reducer's double-buffered scratch: it stays intact through the
-// whole next round and is rewritten by the merge after that.
+// whole next round and is rewritten by the round after that.
 func (r *Reducer) Merge(scale float32) []float32 {
-	mb := &r.bufs[r.cur]
-	if r.parallel(r.plan.n) {
-		r.opMb, r.opScale = mb, scale
-		tensor.Parallel(len(r.accs), r.mergeRange)
-		r.opMb = nil
-		return mb.buf
+	if r.mrg == nil {
+		return nil // nothing was ever folded
 	}
-	for s := range r.accs {
-		r.mergeShard(mb, s, scale)
-	}
-	return mb.buf
+	r.opW = scale
+	r.each(r.plan.n, r.mergeRange)
+	return r.bufs[r.cur]
 }
 
-// mergeShard normalises and writes one shard's partial into the merge
-// buffer, restoring the all-zero invariant for what the buffer's previous
-// merge left in the shard's range.
-func (r *Reducer) mergeShard(mb *mergeBuf, s int, scale float32) {
-	sh := &r.accs[s]
-	if mb.dirtyAll[s] {
-		clear(mb.buf[sh.lo:sh.hi])
-	} else {
-		for _, j := range mb.dirty[s] {
-			mb.buf[j] = 0
-		}
-	}
-	if sh.seen != r.round {
-		mb.dirty[s] = mb.dirty[s][:0]
-		mb.dirtyAll[s] = false
+// mergeShard normalises one shard's range in place.
+func (r *Reducer) mergeShard(s int, scale float32) {
+	sh := &r.ranges[r.cur][s]
+	r.join(sh)
+	if !sh.full {
+		tensor.ScaleIndexed(r.bufs[r.cur], scale, sh.union)
 		return
 	}
-	if sh.full {
-		tensor.ScaleInto(mb.buf[sh.lo:sh.hi], sh.acc, scale)
-		mb.dirty[s] = mb.dirty[s][:0]
-		mb.dirtyAll[s] = true
-		return
+	// Unrolled like tensor.AxpySlice: the one-statement loop is core-bound
+	// and its speed swings ~30 % with where the linker happens to align it.
+	seg := r.bufs[r.cur][sh.lo:sh.hi]
+	for len(seg) >= 4 {
+		seg[0] *= scale
+		seg[1] *= scale
+		seg[2] *= scale
+		seg[3] *= scale
+		seg = seg[4:]
 	}
-	tensor.ScaleScatterOffset(mb.buf, scale, sh.acc, sh.union, int32(sh.lo))
-	mb.dirty[s] = append(mb.dirty[s][:0], sh.union...)
-	mb.dirtyAll[s] = false
+	for i := range seg {
+		seg[i] *= scale
+	}
 }
 
 // Window exports the open round's raw (unscaled) partial accumulation for a
-// durable mid-window snapshot. When any participating shard runs in full
-// mode the export is dense: idx is nil and vals is the whole partial vector.
-// Otherwise idx holds the ascending union of touched coordinates across
-// shards and vals their partial sums. Both returns alias reducer scratch
-// valid until the next fold, merge, or Window call.
+// durable mid-window snapshot. When any shard runs in full mode the export
+// is dense: idx is nil and vals is the whole partial vector. Otherwise idx
+// holds the ascending union of touched coordinates across shards and vals
+// their partial sums. Both returns alias reducer scratch valid until the
+// next fold, merge, or Window call.
 func (r *Reducer) Window() (idx []int32, vals []float32, dense bool) {
-	for s := range r.accs {
-		sh := &r.accs[s]
-		if sh.seen == r.round && sh.full {
-			dense = true
-			break
+	buf := r.bufs[r.cur]
+	r.winIdx, r.winVals = r.winIdx[:0], r.winVals[:0]
+	for s := range r.ranges[r.cur] {
+		// A shard that has not participated joins empty-handed, so the dense
+		// export below reads zeros — not the round before last — in its range.
+		sh := &r.ranges[r.cur][s]
+		r.join(sh)
+		dense = dense || sh.full
+		r.winIdx = append(r.winIdx, sh.union...)
+		for _, j := range sh.union {
+			r.winVals = append(r.winVals, buf[j])
 		}
 	}
 	if dense {
-		if cap(r.winBuf) < r.plan.n {
-			r.winBuf = make([]float32, r.plan.n)
-		}
-		r.winBuf = r.winBuf[:r.plan.n]
-		clear(r.winBuf)
-		for s := range r.accs {
-			sh := &r.accs[s]
-			if sh.seen != r.round {
-				continue
-			}
-			if sh.full {
-				copy(r.winBuf[sh.lo:sh.hi], sh.acc)
-				continue
-			}
-			for _, j := range sh.union {
-				r.winBuf[j] = sh.acc[int(j)-sh.lo]
-			}
-		}
-		return nil, r.winBuf, true
-	}
-	r.winIdx = r.winIdx[:0]
-	r.winVals = r.winVals[:0]
-	for s := range r.accs {
-		sh := &r.accs[s]
-		if sh.seen != r.round {
-			continue
-		}
-		r.winIdx = append(r.winIdx, sh.union...)
-		for _, j := range sh.union {
-			r.winVals = append(r.winVals, sh.acc[int(j)-sh.lo])
-		}
+		return nil, buf, true
 	}
 	return r.winIdx, r.winVals, false
 }
@@ -381,41 +341,21 @@ func (r *Reducer) Window() (idx []int32, vals []float32, dense bool) {
 // in full mode; a sparse capture restores each shard's union subrange.
 func (r *Reducer) RestoreWindow(n int, idx []int32, vals []float32, dense bool) {
 	r.size(n)
-	if dense {
-		for s := range r.accs {
-			sh := &r.accs[s]
-			r.ensureRound(sh)
-			copy(sh.acc, vals[sh.lo:sh.hi])
+	buf := r.bufs[r.cur]
+	for s := range r.ranges[r.cur] {
+		sh := &r.ranges[r.cur][s]
+		r.join(sh)
+		if dense {
+			copy(buf[sh.lo:sh.hi], vals[sh.lo:sh.hi])
 			sh.full = true
-		}
-		return
-	}
-	for s := range r.accs {
-		sh := &r.accs[s]
-		i0 := tensor.SearchInt32(idx, int32(sh.lo))
-		i1 := i0 + tensor.SearchInt32(idx[i0:], int32(sh.hi))
-		if i0 == i1 {
 			continue
 		}
-		r.ensureRound(sh)
+		i0 := tensor.SearchInt32(idx, int32(sh.lo))
+		i1 := i0 + tensor.SearchInt32(idx[i0:], int32(sh.hi))
 		for i := i0; i < i1; i++ {
-			sh.acc[int(idx[i])-sh.lo] = vals[i]
+			buf[idx[i]] = vals[i]
 		}
-		sh.union = append(sh.union[:0], idx[i0:i1]...)
+		sh.union = append(sh.union, idx[i0:i1]...)
 		sh.full = len(sh.union)*4 > sh.hi-sh.lo
 	}
-}
-
-// equalInt32 reports whether two index lists are element-wise equal (the
-// shared-prune-mask fast path: identical lists skip the merge).
-func equalInt32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -48,6 +48,14 @@ func mkSparse(rng *tensor.RNG, n int, density float64) *tensor.SparseVec {
 	return tensor.GatherMask(nil, w, mask)
 }
 
+// pinKernelThreads sets the kernel-thread budget for the rest of the test
+// and restores the previous setting — "follow GOMAXPROCS" included — when it
+// ends.
+func pinKernelThreads(t testing.TB, n int) {
+	prev := tensor.SetKernelThreads(n)
+	t.Cleanup(func() { tensor.SetKernelThreads(prev) })
+}
+
 // naiveFold is the reference: a plain dense accumulate of the same weighted
 // contributions, per coordinate the same operations the reducer performs.
 type naiveFold struct {
@@ -130,9 +138,7 @@ func TestReducerMatchesNaive(t *testing.T) {
 func TestReducerDeterministicAcrossThreads(t *testing.T) {
 	const n = 40_000
 	run := func(threads int) []float32 {
-		old := tensor.KernelThreads()
-		tensor.SetKernelThreads(threads)
-		defer tensor.SetKernelThreads(old)
+		pinKernelThreads(t, threads)
 		rng := tensor.NewRNG(5)
 		r := NewReducer(8)
 		r.BeginRound()
@@ -177,7 +183,8 @@ func TestReducerMergeSurvivesNextRound(t *testing.T) {
 // TestReducerWindowRoundTrip: capturing the open window after some folds,
 // then restoring it into a fresh reducer and folding the rest, must land on
 // the exact bits of the uninterrupted fold — in both the sparse and the
-// dense (full-mode) capture regimes.
+// dense (full-mode) capture regimes, at one shard and at several, and across
+// layouts (a cut taken at one shard count restores at another).
 func TestReducerWindowRoundTrip(t *testing.T) {
 	const n = 5_000
 	mk := func() (head, tail []struct {
@@ -199,56 +206,59 @@ func TestReducerWindowRoundTrip(t *testing.T) {
 		}
 		return
 	}
-	for _, withDense := range []bool{false, true} {
-		head, tail, dense := mk()
+	for _, p := range []struct{ cut, restore int }{{1, 1}, {4, 4}, {1, 4}, {4, 1}} {
+		for _, withDense := range []bool{false, true} {
+			head, tail, dense := mk()
 
-		// Uninterrupted reference.
-		ref := NewReducer(4)
-		ref.BeginRound()
-		for _, c := range head {
-			ref.FoldSparse(c.w, c.sp)
-		}
-		if withDense {
-			ref.FoldDense(2, dense)
-		}
-		for _, c := range tail {
-			ref.FoldSparse(c.w, c.sp)
-		}
-		want := append([]float32(nil), ref.Merge(0.25)...)
+			// Uninterrupted reference.
+			ref := NewReducer(p.cut)
+			ref.BeginRound()
+			for _, c := range head {
+				ref.FoldSparse(c.w, c.sp)
+			}
+			if withDense {
+				ref.FoldDense(2, dense)
+			}
+			for _, c := range tail {
+				ref.FoldSparse(c.w, c.sp)
+			}
+			want := append([]float32(nil), ref.Merge(0.25)...)
 
-		// Crash after head: capture, restore into a fresh reducer, fold tail.
-		r1 := NewReducer(4)
-		r1.BeginRound()
-		for _, c := range head {
-			r1.FoldSparse(c.w, c.sp)
-		}
-		if withDense {
-			r1.FoldDense(2, dense)
-		}
-		idx, vals, isDense := r1.Window()
-		if isDense != withDense {
-			t.Fatalf("withDense=%v: capture dense=%v", withDense, isDense)
-		}
-		idx = append([]int32(nil), idx...)
-		vals = append([]float32(nil), vals...)
+			// Crash after head: capture, restore into a fresh reducer, fold tail.
+			r1 := NewReducer(p.cut)
+			r1.BeginRound()
+			for _, c := range head {
+				r1.FoldSparse(c.w, c.sp)
+			}
+			if withDense {
+				r1.FoldDense(2, dense)
+			}
+			idx, vals, isDense := r1.Window()
+			if isDense != withDense {
+				t.Fatalf("shards=%v withDense=%v: capture dense=%v", p, withDense, isDense)
+			}
+			idx = append([]int32(nil), idx...)
+			vals = append([]float32(nil), vals...)
 
-		r2 := NewReducer(4)
-		r2.BeginRound()
-		r2.RestoreWindow(n, idx, vals, isDense)
-		for _, c := range tail {
-			r2.FoldSparse(c.w, c.sp)
-		}
-		got := r2.Merge(0.25)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("withDense=%v coordinate %d: restored %v, uninterrupted %v", withDense, i, got[i], want[i])
+			r2 := NewReducer(p.restore)
+			r2.BeginRound()
+			r2.RestoreWindow(n, idx, vals, isDense)
+			for _, c := range tail {
+				r2.FoldSparse(c.w, c.sp)
+			}
+			got := r2.Merge(0.25)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("shards=%v withDense=%v coordinate %d: restored %v, uninterrupted %v", p, withDense, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
 // TestReducerEmptyAndResize: a round with no folds merges to the prior
-// zero state, and a vector-length change rebuilds the partition cleanly.
+// zero state, a vector-length change rebuilds the partition cleanly, and an
+// abandoned round is cleared like a merged one.
 func TestReducerEmptyAndResize(t *testing.T) {
 	r := NewReducer(3)
 	r.BeginRound()
@@ -266,5 +276,15 @@ func TestReducerEmptyAndResize(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("empty round coordinate %d = %v, want 0", i, v)
 		}
+	}
+	// A round abandoned without Merge must not leak its sums into the round
+	// that next reuses its buffer.
+	r.BeginRound()
+	r.FoldDense(1, []float32{7, 7})
+	r.BeginRound()
+	r.BeginRound()
+	r.FoldSparse(1, &tensor.SparseVec{N: 2, Indices: []int32{1}, Values: []float32{3}})
+	if got := r.Merge(1); got[0] != 0 || got[1] != 3 {
+		t.Fatalf("after an abandoned round: %v, want [0 3]", got)
 	}
 }

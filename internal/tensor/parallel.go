@@ -24,14 +24,16 @@ var (
 	tokensSize   int
 )
 
-// SetKernelThreads sets the worker budget for tensor kernels. n <= 0 resets
-// to GOMAXPROCS. The setting is global: it bounds total kernel goroutines
-// across all concurrently-training clients.
-func SetKernelThreads(n int) {
+// SetKernelThreads sets the worker budget for tensor kernels and returns the
+// previous setting, so a caller can restore it exactly. n <= 0 (and a
+// returned 0) means "follow GOMAXPROCS", read afresh on every kernel call.
+// The setting is global: it bounds total kernel goroutines across all
+// concurrently-training clients.
+func SetKernelThreads(n int) (prev int) {
+	prev = int(atomic.SwapInt64(&kernelThreads, int64(max(n, 0))))
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	atomic.StoreInt64(&kernelThreads, int64(n))
 	tokensMu.Lock()
 	if tokensSize != n {
 		tokensSize = n
@@ -41,6 +43,7 @@ func SetKernelThreads(n int) {
 		}
 	}
 	tokensMu.Unlock()
+	return prev
 }
 
 // KernelThreads reports the current kernel worker budget.

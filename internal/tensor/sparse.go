@@ -211,55 +211,6 @@ func scaleIndexedRange(dst []float32, s float32, idx []int32, lo, hi int) {
 	}
 }
 
-// AxpyOffset computes dst[idx[i]-off] += a·val[i] — the shard-local form of
-// AxpySparse: a per-shard reducer owns the contiguous coordinate range
-// [off, off+len(dst)) and folds the subrange of a sparse update that falls
-// inside it into its own accumulator. Indices are strictly ascending and must
-// all lie in the shard's range. Sequential by design: callers parallelise
-// over shards, whose accumulators are disjoint.
-func AxpyOffset(dst []float32, a float32, idx []int32, val []float32, off int32) {
-	for len(idx) >= 4 {
-		dst[idx[0]-off] += a * val[0]
-		dst[idx[1]-off] += a * val[1]
-		dst[idx[2]-off] += a * val[2]
-		dst[idx[3]-off] += a * val[3]
-		idx, val = idx[4:], val[4:]
-	}
-	for i, j := range idx {
-		dst[j-off] += a * val[i]
-	}
-}
-
-// ScaleScatterOffset computes dst[idx[i]] = s·src[idx[i]-off] — the sparse
-// partial-merge kernel: a per-shard reducer's accumulator (src, owning the
-// contiguous range [off, off+len(src))) is normalised and scattered into the
-// full-length merged vector at the shard's touched coordinates. Sequential by
-// design: callers parallelise over shards, whose output ranges are disjoint.
-func ScaleScatterOffset(dst []float32, s float32, src []float32, idx []int32, off int32) {
-	for len(idx) >= 4 {
-		dst[idx[0]] = s * src[idx[0]-off]
-		dst[idx[1]] = s * src[idx[1]-off]
-		dst[idx[2]] = s * src[idx[2]-off]
-		dst[idx[3]] = s * src[idx[3]-off]
-		idx = idx[4:]
-	}
-	for _, j := range idx {
-		dst[j] = s * src[j-off]
-	}
-}
-
-// ScaleInto computes dst[i] = s·src[i] — the dense partial-merge kernel for a
-// shard whose whole range participated. len(src) must equal len(dst).
-// Sequential by design: callers parallelise over shards.
-func ScaleInto(dst, src []float32, s float32) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("tensor: ScaleInto length %d, want %d", len(src), len(dst)))
-	}
-	for i, v := range src {
-		dst[i] = s * v
-	}
-}
-
 // SearchInt32 returns the smallest i with a[i] >= v (len(a) when none), by
 // binary search over a strictly-ascending list — how a sharded reducer
 // locates its contiguous subrange of a sparse update's index list.
