@@ -8,6 +8,7 @@
 //	fedknow-bench -exp sparse -bench-out BENCH_sparse.json -baseline bench/BENCH_sparse_baseline.json
 //	fedknow-bench -exp async -bench-out BENCH_async.json
 //	fedknow-bench -exp robust -bench-out BENCH_robust.json
+//	fedknow-bench -exp fig5 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Experiments: fig4a–fig4h, table1, fig5, fig6, fig7, fig8, fig9, fig10,
 // hyper, all — plus "sparse", which measures the sparse update pipeline
@@ -29,6 +30,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +41,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fed"
+	"repro/internal/profiling"
 	"repro/internal/tensor"
 )
 
@@ -55,46 +59,14 @@ func main() {
 	maxStaleness := flag.Int("max-staleness", 0, "async scheduler: reject updates staler than this many global versions (0 = unbounded)")
 	stalenessAlpha := flag.Float64("staleness-alpha", 0.5, "async scheduler: alpha in the staleness weight 1/(1+staleness)^alpha (0 disables deweighting)")
 	syncEvict := flag.Bool("sync-evict", false, "sync scheduler: evict a dropped client and keep the cohort going instead of aborting (relaxes lockstep reproducibility)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	shards := flag.Int("shards", 0, "partition each engine's server-side aggregation fold across this many concurrent per-shard reducers (bitwise-identical results for every value; 0 or 1 = single-loop default)")
 	flag.Parse()
 	tensor.SetKernelThreads(*kernelThreads)
 	if *scheduler != fed.SchedulerSync && *scheduler != fed.SchedulerAsync {
 		fmt.Fprintf(os.Stderr, "unknown -scheduler %q (sync, async)\n", *scheduler)
 		os.Exit(2)
-	}
-
-	if *exp == "sparse" {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_sparse.json"
-		}
-		if err := runSparseBench(out, *baseline, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "async" {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_async.json"
-		}
-		if err := runAsyncBench(out, *seed, *asyncCommitK, *maxStaleness, *stalenessAlpha); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "robust" {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_robust.json"
-		}
-		if err := runRobustBench(out, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var sc data.Scale
@@ -119,14 +91,39 @@ func main() {
 		}}
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	switch *exp {
+	case "sparse":
+		err = runSparseBench(cmp.Or(*benchOut, "BENCH_sparse.json"), *baseline, *seed)
+	case "async":
+		err = runAsyncBench(cmp.Or(*benchOut, "BENCH_async.json"), *seed, *asyncCommitK, *maxStaleness, *stalenessAlpha)
+	case "robust":
+		err = runRobustBench(cmp.Or(*benchOut, "BENCH_robust.json"), *seed)
+	default:
+		err = runPaperExperiments(*exp, opt)
+	}
+	// The profiles are written however the run ended.
+	if err = errors.Join(err, stopProfiles()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// runPaperExperiments regenerates one table or figure of the paper, or all
+// of them, stopping at the first that fails.
+func runPaperExperiments(exp string, opt experiments.Options) error {
+	ids := []string{exp}
+	if exp == "all" {
 		ids = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig4f", "fig4g", "fig4h",
 			"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "hyper"}
 	}
 	for _, id := range ids {
 		start := time.Now()
-		fmt.Printf("\n### running %s (scale=%s)\n", id, sc)
+		fmt.Printf("\n### running %s (scale=%s)\n", id, opt.Scale)
 		var err error
 		switch {
 		case strings.HasPrefix(id, "fig4"):
@@ -153,11 +150,11 @@ func main() {
 			err = fmt.Errorf("unknown experiment %q", id)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", id, err)
 		}
 		fmt.Printf("### %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // runSparseBench measures the sparse update pipeline, writes BENCH_sparse.json

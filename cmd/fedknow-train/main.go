@@ -12,6 +12,7 @@
 //	fedknow-train -dataset CIFAR100 -method FedKNOW -clients 4 -rounds 2
 //	fedknow-train -dataset MiniImageNet -method GEM -arch ResNet18
 //	fedknow-train -dataset CIFAR100 -dropout 0.2 -bandwidth 51200
+//	fedknow-train -dataset MiniImageNet -cpuprofile cpu.prof -memprofile mem.prof
 //
 //	# distributed: server plus one process per client
 //	fedknow-train -dataset CIFAR100 -clients 2 -listen :7070 &
@@ -50,6 +51,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -62,6 +64,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fed"
 	"repro/internal/model"
+	"repro/internal/profiling"
 	"repro/internal/tensor"
 )
 
@@ -76,17 +79,17 @@ type job struct {
 	snapKeep  int    // server role: previous snapshots kept besides the newest
 	minCohort int    // server role: fresh connections awaited before the run starts
 	maxCohort int    // server role: seat-book cap for mid-run joins
-	fam     data.Family
-	scale   data.Scale
-	arch    string
-	width   int
-	clients int
-	tasks   int
-	ds      *data.Dataset
-	seqs    [][]data.ClientTask
-	cluster *device.Cluster
-	build   func(*tensor.RNG) *model.Model
-	factory fed.Factory
+	fam       data.Family
+	scale     data.Scale
+	arch      string
+	width     int
+	clients   int
+	tasks     int
+	ds        *data.Dataset
+	seqs      [][]data.ClientTask
+	cluster   *device.Cluster
+	build     func(*tensor.RNG) *model.Model
+	factory   fed.Factory
 }
 
 func main() {
@@ -121,6 +124,8 @@ func main() {
 	snapshotKeep := flag.Int("snapshot-keep", 1, "previous snapshots retained besides the newest (negative keeps all)")
 	minCohort := flag.Int("min-cohort", 0, "server role, elastic membership: start the run once this many fresh clients have connected instead of all -clients; the rest may enroll mid-run with -join (requires -listen and -scheduler async; 0 = -clients, the fixed-cohort default)")
 	maxCohort := flag.Int("max-cohort", 0, "server role, elastic membership: cap the seat book — mid-run -join enrollments beyond it are refused and counted (0 = -clients; at most -clients, the data-shard space)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	join := flag.Bool("join", false, "client role, elastic membership: enroll into the running federation without a preassigned seat — the server assigns the seat ID and replies with a catch-up (requires -connect and -scheduler async; excludes -client-id)")
 	flag.Parse()
 	tensor.SetKernelThreads(*kernelThreads)
@@ -263,7 +268,7 @@ func main() {
 		snapKeep:  *snapshotKeep,
 		minCohort: *minCohort,
 		maxCohort: *maxCohort,
-		fam: fam, scale: sc, arch: architecture, width: rt.Width,
+		fam:       fam, scale: sc, arch: architecture, width: rt.Width,
 		clients: rt.Clients, tasks: len(tasks), ds: ds, seqs: seqs,
 		cluster: device.Jetson20(),
 		build: func(rng *tensor.RNG) *model.Model {
@@ -289,7 +294,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var err error
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	switch {
 	case *listen != "":
 		err = runServe(j, *listen)
@@ -298,7 +307,8 @@ func main() {
 	default:
 		runLoopback(j)
 	}
-	if err != nil {
+	// The profiles are written however the run ended.
+	if err = errors.Join(err, stopProfiles()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

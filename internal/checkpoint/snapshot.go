@@ -293,7 +293,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (*ServerSnapshot, error) {
 		WireRecv:    pr.i64(),
 	}
 	snap.Global = pr.f32s(pr.count("global params", 4))
-	nSeats := pr.count("seats", 1 + 8 + 8 + 8 + 8)
+	nSeats := pr.count("seats", 1+8+8+8+8)
 	if pr.err == nil {
 		snap.Seats = make([]SeatRecord, nSeats)
 		for i := range snap.Seats {
@@ -309,7 +309,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (*ServerSnapshot, error) {
 			}
 		}
 	}
-	nTasks := pr.count("tasks", 7 * 8)
+	nTasks := pr.count("tasks", 7*8)
 	if pr.err == nil {
 		snap.Tasks = make([]TaskRecord, nTasks)
 		for i := range snap.Tasks {

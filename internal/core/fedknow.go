@@ -57,10 +57,13 @@ type FedKNOW struct {
 	step      int
 
 	// per-iteration scratch, reused to keep the training loop allocation-free
-	gBuf   []float32
-	gaBuf  []float32
-	gbBuf  []float32
-	curBuf []float32
+	gBuf        []float32
+	gaBuf       []float32
+	gbBuf       []float32
+	curBuf      []float32
+	dlBuf       *tensor.Tensor   // task-loss logit gradient
+	restoreBuf  []*TaskKnowledge // the signature tasks restored this step
+	constraints [][]float32      // their restored gradients, in signature order
 
 	// Stats accumulates integration diagnostics for the current task;
 	// TaskEnd moves them into StatsByTask.
@@ -132,7 +135,8 @@ func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 	}
 
 	logits := m.Forward(x, true)
-	loss, dl := nn.MaskedCrossEntropy(logits, labels, classes)
+	loss, dl := nn.MaskedCrossEntropyInto(f.dlBuf, logits, labels, classes)
+	f.dlBuf = dl
 	nn.ZeroGrads(params)
 	m.Backward(dl)
 	f.gBuf = nn.FlattenGradsInto(f.gBuf, params)
@@ -143,10 +147,11 @@ func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 		constraints := restored
 		if reRanking {
 			f.signature = f.integrator.SelectSignature(g, restored, f.opts.K)
-			constraints = make([][]float32, len(f.signature))
-			for i, j := range f.signature {
-				constraints[i] = restored[j]
+			f.constraints = f.constraints[:0]
+			for _, j := range f.signature {
+				f.constraints = append(f.constraints, restored[j])
 			}
+			constraints = f.constraints
 		}
 		g2 := f.integrator.Integrate(g, constraints)
 		f.Stats.Steps++
@@ -177,11 +182,11 @@ func (f *FedKNOW) restoreSet() (ks []*TaskKnowledge, reRanking bool) {
 	if f.signature == nil || f.step%f.opts.SelectEvery == 0 {
 		return f.knowledge, true
 	}
-	sel := make([]*TaskKnowledge, len(f.signature))
-	for i, j := range f.signature {
-		sel[i] = f.knowledge[j]
+	f.restoreBuf = f.restoreBuf[:0]
+	for _, j := range f.signature {
+		f.restoreBuf = append(f.restoreBuf, f.knowledge[j])
 	}
-	return sel, false
+	return f.restoreBuf, false
 }
 
 // AfterAggregate implements negative-transfer prevention (§III-A): after the
@@ -205,9 +210,9 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 
 		// gᵃ: gradient at the aggregated (current) weights.
 		logits := m.Forward(x, true)
-		_, dl := nn.MaskedCrossEntropy(logits, labels, ct.Classes)
+		_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logits, labels, ct.Classes)
 		nn.ZeroGrads(params)
-		m.Backward(dl)
+		m.Backward(f.dlBuf)
 		f.gaBuf = nn.FlattenGradsInto(f.gaBuf, params)
 		gAfter := f.gaBuf
 
@@ -215,9 +220,9 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 		f.curBuf = nn.FlattenParamsInto(f.curBuf, params)
 		nn.SetFlatParams(params, preAgg)
 		logitsB := m.Forward(x, true)
-		_, dlB := nn.MaskedCrossEntropy(logitsB, labels, ct.Classes)
+		_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logitsB, labels, ct.Classes)
 		nn.ZeroGrads(params)
-		m.Backward(dlB)
+		m.Backward(f.dlBuf)
 		f.gbBuf = nn.FlattenGradsInto(f.gbBuf, params)
 		gBefore := f.gbBuf
 		nn.SetFlatParams(params, f.curBuf)

@@ -14,6 +14,8 @@ type GradientIntegrator struct {
 	// SubsampleN bounds the coordinates used for Wasserstein ranking;
 	// full gradients are still used for the QP itself.
 	SubsampleN int
+
+	ws qp.Workspace // the QP's buffers, reused across steps
 }
 
 // NewGradientIntegrator returns an integrator with the default ranking
@@ -32,9 +34,10 @@ func (gi *GradientIntegrator) SelectSignature(g []float32, candidates [][]float3
 }
 
 // Integrate solves the dual QP and returns g′ = Gᵀv + g. When no constraint
-// is violated the input gradient is returned unchanged.
+// is violated the input gradient is returned unchanged; otherwise g′ lives in
+// a buffer the integrator owns and is valid until the next Integrate call.
 func (gi *GradientIntegrator) Integrate(g []float32, constraints [][]float32) []float32 {
-	return qp.Integrate(g, constraints)
+	return gi.ws.Integrate(g, constraints)
 }
 
 // IntegrateSelected is the per-iteration composite operation: select the k

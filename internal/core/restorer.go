@@ -24,6 +24,8 @@ type GradientRestorer struct {
 	savedGrads []float32
 	dense      []float32
 	targets    []*tensor.Tensor
+	probs      *tensor.Tensor // live masked softmax of the task being restored
+	dl         *tensor.Tensor // distillation logit gradient fed to Backward
 	outBufs    [][]float32
 	outView    [][]float32
 }
@@ -97,9 +99,9 @@ func (r *GradientRestorer) RestoredGradients(ks []*TaskKnowledge, logits *tensor
 	}
 	r.outView = r.outView[:0]
 	for i, k := range ks {
-		dl := maskedDistillGrad(logits, r.targets[i], k.Classes)
+		r.distillGrad(logits, r.targets[i], k.Classes)
 		nn.ZeroGrads(params)
-		r.m.Backward(dl)
+		r.m.Backward(r.dl)
 		r.outBufs[i] = nn.FlattenGradsInto(r.outBufs[i], params)
 		r.outView = append(r.outView, r.outBufs[i])
 	}
@@ -107,20 +109,13 @@ func (r *GradientRestorer) RestoredGradients(ks []*TaskKnowledge, logits *tensor
 	return r.outView
 }
 
-// maskedSoftmaxInto is maskedSoftmax writing into a reused buffer.
+// maskedSoftmaxInto computes softmax over only the given classes, zero
+// elsewhere, into a reused buffer.
 func maskedSoftmaxInto(dst *tensor.Tensor, logits *tensor.Tensor, classes []int) *tensor.Tensor {
 	dst = tensor.Ensure(dst, logits.Shape...)
 	clear(dst.Data)
 	maskedSoftmaxTo(dst, logits, classes)
 	return dst
-}
-
-// maskedSoftmax computes softmax over only the given classes, zero
-// elsewhere.
-func maskedSoftmax(logits *tensor.Tensor, classes []int) *tensor.Tensor {
-	out := tensor.New(logits.Shape...)
-	maskedSoftmaxTo(out, logits, classes)
-	return out
 }
 
 func maskedSoftmaxTo(out, logits *tensor.Tensor, classes []int) {
@@ -145,20 +140,20 @@ func maskedSoftmaxTo(out, logits *tensor.Tensor, classes []int) {
 	}
 }
 
-// maskedDistillGrad is the gradient of cross-entropy between the live
+// distillGrad leaves in r.dl the gradient of cross-entropy between the live
 // model's masked softmax and the target distribution, restricted to the
 // task classes.
-func maskedDistillGrad(logits, targets *tensor.Tensor, classes []int) *tensor.Tensor {
+func (r *GradientRestorer) distillGrad(logits, targets *tensor.Tensor, classes []int) {
 	n, k := logits.Shape[0], logits.Shape[1]
-	p := maskedSoftmax(logits, classes)
-	dl := tensor.New(n, k)
+	r.probs = maskedSoftmaxInto(r.probs, logits, classes)
+	r.dl = tensor.Ensure(r.dl, n, k)
+	clear(r.dl.Data)
 	invN := float32(1 / float64(n))
 	for i := 0; i < n; i++ {
 		for _, c := range classes {
-			dl.Data[i*k+c] = (p.Data[i*k+c] - targets.Data[i*k+c]) * invN
+			r.dl.Data[i*k+c] = (r.probs.Data[i*k+c] - targets.Data[i*k+c]) * invN
 		}
 	}
-	return dl
 }
 
 func exp32(v float32) float32 {

@@ -70,7 +70,7 @@ func TestCodecGoldenFrames(t *testing.T) {
 			name: "dense update",
 			msg: &Update{ClientID: 1, Participating: true, Weight: 30, ComputeSeconds: 0.25,
 				UpBytes: 1024, DownBytes: 2048, Params: []float32{1, -2, 0.5}},
-			hex:  "023400000001000000010000000000003e40000000000000d03f000400000000000000080000000000000000030000803f000000c00000003f",
+			hex: "023400000001000000010000000000003e40000000000000d03f000400000000000000080000000000000000030000803f000000c00000003f",
 		},
 		{
 			name: "sparse update",

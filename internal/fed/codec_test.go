@@ -387,7 +387,7 @@ func TestCodecSparseDecoderBounds(t *testing.T) {
 		return frame
 	}
 	cases := map[string][]byte{
-		"index out of range":     sparseFrame(0x04, 4, 1, 200, 0, 0, 0x80, 0x3F), // idx 200 ≥ n 4
+		"index out of range":     sparseFrame(0x04, 4, 1, 200, 0, 0, 0x80, 0x3F),                                                                             // idx 200 ≥ n 4
 		"gap wraps to duplicate": sparseFrame(0x04, 8, 2, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0, 0x80, 0x3F, 0, 0, 0x80, 0x3F), // gap 2^64-1 ⇒ idx = prev
 		"gap varint overflow":    sparseFrame(0x04, 4, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01),
 		"k exceeds n":            sparseFrame(0x04, 2, 3, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
@@ -455,8 +455,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{byte(KindUpdate), 0xFF, 0xFF, 0, 0})
-	f.Add([]byte{byte(KindGlobalModel), 7, 0, 0, 0, 0x04, 10, 2, 1, 1})       // truncated sparse
-	f.Add([]byte{byte(KindLeave), 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})        // out-of-range seat
+	f.Add([]byte{byte(KindGlobalModel), 7, 0, 0, 0, 0x04, 10, 2, 1, 1})           // truncated sparse
+	f.Add([]byte{byte(KindLeave), 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})            // out-of-range seat
 	f.Add([]byte{byte(KindCatchup), 7, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0}) // hostile position
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := Decode(bytes.NewReader(raw))

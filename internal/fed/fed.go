@@ -109,16 +109,16 @@ type Factory func(ctx *ClientCtx) Strategy
 
 // Config drives one federated continual-learning run.
 type Config struct {
-	Method      string
-	Rounds      int // aggregation rounds per task (r)
-	LocalIters  int // local iterations per round (v)
-	BatchSize   int
-	LR          float64
-	LRDecay     float64
-	NumClasses  int
-	Bandwidth   float64 // bytes/second per client link
-	MemScale    float64 // sim-bytes → real-bytes multiplier for OOM checks
-	Seed        uint64
+	Method     string
+	Rounds     int // aggregation rounds per task (r)
+	LocalIters int // local iterations per round (v)
+	BatchSize  int
+	LR         float64
+	LRDecay    float64
+	NumClasses int
+	Bandwidth  float64 // bytes/second per client link
+	MemScale   float64 // sim-bytes → real-bytes multiplier for OOM checks
+	Seed       uint64
 	// Parallelism is the number of concurrent clients; 0 = GOMAXPROCS.
 	// fingerprint:exempt execution width never changes results — the fold
 	// is order-pinned by ascending client ID regardless of worker count
@@ -302,15 +302,15 @@ func (cfg Config) Fingerprint(extra ...string) uint64 {
 // protocol from one Config.
 func (cfg Config) ServerConfigFor(numClients, numTasks int) ServerConfig {
 	return ServerConfig{
-		Method:      cfg.Method,
-		NumClients:  numClients,
-		NumTasks:    numTasks,
-		Rounds:      cfg.Rounds,
-		Bandwidth:   cfg.Bandwidth,
-		DropoutProb: cfg.DropoutProb,
-		Seed:        cfg.Seed,
-		Scheduler:   cfg.Scheduler,
-		SyncEvict:   cfg.SyncEvict,
+		Method:          cfg.Method,
+		NumClients:      numClients,
+		NumTasks:        numTasks,
+		Rounds:          cfg.Rounds,
+		Bandwidth:       cfg.Bandwidth,
+		DropoutProb:     cfg.DropoutProb,
+		Seed:            cfg.Seed,
+		Scheduler:       cfg.Scheduler,
+		SyncEvict:       cfg.SyncEvict,
 		Async:           cfg.Async,
 		Shards:          cfg.Shards,
 		Robust:          cfg.Robust,

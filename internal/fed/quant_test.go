@@ -28,15 +28,15 @@ func TestF16KnownValues(t *testing.T) {
 		{1, 0x3C00},
 		{-2, 0xC000},
 		{0.5, 0x3800},
-		{65504, 0x7BFF},                  // largest finite half
-		{65536, 0x7C00},                  // overflow → +Inf
-		{float32(math.Inf(-1)), 0xFC00},  // -Inf
-		{5.9604645e-8, 0x0001},           // smallest subnormal (2^-24)
-		{6.0975552e-5, 0x03FF},           // largest subnormal ((1023/1024)·2^-14)
-		{6.1035156e-5, 0x0400},           // smallest normal (2^-14)
-		{1e-9, 0x0000},                   // underflow → 0
-		{1.0009765625, 0x3C01},           // 1 + 2^-10, exact
-		{1.00048828125, 0x3C00},          // 1 + 2^-11: tie, rounds to even
+		{65504, 0x7BFF},                 // largest finite half
+		{65536, 0x7C00},                 // overflow → +Inf
+		{float32(math.Inf(-1)), 0xFC00}, // -Inf
+		{5.9604645e-8, 0x0001},          // smallest subnormal (2^-24)
+		{6.0975552e-5, 0x03FF},          // largest subnormal ((1023/1024)·2^-14)
+		{6.1035156e-5, 0x0400},          // smallest normal (2^-14)
+		{1e-9, 0x0000},                  // underflow → 0
+		{1.0009765625, 0x3C01},          // 1 + 2^-10, exact
+		{1.00048828125, 0x3C00},         // 1 + 2^-11: tie, rounds to even
 	}
 	for _, c := range cases {
 		if got := f32ToF16(c.f); got != c.h {

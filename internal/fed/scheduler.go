@@ -218,9 +218,9 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		if s.obs != nil {
 			s.obs.RoundDone(RoundStats{
 				TaskIdx: taskIdx, Round: round, Participants: folded,
-				Version:   s.version,
-				NonFinite: s.nonFiniteTotal - nonFiniteMark,
-				Evictions: s.evictTotal - evictMark,
+				Version:        s.version,
+				NonFinite:      s.nonFiniteTotal - nonFiniteMark,
+				Evictions:      s.evictTotal - evictMark,
 				ComputeSeconds: worstCompute, CommSeconds: worstComm,
 				UpBytes: roundUp, DownBytes: roundDown,
 			})

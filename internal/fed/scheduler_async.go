@@ -704,9 +704,9 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 	global := s.stream.FinishRound()
 	stats := RoundStats{
 		TaskIdx: taskIdx, Round: round, Participants: a.buffered,
-		Stale:     a.staleCount,
-		NonFinite: a.nonFiniteCount,
-		Evictions: s.evictTotal - a.evictMark,
+		Stale:          a.staleCount,
+		NonFinite:      a.nonFiniteCount,
+		Evictions:      s.evictTotal - a.evictMark,
 		ComputeSeconds: a.worstCompute, CommSeconds: a.worstComm,
 		UpBytes: a.windowUp, DownBytes: a.windowDown,
 	}

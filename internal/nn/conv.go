@@ -3,43 +3,60 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches, implemented as im2col +
-// GEMM. Groups splits input and output channels into independent groups
-// (groups == InC == OutC gives a depthwise convolution).
+// Conv2D is a 2-D convolution over NCHW batches, lowered batch-wide: im2col
+// writes every image into one (InC·K·K) × (N·spatial) column matrix (image i
+// owns columns [i·spatial, (i+1)·spatial)), and each pass is a single GEMM
+// per group against it — forward Y = W × cols, weight gradient
+// dW += dY × colsᵀ, input gradient dcols = Wᵀ × dY. Groups splits input and
+// output channels into independent groups (groups == InC == OutC gives a
+// depthwise convolution).
 //
-// Forward parallelises over the batch dimension through the shared kernel
-// pool (every image writes disjoint output and column regions). Backward
-// runs two deterministic passes: a batch-parallel pass for the input
-// gradient (disjoint per-image writes) and an in-order pass for the weight
-// gradient so dW accumulates identically for every thread count.
+// Y and dY cross the GEMMs channel-major (OutC × N·spatial); the copies
+// between that layout and NCHW, like the lowering itself, are image-parallel
+// with disjoint writes, and the GEMMs parallelise over rows of C, so every
+// output element has one accumulation order whatever the thread count.
 //
-// All intermediate buffers (column matrices, outputs, gradients, bias
-// partials) are retained on the layer and reused, so steady-state training
-// performs no heap allocations.
+// The column matrix, the output and the input gradient are retained on the
+// layer and reused; the channel-major staging and the column gradient live
+// only inside one call and come from a pool every layer shares. Steady-state
+// training therefore performs no heap allocations.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad, Groups int
 	Bias                              bool
 	W                                 *Param // (OutC, InC/Groups * K * K)
 	B                                 *Param // (OutC), nil when Bias is false
 
-	lastCols     []float32 // im2col buffers for the whole batch, reused
-	lastOutH     int
-	lastOutW     int
-	lastN        int
-	lastInH      int
-	lastInW      int
-	flops        float64
-	colsPerImage int
+	cols     []float32 // batch-wide column matrix, kept for the backward pass
+	lastN    int
+	lastInH  int
+	lastInW  int
+	lastOutH int
+	lastOutW int
+	flops    float64
 
-	yBuf     *tensor.Tensor // forward output, reused
-	dxBuf    *tensor.Tensor // backward input-gradient, reused
-	dcols    []float32      // batch-wide column-gradient scratch
-	biasPart []float32      // per-image bias-gradient partial sums
-	wT       []float32      // W^T, transposed once per backward batch
+	yBuf  *tensor.Tensor // forward output, reused
+	dxBuf *tensor.Tensor // backward input-gradient, reused
+}
+
+// scratchPool holds the call-scoped conv buffers (channel-major Y / dY and
+// the column gradient). One pool serves every layer of every model, so a
+// network pays for its largest layer once instead of once per layer.
+// Pointers are pooled to avoid boxing slice headers.
+var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
+
+// getScratch returns a pooled buffer resized to n floats, contents undefined.
+func getScratch(n int) *[]float32 {
+	p := scratchPool.Get().(*[]float32)
+	if cap(*p) < n {
+		*p = make([]float32, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
 // NewConv2D builds a convolution with Kaiming-normal initialisation.
@@ -58,6 +75,17 @@ func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool, rn
 	return c
 }
 
+// overImages runs fn over the batch's images on the kernel pool. Every fn
+// writes only its own images' regions, so the split never shows in a result.
+// The single-threaded path builds no closure and so allocates nothing.
+func (c *Conv2D) overImages(fn func(c *Conv2D, a, b []float32, lo, hi int), a, b []float32) {
+	if c.lastN > 1 && tensor.KernelThreads() > 1 {
+		tensor.Parallel(c.lastN, func(lo, hi int) { fn(c, a, b, lo, hi) })
+	} else {
+		fn(c, a, b, 0, c.lastN)
+	}
+}
+
 // Forward convolves a batch of shape (N, InC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
@@ -66,205 +94,137 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH := tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
-	gi := c.InC / c.Groups // input channels per group
-	fanIn := gi * c.K * c.K
-	spatial := outH * outW
-	c.colsPerImage = c.InC * c.K * c.K * spatial
-	need := n * c.colsPerImage
-	if cap(c.lastCols) < need {
-		c.lastCols = make([]float32, need)
-	}
-	c.lastCols = c.lastCols[:need]
 	c.lastN, c.lastInH, c.lastInW, c.lastOutH, c.lastOutW = n, h, w, outH, outW
+	gOut := c.OutC / c.Groups
+	fanIn := c.InC / c.Groups * c.K * c.K
+	ns := n * outH * outW
 
-	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
-	y := c.yBuf
-	if n > 1 && tensor.KernelThreads() > 1 {
-		tensor.Parallel(n, func(lo, hi int) { c.forwardRange(x, y, lo, hi) })
+	if need := c.InC * c.K * c.K * ns; cap(c.cols) < need {
+		c.cols = make([]float32, need)
 	} else {
-		c.forwardRange(x, y, 0, n)
+		c.cols = c.cols[:need]
 	}
-	c.flops = 2 * float64(n) * float64(c.OutC) * float64(fanIn) * float64(spatial)
-	return y
+	c.overImages((*Conv2D).lower, c.cols, x.Data)
+
+	ycm := getScratch(c.OutC * ns)
+	clear(*ycm)
+	for g := 0; g < c.Groups; g++ {
+		tensor.Gemm((*ycm)[g*gOut*ns:(g+1)*gOut*ns], c.W.W.Data[g*gOut*fanIn:(g+1)*gOut*fanIn],
+			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, fanIn, ns, false, false)
+	}
+	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
+	c.overImages((*Conv2D).toNCHW, c.yBuf.Data, *ycm)
+	scratchPool.Put(ycm)
+
+	c.flops = 2 * float64(c.OutC) * float64(fanIn) * float64(ns)
+	return c.yBuf
 }
 
-// forwardRange lowers and convolves images [lo, hi) of the batch. Every
-// image touches only its own slice of cols and y, so ranges can run
-// concurrently and the result is independent of the batch partitioning.
-func (c *Conv2D) forwardRange(x, y *tensor.Tensor, lo, hi int) {
-	h, w := c.lastInH, c.lastInW
-	outH, outW := c.lastOutH, c.lastOutW
-	gi := c.InC / c.Groups
-	go_ := c.OutC / c.Groups
-	fanIn := gi * c.K * c.K
-	spatial := outH * outW
-	imgSize := c.InC * h * w
-	outImg := c.OutC * spatial
+// lower writes images [lo, hi) of x into their columns of the batch-wide
+// column matrix.
+func (c *Conv2D) lower(cols, x []float32, lo, hi int) {
+	img := c.InC * c.lastInH * c.lastInW
+	spatial := c.lastOutH * c.lastOutW
 	for i := lo; i < hi; i++ {
-		cols := c.lastCols[i*c.colsPerImage : (i+1)*c.colsPerImage]
-		tensor.Im2Col(cols, x.Data[i*imgSize:(i+1)*imgSize], c.InC, h, w, c.K, c.K, c.Stride, c.Pad, outH, outW)
-		yi := y.Data[i*outImg : (i+1)*outImg]
-		clear(yi)
-		for g := 0; g < c.Groups; g++ {
-			wg := c.W.W.Data[g*go_*fanIn : (g+1)*go_*fanIn]
-			cg := cols[g*gi*c.K*c.K*spatial : (g+1)*gi*c.K*c.K*spatial]
-			yg := yi[g*go_*spatial : (g+1)*go_*spatial]
-			tensor.Gemm(yg, wg, cg, go_, fanIn, spatial, false, false)
-		}
-		if c.Bias {
-			for oc := 0; oc < c.OutC; oc++ {
+		tensor.Im2Col(cols, x[i*img:(i+1)*img], c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+			c.lastOutH, c.lastOutW, c.lastN*spatial, i*spatial)
+	}
+}
+
+// toNCHW copies images [lo, hi) of the channel-major GEMM output into the
+// NCHW tensor, adding the bias on the way.
+func (c *Conv2D) toNCHW(y, ycm []float32, lo, hi int) {
+	spatial := c.lastOutH * c.lastOutW
+	ns := c.lastN * spatial
+	for i := lo; i < hi; i++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			dst := y[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial]
+			src := ycm[oc*ns+i*spatial : oc*ns+(i+1)*spatial]
+			if c.Bias {
 				b := c.B.W.Data[oc]
-				row := yi[oc*spatial : (oc+1)*spatial]
-				for j := range row {
-					row[j] += b
+				for j, v := range src {
+					dst[j] = v + b
 				}
+			} else {
+				copy(dst, src)
 			}
 		}
+	}
+}
+
+// fromNCHW is toNCHW's inverse for the output gradient: images [lo, hi) of
+// dout land in their columns of the channel-major matrix.
+func (c *Conv2D) fromNCHW(dycm, dout []float32, lo, hi int) {
+	spatial := c.lastOutH * c.lastOutW
+	ns := c.lastN * spatial
+	for i := lo; i < hi; i++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			copy(dycm[oc*ns+i*spatial:oc*ns+(i+1)*spatial], dout[(i*c.OutC+oc)*spatial:(i*c.OutC+oc+1)*spatial])
+		}
+	}
+}
+
+// raise is lower's adjoint: images [lo, hi) of the input gradient are
+// rebuilt from their columns of the column gradient.
+func (c *Conv2D) raise(dx, dcols []float32, lo, hi int) {
+	img := c.InC * c.lastInH * c.lastInW
+	spatial := c.lastOutH * c.lastOutW
+	for i := lo; i < hi; i++ {
+		dxi := dx[i*img : (i+1)*img]
+		clear(dxi)
+		tensor.Col2Im(dxi, dcols, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+			c.lastOutH, c.lastOutW, c.lastN*spatial, i*spatial)
 	}
 }
 
 // BackwardParamsOnly accumulates dW (and dB) without producing the input
-// gradient: the adjoint im2col work is skipped entirely. Used for the first
-// layer of a network, whose dX nobody consumes.
-func (c *Conv2D) BackwardParamsOnly(dout *tensor.Tensor) {
-	n := c.lastN
-	if c.Bias {
-		if cap(c.biasPart) < n*c.OutC {
-			c.biasPart = make([]float32, n*c.OutC)
-		}
-		c.biasPart = c.biasPart[:n*c.OutC]
-		spatial := c.lastOutH * c.lastOutW
-		outImg := c.OutC * spatial
-		for i := 0; i < n; i++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				row := dout.Data[i*outImg+oc*spatial : i*outImg+(oc+1)*spatial]
-				var s float32
-				for _, v := range row {
-					s += v
-				}
-				c.biasPart[i*c.OutC+oc] = s
-			}
-		}
-	}
-	c.backwardWeights(dout)
-}
+// gradient: the column-gradient GEMM and the col2im adjoint are skipped
+// entirely. Used for the first layer of a network, whose dX nobody consumes.
+func (c *Conv2D) BackwardParamsOnly(dout *tensor.Tensor) { c.backward(dout, false) }
 
 // Backward accumulates dW (and dB) and returns dX via the col2im adjoint.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n := c.lastN
-	h, w := c.lastInH, c.lastInW
+	c.backward(dout, true)
+	return c.dxBuf
+}
 
-	c.dxBuf = tensor.Ensure(c.dxBuf, n, c.InC, h, w)
-	dx := c.dxBuf
-	if cap(c.dcols) < n*c.colsPerImage {
-		c.dcols = make([]float32, n*c.colsPerImage)
-	}
-	c.dcols = c.dcols[:n*c.colsPerImage]
+// backward runs the batch-wide gradient GEMMs. dW sums over the k = N·spatial
+// columns inside one GEMM and dB over one contiguous channel-major row, both
+// in an order the shape alone fixes.
+func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
+	gOut := c.OutC / c.Groups
+	fanIn := c.InC / c.Groups * c.K * c.K
+	ns := c.lastN * c.lastOutH * c.lastOutW
+
+	dycm := getScratch(c.OutC * ns)
+	c.overImages((*Conv2D).fromNCHW, *dycm, dout.Data)
 	if c.Bias {
-		if cap(c.biasPart) < n*c.OutC {
-			c.biasPart = make([]float32, n*c.OutC)
-		}
-		c.biasPart = c.biasPart[:n*c.OutC]
-	}
-
-	// Transpose each group's kernel once per batch: the dCols GEMM below
-	// multiplies by W^T for every image, and handing it an already-
-	// transposed left operand saves the per-call packing.
-	{
-		gi := c.InC / c.Groups
-		go_ := c.OutC / c.Groups
-		fanIn := gi * c.K * c.K
-		if cap(c.wT) < c.Groups*fanIn*go_ {
-			c.wT = make([]float32, c.Groups*fanIn*go_)
-		}
-		c.wT = c.wT[:c.Groups*fanIn*go_]
-		for g := 0; g < c.Groups; g++ {
-			wg := c.W.W.Data[g*go_*fanIn : (g+1)*go_*fanIn]
-			wTg := c.wT[g*fanIn*go_ : (g+1)*fanIn*go_]
-			for r := 0; r < go_; r++ {
-				row := wg[r*fanIn : (r+1)*fanIn]
-				for j, v := range row {
-					wTg[j*go_+r] = v
-				}
+		for oc := 0; oc < c.OutC; oc++ {
+			var s float32
+			for _, v := range (*dycm)[oc*ns : (oc+1)*ns] {
+				s += v
 			}
+			c.B.Grad.Data[oc] += s
 		}
 	}
-
-	// Pass 1 — input gradient, batch-parallel: every image writes its own
-	// dcols / dx / biasPart slices.
-	if n > 1 && tensor.KernelThreads() > 1 {
-		tensor.Parallel(n, func(lo, hi int) { c.backwardInputRange(dout, dx, lo, hi) })
-	} else {
-		c.backwardInputRange(dout, dx, 0, n)
+	for g := 0; g < c.Groups; g++ {
+		// dW += dY × colsᵀ → (gOut, fanIn); cols rows are already k-contiguous.
+		tensor.Gemm(c.W.Grad.Data[g*gOut*fanIn:(g+1)*gOut*fanIn], (*dycm)[g*gOut*ns:(g+1)*gOut*ns],
+			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, ns, fanIn, false, true)
 	}
-
-	c.backwardWeights(dout)
-	return dx
-}
-
-// backwardWeights is the weight-gradient pass: images in a fixed order so dW
-// (and dB) accumulate identically regardless of the thread count. The
-// per-image GEMMs still run on the kernel pool internally (they parallelise
-// over dW rows, which is partition-independent).
-func (c *Conv2D) backwardWeights(dout *tensor.Tensor) {
-	n := c.lastN
-	gi := c.InC / c.Groups
-	go_ := c.OutC / c.Groups
-	fanIn := gi * c.K * c.K
-	spatial := c.lastOutH * c.lastOutW
-	outImg := c.OutC * spatial
-	for i := 0; i < n; i++ {
-		cols := c.lastCols[i*c.colsPerImage : (i+1)*c.colsPerImage]
+	if needDX {
+		dcols := getScratch(c.InC * c.K * c.K * ns)
+		clear(*dcols)
 		for g := 0; g < c.Groups; g++ {
-			dyg := dout.Data[i*outImg+g*go_*spatial : i*outImg+(g+1)*go_*spatial]
-			cg := cols[g*gi*c.K*c.K*spatial : (g+1)*gi*c.K*c.K*spatial]
-			// dW += dY × cols^T  → (go_, fanIn)
-			dwg := c.W.Grad.Data[g*go_*fanIn : (g+1)*go_*fanIn]
-			tensor.Gemm(dwg, dyg, cg, go_, spatial, fanIn, false, true)
+			// dcols = Wᵀ × dY → (fanIn, N·spatial).
+			tensor.Gemm((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], c.W.W.Data[g*gOut*fanIn:(g+1)*gOut*fanIn],
+				(*dycm)[g*gOut*ns:(g+1)*gOut*ns], fanIn, gOut, ns, true, false)
 		}
-		if c.Bias {
-			for oc := 0; oc < c.OutC; oc++ {
-				c.B.Grad.Data[oc] += c.biasPart[i*c.OutC+oc]
-			}
-		}
+		c.dxBuf = tensor.Ensure(c.dxBuf, c.lastN, c.InC, c.lastInH, c.lastInW)
+		c.overImages((*Conv2D).raise, c.dxBuf.Data, *dcols)
+		scratchPool.Put(dcols)
 	}
-}
-
-// backwardInputRange computes the column gradients, bias partial sums, and
-// input gradient for images [lo, hi). All writes are disjoint per image.
-func (c *Conv2D) backwardInputRange(dout, dx *tensor.Tensor, lo, hi int) {
-	h, w := c.lastInH, c.lastInW
-	outH, outW := c.lastOutH, c.lastOutW
-	gi := c.InC / c.Groups
-	go_ := c.OutC / c.Groups
-	fanIn := gi * c.K * c.K
-	spatial := outH * outW
-	outImg := c.OutC * spatial
-	imgSize := c.InC * h * w
-	for i := lo; i < hi; i++ {
-		dcols := c.dcols[i*c.colsPerImage : (i+1)*c.colsPerImage]
-		clear(dcols)
-		for g := 0; g < c.Groups; g++ {
-			dyg := dout.Data[i*outImg+g*go_*spatial : i*outImg+(g+1)*go_*spatial]
-			// dCols = W^T × dY → (fanIn, spatial), with W^T pre-transposed.
-			dcg := dcols[g*gi*c.K*c.K*spatial : (g+1)*gi*c.K*c.K*spatial]
-			wTg := c.wT[g*fanIn*go_ : (g+1)*fanIn*go_]
-			tensor.Gemm(dcg, wTg, dyg, fanIn, go_, spatial, false, false)
-		}
-		if c.Bias {
-			for oc := 0; oc < c.OutC; oc++ {
-				row := dout.Data[i*outImg+oc*spatial : i*outImg+(oc+1)*spatial]
-				var s float32
-				for _, v := range row {
-					s += v
-				}
-				c.biasPart[i*c.OutC+oc] = s
-			}
-		}
-		dxi := dx.Data[i*imgSize : (i+1)*imgSize]
-		clear(dxi)
-		tensor.Col2Im(dxi, dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, outH, outW)
-	}
+	scratchPool.Put(dycm)
 }
 
 // Params returns the kernel (and bias when present).

@@ -94,8 +94,16 @@ func SoftCrossEntropy(logits, targets *tensor.Tensor) (float64, *tensor.Tensor) 
 // it produces bit-identical values because the excluded columns contribute
 // exact zeros to the partition sum.
 func MaskedCrossEntropy(logits *tensor.Tensor, labels []int, classes []int) (float64, *tensor.Tensor) {
+	return MaskedCrossEntropyInto(nil, logits, labels, classes)
+}
+
+// MaskedCrossEntropyInto is MaskedCrossEntropy writing the logits gradient
+// into dst, reusing its storage when the capacity suffices (dst may be nil),
+// so a training loop that keeps the returned tensor allocates nothing.
+func MaskedCrossEntropyInto(dst, logits *tensor.Tensor, labels []int, classes []int) (float64, *tensor.Tensor) {
 	n, k := logits.Shape[0], logits.Shape[1]
-	dlogits := tensor.New(n, k)
+	dlogits := tensor.Ensure(dst, n, k)
+	clear(dlogits.Data)
 	var loss float64
 	invN := 1 / float64(n)
 	for i, y := range labels {

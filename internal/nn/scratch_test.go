@@ -9,9 +9,17 @@ import (
 // convFixture builds a conv layer and batch used by the determinism and
 // allocation tests.
 func convFixture(seed uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
+	return convFixtureOf(seed, 8, 16, 10, 6, 1)
+}
+
+// convFixtureOf builds a 3×3 same-padding conv layer inC→outC with bias, a
+// batch of n side×side images and an output gradient. density < 1 keeps
+// only that share of the weights, as a knowledge model does.
+func convFixtureOf(seed uint64, inC, outC, side, n int, density float64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
 	rng := tensor.NewRNG(seed)
-	l := NewConv2D("c", 8, 16, 3, 1, 1, 1, true, rng)
-	x := tensor.Randn(rng, 1, 6, 8, 10, 10)
+	l := NewConv2D("c", inC, outC, 3, 1, 1, 1, true, rng)
+	sparsify(l.W.W.Data, density, rng)
+	x := tensor.Randn(rng, 1, n, inC, side, side)
 	y := l.Forward(x, true)
 	dout := tensor.Randn(rng, 1, y.Shape...)
 	return l, x, dout
@@ -19,36 +27,52 @@ func convFixture(seed uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
 
 // TestConvDeterministicAcrossThreads requires conv forward and backward to
 // produce bitwise-identical outputs, input gradients, and weight gradients
-// for every kernel-thread setting.
+// for every kernel-thread setting: on an early-stage shape, on the last
+// ResNet18 stage (64 channels at 2×2, where N·spatial is 32 and dW's k with
+// it), and with ρ = 10 % weights, which take Gemm's sparse-A route in the
+// forward and input-gradient products.
 func TestConvDeterministicAcrossThreads(t *testing.T) {
 	defer tensor.SetKernelThreads(0)
-	type snap struct{ y, dx, dw, db []float32 }
-	var ref *snap
-	for _, threads := range []int{1, 4, 16} {
-		tensor.SetKernelThreads(threads)
-		l, x, dout := convFixture(7)
-		ZeroGrads(l.Params())
-		y := l.Forward(x, true)
-		dx := l.Backward(dout)
-		s := &snap{
-			y:  append([]float32(nil), y.Data...),
-			dx: append([]float32(nil), dx.Data...),
-			dw: append([]float32(nil), l.W.Grad.Data...),
-			db: append([]float32(nil), l.B.Grad.Data...),
-		}
-		if ref == nil {
-			ref = s
-			continue
-		}
-		for name, pair := range map[string][2][]float32{
-			"y": {ref.y, s.y}, "dx": {ref.dx, s.dx}, "dw": {ref.dw, s.dw}, "db": {ref.db, s.db},
-		} {
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("threads=%d: %s[%d] = %v, want %v", threads, name, i, pair[1][i], pair[0][i])
+	fixtures := map[string]struct {
+		inC, outC, side, n int
+		density            float64
+	}{
+		"early stage":        {8, 16, 10, 6, 1},
+		"late stage":         {64, 64, 2, 8, 1},
+		"early stage sparse": {8, 16, 10, 6, 0.10},
+		"late stage sparse":  {64, 64, 2, 8, 0.10},
+	}
+	for name, f := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			type snap struct{ y, dx, dw, db []float32 }
+			var ref *snap
+			for _, threads := range []int{1, 4, 16} {
+				tensor.SetKernelThreads(threads)
+				l, x, dout := convFixtureOf(7, f.inC, f.outC, f.side, f.n, f.density)
+				ZeroGrads(l.Params())
+				y := l.Forward(x, true)
+				dx := l.Backward(dout)
+				s := &snap{
+					y:  append([]float32(nil), y.Data...),
+					dx: append([]float32(nil), dx.Data...),
+					dw: append([]float32(nil), l.W.Grad.Data...),
+					db: append([]float32(nil), l.B.Grad.Data...),
+				}
+				if ref == nil {
+					ref = s
+					continue
+				}
+				for name, pair := range map[string][2][]float32{
+					"y": {ref.y, s.y}, "dx": {ref.dx, s.dx}, "dw": {ref.dw, s.dw}, "db": {ref.db, s.db},
+				} {
+					for i := range pair[0] {
+						if pair[0][i] != pair[1][i] {
+							t.Fatalf("threads=%d: %s[%d] = %v, want %v", threads, name, i, pair[1][i], pair[0][i])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

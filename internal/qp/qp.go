@@ -13,7 +13,11 @@
 // handful of sweeps; the dense k×k Gram matrix is the only quadratic cost.
 package qp
 
-import "repro/internal/tensor"
+import (
+	"slices"
+
+	"repro/internal/tensor"
+)
 
 // Result carries the dual solution and diagnostics.
 type Result struct {
@@ -27,8 +31,12 @@ type Result struct {
 // coordinate descent, which for this problem is exact per-coordinate:
 // v_i ← max(0, v_i − (Av + b)_i / A_ii).
 func SolveDual(a [][]float64, b []float64, maxSweeps int, tol float64) Result {
+	return solveDual(make([]float64, len(b)), a, b, maxSweeps, tol)
+}
+
+// solveDual is SolveDual descending from and into v, which must be zeroed.
+func solveDual(v []float64, a [][]float64, b []float64, maxSweeps int, tol float64) Result {
 	k := len(b)
-	v := make([]float64, k)
 	if k == 0 {
 		return Result{V: v, Converged: true}
 	}
@@ -82,6 +90,23 @@ func SolveDual(a [][]float64, b []float64, maxSweeps int, tol float64) Result {
 // (fast path: no QP needed). Otherwise the dual QP is solved and
 // g′ = Gᵀv + g is returned as a fresh slice.
 func Integrate(g []float32, G [][]float32) []float32 {
+	return new(Workspace).Integrate(g, G)
+}
+
+// Workspace owns the buffers one Integrate call needs — the Gram matrix,
+// the dual variables and g′ itself — so a caller that integrates on every
+// training step allocates nothing once they have grown. The zero value is
+// ready to use; a Workspace serves one goroutine at a time.
+type Workspace struct {
+	gram []float64   // k×k, row-major
+	rows [][]float64 // row views into gram
+	b, v []float64
+	out  []float32
+}
+
+// Integrate is the package-level Integrate computed in the workspace's
+// buffers: when the QP runs, the returned g′ is valid until the next call.
+func (w *Workspace) Integrate(g []float32, G [][]float32) []float32 {
 	k := len(G)
 	if k == 0 {
 		return g
@@ -97,10 +122,14 @@ func Integrate(g []float32, G [][]float32) []float32 {
 		return g
 	}
 	// Gram matrix A = G Gᵀ and b = G g.
-	a := make([][]float64, k)
-	b := make([]float64, k)
+	w.gram = slices.Grow(w.gram[:0], k*k)[:k*k]
+	w.rows = slices.Grow(w.rows[:0], k)[:k]
+	w.b = slices.Grow(w.b[:0], k)[:k]
+	w.v = slices.Grow(w.v[:0], k)[:k]
+	clear(w.v)
+	a, b := w.rows, w.b
 	for i := 0; i < k; i++ {
-		a[i] = make([]float64, k)
+		a[i] = w.gram[i*k : (i+1)*k]
 		for j := 0; j <= i; j++ {
 			d := tensor.DotSlice(G[i], G[j])
 			a[i][j] = d
@@ -108,9 +137,9 @@ func Integrate(g []float32, G [][]float32) []float32 {
 		}
 		b[i] = tensor.DotSlice(G[i], g)
 	}
-	res := SolveDual(a, b, 200, 1e-9)
-	out := make([]float32, len(g))
-	copy(out, g)
+	res := solveDual(w.v, a, b, 200, 1e-9)
+	w.out = append(w.out[:0], g...)
+	out := w.out
 	for i, vi := range res.V {
 		if vi != 0 {
 			tensor.AxpySlice(out, float32(vi), G[i])

@@ -97,7 +97,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	cols := make([]float32, c*k*k*outH*outW)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(cols, img, c, h, w, k, k, 1, 1, outH, outW)
+		Im2Col(cols, img, c, h, w, k, k, 1, 1, outH, outW, outH*outW, 0)
 	}
 }
 
@@ -112,7 +112,7 @@ func BenchmarkCol2Im(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(img)
-		Col2Im(img, cols, c, h, w, k, k, 1, 1, outH, outW)
+		Col2Im(img, cols, c, h, w, k, k, 1, 1, outH, outW, outH*outW, 0)
 	}
 }
 

@@ -7,9 +7,10 @@ import "sync"
 // The kernel normalises both operands to k-contiguous layouts — op(A) rows
 // and op(B) columns — then runs a register-tiled dot-product micro-kernel
 // (one A row against four B columns, eight independent accumulators) over
-// column chunks sized to stay L2-resident. On this substrate's shapes the
-// dot form beats axpy/outer-product tilings because it performs one store
-// per k multiply-adds and every inner-loop read is sequential.
+// column chunks sized to stay L2-resident, walked in L1-sized blocks. On this
+// substrate's shapes the dot form beats axpy/outer-product tilings because
+// it performs one store per k multiply-adds and every inner-loop read is
+// sequential.
 //
 // Layout normalisation is what makes the four transpose variants uniform:
 //   - op(B) columns are already contiguous when transB is set (row-major
@@ -34,6 +35,11 @@ const (
 	// gemmChunkFloats bounds the packed B^T chunk (columns × k) so it stays
 	// comfortably inside L2 while the kernel makes m passes over it.
 	gemmChunkFloats = 64 * 1024
+
+	// gemmL1Floats bounds the block of packed columns the micro-kernel keeps
+	// hot while the rows of A stream past: 24 KiB, half of a 48 KiB L1d,
+	// leaving room for the A row and the C row.
+	gemmL1Floats = 6 * 1024
 )
 
 // packPool recycles packing buffers across Gemm calls (and across the
@@ -80,7 +86,7 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 	var aPack *[]float32
 	if transA {
 		aPack = getPack(m * k)
-		transposeInto(*aPack, a, k, m)
+		packBT(*aPack, a, k, m, 0, m) // a is k×m: its columns are op(A)'s rows
 		aRM = *aPack
 	}
 
@@ -122,62 +128,84 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 // k-contiguous columns held in bt, accumulating into C columns [jc, jc+w).
 // Four columns are processed per pass so every a-load feeds four multiply-add
 // chains; eight independent accumulators keep the FP pipes busy.
+//
+// The columns are walked in blocks of gemmL1Floats/k: a block of bt then
+// stays in L1 while every row of A passes over it, where one sweep over all
+// w columns per row streamed bt from L2 once per row. Blocks are whole
+// multiples of four columns, so which columns share a pass — and with it
+// every element's summation order — is the same as without blocking.
 func gemmDotRows(c, aRM, bt []float32, k, n, jc, w, lo, hi int) {
 	useFMA := hasDot4 && k >= 8
 	kBlk := k &^ 7
-	for i := lo; i < hi; i++ {
-		ai := aRM[i*k : i*k+k : i*k+k]
-		ci := c[i*n+jc : i*n+jc+w]
-		j := 0
-		for ; j+4 <= w; j += 4 {
-			b0 := bt[j*k : (j+1)*k : (j+1)*k]
-			b1 := bt[(j+1)*k : (j+2)*k : (j+2)*k]
-			b2 := bt[(j+2)*k : (j+3)*k : (j+3)*k]
-			b3 := bt[(j+3)*k : (j+4)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			p := 0
-			if useFMA {
-				var acc [4]float32
-				dot4fma(&ai[0], &b0[0], &b1[0], &b2[0], &b3[0], kBlk, &acc)
-				s0, s1, s2, s3 = acc[0], acc[1], acc[2], acc[3]
-				p = kBlk
+	nb := max(4, (gemmL1Floats/k)&^3)
+	for j0 := 0; j0 < w; j0 += nb {
+		j1 := min(j0+nb, w)
+		for i := lo; i < hi; i++ {
+			ai := aRM[i*k : i*k+k : i*k+k]
+			ci := c[i*n+jc : i*n+jc+w]
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				b0 := bt[j*k : (j+1)*k : (j+1)*k]
+				b1 := bt[(j+1)*k : (j+2)*k : (j+2)*k]
+				b2 := bt[(j+2)*k : (j+3)*k : (j+3)*k]
+				b3 := bt[(j+3)*k : (j+4)*k : (j+4)*k]
+				var s0, s1, s2, s3 float32
+				p := 0
+				if useFMA {
+					var acc [4]float32
+					dot4fma(&ai[0], &b0[0], &b1[0], &b2[0], &b3[0], kBlk, &acc)
+					s0, s1, s2, s3 = acc[0], acc[1], acc[2], acc[3]
+					p = kBlk
+				}
+				for ; p < len(ai); p++ {
+					av := ai[p]
+					s0 += av * b0[p]
+					s1 += av * b1[p]
+					s2 += av * b2[p]
+					s3 += av * b3[p]
+				}
+				ci[j] += s0
+				ci[j+1] += s1
+				ci[j+2] += s2
+				ci[j+3] += s3
 			}
-			for ; p < len(ai); p++ {
-				av := ai[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+			for ; j < j1; j++ {
+				ci[j] += dot32(ai, bt[j*k:(j+1)*k])
 			}
-			ci[j] += s0
-			ci[j+1] += s1
-			ci[j+2] += s2
-			ci[j+3] += s3
-		}
-		for ; j < w; j++ {
-			ci[j] += dot32(ai, bt[j*k:(j+1)*k])
 		}
 	}
 }
+
+// packTile is the number of B columns packBT transposes at a time. Each
+// column is its own destination cache line, so a tile touches packTile lines
+// (16 KiB) over and over while it walks down k — small enough to stay in L1
+// however many columns the chunk has. The batch-wide conv lowering hands
+// Gemm chunks of several hundred columns; untiled, their lines were evicted
+// between two visits.
+const packTile = 256
 
 // packBT transposes columns [jc, jc+w) of the row-major k×n matrix b into
-// bt, so that bt[j*k:(j+1)*k] is column jc+j of b.
+// bt, so that bt[j*k:(j+1)*k] is column jc+j of b. It moves 4×4 blocks —
+// four source rows in, four adjacent floats out per column — so the strided
+// side of the transpose is written 16 bytes at a time.
 func packBT(bt, b []float32, k, n, jc, w int) {
-	for p := 0; p < k; p++ {
-		src := b[p*n+jc : p*n+jc+w]
-		for j, v := range src {
-			bt[j*k+p] = v
+	for j0 := 0; j0 < w; j0 += packTile {
+		tw := min(packTile, w-j0)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			r0 := b[p*n+jc+j0:][:tw]
+			r1 := b[(p+1)*n+jc+j0:][:tw]
+			r2 := b[(p+2)*n+jc+j0:][:tw]
+			r3 := b[(p+3)*n+jc+j0:][:tw]
+			for j := range r0 {
+				d := bt[(j0+j)*k+p:][:4]
+				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+			}
 		}
-	}
-}
-
-// transposeInto writes the r×c row-major matrix src into dst column-major (i.e.
-// dst is the c×r row-major transpose).
-func transposeInto(dst, src []float32, r, c int) {
-	for p := 0; p < r; p++ {
-		row := src[p*c : (p+1)*c]
-		for j, v := range row {
-			dst[j*r+p] = v
+		for ; p < k; p++ {
+			for j, v := range b[p*n+jc+j0:][:tw] {
+				bt[(j0+j)*k+p] = v
+			}
 		}
 	}
 }

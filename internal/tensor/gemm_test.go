@@ -44,7 +44,9 @@ func maxAbsDiff(a, b []float32) float64 {
 // TestGemmAgainstReference cross-checks the blocked kernel against the naive
 // triple loop for every transpose variant, over shapes chosen to hit all the
 // edge cases: micro-tile remainders, panel remainders, the small-problem
-// direct path, and shapes larger than one cache block.
+// direct path, shapes larger than one cache block, and the batch-wide conv
+// shapes — n = N·spatial spanning several pack tiles with a partial last one,
+// under a k with a 4×4-block remainder (27) and under a tiny k (8).
 func TestGemmAgainstReference(t *testing.T) {
 	defer SetKernelThreads(0)
 	SetKernelThreads(4)
@@ -53,6 +55,7 @@ func TestGemmAgainstReference(t *testing.T) {
 		{1, 1, 1}, {1, 7, 1}, {3, 5, 2}, {4, 4, 4}, {5, 9, 6},
 		{17, 31, 13}, {32, 144, 256}, {33, 65, 67}, {64, 64, 64},
 		{64, 250, 100}, {100, 300, 50}, {8, 1024, 100}, {70, 500, 70},
+		{8, 27, 600}, {72, 8, 525},
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]

@@ -29,13 +29,15 @@ func outRange(extent, k, stride, pad, out int) (lo, hi int) {
 }
 
 // Im2Col lowers a single image (C×H×W, given as a flat slice) into a column
-// matrix suitable for expressing convolution as GEMM. The output has
-// C*kh*kw rows and outH*outW columns, written row-major into dst (which the
-// caller must size to (C*kh*kw)*(outH*outW)). Zero padding is applied
-// implicitly: out-of-range taps contribute 0. The interior of every row is
-// a branch-free copy (a single memmove when stride is 1); only the padded
-// fringe is zero-filled.
-func Im2Col(dst, img []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
+// matrix suitable for expressing convolution as GEMM. The image's block has
+// C*kh*kw rows and outH*outW columns and sits inside a wider row-major
+// matrix: row r occupies dst[r*ld+off : r*ld+off+outH*outW], so a batch
+// lowers into one matrix with ld = N*outH*outW and off = i*outH*outW for
+// image i (a lone image uses ld = outH*outW, off = 0). Zero padding is
+// applied implicitly: out-of-range taps contribute 0. The interior of every
+// row is a branch-free copy (a single memmove when stride is 1); only the
+// padded fringe is zero-filled.
+func Im2Col(dst, img []float32, c, h, w, kh, kw, stride, pad, outH, outW, ld, off int) {
 	cols := outH * outW
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
@@ -43,7 +45,7 @@ func Im2Col(dst, img []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 			oyLo, oyHi := outRange(h, ky, stride, pad, outH)
 			for kx := 0; kx < kw; kx++ {
 				rowIdx := (ch*kh+ky)*kw + kx
-				row := dst[rowIdx*cols : (rowIdx+1)*cols]
+				row := dst[rowIdx*ld+off : rowIdx*ld+off+cols]
 				oxLo, oxHi := outRange(w, kx, stride, pad, outW)
 				clear(row[:oyLo*outW])
 				for oy := oyLo; oy < oyHi; oy++ {
@@ -69,10 +71,11 @@ func Im2Col(dst, img []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 	}
 }
 
-// Col2Im accumulates the column matrix produced by Im2Col back into image
-// gradient space (the adjoint of Im2Col). dst must be a c*h*w slice; values
+// Col2Im accumulates one image's block of the column matrix (laid out as
+// Im2Col writes it: leading dimension ld, column offset off) back into image
+// gradient space — the adjoint of Im2Col. dst must be a c*h*w slice; values
 // are added, so callers typically zero it first.
-func Col2Im(dst, cols []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
+func Col2Im(dst, cols []float32, c, h, w, kh, kw, stride, pad, outH, outW, ld, off int) {
 	nCols := outH * outW
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
@@ -80,7 +83,7 @@ func Col2Im(dst, cols []float32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 			oyLo, oyHi := outRange(h, ky, stride, pad, outH)
 			for kx := 0; kx < kw; kx++ {
 				rowIdx := (ch*kh+ky)*kw + kx
-				row := cols[rowIdx*nCols : (rowIdx+1)*nCols]
+				row := cols[rowIdx*ld+off : rowIdx*ld+off+nCols]
 				oxLo, oxHi := outRange(w, kx, stride, pad, outW)
 				if oxHi <= oxLo {
 					continue

@@ -15,7 +15,7 @@ func TestIm2ColKernelLargerThanInput(t *testing.T) {
 	for i := range cols {
 		cols[i] = 99 // poison: every slot must be overwritten
 	}
-	Im2Col(cols, img, c, h, w, k, k, stride, pad, outH, outW)
+	Im2Col(cols, img, c, h, w, k, k, stride, pad, outH, outW, outH*outW, 0)
 	// Reference: per-pixel bounds checks.
 	want := make([]float32, len(cols))
 	for ch := 0; ch < c; ch++ {
@@ -36,10 +36,54 @@ func TestIm2ColKernelLargerThanInput(t *testing.T) {
 	}
 	// Adjoint must round-trip without panicking either.
 	dst := make([]float32, c*h*w)
-	Col2Im(dst, cols, c, h, w, k, k, stride, pad, outH, outW)
+	Col2Im(dst, cols, c, h, w, k, k, stride, pad, outH, outW, outH*outW, 0)
 	for ch := 0; ch < c; ch++ {
 		if dst[ch] != img[ch] {
 			t.Fatalf("col2im[%d] = %v, want %v", ch, dst[ch], img[ch])
+		}
+	}
+}
+
+// TestIm2ColIntoBatchMatrix pins the leading-dimension form: lowering image i
+// of a batch at column offset i·spatial of one wide matrix writes exactly
+// the lone-image block there and nothing outside it, and Col2Im reads the
+// same block back.
+func TestIm2ColIntoBatchMatrix(t *testing.T) {
+	const n, c, h, w, k, stride, pad = 3, 2, 5, 7, 3, 2, 1
+	outH, outW := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
+	spatial, rows := outH*outW, c*k*k
+	rng := NewRNG(8)
+	imgs := make([]float32, n*c*h*w)
+	rng.FillNorm(imgs, 1)
+
+	const untouched = -7
+	wide := make([]float32, rows*n*spatial)
+	for i := range wide {
+		wide[i] = untouched
+	}
+	const i = 1 // the middle image: both neighbours must survive
+	img := imgs[i*c*h*w : (i+1)*c*h*w]
+	Im2Col(wide, img, c, h, w, k, k, stride, pad, outH, outW, n*spatial, i*spatial)
+	lone := make([]float32, rows*spatial)
+	Im2Col(lone, img, c, h, w, k, k, stride, pad, outH, outW, spatial, 0)
+	for r := 0; r < rows; r++ {
+		for j := 0; j < n*spatial; j++ {
+			want := float32(untouched)
+			if j >= i*spatial && j < (i+1)*spatial {
+				want = lone[r*spatial+j-i*spatial]
+			}
+			if got := wide[r*n*spatial+j]; got != want {
+				t.Fatalf("wide[%d][%d] = %v, want %v", r, j, got, want)
+			}
+		}
+	}
+
+	fromWide, fromLone := make([]float32, c*h*w), make([]float32, c*h*w)
+	Col2Im(fromWide, wide, c, h, w, k, k, stride, pad, outH, outW, n*spatial, i*spatial)
+	Col2Im(fromLone, lone, c, h, w, k, k, stride, pad, outH, outW, spatial, 0)
+	for j := range fromLone {
+		if fromWide[j] != fromLone[j] {
+			t.Fatalf("Col2Im[%d] = %v from the batch matrix, %v from the lone block", j, fromWide[j], fromLone[j])
 		}
 	}
 }
