@@ -124,8 +124,12 @@ type churnHarness struct {
 	logLines    []string
 	commitCount int // version-bumping commits so far (join gates wait on it)
 	handshakes  int // join/rejoin requests queued but not yet answered
-	done        bool
-	violations  []string
+	// joinGates counts the scripted joins per gate: the commit that meets a
+	// gate marks them outstanding in the same critical section (roundDone),
+	// so no report can end the run between a gate opening and its join.
+	joinGates  map[int]int
+	done       bool
+	violations []string
 
 	lastVersion uint64
 	commits     []RoundStats
@@ -191,9 +195,9 @@ func (h *churnHarness) logMatchLocked(seen *int, substr string) bool {
 	return false
 }
 
-// beginHandshake marks a membership handshake as outstanding: a join
-// request queued on the scheduler's injection channels, or a scripted
-// departure whose comeback has not yet received its catch-up. While any
+// beginHandshake marks a membership handshake as outstanding: a scripted
+// departure whose comeback has not yet received its catch-up (a join is
+// marked by the commit that meets its gate, see joinGates). While any
 // handshake is outstanding, peers hold their task reports back (see
 // report): a report landing in the departure→rejoin gap could end the run
 // before the scheduler ever consumes the rejoin, turning a scripted
@@ -282,6 +286,7 @@ func (h *churnHarness) roundDone(st RoundStats) {
 	h.lastVersion = st.Version
 	if st.Participants > 0 {
 		h.commitCount++
+		h.handshakes += h.joinGates[h.commitCount]
 	}
 	h.commits = append(h.commits, st)
 	h.mu.Unlock()
@@ -306,7 +311,7 @@ func (h *churnHarness) recordFold(u *Update) {
 		w = 1
 	}
 	h.mu.Lock()
-	if u.ClientID < 0 || u.ClientID >= len(h.srv.alive) || !h.srv.alive[u.ClientID] {
+	if st, _ := h.srv.book.at(u.ClientID); !st.alive {
 		h.violations = append(h.violations, fmt.Sprintf(
 			"folded an update from seat %d, which is not live at fold time", u.ClientID))
 	}
@@ -406,17 +411,18 @@ func (p *churnPeer) run() error {
 		if !p.h.await(func() bool { return p.h.commitCount >= gate }) {
 			return fmt.Errorf("%s: run ended before its join gate of %d commits", p.name, gate)
 		}
+		// The handshake is already outstanding: the commit that met the gate
+		// opened it (roundDone; RunChurn for a gate of zero).
 		sEnd, cEnd := LoopbackCap(p.h.caps)
 		p.h.register(cEnd)
-		p.h.beginHandshake()
 		p.h.joins <- JoinRequest{LastVersion: 0, Link: sEnd}
 		msg, err := cEnd.Recv()
 		p.h.endHandshake()
 		if err != nil {
 			if p.h.runEnded() {
-				// The run completed before the scheduler consumed the join
-				// request; the seat was never admitted, which is a legitimate
-				// outcome for a gate that fires on the run's last commit.
+				// The run ended — failed, or timed out its report gate —
+				// before the scheduler consumed the join request; the seat was
+				// never admitted, which the audit does not hold against it.
 				return nil
 			}
 			return fmt.Errorf("%s: join handshake got no seat assignment: %v", p.name, err)
@@ -738,6 +744,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		rejoins:   make(chan RejoinRequest, len(cfg.Scripts)),
 		joins:     make(chan JoinRequest, len(cfg.Scripts)),
 		seats:     map[int]*churnPeer{},
+		joinGates: map[int]int{},
 	}
 	h.cond = sync.NewCond(&h.mu)
 
@@ -750,13 +757,18 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 			sent:     make([]int, cfg.Tasks),
 			reported: make([]bool, cfg.Tasks),
 		}
-		if !sc.Join {
+		switch {
+		case !sc.Join:
 			sEnd, cEnd := LoopbackCap(h.caps)
 			h.register(cEnd)
 			p.seat = len(links)
 			p.link = cEnd
 			links = append(links, sEnd)
 			h.seats[p.seat] = p
+		case sc.JoinAfterCommits <= 0:
+			h.handshakes++
+		default:
+			h.joinGates[sc.JoinAfterCommits]++
 		}
 		peers = append(peers, p)
 	}
@@ -776,8 +788,9 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 
 	// A slow ticker wakes cond waiters so their deadlines can fire even when
 	// no log line or commit arrives to broadcast.
-	tickDone := make(chan struct{})
+	tickDone, tickExited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(tickExited)
 		t := time.NewTicker(50 * time.Millisecond)
 		defer t.Stop()
 		for {
@@ -813,6 +826,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 	}
 	wg.Wait()
 	close(tickDone)
+	<-tickExited
 
 	if runErr != nil {
 		h.violate("server run failed: %v", runErr)
@@ -826,7 +840,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 	return &ChurnReport{
 		Result:     res,
 		Commits:    h.commits,
-		Seats:      len(srv.links),
+		Seats:      srv.book.size(),
 		Violations: h.violations,
 	}, nil
 }
@@ -837,8 +851,8 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 // closure. Everything is quiesced when it runs, so plain reads are safe.
 func (h *churnHarness) audit(res *Result, peers []*churnPeer) {
 	srv := h.srv
-	if len(srv.links) > h.maxCohort {
-		h.violate("seat book grew to %d, above MaxCohort %d", len(srv.links), h.maxCohort)
+	if srv.book.size() > h.maxCohort {
+		h.violate("seat book grew to %d, above MaxCohort %d", srv.book.size(), h.maxCohort)
 	}
 
 	expectedAlive, expectedEvictions := 0, 0
@@ -850,11 +864,12 @@ func (h *churnHarness) audit(res *Result, peers []*churnPeer) {
 			expectedEvictions++
 		}
 		deadAt, dead := res.DeadAfter[p.seat]
+		st, _ := srv.book.at(p.seat)
 		switch {
 		case p.left:
-			if !srv.left[p.seat] || srv.alive[p.seat] {
+			if !st.left || st.alive {
 				h.violate("%s: seat %d departed cleanly but the book says left=%v alive=%v",
-					p.name, p.seat, srv.left[p.seat], srv.alive[p.seat])
+					p.name, p.seat, st.left, st.alive)
 			}
 			if dead {
 				h.violate("%s: clean leave of seat %d recorded as dead at task %d", p.name, p.seat, deadAt)
@@ -864,12 +879,12 @@ func (h *churnHarness) audit(res *Result, peers []*churnPeer) {
 				h.violate("%s: crashed seat %d at task %d, DeadAfter says (%d, %v)",
 					p.name, p.seat, p.crashTask, deadAt, dead)
 			}
-			if srv.alive[p.seat] {
+			if st.alive {
 				h.violate("%s: crashed seat %d still alive", p.name, p.seat)
 			}
 		default:
 			expectedAlive++
-			if !srv.alive[p.seat] {
+			if !st.alive {
 				h.violate("%s: seat %d ran to completion but is not alive", p.name, p.seat)
 			}
 			if dead {

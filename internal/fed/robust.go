@@ -31,7 +31,7 @@ type TrimmedMeanFedAvg struct {
 	beta float64
 	avg  SparseFedAvg // exact weighted-mean arithmetic for the beta=0 / t=0 case
 	buf  []float32
-	rows [][]float32
+	vecs [][]float32
 	ws   []float64
 }
 
@@ -66,13 +66,13 @@ func (a *TrimmedMeanFedAvg) Aggregate(updates []*Update) []float32 {
 		// to the server default.
 		return a.avg.Aggregate(updates)
 	}
-	a.rows, a.ws = gatherRows(a.rows[:0], a.ws[:0], updates)
-	n := len(a.rows[0])
+	a.vecs, a.ws = gatherRows(a.vecs[:0], a.ws[:0], updates)
+	n := len(a.vecs[0])
 	if cap(a.buf) < n {
 		a.buf = make([]float32, n)
 	}
 	a.buf = a.buf[:n]
-	tensor.TrimmedMeanCols(a.buf, a.rows, a.ws, trim)
+	tensor.TrimmedMeanCols(a.buf, a.vecs, a.ws, trim)
 	return a.buf
 }
 
@@ -84,7 +84,7 @@ func (a *TrimmedMeanFedAvg) Aggregate(updates []*Update) []float32 {
 // lying per coordinate.
 type CoordinateMedianFedAvg struct {
 	buf  []float32
-	rows [][]float32
+	vecs [][]float32
 	ws   []float64
 }
 
@@ -97,13 +97,13 @@ func (a *CoordinateMedianFedAvg) Aggregate(updates []*Update) []float32 {
 	if len(updates) == 0 {
 		return nil
 	}
-	a.rows, a.ws = gatherRows(a.rows[:0], a.ws[:0], updates)
-	n := len(a.rows[0])
+	a.vecs, a.ws = gatherRows(a.vecs[:0], a.ws[:0], updates)
+	n := len(a.vecs[0])
 	if cap(a.buf) < n {
 		a.buf = make([]float32, n)
 	}
 	a.buf = a.buf[:n]
-	tensor.MedianCols(a.buf, a.rows)
+	tensor.MedianCols(a.buf, a.vecs)
 	return a.buf
 }
 
@@ -116,7 +116,7 @@ func (a *CoordinateMedianFedAvg) Aggregate(updates []*Update) []float32 {
 type KrumFedAvg struct {
 	f      int
 	buf    []float32
-	rows   [][]float32
+	vecs   [][]float32
 	ws     []float64
 	scores []float64
 	dists  []float64
@@ -142,14 +142,14 @@ func (a *KrumFedAvg) Aggregate(updates []*Update) []float32 {
 	if m == 0 {
 		return nil
 	}
-	a.rows, a.ws = gatherRows(a.rows[:0], a.ws[:0], updates)
-	n := len(a.rows[0])
+	a.vecs, a.ws = gatherRows(a.vecs[:0], a.ws[:0], updates)
+	n := len(a.vecs[0])
 	if cap(a.buf) < n {
 		a.buf = make([]float32, n)
 	}
 	a.buf = a.buf[:n]
 	if m == 1 {
-		copy(a.buf, a.rows[0])
+		copy(a.buf, a.vecs[0])
 		return a.buf
 	}
 	k := m - a.f - 2
@@ -172,7 +172,7 @@ func (a *KrumFedAvg) Aggregate(updates []*Update) []float32 {
 			if j == i {
 				continue
 			}
-			d = append(d, tensor.SqDist64(a.rows[i], a.rows[j]))
+			d = append(d, tensor.SqDist64(a.vecs[i], a.vecs[j]))
 		}
 		sort.Float64s(d)
 		var s float64
@@ -187,7 +187,7 @@ func (a *KrumFedAvg) Aggregate(updates []*Update) []float32 {
 			best = i
 		}
 	}
-	copy(a.buf, a.rows[best])
+	copy(a.buf, a.vecs[best])
 	return a.buf
 }
 

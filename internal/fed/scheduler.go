@@ -73,6 +73,7 @@ func (*SyncScheduler) Close() {}
 
 // RunTask schedules the r aggregation rounds of one task.
 func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, res *Result) error {
+	s.book.beginTask(false)
 	for round := 0; round < s.cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -81,29 +82,11 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		// Failure injection: each client may drop out of this round. The
 		// draw order (ascending client ID, no draw for dead clients) is part
 		// of the reproducibility contract.
-		anyOnline := false
-		for i := range s.links {
-			s.offline[i] = s.alive[i] && s.cfg.DropoutProb > 0 && s.dropRNG.Float64() < s.cfg.DropoutProb
-			if s.alive[i] && !s.offline[i] {
-				anyOnline = true
-			}
-		}
-		if !anyOnline {
-			// Keep the protocol alive: at least one participant per round.
-			for i := range s.links {
-				if s.alive[i] {
-					s.offline[i] = false
-					break
-				}
-			}
-		}
-		for i, t := range s.links {
-			if !s.alive[i] {
-				continue
-			}
-			rs := &RoundStart{TaskIdx: taskIdx, Round: round, Participate: !s.offline[i], TaskDone: taskDone}
-			if err := t.Send(rs); err != nil {
-				if err := sc.dropOrFail(ctx, s, res, taskIdx, i,
+		s.book.drawOffline(s.cfg.DropoutProb, s.dropRNG)
+		for i, st := range s.book.live() {
+			rs := &RoundStart{TaskIdx: taskIdx, Round: round, Participate: !st.offline, TaskDone: taskDone}
+			if err := st.link.Send(rs); err != nil {
+				if err := sc.dropOrFail(ctx, s, taskIdx, i,
 					fmt.Errorf("fed: round start to client %d: %w", i, err)); err != nil {
 					return err
 				}
@@ -120,14 +103,11 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		s.stream.BeginRound()
 		firstLen := -1
 		folded := 0
-		nonFiniteMark, evictMark := s.nonFiniteTotal, s.evictTotal
-		for i, t := range s.links {
-			if !s.alive[i] {
-				continue
-			}
-			msg, err := t.Recv()
+		nonFiniteMark, evictMark := s.nonFiniteTotal, s.book.evicted
+		for i, st := range s.book.live() {
+			msg, err := st.link.Recv()
 			if err != nil {
-				if err := sc.dropOrFail(ctx, s, res, taskIdx, i,
+				if err := sc.dropOrFail(ctx, s, taskIdx, i,
 					fmt.Errorf("fed: update from client %d: %w", i, err)); err != nil {
 					return err
 				}
@@ -207,8 +187,9 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 			}
 			gm := &GlobalModel{Params: global, Version: s.version}
 			for _, m := range s.metas {
-				if err := s.links[m.clientID].Send(gm); err != nil {
-					if err := sc.dropOrFail(ctx, s, res, taskIdx, m.clientID,
+				st, _ := s.book.at(m.clientID)
+				if err := st.link.Send(gm); err != nil {
+					if err := sc.dropOrFail(ctx, s, taskIdx, m.clientID,
 						fmt.Errorf("fed: global model to client %d: %w", m.clientID, err)); err != nil {
 						return err
 					}
@@ -220,7 +201,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 				TaskIdx: taskIdx, Round: round, Participants: folded,
 				Version:        s.version,
 				NonFinite:      s.nonFiniteTotal - nonFiniteMark,
-				Evictions:      s.evictTotal - evictMark,
+				Evictions:      s.book.evicted - evictMark,
 				ComputeSeconds: worstCompute, CommSeconds: worstComm,
 				UpBytes: roundUp, DownBytes: roundDown,
 			})
@@ -237,7 +218,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 // fillSnapshot contributes the lockstep policy's state to a durable cut:
 // the last committed global. Lockstep rounds have no mid-task resume point,
 // so upload counts and commit ordinals stay zero.
-func (sc *SyncScheduler) fillSnapshot(snap *checkpoint.ServerSnapshot, _ bool) {
+func (sc *SyncScheduler) fillSnapshot(_ *Server, snap *checkpoint.ServerSnapshot, _ bool) {
 	snap.Global = sc.global
 	snap.ParamLen = len(sc.global)
 }
@@ -247,12 +228,12 @@ func (sc *SyncScheduler) fillSnapshot(snap *checkpoint.ServerSnapshot, _ bool) {
 // broken experiment), or, with SyncEvict, evict the client and keep the
 // cohort going — unless nobody is left, or the failure is really the
 // context cancelling.
-func (sc *SyncScheduler) dropOrFail(ctx context.Context, s *Server, res *Result, taskIdx, id int, err error) error {
+func (sc *SyncScheduler) dropOrFail(ctx context.Context, s *Server, taskIdx, id int, err error) error {
 	if !s.cfg.SyncEvict || ctx.Err() != nil {
 		return s.runErr(ctx, err)
 	}
-	s.evict(res, taskIdx, id, err)
-	if s.AliveClients() == 0 {
+	s.evict(taskIdx, id, err)
+	if s.book.alive() == 0 {
 		return fmt.Errorf("fed: sync: all clients lost at task %d", taskIdx)
 	}
 	return nil
@@ -261,16 +242,10 @@ func (sc *SyncScheduler) dropOrFail(ctx context.Context, s *Server, res *Result,
 // collectRoundEnds gathers every alive client's task report: eviction flags
 // first, then the accuracy-matrix row averaged over the survivors.
 func (sc *SyncScheduler) collectRoundEnds(ctx context.Context, s *Server, taskIdx int, res *Result) error {
-	for i := range s.rows {
-		s.rows[i] = nil
-	}
-	for i, t := range s.links {
-		if !s.alive[i] {
-			continue
-		}
-		msg, err := t.Recv()
+	for i, st := range s.book.live() {
+		msg, err := st.link.Recv()
 		if err != nil {
-			if err := sc.dropOrFail(ctx, s, res, taskIdx, i,
+			if err := sc.dropOrFail(ctx, s, taskIdx, i,
 				fmt.Errorf("fed: round end from client %d: %w", i, err)); err != nil {
 				return err
 			}
@@ -280,7 +255,7 @@ func (sc *SyncScheduler) collectRoundEnds(ctx context.Context, s *Server, taskId
 		if !ok {
 			return fmt.Errorf("fed: client %d sent %T, want *RoundEnd", i, msg)
 		}
-		if err := s.handleRoundEnd(i, re, taskIdx, res); err != nil {
+		if err := s.handleRoundEnd(i, re, taskIdx); err != nil {
 			return err
 		}
 	}

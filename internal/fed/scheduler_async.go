@@ -2,6 +2,7 @@ package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -57,36 +58,25 @@ type schedEvent struct {
 //
 // A dropped transport does not abort the run: the client is evicted, logged
 // through ServerConfig.Logf, and the survivors keep scheduling. The seat is
-// not discarded — its parameter length, device clock and per-task upload
-// progress are retained — and when the server was given a rejoin source
+// not discarded — the seat book retains its device clock and per-task upload
+// progress — and when the server was given a rejoin source
 // (Server.SetRejoins), a client that reconnects with a rejoin hello is
 // re-admitted: the scheduler sends a Catchup (current task, uploads already
 // received, the current versioned global) on the fresh link and splices it
-// back into the reader set. See docs/ARCHITECTURE.md for the rejoin state
-// machine and the seat-retention contract.
+// back into the reader set. See docs/ARCHITECTURE.md, "The seat book".
 type AsyncScheduler struct {
 	commitK  int
 	maxStale int
 	alpha    float64
 
-	started bool
-	events  chan schedEvent
-	gens    []int // per-seat link generation, bumped by each rejoin
-	rejoins <-chan RejoinRequest
-	joins   <-chan JoinRequest
+	events  chan schedEvent // nil until start
 	stop    chan struct{}
 	readers sync.WaitGroup
 
-	// maxCohort caps the seat book under elastic membership; joins beyond it
-	// are refused (ServerConfig.MaxCohort, resolved in NewServer).
-	maxCohort int
-
-	// Per-client simulated clocks: each client accumulates its own compute
-	// and communication time instead of being bound by the round's slowest
-	// participant — the asynchronous clock model. The run's SimHours is the
-	// maximum over clients.
-	clocks     []float64
-	commClocks []float64
+	// finishing is the task's phase: false while the event loop collects
+	// uploads, true once the task-final broadcast is out and it collects the
+	// task reports — which decides what a seat (re)admitted now is told.
+	finishing bool
 
 	// global is the latest committed global model. Every commit copies the
 	// aggregator's scratch into a fresh buffer (a "versioned commit
@@ -101,14 +91,12 @@ type AsyncScheduler struct {
 	buffered       int // accepted updates in the window
 	staleCount     int // rejected-by-staleness updates in the window
 	nonFiniteCount int // rejected-by-ingest-hardening updates in the window
-	evictMark      int // server evictTotal at the window's open, for the delta
-	commitIdx      int // commit ordinal within the current task
+	evictMark      int // the book's eviction count at the window's open, for the delta
+	commitIdx      int // commit ordinal within the current task (0 between tasks)
 	worstCompute   float64
 	worstComm      float64
 	windowUp       int64
 	windowDown     int64
-
-	updatesSeen []int // per-client uploads received this task
 
 	staleTotal int // cumulative staleness rejections over the run
 
@@ -118,21 +106,9 @@ type AsyncScheduler struct {
 	// Server.DroppedWindowUploads so operators and tests see the cost.
 	droppedWindow int
 
-	// Restart recovery (restoreSnapshot). expect[i] marks a seat that was
-	// alive at the snapshot cut and has not rejoined yet: the restored task
-	// does not close — and an empty cohort is not "all clients lost" —
-	// while any seat is still expected, because its client is out there
-	// redialing with training state the books already count. resumed makes
-	// the first RunTask keep the restored counters instead of zeroing them.
-	expect  []bool
-	resumed bool
-
-	// stream is the server's streaming aggregator (captured in start):
-	// fillSnapshot exports its open commit window through windowedAggregator
-	// so a cut after every accepted upload carries the partial fold, not
-	// just the last commit. pendWindow is the restored cut whose window the
-	// first resumed RunTask reinstates before collecting uploads.
-	stream     StreamAggregator
+	// pendWindow is the restored cut the first RunTask after restoreSnapshot
+	// resumes from: it keeps the restored counters (the book's Seen, commitIdx)
+	// and reinstates the cut's open commit window before collecting uploads.
 	pendWindow *checkpoint.ServerSnapshot
 }
 
@@ -147,11 +123,10 @@ func newAsyncScheduler(cfg ServerConfig) *AsyncScheduler {
 		}
 	}
 	return &AsyncScheduler{
-		commitK:   k,
-		maxStale:  cfg.Async.MaxStaleness,
-		alpha:     cfg.Async.StalenessAlpha,
-		maxCohort: cfg.MaxCohort,
-		stop:      make(chan struct{}),
+		commitK:  k,
+		maxStale: cfg.Async.MaxStaleness,
+		alpha:    cfg.Async.StalenessAlpha,
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -165,59 +140,42 @@ func (*AsyncScheduler) Name() string { return SchedulerAsync }
 // channel — unblock through the stop channel and through the server having
 // closed every transport first.
 func (a *AsyncScheduler) Close() {
-	if a.started {
+	if a.events != nil {
 		close(a.stop)
 		a.readers.Wait()
 	}
 }
 
-// start launches one reader goroutine per link and captures the server's
-// rejoin and join sources. The event channel is sized for the cohort cap so
-// seat-book growth never needs to reallocate it.
+// start launches one reader goroutine per alive seat (a restored seat has
+// only a placeholder link; its reader starts when the client rejoins). The
+// event channel is sized for the cohort cap — every reader can park one
+// delivery and one terminal error — so seat-book growth never needs to
+// reallocate it.
 func (a *AsyncScheduler) start(s *Server) {
-	a.started = true
-	a.stream = s.stream
-	book := a.maxCohort
-	if book < len(s.links) {
-		book = len(s.links)
-	}
-	a.events = make(chan schedEvent, 2*book+4)
-	a.gens = make([]int, len(s.links))
-	a.rejoins = s.rejoins
-	a.joins = s.joins
-	a.clocks = make([]float64, len(s.links))
-	a.commClocks = make([]float64, len(s.links))
-	a.updatesSeen = make([]int, len(s.links))
-	for i, t := range s.links {
-		if !s.alive[i] {
-			// A restored seat has no live link yet (deadLink placeholder);
-			// its reader starts when the client rejoins.
-			continue
-		}
-		a.startReader(i, t)
+	a.events = make(chan schedEvent, 2*s.cfg.MaxCohort+4)
+	for id, st := range s.book.live() {
+		a.startReader(id, st)
 	}
 }
 
-// startReader launches the reader goroutine of one link (the initial set,
-// and each rejoined replacement — splicing a fresh link into the reader set
-// is exactly this call). The reader delivers each received message to the
-// shared event channel and then waits for the event loop's acknowledgement
-// before the next Recv: a decoded message may alias the transport's
-// reusable decode buffers, so the reader must not decode ahead while the
-// event loop still reads the previous message. A terminal error is
-// delivered without waiting. The reader carries the seat's current link
-// generation; after a rejoin bumps it, the event loop drops anything the
-// old reader still had in flight and never acks it — the stale reader
-// parks until Close.
-func (a *AsyncScheduler) startReader(id int, t Transport) {
-	a.gens[id]++
-	gen := a.gens[id]
+// startReader launches the reader goroutine of seat id's link as st holds it
+// (the initial set, and each joined or rejoined link — splicing a fresh link
+// into the reader set is exactly this call). The reader delivers each received
+// message to the shared event channel and then waits for the event loop's
+// acknowledgement before the next Recv: a decoded message may alias the
+// transport's reusable decode buffers, so the reader must not decode ahead
+// while the event loop still reads the previous message. A terminal error is
+// delivered without waiting. The reader carries the link's generation; after
+// a rejoin bumps it, the event loop drops anything the old reader still had
+// in flight and never acks it — the stale reader parks until Close.
+func (a *AsyncScheduler) startReader(id int, st seat) {
+	link, gen := st.link, st.gen // the reader keeps nothing else of the seat
 	ack := make(chan struct{}, 1)
 	a.readers.Add(1)
 	go func() {
 		defer a.readers.Done()
 		for {
-			m, err := t.Recv()
+			m, err := link.Recv()
 			ev := schedEvent{id: id, gen: gen, msg: m, err: err}
 			if err == nil {
 				ev.ack = ack
@@ -244,23 +202,12 @@ func (a *AsyncScheduler) startReader(id int, t Transport) {
 // once every alive client has uploaded Rounds updates, broadcast the
 // task-final global, and collect the RoundEnd reports.
 func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, res *Result) error {
-	if !a.started {
+	if a.events == nil {
 		a.start(s)
 	}
-	if a.resumed {
-		// Resuming this task from a snapshot cut: updatesSeen and commitIdx
-		// were restored to the cut's values and must survive into the
-		// collect phase — clients owe only the uploads the cut had not seen.
-		a.resumed = false
-	} else {
-		for i := range a.updatesSeen {
-			a.updatesSeen[i] = 0
-		}
-		a.commitIdx = 0
-	}
-	for i := range s.rows {
-		s.rows[i] = nil
-	}
+	// Resuming this task from a snapshot cut keeps the restored Seen counts —
+	// clients owe only the uploads the cut had not seen.
+	s.book.beginTask(a.pendWindow != nil)
 	a.resetWindow()
 	s.stream.BeginRound()
 	if snap := a.pendWindow; snap != nil {
@@ -297,65 +244,19 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		}
 	}
 
-	// One RoundStart per task: the client paces its own Rounds uploads.
-	rs := &RoundStart{TaskIdx: taskIdx, Round: 0, Participate: true, TaskDone: true}
-	for i, t := range s.links {
-		if !s.alive[i] {
-			continue
-		}
-		if err := t.Send(rs); err != nil {
-			a.evict(s, res, taskIdx, i, err)
-		}
-	}
-	if s.AliveClients() == 0 && !a.expecting() {
+	// Collect phase: one RoundStart per task — the client paces its own
+	// Rounds uploads — then every alive seat owes Rounds uploads (a joiner
+	// admitted now owes them from zero), and a restored task holds the door
+	// open for every seat the cut recorded as alive until each has rejoined.
+	a.finishing = false
+	a.broadcast(s, taskIdx, &RoundStart{TaskIdx: taskIdx, Round: 0, Participate: true, TaskDone: true})
+	if s.book.alive() == 0 && !s.book.expecting() {
 		return fmt.Errorf("fed: async: all clients lost at task %d", taskIdx)
 	}
-
-	// Collect phase: every alive client owes Rounds uploads — and a restored
-	// task additionally holds the door open for every seat the snapshot cut
-	// recorded as alive, until each has rejoined (or the context gives up).
-	// The seat book is elastic here: a join admitted mid-collect owes the
-	// task's full Rounds uploads from zero, a Leave retires its seat and the
-	// remaining live set carries the task.
-	for !a.allUploaded(s) || a.expecting() {
-		ev, rq, jq, err := a.nextEvent(ctx)
-		if err != nil {
+	for !s.book.allUploaded(s.cfg.Rounds) || s.book.expecting() {
+		if err := a.step(ctx, s, res, taskIdx); err != nil {
 			return err
 		}
-		if rq != nil {
-			a.readmit(s, res, taskIdx, rq, nil, nil)
-			continue
-		}
-		if jq != nil {
-			a.admitJoin(s, taskIdx, jq, nil, nil)
-			continue
-		}
-		if !a.current(s, ev) {
-			continue
-		}
-		if ev.err != nil {
-			a.evict(s, res, taskIdx, ev.id, ev.err)
-			if s.AliveClients() == 0 && !a.expecting() {
-				return fmt.Errorf("fed: async: all clients lost at task %d", taskIdx)
-			}
-			continue
-		}
-		if lv, ok := ev.msg.(*Leave); ok {
-			if lv.ClientID != ev.id {
-				return fmt.Errorf("fed: link %d sent leave claiming client %d", ev.id, lv.ClientID)
-			}
-			s.retire(taskIdx, ev.id)
-			ev.ack <- struct{}{}
-			continue
-		}
-		u, ok := ev.msg.(*Update)
-		if !ok {
-			return fmt.Errorf("fed: async: client %d sent %T, want *Update", ev.id, ev.msg)
-		}
-		if err := a.handleUpdate(s, res, taskIdx, ev.id, u); err != nil {
-			return err
-		}
-		ev.ack <- struct{}{}
 	}
 
 	// Flush the residual window so no accepted training is lost — also when
@@ -366,249 +267,165 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 	if a.buffered > 0 || a.staleCount > 0 || a.nonFiniteCount > 0 {
 		a.commit(s, res, taskIdx)
 	}
-	final := &GlobalModel{Params: a.global, Version: s.version, TaskFinal: true}
-	for i, t := range s.links {
-		if !s.alive[i] {
-			continue
-		}
-		if err := t.Send(final); err != nil {
-			a.evict(s, res, taskIdx, i, err)
-		}
-	}
+	a.broadcast(s, taskIdx, &GlobalModel{Params: a.global, Version: s.version, TaskFinal: true})
 
-	// Finish phase: gather RoundEnd reports from the survivors. reported
-	// keeps the books straight when a connection drops after its client
-	// already delivered RoundEnd: that client completed the task (its row
-	// stands, pending already moved on), so the eviction must not
-	// decrement pending a second time and cut the remaining survivors'
-	// reports off.
-	reported := make([]bool, len(s.links))
-	pending := s.AliveClients()
-	for pending > 0 {
-		ev, rq, jq, err := a.nextEvent(ctx)
-		if err != nil {
+	// Finish phase: every alive seat that has not reported owes a RoundEnd.
+	a.finishing = true
+	for s.book.owing() > 0 {
+		if err := a.step(ctx, s, res, taskIdx); err != nil {
 			return err
 		}
-		if rq != nil {
-			a.readmit(s, res, taskIdx, rq, reported, &pending)
-			continue
-		}
-		if jq != nil {
-			// A finish-phase joiner never trained this task, so it owes no
-			// RoundEnd: its catch-up says TaskDone (wait for the next task's
-			// RoundStart) and its fresh reported slot is pre-marked so a
-			// subsequent eviction does not decrement pending for it.
-			a.admitJoin(s, taskIdx, jq, &reported, &pending)
-			continue
-		}
-		if !a.current(s, ev) {
-			continue
-		}
-		if ev.err != nil {
-			a.evict(s, res, taskIdx, ev.id, ev.err)
-			if !reported[ev.id] {
-				pending--
-			}
-			continue
-		}
-		if lv, ok := ev.msg.(*Leave); ok {
-			if lv.ClientID != ev.id {
-				return fmt.Errorf("fed: link %d sent leave claiming client %d", ev.id, lv.ClientID)
-			}
-			s.retire(taskIdx, ev.id)
-			if !reported[ev.id] {
-				pending--
-			}
-			ev.ack <- struct{}{}
-			continue
-		}
-		re, ok := ev.msg.(*RoundEnd)
-		if !ok {
-			return fmt.Errorf("fed: async: client %d sent %T, want *RoundEnd", ev.id, ev.msg)
-		}
-		if err := s.handleRoundEnd(ev.id, re, taskIdx, res); err != nil {
-			return err
-		}
-		reported[ev.id] = true
-		pending--
-		ev.ack <- struct{}{}
 	}
 	s.fillMatrixRow(taskIdx, res)
 
 	// Asynchronous clock model: the task is done when the slowest client's
 	// own accumulated time is — not the sum of per-round maxima.
-	s.simSeconds = maxOf(a.clocks)
-	s.commSeconds = maxOf(a.commClocks)
+	s.simSeconds, s.commSeconds = s.book.slowest()
+	a.commitIdx = 0
 	return nil
 }
 
-// nextEvent waits for the next reader delivery, rejoin handshake, join
-// handshake, or cancellation. Exactly one of the returns is set; the rejoin
-// and join channels are nil (never selected) when the server was given no
-// such source.
-func (a *AsyncScheduler) nextEvent(ctx context.Context) (schedEvent, *RejoinRequest, *JoinRequest, error) {
+// broadcast sends one phase-opening message to every alive seat, evicting a
+// seat whose link fails.
+func (a *AsyncScheduler) broadcast(s *Server, taskIdx int, m Msg) {
+	for id, st := range s.book.live() {
+		if err := st.link.Send(m); err != nil {
+			s.evict(taskIdx, id, err)
+		}
+	}
+}
+
+// step waits for one event — a rejoin or join handshake, a reader delivery,
+// or cancellation — and applies it. Both phases share every membership move;
+// they differ in the payload a seat owes (accept) and in that losing the last
+// seat aborts only while uploads are still owed. An event of a stale link
+// generation belongs to a link a rejoin replaced: it is dropped and never
+// acked (the superseded reader parks until Close). A message from a seat that
+// is no longer alive — racing an eviction triggered by a failed Send — is
+// dropped but acked, so its reader runs on to the closed link's error.
+func (a *AsyncScheduler) step(ctx context.Context, s *Server, res *Result, taskIdx int) error {
+	var ev schedEvent
 	select {
 	case <-ctx.Done():
-		return schedEvent{}, nil, nil, ctx.Err()
-	case ev := <-a.events:
-		return ev, nil, nil, nil
-	case rq := <-a.rejoins:
-		return schedEvent{}, &rq, nil, nil
-	case jq := <-a.joins:
-		return schedEvent{}, nil, &jq, nil
+		return ctx.Err()
+	case rq := <-s.rejoins: // nil, never ready, without a rejoin source
+		a.readmit(s, taskIdx, rq)
+		return nil
+	case jq := <-s.joins:
+		a.admitJoin(s, taskIdx, jq)
+		return nil
+	case ev = <-a.events:
 	}
-}
-
-// current filters one reader event against the seat's link generation and
-// liveness. A stale-generation event belongs to a link a rejoin already
-// replaced: it is dropped and never acked (the superseded reader parks
-// until Close). A current-generation event from an evicted seat — a message
-// racing an eviction triggered by a failed Send — is dropped but acked, so
-// its reader runs on to the closed link's terminal error.
-func (a *AsyncScheduler) current(s *Server, ev schedEvent) bool {
-	if ev.gen != a.gens[ev.id] {
-		return false
+	st, _ := s.book.at(ev.id)
+	if ev.gen != st.gen {
+		return nil
 	}
-	if !s.alive[ev.id] {
-		if ev.err == nil {
-			ev.ack <- struct{}{}
+	if ev.err != nil {
+		if st.alive {
+			s.evict(taskIdx, ev.id, ev.err)
+			if !a.finishing && s.book.alive() == 0 && !s.book.expecting() {
+				return fmt.Errorf("fed: async: all clients lost at task %d", taskIdx)
+			}
 		}
-		return false
+		return nil
 	}
-	return true
+	if st.alive {
+		if err := a.accept(s, res, taskIdx, ev.id, ev.msg); err != nil {
+			return err
+		}
+	}
+	ev.ack <- struct{}{}
+	return nil
 }
 
-// readmit splices a rejoining client back into the run: the retained seat
-// (parameter length, device clock, upload progress, accuracy rows) comes
-// back alive on the fresh link, which first carries a Catchup telling the
-// client where to resume — the current task, how many of its uploads the
-// server already holds, and the current versioned global when the client's
-// last-seen version is behind. reported/pending are non-nil during the
-// finish phase, after the task-final broadcast: a seat that has not
-// reported yet is told TaskFinal (install, evaluate, report — it owes a
-// RoundEnd, so pending grows), one that already reported is told TaskDone
-// (wait for the next task). A rejoin for a seat that is still alive is
-// refused by closing the link — the client retries after the eviction
-// lands.
-func (a *AsyncScheduler) readmit(s *Server, res *Result, taskIdx int, rq *RejoinRequest, reported []bool, pending *int) {
+// accept applies one message from an alive seat: a Leave in either phase,
+// otherwise the payload the phase owes — an upload while collecting, the
+// task report once the task-final broadcast is out.
+func (a *AsyncScheduler) accept(s *Server, res *Result, taskIdx, id int, m Msg) error {
+	switch m := m.(type) {
+	case *Leave:
+		if m.ClientID != id {
+			return fmt.Errorf("fed: link %d sent leave claiming client %d", id, m.ClientID)
+		}
+		s.retire(taskIdx, id)
+		return nil
+	case *Update:
+		if !a.finishing {
+			return a.handleUpdate(s, res, taskIdx, id, m)
+		}
+	case *RoundEnd:
+		if a.finishing {
+			return s.handleRoundEnd(id, m, taskIdx)
+		}
+	}
+	if a.finishing {
+		return fmt.Errorf("fed: async: client %d sent %T, want *RoundEnd", id, m)
+	}
+	return fmt.Errorf("fed: async: client %d sent %T, want *Update", id, m)
+}
+
+// catchup builds the reply a (re)admitted seat resumes from: the current
+// task, the uploads the book already holds, and the current versioned global
+// when the client's last-seen version is behind — or when it still owes the
+// task's report, which it evaluates on the task-final model.
+func (a *AsyncScheduler) catchup(s *Server, taskIdx int, lastVersion uint64, r resume) *Catchup {
+	cu := &Catchup{TaskIdx: taskIdx, Seen: r.seen, Version: s.version, TaskDone: r.done, TaskFinal: r.final}
+	if s.version > lastVersion || r.final {
+		cu.Params = a.global
+	}
+	return cu
+}
+
+// readmit splices a rejoining client back into the run (seatBook.readmit):
+// the fresh link first carries the Catchup, then joins the reader set. A
+// refused rejoin or a failed reply closes the link; the client retries.
+func (a *AsyncScheduler) readmit(s *Server, taskIdx int, rq RejoinRequest) {
 	id := rq.ClientID
-	if id < 0 || id >= len(s.links) {
-		s.refusedTotal++
+	err := s.book.readmit(id, rq.Link, a.finishing, func(_ int, r resume) error {
+		return rq.Link.Send(a.catchup(s, taskIdx, rq.LastVersion, r))
+	})
+	switch {
+	case err == nil:
+		st, _ := s.book.at(id)
+		a.startReader(id, st)
+		s.logf("fed: async: client %d rejoined at task %d (catch-up v%d, %d/%d uploads in)",
+			id, taskIdx, s.version, st.seen, s.cfg.Rounds)
+		return
+	case errors.Is(err, errSeatUnknown):
 		s.logf("fed: async: refused rejoin for unknown client %d", id)
-		rq.Link.Close()
-		return
-	}
-	if s.alive[id] {
-		s.refusedTotal++
+	case errors.Is(err, errSeatAlive):
 		s.logf("fed: async: refused rejoin for client %d: seat is still alive", id)
-		rq.Link.Close()
-		return
-	}
-	cu := &Catchup{TaskIdx: taskIdx, Seen: a.updatesSeen[id], Version: s.version}
-	if s.version > rq.LastVersion {
-		cu.Params = a.global
-	}
-	if reported != nil {
-		if reported[id] {
-			cu.TaskDone = true
-		} else {
-			cu.TaskFinal = true
-			cu.Params = a.global
-		}
-	}
-	if err := rq.Link.Send(cu); err != nil {
+	default:
 		s.logf("fed: async: rejoin catch-up to client %d failed: %v", id, err)
-		rq.Link.Close()
-		return
 	}
-	s.trafficMu.Lock()
-	if w, ok := s.links[id].(*WireTransport); ok {
-		s.retiredSent += w.BytesSent()
-		s.retiredRecv += w.BytesRecv()
-	}
-	s.links[id] = rq.Link
-	s.trafficMu.Unlock()
-	s.alive[id] = true
-	s.left[id] = false // a retired seat rejoining reopens its books
-	delete(res.DeadAfter, id)
-	if reported != nil && !reported[id] {
-		*pending++
-	}
-	if a.expect != nil {
-		a.expect[id] = false
-	}
-	a.startReader(id, rq.Link)
-	s.logf("fed: async: client %d rejoined at task %d (catch-up v%d, %d/%d uploads in)",
-		id, taskIdx, s.version, a.updatesSeen[id], s.cfg.Rounds)
+	rq.Link.Close()
 }
 
-// admitJoin grows the seat book for one validated join handshake (v5). The
-// new seat's ID is the next free index; the fresh link first carries the
-// seat-assignment hello, then a phase-aware Catchup: during the collect
-// phase the joiner starts the current task from zero uploads against the
-// current committed global; during the finish phase (reported non-nil) it is
-// told TaskDone — the task closed without it, wait for the next RoundStart.
-// A join beyond MaxCohort is refused — counted in Server.Rejections, logged
-// — by closing the link; a send failure during the reply likewise abandons
-// the handshake before any book state is allocated, so the seat ID is not
-// burned. Announce (RoundStart) is deliberately not replayed: the Catchup
+// admitJoin grows the seat book for one validated join handshake (v5,
+// seatBook.admit): the fresh link first carries the seat-assignment hello,
+// then the Catchup. RoundStart is deliberately not replayed — the Catchup
 // carries the task position, which is all the async client lifecycle needs.
-func (a *AsyncScheduler) admitJoin(s *Server, taskIdx int, jq *JoinRequest, reported *[]bool, pending *int) {
-	if len(s.links) >= a.maxCohort {
-		s.refusedTotal++
-		s.logf("fed: async: refused join: cohort is at capacity (%d seats, -max-cohort %d)", len(s.links), a.maxCohort)
-		jq.Link.Close()
-		return
-	}
-	id := len(s.links)
-	if err := jq.Link.Send(&helloMsg{clientID: id}); err != nil {
-		s.logf("fed: async: join seat assignment failed: %v", err)
-		jq.Link.Close()
-		return
-	}
-	cu := &Catchup{TaskIdx: taskIdx, Seen: 0, Version: s.version}
-	if s.version > jq.LastVersion {
-		cu.Params = a.global
-	}
-	if reported != nil {
-		cu.TaskDone = true
-	}
-	if err := jq.Link.Send(cu); err != nil {
-		s.logf("fed: async: join catch-up for seat %d failed: %v", id, err)
-		jq.Link.Close()
-		return
-	}
-	s.trafficMu.Lock()
-	s.links = append(s.links, jq.Link)
-	s.trafficMu.Unlock()
-	s.alive = append(s.alive, true)
-	s.offline = append(s.offline, false)
-	s.left = append(s.left, false)
-	s.rows = append(s.rows, nil)
-	a.gens = append(a.gens, 0)
-	a.clocks = append(a.clocks, 0)
-	a.commClocks = append(a.commClocks, 0)
-	a.updatesSeen = append(a.updatesSeen, 0)
-	if a.expect != nil {
-		a.expect = append(a.expect, false)
-	}
-	if reported != nil {
-		*reported = append(*reported, true)
-	}
-	a.startReader(id, jq.Link)
-	s.logf("fed: async: admitted join as seat %d at task %d (cohort now %d/%d, catch-up v%d)",
-		id, taskIdx, len(s.links), a.maxCohort, s.version)
-}
-
-// expecting reports whether any snapshot-restored seat is still awaited:
-// its client was alive at the cut and has not re-admitted itself yet.
-func (a *AsyncScheduler) expecting() bool {
-	for _, e := range a.expect {
-		if e {
-			return true
+// A join beyond MaxCohort or a failed reply closes the link.
+func (a *AsyncScheduler) admitJoin(s *Server, taskIdx int, jq JoinRequest) {
+	id, err := s.book.admit(jq.Link, a.finishing, func(id int, r resume) error {
+		if err := jq.Link.Send(&helloMsg{clientID: id}); err != nil {
+			return fmt.Errorf("seat assignment: %w", err)
 		}
+		return jq.Link.Send(a.catchup(s, taskIdx, jq.LastVersion, r))
+	})
+	switch {
+	case err == nil:
+		st, _ := s.book.at(id)
+		a.startReader(id, st)
+		s.logf("fed: async: admitted join as seat %d at task %d (cohort now %d/%d, catch-up v%d)",
+			id, taskIdx, s.book.size(), s.cfg.MaxCohort, s.version)
+		return
+	case errors.Is(err, errBookFull):
+		s.logf("fed: async: refused join: cohort is at capacity (%d seats, -max-cohort %d)", s.book.size(), s.cfg.MaxCohort)
+	default:
+		s.logf("fed: async: join handshake for seat %d failed: %v", id, err)
 	}
-	return false
+	jq.Link.Close()
 }
 
 // handleUpdate accounts, staleness-checks and folds one upload. The update
@@ -629,13 +446,11 @@ func (a *AsyncScheduler) handleUpdate(s *Server, res *Result, taskIdx, id int, u
 	} else if n != a.paramLen {
 		return fmt.Errorf("fed: client %d sent %d parameters, others sent %d", id, n, a.paramLen)
 	}
-	a.updatesSeen[id]++
 
 	// The client did the work and the link carried the bytes whether or not
 	// the update is folded, so clocks and traffic count unconditionally.
 	comm := device.CommTime(u.UpBytes+u.DownBytes, s.cfg.Bandwidth)
-	a.clocks[id] += u.ComputeSeconds + comm
-	a.commClocks[id] += comm
+	s.book.uploaded(id, u.ComputeSeconds, comm)
 	if u.ComputeSeconds > a.worstCompute {
 		a.worstCompute = u.ComputeSeconds
 	}
@@ -706,11 +521,11 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 		TaskIdx: taskIdx, Round: round, Participants: a.buffered,
 		Stale:          a.staleCount,
 		NonFinite:      a.nonFiniteCount,
-		Evictions:      s.evictTotal - a.evictMark,
+		Evictions:      s.book.evicted - a.evictMark,
 		ComputeSeconds: a.worstCompute, CommSeconds: a.worstComm,
 		UpBytes: a.windowUp, DownBytes: a.windowDown,
 	}
-	a.evictMark = s.evictTotal
+	a.evictMark = s.book.evicted
 	if global != nil {
 		s.version++
 		a.global = append([]float32(nil), global...)
@@ -725,15 +540,10 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 	if global != nil {
 		s.snapshot(res, taskIdx, false)
 		gm := &GlobalModel{Params: a.global, Version: s.version}
-		for i, t := range s.links {
-			if !s.alive[i] {
-				continue
-			}
-			if err := t.Send(gm); err != nil {
-				// Defer the eviction bookkeeping to the reader's error
-				// event (it owns DeadAfter/logging); just stop sending.
-				continue
-			}
+		for _, st := range s.book.live() {
+			// A failed send is left to the reader's error event, which owns
+			// the eviction.
+			_ = st.link.Send(gm)
 		}
 	}
 	stats.Version = s.version
@@ -743,62 +553,39 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 }
 
 // fillSnapshot contributes the asynchronous policy's state to a durable
-// cut: the committed global, the agreed parameter length, the per-seat
-// clocks, and — for a commit cut — the in-progress task's upload counts,
-// commit ordinal, and the open commit window (its accounting plus the
+// cut (the per-seat half is seatBook.records): the committed global, the
+// agreed parameter length, and — for a commit cut — the in-progress task's
+// commit ordinal and the open commit window (its accounting plus the
 // aggregator's raw partial accumulation, exported through
-// windowedAggregator). A boundary cut zeroes those: snap.TaskIdx already
-// names the next task, for which nothing has been seen yet. The window
-// slices alias aggregator scratch — the SnapshotSink contract requires the
-// sink to serialise before returning.
-func (a *AsyncScheduler) fillSnapshot(snap *checkpoint.ServerSnapshot, boundary bool) {
-	if !a.started {
-		return
-	}
+// windowedAggregator). A boundary cut leaves those zero: snap.TaskIdx already
+// names the next task. The window slices alias aggregator scratch — the
+// SnapshotSink contract requires the sink to serialise before returning.
+func (a *AsyncScheduler) fillSnapshot(s *Server, snap *checkpoint.ServerSnapshot, boundary bool) {
 	snap.Global = a.global
 	snap.ParamLen = a.paramLen
 	snap.StaleTotal = a.staleTotal
-	for i := range snap.Seats {
-		snap.Seats[i].SimSeconds = a.clocks[i]
-		snap.Seats[i].CommSeconds = a.commClocks[i]
-		if !boundary {
-			snap.Seats[i].Seen = a.updatesSeen[i]
-		}
+	if boundary {
+		return
 	}
-	if !boundary {
-		snap.CommitIdx = a.commitIdx
-		snap.WindowCount = a.buffered
-		snap.WindowStale = a.staleCount
-		snap.WindowWorstCompute = a.worstCompute
-		snap.WindowWorstComm = a.worstComm
-		snap.WindowUp = a.windowUp
-		snap.WindowDown = a.windowDown
-		if a.buffered > 0 {
-			if wa, ok := a.stream.(windowedAggregator); ok {
-				var total float64
-				snap.WindowIdx, snap.WindowVals, snap.WindowDense, total = wa.windowState()
-				snap.WindowTotal = total
-			}
+	snap.CommitIdx = a.commitIdx
+	snap.WindowCount = a.buffered
+	snap.WindowStale = a.staleCount
+	snap.WindowWorstCompute = a.worstCompute
+	snap.WindowWorstComm = a.worstComm
+	snap.WindowUp = a.windowUp
+	snap.WindowDown = a.windowDown
+	if a.buffered > 0 {
+		if wa, ok := s.stream.(windowedAggregator); ok {
+			snap.WindowIdx, snap.WindowVals, snap.WindowDense, snap.WindowTotal = wa.windowState()
 		}
 	}
 }
 
-// restoreSnapshot reconstructs the policy's state at a snapshot cut: seat
-// clocks and upload counts, the committed global and its parameter length,
-// the commit ordinal, and the expectation that every seat alive at the cut
-// will re-admit itself through the rejoin path before the restored task
-// closes. Called once from Server.Run, before the first RunTask.
-func (a *AsyncScheduler) restoreSnapshot(s *Server, snap *checkpoint.ServerSnapshot) {
-	a.start(s)
-	a.expect = make([]bool, len(s.links))
-	for i, seat := range snap.Seats {
-		a.clocks[i] = seat.SimSeconds
-		a.commClocks[i] = seat.CommSeconds
-		a.updatesSeen[i] = seat.Seen
-		a.expect[i] = seat.Alive
-		// A cleanly departed seat restores departed: not awaited, not dead.
-		s.left[i] = seat.Left
-	}
+// restoreSnapshot reconstructs the policy's state at a snapshot cut (the
+// seats were restored by seatBook.restore): the committed global and its
+// parameter length, the commit ordinal, and the open window the first
+// RunTask reinstates. Called once from Server.Run, before the first RunTask.
+func (a *AsyncScheduler) restoreSnapshot(snap *checkpoint.ServerSnapshot) {
 	a.paramLen = snap.ParamLen
 	if len(snap.Global) > 0 {
 		a.global = append([]float32(nil), snap.Global...)
@@ -806,7 +593,6 @@ func (a *AsyncScheduler) restoreSnapshot(s *Server, snap *checkpoint.ServerSnaps
 	a.commitIdx = snap.CommitIdx
 	a.staleTotal = snap.StaleTotal
 	a.pendWindow = snap
-	a.resumed = true
 }
 
 // resetWindow clears the per-commit accounting.
@@ -814,33 +600,4 @@ func (a *AsyncScheduler) resetWindow() {
 	a.buffered, a.staleCount, a.nonFiniteCount = 0, 0, 0
 	a.worstCompute, a.worstComm = 0, 0
 	a.windowUp, a.windowDown = 0, 0
-}
-
-// allUploaded reports whether every alive client has delivered its Rounds
-// uploads for the current task.
-func (a *AsyncScheduler) allUploaded(s *Server) bool {
-	for i, n := range a.updatesSeen {
-		if s.alive[i] && n < s.cfg.Rounds {
-			return false
-		}
-	}
-	return true
-}
-
-// evict delegates to the server's shared eviction path — a dropped TCP
-// connection costs one seat, not the run, and the seat's retained state
-// stays ready for a rejoin.
-func (a *AsyncScheduler) evict(s *Server, res *Result, taskIdx, id int, err error) {
-	s.evict(res, taskIdx, id, err)
-}
-
-// maxOf returns the maximum element (0 for an empty slice).
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

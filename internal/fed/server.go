@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
@@ -150,19 +149,16 @@ type updateMeta struct {
 	downBytes      int64
 }
 
-// Server is the protocol's hub: it owns one Transport per client, the
-// pluggable Aggregator, and the books (simulated clock, traffic, accuracy
-// matrix, evictions), and delegates round control flow to its Scheduler —
-// the lockstep SyncScheduler by default, or the staleness-bounded
-// AsyncScheduler.
+// Server is the protocol's hub: it owns the seat book (one Transport and one
+// ledger entry per client ID), the pluggable Aggregator, and the run-level
+// books (simulated clock, traffic, accuracy matrix), and delegates round
+// control flow to its Scheduler — the lockstep SyncScheduler by default, or
+// the staleness-bounded AsyncScheduler.
 type Server struct {
 	cfg     ServerConfig
 	stream  StreamAggregator
 	sched   Scheduler
-	links   []Transport // index = client ID
-	alive   []bool
-	offline []bool
-	left    []bool // seat retired by a clean Leave (never counted as dead)
+	book    *seatBook
 	dropRNG *tensor.RNG
 	obs     RoundObserver
 	rejoins <-chan RejoinRequest
@@ -175,15 +171,6 @@ type Server struct {
 	snap   SnapshotSink
 	resume *checkpoint.ServerSnapshot
 
-	// retiredSent/retiredRecv accumulate the measured traffic of wire links
-	// replaced by a rejoin, so WireTraffic never loses the bytes a dropped
-	// connection already carried. trafficMu guards them and the links-slice
-	// swap a rejoin performs, so WireTraffic can be polled from another
-	// goroutine while the run is live.
-	trafficMu   sync.Mutex
-	retiredSent int64
-	retiredRecv int64
-
 	// version is the global model's commit version, monotone over the run:
 	// 0 is the shared initial model, and every commit (one per synchronous
 	// round, one per K accepted asynchronous updates) increments it.
@@ -194,18 +181,13 @@ type Server struct {
 	upBytes     int64
 	downBytes   int64
 
-	// nonFiniteTotal / evictTotal / refusedTotal are the run's cumulative
-	// rejected-input accounting, surfaced by Rejections and sliced into
-	// per-commit deltas for RoundStats. (Staleness rejections live on the
-	// async scheduler, which persists them across restarts.) refusedTotal
-	// counts scheduler-level membership refusals: a rejoin for a live or
-	// unknown seat, or a join beyond MaxCohort.
+	// nonFiniteTotal is the run's cumulative ingest-hardening rejections,
+	// surfaced by Rejections and sliced into per-commit deltas for RoundStats.
+	// (Staleness rejections live on the async scheduler, which persists them
+	// across restarts; evictions and membership refusals on the seat book.)
 	nonFiniteTotal int
-	evictTotal     int
-	refusedTotal   int
 
 	metas []updateMeta // per-round scratch
-	rows  [][]float64  // per-task eval scratch
 }
 
 // NewServer builds a server over one transport per client. A nil aggregator
@@ -246,12 +228,8 @@ func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 	s := &Server{
 		cfg:     cfg,
 		stream:  stream,
-		links:   links,
-		alive:   make([]bool, cfg.NumClients),
-		offline: make([]bool, cfg.NumClients),
-		left:    make([]bool, cfg.NumClients),
+		book:    newSeatBook(links, cfg.MaxCohort),
 		dropRNG: tensor.NewRNG(cfg.Seed ^ 0xD209),
-		rows:    make([][]float64, cfg.NumClients),
 	}
 	switch cfg.Scheduler {
 	case "", SchedulerSync:
@@ -263,9 +241,6 @@ func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 		s.sched = newAsyncScheduler(cfg)
 	default:
 		panic(fmt.Sprintf("fed: unknown scheduler %q (want %q or %q)", cfg.Scheduler, SchedulerSync, SchedulerAsync))
-	}
-	for i := range s.alive {
-		s.alive[i] = true
 	}
 	return s
 }
@@ -291,15 +266,7 @@ func (s *Server) SetRejoins(ch <-chan RejoinRequest) { s.rejoins = ch }
 func (s *Server) SetJoins(ch <-chan JoinRequest) { s.joins = ch }
 
 // AliveClients reports how many clients have not been evicted.
-func (s *Server) AliveClients() int {
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) AliveClients() int { return s.book.alive() }
 
 // Version reports the current global-model commit version.
 func (s *Server) Version() uint64 { return s.version }
@@ -311,21 +278,20 @@ func (s *Server) Version() uint64 { return s.version }
 // must only be called once.
 func (s *Server) Run(ctx context.Context) (*Result, error) {
 	defer s.sched.Close()
-	defer s.closeAll()
-	res := &Result{
-		Method:    s.cfg.Method,
-		Matrix:    metrics.NewMatrix(s.cfg.NumTasks),
-		DeadAfter: map[int]int{},
-	}
+	defer s.book.closeAll()
+	res := &Result{Method: s.cfg.Method, Matrix: metrics.NewMatrix(s.cfg.NumTasks)}
+	// The seat book is DeadAfter's one writer: the public report is rendered
+	// from it on every return path.
+	defer func() { res.DeadAfter = s.book.deadAfter() }()
 	start := 0
 	if s.resume != nil {
 		start = s.resume.TaskIdx
 		if err := restoreResult(res, s.resume); err != nil {
 			return res, err
 		}
-		if r, ok := s.sched.(snapshotRestorer); ok {
-			r.restoreSnapshot(s, s.resume)
-		}
+		// Only the asynchronous scheduler restores: NewServerFromSnapshot
+		// refuses every other policy.
+		s.sched.(*AsyncScheduler).restoreSnapshot(s.resume)
 	} else {
 		// Genesis cut: version 0, empty books. It is what lets a server that
 		// crashes before its first commit still restart into the rejoin path
@@ -357,20 +323,12 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// evict removes a client whose transport failed: mark it dead, record the
-// task it was lost at, close the link, log, and let the scheduler keep
-// driving the survivors. The seat's books (accuracy rows, clocks, upload
-// progress) are retained, not discarded — a rejoining client is re-admitted
-// against them.
-func (s *Server) evict(res *Result, taskIdx, id int, err error) {
-	if !s.alive[id] {
-		return
+// evict removes a client whose transport failed (seatBook.evict) and logs
+// it; the scheduler keeps driving the survivors.
+func (s *Server) evict(taskIdx, id int, err error) {
+	if s.book.evict(id, taskIdx) {
+		s.logf("fed: %s: evicted client %d at task %d: %v", s.sched.Name(), id, taskIdx, err)
 	}
-	s.alive[id] = false
-	s.evictTotal++
-	res.DeadAfter[id] = taskIdx
-	s.links[id].Close()
-	s.logf("fed: %s: evicted client %d at task %d: %v", s.sched.Name(), id, taskIdx, err)
 }
 
 // Rejections reports the run's cumulative rejected-input accounting: updates
@@ -387,7 +345,7 @@ func (s *Server) Rejections() (nonFinite, stale, evicted, refused int) {
 	if as, ok := s.sched.(*AsyncScheduler); ok {
 		stale = as.staleTotal
 	}
-	return s.nonFiniteTotal, stale, s.evictTotal, s.refusedTotal
+	return s.nonFiniteTotal, stale, s.book.evicted, s.book.refused
 }
 
 // DroppedWindowUploads reports how many buffered uploads a restart discarded
@@ -404,20 +362,13 @@ func (s *Server) DroppedWindowUploads() int {
 	return 0
 }
 
-// retire closes a seat's books on a clean Leave: the seat goes not-alive and
-// is marked left — excluded from future commits and broadcasts like an
-// evicted seat, but never logged as an eviction, never counted in
-// Result.DeadAfter, and never added to the eviction totals. Its folded
-// contributions stand; the commit weighting renormalizes over the remaining
-// live set automatically (denominators are per-window).
+// retire closes a seat on a clean Leave (seatBook.retire) and logs it. The
+// seat's folded contributions stand; the commit weighting renormalizes over
+// the remaining live set automatically (denominators are per-window).
 func (s *Server) retire(taskIdx, id int) {
-	if !s.alive[id] {
-		return
+	if s.book.retire(id) {
+		s.logf("fed: %s: seat %d retired at task %d (clean leave)", s.sched.Name(), id, taskIdx)
 	}
-	s.alive[id] = false
-	s.left[id] = true
-	s.links[id].Close()
-	s.logf("fed: %s: seat %d retired at task %d (clean leave)", s.sched.Name(), id, taskIdx)
 }
 
 // admitUpdate applies ingest hardening to one decoded update: when
@@ -449,18 +400,7 @@ func (s *Server) admitUpdate(u *Update, taskIdx int) bool {
 // client rejoined on a fresh one. Loopback links carry no measured traffic
 // and count zero. Safe to call from any goroutine; mid-run totals are
 // approximate (links may still be transferring).
-func (s *Server) WireTraffic() (sent, recv int64) {
-	s.trafficMu.Lock()
-	defer s.trafficMu.Unlock()
-	sent, recv = s.retiredSent, s.retiredRecv
-	for _, l := range s.links {
-		if w, ok := l.(*WireTransport); ok {
-			sent += w.BytesSent()
-			recv += w.BytesRecv()
-		}
-	}
-	return sent, recv
-}
+func (s *Server) WireTraffic() (sent, recv int64) { return s.book.wireTraffic() }
 
 // runErr reports a transport failure, preferring the context's error: when
 // the run was cancelled, client endpoints close their transports and the
@@ -474,37 +414,25 @@ func (s *Server) runErr(ctx context.Context, err error) error {
 
 // handleRoundEnd applies one client's task report — the shared protocol
 // enforcement both schedulers rely on: the claimed ID must match the link,
-// a death report evicts, and a survivor's accuracy row must cover exactly
-// the learned tasks before it lands in s.rows.
-func (s *Server) handleRoundEnd(id int, re *RoundEnd, taskIdx int, res *Result) error {
+// a death report closes the seat, and a survivor's accuracy row must cover
+// exactly the learned tasks before it lands in the seat book.
+func (s *Server) handleRoundEnd(id int, re *RoundEnd, taskIdx int) error {
 	if re.ClientID != id {
 		return fmt.Errorf("fed: link %d sent round end claiming client %d", id, re.ClientID)
 	}
-	if re.Dead {
-		s.alive[id] = false
-		res.DeadAfter[id] = taskIdx
-		return nil
-	}
-	if len(re.EvalAccs) != taskIdx+1 {
+	if !re.Dead && len(re.EvalAccs) != taskIdx+1 {
 		return fmt.Errorf("fed: client %d reported %d accuracies after task %d", id, len(re.EvalAccs), taskIdx)
 	}
-	s.rows[id] = re.EvalAccs
+	s.book.report(id, taskIdx, re.EvalAccs, re.Dead)
 	return nil
 }
 
-// fillMatrixRow averages the collected s.rows into the accuracy matrix's
-// row for taskIdx (the mean over clients that reported, per learned task).
+// fillMatrixRow averages the rows the seat book collected into the accuracy
+// matrix's row for taskIdx (the mean over clients that reported, per learned
+// task).
 func (s *Server) fillMatrixRow(taskIdx int, res *Result) {
 	for p := 0; p <= taskIdx; p++ {
-		var sum float64
-		n := 0
-		for _, accs := range s.rows {
-			if accs != nil && p < len(accs) {
-				sum += accs[p]
-				n++
-			}
-		}
-		if n > 0 {
+		if sum, n := s.book.accuracy(p); n > 0 {
 			res.Matrix.Set(taskIdx, p, sum/float64(n))
 		}
 	}
@@ -517,10 +445,4 @@ func (s *Server) logf(format string, args ...any) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-func (s *Server) closeAll() {
-	for _, t := range s.links {
-		t.Close()
-	}
 }

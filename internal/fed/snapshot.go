@@ -27,20 +27,12 @@ type SnapshotSink interface {
 func (s *Server) SetSnapshots(sink SnapshotSink) { s.snap = sink }
 
 // snapshotFiller is implemented by schedulers that contribute their
-// policy-owned state (clocks, upload counts, the committed global) to a
+// policy-owned state (the committed global, the open commit window) to a
 // snapshot. boundary marks a task-boundary cut: the in-progress task's
 // counters (Seen, CommitIdx) are zeroed because snap.TaskIdx already names
 // the next task.
 type snapshotFiller interface {
-	fillSnapshot(snap *checkpoint.ServerSnapshot, boundary bool)
-}
-
-// snapshotRestorer is implemented by schedulers that can reconstruct their
-// state from a snapshot cut; only the asynchronous scheduler does (lockstep
-// has no rejoin splice point, so a restarted sync server has no way to
-// re-admit its cohort).
-type snapshotRestorer interface {
-	restoreSnapshot(s *Server, snap *checkpoint.ServerSnapshot)
+	fillSnapshot(s *Server, snap *checkpoint.ServerSnapshot, boundary bool)
 }
 
 // windowedAggregator is implemented by streaming aggregators whose open
@@ -80,16 +72,7 @@ func (s *Server) snapshot(res *Result, resumeTask int, boundary bool) {
 		DownBytes:   s.downBytes,
 		WireSent:    wireSent,
 		WireRecv:    wireRecv,
-		Seats:       make([]checkpoint.SeatRecord, len(s.links)),
-	}
-	for i := range snap.Seats {
-		rec := &snap.Seats[i]
-		rec.Alive = s.alive[i]
-		rec.Left = s.left[i]
-		if at, dead := res.DeadAfter[i]; dead {
-			rec.Dead = true
-			rec.DeadAtTask = at
-		}
+		Seats:       s.book.records(boundary),
 	}
 	for _, tp := range res.PerTask {
 		snap.Tasks = append(snap.Tasks, checkpoint.TaskRecord{
@@ -106,7 +89,7 @@ func (s *Server) snapshot(res *Result, resumeTask int, boundary bool) {
 		snap.Matrix = append(snap.Matrix, res.Matrix.Acc[i])
 	}
 	if f, ok := s.sched.(snapshotFiller); ok {
-		f.fillSnapshot(snap, boundary)
+		f.fillSnapshot(s, snap, boundary)
 	}
 	if err := s.snap.Save(snap); err != nil {
 		s.logf("fed: SNAPSHOT SAVE FAILED at task %d version %d — a crash from here loses progress back to the previous snapshot: %v",
@@ -191,23 +174,19 @@ func NewServerFromSnapshot(cfg ServerConfig, agg Aggregator, snap *checkpoint.Se
 		links[i] = deadLink{}
 	}
 	s := NewServer(cfg, agg, links)
-	for i := range s.alive {
-		s.alive[i] = false
-	}
+	s.book.restore(snap)
 	s.version = snap.Version
 	s.simSeconds = snap.SimSeconds
 	s.commSeconds = snap.CommSeconds
 	s.upBytes = snap.UpBytes
 	s.downBytes = snap.DownBytes
-	s.retiredSent = snap.WireSent
-	s.retiredRecv = snap.WireRecv
 	s.resume = snap
 	return s, nil
 }
 
 // restoreResult pre-populates a fresh Result with the snapshot's completed
-// tasks: the per-task summary points, the completed accuracy-matrix rows,
-// and the recorded deaths.
+// tasks: the per-task summary points and the completed accuracy-matrix rows
+// (the recorded deaths come back through the seat book).
 func restoreResult(res *Result, snap *checkpoint.ServerSnapshot) error {
 	for _, t := range snap.Tasks {
 		res.PerTask = append(res.PerTask, TaskPoint{
@@ -225,11 +204,6 @@ func restoreResult(res *Result, snap *checkpoint.ServerSnapshot) error {
 			return fmt.Errorf("fed: snapshot matrix row %d has %d entries, want %d", i, len(row), i+1)
 		}
 		copy(res.Matrix.Acc[i], row)
-	}
-	for id, seat := range snap.Seats {
-		if seat.Dead {
-			res.DeadAfter[id] = seat.DeadAtTask
-		}
 	}
 	return nil
 }
