@@ -244,9 +244,17 @@ func (c *Client) installGlobal(t Transport, ct data.ClientTask) error {
 // client's base version advances to the global's. flatBuf is rewritten next
 // round; strategies that keep the pre-aggregation vector across rounds must
 // copy it.
+//
+// A client with no local round behind it — an asynchronous commit triggered
+// by faster peers, or a rejoin catch-up, ahead of its first upload — has no
+// pre-aggregation vector distinct from its current weights, so those are
+// what the merge keeps and what AfterAggregate sees.
 func (c *Client) install(gm *GlobalModel, ct data.ClientTask) {
 	global := gm.Params
 	c.gate(func() {
+		if c.flatBuf == nil {
+			c.flatBuf = nn.FlattenParamsInto(c.flatBuf, c.ctx.Model.Params())
+		}
 		mask := c.strategy.AggregateMask()
 		if mask == nil {
 			nn.SetFlatParams(c.ctx.Model.Params(), global)
@@ -306,12 +314,6 @@ func (c *Client) asyncLoop(ctx context.Context, t Transport, in *inbox, resume *
 				c.curTask = taskIdx
 			}
 			if len(cu.Params) > 0 {
-				// The mask-merge install reads flatBuf as the local half; a
-				// client that dropped before its first upload has not
-				// flattened yet.
-				if c.flatBuf == nil {
-					c.flatBuf = nn.FlattenParamsInto(c.flatBuf, c.ctx.Model.Params())
-				}
 				c.install(&GlobalModel{Params: cu.Params, Version: cu.Version}, c.seq[taskIdx])
 			} else if cu.Version > c.baseVersion {
 				c.baseVersion = cu.Version

@@ -18,8 +18,12 @@ import (
 //
 // Y and dY cross the GEMMs channel-major (OutC × N·spatial); the copies
 // between that layout and NCHW, like the lowering itself, are image-parallel
-// with disjoint writes, and the GEMMs parallelise over rows of C, so every
-// output element has one accumulation order whatever the thread count.
+// with disjoint writes, and the GEMMs parallelise over disjoint blocks of C
+// whose placement no element's value depends on, so every output element has
+// one accumulation order whatever the thread count. None of the three
+// products packs an operand: as B, cols and dY have n-contiguous rows
+// (tensor.Gemm's outer-product form, which reads A through strides and so
+// takes Wᵀ in place); as Bᵀ, cols has k-contiguous rows (its dot form).
 //
 // The column matrix, the output and the input gradient are retained on the
 // layer and reused; the channel-major staging and the column gradient live
@@ -208,7 +212,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 		}
 	}
 	for g := 0; g < c.Groups; g++ {
-		// dW += dY × colsᵀ → (gOut, fanIn); cols rows are already k-contiguous.
+		// dW += dY × colsᵀ → (gOut, fanIn): rows of dY against rows of cols.
 		tensor.Gemm(c.W.Grad.Data[g*gOut*fanIn:(g+1)*gOut*fanIn], (*dycm)[g*gOut*ns:(g+1)*gOut*ns],
 			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, ns, fanIn, false, true)
 	}
@@ -216,7 +220,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 		dcols := getScratch(c.InC * c.K * c.K * ns)
 		clear(*dcols)
 		for g := 0; g < c.Groups; g++ {
-			// dcols = Wᵀ × dY → (fanIn, N·spatial).
+			// dcols = Wᵀ × dY → (fanIn, N·spatial), k = gOut: W is read in place.
 			tensor.Gemm((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], c.W.W.Data[g*gOut*fanIn:(g+1)*gOut*fanIn],
 				(*dycm)[g*gOut*ns:(g+1)*gOut*ns], fanIn, gOut, ns, true, false)
 		}

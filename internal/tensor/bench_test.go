@@ -5,15 +5,21 @@ import (
 	"testing"
 )
 
+// gemmShape is one benchmarked product: C (m×n) += op(A) × op(B).
+type gemmShape struct {
+	name    string
+	m, k, n int
+	tA, tB  bool
+}
+
 // BenchmarkGemm covers the square and conv-shaped problems the training
 // stack actually issues: (out-channels × fan-in × spatial) for forward,
-// plus transposed variants for the backward GEMMs.
+// plus transposed variants for the backward GEMMs, and then the twelve
+// products of the CI-scale ResNet18's four stages at batch 8 — a 3×3 conv of
+// ch channels over an s×s map is forward ch × 9ch × 8s², dW the same volume
+// with k = 8s², dcols 9ch × ch × 8s² — 2.36 MFLOP each.
 func BenchmarkGemm(b *testing.B) {
-	shapes := []struct {
-		name    string
-		m, k, n int
-		tA, tB  bool
-	}{
+	shapes := []gemmShape{
 		{"square64", 64, 64, 64, false, false},
 		{"square128", 128, 128, 128, false, false},
 		{"square256", 256, 256, 256, false, false},
@@ -22,6 +28,14 @@ func BenchmarkGemm(b *testing.B) {
 		{"conv-dW-32x256x144", 32, 256, 144, false, true},
 		{"linear-fwd-16x1024x100", 16, 1024, 100, false, true},
 		{"linear-dW-100x16x1024", 100, 16, 1024, true, false},
+	}
+	for _, st := range []struct{ ch, side int }{{8, 16}, {16, 8}, {32, 4}, {64, 2}} {
+		ch, ns := st.ch, 8*st.side*st.side
+		at := fmt.Sprintf("%dch@%d", ch, st.side)
+		shapes = append(shapes,
+			gemmShape{"resnet-fwd-" + at, ch, 9 * ch, ns, false, false},
+			gemmShape{"resnet-dW-" + at, ch, ns, 9 * ch, false, true},
+			gemmShape{"resnet-dcols-" + at, 9 * ch, ch, ns, true, false})
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -42,25 +56,32 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmSparse measures the zero-skipping path used when forwarding
-// FedKNOW's ρ=10 % knowledge models.
+// BenchmarkGemmSparse measures the zero-skipping path with a ρ=10 % weight
+// operand: the knowledge-model forward (W × cols) and the masked fine-tune's
+// input gradient (Wᵀ × dY, transA).
 func BenchmarkGemmSparse(b *testing.B) {
-	r := NewRNG(5)
-	m, k, n := 32, 144, 256
-	a := make([]float32, m*k)
-	x := make([]float32, k*n)
-	r.FillNorm(a, 1)
-	r.FillNorm(x, 1)
-	for i := range a {
-		if r.Float64() < 0.9 {
-			a[i] = 0
-		}
-	}
-	c := make([]float32, m*n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(c)
-		Gemm(c, a, x, m, k, n, false, false)
+	for _, sh := range []gemmShape{
+		{"fwd-32x144x256", 32, 144, 256, false, false},
+		{"dcols-144x32x256", 144, 32, 256, true, false},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			r := NewRNG(5)
+			a := make([]float32, sh.m*sh.k)
+			x := make([]float32, sh.k*sh.n)
+			r.FillNorm(a, 1)
+			r.FillNorm(x, 1)
+			for i := range a {
+				if r.Float64() < 0.9 {
+					a[i] = 0
+				}
+			}
+			c := make([]float32, sh.m*sh.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(c)
+				Gemm(c, a, x, sh.m, sh.k, sh.n, sh.tA, false)
+			}
+		})
 	}
 }
 

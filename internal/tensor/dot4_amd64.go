@@ -9,6 +9,21 @@ package tensor
 //go:noescape
 func dot4fma(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 
+// gemmOuterFMA accumulates the mr × nc block C += op(A) × B, 1 <= mr <= 4 and
+// nc >= 1, as 4×16 register tiles: c and b point at the block's first column
+// in matrices of leading dimension ld, and op(A)[i][p] is a[i*ars+p*aps].
+// Every element is one fused multiply-add chain over p = 0..k-1 onto the
+// incoming C value. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int)
+
+// axpyFMA computes c[j] = fma(av, b[j], c[j]) for j < n: one step of
+// gemmOuterFMA's chain for one row. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func axpyFMA(c, b *float32, av float32, n int)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 //
 //go:noescape
@@ -19,9 +34,9 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// hasDot4 reports whether the AVX2+FMA micro-kernel is usable: the CPU must
+// hasDot4 reports whether the AVX2+FMA micro-kernels are usable: the CPU must
 // support FMA3 and AVX2 and the OS must have enabled YMM state. Detected
-// once at startup; the pure-Go kernel remains the fallback everywhere else.
+// once at startup; the pure-Go kernels remain the fallback everywhere else.
 var hasDot4 = func() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {

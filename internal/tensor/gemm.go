@@ -1,62 +1,57 @@
 package tensor
 
-import "sync"
-
 // GEMM kernel layer.
 //
-// The kernel normalises both operands to k-contiguous layouts — op(A) rows
-// and op(B) columns — then runs a register-tiled dot-product micro-kernel
-// (one A row against four B columns, eight independent accumulators) over
-// column chunks sized to stay L2-resident, walked in L1-sized blocks. On this
-// substrate's shapes the dot form beats axpy/outer-product tilings because
-// it performs one store per k multiply-adds and every inner-loop read is
-// sequential.
+// Two micro-kernel forms, and the layout of B picks the form; neither packs
+// an operand.
 //
-// Layout normalisation is what makes the four transpose variants uniform:
-//   - op(B) columns are already contiguous when transB is set (row-major
-//     B^T), so the common Linear-forward case x×W^T needs no packing at all;
-//   - otherwise column chunks of B are transposed into a pooled buffer;
-//   - op(A) rows are contiguous unless transA is set, in which case A^T is
-//     packed once.
+//   - transB: the rows of B are k-contiguous, and so are the rows of A, so
+//     C[i][j] is a dot product of two sequential reads. The dot form runs one
+//     A row against four B rows with eight independent accumulators and one
+//     store per k multiply-adds (gemmDotRows: conv dW, Linear forward).
+//   - !transB: the rows of B are n-contiguous, so a row of B is sixteen
+//     adjacent columns' worth of one k step. The outer-product form holds a
+//     4×16 tile of C in registers while p walks k; each step loads one
+//     16-float row of B and broadcasts four values of op(A), which is read
+//     through a (row stride, p stride) pair and is therefore indifferent to
+//     transA (gemmOuter: conv forward W × cols, conv dcols = Wᵀ × dY, both
+//     Linear backward products, MatMulInto). A dot form here would first
+//     have to transpose B, and its k = OutC = 8 dot products are one
+//     multiply-add and then a horizontal reduction.
 //
-// Determinism: for a fixed problem shape the blocking, chunking, and
-// per-element accumulation order are fixed by the shape alone. Parallelism
-// only distributes disjoint row ranges of C across workers, so results are
-// bitwise identical for every KernelThreads setting.
+// When op(A) is mostly zeros (FedKNOW's ρ = 10 % knowledge models) the
+// outer-product form runs one row at a time and skips the zero multipliers
+// (gemmSparseARows).
+//
+// Determinism. On the outer-product form every element of C is one fused
+// multiply-add chain over p = 0..k-1, in order, onto the incoming C value —
+// interior tiles, edge tiles (rows past m alias the last row, columns past n
+// are masked) and the sparse rows alike — so the value is independent of the
+// tile it falls in and any split over row strips or column tiles is
+// invisible; for finite operands a skipped zero multiplier is fma(0, b, c) =
+// c, so the sparse route equals the dense one bit for bit (the sign of a
+// zero aside: a skipped step leaves a C of −0 alone, the chain may make it
+// +0). The dot form's accumulation order is fixed by k alone and it is split
+// over rows of C. Results are therefore bitwise identical for every
+// KernelThreads setting. Machines without AVX2+FMA run the plain loops of
+// gemmDirect, split over rows the same way.
 const (
-	// gemmSmall is the m*k*n volume below which normalise-and-tile overhead
-	// outweighs its wins and a direct loop is used instead.
+	// gemmSmall is the m*k*n volume below which a direct loop is used.
 	gemmSmall = 16 * 1024
 
 	// gemmParallelCutoff is the m*k*n volume below which the kernel stays
 	// single-threaded: spawning workers costs more than the multiply.
 	gemmParallelCutoff = 96 * 1024
 
-	// gemmChunkFloats bounds the packed B^T chunk (columns × k) so it stays
-	// comfortably inside L2 while the kernel makes m passes over it.
-	gemmChunkFloats = 64 * 1024
-
-	// gemmL1Floats bounds the block of packed columns the micro-kernel keeps
-	// hot while the rows of A stream past: 24 KiB, half of a 48 KiB L1d,
-	// leaving room for the A row and the C row.
+	// gemmL1Floats bounds the block of B the micro-kernels keep hot while
+	// the rows of A stream past: 24 KiB, half of a 48 KiB L1d, leaving room
+	// for the A rows and the C tile.
 	gemmL1Floats = 6 * 1024
+
+	// gemmL2Floats bounds the address range a block of B may span: 1 MiB,
+	// half of a 2 MiB L2.
+	gemmL2Floats = 256 * 1024
 )
-
-// packPool recycles packing buffers across Gemm calls (and across the
-// per-client goroutines of the federated engine), keeping steady-state
-// allocations at zero. Pointers are pooled to avoid boxing slice headers.
-var packPool = sync.Pool{New: func() any { return new([]float32) }}
-
-func getPack(n int) *[]float32 {
-	p := packPool.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putPack(p *[]float32) { packPool.Put(p) }
 
 // Gemm computes C += op(A)×op(B) into c (m×n), where op transposes when the
 // corresponding flag is set. A is m×k (or k×m when transposed), B is k×n (or
@@ -66,89 +61,65 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
-	if m*k*n <= gemmSmall {
-		gemmDirect(c, a, b, m, k, n, transA, transB)
+	// transA with transB has no caller outside the tests.
+	if m*k*n <= gemmSmall || transA && transB {
+		gemmDirect(c, a, b, m, k, n, transA, transB, 0, m)
 		return
 	}
-	// FedKNOW's knowledge models are ~90 % zeros (§III-B retains the top-ρ
-	// weights over a zero base). When op(A) is that sparse, skipping zero
-	// multipliers beats the dense kernel by the sparsity factor, so route
-	// the two B-untransposed variants through an axpy loop with a zero skip.
-	// The decision depends only on the operand values, never on the thread
-	// count, so it cannot break determinism.
-	if !transB && sparseEnough(a[:m*k]) {
-		gemmSparseA(c, a, b, m, k, n, transA)
-		return
-	}
-
-	// Normalise op(A) to row-major m×k.
-	aRM := a
-	var aPack *[]float32
-	if transA {
-		aPack = getPack(m * k)
-		packBT(*aPack, a, k, m, 0, m) // a is k×m: its columns are op(A)'s rows
-		aRM = *aPack
-	}
-
 	// Closure construction is skipped entirely on the single-threaded path so
 	// steady-state training allocates nothing.
-	runParallel := m*k*n >= gemmParallelCutoff && KernelThreads() > 1
-
-	if transB {
-		// op(B)^T is row-major B itself: columns already k-contiguous.
-		if runParallel {
-			Parallel(m, func(lo, hi int) { gemmDotRows(c, aRM, b, k, n, 0, n, lo, hi) })
+	wide := m*k*n >= gemmParallelCutoff && KernelThreads() > 1
+	switch {
+	case transB:
+		if wide {
+			Parallel(m, func(lo, hi int) { gemmDotRows(c, a, b, k, n, lo, hi) })
 		} else {
-			gemmDotRows(c, aRM, b, k, n, 0, n, 0, m)
+			gemmDotRows(c, a, b, k, n, 0, m)
 		}
-	} else {
-		nc := (gemmChunkFloats / k) &^ 3
-		if nc < 4 {
-			nc = 4
+	case sparseEnough(a[:m*k]):
+		// FedKNOW's knowledge models are ~90 % zeros (§III-B retains the
+		// top-ρ weights over a zero base): skipping zero multipliers beats
+		// the dense tile by the sparsity factor.
+		if wide {
+			Parallel(m, func(lo, hi int) { gemmSparseARows(c, a, b, m, k, n, transA, lo, hi) })
+		} else {
+			gemmSparseARows(c, a, b, m, k, n, transA, 0, m)
 		}
-		btPack := getPack(min(nc, n) * k)
-		bt := *btPack
-		for jc := 0; jc < n; jc += nc {
-			w := min(nc, n-jc)
-			packBT(bt, b, k, n, jc, w)
-			if runParallel {
-				Parallel(m, func(lo, hi int) { gemmDotRows(c, aRM, bt, k, n, jc, w, lo, hi) })
-			} else {
-				gemmDotRows(c, aRM, bt, k, n, jc, w, 0, m)
-			}
+	case hasDot4:
+		gemmOuter(c, a, b, m, k, n, transA, wide)
+	default:
+		if wide {
+			Parallel(m, func(lo, hi int) { gemmDirect(c, a, b, m, k, n, transA, false, lo, hi) })
+		} else {
+			gemmDirect(c, a, b, m, k, n, transA, false, 0, m)
 		}
-		putPack(btPack)
-	}
-	if aPack != nil {
-		putPack(aPack)
 	}
 }
 
-// gemmDotRows multiplies rows [lo, hi) of the row-major aRM against the w
-// k-contiguous columns held in bt, accumulating into C columns [jc, jc+w).
-// Four columns are processed per pass so every a-load feeds four multiply-add
-// chains; eight independent accumulators keep the FP pipes busy.
+// gemmDotRows accumulates rows [lo, hi) of C += A × Bᵀ for row-major A (m×k)
+// and B (n×k). Four rows of B are processed per pass so every a-load feeds
+// four multiply-add chains; eight independent accumulators keep the FP pipes
+// busy.
 //
-// The columns are walked in blocks of gemmL1Floats/k: a block of bt then
-// stays in L1 while every row of A passes over it, where one sweep over all
-// w columns per row streamed bt from L2 once per row. Blocks are whole
-// multiples of four columns, so which columns share a pass — and with it
-// every element's summation order — is the same as without blocking.
-func gemmDotRows(c, aRM, bt []float32, k, n, jc, w, lo, hi int) {
+// The rows of B are walked in blocks of gemmL1Floats/k: a block then stays
+// in L1 while every row of A passes over it. Blocks are whole multiples of
+// four rows, so which rows share a pass — and with it every element's
+// summation order — is the same as without blocking.
+func gemmDotRows(c, a, b []float32, k, n, lo, hi int) {
 	useFMA := hasDot4 && k >= 8
 	kBlk := k &^ 7
 	nb := max(4, (gemmL1Floats/k)&^3)
-	for j0 := 0; j0 < w; j0 += nb {
-		j1 := min(j0+nb, w)
+	for j0 := 0; j0 < n; j0 += nb {
+		j1 := min(j0+nb, n)
 		for i := lo; i < hi; i++ {
-			ai := aRM[i*k : i*k+k : i*k+k]
-			ci := c[i*n+jc : i*n+jc+w]
+			ai := a[i*k : i*k+k : i*k+k]
+			ci := c[i*n : i*n+n]
 			j := j0
 			for ; j+4 <= j1; j += 4 {
-				b0 := bt[j*k : (j+1)*k : (j+1)*k]
-				b1 := bt[(j+1)*k : (j+2)*k : (j+2)*k]
-				b2 := bt[(j+2)*k : (j+3)*k : (j+3)*k]
-				b3 := bt[(j+3)*k : (j+4)*k : (j+4)*k]
+				b0 := b[j*k : (j+1)*k : (j+1)*k]
+				b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
+				b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
+				b3 := b[(j+3)*k : (j+4)*k : (j+4)*k]
 				var s0, s1, s2, s3 float32
 				p := 0
 				if useFMA {
@@ -170,53 +141,69 @@ func gemmDotRows(c, aRM, bt []float32, k, n, jc, w, lo, hi int) {
 				ci[j+3] += s3
 			}
 			for ; j < j1; j++ {
-				ci[j] += dot32(ai, bt[j*k:(j+1)*k])
+				ci[j] += dot32(ai, b[j*k:(j+1)*k])
 			}
 		}
 	}
 }
 
-// packTile is the number of B columns packBT transposes at a time. Each
-// column is its own destination cache line, so a tile touches packTile lines
-// (16 KiB) over and over while it walks down k — small enough to stay in L1
-// however many columns the chunk has. The batch-wide conv lowering hands
-// Gemm chunks of several hundred columns; untiled, their lines were evicted
-// between two visits.
-const packTile = 256
+// gemmOuter runs the outer-product form over C += op(A) × B. The work is
+// split over whichever of the 16-column tiles and the 4-row strips there are
+// more of — the conv products have n = N·spatial of 32…4096 against a
+// forward m of 8…64 — and since an element's value does not depend on its
+// tile, neither split shows in the result.
+func gemmOuter(c, a, b []float32, m, k, n int, transA, wide bool) {
+	ars, aps := opAStrides(m, k, transA)
+	strips, tiles := (m+3)/4, (n+15)/16
+	switch {
+	case !wide:
+		gemmOuterBlock(c, a, b, k, n, ars, aps, 0, m, 0, n)
+	case tiles >= strips:
+		Parallel(tiles, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, 0, m, 16*lo, min(16*hi, n)) })
+	default:
+		Parallel(strips, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, 4*lo, min(4*hi, m), 0, n) })
+	}
+}
 
-// packBT transposes columns [jc, jc+w) of the row-major k×n matrix b into
-// bt, so that bt[j*k:(j+1)*k] is column jc+j of b. It moves 4×4 blocks —
-// four source rows in, four adjacent floats out per column — so the strided
-// side of the transpose is written 16 bytes at a time.
-func packBT(bt, b []float32, k, n, jc, w int) {
-	for j0 := 0; j0 < w; j0 += packTile {
-		tw := min(packTile, w-j0)
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			r0 := b[p*n+jc+j0:][:tw]
-			r1 := b[(p+1)*n+jc+j0:][:tw]
-			r2 := b[(p+2)*n+jc+j0:][:tw]
-			r3 := b[(p+3)*n+jc+j0:][:tw]
-			for j := range r0 {
-				d := bt[(j0+j)*k+p:][:4]
-				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
-			}
-		}
-		for ; p < k; p++ {
-			for j, v := range b[p*n+jc+j0:][:tw] {
-				bt[(j0+j)*k+p] = v
+// gemmOuterBlock accumulates rows [i0, i1) × columns [j0, j1) of C, one block
+// of B at a time: kb rows of k by nb columns, over which every strip of op(A)
+// passes before the next block is touched. kb keeps the rows a block spans
+// (kb·n floats of address space) within gemmL2Floats, because rows of B a
+// power-of-two stride apart share cache sets and a taller block would evict
+// itself between two strips; nb then sizes the block for L1. A later k block
+// continues each element's chain from the stored C value, so blocking moves
+// no bit.
+func gemmOuterBlock(c, a, b []float32, k, n, ars, aps, i0, i1, j0, j1 int) {
+	kMax := max(8, gemmL2Floats/n)
+	kBlocks := (k + kMax - 1) / kMax
+	kb := (k + kBlocks - 1) / kBlocks // even blocks, none taller than kMax
+	nb := max(16, (gemmL1Floats/kb)&^15)
+	for ; j0 < j1; j0 += nb {
+		w := min(nb, j1-j0)
+		for p := 0; p < k; p += kb {
+			for i := i0; i < i1; i += 4 {
+				gemmOuterFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, min(kb, k-p), min(4, i1-i), w)
 			}
 		}
 	}
+}
+
+// opAStrides returns the strides op(A) is read through without transposing
+// it: op(A)[i][p] = a[i*ars+p*aps].
+func opAStrides(m, k int, transA bool) (ars, aps int) {
+	if transA {
+		return 1, m // A is k×m
+	}
+	return k, 1
 }
 
 // sparseEnough reports whether the op(A) operand looks ≥60 % zero. Large
-// operands are judged from a 128-point stride sample — the choice only
-// selects between two correct kernels, so sampling error merely costs a few
-// per cent of speed on borderline inputs. Knowledge models (ρ=10 % retained)
-// and masked logit gradients sit far from the boundary. The decision is a
-// pure function of the operand values, so it is identical for every thread
-// setting.
+// operands are judged from a 128-point stride sample. The choice is about
+// speed only: the sparse and the dense route run the same multiply-add chain
+// per element, so for finite operands a borderline sample that falls either
+// way yields the same bits (TestGemmSparseRouteMatchesDenseBitwise).
+// Knowledge models (ρ=10 % retained) and masked logit gradients sit far from
+// the boundary.
 func sparseEnough(a []float32) bool {
 	zeros := 0
 	if len(a) > 512 {
@@ -238,47 +225,42 @@ func sparseEnough(a []float32) bool {
 	return zeros*10 >= len(a)*6
 }
 
-// gemmSparseA computes C += op(A)×B for a mostly-zero op(A): per output row,
-// zero multipliers are skipped entirely. Rows are distributed across the
-// kernel pool; every element keeps a fixed accumulation order regardless of
-// the worker count.
-func gemmSparseA(c, a, b []float32, m, k, n int, transA bool) {
-	if KernelThreads() <= 1 {
-		gemmSparseARows(c, a, b, m, k, n, transA, 0, m)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		gemmSparseARows(c, a, b, m, k, n, transA, lo, hi)
-	})
-}
-
+// gemmSparseARows computes rows [lo, hi) of C += op(A)×B for a mostly-zero
+// op(A): the outer-product chain one row at a time, with the zero
+// multipliers skipped.
 func gemmSparseARows(c, a, b []float32, m, k, n int, transA bool, lo, hi int) {
+	ars, aps := opAStrides(m, k, transA)
 	for i := lo; i < hi; i++ {
 		ci := c[i*n : (i+1)*n]
-		if transA {
-			// op(A)[i][p] = a[p*m+i]
-			for p := 0; p < k; p++ {
-				if av := a[p*m+i]; av != 0 {
-					AxpySlice(ci, av, b[p*n:(p+1)*n])
-				}
-			}
-		} else {
-			ai := a[i*k : (i+1)*k]
-			for p, av := range ai {
-				if av != 0 {
-					AxpySlice(ci, av, b[p*n:(p+1)*n])
-				}
+		for p := 0; p < k; p++ {
+			if av := a[i*ars+p*aps]; av != 0 {
+				axpyRow(ci, av, b[p*n:(p+1)*n])
 			}
 		}
 	}
 }
 
-// gemmDirect handles problems too small to amortise layout normalisation:
-// the classic loop nests with branch-free inner loops.
-func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool) {
+// axpyRow computes c += av*b, the outer-product form's step for one row. It
+// is not AxpySlice: that one is the aggregation fold's arithmetic and stays
+// unfused, whereas this one must round like the tile kernel does.
+func axpyRow(c []float32, av float32, b []float32) {
+	if hasDot4 {
+		axpyFMA(&c[0], &b[0], av, len(c))
+		return
+	}
+	for j, bv := range b {
+		c[j] += av * bv
+	}
+}
+
+// gemmDirect computes rows [lo, hi) of C with the classic loop nests: the
+// whole of a problem too small for the kernels above to pay off, every
+// transA-with-transB product, and the !transB form on machines without the
+// AVX2 kernels.
+func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool, lo, hi int) {
 	switch {
 	case !transA && !transB:
-		for i := 0; i < m; i++ {
+		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			ai := a[i*k : (i+1)*k]
 			for p := 0; p < k; p++ {
@@ -294,7 +276,7 @@ func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool) {
 		for p := 0; p < k; p++ {
 			ap := a[p*m : (p+1)*m]
 			bp := b[p*n : (p+1)*n]
-			for i := 0; i < m; i++ {
+			for i := lo; i < hi; i++ {
 				av := ap[i]
 				if av == 0 {
 					continue
@@ -307,7 +289,7 @@ func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool) {
 		}
 	case !transA && transB:
 		// B is n×k, op(B) is k×n.
-		for i := 0; i < m; i++ {
+		for i := lo; i < hi; i++ {
 			ai := a[i*k : (i+1)*k]
 			ci := c[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
@@ -316,7 +298,7 @@ func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool) {
 			}
 		}
 	default: // transA && transB
-		for i := 0; i < m; i++ {
+		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				bj := b[j*k : (j+1)*k]

@@ -41,70 +41,148 @@ func maxAbsDiff(a, b []float32) float64 {
 	return worst
 }
 
-// TestGemmAgainstReference cross-checks the blocked kernel against the naive
-// triple loop for every transpose variant, over shapes chosen to hit all the
-// edge cases: micro-tile remainders, panel remainders, the small-problem
-// direct path, shapes larger than one cache block, and the batch-wide conv
-// shapes — n = N·spatial spanning several pack tiles with a partial last one,
-// under a k with a 4×4-block remainder (27) and under a tiny k (8).
-func TestGemmAgainstReference(t *testing.T) {
-	defer SetKernelThreads(0)
-	SetKernelThreads(4)
-	rng := NewRNG(42)
-	shapes := [][3]int{
-		{1, 1, 1}, {1, 7, 1}, {3, 5, 2}, {4, 4, 4}, {5, 9, 6},
-		{17, 31, 13}, {32, 144, 256}, {33, 65, 67}, {64, 64, 64},
-		{64, 250, 100}, {100, 300, 50}, {8, 1024, 100}, {70, 500, 70},
-		{8, 27, 600}, {72, 8, 525},
+// pinKernelThreads sets the kernel-thread budget for the rest of the test
+// and restores the previous setting through t.Cleanup.
+func pinKernelThreads(t testing.TB, n int) {
+	prev := SetKernelThreads(n)
+	t.Cleanup(func() { SetKernelThreads(prev) })
+}
+
+// setKernelGate switches the AVX2 kernels on or off for the rest of the test
+// and restores the detected value through t.Cleanup, so that a shuffled
+// order cannot leak the fallback into another test. Turning them on where
+// the CPU lacks them skips the test.
+func setKernelGate(t testing.TB, on bool) {
+	if on && !hasDot4 {
+		t.Skip("no AVX2+FMA kernels on this machine")
 	}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				name := fmt.Sprintf("m%d_k%d_n%d_tA%v_tB%v", m, k, n, transA, transB)
-				a := make([]float32, m*k)
-				b := make([]float32, k*n)
-				rng.FillNorm(a, 1)
-				rng.FillNorm(b, 1)
-				// Non-zero initial C exercises the accumulate contract.
-				got := make([]float32, m*n)
-				want := make([]float32, m*n)
-				rng.FillNorm(got, 1)
-				copy(want, got)
-				Gemm(got, a, b, m, k, n, transA, transB)
-				gemmRef(want, a, b, m, k, n, transA, transB)
-				if d := maxAbsDiff(got, want); d > 1e-3*math.Sqrt(float64(k)) {
-					t.Errorf("%s: max abs diff %g", name, d)
-				}
-			}
-		}
+	prev := hasDot4
+	hasDot4 = on
+	t.Cleanup(func() { hasDot4 = prev })
+}
+
+// forEachKernelGate runs fn once with the kernels as detected and, where
+// that means AVX2, once more with the gate off, so the pure-Go forms are
+// exercised on amd64 too.
+func forEachKernelGate(t *testing.T, fn func(t *testing.T)) {
+	t.Run("detected", fn)
+	if hasDot4 {
+		t.Run("gate-off", func(t *testing.T) {
+			setKernelGate(t, false)
+			fn(t)
+		})
 	}
 }
 
-// TestGemmFMAFallbackAgree cross-checks the AVX2 micro-kernel against the
-// pure-Go loop (they differ only in summation order, so agreement is to
-// tolerance). Skipped on machines without the FMA kernel.
+// convShapes are the !transB products of the CI-scale ResNet18 at batch 8 as
+// (m, k, n) — forward W × cols is {8, 72, 2048} and {64, 576, 32}, the input
+// gradient Wᵀ × dY (run with transA) {72, 8, 2048} and {576, 64, 32} — and
+// then one shape per edge class of the outer-product tile: m below and not a
+// multiple of the tile height, n below and not a multiple of 16, k = 1.
+var convShapes = [][3]int{
+	{8, 72, 2048}, {72, 8, 2048}, {576, 64, 32}, {64, 576, 32},
+	{5, 8, 23}, {7, 3, 17}, {4, 1, 16}, {3, 9, 15}, {2, 40, 9}, {1, 9, 2100},
+	// Above gemmSmall, so that the kernels and not the direct loop see them.
+	{5, 40, 87}, {7, 30, 81}, {4, 1, 4112}, {3, 90, 63}, {2, 900, 10}, {70, 33, 8},
+}
+
+// TestGemmAgainstReference cross-checks the kernels against the naive triple
+// loop for every transpose variant, over shapes chosen to hit all the edge
+// cases: micro-tile remainders, block remainders, the small-problem direct
+// path, shapes larger than one cache block or tall enough to be k-blocked,
+// and the batch-wide conv shapes.
+func TestGemmAgainstReference(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		pinKernelThreads(t, 4)
+		rng := NewRNG(42)
+		shapes := append([][3]int{
+			{1, 1, 1}, {1, 7, 1}, {3, 5, 2}, {4, 4, 4}, {5, 9, 6},
+			{17, 31, 13}, {32, 144, 256}, {33, 65, 67}, {64, 64, 64},
+			{64, 250, 100}, {100, 300, 50}, {8, 1024, 100}, {70, 500, 70},
+			{8, 27, 600}, {72, 8, 525}, {6, 70, 8200},
+		}, convShapes...)
+		for _, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, transA := range []bool{false, true} {
+				for _, transB := range []bool{false, true} {
+					name := fmt.Sprintf("m%d_k%d_n%d_tA%v_tB%v", m, k, n, transA, transB)
+					a := make([]float32, m*k)
+					b := make([]float32, k*n)
+					rng.FillNorm(a, 1)
+					rng.FillNorm(b, 1)
+					// Non-zero initial C exercises the accumulate contract.
+					got := make([]float32, m*n)
+					want := make([]float32, m*n)
+					rng.FillNorm(got, 1)
+					copy(want, got)
+					Gemm(got, a, b, m, k, n, transA, transB)
+					gemmRef(want, a, b, m, k, n, transA, transB)
+					if d := maxAbsDiff(got, want); d > 1e-3*math.Sqrt(float64(k)) {
+						t.Errorf("%s: max abs diff %g", name, d)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemmAccumulates pins the C += contract exactly: with small-integer
+// operands every product and partial sum is representable, so each form —
+// fused or not, whatever its summation order — must land on the integer
+// reference added to the incoming C, bit for bit.
+func TestGemmAccumulates(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		pinKernelThreads(t, 1)
+		rng := NewRNG(45)
+		ints := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = float32(rng.Intn(7) - 3)
+			}
+			return v
+		}
+		for _, sh := range [][3]int{{2, 2, 2}, {8, 72, 2048}, {72, 8, 2048}, {33, 65, 67}, {5, 40, 87}, {6, 70, 8200}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, transA := range []bool{false, true} {
+				for _, transB := range []bool{false, true} {
+					a, b, got := ints(m*k), ints(k*n), ints(m*n)
+					want := append([]float32(nil), got...)
+					gemmRef(want, a, b, m, k, n, transA, transB)
+					Gemm(got, a, b, m, k, n, transA, transB)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("m%d k%d n%d tA%v tB%v: C[%d] = %v, want %v", m, k, n, transA, transB, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemmFMAFallbackAgree cross-checks the AVX2 kernels against the
+// pure-Go loops (they differ only in rounding and summation order, so
+// agreement is to tolerance). Skipped on machines without the kernels.
 func TestGemmFMAFallbackAgree(t *testing.T) {
-	if !hasDot4 {
-		t.Skip("no AVX2+FMA kernel on this machine")
-	}
-	defer func() { hasDot4 = true }()
+	setKernelGate(t, true)
 	rng := NewRNG(77)
-	for _, sh := range [][3]int{{32, 144, 256}, {33, 65, 67}, {16, 1024, 100}} {
+	for _, sh := range [][3]int{{32, 144, 256}, {33, 65, 67}, {16, 1024, 100}, {72, 8, 2048}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := make([]float32, m*k)
 		b := make([]float32, k*n)
 		rng.FillNorm(a, 1)
 		rng.FillNorm(b, 1)
-		for _, transB := range []bool{false, true} {
-			hasDot4 = true
-			fast := make([]float32, m*n)
-			Gemm(fast, a, b, m, k, n, false, transB)
-			hasDot4 = false
-			slow := make([]float32, m*n)
-			Gemm(slow, a, b, m, k, n, false, transB)
-			if d := maxAbsDiff(fast, slow); d > 1e-3*math.Sqrt(float64(k)) {
-				t.Errorf("m%d k%d n%d tB%v: FMA vs fallback diff %g", m, k, n, transB, d)
+		for _, transA := range []bool{false, true} {
+			for _, transB := range []bool{false, true} {
+				hasDot4 = true
+				fast := make([]float32, m*n)
+				Gemm(fast, a, b, m, k, n, transA, transB)
+				hasDot4 = false
+				slow := make([]float32, m*n)
+				Gemm(slow, a, b, m, k, n, transA, transB)
+				if d := maxAbsDiff(fast, slow); d > 1e-3*math.Sqrt(float64(k)) {
+					t.Errorf("m%d k%d n%d tA%v tB%v: FMA vs fallback diff %g", m, k, n, transA, transB, d)
+				}
 			}
 		}
 	}
@@ -136,13 +214,55 @@ func TestGemmSparseAgainstReference(t *testing.T) {
 	}
 }
 
+// TestGemmSparseRouteMatchesDenseBitwise forces a ρ = 10 % op(A) down the
+// zero-skipping route and down the dense one and requires identical bits:
+// both are the same multiply-add chain per element, and for finite operands
+// a skipped zero multiplier is an exact no-op. That is what makes
+// sparseEnough's sampled decision a matter of speed only.
+func TestGemmSparseRouteMatchesDenseBitwise(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		pinKernelThreads(t, 1)
+		rng := NewRNG(46)
+		for _, sh := range append([][3]int{{32, 144, 256}, {6, 70, 8200}}, convShapes...) {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, transA := range []bool{false, true} {
+				a := make([]float32, m*k)
+				b := make([]float32, k*n)
+				rng.FillNorm(a, 1)
+				rng.FillNorm(b, 1)
+				for i := range a {
+					if rng.Float64() < 0.9 {
+						a[i] = 0
+					}
+				}
+				sparse := make([]float32, m*n)
+				rng.FillNorm(sparse, 1)
+				dense := append([]float32(nil), sparse...)
+				gemmSparseARows(sparse, a, b, m, k, n, transA, 0, m)
+				if hasDot4 {
+					gemmOuter(dense, a, b, m, k, n, transA, false)
+				} else {
+					gemmDirect(dense, a, b, m, k, n, transA, false, 0, m)
+				}
+				for i := range dense {
+					if math.Float32bits(sparse[i]) != math.Float32bits(dense[i]) {
+						t.Fatalf("m%d k%d n%d tA%v: routes differ at %d: sparse %v dense %v",
+							m, k, n, transA, i, sparse[i], dense[i])
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestGemmDeterministicAcrossThreads requires bitwise-identical output for
 // every kernel-thread setting: the acceptance bar for running the numeric
-// substrate under fleet-level parallelism.
+// substrate under fleet-level parallelism. Width 3 makes a split land in the
+// middle of a tile row and of a tile column count that 4 and 16 divide.
 func TestGemmDeterministicAcrossThreads(t *testing.T) {
-	defer SetKernelThreads(0)
+	pinKernelThreads(t, 1)
 	rng := NewRNG(44)
-	shapes := [][3]int{{32, 144, 256}, {64, 576, 1024}, {8, 1024, 100}, {33, 65, 67}}
+	shapes := append([][3]int{{32, 144, 256}, {64, 576, 1024}, {8, 1024, 100}, {33, 65, 67}}, convShapes...)
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := make([]float32, m*k)
@@ -152,7 +272,7 @@ func TestGemmDeterministicAcrossThreads(t *testing.T) {
 		for _, transA := range []bool{false, true} {
 			for _, transB := range []bool{false, true} {
 				var ref []float32
-				for _, threads := range []int{1, 4, 16} {
+				for _, threads := range []int{1, 3, 4, 16} {
 					SetKernelThreads(threads)
 					c := make([]float32, m*n)
 					Gemm(c, a, b, m, k, n, transA, transB)
@@ -167,6 +287,64 @@ func TestGemmDeterministicAcrossThreads(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGemmAllocFree pins the single-threaded path at zero heap allocations
+// for all four transpose variants, the sparse route included: scratch tiles
+// live in registers and nothing is packed.
+func TestGemmAllocFree(t *testing.T) {
+	pinKernelThreads(t, 1)
+	rng := NewRNG(47)
+	m, k, n := 40, 72, 600
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	c := make([]float32, m*n)
+	rng.FillNorm(a, 1)
+	rng.FillNorm(b, 1)
+	sparse := append([]float32(nil), a...)
+	for i := range sparse {
+		if i%10 != 0 {
+			sparse[i] = 0
+		}
+	}
+	for _, transA := range []bool{false, true} {
+		for _, transB := range []bool{false, true} {
+			if got := testing.AllocsPerRun(10, func() { Gemm(c, a, b, m, k, n, transA, transB) }); got != 0 {
+				t.Errorf("tA%v tB%v: %v allocs/op, want 0", transA, transB, got)
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { Gemm(c, sparse, b, m, k, n, transA, false) }); got != 0 {
+			t.Errorf("sparse tA%v: %v allocs/op, want 0", transA, got)
+		}
+	}
+}
+
+// TestAxpySliceIsUnfused pins AxpySlice to the scalar multiply-then-add loop
+// bit for bit. It is the aggregation fold's arithmetic (shard.Reducer,
+// fed.WeightedFedAvg, qp.Integrate), and the five FNV digests of
+// fed.TestSparseFedAvgBitwise and experiments.LoadDeterminismPin were
+// captured from it: vectorising it with fused multiply-adds — as the GEMM's
+// own row primitive, axpyRow, is — would move every one of them.
+func TestAxpySliceIsUnfused(t *testing.T) {
+	rng := NewRNG(48)
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 33, 1000} {
+		x := make([]float32, n)
+		got := make([]float32, n)
+		rng.FillNorm(x, 1)
+		rng.FillNorm(got, 1)
+		want := append([]float32(nil), got...)
+		const w = float32(0.3137)
+		for i, v := range x {
+			p := w * v // rounded before the add: no fusion
+			want[i] += p
+		}
+		AxpySlice(got, w, x)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: element %d is %v, the unfused loop gives %v", n, i, got[i], want[i])
 			}
 		}
 	}

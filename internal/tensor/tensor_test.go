@@ -204,19 +204,6 @@ func TestGemmTransposeVariants(t *testing.T) {
 	}
 }
 
-func TestGemmAccumulates(t *testing.T) {
-	c := []float32{1, 1, 1, 1}
-	a := []float32{1, 0, 0, 1}
-	b := []float32{2, 0, 0, 2}
-	Gemm(c, a, b, 2, 2, 2, false, false)
-	want := []float32{3, 1, 1, 3}
-	for i, w := range want {
-		if c[i] != w {
-			t.Fatalf("Gemm accumulate[%d] = %v, want %v", i, c[i], w)
-		}
-	}
-}
-
 // naiveConvSingle computes one convolution output directly from the
 // definition, as a reference for Im2Col+GEMM.
 func naiveConvSingle(img []float32, c, h, w int, ker []float32, kh, kw, stride, pad int) ([]float32, int, int) {
