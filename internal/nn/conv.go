@@ -8,22 +8,25 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches, lowered batch-wide: im2col
-// writes every image into one (InC·K·K) × (N·spatial) column matrix (image i
-// owns columns [i·spatial, (i+1)·spatial)), and each pass is a single GEMM
-// per group against it — forward Y = W × cols, weight gradient
-// dW += dY × colsᵀ, input gradient dcols = Wᵀ × dY. Groups splits input and
-// output channels into independent groups (groups == InC == OutC gives a
-// depthwise convolution).
+// Conv2D is a 2-D convolution over NCHW batches, lowered batch-wide:
+// tensor.Im2Col writes the batch into one (InC·K·K) × (N·spatial) column
+// matrix row by row (image i owns columns [i·spatial, (i+1)·spatial) of every
+// row), and each pass is a single GEMM per group against it — forward
+// Y = W × cols, weight gradient dW += dY × colsᵀ, input gradient
+// dcols = Wᵀ × dY, which tensor.Col2Im raises back onto dX. Groups splits
+// input and output channels into independent groups (groups == InC == OutC
+// gives a depthwise convolution).
 //
-// Y and dY cross the GEMMs channel-major (OutC × N·spatial); the copies
-// between that layout and NCHW, like the lowering itself, are image-parallel
-// with disjoint writes, and the GEMMs parallelise over disjoint blocks of C
-// whose placement no element's value depends on, so every output element has
-// one accumulation order whatever the thread count. None of the three
-// products packs an operand: as B, cols and dY have n-contiguous rows
-// (tensor.Gemm's outer-product form, which reads A through strides and so
-// takes Wᵀ in place); as Bᵀ, cols has k-contiguous rows (its dot form).
+// Y and dY cross the GEMMs channel-major (OutC × N·spatial). The lowering and
+// the raising parallelise over input channels (a channel owns its K·K rows of
+// the matrix and its planes of dX, and all its taps are summed by one worker
+// in one order), the copies between channel-major and NCHW over images, and
+// the GEMMs over disjoint blocks of C whose placement no element's value
+// depends on, so every output element has one accumulation order whatever the
+// thread count. None of the three products packs an operand: as B, cols and
+// dY have n-contiguous rows (tensor.Gemm's outer-product form, which reads A
+// through strides and so takes Wᵀ in place); as Bᵀ, cols has k-contiguous
+// rows (its dot form).
 //
 // The column matrix, the output and the input gradient are retained on the
 // layer and reused; the channel-major staging and the column gradient live
@@ -79,14 +82,15 @@ func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool, rn
 	return c
 }
 
-// overImages runs fn over the batch's images on the kernel pool. Every fn
-// writes only its own images' regions, so the split never shows in a result.
+// split runs fn over [0, n) on the kernel pool: n is the batch's images for
+// the layout copies and the input channels for lower and raise. Every fn
+// writes only its own range's regions, so the split never shows in a result.
 // The single-threaded path builds no closure and so allocates nothing.
-func (c *Conv2D) overImages(fn func(c *Conv2D, a, b []float32, lo, hi int), a, b []float32) {
-	if c.lastN > 1 && tensor.KernelThreads() > 1 {
-		tensor.Parallel(c.lastN, func(lo, hi int) { fn(c, a, b, lo, hi) })
+func (c *Conv2D) split(n int, fn func(c *Conv2D, a, b []float32, lo, hi int), a, b []float32) {
+	if n > 1 && tensor.KernelThreads() > 1 {
+		tensor.Parallel(n, func(lo, hi int) { fn(c, a, b, lo, hi) })
 	} else {
-		fn(c, a, b, 0, c.lastN)
+		fn(c, a, b, 0, n)
 	}
 }
 
@@ -108,7 +112,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		c.cols = c.cols[:need]
 	}
-	c.overImages((*Conv2D).lower, c.cols, x.Data)
+	c.split(c.InC, (*Conv2D).lower, c.cols, x.Data)
 
 	ycm := getScratch(c.OutC * ns)
 	clear(*ycm)
@@ -117,22 +121,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, fanIn, ns, false, false)
 	}
 	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
-	c.overImages((*Conv2D).toNCHW, c.yBuf.Data, *ycm)
+	c.split(n, (*Conv2D).toNCHW, c.yBuf.Data, *ycm)
 	scratchPool.Put(ycm)
 
 	c.flops = 2 * float64(c.OutC) * float64(fanIn) * float64(ns)
 	return c.yBuf
 }
 
-// lower writes images [lo, hi) of x into their columns of the batch-wide
+// lower writes input channels [lo, hi) of the batch x into their rows of the
 // column matrix.
 func (c *Conv2D) lower(cols, x []float32, lo, hi int) {
-	img := c.InC * c.lastInH * c.lastInW
-	spatial := c.lastOutH * c.lastOutW
-	for i := lo; i < hi; i++ {
-		tensor.Im2Col(cols, x[i*img:(i+1)*img], c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
-			c.lastOutH, c.lastOutW, c.lastN*spatial, i*spatial)
-	}
+	tensor.Im2Col(cols, x, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+		c.lastOutH, c.lastOutW, lo, hi)
 }
 
 // toNCHW copies images [lo, hi) of the channel-major GEMM output into the
@@ -168,17 +168,11 @@ func (c *Conv2D) fromNCHW(dycm, dout []float32, lo, hi int) {
 	}
 }
 
-// raise is lower's adjoint: images [lo, hi) of the input gradient are
-// rebuilt from their columns of the column gradient.
+// raise is lower's adjoint: input channels [lo, hi) of the input gradient are
+// rebuilt from their rows of the column gradient, which it consumes.
 func (c *Conv2D) raise(dx, dcols []float32, lo, hi int) {
-	img := c.InC * c.lastInH * c.lastInW
-	spatial := c.lastOutH * c.lastOutW
-	for i := lo; i < hi; i++ {
-		dxi := dx[i*img : (i+1)*img]
-		clear(dxi)
-		tensor.Col2Im(dxi, dcols, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
-			c.lastOutH, c.lastOutW, c.lastN*spatial, i*spatial)
-	}
+	tensor.Col2Im(dx, dcols, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+		c.lastOutH, c.lastOutW, lo, hi)
 }
 
 // BackwardParamsOnly accumulates dW (and dB) without producing the input
@@ -194,14 +188,16 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 // backward runs the batch-wide gradient GEMMs. dW sums over the k = N·spatial
 // columns inside one GEMM and dB over one contiguous channel-major row, both
-// in an order the shape alone fixes.
+// in an order the shape alone fixes. The column gradient is scratch that
+// raise consumes (tensor.Col2Im zeroes padding slots in it); cols, which the
+// 1 + k dW products of a FedKNOW step read, is never written after Forward.
 func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 	gOut := c.OutC / c.Groups
 	fanIn := c.InC / c.Groups * c.K * c.K
 	ns := c.lastN * c.lastOutH * c.lastOutW
 
 	dycm := getScratch(c.OutC * ns)
-	c.overImages((*Conv2D).fromNCHW, *dycm, dout.Data)
+	c.split(c.lastN, (*Conv2D).fromNCHW, *dycm, dout.Data)
 	if c.Bias {
 		for oc := 0; oc < c.OutC; oc++ {
 			var s float32
@@ -225,7 +221,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 				(*dycm)[g*gOut*ns:(g+1)*gOut*ns], fanIn, gOut, ns, true, false)
 		}
 		c.dxBuf = tensor.Ensure(c.dxBuf, c.lastN, c.InC, c.lastInH, c.lastInW)
-		c.overImages((*Conv2D).raise, c.dxBuf.Data, *dcols)
+		c.split(c.InC, (*Conv2D).raise, c.dxBuf.Data, *dcols)
 		scratchPool.Put(dcols)
 	}
 	scratchPool.Put(dycm)

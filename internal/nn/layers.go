@@ -95,33 +95,41 @@ type ReLU struct {
 // NewReLU returns a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward clamps negatives to zero.
+// Forward clamps negatives to zero. Half of a post-BatchNorm activation is
+// negative, in no pattern a branch predictor can learn, so the loop selects
+// without a jump: max(v, 0) is v for v > 0, +0 for every v <= 0 (−0
+// included) and, a NaN having no order, NaN for a NaN v.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.yBuf = tensor.Ensure(r.yBuf, x.Shape...)
-	y := r.yBuf
-	for i, v := range x.Data {
-		if v <= 0 {
-			v = 0
-		}
-		y.Data[i] = v
+	xd := x.Data
+	yd := r.yBuf.Data[:len(xd)]
+	for i, v := range xd {
+		yd[i] = max(v, 0)
 	}
-	return y
+	return r.yBuf
 }
 
 // Backward zeroes gradients where the input was non-positive. The pass mask
-// is recovered from the cached output's sign (y > 0 ⇔ x > 0), so no
-// separate mask array is maintained.
+// is recovered from the cached output (y > 0 ⇔ x > 0), so no separate mask
+// array is maintained — and from its bits, not a float comparison: Forward's
+// y is +0 or positive or NaN, hence y > 0 exactly when its bits are non-zero,
+// and a select between two integers on an integer test is one the compiler
+// lowers to a conditional move, so this loop has no data-dependent branch
+// either. A NaN output (from a NaN input) passes its gradient, as it did under
+// the comparison y <= 0.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	r.dxBuf = tensor.Ensure(r.dxBuf, dout.Shape...)
-	dx := r.dxBuf
-	yd := r.yBuf.Data
-	for i, g := range dout.Data {
-		if yd[i] <= 0 {
-			g = 0
+	gd := dout.Data
+	yd := r.yBuf.Data[:len(gd)]
+	dxd := r.dxBuf.Data[:len(gd)]
+	for i, g := range gd {
+		gb := math.Float32bits(g)
+		if math.Float32bits(yd[i]) == 0 {
+			gb = 0
 		}
-		dx.Data[i] = g
+		dxd[i] = math.Float32frombits(gb)
 	}
-	return dx
+	return r.dxBuf
 }
 
 // Params returns nil: ReLU has no parameters.
@@ -145,17 +153,18 @@ func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		r.mask = make([]bool, len(y.Data))
 	}
 	r.mask = r.mask[:len(y.Data)]
+	yd, mask := y.Data[:len(x.Data)], r.mask[:len(x.Data)]
 	for i, v := range x.Data {
 		switch {
 		case v <= 0:
-			y.Data[i] = 0
-			r.mask[i] = false
+			yd[i] = 0
+			mask[i] = false
 		case v >= 6:
-			y.Data[i] = 6
-			r.mask[i] = false
+			yd[i] = 6
+			mask[i] = false
 		default:
-			y.Data[i] = v
-			r.mask[i] = true
+			yd[i] = v
+			mask[i] = true
 		}
 	}
 	return y
@@ -165,11 +174,12 @@ func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (r *ReLU6) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	r.dxBuf = tensor.Ensure(r.dxBuf, dout.Shape...)
 	dx := r.dxBuf
+	dxd, mask := dx.Data[:len(dout.Data)], r.mask[:len(dout.Data)]
 	for i, g := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = g
+		if mask[i] {
+			dxd[i] = g
 		} else {
-			dx.Data[i] = 0
+			dxd[i] = 0
 		}
 	}
 	return dx
@@ -191,8 +201,9 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	s.lastY = tensor.Ensure(s.lastY, x.Shape...)
 	y := s.lastY
+	yd := y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
+		yd[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
 	return y
 }
@@ -201,9 +212,10 @@ func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	s.dxBuf = tensor.Ensure(s.dxBuf, dout.Shape...)
 	dx := s.dxBuf
+	dxd, yd := dx.Data[:len(dout.Data)], s.lastY.Data[:len(dout.Data)]
 	for i, g := range dout.Data {
-		y := s.lastY.Data[i]
-		dx.Data[i] = g * y * (1 - y)
+		y := yd[i]
+		dxd[i] = g * y * (1 - y)
 	}
 	return dx
 }

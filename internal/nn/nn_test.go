@@ -161,6 +161,55 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesBranchingDefinition holds the branch-free loops to the
+// definition they replaced — y = x where x > 0, else +0; dx = g where y > 0,
+// else +0, written with the comparisons spelled out — bit for bit on every
+// class of input: ±0, denormals, ±Inf, the extremes and a random sample, with
+// gradients that are themselves −0, Inf and NaN. A NaN input has no order, so
+// the definition keeps it and passes its gradient; the loops must too (NaN
+// out, the payload's sign aside, and g through).
+func TestReLUMatchesBranchingDefinition(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	xs := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 1e-38, -1e-38, 1, -1,
+		math.MaxFloat32, -math.MaxFloat32, inf, -inf}
+	gs := []float32{1, -2.5, 0, float32(math.Copysign(0, -1)), inf, -inf, nan, 3e-45, -7, 0.1, 5, -5}
+	rng := tensor.NewRNG(77)
+	for i := 0; i < 500; i++ {
+		xs = append(xs, float32(rng.Norm()))
+		gs = append(gs, float32(rng.Norm()))
+	}
+	nNaN := 2
+	xs = append(xs, nan, -nan)
+	gs = append(gs, 4, -4)
+
+	l := NewReLU()
+	y := l.Forward(tensor.FromSlice(xs, 1, len(xs)), true)
+	dx := l.Backward(tensor.FromSlice(gs, 1, len(gs)))
+	for i, x := range xs[:len(xs)-nNaN] {
+		wantY, wantDx := x, gs[i]
+		if x <= 0 {
+			wantY = 0
+		}
+		if wantY <= 0 {
+			wantDx = 0
+		}
+		if math.Float32bits(y.Data[i]) != math.Float32bits(wantY) {
+			t.Errorf("ReLU(%v) = %v (%#x), want %v (%#x)", x, y.Data[i], math.Float32bits(y.Data[i]), wantY, math.Float32bits(wantY))
+		}
+		if math.Float32bits(dx.Data[i]) != math.Float32bits(wantDx) {
+			t.Errorf("ReLU'(%v)·%v = %v (%#x), want %v (%#x)", x, gs[i], dx.Data[i], math.Float32bits(dx.Data[i]), wantDx, math.Float32bits(wantDx))
+		}
+	}
+	for i := len(xs) - nNaN; i < len(xs); i++ {
+		if y.Data[i] == y.Data[i] {
+			t.Errorf("ReLU(NaN %#x) = %v, want NaN", math.Float32bits(xs[i]), y.Data[i])
+		}
+		if dx.Data[i] != gs[i] {
+			t.Errorf("ReLU'(NaN)·%v = %v, want the gradient passed through", gs[i], dx.Data[i])
+		}
+	}
+}
+
 func TestReLU6Clamps(t *testing.T) {
 	l := NewReLU6()
 	x := tensor.FromSlice([]float32{-1, 3, 7}, 1, 3)

@@ -108,33 +108,64 @@ func BenchmarkGemmParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2Col(b *testing.B) {
-	r := NewRNG(2)
-	c, h, w, k := 16, 16, 16, 3
-	img := make([]float32, c*h*w)
-	r.FillNorm(img, 1)
-	outH := ConvOutSize(h, k, 1, 1)
-	outW := ConvOutSize(w, k, 1, 1)
-	cols := make([]float32, c*k*k*outH*outW)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(cols, img, c, h, w, k, k, 1, 1, outH, outW, outH*outW, 0)
+// loweringShapes are the convolutions of the CI-scale ResNet18 at batch 8:
+// the 3×3 pad-1 conv of each of its four stages (the plane-shift loop), then
+// the two stride-2 windows that open a stage (the row loop).
+var loweringShapes = []struct {
+	name                    string
+	c, side, k, stride, pad int
+}{
+	{"8ch@16", 8, 16, 3, 1, 1},
+	{"16ch@8", 16, 8, 3, 1, 1},
+	{"32ch@4", 32, 4, 3, 1, 1},
+	{"64ch@2", 64, 2, 3, 1, 1},
+	{"3x3s2-8ch@16", 8, 16, 3, 2, 1},
+	{"1x1s2-8ch@16", 8, 16, 1, 2, 0},
+}
+
+// benchLowering times fn(batch, matrix) over loweringShapes and reports the
+// bytes of column matrix moved per second. "hot" reuses one pair of buffers;
+// "cold" cycles through enough pairs to exceed coldBytes, four times the L2
+// the GEMM blocking assumes, because a training step runs twenty different
+// layers' lowerings between two visits to the same buffer.
+func benchLowering(b *testing.B, fn func(batch, matrix []float32, n, c, h, w, k, stride, pad, outH, outW int)) {
+	const n, coldBytes = 8, 16 * gemmL2Floats
+	for _, sh := range loweringShapes {
+		out := ConvOutSize(sh.side, sh.k, sh.stride, sh.pad)
+		batchLen, matrixLen := n*sh.c*sh.side*sh.side, sh.c*sh.k*sh.k*n*out*out
+		for _, mode := range []struct {
+			name string
+			sets int
+		}{{"hot", 1}, {"cold", coldBytes/(4*(batchLen+matrixLen)) + 1}} {
+			b.Run(sh.name+"/"+mode.name, func(b *testing.B) {
+				r := NewRNG(2)
+				batches, matrices := make([][]float32, mode.sets), make([][]float32, mode.sets)
+				for s := range batches {
+					batches[s], matrices[s] = make([]float32, batchLen), make([]float32, matrixLen)
+					r.FillNorm(batches[s], 1)
+					r.FillNorm(matrices[s], 1)
+				}
+				b.SetBytes(int64(4 * matrixLen))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := i % mode.sets
+					fn(batches[s], matrices[s], n, sh.c, sh.side, sh.side, sh.k, sh.stride, sh.pad, out, out)
+				}
+			})
+		}
 	}
 }
 
+func BenchmarkIm2Col(b *testing.B) {
+	benchLowering(b, func(x, cols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
+		Im2Col(cols, x, n, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+	})
+}
+
 func BenchmarkCol2Im(b *testing.B) {
-	r := NewRNG(4)
-	c, h, w, k := 16, 16, 16, 3
-	outH := ConvOutSize(h, k, 1, 1)
-	outW := ConvOutSize(w, k, 1, 1)
-	cols := make([]float32, c*k*k*outH*outW)
-	r.FillNorm(cols, 1)
-	img := make([]float32, c*h*w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(img)
-		Col2Im(img, cols, c, h, w, k, k, 1, 1, outH, outW, outH*outW, 0)
-	}
+	benchLowering(b, func(dx, dcols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
+		Col2Im(dx, dcols, n, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+	})
 }
 
 func BenchmarkDot(b *testing.B) {

@@ -61,3 +61,33 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestLoweringStaysInsideOperands runs Im2Col and Col2Im with the batch and
+// the matrix each flush against a guard page, on both inner loops: the
+// plane-shift run ends at the plane's last pixel when the tap is the window's
+// last, and the row add's masked tail and the strided loop's last tap are the
+// other places a read or write one float too far would land.
+func TestLoweringStaysInsideOperands(t *testing.T) {
+	pinKernelThreads(t, 1)
+	for _, g := range []convGeom{
+		{3, 2, 5, 7, 3, 1, 1, 0, 2}, // 'same': plane shift
+		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided: row loop
+	} {
+		x, cols := guarded(t, g.batchLen()), guarded(t, g.matrixLen())
+		dx, dcols := guarded(t, g.batchLen()), guarded(t, g.matrixLen())
+		rng := NewRNG(50)
+		rng.FillNorm(x, 1)
+		rng.FillNorm(dcols, 1)
+		wantCols, wantDx := make([]float32, len(cols)), make([]float32, len(dx))
+		g.forEachSlot(0, g.c, func(slot, pixel int) {
+			if pixel >= 0 {
+				wantCols[slot] = x[pixel]
+				wantDx[pixel] += dcols[slot]
+			}
+		})
+		g.lowerOver(cols, x)
+		sameBits(t, "cols", g, cols, wantCols)
+		g.raiseOver(dx, dcols)
+		sameBits(t, "dx", g, dx, wantDx)
+	}
+}

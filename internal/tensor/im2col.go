@@ -1,8 +1,52 @@
 package tensor
 
+// Lowering and raising: convolution as GEMM.
+//
+// Im2Col lowers an NCHW batch into one column matrix of c·kh·kw rows and
+// n·outH·outW columns: row (ch, ky, kx) holds, for image i at columns
+// [i·spatial, (i+1)·spatial), the input pixel tap (ky, kx) reads for every
+// output position, and 0 where that tap lands in the padding. Col2Im is its
+// adjoint: it sums a column gradient back onto the input planes.
+//
+// Both walk the matrix row by row. A row's tap geometry — the output rows
+// [oy.lo, oy.hi) and columns [ox.lo, ox.hi) whose tap lands inside the input —
+// depends on (ky, kx) alone, so outRange runs kh + kw times a call and the n
+// image segments of a row are then written (or read) one after another:
+// sequential stores down the matrix, with the n source planes of one channel
+// staying in L1 across its kh·kw taps.
+//
+// Inside a segment there are two inner loops, and the geometry picks:
+//
+//   - stride == 1 && outW == w ('same' 3×3, 1×1 — the map keeps its row
+//     pitch): output position j reads input position j + shift, with
+//     shift = (ky−pad)·w + (kx−pad), so the valid part of the segment is the
+//     channel plane shifted — one run from (oy.lo, ox.lo) to (oy.hi−1, ox.hi)
+//     moved by a single copy (lowering) or a single vector add (raising).
+//     The run crosses the wrap slots: the w − ox.hi + ox.lo = |kx−pad|
+//     positions between the last valid column of one output row and the
+//     first of the next, where the shifted plane holds the neighbouring
+//     row's edge pixels but the tap is in the padding. Lowering zeroes them
+//     after the copy; raising zeroes them in the column gradient before the
+//     add, which is why raising consumes its source.
+//   - every other geometry (stride 2, 'valid' windows, kernels wider than
+//     the input): one pass per output row over [ox.lo, ox.hi).
+//
+// The fringe — everything of a segment outside the valid rows and columns —
+// is zero-filled by lowering and never read by raising.
+//
+// Order of adds. An input pixel receives at most one contribution from a
+// given tap, so its gradient is a sum over taps, and both inner loops add
+// them in ascending (ky, kx), each as one correctly rounded add onto a plane
+// Col2Im has cleared to +0 (the vector add is fma(1, s, d) = d + s rounded
+// once). Adding a zeroed wrap slot is x + (+0), which leaves every x but −0
+// alone, and a plane that starts at +0 and is only added to never holds −0.
+// The sum is therefore the same bits as a scalar scatter in (ky, kx) order,
+// whatever the inner loop. All taps of one channel are raised by one caller,
+// so a split over channels — disjoint rows of the matrix when lowering,
+// disjoint planes when raising — never shows in a result.
+
 // outRange returns the [lo, hi) range of output coordinates whose input tap
-// o*stride + k - pad lands inside [0, extent). Hoisting the bounds out of
-// the per-pixel loops removes all branches from the copy kernels below.
+// o*stride + k - pad lands inside [0, extent).
 func outRange(extent, k, stride, pad, out int) (lo, hi int) {
 	// o*stride + k - pad >= 0  →  o >= ceil((pad-k)/stride)
 	lo = 0
@@ -28,80 +72,131 @@ func outRange(extent, k, stride, pad, out int) (lo, hi int) {
 	return lo, hi
 }
 
-// Im2Col lowers a single image (C×H×W, given as a flat slice) into a column
-// matrix suitable for expressing convolution as GEMM. The image's block has
-// C*kh*kw rows and outH*outW columns and sits inside a wider row-major
-// matrix: row r occupies dst[r*ld+off : r*ld+off+outH*outW], so a batch
-// lowers into one matrix with ld = N*outH*outW and off = i*outH*outW for
-// image i (a lone image uses ld = outH*outW, off = 0). Zero padding is
-// applied implicitly: out-of-range taps contribute 0. The interior of every
-// row is a branch-free copy (a single memmove when stride is 1); only the
-// padded fringe is zero-filled.
-func Im2Col(dst, img []float32, c, h, w, kh, kw, stride, pad, outH, outW, ld, off int) {
-	cols := outH * outW
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			oyLo, oyHi := outRange(h, ky, stride, pad, outH)
-			for kx := 0; kx < kw; kx++ {
-				rowIdx := (ch*kh+ky)*kw + kx
-				row := dst[rowIdx*ld+off : rowIdx*ld+off+cols]
-				oxLo, oxHi := outRange(w, kx, stride, pad, outW)
-				clear(row[:oyLo*outW])
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride + ky - pad
-					src := img[base+iy*w : base+(iy+1)*w]
-					out := row[oy*outW : (oy+1)*outW]
-					clear(out[:oxLo])
-					if oxHi <= oxLo {
-						// Entire row is padding (tap outside the input).
-					} else if stride == 1 {
-						off := kx - pad
-						copy(out[oxLo:oxHi], src[oxLo+off:])
-					} else {
-						for ox := oxLo; ox < oxHi; ox++ {
-							out[ox] = src[ox*stride+kx-pad]
+// tapSpan is the range of output coordinates one kernel offset can serve.
+type tapSpan struct{ lo, hi int }
+
+// tapSpans appends the span of each of the k kernel offsets along one axis.
+// Callers pass a stack-backed buf; a kernel too large for it spills to the
+// heap through append.
+func tapSpans(buf []tapSpan, extent, k, stride, pad, out int) []tapSpan {
+	for t := 0; t < k; t++ {
+		lo, hi := outRange(extent, t, stride, pad, out)
+		buf = append(buf, tapSpan{lo, hi})
+	}
+	return buf
+}
+
+// zeroWraps zeroes the wrap slots of a plane-shift run: wrap floats at seg[at]
+// and at every w floats after it, gaps times.
+func zeroWraps(seg []float32, at, w, wrap, gaps int) {
+	if wrap == 0 {
+		return
+	}
+	for ; gaps > 0; gaps-- {
+		for j := at; j < at+wrap; j++ {
+			seg[j] = 0
+		}
+		at += w
+	}
+}
+
+// Im2Col lowers channels [chLo, chHi) of the batch x (n × c × h × w) into
+// their rows [chLo·kh·kw, chHi·kh·kw) of the column matrix cols
+// (c·kh·kw × n·outH·outW, row-major). Every slot of those rows is written —
+// input pixel or padding zero — and nothing outside them; see the file
+// comment for the order and the two inner loops.
+func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int) {
+	var stack [16]tapSpan
+	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
+	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
+	spatial, plane := outH*outW, h*w
+	ns, img := n*spatial, c*plane
+	shifted := stride == 1 && outW == w
+	for ch := chLo; ch < chHi; ch++ {
+		for ky, oy := range oys {
+			for kx, ox := range oxs {
+				r := (ch*kh+ky)*kw + kx
+				row := cols[r*ns : (r+1)*ns]
+				if oy.lo >= oy.hi || ox.lo >= ox.hi {
+					clear(row) // the tap never lands inside the input
+					continue
+				}
+				first, last := oy.lo*outW+ox.lo, (oy.hi-1)*outW+ox.hi
+				wrapAt, wrap := oy.lo*outW+ox.hi, outW-ox.hi+ox.lo
+				off := kx - pad
+				shift := (ky-pad)*w + off
+				for i := 0; i < n; i++ {
+					seg := row[i*spatial : (i+1)*spatial]
+					src := x[i*img+ch*plane : i*img+(ch+1)*plane]
+					if shifted {
+						clear(seg[:first])
+						copy(seg[first:last], src[first+shift:])
+						zeroWraps(seg, wrapAt, w, wrap, oy.hi-oy.lo-1)
+						clear(seg[last:])
+						continue
+					}
+					clear(seg[:oy.lo*outW])
+					for o := oy.lo; o < oy.hi; o++ {
+						in := src[(o*stride+ky-pad)*w:][:w]
+						out := seg[o*outW:][:outW]
+						for p := 0; p < ox.lo; p++ {
+							out[p] = 0
+						}
+						for p := ox.lo; p < ox.hi; p++ {
+							out[p] = in[p*stride+off]
+						}
+						for p := ox.hi; p < outW; p++ {
+							out[p] = 0
 						}
 					}
-					clear(out[oxHi:])
+					clear(seg[oy.hi*outW:])
 				}
-				clear(row[oyHi*outW:])
 			}
 		}
 	}
 }
 
-// Col2Im accumulates one image's block of the column matrix (laid out as
-// Im2Col writes it: leading dimension ld, column offset off) back into image
-// gradient space — the adjoint of Im2Col. dst must be a c*h*w slice; values
-// are added, so callers typically zero it first.
-func Col2Im(dst, cols []float32, c, h, w, kh, kw, stride, pad, outH, outW, ld, off int) {
-	nCols := outH * outW
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			oyLo, oyHi := outRange(h, ky, stride, pad, outH)
-			for kx := 0; kx < kw; kx++ {
-				rowIdx := (ch*kh+ky)*kw + kx
-				row := cols[rowIdx*ld+off : rowIdx*ld+off+nCols]
-				oxLo, oxHi := outRange(w, kx, stride, pad, outW)
-				if oxHi <= oxLo {
+// Col2Im raises channels [chLo, chHi) of the column gradient dcols (laid out
+// as Im2Col writes cols) onto their planes of dx (n × c × h × w) — the
+// adjoint of Im2Col. Those planes are overwritten: cleared, then summed into
+// in ascending (ky, kx), the order the file comment derives the result's bits
+// from. dcols is consumed: the wrap slots of a plane-shift run are set to 0
+// in it (positions no input pixel maps to); nothing else is written.
+func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int) {
+	var stack [16]tapSpan
+	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
+	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
+	spatial, plane := outH*outW, h*w
+	ns, img := n*spatial, c*plane
+	shifted := stride == 1 && outW == w
+	for ch := chLo; ch < chHi; ch++ {
+		for i := 0; i < n; i++ {
+			clear(dx[i*img+ch*plane : i*img+(ch+1)*plane])
+		}
+		for ky, oy := range oys {
+			for kx, ox := range oxs {
+				if oy.lo >= oy.hi || ox.lo >= ox.hi {
 					continue
 				}
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride + ky - pad
-					dstRow := dst[base+iy*w : base+(iy+1)*w]
-					srcRow := row[oy*outW : (oy+1)*outW]
-					if stride == 1 {
-						off := kx - pad
-						d := dstRow[oxLo+off : oxHi+off]
-						s := srcRow[oxLo:oxHi]
-						for i, v := range s {
-							d[i] += v
-						}
-					} else {
-						for ox := oxLo; ox < oxHi; ox++ {
-							dstRow[ox*stride+kx-pad] += srcRow[ox]
+				r := (ch*kh+ky)*kw + kx
+				row := dcols[r*ns : (r+1)*ns]
+				first, last := oy.lo*outW+ox.lo, (oy.hi-1)*outW+ox.hi
+				wrapAt, wrap := oy.lo*outW+ox.hi, outW-ox.hi+ox.lo
+				off := kx - pad
+				shift := (ky-pad)*w + off
+				for i := 0; i < n; i++ {
+					seg := row[i*spatial : (i+1)*spatial]
+					dst := dx[i*img+ch*plane : i*img+(ch+1)*plane]
+					if shifted {
+						zeroWraps(seg, wrapAt, w, wrap, oy.hi-oy.lo-1)
+						axpyRow(dst[first+shift:last+shift], 1, seg[first:last])
+						continue
+					}
+					for o := oy.lo; o < oy.hi; o++ {
+						out := dst[(o*stride+ky-pad)*w:][:w]
+						in := seg[o*outW:][:outW]
+						for p := ox.lo; p < ox.hi; p++ {
+							out[p*stride+off] += in[p]
 						}
 					}
 				}
