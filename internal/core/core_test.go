@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -144,10 +145,14 @@ func TestRestoreAllOrder(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("RestoreAll returned %d gradients", len(all))
 	}
-	one := r.Restore(ks[0], x)
-	for i := range one {
-		if all[0][i] != one[i] {
-			t.Fatal("RestoreAll must match per-task Restore, in order")
+	// Copied out: the slices live in the restorer's buffers until its next call.
+	all = [][]float32{append([]float32(nil), all[0]...), append([]float32(nil), all[1]...)}
+	for j, k := range ks {
+		one := r.Restore(k, x)
+		for i := range one {
+			if math.Float32bits(all[j][i]) != math.Float32bits(one[i]) {
+				t.Fatalf("RestoreAll must match per-task Restore bit for bit, in order: task %d, gradient[%d] = %v, alone %v", j, i, all[j][i], one[i])
+			}
 		}
 	}
 }

@@ -19,8 +19,12 @@ var convShapes = []struct{ inC, outC, side int }{
 
 // benchConvShapes runs fn once per shape and batch size with a warmed layer;
 // density < 1 keeps only that share of the weights (a knowledge model's ρ),
-// which routes the forward GEMM through the sparse-A kernel.
-func benchConvShapes(b *testing.B, density float64, fn func(b *testing.B, l *Conv2D, x, dout *tensor.Tensor)) {
+// which routes the forward GEMM through the sparse-A kernel. dead is the share
+// of input channels and of rows of dout that are exactly zero across the
+// batch, as they are behind the BatchNorm of a knowledge model (whose dropped
+// scales leave 1–6 channels of 8–64 alive): a ρ = 10 % layer fed a dense
+// random input is a case no knowledge model produces.
+func benchConvShapes(b *testing.B, density, dead float64, fn func(b *testing.B, l *Conv2D, x, dout *tensor.Tensor)) {
 	for _, sh := range convShapes {
 		for _, n := range []int{8, 16} {
 			b.Run(fmt.Sprintf("%dto%dch@%dx%d/N=%d", sh.inC, sh.outC, sh.side, sh.side, n), func(b *testing.B) {
@@ -29,11 +33,23 @@ func benchConvShapes(b *testing.B, density float64, fn func(b *testing.B, l *Con
 				sparsify(l.W.W.Data, density, rng)
 				x := tensor.Randn(rng, 1, n, sh.inC, sh.side, sh.side)
 				dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
+				killChannels(x, firstShare(sh.inC, dead)...)
+				killChannels(dout, firstShare(sh.outC, dead)...)
+				l.Forward(x, true)
 				b.ResetTimer()
 				fn(b, l, x, dout)
 			})
 		}
 	}
+}
+
+// firstShare returns the first share·c channels of [0, c).
+func firstShare(c int, share float64) []int {
+	chans := make([]int, int(share*float64(c)))
+	for i := range chans {
+		chans[i] = i
+	}
+	return chans
 }
 
 // sparsify zeroes all but a density share of w, chosen at random.
@@ -48,31 +64,35 @@ func sparsify(w []float32, density float64, rng *tensor.RNG) {
 	}
 }
 
-func BenchmarkConvForward(b *testing.B) {
-	benchConvShapes(b, 1, func(b *testing.B, l *Conv2D, x, _ *tensor.Tensor) {
-		for i := 0; i < b.N; i++ {
-			l.Forward(x, true)
-		}
-	})
+func benchForward(b *testing.B, l *Conv2D, x, _ *tensor.Tensor) {
+	for i := 0; i < b.N; i++ {
+		l.Forward(x, true)
+	}
 }
+
+func benchBackward(b *testing.B, l *Conv2D, _, dout *tensor.Tensor) {
+	for i := 0; i < b.N; i++ {
+		ZeroGrads(l.Params())
+		l.Backward(dout)
+	}
+}
+
+func BenchmarkConvForward(b *testing.B) { benchConvShapes(b, 1, 0, benchForward) }
 
 // BenchmarkConvForwardSparse is the knowledge-model forward: ρ = 10 % of the
-// weights retained over zeros.
+// weights retained over zeros, on a dense input and (dead=0.75) on one with
+// three channels in four dead, which is what such a model's layers are fed.
 func BenchmarkConvForwardSparse(b *testing.B) {
-	benchConvShapes(b, 0.10, func(b *testing.B, l *Conv2D, x, _ *tensor.Tensor) {
-		for i := 0; i < b.N; i++ {
-			l.Forward(x, true)
-		}
-	})
+	benchConvShapes(b, 0.10, 0, benchForward)
+	b.Run("dead=0.75", func(b *testing.B) { benchConvShapes(b, 0.10, 0.75, benchForward) })
 }
 
+// BenchmarkConvBackward is the dense backward and (sparse/dead=0.875) the
+// backward of the extractor's fine-tune: ρ = 10 % weights, seven rows of dY
+// in eight dead, and as many input channels.
 func BenchmarkConvBackward(b *testing.B) {
-	benchConvShapes(b, 1, func(b *testing.B, l *Conv2D, _, dout *tensor.Tensor) {
-		for i := 0; i < b.N; i++ {
-			ZeroGrads(l.Params())
-			l.Backward(dout)
-		}
-	})
+	benchConvShapes(b, 1, 0, benchBackward)
+	b.Run("sparse/dead=0.875", func(b *testing.B) { benchConvShapes(b, 0.10, 0.875, benchBackward) })
 }
 
 func BenchmarkBatchNormForward(b *testing.B) {

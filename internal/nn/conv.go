@@ -17,16 +17,51 @@ import (
 // input and output channels into independent groups (groups == InC == OutC
 // gives a depthwise convolution).
 //
-// Y and dY cross the GEMMs channel-major (OutC × N·spatial). The lowering and
-// the raising parallelise over input channels (a channel owns its K·K rows of
-// the matrix and its planes of dX, and all its taps are summed by one worker
-// in one order), the copies between channel-major and NCHW over images, and
-// the GEMMs over disjoint blocks of C whose placement no element's value
-// depends on, so every output element has one accumulation order whatever the
-// thread count. None of the three products packs an operand: as B, cols and
-// dY have n-contiguous rows (tensor.Gemm's outer-product form, which reads A
-// through strides and so takes Wᵀ in place); as Bᵀ, cols has k-contiguous
-// rows (its dot form).
+// Dead channels. The layer does work only for the channels that hold data. A
+// channel is dead when every one of its elements across the batch compares
+// == 0 (so ±0 is dead; a NaN or an Inf keeps its channel alive), and the
+// layer finds that out itself on every pass — the input channels of x in
+// Forward, the rows of the channel-major dY in backward — by a scan that
+// leaves a live channel at its first non-zero; nothing is declared to it and
+// nothing tunes it. When every channel is alive — every step of a dense
+// model — the three products are the ones above on W, dY and W.Grad
+// themselves. When some are dead — after the BatchNorm of a FedKNOW knowledge
+// model, whose dropped scales make most channels exactly 0·x̂ + 0, or behind a
+// masked or dead unit — then
+//
+//   - Forward lowers only the live input channels, into a column matrix of
+//     that many slots, and multiplies it by the matching columns of W;
+//   - backward computes dW for (live dY row, tap of a live input channel)
+//     alone and adds it into W.Grad at those places, and dB for live rows;
+//   - dcols is the product of the live rows of W and of dY, and only those of
+//     its rows that some live row of W has a non-zero weight for are cleared,
+//     computed and raised (the others would be +0 and tensor.Col2Im leaves
+//     them out; every plane of dX is still cleared).
+//
+// The gathered columns or rows of W and the compact dW sit in one buffer the
+// layer owns, no larger than W. What is left out is a term with an
+// exactly-zero factor: for finite weights and activations fma(w, 0, c) = c,
+// so every element of Y, dW, dB and dX keeps its bits (the sign of a zero
+// aside), the surviving terms keeping their order — tensor.GemmPart's
+// argument, which is also why the three products name the volume of the
+// whole product: a few live channels of a large layer can fall below the size
+// at which tensor.Gemm switches from its fused kernels to an unfused loop,
+// and must not. The condition is finiteness: a dead channel under an Inf or
+// NaN weight no longer yields a NaN. A grouped convolution takes every
+// channel as alive (its products are per group and the zoo's are
+// small-volume direct loops).
+//
+// Y and dY cross the GEMMs channel-major (OutC × N·spatial). The lowering
+// parallelises over the live input channels and the raising over all of them
+// (a channel owns its K·K rows of the matrix and its planes of dX, and all
+// its taps are summed by one worker in one order), the copies between
+// channel-major and NCHW over images, and the GEMMs over disjoint blocks of C
+// whose placement no element's value depends on; the scans, gathers and the
+// scatter of dW are serial. So every output element has one accumulation
+// order whatever the thread count. None of the three products packs an
+// operand: as B, cols and dY have n-contiguous rows (tensor.Gemm's
+// outer-product form, which reads A through strides and so takes Wᵀ in
+// place); as Bᵀ, cols has k-contiguous rows (its dot form).
 //
 // The column matrix, the output and the input gradient are retained on the
 // layer and reused; the channel-major staging and the column gradient live
@@ -38,13 +73,18 @@ type Conv2D struct {
 	W                                 *Param // (OutC, InC/Groups * K * K)
 	B                                 *Param // (OutC), nil when Bias is false
 
-	cols     []float32 // batch-wide column matrix, kept for the backward pass
+	cols     []float32 // column matrix of the live input channels, kept for the backward pass
+	liveIn   []int     // input channels alive in the last Forward, ascending
 	lastN    int
 	lastInH  int
 	lastInW  int
 	lastOutH int
 	lastOutW int
 	flops    float64
+
+	liveOut []int     // rows of dY alive in the running backward, ascending
+	part    []float32 // gathered W or compact dW while some channel is dead; at most len(W)
+	taps    []bool    // rows of dcols to raise in the running backward; empty for all
 
 	yBuf  *tensor.Tensor // forward output, reused
 	dxBuf *tensor.Tensor // backward input-gradient, reused
@@ -83,9 +123,10 @@ func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool, rn
 }
 
 // split runs fn over [0, n) on the kernel pool: n is the batch's images for
-// the layout copies and the input channels for lower and raise. Every fn
-// writes only its own range's regions, so the split never shows in a result.
-// The single-threaded path builds no closure and so allocates nothing.
+// the layout copies, the live input channels for lower and all of them for
+// raise. Every fn writes only its own range's regions, so the split never
+// shows in a result. The single-threaded path builds no closure and so
+// allocates nothing.
 func (c *Conv2D) split(n int, fn func(c *Conv2D, a, b []float32, lo, hi int), a, b []float32) {
 	if n > 1 && tensor.KernelThreads() > 1 {
 		tensor.Parallel(n, func(lo, hi int) { fn(c, a, b, lo, hi) })
@@ -103,22 +144,30 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH := tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
 	c.lastN, c.lastInH, c.lastInW, c.lastOutH, c.lastOutW = n, h, w, outH, outW
+	kk := c.K * c.K
 	gOut := c.OutC / c.Groups
-	fanIn := c.InC / c.Groups * c.K * c.K
+	fanIn := c.InC / c.Groups * kk
 	ns := n * outH * outW
 
-	if need := c.InC * c.K * c.K * ns; cap(c.cols) < need {
+	c.liveIn = c.liveChannels(c.liveIn[:0], x.Data, c.InC, n, h*w)
+	live := len(c.liveIn)
+	liveFan := live / c.Groups * kk // per group: a grouped conv is all alive
+	if need := live * kk * ns; cap(c.cols) < need {
 		c.cols = make([]float32, need)
 	} else {
 		c.cols = c.cols[:need]
 	}
-	c.split(c.InC, (*Conv2D).lower, c.cols, x.Data)
+	c.split(live, (*Conv2D).lower, c.cols, x.Data)
 
 	ycm := getScratch(c.OutC * ns)
 	clear(*ycm)
+	wt := c.W.W.Data
+	if live < c.InC {
+		wt = c.gatherTaps()
+	}
 	for g := 0; g < c.Groups; g++ {
-		tensor.Gemm((*ycm)[g*gOut*ns:(g+1)*gOut*ns], c.W.W.Data[g*gOut*fanIn:(g+1)*gOut*fanIn],
-			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, fanIn, ns, false, false)
+		tensor.GemmPart((*ycm)[g*gOut*ns:(g+1)*gOut*ns], wt[g*gOut*liveFan:(g+1)*gOut*liveFan],
+			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, false, gOut*fanIn*ns, 0)
 	}
 	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
 	c.split(n, (*Conv2D).toNCHW, c.yBuf.Data, *ycm)
@@ -128,11 +177,93 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.yBuf
 }
 
-// lower writes input channels [lo, hi) of the batch x into their rows of the
-// column matrix.
+// liveScan appends to dst, in ascending order, the channels of the NCHW batch
+// x (n images of ch planes of plane floats) that hold anything but ±0. A live
+// channel is mostly settled by the first pixel of its first plane; otherwise
+// its planes are scanned up to the first non-zero. It is a variable only so
+// that this package's tests can put "every channel is alive" in its place and
+// hold the layer to itself; nothing else assigns it.
+var liveScan = func(dst []int, x []float32, ch, n, plane int) []int {
+	for k := 0; k < ch; k++ {
+		live := n > 0 && x[k*plane] != 0
+		for i := 0; !live && i < n; i++ {
+			live = anyNonZero(x[(i*ch+k)*plane : (i*ch+k+1)*plane])
+		}
+		if live {
+			dst = append(dst, k)
+		}
+	}
+	return dst
+}
+
+// anyNonZero reports whether p holds an element that does not compare == 0.
+// Eight elements are tested at once: shifting the sign out of their or-ed bit
+// patterns leaves zero exactly when all eight are ±0, so a live run is left at
+// its first group and a dead one costs one pass without a branch per element.
+func anyNonZero(p []float32) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		q := p[:8]
+		bits := math.Float32bits(q[0]) | math.Float32bits(q[1]) | math.Float32bits(q[2]) | math.Float32bits(q[3]) |
+			math.Float32bits(q[4]) | math.Float32bits(q[5]) | math.Float32bits(q[6]) | math.Float32bits(q[7])
+		if bits<<1 != 0 {
+			return true
+		}
+	}
+	for _, v := range p {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// liveChannels returns in dst the channels of the NCHW batch x that are
+// alive, in ascending order: all of them for a grouped convolution.
+func (c *Conv2D) liveChannels(dst []int, x []float32, ch, n, plane int) []int {
+	if cap(dst) < ch {
+		dst = make([]int, 0, ch) // once: a later, livelier batch must not grow it
+	}
+	if c.Groups > 1 {
+		for k := 0; k < ch; k++ {
+			dst = append(dst, k)
+		}
+		return dst
+	}
+	return liveScan(dst, x, ch, n, plane)
+}
+
+// partBuf returns n floats of the layer's own buffer, which holds one of the
+// gathered columns of W (Forward), the compact dW and the gathered rows of W
+// (backward, one after the other). It grows to the largest part the layer has
+// met, as cols does, and no part is larger than W.
+func (c *Conv2D) partBuf(n int) []float32 {
+	if cap(c.part) < n {
+		c.part = make([]float32, n)
+	}
+	return c.part[:n]
+}
+
+// gatherTaps returns W with only the columns of the live input channels:
+// OutC rows of len(liveIn)·K·K weights, in the order of the column matrix's
+// slots.
+func (c *Conv2D) gatherTaps() []float32 {
+	kk := c.K * c.K
+	fanIn, liveFan := c.InC*kk, len(c.liveIn)*kk
+	dst := c.partBuf(c.OutC * liveFan)
+	for oc := 0; oc < c.OutC; oc++ {
+		row := c.W.W.Data[oc*fanIn : (oc+1)*fanIn]
+		for j, ch := range c.liveIn {
+			copy(dst[oc*liveFan+j*kk:oc*liveFan+(j+1)*kk], row[ch*kk:(ch+1)*kk])
+		}
+	}
+	return dst
+}
+
+// lower writes the live input channels in slots [lo, hi) of the column matrix
+// from the batch x.
 func (c *Conv2D) lower(cols, x []float32, lo, hi int) {
 	tensor.Im2Col(cols, x, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
-		c.lastOutH, c.lastOutW, lo, hi)
+		c.lastOutH, c.lastOutW, c.liveIn, lo, hi)
 }
 
 // toNCHW copies images [lo, hi) of the channel-major GEMM output into the
@@ -157,22 +288,24 @@ func (c *Conv2D) toNCHW(y, ycm []float32, lo, hi int) {
 }
 
 // fromNCHW is toNCHW's inverse for the output gradient: images [lo, hi) of
-// dout land in their columns of the channel-major matrix.
+// dout land in their columns of the channel-major matrix, which has one row
+// per live channel of dout.
 func (c *Conv2D) fromNCHW(dycm, dout []float32, lo, hi int) {
 	spatial := c.lastOutH * c.lastOutW
 	ns := c.lastN * spatial
 	for i := lo; i < hi; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			copy(dycm[oc*ns+i*spatial:oc*ns+(i+1)*spatial], dout[(i*c.OutC+oc)*spatial:(i*c.OutC+oc+1)*spatial])
+		for j, oc := range c.liveOut {
+			copy(dycm[j*ns+i*spatial:j*ns+(i+1)*spatial], dout[(i*c.OutC+oc)*spatial:(i*c.OutC+oc+1)*spatial])
 		}
 	}
 }
 
 // raise is lower's adjoint: input channels [lo, hi) of the input gradient are
-// rebuilt from their rows of the column gradient, which it consumes.
+// rebuilt from those of their rows of the column gradient that c.taps keeps,
+// which it consumes.
 func (c *Conv2D) raise(dx, dcols []float32, lo, hi int) {
 	tensor.Col2Im(dx, dcols, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
-		c.lastOutH, c.lastOutW, lo, hi)
+		c.lastOutH, c.lastOutW, lo, hi, c.taps)
 }
 
 // BackwardParamsOnly accumulates dW (and dB) without producing the input
@@ -191,40 +324,132 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // in an order the shape alone fixes. The column gradient is scratch that
 // raise consumes (tensor.Col2Im zeroes padding slots in it); cols, which the
 // 1 + k dW products of a FedKNOW step read, is never written after Forward.
+//
+// The operands are W.Grad, dY and W themselves unless a channel is dead: then
+// dY holds its live rows only, dW is computed compact in the layer's buffer
+// (onto zeros: Grad += 0 + s is Grad += s) and scattered, and dcols comes from
+// the live rows of W. No live row leaves dW and dB untouched and dX zero; no
+// live input channel leaves dW untouched.
 func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
+	kk := c.K * c.K
 	gOut := c.OutC / c.Groups
-	fanIn := c.InC / c.Groups * c.K * c.K
+	fanIn := c.InC / c.Groups * kk
 	ns := c.lastN * c.lastOutH * c.lastOutW
+	vol := gOut * fanIn * ns
 
-	dycm := getScratch(c.OutC * ns)
+	c.liveOut = c.liveChannels(c.liveOut[:0], dout.Data, c.OutC, c.lastN, c.lastOutH*c.lastOutW)
+	rows, live := len(c.liveOut), len(c.liveIn)
+	gRows, liveFan := rows/c.Groups, live/c.Groups*kk // per group: a grouped conv is all alive
+
+	dycm := getScratch(rows * ns)
 	c.split(c.lastN, (*Conv2D).fromNCHW, *dycm, dout.Data)
 	if c.Bias {
-		for oc := 0; oc < c.OutC; oc++ {
+		for j, oc := range c.liveOut {
 			var s float32
-			for _, v := range (*dycm)[oc*ns : (oc+1)*ns] {
+			for _, v := range (*dycm)[j*ns : (j+1)*ns] {
 				s += v
 			}
 			c.B.Grad.Data[oc] += s
 		}
 	}
-	for g := 0; g < c.Groups; g++ {
-		// dW += dY × colsᵀ → (gOut, fanIn): rows of dY against rows of cols.
-		tensor.Gemm(c.W.Grad.Data[g*gOut*fanIn:(g+1)*gOut*fanIn], (*dycm)[g*gOut*ns:(g+1)*gOut*ns],
-			c.cols[g*fanIn*ns:(g+1)*fanIn*ns], gOut, ns, fanIn, false, true)
+
+	grad := c.W.Grad.Data
+	compact := rows < c.OutC || live < c.InC
+	if compact {
+		grad = c.partBuf(rows * liveFan)
+		clear(grad)
 	}
+	tail := c.dotTail(fanIn)
+	for g := 0; g < c.Groups; g++ {
+		// dW += dY × colsᵀ → (gRows, liveFan): rows of dY against rows of cols.
+		tensor.GemmPart(grad[g*gRows*liveFan:(g+1)*gRows*liveFan], (*dycm)[g*gRows*ns:(g+1)*gRows*ns],
+			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gRows, ns, liveFan, false, true, vol, tail)
+	}
+	if compact {
+		c.scatterGrad(grad)
+	}
+
 	if needDX {
-		dcols := getScratch(c.InC * c.K * c.K * ns)
-		clear(*dcols)
+		dcols := getScratch(c.InC * kk * ns)
+		wt := c.W.W.Data
+		c.taps = c.taps[:0]
+		if rows < c.OutC {
+			wt = c.gatherRows()
+		}
+		if len(c.taps) == 0 {
+			clear(*dcols)
+		}
+		for r, on := range c.taps {
+			if on {
+				clear((*dcols)[r*ns : (r+1)*ns])
+			}
+		}
 		for g := 0; g < c.Groups; g++ {
-			// dcols = Wᵀ × dY → (fanIn, N·spatial), k = gOut: W is read in place.
-			tensor.Gemm((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], c.W.W.Data[g*gOut*fanIn:(g+1)*gOut*fanIn],
-				(*dycm)[g*gOut*ns:(g+1)*gOut*ns], fanIn, gOut, ns, true, false)
+			// dcols = Wᵀ × dY → (fanIn, N·spatial), k = gRows: W is read in place.
+			// A row outside c.taps gets no term on the sparse route and
+			// arithmetic on stale scratch on the dense one; raise reads neither.
+			tensor.GemmPart((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], wt[g*gRows*fanIn:(g+1)*gRows*fanIn],
+				(*dycm)[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, false, vol, 0)
 		}
 		c.dxBuf = tensor.Ensure(c.dxBuf, c.lastN, c.InC, c.lastInH, c.lastInW)
 		c.split(c.InC, (*Conv2D).raise, c.dxBuf.Data, *dcols)
 		scratchPool.Put(dcols)
 	}
 	scratchPool.Put(dycm)
+}
+
+// dotTail counts the columns of the (possibly compact) dW that are among the
+// whole dW's fanIn % tensor.DotGroup remainder columns: taps of live input
+// channels at or past the last whole group. tensor.GemmPart rounds those as
+// the whole product does.
+func (c *Conv2D) dotTail(fanIn int) int {
+	cut := fanIn - fanIn%tensor.DotGroup
+	if len(c.liveIn) == c.InC {
+		return fanIn - cut
+	}
+	kk, tail := c.K*c.K, 0
+	for i := len(c.liveIn) - 1; i >= 0 && (c.liveIn[i]+1)*kk > cut; i-- {
+		tail += (c.liveIn[i]+1)*kk - max(c.liveIn[i]*kk, cut)
+	}
+	return tail
+}
+
+// scatterGrad adds the compact dW — one row per live row of dY, K·K columns
+// per live input channel — into W.Grad at the places it stands for.
+func (c *Conv2D) scatterGrad(dw []float32) {
+	kk := c.K * c.K
+	fanIn, liveFan := c.InC*kk, len(c.liveIn)*kk
+	for i, oc := range c.liveOut {
+		for j, ch := range c.liveIn {
+			dst := c.W.Grad.Data[oc*fanIn+ch*kk : oc*fanIn+(ch+1)*kk]
+			for t, v := range dw[i*liveFan+j*kk : i*liveFan+(j+1)*kk] {
+				dst[t] += v
+			}
+		}
+	}
+}
+
+// gatherRows returns the rows of W that belong to the live rows of dY, and
+// sets c.taps to the columns in which any of them is non-zero: the rows of
+// dcols = Wᵀ × dY that receive a term at all.
+func (c *Conv2D) gatherRows() []float32 {
+	fanIn := c.InC * c.K * c.K
+	if cap(c.taps) < fanIn {
+		c.taps = make([]bool, fanIn)
+	}
+	c.taps = c.taps[:fanIn]
+	clear(c.taps)
+	dst := c.partBuf(len(c.liveOut) * fanIn)
+	for j, oc := range c.liveOut {
+		row := c.W.W.Data[oc*fanIn : (oc+1)*fanIn]
+		copy(dst[j*fanIn:(j+1)*fanIn], row)
+		for r, v := range row {
+			if v != 0 {
+				c.taps[r] = true
+			}
+		}
+	}
+	return dst
 }
 
 // Params returns the kernel (and bias when present).

@@ -29,18 +29,23 @@ func convFixtureOf(seed uint64, inC, outC, side, n int, density float64) (*Conv2
 // produce bitwise-identical outputs, input gradients, and weight gradients
 // for every kernel-thread setting: on an early-stage shape, on the last
 // ResNet18 stage (64 channels at 2×2, where N·spatial is 32 and dW's k with
-// it), and with ρ = 10 % weights, which take Gemm's sparse-A route in the
-// forward and input-gradient products.
+// it), with ρ = 10 % weights, which take Gemm's sparse-A route in the
+// forward and input-gradient products, and with every other input channel and
+// every other row of dY dead, where the lowering is split over the live
+// channels alone and the products are compact.
 func TestConvDeterministicAcrossThreads(t *testing.T) {
 	defer tensor.SetKernelThreads(0)
 	fixtures := map[string]struct {
 		inC, outC, side, n int
 		density            float64
+		halfDead           bool
 	}{
-		"early stage":        {8, 16, 10, 6, 1},
-		"late stage":         {64, 64, 2, 8, 1},
-		"early stage sparse": {8, 16, 10, 6, 0.10},
-		"late stage sparse":  {64, 64, 2, 8, 0.10},
+		"early stage":           {8, 16, 10, 6, 1, false},
+		"late stage":            {64, 64, 2, 8, 1, false},
+		"early stage sparse":    {8, 16, 10, 6, 0.10, false},
+		"late stage sparse":     {64, 64, 2, 8, 0.10, false},
+		"early stage half dead": {8, 16, 10, 6, 1, true},
+		"late stage half dead":  {64, 64, 2, 8, 0.10, true},
 	}
 	for name, f := range fixtures {
 		t.Run(name, func(t *testing.T) {
@@ -49,9 +54,16 @@ func TestConvDeterministicAcrossThreads(t *testing.T) {
 			for _, threads := range []int{1, 4, 16} {
 				tensor.SetKernelThreads(threads)
 				l, x, dout := convFixtureOf(7, f.inC, f.outC, f.side, f.n, f.density)
+				if f.halfDead {
+					killChannels(x, everyOther(f.inC)...)
+					killChannels(dout, everyOther(f.outC)...)
+				}
 				ZeroGrads(l.Params())
 				y := l.Forward(x, true)
 				dx := l.Backward(dout)
+				if f.halfDead && (len(l.liveIn) != f.inC/2 || len(l.liveOut) != f.outC/2) {
+					t.Fatalf("threads=%d: %d live inputs and %d live dY rows, want half of each", threads, len(l.liveIn), len(l.liveOut))
+				}
 				s := &snap{
 					y:  append([]float32(nil), y.Data...),
 					dx: append([]float32(nil), dx.Data...),
@@ -76,10 +88,21 @@ func TestConvDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
+// everyOther returns the odd channels of [0, c).
+func everyOther(c int) []int {
+	var odd []int
+	for ch := 1; ch < c; ch += 2 {
+		odd = append(odd, ch)
+	}
+	return odd
+}
+
 // TestConvSteadyStateAllocFree verifies the satellite acceptance criterion:
 // after warm-up, conv forward + backward performs no heap allocations on the
 // single-threaded path (multi-threaded runs allocate only the worker
-// closures).
+// closures) — on a batch with every channel alive, and on a layer that sees
+// half-dead and fully alive batches turn about, whose live lists, gathered
+// weights and tap mask are the layer's own and made once.
 func TestConvSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse and instruments allocations")
@@ -87,18 +110,26 @@ func TestConvSteadyStateAllocFree(t *testing.T) {
 	defer tensor.SetKernelThreads(0)
 	tensor.SetKernelThreads(1)
 	l, x, dout := convFixture(9)
-	for i := 0; i < 3; i++ { // warm the scratch buffers and pack pools
-		ZeroGrads(l.Params())
-		l.Forward(x, true)
-		l.Backward(dout)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		ZeroGrads(l.Params())
-		l.Forward(x, true)
-		l.Backward(dout)
-	})
-	if allocs > 0.5 {
-		t.Fatalf("conv forward+backward allocates %.1f objects/op in steady state, want 0", allocs)
+	xDead, doutDead := x.Clone(), dout.Clone()
+	killChannels(xDead, everyOther(l.InC)...)
+	killChannels(doutDead, everyOther(l.OutC)...)
+	for name, batches := range map[string][][2]*tensor.Tensor{
+		"alive":      {{x, dout}},
+		"turn about": {{xDead, doutDead}, {x, dout}},
+	} {
+		step := func() {
+			for _, b := range batches {
+				ZeroGrads(l.Params())
+				l.Forward(b[0], true)
+				l.Backward(b[1])
+			}
+		}
+		for i := 0; i < 3; i++ { // warm the scratch buffers and the layer's own
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20, step); allocs > 0.5 {
+			t.Fatalf("%s: conv forward+backward allocates %.1f objects/op in steady state, want 0", name, allocs)
+		}
 	}
 }
 

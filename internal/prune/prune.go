@@ -44,32 +44,35 @@ func Extract(w []float32, rho float64) *SparseStore {
 	if k == 0 {
 		return &SparseStore{N: len(w)}
 	}
-	mag := make([]float32, len(w))
+	out := &SparseStore{N: len(w), Indices: make([]int32, 0, k), Values: make([]float32, 0, k)}
+	extractInto(out, w, 0, k, make([]float32, len(w)))
+	return out
+}
+
+// extractInto appends the k largest-magnitude weights of w to out in
+// ascending index order, their indices shifted by off. mag is scratch of at
+// least len(w) floats.
+func extractInto(out *SparseStore, w []float32, off, k int, mag []float32) {
+	if k == 0 {
+		return
+	}
+	mag = mag[:len(w)]
 	for i, v := range w {
 		mag[i] = absOrZero(v)
 	}
-	t := kthLargest(mag, k)
-	greater := 0
-	for _, v := range w {
-		if absOrZero(v) > t {
-			greater++
-		}
-	}
+	t, greater := kthLargest(mag, k)
 	ties := k - greater
-	sel := make([]int32, 0, k)
-	vals := make([]float32, 0, k)
 	for i, v := range w {
 		a := absOrZero(v)
 		if a > t {
-			sel = append(sel, int32(i))
-			vals = append(vals, v)
+			out.Indices = append(out.Indices, int32(off+i))
+			out.Values = append(out.Values, v)
 		} else if a == t && ties > 0 {
 			ties--
-			sel = append(sel, int32(i))
-			vals = append(vals, v)
+			out.Indices = append(out.Indices, int32(off+i))
+			out.Values = append(out.Values, v)
 		}
 	}
-	return &SparseStore{N: len(w), Indices: sel, Values: vals}
 }
 
 // absOrZero is |v| with NaN mapped to 0 so selection has a total order.
@@ -80,11 +83,14 @@ func absOrZero(v float32) float32 {
 	return abs32(v)
 }
 
-// kthLargest returns the k-th largest value of a (1-based) by iterative
-// quickselect with a median-of-three pivot and three-way partitioning, so
-// heavily-duplicated inputs (sparse deltas are mostly zeros) stay linear
-// instead of degrading quadratically. The slice is permuted in place.
-func kthLargest(a []float32, k int) float32 {
+// kthLargest returns the k-th largest value of a (1-based) and how many
+// values are strictly greater, by iterative quickselect with a median-of-three
+// pivot and three-way partitioning, so heavily-duplicated inputs (sparse
+// deltas are mostly zeros) stay linear instead of degrading quadratically.
+// The slice is permuted in place. Whenever the range narrows, everything left
+// of it is greater than everything in it, so the count of greater values is
+// where the run of the answer's equals begins.
+func kthLargest(a []float32, k int) (kth float32, greater int) {
 	pos := k - 1
 	lo, hi := 0, len(a)-1
 	for lo < hi {
@@ -121,10 +127,10 @@ func kthLargest(a []float32, k int) float32 {
 		case pos > gt:
 			lo = gt + 1
 		default:
-			return pivot
+			return pivot, lt
 		}
 	}
-	return a[pos]
+	return a[pos], pos
 }
 
 // ExtractSegments retains the top-ρ fraction of weights *within each
@@ -134,18 +140,25 @@ func kthLargest(a []float32, k int) float32 {
 // initialisation scale and zero out whole layers. segments must sum to
 // len(w).
 func ExtractSegments(w []float32, segments []int, rho float64) *SparseStore {
+	total, longest, sum := 0, 0, 0
+	for _, segLen := range segments {
+		total += TopK(segLen, rho)
+		longest = max(longest, segLen)
+		sum += segLen
+	}
+	if sum != len(w) {
+		panic(fmt.Sprintf("prune: segments sum %d, want %d", sum, len(w)))
+	}
 	out := &SparseStore{N: len(w)}
+	if total == 0 {
+		return out
+	}
+	out.Indices, out.Values = make([]int32, 0, total), make([]float32, 0, total)
+	mag := make([]float32, longest)
 	off := 0
 	for _, segLen := range segments {
-		seg := Extract(w[off:off+segLen], rho)
-		for i, idx := range seg.Indices {
-			out.Indices = append(out.Indices, idx+int32(off))
-			out.Values = append(out.Values, seg.Values[i])
-		}
+		extractInto(out, w[off:off+segLen], off, TopK(segLen, rho), mag)
 		off += segLen
-	}
-	if off != len(w) {
-		panic(fmt.Sprintf("prune: segments sum %d, want %d", off, len(w)))
 	}
 	return out
 }

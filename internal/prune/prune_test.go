@@ -1,6 +1,8 @@
 package prune
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -134,5 +136,66 @@ func TestQuickExtractInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractMatchesFullSort holds the quickselect to the order it stands in
+// for: the top TopK(n, ρ) of a full (|w| descending, index ascending) sort,
+// NaN ranking as zero, reported in ascending index order — on inputs that are
+// mostly ties (a few distinct magnitudes, zeros, NaNs), where the threshold
+// run is long and the tie-break decides most of the selection. ExtractSegments
+// must be that selection made inside each segment, indices shifted.
+func TestExtractMatchesFullSort(t *testing.T) {
+	reference := func(w []float32, rho float64, off int) (idx []int32, vals []float32) {
+		order := make([]int, len(w))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return absOrZero(w[order[a]]) > absOrZero(w[order[b]]) })
+		keep := append([]int(nil), order[:TopK(len(w), rho)]...)
+		sort.Ints(keep)
+		for _, i := range keep {
+			idx = append(idx, int32(off+i))
+			vals = append(vals, w[i])
+		}
+		return idx, vals
+	}
+	same := func(t *testing.T, s *SparseStore, idx []int32, vals []float32) {
+		t.Helper()
+		if len(s.Indices) != len(idx) || len(s.Values) != len(vals) {
+			t.Fatalf("kept %d indices and %d values, want %d", len(s.Indices), len(s.Values), len(idx))
+		}
+		for i := range idx {
+			if s.Indices[i] != idx[i] || math.Float32bits(s.Values[i]) != math.Float32bits(vals[i]) {
+				t.Fatalf("entry %d: (%d, %v), want (%d, %v)", i, s.Indices[i], s.Values[i], idx[i], vals[i])
+			}
+		}
+	}
+	rng := tensor.NewRNG(5)
+	levels := []float32{0, 0, 0, 0.5, -0.5, 1, -1, 2, float32(math.NaN())}
+	for trial := 0; trial < 200; trial++ {
+		segments := make([]int, 1+rng.Intn(6))
+		n := 0
+		for i := range segments {
+			segments[i] = rng.Intn(40) // empty segments included
+			n += segments[i]
+		}
+		w := make([]float32, n)
+		for i := range w {
+			w[i] = levels[rng.Intn(len(levels))]
+		}
+		rho := []float64{0, 0.05, 0.1, 0.5, 1}[rng.Intn(5)]
+
+		idx, vals := reference(w, rho, 0)
+		same(t, Extract(w, rho), idx, vals)
+
+		idx, vals = nil, nil
+		off := 0
+		for _, segLen := range segments {
+			i, v := reference(w[off:off+segLen], rho, off)
+			idx, vals = append(idx, i...), append(vals, v...)
+			off += segLen
+		}
+		same(t, ExtractSegments(w, segments, rho), idx, vals)
 	}
 }

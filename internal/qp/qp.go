@@ -111,23 +111,24 @@ func (w *Workspace) Integrate(g []float32, G [][]float32) []float32 {
 	if k == 0 {
 		return g
 	}
-	violated := false
-	for _, gi := range G {
-		if tensor.DotSlice(gi, g) < 0 {
-			violated = true
-			break
-		}
+	// b = G g, up to the first violated constraint: the test for the fast
+	// path computes the entries the QP needs anyway.
+	w.b = slices.Grow(w.b[:0], k)[:k]
+	b, known, violated := w.b, 0, false
+	for known < k && !violated {
+		b[known] = tensor.DotSlice(G[known], g)
+		violated = b[known] < 0
+		known++
 	}
 	if !violated {
 		return g
 	}
-	// Gram matrix A = G Gᵀ and b = G g.
+	// Gram matrix A = G Gᵀ and the rest of b.
 	w.gram = slices.Grow(w.gram[:0], k*k)[:k*k]
 	w.rows = slices.Grow(w.rows[:0], k)[:k]
-	w.b = slices.Grow(w.b[:0], k)[:k]
 	w.v = slices.Grow(w.v[:0], k)[:k]
 	clear(w.v)
-	a, b := w.rows, w.b
+	a := w.rows
 	for i := 0; i < k; i++ {
 		a[i] = w.gram[i*k : (i+1)*k]
 		for j := 0; j <= i; j++ {
@@ -135,7 +136,9 @@ func (w *Workspace) Integrate(g []float32, G [][]float32) []float32 {
 			a[i][j] = d
 			a[j][i] = d
 		}
-		b[i] = tensor.DotSlice(G[i], g)
+		if i >= known {
+			b[i] = tensor.DotSlice(G[i], g)
+		}
 	}
 	res := solveDual(w.v, a, b, 200, 1e-9)
 	w.out = append(w.out[:0], g...)

@@ -156,15 +156,19 @@ func benchLowering(b *testing.B, fn func(batch, matrix []float32, n, c, h, w, k,
 	}
 }
 
+// benchChans is the all-channels list BenchmarkIm2Col lowers: every slot its
+// own channel.
+var benchChans = identity(64)
+
 func BenchmarkIm2Col(b *testing.B) {
 	benchLowering(b, func(x, cols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
-		Im2Col(cols, x, n, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+		Im2Col(cols, x, n, c, h, w, k, k, stride, pad, outH, outW, benchChans[:c], 0, c)
 	})
 }
 
 func BenchmarkCol2Im(b *testing.B) {
 	benchLowering(b, func(dx, dcols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
-		Col2Im(dx, dcols, n, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+		Col2Im(dx, dcols, n, c, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
 	})
 }
 

@@ -35,6 +35,32 @@ package tensor
 // over rows of C. Results are therefore bitwise identical for every
 // KernelThreads setting. Machines without AVX2+FMA run the plain loops of
 // gemmDirect, split over rows the same way.
+//
+// Parts of a product. GemmPart multiplies operands gathered out of a larger
+// product — some of its rows, some of its columns, some of its k terms, each
+// set in ascending order — and every element comes out with the bits the
+// larger product gives it when all it dropped were terms with an exactly-zero
+// factor (Conv2D drops its dead channels this way). Two things a product's own
+// shape would otherwise decide are therefore taken from the whole:
+//
+//   - the route. gemmDirect below gemmSmall rounds c += a*b twice, the
+//     kernels above it once, so a part smaller than gemmSmall of a whole that
+//     is not must still run the kernels (and the reverse). The kernel form is
+//     picked by the whole product's volume; the part's own volume only
+//     decides whether splitting it over the pool pays.
+//   - the dot form's remainder. The whole product computes its last n % 4
+//     columns with dot32 (four scalar lanes) and every other column as one of
+//     a group of four (dot4fma's eight fused lanes, then the scalar k tail).
+//     A column's value does not depend on which group holds it or on its
+//     neighbours, only on which of the two it is, so the part is told how many
+//     of its last columns were remainder columns of the whole (tail); the
+//     columns before them run in groups of four, and when their count is not
+//     a multiple of four the few left over each run as a group of their own
+//     (their row of B in all four places).
+//
+// On the outer-product form and the sparse route a dropped k term is a
+// skipped fma(a, 0, c) = c and the surviving terms keep their order, which is
+// the sparse route's own argument one level up.
 const (
 	// gemmSmall is the m*k*n volume below which a direct loop is used.
 	gemmSmall = 16 * 1024
@@ -53,16 +79,33 @@ const (
 	gemmL2Floats = 256 * 1024
 )
 
+// DotGroup is how many columns of C the dot form computes together; the n %
+// DotGroup columns a product has left over are its remainder columns (see
+// GemmPart's tail).
+const DotGroup = 4
+
 // Gemm computes C += op(A)×op(B) into c (m×n), where op transposes when the
 // corresponding flag is set. A is m×k (or k×m when transposed), B is k×n (or
 // n×k when transposed). c must be pre-sized m*n; it is accumulated into, so
 // callers wanting plain assignment must zero it first.
 func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
+	GemmPart(c, a, b, m, k, n, transA, transB, m*k*n, n%DotGroup)
+}
+
+// GemmPart is Gemm over operands gathered out of a larger product of volume
+// vol (its m·k·n), rounding every element as that product does: vol picks
+// between the direct loops and the kernels, and with transB the last tail
+// columns — those that were among the whole product's n % DotGroup remainder
+// columns — go through the dot form's remainder, as the file comment
+// explains. A product that is its own whole is Gemm: vol = m·k·n, tail =
+// n % DotGroup. An empty part (m, k or n of 0) adds nothing and reaches no
+// kernel.
+func GemmPart(c, a, b []float32, m, k, n int, transA, transB bool, vol, tail int) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
 	// transA with transB has no caller outside the tests.
-	if m*k*n <= gemmSmall || transA && transB {
+	if vol <= gemmSmall || transA && transB {
 		gemmDirect(c, a, b, m, k, n, transA, transB, 0, m)
 		return
 	}
@@ -72,9 +115,9 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 	switch {
 	case transB:
 		if wide {
-			Parallel(m, func(lo, hi int) { gemmDotRows(c, a, b, k, n, lo, hi) })
+			Parallel(m, func(lo, hi int) { gemmDotRows(c, a, b, k, n, tail, lo, hi) })
 		} else {
-			gemmDotRows(c, a, b, k, n, 0, m)
+			gemmDotRows(c, a, b, k, n, tail, 0, m)
 		}
 	case sparseEnough(a[:m*k]):
 		// FedKNOW's knowledge models are ~90 % zeros (§III-B retains the
@@ -99,23 +142,28 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 // gemmDotRows accumulates rows [lo, hi) of C += A × Bᵀ for row-major A (m×k)
 // and B (n×k). Four rows of B are processed per pass so every a-load feeds
 // four multiply-add chains; eight independent accumulators keep the FP pipes
-// busy.
+// busy. The last tail columns are the remainder and go through dot32; when
+// the n − tail columns before them are not a multiple of four (a part of a
+// larger product, see GemmPart), the few left over are each computed as a
+// member of a group would be (dotGrouped).
 //
 // The rows of B are walked in blocks of gemmL1Floats/k: a block then stays
 // in L1 while every row of A passes over it. Blocks are whole multiples of
 // four rows, so which rows share a pass — and with it every element's
 // summation order — is the same as without blocking.
-func gemmDotRows(c, a, b []float32, k, n, lo, hi int) {
+func gemmDotRows(c, a, b []float32, k, n, tail, lo, hi int) {
 	useFMA := hasDot4 && k >= 8
 	kBlk := k &^ 7
-	nb := max(4, (gemmL1Floats/k)&^3)
+	nb := max(DotGroup, (gemmL1Floats/k)&^(DotGroup-1))
+	grouped := n - tail
 	for j0 := 0; j0 < n; j0 += nb {
 		j1 := min(j0+nb, n)
+		g1 := min(j1, grouped)
 		for i := lo; i < hi; i++ {
 			ai := a[i*k : i*k+k : i*k+k]
 			ci := c[i*n : i*n+n]
 			j := j0
-			for ; j+4 <= j1; j += 4 {
+			for ; j+4 <= g1; j += 4 {
 				b0 := b[j*k : (j+1)*k : (j+1)*k]
 				b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
 				b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
@@ -140,11 +188,32 @@ func gemmDotRows(c, a, b []float32, k, n, lo, hi int) {
 				ci[j+2] += s2
 				ci[j+3] += s3
 			}
+			for ; j < g1; j++ {
+				ci[j] += dotGrouped(ai, b[j*k:(j+1)*k], useFMA, kBlk)
+			}
 			for ; j < j1; j++ {
 				ci[j] += dot32(ai, b[j*k:(j+1)*k])
 			}
 		}
 	}
+}
+
+// dotGrouped is the dot product of a and b as gemmDotRows computes it for a
+// column inside a group of four — dot4fma's eight fused lanes over the first
+// kBlk terms, then the scalar tail — for a column that has no group: its row
+// of B stands in all four places.
+func dotGrouped(a, b []float32, useFMA bool, kBlk int) float32 {
+	var s float32
+	p := 0
+	if useFMA {
+		var acc [4]float32
+		dot4fma(&a[0], &b[0], &b[0], &b[0], &b[0], kBlk, &acc)
+		s, p = acc[0], kBlk
+	}
+	for ; p < len(a); p++ {
+		s += a[p] * b[p]
+	}
+	return s
 }
 
 // gemmOuter runs the outer-product form over C += op(A) × B. The work is

@@ -255,6 +255,119 @@ func TestGemmSparseRouteMatchesDenseBitwise(t *testing.T) {
 	})
 }
 
+// TestGemmPartMatchesWholeBitwise holds GemmPart to its contract on the three
+// products of a convolution. The whole product has exactly-zero rows in its
+// operands (dead channels); the part is the same product with those rows
+// gathered out — fewer k terms in the forward and input-gradient forms, fewer
+// rows and columns of C in the weight-gradient form — told the whole's volume
+// and, on the dot form, which of its last columns were remainder columns of
+// the whole. Every element the part computes must carry the whole's bits, at
+// part sizes on both sides of gemmSmall and with column counts that leave the
+// dot form columns over from its groups of four.
+func TestGemmPartMatchesWholeBitwise(t *testing.T) {
+	// gather copies the listed rows (each of the given width) of src.
+	gather := func(src []float32, width int, rows []int) []float32 {
+		out := make([]float32, 0, len(rows)*width)
+		for _, r := range rows {
+			out = append(out, src[r*width:(r+1)*width]...)
+		}
+		return out
+	}
+	// zeroRowsExcept clears every row of src that keep does not list.
+	zeroRowsExcept := func(src []float32, width int, keep []int) {
+		kept := make(map[int]bool)
+		for _, r := range keep {
+			kept[r] = true
+		}
+		for r := 0; r*width < len(src); r++ {
+			if !kept[r] {
+				clear(src[r*width : (r+1)*width])
+			}
+		}
+	}
+	same := func(t *testing.T, what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d = %v, the whole product has %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	forEachKernelGate(t, func(t *testing.T) {
+		rng := NewRNG(52)
+		for _, sh := range []struct {
+			outC, fan, ns    int   // W is outC × fan, cols fan × ns, dY outC × ns
+			liveFan, liveOut []int // rows of cols / rows of dY that hold data
+		}{
+			{64, 32, 32, []int{1, 5, 8, 13, 21, 30}, []int{2, 3, 5, 7, 11, 13}}, // part under gemmSmall, whole over
+			{16, 72, 600, []int{9, 10, 11, 12, 13, 14, 15, 16, 17}, []int{1, 6, 15}},
+			{8, 27, 2048, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 18, 19, 20, 21, 22, 23, 24, 25, 26}, []int{4}}, // remainder columns alive
+			{8, 27, 2048, []int{9, 10, 11, 12, 13, 14, 15, 16, 17}, []int{0, 1, 2, 3, 4, 5, 6, 7}},        // and dead
+			{8, 6, 400, []int{0, 2, 5}, []int{3, 6}},                                                      // one of two remainder columns
+			{8, 8, 16, []int{1, 2}, []int{5}},                                                             // whole under gemmSmall: direct loops on both
+		} {
+			for _, density := range []float64{1, 0.1} {
+				for _, threads := range []int{1, 3} {
+					pinKernelThreads(t, threads)
+					name := fmt.Sprintf("outC%d fan%d ns%d rho=%v threads=%d", sh.outC, sh.fan, sh.ns, density, threads)
+					w := make([]float32, sh.outC*sh.fan)
+					cols := make([]float32, sh.fan*sh.ns)
+					dy := make([]float32, sh.outC*sh.ns)
+					rng.FillNorm(w, 1)
+					rng.FillNorm(cols, 1)
+					rng.FillNorm(dy, 1)
+					for i := range w {
+						if rng.Float64() >= density {
+							w[i] = 0
+						}
+					}
+					zeroRowsExcept(cols, sh.ns, sh.liveFan)
+					zeroRowsExcept(dy, sh.ns, sh.liveOut)
+					vol := sh.outC * sh.fan * sh.ns
+					lf, lo := len(sh.liveFan), len(sh.liveOut)
+					colsL, dyL := gather(cols, sh.ns, sh.liveFan), gather(dy, sh.ns, sh.liveOut)
+
+					// Forward: Y = W × cols, k terms of dead rows of cols dropped.
+					wCols := make([]float32, 0, sh.outC*lf)
+					for oc := 0; oc < sh.outC; oc++ {
+						for _, r := range sh.liveFan {
+							wCols = append(wCols, w[oc*sh.fan+r])
+						}
+					}
+					whole, part := make([]float32, sh.outC*sh.ns), make([]float32, sh.outC*sh.ns)
+					Gemm(whole, w, cols, sh.outC, sh.fan, sh.ns, false, false)
+					GemmPart(part, wCols, colsL, sh.outC, lf, sh.ns, false, false, vol, 0)
+					same(t, name+" forward", part, whole)
+
+					// Input gradient: dcols = Wᵀ × dY, k terms of dead rows of dY dropped.
+					whole, part = make([]float32, sh.fan*sh.ns), make([]float32, sh.fan*sh.ns)
+					Gemm(whole, w, dy, sh.fan, sh.outC, sh.ns, true, false)
+					GemmPart(part, gather(w, sh.fan, sh.liveOut), dyL, sh.fan, lo, sh.ns, true, false, vol, 0)
+					same(t, name+" input gradient", part, whole)
+
+					// Weight gradient: dW = dY × colsᵀ, dead rows and columns of C dropped.
+					tail := 0
+					for _, r := range sh.liveFan {
+						if r >= sh.fan-sh.fan%DotGroup {
+							tail++
+						}
+					}
+					whole, part = make([]float32, sh.outC*sh.fan), make([]float32, lo*lf)
+					Gemm(whole, dy, cols, sh.outC, sh.ns, sh.fan, false, true)
+					GemmPart(part, dyL, colsL, lo, sh.ns, lf, false, true, vol, tail)
+					wholeL := make([]float32, 0, lo*lf)
+					for _, oc := range sh.liveOut {
+						for _, r := range sh.liveFan {
+							wholeL = append(wholeL, whole[oc*sh.fan+r])
+						}
+					}
+					same(t, name+" weight gradient", part, wholeL)
+				}
+			}
+		}
+	})
+}
+
 // TestGemmDeterministicAcrossThreads requires bitwise-identical output for
 // every kernel-thread setting: the acceptance bar for running the numeric
 // substrate under fleet-level parallelism. Width 3 makes a split land in the

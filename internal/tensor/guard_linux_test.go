@@ -60,6 +60,23 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 			rng.FillNorm(a, 1)
 		}
 	}
+	// The dot form's leftover columns (GemmPart with n − tail no multiple of
+	// four) run as groups of their own, their row of B in all four places:
+	// with b flush against the page, reading the rows after it instead would
+	// fault.
+	for _, sh := range [][4]int{{6, 32, 54, 0}, {3, 40, 18, 3}, {5, 33, 9, 0}, {4, 64, 21, 1}} {
+		m, k, n, tail := sh[0], sh[1], sh[2], sh[3]
+		a, b, c := guarded(t, m*k), guarded(t, n*k), guarded(t, m*n)
+		rng.FillNorm(a, 1)
+		rng.FillNorm(b, 1)
+		want := make([]float32, m*n)
+		gemmRef(want, a, b, m, k, n, false, true)
+		clear(c)
+		GemmPart(c, a, b, m, k, n, false, true, 1<<20, tail)
+		if d := maxAbsDiff(c, want); d > 1e-3*math.Sqrt(float64(k)) {
+			t.Errorf("part m%d k%d n%d tail %d: max abs diff %g", m, k, n, tail, d)
+		}
+	}
 }
 
 // TestLoweringStaysInsideOperands runs Im2Col and Col2Im with the batch and
@@ -89,5 +106,36 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 		sameBits(t, "cols", g, cols, wantCols)
 		g.raiseOver(dx, dcols)
 		sameBits(t, "dx", g, dx, wantDx)
+
+		// Lowering into slots: a matrix of the second channel alone, flush
+		// against the page, must hold its rows of the full one and be all
+		// the routine writes. Raising under a mask: every third row is NaN
+		// and masked out, so reading one would poison its plane.
+		outH, outW := g.outSize()
+		chans := []int{1}
+		rowLen := g.matrixLen() / (g.c * g.k * g.k)
+		slots := guarded(t, len(chans)*g.k*g.k*rowLen)
+		Im2Col(slots, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, 0, len(chans))
+		for s, ch := range chans {
+			sameBits(t, "slot", g, slots[s*g.k*g.k*rowLen:(s+1)*g.k*g.k*rowLen], wantCols[ch*g.k*g.k*rowLen:(ch+1)*g.k*g.k*rowLen])
+		}
+		rng.FillNorm(dcols, 1)
+		mask := make([]bool, g.c*g.k*g.k)
+		for r := range mask {
+			mask[r] = r%3 != 0
+			if !mask[r] {
+				for j := range dcols[r*rowLen : (r+1)*rowLen] {
+					dcols[r*rowLen+j] = float32(math.NaN())
+				}
+			}
+		}
+		clear(wantDx)
+		g.forEachSlot(0, g.c, func(slot, pixel int) {
+			if pixel >= 0 && mask[slot/rowLen] {
+				wantDx[pixel] += dcols[slot]
+			}
+		})
+		Col2Im(dx, dcols, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
+		sameBits(t, "masked dx", g, dx, wantDx)
 	}
 }

@@ -29,7 +29,8 @@ package tensor
 //     after the copy; raising zeroes them in the column gradient before the
 //     add, which is why raising consumes its source.
 //   - every other geometry (stride 2, 'valid' windows, kernels wider than
-//     the input): one pass per output row over [ox.lo, ox.hi).
+//     the input): one pass per output row over [ox.lo, ox.hi) (raising does
+//     it in raiseRows).
 //
 // The fringe — everything of a segment outside the valid rows and columns —
 // is zero-filled by lowering and never read by raising.
@@ -44,6 +45,18 @@ package tensor
 // whatever the inner loop. All taps of one channel are raised by one caller,
 // so a split over channels — disjoint rows of the matrix when lowering,
 // disjoint planes when raising — never shows in a result.
+//
+// Slots and masks. The matrix need not hold every channel: Im2Col lowers the
+// channels it is given a list of, the s-th of them into slot s (rows
+// [s·kh·kw, (s+1)·kh·kw)), so a caller that knows some channels to be all
+// zero — whose rows would be all zero, and add nothing to any product — builds
+// the matrix of the others and nothing else (the identity list is the full
+// matrix). Col2Im takes a mask over the rows of the full column gradient and
+// does not read a row outside it: the caller vouches that such a row is +0
+// throughout, and adding it would be x + (+0) on every pixel it reaches, the
+// same no-op as a zeroed wrap slot, so leaving the add out keeps every
+// surviving add and their order. The planes are cleared all the same; a
+// channel all of whose rows are masked out comes back +0.
 
 // outRange returns the [lo, hi) range of output coordinates whose input tap
 // o*stride + k - pad lands inside [0, extent).
@@ -100,22 +113,23 @@ func zeroWraps(seg []float32, at, w, wrap, gaps int) {
 	}
 }
 
-// Im2Col lowers channels [chLo, chHi) of the batch x (n × c × h × w) into
-// their rows [chLo·kh·kw, chHi·kh·kw) of the column matrix cols
-// (c·kh·kw × n·outH·outW, row-major). Every slot of those rows is written —
-// input pixel or padding zero — and nothing outside them; see the file
-// comment for the order and the two inner loops.
-func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int) {
+// Im2Col lowers channel chans[s] of the batch x (n × c × h × w) into slot s of
+// the column matrix cols (len(chans)·kh·kw × n·outH·outW, row-major), for s
+// in [lo, hi). Every slot of those rows is written — input pixel or padding
+// zero — and nothing outside them; see the file comment for the order and
+// the two inner loops.
+func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW int, chans []int, lo, hi int) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns, img := n*spatial, c*plane
 	shifted := stride == 1 && outW == w
-	for ch := chLo; ch < chHi; ch++ {
+	for slot := lo; slot < hi; slot++ {
+		ch := chans[slot]
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
-				r := (ch*kh+ky)*kw + kx
+				r := (slot*kh+ky)*kw + kx
 				row := cols[r*ns : (r+1)*ns]
 				if oy.lo >= oy.hi || ox.lo >= ox.hi {
 					clear(row) // the tap never lands inside the input
@@ -156,29 +170,31 @@ func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo
 	}
 }
 
-// Col2Im raises channels [chLo, chHi) of the column gradient dcols (laid out
-// as Im2Col writes cols) onto their planes of dx (n × c × h × w) — the
-// adjoint of Im2Col. Those planes are overwritten: cleared, then summed into
-// in ascending (ky, kx), the order the file comment derives the result's bits
-// from. dcols is consumed: the wrap slots of a plane-shift run are set to 0
-// in it (positions no input pixel maps to); nothing else is written.
-func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int) {
+// Col2Im raises channels [chLo, chHi) of the column gradient dcols (c·kh·kw
+// rows, laid out as Im2Col writes the full matrix) onto their planes of dx
+// (n × c × h × w) — the adjoint of Im2Col. Those planes are overwritten:
+// cleared, then summed into in ascending (ky, kx), the order the file comment
+// derives the result's bits from. Where rows is not empty, a row r with
+// !rows[r] is taken to be +0 and is not touched. dcols is consumed: the wrap
+// slots of a plane-shift run are set to 0 in it (positions no input pixel
+// maps to); nothing else is written.
+func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns, img := n*spatial, c*plane
-	shifted := stride == 1 && outW == w
+	shifted, masked := stride == 1 && outW == w, len(rows) != 0
 	for ch := chLo; ch < chHi; ch++ {
 		for i := 0; i < n; i++ {
 			clear(dx[i*img+ch*plane : i*img+(ch+1)*plane])
 		}
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
-				if oy.lo >= oy.hi || ox.lo >= ox.hi {
+				r := (ch*kh+ky)*kw + kx
+				if oy.lo >= oy.hi || ox.lo >= ox.hi || masked && !rows[r] {
 					continue
 				}
-				r := (ch*kh+ky)*kw + kx
 				row := dcols[r*ns : (r+1)*ns]
 				first, last := oy.lo*outW+ox.lo, (oy.hi-1)*outW+ox.hi
 				wrapAt, wrap := oy.lo*outW+ox.hi, outW-ox.hi+ox.lo
@@ -192,15 +208,30 @@ func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, ch
 						axpyRow(dst[first+shift:last+shift], 1, seg[first:last])
 						continue
 					}
-					for o := oy.lo; o < oy.hi; o++ {
-						out := dst[(o*stride+ky-pad)*w:][:w]
-						in := seg[o*outW:][:outW]
-						for p := ox.lo; p < ox.hi; p++ {
-							out[p*stride+off] += in[p]
-						}
-					}
+					raiseRows(dst, seg, oy, ox, outW, w, stride, ky-pad, off)
 				}
 			}
+		}
+	}
+}
+
+// raiseRows adds one image's segment of a column-gradient row onto the image's
+// plane, one output row at a time: output position (o, p) lands on input
+// pixel (o·stride + top, p·stride + off). It is Col2Im's inner loop for the
+// geometries that are not a plane shift, kept out of line: inlined, it shares
+// Col2Im's register allocation, which reloads five to seven values from the
+// stack per element (the count moved with every variable Col2Im gained); on
+// its own the loop is a load, an add and a store, and measures 0.8× the
+// inlined time on the stride-2 windows, the call included.
+//
+//go:noinline
+func raiseRows(dst, seg []float32, oy, ox tapSpan, outW, w, stride, top, off int) {
+	for o := oy.lo; o < oy.hi; o++ {
+		out := dst[(o*stride+top)*w:][:w]
+		at := ox.lo*stride + off
+		for _, v := range seg[o*outW+ox.lo : o*outW+ox.hi] {
+			out[at] += v
+			at += stride
 		}
 	}
 }

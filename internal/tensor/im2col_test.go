@@ -55,19 +55,30 @@ func (g convGeom) forEachSlot(chLo, chHi int, fn func(slot, pixel int)) {
 	}
 }
 
+// identity returns the channel list 0..c-1: every channel in its own slot,
+// the full column matrix.
+func identity(c int) []int {
+	chans := make([]int, c)
+	for i := range chans {
+		chans[i] = i
+	}
+	return chans
+}
+
 // lowerOver and raiseOver call the routines the way Conv2D does: split over
 // the channel range on the kernel pool.
 func (g convGeom) lowerOver(cols, x []float32) {
 	outH, outW := g.outSize()
+	chans := identity(g.c)
 	Parallel(g.chHi-g.chLo, func(lo, hi int) {
-		Im2Col(cols, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, g.chLo+lo, g.chLo+hi)
+		Im2Col(cols, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, g.chLo+lo, g.chLo+hi)
 	})
 }
 
 func (g convGeom) raiseOver(dx, dcols []float32) {
 	outH, outW := g.outSize()
 	Parallel(g.chHi-g.chLo, func(lo, hi int) {
-		Col2Im(dx, dcols, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, g.chLo+lo, g.chLo+hi)
+		Col2Im(dx, dcols, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, g.chLo+lo, g.chLo+hi, nil)
 	})
 }
 
@@ -210,4 +221,84 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestIm2ColSlotsCol2ImMask holds the two entry points a convolution with dead
+// channels uses to the full routines. Lowering a list of channels into slots
+// must write, in slot s, exactly the rows the full matrix holds for channel
+// chans[s], and nothing past the slots it was given. Raising under a row mask
+// must equal the reference scatter over the rows the mask keeps — the others
+// hold NaN here, so touching one shows — clear every plane all the same, and
+// leave the masked-out rows as they were.
+func TestIm2ColSlotsCol2ImMask(t *testing.T) {
+	nan := float32(math.NaN())
+	forEachKernelGate(t, func(t *testing.T) {
+		for _, g := range []convGeom{
+			{3, 5, 5, 7, 3, 1, 1, 0, 5}, {3, 5, 5, 7, 3, 2, 1, 0, 5}, {2, 5, 4, 4, 1, 2, 0, 0, 5}, {1, 5, 6, 5, 5, 1, 2, 0, 5},
+		} {
+			outH, outW := g.outSize()
+			kk, ns := g.k*g.k, g.n*outH*outW
+			rng := NewRNG(uint64(61 + g.k + g.stride))
+			x := make([]float32, g.batchLen())
+			rng.FillNorm(x, 1)
+			full := make([]float32, g.matrixLen())
+			Im2Col(full, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, identity(g.c), 0, g.c)
+
+			dcols := make([]float32, g.matrixLen())
+			rng.FillNorm(dcols, 1)
+			mask := make([]bool, g.c*kk)
+			for r := range mask {
+				// Channel 3 keeps no row at all; the others lose every third.
+				mask[r] = r/kk != 3 && r%3 != 1
+				if !mask[r] {
+					for j := range dcols[r*ns : (r+1)*ns] {
+						dcols[r*ns+j] = nan
+					}
+				}
+			}
+			wantDx := make([]float32, g.batchLen())
+			g.forEachSlot(0, g.c, func(slot, pixel int) {
+				if pixel >= 0 && mask[slot/ns] {
+					wantDx[pixel] += dcols[slot]
+				}
+			})
+
+			chans := []int{0, 2, 3}
+			for _, threads := range []int{1, 2, 4} {
+				pinKernelThreads(t, threads)
+				cols := make([]float32, (len(chans)+1)*kk*ns)
+				for j := range cols {
+					cols[j] = nan
+				}
+				Parallel(len(chans), func(lo, hi int) {
+					Im2Col(cols, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, lo, hi)
+				})
+				for s, ch := range chans {
+					sameBits(t, fmt.Sprintf("slot %d at %d threads", s, threads), g, cols[s*kk*ns:(s+1)*kk*ns], full[ch*kk*ns:(ch+1)*kk*ns])
+				}
+				for j, v := range cols[len(chans)*kk*ns:] {
+					if v == v {
+						t.Fatalf("%v: lowering %d slots wrote past them (offset %d)", g, len(chans), j)
+					}
+				}
+
+				dx := make([]float32, g.batchLen())
+				for j := range dx {
+					dx[j] = nan
+				}
+				src := append([]float32(nil), dcols...)
+				Parallel(g.c, func(lo, hi int) {
+					Col2Im(dx, src, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, lo, hi, mask)
+				})
+				sameBits(t, fmt.Sprintf("masked dx at %d threads", threads), g, dx, wantDx)
+				for r, on := range mask {
+					for j := r * ns; !on && j < (r+1)*ns; j++ {
+						if src[j] == src[j] {
+							t.Fatalf("%v: raising wrote row %d, which the mask leaves out", g, r)
+						}
+					}
+				}
+			}
+		}
+	})
 }

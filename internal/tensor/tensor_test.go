@@ -247,7 +247,7 @@ func TestIm2ColMatchesDirectConvolution(t *testing.T) {
 		want, outH, outW := naiveConvSingle(img, tc.c, tc.h, tc.w, ker, tc.k, tc.k, tc.stride, tc.pad)
 
 		cols := make([]float32, tc.c*tc.k*tc.k*outH*outW)
-		Im2Col(cols, img, 1, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, outH, outW, 0, tc.c)
+		Im2Col(cols, img, 1, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, outH, outW, identity(tc.c), 0, tc.c)
 		got := make([]float32, outH*outW)
 		Gemm(got, ker, cols, 1, tc.c*tc.k*tc.k, outH*outW, false, false)
 		for i := range want {
@@ -271,9 +271,9 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	r.FillNorm(y, 1)
 
 	fx := make([]float32, len(y))
-	Im2Col(fx, x, 1, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+	Im2Col(fx, x, 1, c, h, w, k, k, stride, pad, outH, outW, identity(c), 0, c)
 	aty := make([]float32, len(x))
-	Col2Im(aty, y, 1, c, h, w, k, k, stride, pad, outH, outW, 0, c)
+	Col2Im(aty, y, 1, c, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
 
 	lhs := DotSlice(fx, y)
 	rhs := DotSlice(x, aty)
