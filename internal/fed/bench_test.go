@@ -35,7 +35,7 @@ func benchUpdate(dense bool) *Update {
 	return u
 }
 
-func benchEncode(b *testing.B, u *Update, comp Compression) {
+func benchEncode(b *testing.B, u Msg, comp Compression) {
 	c := NewCodec(comp)
 	var bytesPerOp int64
 	var counter bytes.Buffer
@@ -66,6 +66,47 @@ func BenchmarkEncodeSparse10F16(b *testing.B) {
 
 func BenchmarkEncodeDenseI8(b *testing.B) {
 	benchEncode(b, benchUpdate(true), Compression{Quant: QuantI8})
+}
+
+// benchUnion19 is the global model the ingest workloads broadcast: the union
+// of two ρ = 10 % masks, 19 % of its coordinates non-zero.
+func benchUnion19() []float32 {
+	w, _ := benchVector(benchN, 0)
+	rng := tensor.NewRNG(78)
+	for i := range w {
+		if rng.Float64() >= 0.19 {
+			w[i] = 0
+		}
+	}
+	return w
+}
+
+// BenchmarkEncodeGlobalUnion19 is one sparse-from-dense encode of a global
+// model at the density a two-client union has — the scan the compacting
+// encoder exists for.
+func BenchmarkEncodeGlobalUnion19(b *testing.B) {
+	benchEncode(b, &GlobalModel{Params: benchUnion19(), Version: 1}, Compression{})
+}
+
+// BenchmarkBroadcast is one commit's broadcast to a cohort of wire links that
+// write to nowhere: one encode plus one write per link, so ns/op should
+// barely move with the cohort (it was one encode per link, linear in it).
+func BenchmarkBroadcast(b *testing.B) {
+	global := benchUnion19()
+	for _, cohort := range []int{2, 8, 16} {
+		b.Run(fmt.Sprintf("cohort=%d", cohort), func(b *testing.B) {
+			srv := discardCohort(cohort)
+			gm := &GlobalModel{Params: global, Version: 1}
+			srv.broadcast(gm, nil, nil) // sizes the frame
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := srv.broadcast(gm, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func benchDecode(b *testing.B, u *Update, comp Compression) {

@@ -122,6 +122,18 @@ func TestCodecErrors(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
 	}
+	// A payload over the frame bound is refused by the encoder, before a byte
+	// of it is written — not shipped in full for the peer to refuse.
+	c := NewCodec(Compression{})
+	c.maxFrame = 64
+	var out bytes.Buffer
+	full := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if err := c.Encode(&out, &GlobalModel{Params: full}); err == nil || out.Len() != 0 {
+		t.Errorf("oversized encode: err = %v with %d bytes written, want an error and none", err, out.Len())
+	}
+	if err := c.Encode(&out, &GlobalModel{Params: full[:8]}); err != nil || out.Len() == 0 {
+		t.Errorf("encode within the bound: err = %v, %d bytes written", err, out.Len())
+	}
 }
 
 // TestCodecMembershipErrors pins the v5 decode-time validation of the
@@ -476,5 +488,309 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("decode/encode not idempotent: %x vs %x", b1, b2)
 		}
+	})
+}
+
+// TestUvarintLen holds the closed form to the encoder it sizes, on both
+// sides of every group boundary.
+func TestUvarintLen(t *testing.T) {
+	var buf [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(v), binary.PutUvarint(buf[:], v); got != want {
+				t.Errorf("uvarintLen(%#x) = %d, the encoding takes %d bytes", v, got, want)
+			}
+		}
+	}
+	if got := uvarintLen(math.MaxUint64); got != binary.MaxVarintLen64 {
+		t.Errorf("uvarintLen(max) = %d", got)
+	}
+}
+
+// refAppendParams is the parent commit's dense-vector encoder, kept verbatim
+// as the reference the two-pass compacting encoder is held to byte for byte:
+// one branching sweep for the size decision (with its early bail), then one
+// for the gaps and one for the values, an append per byte group.
+func refAppendParams(buf []byte, dense []float32, comp Compression) []byte {
+	n := len(dense)
+	if !comp.DisableSparse && n > 0 {
+		vb := comp.Quant.valueBytes()
+		scaleBytes := 0
+		if comp.Quant == QuantI8 {
+			scaleBytes = 4
+		}
+		k, gapBytes, prev := 0, 0, -1
+		for i, v := range dense {
+			if math.Float32bits(v) != 0 {
+				gapBytes += uvarintLen(uint64(i - prev - 1))
+				prev = i
+				k++
+				if gapBytes+k*vb+1 >= n*vb {
+					break
+				}
+			}
+		}
+		if uvarintLen(uint64(k))+scaleBytes+gapBytes+k*vb < scaleBytes+n*vb {
+			buf = append(buf, comp.formatByte(true))
+			buf = binary.AppendUvarint(buf, uint64(n))
+			return refAppendSparseFromDense(buf, dense, k, comp.Quant)
+		}
+	}
+	buf = append(buf, comp.formatByte(false))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	switch comp.Quant {
+	case QuantF16:
+		for _, v := range dense {
+			buf = binary.LittleEndian.AppendUint16(buf, f32ToF16(v))
+		}
+	case QuantI8:
+		if n == 0 {
+			break
+		}
+		scale := i8Scale(dense)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
+		for _, v := range dense {
+			buf = append(buf, byte(i8Quantize(v, scale)))
+		}
+	default:
+		for _, v := range dense {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+	}
+	return buf
+}
+
+func refAppendSparseFromDense(buf []byte, dense []float32, k int, q Quant) []byte {
+	buf = binary.AppendUvarint(buf, uint64(k))
+	var scale float32
+	if q == QuantI8 {
+		scale = i8Scale(dense)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
+	}
+	prev := -1
+	for i, v := range dense {
+		if math.Float32bits(v) != 0 {
+			buf = binary.AppendUvarint(buf, uint64(i-prev-1))
+			prev = i
+		}
+	}
+	for _, v := range dense {
+		if math.Float32bits(v) == 0 {
+			continue
+		}
+		switch q {
+		case QuantF16:
+			buf = binary.LittleEndian.AppendUint16(buf, f32ToF16(v))
+		case QuantI8:
+			buf = append(buf, byte(i8Quantize(v, scale)))
+		default:
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+	}
+	return buf
+}
+
+// allCompressions is every encoder setting: three value encodings, with and
+// without the sparse form.
+var allCompressions = []Compression{
+	{}, {Quant: QuantF16}, {Quant: QuantI8},
+	{DisableSparse: true}, {Quant: QuantF16, DisableSparse: true}, {Quant: QuantI8, DisableSparse: true},
+}
+
+// oddValues are the non-zero bit patterns an encoder is most likely to get
+// wrong: negative zero (a zero value, a non-zero pattern), NaN (fails every
+// comparison), a denormal, and ordinary values of both signs.
+var oddValues = []float32{
+	1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC00123),
+	math.SmallestNonzeroFloat32, -8, 3e38,
+}
+
+// checkEncodeParams holds appendParams to the reference on one vector, under
+// every compression, behind a non-empty prefix (offsets are relative to the
+// block, not the buffer), and checks the block decodes back to the vector.
+func checkEncodeParams(t *testing.T, dense []float32) {
+	t.Helper()
+	for _, comp := range allCompressions {
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+		want := refAppendParams(append([]byte(nil), prefix...), dense, comp)
+		got := appendParams(append([]byte(nil), prefix...), dense, nil, comp)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d comp=%+v: encoder differs from the reference (%d vs %d bytes, first difference at %d)",
+				len(dense), comp, len(got), len(want), firstDiff(got, want))
+		}
+		checkParamsDecode(t, got[len(prefix):], dense, comp.Quant)
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// checkParamsDecode decodes one params block and compares it, coordinate by
+// coordinate and bit for bit, with what the value encoding makes of dense.
+func checkParamsDecode(t *testing.T, block []byte, dense []float32, q Quant) {
+	t.Helper()
+	c := &cursor{buf: block, scratch: &decodeScratch{}}
+	got, sp := c.params()
+	if c.err != nil || c.off != len(block) {
+		t.Fatalf("n=%d quant=%s: decode: err %v, %d of %d bytes read", len(dense), q, c.err, c.off, len(block))
+	}
+	if sp != nil {
+		got = sp.Densify()
+	}
+	if len(got) != len(dense) {
+		t.Fatalf("n=%d quant=%s: decoded %d coordinates", len(dense), q, len(got))
+	}
+	scale := i8Scale(dense)
+	for i, v := range dense {
+		want := v
+		switch q {
+		case QuantF16:
+			want = f16ToF32(f32ToF16(v))
+		case QuantI8:
+			want = float32(i8Quantize(v, scale)) * scale
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want) {
+			t.Fatalf("n=%d quant=%s: coordinate %d decodes to %#x, want %#x",
+				len(dense), q, i, math.Float32bits(got[i]), math.Float32bits(want))
+		}
+	}
+}
+
+// runsVector builds a vector from zero-run lengths: each run is followed by
+// one non-zero taken from oddValues in turn; tail zeros close it.
+func runsVector(tail int, runs ...int) []float32 {
+	n := tail
+	for _, r := range runs {
+		n += r + 1
+	}
+	out := make([]float32, n)
+	at := -1
+	for i, r := range runs {
+		at += r + 1
+		out[at] = oddValues[i%len(oddValues)]
+	}
+	return out
+}
+
+// TestEncodeParamsMatchesReference is the differential test of the
+// compacting encoder: every density around the dense/sparse break-even, every
+// uvarint gap width on both sides of its boundary and across a compaction
+// block boundary, every length around the block size, and the bit patterns
+// that are zero values but not zero bits (or the reverse of what a float
+// comparison says).
+func TestEncodeParamsMatchesReference(t *testing.T) {
+	rng := tensor.NewRNG(2024)
+	for _, n := range []int{5000, 1<<18 + 3} {
+		for _, density := range []float64{0, 1e-4, 0.01, 0.10, 0.19, 0.5, 0.79, 0.80, 0.81, 1} {
+			dense := make([]float32, n)
+			for i := range dense {
+				if rng.Float64() < density {
+					dense[i] = float32(rng.Float64() - 0.5)
+				}
+			}
+			checkEncodeParams(t, dense)
+		}
+	}
+	for _, n := range []int{0, 1, 2, compactBlock - 1, compactBlock, compactBlock + 1, 2*compactBlock + 1} {
+		full := make([]float32, n)
+		for i := range full {
+			full[i] = oddValues[i%len(oddValues)]
+		}
+		checkEncodeParams(t, full)
+		checkEncodeParams(t, make([]float32, n))
+		if n > 0 {
+			first, last := make([]float32, n), make([]float32, n)
+			first[0], last[n-1] = -1, float32(math.Copysign(0, -1))
+			checkEncodeParams(t, first)
+			checkEncodeParams(t, last)
+		}
+	}
+	// 1-, 2-, 3- and 4-byte gaps, each side of each width's boundary.
+	checkEncodeParams(t, runsVector(40, 126, 127, 128, 129, 0, 0, 127, 128))
+	checkEncodeParams(t, runsVector(0, 16383, 16384, 16382, 1))
+	checkEncodeParams(t, runsVector(3, 1<<21-1, 5, 1<<21, 0))
+	// The same gaps with the non-zero that ends them on either side of a
+	// block boundary.
+	for _, gap := range []int{126, 127, 128, 129} {
+		for shift := -2; shift <= 2; shift++ {
+			lead := 3*compactBlock + shift - gap - 1
+			checkEncodeParams(t, runsVector(compactBlock, lead, gap, 0, gap))
+		}
+	}
+	// Blocks without a single zero (the size pass counts their gaps without
+	// looking at them) behind a long gap, ahead of one, and between sparse
+	// stretches.
+	solid := runsVector(700, append([]int{700}, make([]int, 3*compactBlock)...)...)
+	checkEncodeParams(t, solid)
+	checkEncodeParams(t, append(runsVector(0, 5, 300, 17), solid...))
+	// Only odd bit patterns, sparse enough for the sparse form to win.
+	odd := make([]float32, 4*compactBlock)
+	for i := 0; i < len(odd); i += 37 {
+		odd[i] = oddValues[(i/37)%len(oddValues)]
+	}
+	checkEncodeParams(t, odd)
+}
+
+// fuzzParamsVector expands a fuzz pattern into a vector: the pattern is a
+// sequence of (uvarint zero-run, value selector byte) pairs; whatever is left
+// after the last whole pair is a trailing zero run. The length is capped so a
+// hostile run cannot exhaust memory.
+func fuzzParamsVector(pattern []byte) []float32 {
+	const maxN = 1<<22 + 1024
+	var nz []int
+	var sel []byte
+	n := 0
+	for len(pattern) > 0 {
+		run, w := binary.Uvarint(pattern)
+		if w <= 0 || run > maxN || n+int(run) > maxN {
+			break
+		}
+		pattern = pattern[w:]
+		n += int(run)
+		if len(pattern) == 0 { // trailing zeros
+			break
+		}
+		nz, sel = append(nz, n), append(sel, pattern[0])
+		pattern = pattern[1:]
+		n++
+	}
+	out := make([]float32, n)
+	for i, at := range nz {
+		out[at] = oddValues[int(sel[i])%len(oddValues)]
+	}
+	return out
+}
+
+// FuzzEncodeParams searches for a vector on which the compacting encoder and
+// the reference disagree, or whose block does not decode back.
+func FuzzEncodeParams(f *testing.F) {
+	pat := func(tail int, pairs ...int) []byte { // (run, selector) pairs
+		var p []byte
+		for i := 0; i < len(pairs); i += 2 {
+			p = binary.AppendUvarint(p, uint64(pairs[i]))
+			p = append(p, byte(pairs[i+1]))
+		}
+		if tail > 0 {
+			p = binary.AppendUvarint(p, uint64(tail))
+		}
+		return p
+	}
+	f.Add([]byte{})
+	f.Add(pat(0, 0, 0))
+	f.Add(pat(7))
+	f.Add(pat(40, 126, 0, 127, 1, 128, 2, 129, 3))
+	f.Add(pat(0, 16383, 4, 16384, 5))
+	f.Add(pat(3, 1<<21-1, 0, 1<<21, 1))
+	f.Add(pat(compactBlock, compactBlock-1, 1, 0, 2, 127, 3))
+	f.Add(pat(0, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5)) // fully dense
+	f.Add(pat(1000, 3, 1, 496, 1, 498, 4))
+	f.Fuzz(func(t *testing.T, pattern []byte) {
+		checkEncodeParams(t, fuzzParamsVector(pattern))
 	})
 }

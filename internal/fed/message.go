@@ -100,6 +100,19 @@ func (u *Update) ParamLen() int {
 // broadcast to every alive client and Params is a per-commit copy that is
 // never mutated afterwards (versioned commit buffers), so frames queued
 // behind a training client stay intact.
+//
+// A commit is encoded once: while Server.broadcast walks the seats, the
+// message carries the server's shared frame (the unexported field below).
+// The first WireTransport.Send that meets it encodes header and payload into
+// it and every later link with the same Compression writes those bytes, so a
+// commit costs one encode and one write per link instead of one encode per
+// link. The field rides on the message — not on Transport — so it passes
+// through any decorator that forwards Send(m) unchanged. Only the broadcast
+// helper arms it, and it disarms it before returning: a GlobalModel built by
+// anyone else (a client's install, a test, a decoder) carries none and
+// encodes per link. Receivers never see it — a decoded message is built
+// without it, and the loopback transport passes the pointer through without
+// reading the field.
 type GlobalModel struct {
 	Params []float32
 	// Version is the global model's commit version: 0 for the shared initial
@@ -113,6 +126,19 @@ type GlobalModel struct {
 	// under the synchronous scheduler (lockstep clients use
 	// RoundStart.TaskDone instead).
 	TaskFinal bool
+
+	// frame is the broadcast's shared frame; nil outside Server.broadcast.
+	frame *sharedFrame
+}
+
+// sharedFrame is the one wire frame of one broadcast: header and payload in
+// one buffer the Server owns and reuses across commits. It is written once —
+// by the first wire link of the broadcast, on the scheduler goroutine — and
+// only read after that.
+type sharedFrame struct {
+	buf    []byte
+	comp   Compression // the compression buf was encoded with
+	filled bool        // buf holds the current broadcast's message
 }
 
 // Kind identifies the message type.

@@ -3,6 +3,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/device"
@@ -185,15 +186,12 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 				sc.global = append(sc.global[:0], global...)
 				s.snapshot(res, taskIdx, false)
 			}
-			gm := &GlobalModel{Params: global, Version: s.version}
-			for _, m := range s.metas {
-				st, _ := s.book.at(m.clientID)
-				if err := st.link.Send(gm); err != nil {
-					if err := sc.dropOrFail(ctx, s, taskIdx, m.clientID,
-						fmt.Errorf("fed: global model to client %d: %w", m.clientID, err)); err != nil {
-						return err
-					}
-				}
+			err := s.broadcast(&GlobalModel{Params: global, Version: s.version}, s.participated,
+				func(id int, err error) error {
+					return sc.dropOrFail(ctx, s, taskIdx, id, fmt.Errorf("fed: global model to client %d: %w", id, err))
+				})
+			if err != nil {
+				return err
 			}
 		}
 		if s.obs != nil {
@@ -213,6 +211,14 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		}
 	}
 	return nil
+}
+
+// participated reports whether seat id's update is among those the round
+// collected (s.metas, ascending by client ID) — the lockstep broadcast's
+// audience.
+func (s *Server) participated(id int) bool {
+	_, ok := slices.BinarySearchFunc(s.metas, id, func(m updateMeta, id int) int { return m.clientID - id })
+	return ok
 }
 
 // fillSnapshot contributes the lockstep policy's state to a durable cut:

@@ -249,7 +249,7 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 	// admitted now owes them from zero), and a restored task holds the door
 	// open for every seat the cut recorded as alive until each has rejoined.
 	a.finishing = false
-	a.broadcast(s, taskIdx, &RoundStart{TaskIdx: taskIdx, Round: 0, Participate: true, TaskDone: true})
+	a.announce(s, taskIdx, &RoundStart{TaskIdx: taskIdx, Round: 0, Participate: true, TaskDone: true})
 	if s.book.alive() == 0 && !s.book.expecting() {
 		return fmt.Errorf("fed: async: all clients lost at task %d", taskIdx)
 	}
@@ -267,7 +267,7 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 	if a.buffered > 0 || a.staleCount > 0 || a.nonFiniteCount > 0 {
 		a.commit(s, res, taskIdx)
 	}
-	a.broadcast(s, taskIdx, &GlobalModel{Params: a.global, Version: s.version, TaskFinal: true})
+	a.announce(s, taskIdx, &GlobalModel{Params: a.global, Version: s.version, TaskFinal: true})
 
 	// Finish phase: every alive seat that has not reported owes a RoundEnd.
 	a.finishing = true
@@ -285,14 +285,13 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 	return nil
 }
 
-// broadcast sends one phase-opening message to every alive seat, evicting a
-// seat whose link fails.
-func (a *AsyncScheduler) broadcast(s *Server, taskIdx int, m Msg) {
-	for id, st := range s.book.live() {
-		if err := st.link.Send(m); err != nil {
-			s.evict(taskIdx, id, err)
-		}
-	}
+// announce broadcasts one phase-opening message to every alive seat, evicting
+// a seat whose link fails.
+func (a *AsyncScheduler) announce(s *Server, taskIdx int, m Msg) {
+	_ = s.broadcast(m, nil, func(id int, err error) error {
+		s.evict(taskIdx, id, err)
+		return nil
+	})
 }
 
 // step waits for one event — a rejoin or join handshake, a reader delivery,
@@ -539,12 +538,9 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 	s.stream.BeginRound()
 	if global != nil {
 		s.snapshot(res, taskIdx, false)
-		gm := &GlobalModel{Params: a.global, Version: s.version}
-		for _, st := range s.book.live() {
-			// A failed send is left to the reader's error event, which owns
-			// the eviction.
-			_ = st.link.Send(gm)
-		}
+		// A failed send is left to the reader's error event, which owns the
+		// eviction.
+		_ = s.broadcast(&GlobalModel{Params: a.global, Version: s.version}, nil, nil)
 	}
 	stats.Version = s.version
 	if s.obs != nil {

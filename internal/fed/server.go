@@ -188,6 +188,10 @@ type Server struct {
 	nonFiniteTotal int
 
 	metas []updateMeta // per-round scratch
+
+	// frame is the shared wire frame of the broadcast under way (see
+	// GlobalModel): one buffer for the whole run, whatever the cohort size.
+	frame sharedFrame
 }
 
 // NewServer builds a server over one transport per client. A nil aggregator
@@ -321,6 +325,34 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		s.snapshot(res, taskIdx+1, true)
 	}
 	return res, nil
+}
+
+// broadcast sends m to every alive seat that to admits (nil: all of them),
+// in ascending ID, on the calling (scheduler) goroutine — the one per-seat
+// send loop both schedulers share. A GlobalModel is armed with the server's
+// shared frame for exactly the duration of the walk, so its wire links encode
+// it once between them and a frame can never outlive — or be mistaken for —
+// the commit it was built from. The error policy is the caller's: lost
+// receives each failed Send, and a non-nil return from it aborts the walk with
+// that error; a nil lost drops the failure (the link's reader owns it). A
+// link that fails leaves the frame intact for the seats after it.
+func (s *Server) broadcast(m Msg, to func(id int) bool, lost func(id int, err error) error) error {
+	if gm, ok := m.(*GlobalModel); ok {
+		s.frame.filled = false
+		gm.frame = &s.frame
+		defer func() { gm.frame = nil }()
+	}
+	for id, st := range s.book.live() {
+		if to != nil && !to(id) {
+			continue
+		}
+		if err := st.link.Send(m); err != nil && lost != nil {
+			if err := lost(id, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // evict removes a client whose transport failed (seatBook.evict) and logs

@@ -363,6 +363,24 @@ func TestWireByteCounters(t *testing.T) {
 	if ta.BytesSent() > 64 { // sparse frame: ~13 bytes, dense would be >4000
 		t.Fatalf("mostly-zero broadcast cost %d bytes on the wire", ta.BytesSent())
 	}
+
+	// Two links of one broadcast share one encoded frame, and each still
+	// counts its own bytes: the frame's size, once, on both ends.
+	srv, _, collect := pipeCohort(t, ServerConfig{Scheduler: SchedulerAsync}, 2, nil)
+	gm := &GlobalModel{Params: params, Version: 1}
+	if err := srv.broadcast(gm, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(freshFrame(t, gm)))
+	if sent, _ := srv.WireTraffic(); sent != 2*want {
+		t.Fatalf("two links sent %d bytes between them, want 2 × %d", sent, want)
+	}
+	for i, raw := range collect() {
+		st, _ := srv.book.at(i)
+		if sent := st.link.(*WireTransport).BytesSent(); sent != want || int64(len(raw)) != want {
+			t.Fatalf("link %d counted %d bytes sent, its peer read %d, want %d", i, sent, len(raw), want)
+		}
+	}
 }
 
 // TestWireMatchesLoopbackOOM exercises the eviction path over TCP: a dead

@@ -31,13 +31,14 @@ type WireOptions struct {
 	// catch-up handshake — so the timeout can be an honest per-message
 	// bound on link health instead.
 	Timeout time.Duration
-	// MaxFrame, when positive, lowers this end's decoder frame-payload bound
-	// below the package default (256 MB) — the allocation a malicious or
-	// corrupt length prefix can force before validation fails. Size it to
-	// the job's dense model payload plus slack; the logical params-length
+	// MaxFrame, when positive, lowers this end's frame-payload bound below
+	// the package default (256 MB) — the allocation a malicious or corrupt
+	// length prefix can force on the decoder before validation fails. Size it
+	// to the job's dense model payload plus slack; the logical params-length
 	// bound scales with it (MaxFrame/4), so it also caps what a tiny sparse
-	// frame may claim to densify into. Values above the package default are
-	// clamped to it.
+	// frame may claim to densify into. Send refuses a frame over the bound
+	// before writing any of it. Values above the package default are clamped
+	// to it.
 	MaxFrame int
 }
 
@@ -57,9 +58,9 @@ type WireTransport struct {
 	conn  io.ReadWriteCloser
 	dl    deadliner // non-nil when conn supports deadlines
 	opts  WireOptions
-	bw    *bufio.Writer
 	br    *bufio.Reader
 	codec Codec // per-link scratch: encode buffer and decode pools
+	werr  error // the first failed write: the stream may hold a partial frame
 
 	// Byte counters are atomics: each direction is driven by one goroutine,
 	// but the totals are read concurrently from others (the server's
@@ -78,7 +79,6 @@ func NewWireWith(conn io.ReadWriteCloser, opts WireOptions) *WireTransport {
 	w := &WireTransport{
 		conn: conn,
 		opts: opts,
-		bw:   bufio.NewWriterSize(conn, 1<<16),
 		br:   bufio.NewReaderSize(conn, 1<<16),
 	}
 	w.codec.comp = opts.Compression
@@ -87,20 +87,29 @@ func NewWireWith(conn io.ReadWriteCloser, opts WireOptions) *WireTransport {
 	return w
 }
 
-// Send encodes and flushes one frame. A failure to arm the write deadline
-// (a closed or broken socket) surfaces immediately as that error, not as a
-// confusing EOF from a later call.
+// Send writes one frame — header and payload, one buffer — to the stream in
+// a single Write. The frame is the link's own encoding of m, or, for a
+// GlobalModel under Server.broadcast, the broadcast's shared frame: the first
+// link encodes it, the others only write it (see GlobalModel). A failure to
+// arm the write deadline (a closed or broken socket) surfaces immediately as
+// that error, not as a confusing EOF from a later call; a failed write is
+// sticky, because the stream may end in a partial frame.
 func (w *WireTransport) Send(m Msg) error {
+	if w.werr != nil {
+		return w.werr
+	}
 	if w.dl != nil && w.opts.Timeout > 0 {
 		if err := w.dl.SetWriteDeadline(time.Now().Add(w.opts.Timeout)); err != nil {
 			return fmt.Errorf("fed: arming write deadline: %w", err)
 		}
 	}
-	if err := w.codec.Encode(w.bw, m); err != nil {
+	frame, err := w.codec.frame(m)
+	if err != nil {
 		return err
 	}
-	w.sent.Add(5 + int64(len(w.codec.enc)))
-	return w.bw.Flush()
+	w.sent.Add(int64(len(frame)))
+	_, w.werr = w.conn.Write(frame)
+	return w.werr
 }
 
 // Recv decodes the next frame. A clean peer close surfaces as io.EOF, the
