@@ -109,9 +109,9 @@ func BenchmarkBroadcast(b *testing.B) {
 	}
 }
 
-func benchDecode(b *testing.B, u *Update, comp Compression) {
+func benchDecode(b *testing.B, m Msg, comp Compression) {
 	var buf bytes.Buffer
-	if err := NewCodec(comp).Encode(&buf, u); err != nil {
+	if err := NewCodec(comp).Encode(&buf, m); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -135,6 +135,13 @@ func BenchmarkDecodeDense(b *testing.B) {
 
 func BenchmarkDecodeSparse10(b *testing.B) {
 	benchDecode(b, benchUpdate(false), Compression{})
+}
+
+// BenchmarkDecodeGlobalUnion19 is one decode of the sparse-encoded global
+// model the ingest workloads broadcast, into the dense vector a client
+// installs: what every client and scripted peer pays per commit.
+func BenchmarkDecodeGlobalUnion19(b *testing.B) {
+	benchDecode(b, &GlobalModel{Params: benchUnion19(), Version: 1}, Compression{})
 }
 
 func benchAggregate(b *testing.B, agg Aggregator, dense bool, clients int) {

@@ -3,9 +3,11 @@ package fed
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -416,6 +418,23 @@ func TestCodecSparseDecoderBounds(t *testing.T) {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
+	// A count the rest of the payload cannot hold at its exact minimum size is
+	// refused before anything is sized by it: the frame leaves the scratch as
+	// empty as it found it, where a one-byte-per-coordinate check let a dense
+	// count grow 4× and a sparse one 8× the payload first.
+	for name, raw := range map[string][]byte{
+		"dense count over payload":  sparseFrame(append([]byte{0x00, 100}, make([]byte, 100)...)...),
+		"int8 dense without scale":  sparseFrame(append([]byte{0x02, 8}, make([]byte, 8)...)...),
+		"sparse count over payload": sparseFrame(append([]byte{0x04, 0xC8, 0x01, 100}, make([]byte, 100)...)...),
+	} {
+		c := NewCodec(Compression{})
+		if _, err := c.Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+			t.Errorf("%s: err %v, want the payload bound", name, err)
+		}
+		if s := &c.dec; cap(s.f32)+cap(s.spIdx)+cap(s.spVal) != 0 {
+			t.Errorf("%s: refused frame grew the scratch (f32 %d, spIdx %d, spVal %d)", name, cap(s.f32), cap(s.spIdx), cap(s.spVal))
+		}
+	}
 	// Duplicate/descending indices are impossible by construction: gap
 	// encoding always advances by at least one. A zero gap after the first
 	// index is index+1, still strictly ascending — verify it decodes.
@@ -636,7 +655,7 @@ func firstDiff(a, b []byte) int {
 func checkParamsDecode(t *testing.T, block []byte, dense []float32, q Quant) {
 	t.Helper()
 	c := &cursor{buf: block, scratch: &decodeScratch{}}
-	got, sp := c.params()
+	got, sp := c.params(false)
 	if c.err != nil || c.off != len(block) {
 		t.Fatalf("n=%d quant=%s: decode: err %v, %d of %d bytes read", len(dense), q, c.err, c.off, len(block))
 	}
@@ -737,6 +756,40 @@ func TestEncodeParamsMatchesReference(t *testing.T) {
 	checkEncodeParams(t, odd)
 }
 
+// TestZeroFree holds the zero-free test to a direct scan: one zero bit
+// pattern at any position of any length is found, and a negative zero is not
+// a zero. A block with exactly one zero is also the only kind on which a wrong
+// answer reaches the encoding — it sizes the sparse block by one coordinate
+// too many — so some are encoded as well, ahead of a zero tail that makes the
+// sparse form win.
+func TestZeroFree(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, compactBlock - 1, compactBlock} {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = oddValues[i%len(oddValues)]
+		}
+		if !zeroFree(v) {
+			t.Fatalf("n=%d: a block without a zero reported one", n)
+		}
+		for p := range v {
+			keep := v[p]
+			v[p] = 0
+			if zeroFree(v) {
+				t.Fatalf("n=%d: the zero at %d was missed", n, p)
+			}
+			v[p] = float32(math.Copysign(0, -1))
+			if !zeroFree(v) {
+				t.Fatalf("n=%d: the negative zero at %d counted as a zero", n, p)
+			}
+			if n == compactBlock && (p%8 == 0 || p%8 == 7) {
+				v[p] = 0
+				checkEncodeParams(t, append(slices.Clone(v), make([]float32, 8*compactBlock)...))
+			}
+			v[p] = keep
+		}
+	}
+}
+
 // fuzzParamsVector expands a fuzz pattern into a vector: the pattern is a
 // sequence of (uvarint zero-run, value selector byte) pairs; whatever is left
 // after the last whole pair is a trailing zero run. The length is capped so a
@@ -793,4 +846,505 @@ func FuzzEncodeParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pattern []byte) {
 		checkEncodeParams(t, fuzzParamsVector(pattern))
 	})
+}
+
+// refDecodeParams is the per-element params-block decoder the fixed-width one
+// replaced, kept as the reference it is held to bit for bit: a pre-check of one
+// byte per claimed coordinate, one bounds-checked uvarint per gap, one indexed
+// load per value, and a sparse block staged in spVal and densified afterwards.
+func refDecodeParams(c *cursor, densify bool) (dense []float32, sp *tensor.SparseVec) {
+	format := c.u8()
+	n := c.uvarint()
+	if c.err != nil {
+		return nil, nil
+	}
+	if format&^(fmtValueMask|fmtSparse) != 0 || Quant(format&fmtValueMask) > QuantI8 {
+		c.err = fmt.Errorf("fed: unknown params format %#x", format)
+		return nil, nil
+	}
+	if n > c.paramLimit() {
+		c.err = fmt.Errorf("fed: params length %d exceeds limit %d", n, c.paramLimit())
+		return nil, nil
+	}
+	q := Quant(format & fmtValueMask)
+	if n == 0 {
+		if format&fmtSparse != 0 {
+			if k := c.uvarint(); c.err == nil && k != 0 {
+				c.err = fmt.Errorf("fed: sparse params store %d of 0 coordinates", k)
+			}
+			if q == QuantI8 {
+				c.f32()
+			}
+		}
+		return nil, nil
+	}
+	var scale float32
+	if format&fmtSparse == 0 {
+		if uint64(len(c.buf)-c.off) < n {
+			c.err = fmt.Errorf("fed: params count %d exceeds payload", n)
+			return nil, nil
+		}
+		out := grow(&c.scratch.f32, int(n))
+		if q == QuantI8 {
+			scale = c.f32()
+		}
+		refQuantValues(c, out, q, scale)
+		return out, nil
+	}
+	k := c.uvarint()
+	if c.err != nil {
+		return nil, nil
+	}
+	if k > n || uint64(len(c.buf)-c.off) < k {
+		c.err = fmt.Errorf("fed: sparse params store %d of %d coordinates", k, n)
+		return nil, nil
+	}
+	sp = &c.scratch.sp
+	sp.N = int(n)
+	sp.Indices = grow(&c.scratch.spIdx, int(k))
+	sp.Values = grow(&c.scratch.spVal, int(k))
+	if q == QuantI8 {
+		scale = c.f32()
+	}
+	prev := int64(-1)
+	for i := range sp.Indices {
+		gap := c.uvarint()
+		if c.err != nil {
+			return nil, nil
+		}
+		if gap > c.paramLimit() {
+			c.err = fmt.Errorf("fed: sparse index gap %d exceeds limit", gap)
+			return nil, nil
+		}
+		idx := prev + 1 + int64(gap)
+		if idx >= int64(n) {
+			c.err = fmt.Errorf("fed: sparse index %d out of range [0,%d)", idx, n)
+			return nil, nil
+		}
+		sp.Indices[i] = int32(idx)
+		prev = idx
+	}
+	refQuantValues(c, sp.Values, q, scale)
+	if densify {
+		c.scratch.f32 = sp.DensifyInto(c.scratch.f32)
+		return c.scratch.f32, nil
+	}
+	return nil, sp
+}
+
+func refQuantValues(c *cursor, out []float32, q Quant, scale float32) {
+	switch q {
+	case QuantF16:
+		if b := c.take(len(out) * 2); b != nil {
+			for i := range out {
+				out[i] = f16ToF32(binary.LittleEndian.Uint16(b[2*i:]))
+			}
+		}
+	case QuantI8:
+		if b := c.take(len(out)); b != nil {
+			for i := range out {
+				out[i] = float32(int8(b[i])) * scale
+			}
+		}
+	default:
+		if b := c.take(len(out) * 4); b != nil {
+			for i := range out {
+				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameSparse(a, b *tensor.SparseVec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.N == b.N && slices.Equal(a.Indices, b.Indices) && sameBits(a.Values, b.Values)
+}
+
+// decoded is what one decoder made of one params block.
+type decoded struct {
+	err   error
+	off   int // bytes read
+	dense []float32
+	sp    *tensor.SparseVec
+}
+
+// agrees reports whether two decodes both refused their block, or both read
+// the same bytes into the same coordinates, bit for bit.
+func (a decoded) agrees(b decoded) bool {
+	if a.err != nil || b.err != nil {
+		return (a.err == nil) == (b.err == nil)
+	}
+	return a.off == b.off && sameBits(a.dense, b.dense) && sameSparse(a.sp, b.sp)
+}
+
+// decoders is the long-lived scratch of the fixed-width decoder and of the
+// reference, so a value an earlier decode left behind would show.
+type decoders struct{ fixed, ref decodeScratch }
+
+// decode decodes block with both decoders under the frame limit limit (0:
+// the default).
+func (d *decoders) decode(block []byte, limit int, densify bool) (got, want decoded) {
+	d.fixed.limit, d.ref.limit = limit, limit
+	c := &cursor{buf: block, scratch: &d.fixed}
+	got.dense, got.sp = c.params(densify)
+	got.err, got.off = c.err, c.off
+	c = &cursor{buf: block, scratch: &d.ref}
+	want.dense, want.sp = refDecodeParams(c, densify)
+	want.err, want.off = c.err, c.off
+	return got, want
+}
+
+// checkDecodeParams fails unless the two decoders agree on block, densifying
+// and not.
+func checkDecodeParams(t *testing.T, d *decoders, block []byte, limit int) {
+	t.Helper()
+	for _, densify := range []bool{false, true} {
+		if got, want := d.decode(block, limit, densify); !got.agrees(want) {
+			t.Fatalf("%d-byte block %x… (limit %d, densify %v): decoder (err %v, %d bytes read) and reference (err %v, %d bytes) differ",
+				len(block), block[:min(len(block), 16)], limit, densify, got.err, got.off, want.err, want.off)
+		}
+	}
+}
+
+// checkDecodePrefixes runs checkDecodeParams on block and on its truncations:
+// every one of a block up to 1 KiB; of a longer one every prefix within 16
+// bytes of its start, its end and the offset split (where a sparse block's
+// values begin), plus seven more spread over the rest; of one over 64 KiB,
+// whose decodes each cost what a real model's does, only those within 4
+// bytes.
+func checkDecodePrefixes(t *testing.T, d *decoders, block []byte, split int) {
+	t.Helper()
+	checkDecodeParams(t, d, block, 0)
+	n := len(block)
+	if n <= 1024 {
+		for i := 0; i < n; i++ {
+			checkDecodeParams(t, d, block[:i], 0)
+		}
+		return
+	}
+	win, spread := 16, 8
+	if n > 64<<10 {
+		win, spread = 4, 1
+	}
+	for _, at := range []int{0, split, n} {
+		for i := max(at-win, 0); i < min(at+win, n); i++ {
+			checkDecodeParams(t, d, block[:i], 0)
+		}
+	}
+	for i := 1; i < spread; i++ {
+		checkDecodeParams(t, d, block[:i*n/spread], 0)
+	}
+}
+
+// sparseOf is v's non-zero (by bit pattern) coordinates as a sparse vector,
+// the form an explicit sparse Update carries.
+func sparseOf(v []float32) *tensor.SparseVec {
+	sp := &tensor.SparseVec{N: len(v)}
+	for i, x := range v {
+		if math.Float32bits(x) != 0 {
+			sp.Indices = append(sp.Indices, int32(i))
+			sp.Values = append(sp.Values, x)
+		}
+	}
+	return sp
+}
+
+// checkDecodeVector encodes v every way a params block can carry it — each
+// compression, and as an explicit sparse vector under each value encoding —
+// and holds the decoders to each other on every block and its truncations.
+// A vector of millions is not forced dense: those blocks are tens of MB and
+// cover nothing the 2¹⁸ + 3 ones do not.
+func checkDecodeVector(t *testing.T, d *decoders, v []float32) {
+	t.Helper()
+	for _, comp := range allCompressions {
+		if comp.DisableSparse && len(v) > 1<<20 {
+			continue
+		}
+		block := appendParams(nil, v, nil, comp)
+		checkDecodePrefixes(t, d, block, len(block)-len(v)*comp.Quant.valueBytes())
+	}
+	sp := sparseOf(v)
+	for _, q := range []Quant{QuantNone, QuantF16, QuantI8} {
+		block := appendParams(nil, nil, sp, Compression{Quant: q})
+		checkDecodePrefixes(t, d, block, len(block)-len(sp.Values)*q.valueBytes())
+	}
+}
+
+// TestDecodeParamsMatchesReference is the differential test of the
+// fixed-width decoder: densities from empty to full, gaps of every varint
+// width on both sides of each boundary, lengths around the four-value stride
+// and the compaction block, the bit patterns a float comparison misjudges,
+// each under every value encoding and both block forms, whole and truncated.
+func TestDecodeParamsMatchesReference(t *testing.T) {
+	d := &decoders{}
+	rng := tensor.NewRNG(2025)
+	sizes := []int{5000, 1<<18 + 3}
+	if testing.Short() {
+		sizes = sizes[:1] // the race-detector runs: model-sized blocks take ten seconds there
+	}
+	for _, n := range sizes {
+		for _, density := range []float64{0, 1e-4, 0.01, 0.10, 0.19, 0.5, 0.79, 0.80, 0.81, 1} {
+			v := make([]float32, n)
+			for i := range v {
+				if rng.Float64() < density {
+					v[i] = float32(rng.Float64() - 0.5)
+				}
+			}
+			checkDecodeVector(t, d, v)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, compactBlock - 1, compactBlock + 1} {
+		full := make([]float32, n)
+		for i := range full {
+			full[i] = oddValues[i%len(oddValues)]
+		}
+		checkDecodeVector(t, d, full)
+		checkDecodeVector(t, d, make([]float32, n))
+		if n > 0 {
+			last := make([]float32, n)
+			last[n-1] = float32(math.Copysign(0, -1))
+			checkDecodeVector(t, d, last)
+		}
+	}
+	checkDecodeVector(t, d, runsVector(40, 126, 127, 128, 129, 0, 0, 127, 128))
+	checkDecodeVector(t, d, runsVector(0, 16383, 16384, 16382, 1))
+	checkDecodeVector(t, d, runsVector(3, 1<<21-1, 5, 1<<21, 0))
+}
+
+// sparseBlock builds a float32 sparse params block by hand: n, the gap bytes
+// as given (canonical or not) and one value per gap count k.
+func sparseBlock(n, k int, gaps ...byte) []byte {
+	b := binary.AppendUvarint([]byte{fmtSparse}, uint64(n))
+	b = binary.AppendUvarint(b, uint64(k))
+	b = append(b, gaps...)
+	for i := 0; i < k; i++ {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(i)-0.5))
+	}
+	return b
+}
+
+// TestDecodeParamsGapEdges covers the gap encodings the one-byte path must
+// hand over, or refuse, exactly as the reference does: non-canonical
+// multi-byte gaps, a gap landing exactly on n, and a gap over a lowered
+// frame limit's coordinate bound.
+func TestDecodeParamsGapEdges(t *testing.T) {
+	d := &decoders{}
+	for _, c := range []struct {
+		name  string
+		block []byte
+		ok    bool
+	}{
+		{"non-canonical 1", sparseBlock(8, 2, 0x81, 0x00, 0x80, 0x00), true}, // idx 1, 2
+		{"non-canonical 127", sparseBlock(200, 1, 0xFF, 0x80, 0x00), true},   // idx 127
+		{"0x80 then 0x01 is 128", sparseBlock(200, 2, 0x80, 0x01, 0x05), true},
+		{"one-byte gap lands on n", sparseBlock(5, 1, 5), false},
+		{"one-byte gap lands on n-1", sparseBlock(5, 1, 4), true},
+		{"second gap lands on n", sparseBlock(5, 2, 1, 3), false},
+		{"two-byte gap lands on n", sparseBlock(129, 1, 0x81, 0x01), false},
+		{"varint runs off the block", sparseBlock(8, 1, 0x80), false},
+	} {
+		checkDecodeParams(t, d, c.block, 0)
+		got := &cursor{buf: c.block, scratch: &decodeScratch{}}
+		if got.params(false); (got.err == nil) != c.ok {
+			t.Errorf("%s: err %v, want ok=%v", c.name, got.err, c.ok)
+		}
+	}
+
+	// Frame limit 64 bounds a block to 16 coordinates, under the 127 a one-byte
+	// gap can reach. The one-byte path skips the gap bound, so its refusal
+	// comes from the range check — n ≤ 16 < gap — with different text; a
+	// multi-byte gap still meets the gap bound first.
+	for _, c := range []struct {
+		name      string
+		block     []byte
+		got, want string
+	}{
+		{"one-byte gap over the bound", sparseBlock(16, 1, 100), "out of range", "gap 100 exceeds limit"},
+		{"two-byte gap over the bound", sparseBlock(16, 1, 0x80, 0x01), "gap 128 exceeds limit", "gap 128 exceeds limit"},
+	} {
+		checkDecodeParams(t, d, c.block, 64)
+		got, want := d.decode(c.block, 64, false)
+		if got.err == nil || !strings.Contains(got.err.Error(), c.got) ||
+			want.err == nil || !strings.Contains(want.err.Error(), c.want) {
+			t.Errorf("%s: decoder err %v (want %q), reference err %v (want %q)", c.name, got.err, c.got, want.err, c.want)
+		}
+	}
+	for _, limit := range []int{0, 64, 400, 512} {
+		checkDecodeParams(t, d, sparseBlock(16, 2, 3, 11), limit)
+	}
+}
+
+// FuzzDecodeParams searches for a params block, and a frame limit, on which
+// the fixed-width decoder and the reference disagree. The frame limit is
+// 64 KiB less the fuzzed amount, so a hostile length densifies into at most
+// 64 KiB.
+func FuzzDecodeParams(f *testing.F) {
+	for _, v := range [][]float32{
+		nil, {1}, {1, 2, 3}, {0, 0, -1, 0, 0, 0, 0, 2.5, 0},
+		oddValues, runsVector(4, 126, 127, 128, 129, 0),
+	} {
+		for _, comp := range allCompressions {
+			f.Add(appendParams(nil, v, nil, comp), uint16(0), false)
+		}
+		f.Add(appendParams(nil, nil, sparseOf(v), Compression{}), uint16(0), true)
+	}
+	f.Add(sparseBlock(8, 2, 0x81, 0x00, 0x80, 0x00), uint16(0), true)
+	f.Add(sparseBlock(16, 1, 100), uint16(1<<16-64), false) // frame limit 64
+	f.Add([]byte{0x00, 0x20, 0x01, 0x02}, uint16(0), false) // dense count over payload
+	f.Fuzz(func(t *testing.T, block []byte, limit uint16, densify bool) {
+		if got, want := (&decoders{}).decode(block, 1<<16-int(limit), densify); !got.agrees(want) {
+			t.Fatalf("decoder (err %v, %d bytes read) and reference (err %v, %d bytes) differ", got.err, got.off, want.err, want.off)
+		}
+	})
+}
+
+// TestCodecQuantizedNumericalEdges sends tensors on the edges of the float16
+// and int8 encodings — all zero, all denormal, saturating, NaN — through
+// encode → decode → SparseFedAvg, in the dense and in the sparse block form,
+// and pins what arrives and what the fold makes of it.
+func TestCodecQuantizedNumericalEdges(t *testing.T) {
+	var (
+		inf      = float32(math.Inf(1))
+		negZero  = float32(math.Copysign(0, -1))
+		nan      = math.Float32frombits(0x7FC00000)
+		max32    = float32(math.MaxFloat32)
+		denormal = math.Float32frombits(0x100) // 256·2⁻¹⁴⁹, far under float16's range
+	)
+	// int8 scales: maxAbs/127 in float32. Dequantising 127·scale rounds back up
+	// past MaxFloat32 for a saturating tensor (so ±MaxFloat32 and the ±Inf the
+	// scale clamps to it arrive as ±Inf), and for the denormal tensor the scale
+	// rounds to 2·2⁻¹⁴⁹, so 256·2⁻¹⁴⁹ quantises to 128, clamps to 127 and
+	// arrives as 254·2⁻¹⁴⁹.
+	satScale, denScale, nanScale := max32/127, denormal/127, float32(2)/127
+	if v := 127 * satScale; !math.IsInf(float64(v), 1) {
+		t.Fatalf("127·(MaxFloat32/127) = %v, the saturating pins assume +Inf", v)
+	}
+	for _, c := range []struct {
+		name     string
+		q        Quant
+		in, want []float32
+	}{
+		{"int8 all zero: scale 0 gives zeros", QuantI8,
+			[]float32{0, 0, 0, 0}, []float32{0, 0, 0, 0}},
+		{"float16 all zero", QuantF16,
+			[]float32{0, 0, 0, 0}, []float32{0, 0, 0, 0}},
+		{"int8 all denormal", QuantI8,
+			[]float32{denormal, -denormal, denormal, -denormal},
+			[]float32{127 * denScale, -127 * denScale, 127 * denScale, -127 * denScale}},
+		{"float16 all denormal: signed zeros", QuantF16,
+			[]float32{denormal, -denormal, denormal, -denormal}, []float32{0, negZero, 0, negZero}},
+		{"int8 saturating: ±127·scale", QuantI8,
+			[]float32{max32, -max32, inf, -inf, 70000, -1e6},
+			[]float32{127 * satScale, -127 * satScale, 127 * satScale, -127 * satScale, 0, 0}},
+		{"float16 saturating: overflow gives ±Inf", QuantF16,
+			[]float32{max32, -max32, inf, -inf, 65520, -1e6}, []float32{inf, -inf, inf, -inf, inf, -inf}},
+		{"int8 NaN maps to 0", QuantI8,
+			[]float32{nan, 2, -2, nan}, []float32{0, 127 * nanScale, -127 * nanScale, 0}},
+		{"float16 NaN stays NaN", QuantF16,
+			[]float32{nan, 2, -2, nan}, []float32{nan, 2, -2, nan}},
+	} {
+		sp := &tensor.SparseVec{N: 2 * len(c.in)}
+		for i, v := range c.in {
+			sp.Indices = append(sp.Indices, int32(2*i+1))
+			sp.Values = append(sp.Values, v)
+		}
+		for _, form := range []struct {
+			name string
+			comp Compression
+			u    *Update
+		}{
+			{"dense", Compression{Quant: c.q, DisableSparse: true}, &Update{Participating: true, Weight: 1, Params: c.in}},
+			{"sparse", Compression{Quant: c.q}, &Update{Participating: true, Weight: 1, Sparse: sp}},
+		} {
+			var buf bytes.Buffer
+			if err := NewCodec(form.comp).Encode(&buf, form.u); err != nil {
+				t.Fatalf("%s, %s: %v", c.name, form.name, err)
+			}
+			m, err := Decode(&buf)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, form.name, err)
+			}
+			u := m.(*Update)
+			got, fold := u.Params, make([]float32, len(c.in))
+			if form.name == "sparse" {
+				if u.Sparse == nil || !slices.Equal(u.Sparse.Indices, sp.Indices) {
+					t.Fatalf("%s, sparse: decoded %+v", c.name, u.Sparse)
+				}
+				got, fold = u.Sparse.Values, make([]float32, sp.N)
+			}
+			if !sameBits(got, c.want) {
+				t.Errorf("%s, %s: decoded %v, want %v", c.name, form.name, got, c.want)
+			}
+			// One update of weight 1 folds to 0 + 1·v: its value, except that
+			// −0 becomes +0. Two of them sum before they are scaled by ½.
+			for i, w := range c.want {
+				if form.name == "sparse" {
+					i = 2*i + 1
+				}
+				if math.Float32bits(w) != math.Float32bits(negZero) {
+					fold[i] = w
+				}
+			}
+			one := (&SparseFedAvg{}).Aggregate([]*Update{u})
+			if !sameBits(one, fold) {
+				t.Errorf("%s, %s: one-update fold %v, want %v", c.name, form.name, one, fold)
+			}
+			two := (&SparseFedAvg{}).Aggregate([]*Update{u, u})
+			for i, w := range fold {
+				if want := (w + w) * 0.5; math.Float32bits(two[i]) != math.Float32bits(want) {
+					t.Errorf("%s, %s: two-update fold [%d] = %v, want %v", c.name, form.name, i, two[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCodecSteadyStateAllocatesNothing: once a Codec's buffers have grown to
+// a stream's largest frame, encoding and decoding it — every block form, the
+// densified sparse global included — allocate nothing.
+func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
+	w, sv := benchVector(4099, 0.10)
+	msgs := []Msg{
+		&Update{Participating: true, Weight: 1, Params: w},
+		&Update{Participating: true, Weight: 1, Sparse: sv},
+		&GlobalModel{Params: w, Version: 1},
+		&GlobalModel{Params: sv.Densify(), Version: 2},
+		&Catchup{Params: sv.Densify(), Version: 3},
+	}
+	for _, comp := range allCompressions {
+		enc, dec := NewCodec(comp), NewCodec(Compression{})
+		var buf bytes.Buffer
+		var r bytes.Reader
+		round := func() {
+			for _, m := range msgs {
+				buf.Reset()
+				if err := enc.Encode(&buf, m); err != nil {
+					t.Fatal(err)
+				}
+				r.Reset(buf.Bytes())
+				if _, err := dec.Decode(&r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Errorf("%+v: %v allocations per encode/decode round, want 0", comp, allocs)
+		}
+	}
 }
