@@ -95,6 +95,53 @@ func BenchmarkConvBackward(b *testing.B) {
 	b.Run("sparse/dead=0.875", func(b *testing.B) { benchConvShapes(b, 0.10, 0.875, benchBackward) })
 }
 
+// weightGradStages are the CI-scale ResNet18's convolutions as the weight
+// gradient meets them: the 3→8 stem and the 3×3 conv of each stage.
+var weightGradStages = []struct {
+	name            string
+	inC, outC, side int
+}{
+	{"stem", 3, 8, 16}, {"stage1", 8, 8, 16}, {"stage2", 16, 16, 8}, {"stage3", 32, 32, 4}, {"stage4", 64, 64, 2},
+}
+
+// BenchmarkConvWeightGrad times a 3×3 conv's weight gradient alone, two ways:
+// "dot" is the form it replaced, dW += dY × colsᵀ on tensor.Gemm's dot form
+// with a channel-major dY (the copy the input gradient makes anyway, so not
+// counted); "outer" is the layer's own weightGrad — the pixel-major copy of
+// dY out of NCHW, dWᵀ = cols × dYᵀ on the outer-product kernels and the
+// transposed add into W.Grad. Both cycle through enough layers to exceed
+// 4 MiB, because a training step meets every layer's buffers cold.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	const coldBytes = 4 << 20
+	for _, st := range weightGradStages {
+		for _, n := range []int{8, 16} {
+			rng := tensor.NewRNG(uint64(st.outC*100 + n))
+			fanIn, ns := st.inC*9, n*st.side*st.side
+			sets := coldBytes/(4*(fanIn*ns+2*st.outC*ns+st.outC*fanIn)) + 1
+			layers, douts, dycms := make([]*Conv2D, sets), make([]*tensor.Tensor, sets), make([][]float32, sets)
+			for s := range layers {
+				l := NewConv2D("c", st.inC, st.outC, 3, 1, 1, 1, false, rng)
+				douts[s] = tensor.Randn(rng, 1, l.Forward(tensor.Randn(rng, 1, n, st.inC, st.side, st.side), true).Shape...)
+				l.liveOut = l.liveChannels(l.liveOut[:0], douts[s].Data, st.outC, n, st.side*st.side)
+				dycms[s] = make([]float32, st.outC*ns)
+				l.fromNCHW(dycms[s], douts[s].Data, 0, n)
+				layers[s] = l
+			}
+			b.Run(fmt.Sprintf("%s/N=%d/dot", st.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					l := layers[i%sets]
+					tensor.Gemm(l.W.Grad.Data, dycms[i%sets], l.cols, st.outC, ns, fanIn, false, true)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/N=%d/outer", st.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					layers[i%sets].weightGrad(douts[i%sets].Data, st.outC*fanIn*ns)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBatchNormForward(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	l := NewBatchNorm2D("bn", 32, rng)

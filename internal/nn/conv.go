@@ -12,10 +12,10 @@ import (
 // tensor.Im2Col writes the batch into one (InC·K·K) × (N·spatial) column
 // matrix row by row (image i owns columns [i·spatial, (i+1)·spatial) of every
 // row), and each pass is a single GEMM per group against it — forward
-// Y = W × cols, weight gradient dW += dY × colsᵀ, input gradient
-// dcols = Wᵀ × dY, which tensor.Col2Im raises back onto dX. Groups splits
-// input and output channels into independent groups (groups == InC == OutC
-// gives a depthwise convolution).
+// Y = W × cols, weight gradient dWᵀ = cols × dYᵀ (added into W.Grad
+// transposed), input gradient dcols = Wᵀ × dY, which tensor.Col2Im raises
+// back onto dX. Groups splits input and output channels into independent
+// groups (groups == InC == OutC gives a depthwise convolution).
 //
 // Dead channels. The layer does work only for the channels that hold data. A
 // channel is dead when every one of its elements across the batch compares
@@ -24,14 +24,14 @@ import (
 // Forward, the rows of the channel-major dY in backward — by a scan that
 // leaves a live channel at its first non-zero; nothing is declared to it and
 // nothing tunes it. When every channel is alive — every step of a dense
-// model — the three products are the ones above on W, dY and W.Grad
-// themselves. When some are dead — after the BatchNorm of a FedKNOW knowledge
-// model, whose dropped scales make most channels exactly 0·x̂ + 0, or behind a
-// masked or dead unit — then
+// model — the three products are the ones above on W and dY themselves. When
+// some are dead — after the BatchNorm of a FedKNOW knowledge model, whose
+// dropped scales make most channels exactly 0·x̂ + 0, or behind a masked or
+// dead unit — then
 //
 //   - Forward lowers only the live input channels, into a column matrix of
 //     that many slots, and multiplies it by the matching columns of W;
-//   - backward computes dW for (live dY row, tap of a live input channel)
+//   - backward computes dWᵀ for (tap of a live input channel, live dY row)
 //     alone and adds it into W.Grad at those places, and dB for live rows;
 //   - dcols is the product of the live rows of W and of dY, and only those of
 //     its rows that some live row of W has a non-zero weight for are cleared,
@@ -51,22 +51,26 @@ import (
 // channel as alive (its products are per group and the zoo's are
 // small-volume direct loops).
 //
-// Y and dY cross the GEMMs channel-major (OutC × N·spatial). The lowering
-// parallelises over the live input channels and the raising over all of them
-// (a channel owns its K·K rows of the matrix and its planes of dX, and all
-// its taps are summed by one worker in one order), the copies between
-// channel-major and NCHW over images, and the GEMMs over disjoint blocks of C
-// whose placement no element's value depends on; the scans, gathers and the
-// scatter of dW are serial. So every output element has one accumulation
-// order whatever the thread count. None of the three products packs an
-// operand: as B, cols and dY have n-contiguous rows (tensor.Gemm's
-// outer-product form, which reads A through strides and so takes Wᵀ in
-// place); as Bᵀ, cols has k-contiguous rows (its dot form).
+// Y crosses the GEMMs channel-major (OutC × N·spatial), and so does dY on
+// its way to dcols; the weight gradient takes dY pixel-major (N·spatial ×
+// OutC). The lowering parallelises over the live input channels and the
+// raising over all of them (a channel owns its K·K rows of the matrix and its
+// planes of dX, and all its taps are summed by one worker in one order), the
+// copies between those layouts and NCHW over images, and the GEMMs over
+// disjoint blocks of C whose placement no element's value depends on; the
+// scans, gathers and the transposed add of dW are serial. So every output
+// element has one accumulation order whatever the thread count. All three
+// products run on tensor.Gemm's outer-product form, and none packs an
+// operand: as B, cols, channel-major dY and pixel-major dY have n-contiguous
+// rows, and op(A) is read through strides, which takes Wᵀ in place and cols
+// as it is. The weight gradient's cols is an activation, so that product
+// skips the sparse-A sample (tensor.GemmPartDense).
 //
 // The column matrix, the output and the input gradient are retained on the
-// layer and reused; the channel-major staging and the column gradient live
-// only inside one call and come from a pool every layer shares. Steady-state
-// training therefore performs no heap allocations.
+// layer and reused; the staging copies of Y and dY, a block of dWᵀ and the
+// column gradient live only inside one call and come from a pool every layer
+// shares.
+// Steady-state training therefore performs no heap allocations.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad, Groups int
 	Bias                              bool
@@ -90,9 +94,10 @@ type Conv2D struct {
 	dxBuf *tensor.Tensor // backward input-gradient, reused
 }
 
-// scratchPool holds the call-scoped conv buffers (channel-major Y / dY and
-// the column gradient). One pool serves every layer of every model, so a
-// network pays for its largest layer once instead of once per layer.
+// scratchPool holds the call-scoped conv buffers (the staging copies of Y and
+// dY, a block of dWᵀ and the column gradient). One pool serves every layer of
+// every model, so a network pays for its largest layer once instead of once
+// per layer.
 // Pointers are pooled to avoid boxing slice headers.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
@@ -167,7 +172,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	for g := 0; g < c.Groups; g++ {
 		tensor.GemmPart((*ycm)[g*gOut*ns:(g+1)*gOut*ns], wt[g*gOut*liveFan:(g+1)*gOut*liveFan],
-			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, false, gOut*fanIn*ns, 0)
+			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, gOut*fanIn*ns)
 	}
 	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
 	c.split(n, (*Conv2D).toNCHW, c.yBuf.Data, *ycm)
@@ -319,17 +324,15 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return c.dxBuf
 }
 
-// backward runs the batch-wide gradient GEMMs. dW sums over the k = N·spatial
-// columns inside one GEMM and dB over one contiguous channel-major row, both
-// in an order the shape alone fixes. The column gradient is scratch that
-// raise consumes (tensor.Col2Im zeroes padding slots in it); cols, which the
-// 1 + k dW products of a FedKNOW step read, is never written after Forward.
+// backward runs the batch-wide gradient GEMMs. The column gradient is
+// scratch that raise consumes (tensor.Col2Im zeroes padding slots in it);
+// cols, which the 1 + k weight-gradient products of a FedKNOW step read, is
+// never written after Forward.
 //
-// The operands are W.Grad, dY and W themselves unless a channel is dead: then
-// dY holds its live rows only, dW is computed compact in the layer's buffer
-// (onto zeros: Grad += 0 + s is Grad += s) and scattered, and dcols comes from
-// the live rows of W. No live row leaves dW and dB untouched and dX zero; no
-// live input channel leaves dW untouched.
+// The operands are W and dY themselves unless a channel is dead: then dY
+// holds its live rows only, dW is computed for the live rows and live input
+// taps alone, and dcols comes from the live rows of W. No live row leaves dW
+// and dB untouched and dX zero; no live input channel leaves dW untouched.
 func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 	kk := c.K * c.K
 	gOut := c.OutC / c.Groups
@@ -338,38 +341,13 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 	vol := gOut * fanIn * ns
 
 	c.liveOut = c.liveChannels(c.liveOut[:0], dout.Data, c.OutC, c.lastN, c.lastOutH*c.lastOutW)
-	rows, live := len(c.liveOut), len(c.liveIn)
-	gRows, liveFan := rows/c.Groups, live/c.Groups*kk // per group: a grouped conv is all alive
-
-	dycm := getScratch(rows * ns)
-	c.split(c.lastN, (*Conv2D).fromNCHW, *dycm, dout.Data)
-	if c.Bias {
-		for j, oc := range c.liveOut {
-			var s float32
-			for _, v := range (*dycm)[j*ns : (j+1)*ns] {
-				s += v
-			}
-			c.B.Grad.Data[oc] += s
-		}
-	}
-
-	grad := c.W.Grad.Data
-	compact := rows < c.OutC || live < c.InC
-	if compact {
-		grad = c.partBuf(rows * liveFan)
-		clear(grad)
-	}
-	tail := c.dotTail(fanIn)
-	for g := 0; g < c.Groups; g++ {
-		// dW += dY × colsᵀ → (gRows, liveFan): rows of dY against rows of cols.
-		tensor.GemmPart(grad[g*gRows*liveFan:(g+1)*gRows*liveFan], (*dycm)[g*gRows*ns:(g+1)*gRows*ns],
-			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gRows, ns, liveFan, false, true, vol, tail)
-	}
-	if compact {
-		c.scatterGrad(grad)
-	}
+	rows := len(c.liveOut)
+	gRows := rows / c.Groups // per group: a grouped conv is all alive
+	c.weightGrad(dout.Data, vol)
 
 	if needDX {
+		dycm := getScratch(rows * ns)
+		c.split(c.lastN, (*Conv2D).fromNCHW, *dycm, dout.Data)
 		dcols := getScratch(c.InC * kk * ns)
 		wt := c.W.W.Data
 		c.taps = c.taps[:0]
@@ -389,29 +367,91 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 			// A row outside c.taps gets no term on the sparse route and
 			// arithmetic on stale scratch on the dense one; raise reads neither.
 			tensor.GemmPart((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], wt[g*gRows*fanIn:(g+1)*gRows*fanIn],
-				(*dycm)[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, false, vol, 0)
+				(*dycm)[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, vol)
 		}
+		scratchPool.Put(dycm)
 		c.dxBuf = tensor.Ensure(c.dxBuf, c.lastN, c.InC, c.lastInH, c.lastInW)
 		c.split(c.InC, (*Conv2D).raise, c.dxBuf.Data, *dcols)
 		scratchPool.Put(dcols)
 	}
-	scratchPool.Put(dycm)
 }
 
-// dotTail counts the columns of the (possibly compact) dW that are among the
-// whole dW's fanIn % tensor.DotGroup remainder columns: taps of live input
-// channels at or past the last whole group. tensor.GemmPart rounds those as
-// the whole product does.
-func (c *Conv2D) dotTail(fanIn int) int {
-	cut := fanIn - fanIn%tensor.DotGroup
-	if len(c.liveIn) == c.InC {
-		return fanIn - cut
+// wgBlockFloats bounds the block of dWᵀ that weightGrad computes and adds
+// at a time, so that the block is still in L1 when it is added.
+const wgBlockFloats = 4 * 1024
+
+// weightGrad accumulates dW (and dB) for the live rows of dout. Per group it
+// computes dWᵀ = cols × dYᵀ → (liveFan, gRows), k = N·spatial, on the
+// outer-product kernels: cols is read in place, dY is copied pixel-major,
+// and every element of dW is one multiply-add chain over the N·spatial
+// columns in order, onto zero. The product is then added, transposed, into
+// W.Grad — or, while a channel is dead, into the compact dW (one row per live
+// row of dY, K·K columns per live input channel) that scatterGrad adds into
+// W.Grad at the places it stands for. It runs in blocks of rows of dWᵀ, which
+// no element's chain depends on. dB sums each pixel-major column of dY in the
+// same order as the chain.
+func (c *Conv2D) weightGrad(dout []float32, vol int) {
+	kk := c.K * c.K
+	ns := c.lastN * c.lastOutH * c.lastOutW
+	rows := len(c.liveOut)
+	if rows == 0 {
+		return
 	}
-	kk, tail := c.K*c.K, 0
-	for i := len(c.liveIn) - 1; i >= 0 && (c.liveIn[i]+1)*kk > cut; i-- {
-		tail += (c.liveIn[i]+1)*kk - max(c.liveIn[i]*kk, cut)
+	gRows, liveFan := rows/c.Groups, len(c.liveIn)/c.Groups*kk
+
+	dypm := getScratch(rows * ns)
+	c.split(c.lastN, (*Conv2D).pixelMajor, *dypm, dout)
+	if c.Bias {
+		for j, oc := range c.liveOut {
+			g, r := j/gRows, j%gRows
+			var s float32
+			for p := 0; p < ns; p++ {
+				s += (*dypm)[(g*ns+p)*gRows+r]
+			}
+			c.B.Grad.Data[oc] += s
+		}
 	}
-	return tail
+	grad, ld := c.W.Grad.Data, c.InC/c.Groups*kk
+	compact := rows < c.OutC || len(c.liveIn) < c.InC // never grouped: a grouped conv is all alive
+	if compact {
+		grad, ld = c.partBuf(rows*liveFan), liveFan
+		clear(grad)
+	}
+	blk := min(liveFan, max(8, (wgBlockFloats/gRows)&^7))
+	dwT := getScratch(blk * gRows)
+	for g := 0; g < c.Groups; g++ {
+		for r0 := 0; r0 < liveFan; r0 += blk {
+			r1 := min(r0+blk, liveFan)
+			t := (*dwT)[:(r1-r0)*gRows]
+			clear(t)
+			tensor.GemmPartDense(t, c.cols[(g*liveFan+r0)*ns:(g*liveFan+r1)*ns], (*dypm)[g*ns*gRows:(g+1)*ns*gRows],
+				r1-r0, ns, gRows, vol)
+			tensor.AddTransposed(grad[g*gRows*ld+r0:(g+1)*gRows*ld], ld, t, r1-r0, gRows)
+		}
+	}
+	if compact {
+		c.scatterGrad(grad)
+	}
+	scratchPool.Put(dwT)
+	scratchPool.Put(dypm)
+}
+
+// pixelMajor writes images [lo, hi) of dout's live channels into dypm, group
+// by group an (N·spatial) × gRows matrix: the pixel of image i at s is row
+// i·spatial + s, and the j-th live channel of the group its column.
+func (c *Conv2D) pixelMajor(dypm, dout []float32, lo, hi int) {
+	spatial := c.lastOutH * c.lastOutW
+	ns := c.lastN * spatial
+	gRows := len(c.liveOut) / c.Groups
+	for i := lo; i < hi; i++ {
+		for j, oc := range c.liveOut {
+			g, r := j/gRows, j%gRows
+			dst := dypm[(g*ns+i*spatial)*gRows+r:]
+			for s, v := range dout[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial] {
+				dst[s*gRows] = v
+			}
+		}
+	}
 }
 
 // scatterGrad adds the compact dW — one row per live row of dY, K·K columns

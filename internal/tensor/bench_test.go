@@ -14,10 +14,11 @@ type gemmShape struct {
 
 // BenchmarkGemm covers the square and conv-shaped problems the training
 // stack actually issues: (out-channels × fan-in × spatial) for forward,
-// plus transposed variants for the backward GEMMs, and then the twelve
-// products of the CI-scale ResNet18's four stages at batch 8 — a 3×3 conv of
-// ch channels over an s×s map is forward ch × 9ch × 8s², dW the same volume
-// with k = 8s², dcols 9ch × ch × 8s² — 2.36 MFLOP each.
+// plus transposed variants for the backward GEMMs, the stem's weight gradient
+// (n = 8: the outer-product tile at half width), and then the twelve products
+// of the CI-scale ResNet18's four stages at batch 8 — a 3×3 conv of ch
+// channels over an s×s map is forward ch × 9ch × 8s², dWᵀ = cols × dYᵀ
+// 9ch × 8s² × ch, dcols 9ch × ch × 8s² — 2.36 MFLOP each.
 func BenchmarkGemm(b *testing.B) {
 	shapes := []gemmShape{
 		{"square64", 64, 64, 64, false, false},
@@ -25,7 +26,8 @@ func BenchmarkGemm(b *testing.B) {
 		{"square256", 256, 256, 256, false, false},
 		{"conv-fwd-32x144x256", 32, 144, 256, false, false},
 		{"conv-fwd-64x576x256", 64, 576, 256, false, false},
-		{"conv-dW-32x256x144", 32, 256, 144, false, true},
+		{"conv-dW-144x256x32", 144, 256, 32, false, false},
+		{"half-width-dW-27x2048x8", 27, 2048, 8, false, false},
 		{"linear-fwd-16x1024x100", 16, 1024, 100, false, true},
 		{"linear-dW-100x16x1024", 100, 16, 1024, true, false},
 	}
@@ -34,7 +36,7 @@ func BenchmarkGemm(b *testing.B) {
 		at := fmt.Sprintf("%dch@%d", ch, st.side)
 		shapes = append(shapes,
 			gemmShape{"resnet-fwd-" + at, ch, 9 * ch, ns, false, false},
-			gemmShape{"resnet-dW-" + at, ch, ns, 9 * ch, false, true},
+			gemmShape{"resnet-dW-" + at, 9 * ch, ns, ch, false, false},
 			gemmShape{"resnet-dcols-" + at, 9 * ch, ch, ns, true, false})
 	}
 	for _, sh := range shapes {

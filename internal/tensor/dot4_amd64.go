@@ -18,11 +18,26 @@ func dot4fma(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 //go:noescape
 func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int)
 
+// gemmOuterHalfFMA is gemmOuterFMA for a block of exactly eight rows and
+// nc <= 8 columns, held one register a row: the same chain per element.
+// Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
+
 // axpyFMA computes c[j] = fma(av, b[j], c[j]) for j < n: one step of
 // gemmOuterFMA's chain for one row. Implemented in dot4_amd64.s.
 //
 //go:noescape
 func axpyFMA(c, b *float32, av float32, n int)
+
+// addT8 adds the transposes of nblk 8×8 blocks of an eight-row strip of src
+// (rows lds floats apart) into dst (rows ld floats apart): the block at
+// column 8b of the strip lands on rows 8b… of dst. Implemented in
+// dot4_amd64.s.
+//
+//go:noescape
+func addT8(dst *float32, ld int, src *float32, lds, nblk int)
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 //

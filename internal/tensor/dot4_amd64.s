@@ -136,6 +136,19 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 	ADDQ R9, AX;                       \
 	ADDQ R8, BX
 
+// HROWFMA and HKSTEP are ROWFMA and KSTEP at half width: one B vector, in Y8.
+#define HROWFMA(aop, bc, acc) \
+	VBROADCASTSS aop, bc;     \
+	VFMADD231PS  Y8, bc, acc
+
+#define HKSTEP \
+	HROWFMA((AX), Y10, Y0);        \
+	HROWFMA((AX)(R10*1), Y11, Y2); \
+	HROWFMA((AX)(R11*1), Y12, Y4); \
+	HROWFMA((AX)(R12*1), Y13, Y6); \
+	ADDQ R9, AX;                   \
+	ADDQ R8, BX
+
 // func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int)
 //
 // The outer-product micro-kernel over one strip of mr <= 4 rows and nc
@@ -143,9 +156,11 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 // loads one 16-float row of B and broadcasts the four op(A) values of that
 // p. Tile rows past mr alias row mr-1 — they repeat its arithmetic and store
 // the same values to the same place — and a last tile narrower than 16
-// columns runs the same sequence under masked loads and stores, so every
-// element of C is one multiply-add chain whichever tile it falls in, and no
-// byte outside the mr × nc block (or op(A)'s mr × k, B's k × nc) is touched.
+// columns runs the same sequence under masked loads and stores; one of at
+// most 8 columns runs it at half width, a single register per row (Y0, Y2,
+// Y4, Y6), masked unless it is exactly 8 wide. So every element of C is one
+// multiply-add chain whichever tile it falls in, and no byte outside the
+// mr × nc block (or op(A)'s mr × k, B's k × nc) is touched.
 TEXT ·gemmOuterFMA(SB), NOSPLIT, $24-72
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -218,6 +233,9 @@ kloop:
 tail:
 	TESTQ CX, CX
 	JZ    done
+	CMPQ  CX, $8
+	JL    halfmask
+	JE    half
 
 	MOVQ    $16, AX
 	SUBQ    CX, AX
@@ -260,7 +278,169 @@ ktail:
 	VMASKMOVPS Y6, Y14, (DI)(AX*1)
 	VMASKMOVPS Y7, Y15, 32(DI)(AX*1)
 
+	JMP  done
+
+half:
+	VMOVUPS (DI), Y0
+	MOVQ    c1-8(SP), AX
+	VMOVUPS (DI)(AX*1), Y2
+	MOVQ    c2-16(SP), AX
+	VMOVUPS (DI)(AX*1), Y4
+	MOVQ    c3-24(SP), AX
+	VMOVUPS (DI)(AX*1), Y6
+
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R13, R14
+
+khalf:
+	VMOVUPS (BX), Y8
+	HKSTEP
+	DECQ R14
+	JNZ  khalf
+
+	VMOVUPS Y0, (DI)
+	MOVQ    c1-8(SP), AX
+	VMOVUPS Y2, (DI)(AX*1)
+	MOVQ    c2-16(SP), AX
+	VMOVUPS Y4, (DI)(AX*1)
+	MOVQ    c3-24(SP), AX
+	VMOVUPS Y6, (DI)(AX*1)
+	JMP     done
+
+halfmask:
+	MOVQ    $16, AX
+	SUBQ    CX, AX
+	LEAQ    tailmask<>(SB), BX
+	VMOVUPS (BX)(AX*4), Y14
+
+	VMASKMOVPS (DI), Y14, Y0
+	MOVQ       c1-8(SP), AX
+	VMASKMOVPS (DI)(AX*1), Y14, Y2
+	MOVQ       c2-16(SP), AX
+	VMASKMOVPS (DI)(AX*1), Y14, Y4
+	MOVQ       c3-24(SP), AX
+	VMASKMOVPS (DI)(AX*1), Y14, Y6
+
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R13, R14
+
+khalfmask:
+	VMASKMOVPS (BX), Y14, Y8
+	HKSTEP
+	DECQ R14
+	JNZ  khalfmask
+
+	VMASKMOVPS Y0, Y14, (DI)
+	MOVQ       c1-8(SP), AX
+	VMASKMOVPS Y2, Y14, (DI)(AX*1)
+	MOVQ       c2-16(SP), AX
+	VMASKMOVPS Y4, Y14, (DI)(AX*1)
+	MOVQ       c3-24(SP), AX
+	VMASKMOVPS Y6, Y14, (DI)(AX*1)
+
 done:
+	VZEROUPPER
+	RET
+
+// H8STEP is one k step of gemmOuterHalfFMA after the B vector is in Y8: the
+// eight op(A) values of that p, rows r·ars apart, each broadcast and
+// multiply-added into its row's accumulator.
+#define H8STEP \
+	VBROADCASTSS (AX), Y9;          \
+	VFMADD231PS  Y8, Y9, Y0;        \
+	VBROADCASTSS (AX)(R10*1), Y10;  \
+	VFMADD231PS  Y8, Y10, Y1;       \
+	VBROADCASTSS (AX)(R10*2), Y11;  \
+	VFMADD231PS  Y8, Y11, Y2;       \
+	VBROADCASTSS (AX)(R11*1), Y12;  \
+	VFMADD231PS  Y8, Y12, Y3;       \
+	VBROADCASTSS (AX)(R10*4), Y13;  \
+	VFMADD231PS  Y8, Y13, Y4;       \
+	VBROADCASTSS (AX)(R12*1), Y9;   \
+	VFMADD231PS  Y8, Y9, Y5;        \
+	VBROADCASTSS (AX)(R11*2), Y10;  \
+	VFMADD231PS  Y8, Y10, Y6;       \
+	VBROADCASTSS (AX)(R13*1), Y11;  \
+	VFMADD231PS  Y8, Y11, Y7;       \
+	ADDQ         R9, AX;            \
+	ADDQ         R8, BX
+
+// LOADC8 and STOREC8 move the eight rows of the C block, under the mask in
+// Y14, into and out of Y0..Y7: row r is r·ld bytes past DI, with R8 = ld,
+// DX = 3·ld, SI = 5·ld and CX = DI + 5·ld.
+#define LOADC8 \
+	VMASKMOVPS (DI), Y14, Y0;       \
+	VMASKMOVPS (DI)(R8*1), Y14, Y1; \
+	VMASKMOVPS (DI)(R8*2), Y14, Y2; \
+	VMASKMOVPS (DI)(DX*1), Y14, Y3; \
+	VMASKMOVPS (DI)(R8*4), Y14, Y4; \
+	VMASKMOVPS (DI)(SI*1), Y14, Y5; \
+	VMASKMOVPS (DI)(DX*2), Y14, Y6; \
+	VMASKMOVPS (CX)(R8*2), Y14, Y7
+
+#define STOREC8 \
+	VMASKMOVPS Y0, Y14, (DI);       \
+	VMASKMOVPS Y1, Y14, (DI)(R8*1); \
+	VMASKMOVPS Y2, Y14, (DI)(R8*2); \
+	VMASKMOVPS Y3, Y14, (DI)(DX*1); \
+	VMASKMOVPS Y4, Y14, (DI)(R8*4); \
+	VMASKMOVPS Y5, Y14, (DI)(SI*1); \
+	VMASKMOVPS Y6, Y14, (DI)(DX*2); \
+	VMASKMOVPS Y7, Y14, (CX)(R8*2)
+
+// func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
+//
+// gemmOuterFMA's half-width tile for a block of exactly eight rows and
+// nc <= 8 columns: one register per row, so eight independent chains hide the
+// multiply-add latency that four would expose. B is loaded whole when nc is 8
+// and under a mask otherwise; C always goes through the mask, once per call.
+TEXT ·gemmOuterHalfFMA(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ ld+24(FP), R8
+	MOVQ ars+32(FP), R10
+	MOVQ aps+40(FP), R9
+	MOVQ k+48(FP), R14
+	MOVQ nc+56(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R10
+	SHLQ $2, R9
+	LEAQ (R10)(R10*2), R11 // 3·ars
+	LEAQ (R10)(R10*4), R12 // 5·ars
+	LEAQ (R11)(R10*4), R13 // 7·ars
+
+	MOVQ    $16, DX
+	SUBQ    CX, DX
+	LEAQ    tailmask<>(SB), SI
+	VMOVUPS (SI)(DX*4), Y14
+
+	// The flags of this compare survive to the JL: LEAQ and VMASKMOVPS
+	// leave them alone.
+	CMPQ CX, $8
+	LEAQ (R8)(R8*2), DX // 3·ld
+	LEAQ (R8)(R8*4), SI // 5·ld
+	LEAQ (DI)(SI*1), CX
+	LOADC8
+	JL   h8mask
+
+h8loop:
+	VMOVUPS (BX), Y8
+	H8STEP
+	DECQ    R14
+	JNZ     h8loop
+	JMP     h8store
+
+h8mask:
+	VMASKMOVPS (BX), Y14, Y8
+	H8STEP
+	DECQ       R14
+	JNZ        h8mask
+
+h8store:
+	STOREC8
 	VZEROUPPER
 	RET
 
@@ -319,6 +499,83 @@ axpytail:
 	VMASKMOVPS  Y0, Y14, (DI)
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// T4X4 transposes, within each 128-bit lane, the 4×4 block whose rows are
+// r0..r3 into its columns, in place, using t0..t3 as scratch.
+#define T4X4(r0, r1, r2, r3, t0, t1, t2, t3) \
+	VUNPCKLPS r1, r0, t0;        \
+	VUNPCKHPS r1, r0, t1;        \
+	VUNPCKLPS r3, r2, t2;        \
+	VUNPCKHPS r3, r2, t3;        \
+	VSHUFPS   $0x44, t2, t0, r0; \
+	VSHUFPS   $0xEE, t2, t0, r1; \
+	VSHUFPS   $0x44, t3, t1, r2; \
+	VSHUFPS   $0xEE, t3, t1, r3
+
+// ADDROW adds the vector y to the eight floats at mem: mem = mem + y.
+#define ADDROW(mem, y) \
+	VMOVUPS mem, Y8;    \
+	VADDPS  y, Y8, Y8;  \
+	VMOVUPS Y8, mem
+
+// func addT8(dst *float32, ld int, src *float32, lds, nblk int)
+//
+// AddTransposed's strip of eight rows of src, lds floats apart: for each of
+// nblk blocks of eight columns, dst[j*ld+i] += src[i*lds+j] for i, j < 8,
+// with src moving eight columns and dst eight rows a block. A block is loaded
+// as two 4×8 halves, rows i and i+4 sharing a register, so that one 4×4
+// transpose per lane leaves column j of the block — row j of dst — whole in a
+// register.
+TEXT ·addT8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R9
+	MOVQ nblk+32(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (R8)(R8*2), R10 // 3·ld
+	LEAQ (R9)(R9*2), R11 // 3·lds
+
+t8loop:
+	LEAQ        (SI)(R9*4), AX
+	VMOVUPS     (SI), X0
+	VINSERTF128 $1, (AX), Y0, Y0
+	VMOVUPS     (SI)(R9*1), X1
+	VINSERTF128 $1, (AX)(R9*1), Y1, Y1
+	VMOVUPS     (SI)(R9*2), X2
+	VINSERTF128 $1, (AX)(R9*2), Y2, Y2
+	VMOVUPS     (SI)(R11*1), X3
+	VINSERTF128 $1, (AX)(R11*1), Y3, Y3
+	VMOVUPS     16(SI), X4
+	VINSERTF128 $1, 16(AX), Y4, Y4
+	VMOVUPS     16(SI)(R9*1), X5
+	VINSERTF128 $1, 16(AX)(R9*1), Y5, Y5
+	VMOVUPS     16(SI)(R9*2), X6
+	VINSERTF128 $1, 16(AX)(R9*2), Y6, Y6
+	VMOVUPS     16(SI)(R11*1), X7
+	VINSERTF128 $1, 16(AX)(R11*1), Y7, Y7
+
+	T4X4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	T4X4(Y4, Y5, Y6, Y7, Y12, Y13, Y14, Y15)
+
+	LEAQ (DI)(R8*4), BX
+	ADDROW((DI), Y0)
+	ADDROW((DI)(R8*1), Y1)
+	ADDROW((DI)(R8*2), Y2)
+	ADDROW((DI)(R10*1), Y3)
+	ADDROW((BX), Y4)
+	ADDROW((BX)(R8*1), Y5)
+	ADDROW((BX)(R8*2), Y6)
+	ADDROW((BX)(R10*1), Y7)
+
+	ADDQ $32, SI
+	LEAQ (BX)(R8*4), DI
+	DECQ CX
+	JNZ  t8loop
+
 	VZEROUPPER
 	RET
 

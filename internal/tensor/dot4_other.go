@@ -14,6 +14,14 @@ func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int) {
 	panic("tensor: gemmOuterFMA without hardware support")
 }
 
+func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int) {
+	panic("tensor: gemmOuterHalfFMA without hardware support")
+}
+
 func axpyFMA(c, b *float32, av float32, n int) {
 	panic("tensor: axpyFMA without hardware support")
+}
+
+func addT8(dst *float32, ld int, src *float32, lds, nblk int) {
+	panic("tensor: addT8 without hardware support")
 }

@@ -41,6 +41,9 @@ func maxAbsDiff(a, b []float32) float64 {
 	return worst
 }
 
+// gemmVariants are the (transA, transB) pairs Gemm accepts.
+var gemmVariants = [][2]bool{{false, false}, {true, false}, {false, true}}
+
 // pinKernelThreads sets the kernel-thread budget for the rest of the test
 // and restores the previous setting through t.Cleanup.
 func pinKernelThreads(t testing.TB, n int) {
@@ -76,14 +79,17 @@ func forEachKernelGate(t *testing.T, fn func(t *testing.T)) {
 
 // convShapes are the !transB products of the CI-scale ResNet18 at batch 8 as
 // (m, k, n) — forward W × cols is {8, 72, 2048} and {64, 576, 32}, the input
-// gradient Wᵀ × dY (run with transA) {72, 8, 2048} and {576, 64, 32} — and
-// then one shape per edge class of the outer-product tile: m below and not a
-// multiple of the tile height, n below and not a multiple of 16, k = 1.
+// gradient Wᵀ × dY (run with transA) {72, 8, 2048} and {576, 64, 32}, the
+// weight gradient dWᵀ = cols × dYᵀ {72, 2048, 8} and {576, 32, 64} — and then
+// one shape per edge class of the outer-product tile: m below and not a
+// multiple of the tile height, n below and not a multiple of 16, n at or
+// under the half-width tile's 8 (alone or after whole tiles), k = 1.
 var convShapes = [][3]int{
-	{8, 72, 2048}, {72, 8, 2048}, {576, 64, 32}, {64, 576, 32},
+	{8, 72, 2048}, {72, 8, 2048}, {576, 64, 32}, {64, 576, 32}, {72, 2048, 8}, {576, 32, 64},
 	{5, 8, 23}, {7, 3, 17}, {4, 1, 16}, {3, 9, 15}, {2, 40, 9}, {1, 9, 2100},
 	// Above gemmSmall, so that the kernels and not the direct loop see them.
 	{5, 40, 87}, {7, 30, 81}, {4, 1, 4112}, {3, 90, 63}, {2, 900, 10}, {70, 33, 8},
+	{27, 700, 1}, {9, 600, 2}, {6, 400, 24}, {13, 300, 5},
 }
 
 // TestGemmAgainstReference cross-checks the kernels against the naive triple
@@ -103,23 +109,22 @@ func TestGemmAgainstReference(t *testing.T) {
 		}, convShapes...)
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
-			for _, transA := range []bool{false, true} {
-				for _, transB := range []bool{false, true} {
-					name := fmt.Sprintf("m%d_k%d_n%d_tA%v_tB%v", m, k, n, transA, transB)
-					a := make([]float32, m*k)
-					b := make([]float32, k*n)
-					rng.FillNorm(a, 1)
-					rng.FillNorm(b, 1)
-					// Non-zero initial C exercises the accumulate contract.
-					got := make([]float32, m*n)
-					want := make([]float32, m*n)
-					rng.FillNorm(got, 1)
-					copy(want, got)
-					Gemm(got, a, b, m, k, n, transA, transB)
-					gemmRef(want, a, b, m, k, n, transA, transB)
-					if d := maxAbsDiff(got, want); d > 1e-3*math.Sqrt(float64(k)) {
-						t.Errorf("%s: max abs diff %g", name, d)
-					}
+			for _, v := range gemmVariants {
+				transA, transB := v[0], v[1]
+				name := fmt.Sprintf("m%d_k%d_n%d_tA%v_tB%v", m, k, n, transA, transB)
+				a := make([]float32, m*k)
+				b := make([]float32, k*n)
+				rng.FillNorm(a, 1)
+				rng.FillNorm(b, 1)
+				// Non-zero initial C exercises the accumulate contract.
+				got := make([]float32, m*n)
+				want := make([]float32, m*n)
+				rng.FillNorm(got, 1)
+				copy(want, got)
+				Gemm(got, a, b, m, k, n, transA, transB)
+				gemmRef(want, a, b, m, k, n, transA, transB)
+				if d := maxAbsDiff(got, want); d > 1e-3*math.Sqrt(float64(k)) {
+					t.Errorf("%s: max abs diff %g", name, d)
 				}
 			}
 		}
@@ -143,16 +148,15 @@ func TestGemmAccumulates(t *testing.T) {
 		}
 		for _, sh := range [][3]int{{2, 2, 2}, {8, 72, 2048}, {72, 8, 2048}, {33, 65, 67}, {5, 40, 87}, {6, 70, 8200}} {
 			m, k, n := sh[0], sh[1], sh[2]
-			for _, transA := range []bool{false, true} {
-				for _, transB := range []bool{false, true} {
-					a, b, got := ints(m*k), ints(k*n), ints(m*n)
-					want := append([]float32(nil), got...)
-					gemmRef(want, a, b, m, k, n, transA, transB)
-					Gemm(got, a, b, m, k, n, transA, transB)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("m%d k%d n%d tA%v tB%v: C[%d] = %v, want %v", m, k, n, transA, transB, i, got[i], want[i])
-						}
+			for _, v := range gemmVariants {
+				transA, transB := v[0], v[1]
+				a, b, got := ints(m*k), ints(k*n), ints(m*n)
+				want := append([]float32(nil), got...)
+				gemmRef(want, a, b, m, k, n, transA, transB)
+				Gemm(got, a, b, m, k, n, transA, transB)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("m%d k%d n%d tA%v tB%v: C[%d] = %v, want %v", m, k, n, transA, transB, i, got[i], want[i])
 					}
 				}
 			}
@@ -172,17 +176,16 @@ func TestGemmFMAFallbackAgree(t *testing.T) {
 		b := make([]float32, k*n)
 		rng.FillNorm(a, 1)
 		rng.FillNorm(b, 1)
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				hasDot4 = true
-				fast := make([]float32, m*n)
-				Gemm(fast, a, b, m, k, n, transA, transB)
-				hasDot4 = false
-				slow := make([]float32, m*n)
-				Gemm(slow, a, b, m, k, n, transA, transB)
-				if d := maxAbsDiff(fast, slow); d > 1e-3*math.Sqrt(float64(k)) {
-					t.Errorf("m%d k%d n%d tA%v tB%v: FMA vs fallback diff %g", m, k, n, transA, transB, d)
-				}
+		for _, v := range gemmVariants {
+			transA, transB := v[0], v[1]
+			hasDot4 = true
+			fast := make([]float32, m*n)
+			Gemm(fast, a, b, m, k, n, transA, transB)
+			hasDot4 = false
+			slow := make([]float32, m*n)
+			Gemm(slow, a, b, m, k, n, transA, transB)
+			if d := maxAbsDiff(fast, slow); d > 1e-3*math.Sqrt(float64(k)) {
+				t.Errorf("m%d k%d n%d tA%v tB%v: FMA vs fallback diff %g", m, k, n, transA, transB, d)
 			}
 		}
 	}
@@ -259,11 +262,11 @@ func TestGemmSparseRouteMatchesDenseBitwise(t *testing.T) {
 // products of a convolution. The whole product has exactly-zero rows in its
 // operands (dead channels); the part is the same product with those rows
 // gathered out — fewer k terms in the forward and input-gradient forms, fewer
-// rows and columns of C in the weight-gradient form — told the whole's volume
-// and, on the dot form, which of its last columns were remainder columns of
-// the whole. Every element the part computes must carry the whole's bits, at
-// part sizes on both sides of gemmSmall and with column counts that leave the
-// dot form columns over from its groups of four.
+// rows and columns of C in the weight-gradient form dWᵀ = cols × dYᵀ — told
+// the whole's volume. Every element the part computes must carry the whole's
+// bits, at part sizes on both sides of gemmSmall, with a row or column count
+// at or under the half-width tile's 8, and through GemmPartDense as through
+// GemmPart.
 func TestGemmPartMatchesWholeBitwise(t *testing.T) {
 	// gather copies the listed rows (each of the given width) of src.
 	gather := func(src []float32, width int, rows []int) []float32 {
@@ -301,10 +304,10 @@ func TestGemmPartMatchesWholeBitwise(t *testing.T) {
 		}{
 			{64, 32, 32, []int{1, 5, 8, 13, 21, 30}, []int{2, 3, 5, 7, 11, 13}}, // part under gemmSmall, whole over
 			{16, 72, 600, []int{9, 10, 11, 12, 13, 14, 15, 16, 17}, []int{1, 6, 15}},
-			{8, 27, 2048, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 18, 19, 20, 21, 22, 23, 24, 25, 26}, []int{4}}, // remainder columns alive
-			{8, 27, 2048, []int{9, 10, 11, 12, 13, 14, 15, 16, 17}, []int{0, 1, 2, 3, 4, 5, 6, 7}},        // and dead
-			{8, 6, 400, []int{0, 2, 5}, []int{3, 6}},                                                      // one of two remainder columns
-			{8, 8, 16, []int{1, 2}, []int{5}},                                                             // whole under gemmSmall: direct loops on both
+			{8, 27, 2048, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 18, 19, 20, 21, 22, 23, 24, 25, 26}, []int{4}}, // one live dY row
+			{8, 27, 2048, []int{9, 10, 11, 12, 13, 14, 15, 16, 17}, []int{0, 1, 2, 3, 4, 5, 6, 7}},        // eight: half width, unmasked
+			{8, 6, 400, []int{0, 2, 5}, []int{3, 6}},
+			{8, 8, 16, []int{1, 2}, []int{5}}, // whole under gemmSmall: direct loops on both
 		} {
 			for _, density := range []float64{1, 0.1} {
 				for _, threads := range []int{1, 3} {
@@ -336,31 +339,31 @@ func TestGemmPartMatchesWholeBitwise(t *testing.T) {
 					}
 					whole, part := make([]float32, sh.outC*sh.ns), make([]float32, sh.outC*sh.ns)
 					Gemm(whole, w, cols, sh.outC, sh.fan, sh.ns, false, false)
-					GemmPart(part, wCols, colsL, sh.outC, lf, sh.ns, false, false, vol, 0)
+					GemmPart(part, wCols, colsL, sh.outC, lf, sh.ns, false, vol)
 					same(t, name+" forward", part, whole)
 
 					// Input gradient: dcols = Wᵀ × dY, k terms of dead rows of dY dropped.
 					whole, part = make([]float32, sh.fan*sh.ns), make([]float32, sh.fan*sh.ns)
 					Gemm(whole, w, dy, sh.fan, sh.outC, sh.ns, true, false)
-					GemmPart(part, gather(w, sh.fan, sh.liveOut), dyL, sh.fan, lo, sh.ns, true, false, vol, 0)
+					GemmPart(part, gather(w, sh.fan, sh.liveOut), dyL, sh.fan, lo, sh.ns, true, vol)
 					same(t, name+" input gradient", part, whole)
 
-					// Weight gradient: dW = dY × colsᵀ, dead rows and columns of C dropped.
-					tail := 0
+					// Weight gradient: dWᵀ = cols × dYᵀ with dY pixel-major, dead rows
+					// and columns of C dropped.
+					dyT, dyTL := transpose(dy, sh.outC, sh.ns), transpose(dyL, lo, sh.ns)
+					whole = make([]float32, sh.fan*sh.outC)
+					Gemm(whole, cols, dyT, sh.fan, sh.ns, sh.outC, false, false)
+					wholeL := make([]float32, 0, lf*lo)
 					for _, r := range sh.liveFan {
-						if r >= sh.fan-sh.fan%DotGroup {
-							tail++
+						for _, oc := range sh.liveOut {
+							wholeL = append(wholeL, whole[r*sh.outC+oc])
 						}
 					}
-					whole, part = make([]float32, sh.outC*sh.fan), make([]float32, lo*lf)
-					Gemm(whole, dy, cols, sh.outC, sh.ns, sh.fan, false, true)
-					GemmPart(part, dyL, colsL, lo, sh.ns, lf, false, true, vol, tail)
-					wholeL := make([]float32, 0, lo*lf)
-					for _, oc := range sh.liveOut {
-						for _, r := range sh.liveFan {
-							wholeL = append(wholeL, whole[oc*sh.fan+r])
-						}
-					}
+					part = make([]float32, lf*lo)
+					GemmPart(part, colsL, dyTL, lf, sh.ns, lo, false, vol)
+					same(t, name+" weight gradient", part, wholeL)
+					part = make([]float32, lf*lo)
+					GemmPartDense(part, colsL, dyTL, lf, sh.ns, lo, vol)
 					same(t, name+" weight gradient", part, wholeL)
 				}
 			}
@@ -382,22 +385,21 @@ func TestGemmDeterministicAcrossThreads(t *testing.T) {
 		b := make([]float32, k*n)
 		rng.FillNorm(a, 1)
 		rng.FillNorm(b, 1)
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				var ref []float32
-				for _, threads := range []int{1, 3, 4, 16} {
-					SetKernelThreads(threads)
-					c := make([]float32, m*n)
-					Gemm(c, a, b, m, k, n, transA, transB)
-					if ref == nil {
-						ref = c
-						continue
-					}
-					for i := range c {
-						if c[i] != ref[i] {
-							t.Fatalf("m%d k%d n%d tA%v tB%v: threads=%d diverges at %d: %v vs %v",
-								m, k, n, transA, transB, threads, i, c[i], ref[i])
-						}
+		for _, v := range gemmVariants {
+			transA, transB := v[0], v[1]
+			var ref []float32
+			for _, threads := range []int{1, 3, 4, 16} {
+				SetKernelThreads(threads)
+				c := make([]float32, m*n)
+				Gemm(c, a, b, m, k, n, transA, transB)
+				if ref == nil {
+					ref = c
+					continue
+				}
+				for i := range c {
+					if c[i] != ref[i] {
+						t.Fatalf("m%d k%d n%d tA%v tB%v: threads=%d diverges at %d: %v vs %v",
+							m, k, n, transA, transB, threads, i, c[i], ref[i])
 					}
 				}
 			}
@@ -423,16 +425,42 @@ func TestGemmAllocFree(t *testing.T) {
 			sparse[i] = 0
 		}
 	}
-	for _, transA := range []bool{false, true} {
-		for _, transB := range []bool{false, true} {
-			if got := testing.AllocsPerRun(10, func() { Gemm(c, a, b, m, k, n, transA, transB) }); got != 0 {
-				t.Errorf("tA%v tB%v: %v allocs/op, want 0", transA, transB, got)
-			}
+	for _, v := range gemmVariants {
+		transA, transB := v[0], v[1]
+		if got := testing.AllocsPerRun(10, func() { Gemm(c, a, b, m, k, n, transA, transB) }); got != 0 {
+			t.Errorf("tA%v tB%v: %v allocs/op, want 0", transA, transB, got)
 		}
 		if got := testing.AllocsPerRun(10, func() { Gemm(c, sparse, b, m, k, n, transA, false) }); got != 0 {
 			t.Errorf("sparse tA%v: %v allocs/op, want 0", transA, got)
 		}
 	}
+}
+
+// TestAddTransposedMatchesScalar holds AddTransposed to the one float32 add
+// per element of its definition, bit for bit, over whole 8×8 blocks, edges in
+// either direction, and a destination wider than the transpose.
+func TestAddTransposedMatchesScalar(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		rng := NewRNG(53)
+		for _, sh := range [][3]int{{1, 1, 1}, {8, 8, 8}, {576, 64, 64}, {72, 8, 8}, {27, 8, 8}, {13, 21, 30}, {9, 1, 9}, {16, 40, 45}} {
+			m, n, ld := sh[0], sh[1], max(sh[0], sh[2])
+			src, got := make([]float32, m*n), make([]float32, n*ld)
+			rng.FillNorm(src, 1)
+			rng.FillNorm(got, 1)
+			want := append([]float32(nil), got...)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					want[j*ld+i] += src[i*n+j]
+				}
+			}
+			AddTransposed(got, ld, src, m, n)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("m%d n%d ld%d: element %d = %v, want %v", m, n, ld, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 // TestAxpySliceIsUnfused pins AxpySlice to the scalar multiply-then-add loop

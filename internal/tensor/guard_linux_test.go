@@ -60,21 +60,22 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 			rng.FillNorm(a, 1)
 		}
 	}
-	// The dot form's leftover columns (GemmPart with n − tail no multiple of
-	// four) run as groups of their own, their row of B in all four places:
-	// with b flush against the page, reading the rows after it instead would
-	// fault.
-	for _, sh := range [][4]int{{6, 32, 54, 0}, {3, 40, 18, 3}, {5, 33, 9, 0}, {4, 64, 21, 1}} {
-		m, k, n, tail := sh[0], sh[1], sh[2], sh[3]
-		a, b, c := guarded(t, m*k), guarded(t, n*k), guarded(t, m*n)
-		rng.FillNorm(a, 1)
-		rng.FillNorm(b, 1)
-		want := make([]float32, m*n)
-		gemmRef(want, a, b, m, k, n, false, true)
-		clear(c)
-		GemmPart(c, a, b, m, k, n, false, true, 1<<20, tail)
-		if d := maxAbsDiff(c, want); d > 1e-3*math.Sqrt(float64(k)) {
-			t.Errorf("part m%d k%d n%d tail %d: max abs diff %g", m, k, n, tail, d)
+	// AddTransposed's 8×8 blocks load eight floats a row of src and add eight
+	// a row of dst: its last block ends flush with both.
+	for _, sh := range [][2]int{{16, 24}, {13, 17}, {576, 64}} {
+		m, n := sh[0], sh[1]
+		src, dst := guarded(t, m*n), guarded(t, n*m)
+		rng.FillNorm(src, 1)
+		want := make([]float32, n*m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				want[j*m+i] = src[i*n+j]
+			}
+		}
+		clear(dst)
+		AddTransposed(dst, m, src, m, n)
+		if d := maxAbsDiff(dst, want); d != 0 {
+			t.Errorf("transpose m%d n%d: max abs diff %g", m, n, d)
 		}
 	}
 }
