@@ -1,9 +1,8 @@
 // Package convergence implements the quantities of the paper's §IV
-// convergence analysis: the optimality gap H(r), the Lemma 1 bound on local
-// weight training, the Lemma 2 / Assumption 3 bound on global (FedAvg)
-// training, and checks of the Theorem 1 learning-rate constraints. The
-// experiments use it to verify empirically that the bounds decay and that
-// the configured schedules satisfy the theorem's conditions.
+// convergence analysis: the Lemma 1 bound on local weight training, the
+// Lemma 2 / Assumption 3 bound on global (FedAvg) training, and checks of the
+// Theorem 1 learning-rate constraints. Its tests check that the bounds decay
+// and that the paper's schedules satisfy the theorem's conditions.
 package convergence
 
 import (
@@ -11,43 +10,6 @@ import (
 
 	"repro/internal/opt"
 )
-
-// GapTracker accumulates per-iteration losses and reports the running
-// optimality gap H(r)/r = (1/r)·Σ f(W_i) − f(W*) of Eq. 6–7. fStar is the
-// (estimated) optimal loss; for empirical tracking, pass the best loss ever
-// observed (the gap is then an upper-bound surrogate).
-type GapTracker struct {
-	losses []float64
-	fStar  float64
-	sum    float64
-}
-
-// NewGapTracker starts a tracker with an initial optimum estimate.
-func NewGapTracker(fStar float64) *GapTracker {
-	return &GapTracker{fStar: fStar}
-}
-
-// Observe records the loss of iteration r (appended in order). The optimum
-// estimate tightens automatically if a smaller loss appears.
-func (g *GapTracker) Observe(loss float64) {
-	g.losses = append(g.losses, loss)
-	g.sum += loss
-	if loss < g.fStar {
-		g.fStar = loss
-	}
-}
-
-// Gap returns H(r)/r after r = len(observations) iterations.
-func (g *GapTracker) Gap() float64 {
-	r := len(g.losses)
-	if r == 0 {
-		return 0
-	}
-	return g.sum/float64(r) - g.fStar
-}
-
-// Iterations returns the number of observations.
-func (g *GapTracker) Iterations() int { return len(g.losses) }
 
 // LocalBound evaluates the Lemma 1 upper bound on local-weight training at
 // iteration r:

@@ -7,49 +7,6 @@ import (
 	"repro/internal/opt"
 )
 
-func TestGapTrackerBasics(t *testing.T) {
-	g := NewGapTracker(1.0)
-	if g.Gap() != 0 {
-		t.Fatal("empty tracker gap must be 0")
-	}
-	g.Observe(3)
-	g.Observe(2)
-	g.Observe(1)
-	// mean = 2, f* tightened to 1 → gap = 1.
-	if got := g.Gap(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Gap = %v, want 1", got)
-	}
-	if g.Iterations() != 3 {
-		t.Fatalf("Iterations = %d", g.Iterations())
-	}
-}
-
-func TestGapTrackerTightensOptimum(t *testing.T) {
-	g := NewGapTracker(10)
-	g.Observe(0.5) // f* becomes 0.5
-	if got := g.Gap(); got != 0 {
-		t.Fatalf("single observation at optimum: gap %v", got)
-	}
-}
-
-func TestGapShrinksOnConvergingSequence(t *testing.T) {
-	// A loss sequence decaying to 0.1 must show a decreasing gap, the
-	// empirical statement of Eq. 7.
-	g := NewGapTracker(0.1)
-	var gaps []float64
-	for r := 1; r <= 200; r++ {
-		g.Observe(0.1 + 1.0/float64(r))
-		if r%50 == 0 {
-			gaps = append(gaps, g.Gap())
-		}
-	}
-	for i := 1; i < len(gaps); i++ {
-		if gaps[i] >= gaps[i-1] {
-			t.Fatalf("gap must shrink: %v", gaps)
-		}
-	}
-}
-
 func TestLocalBoundDecaysWithInvSqrtSchedule(t *testing.T) {
 	// With η_r = c/√r, the Lemma 1 bound is O(1/√r): it must decay toward
 	// zero as r grows.

@@ -38,6 +38,17 @@ type StreamAggregator interface {
 	FinishRound() []float32
 }
 
+// supportedAggregator is implemented by a streaming aggregator that knows
+// which coordinates its last FinishRound result can hold a non-zero in.
+// support returns them ascending — every other coordinate is +0 — or nil when
+// it makes no claim. It is read after FinishRound and before the next
+// BeginRound, and the list stays valid until the next FinishRound. The server
+// hands it to the commit broadcast's encoder (Server.commitSupport), which
+// then reads only those coordinates. SparseFedAvg implements it.
+type supportedAggregator interface {
+	support() []int32
+}
+
 // WeightedFedAvg is §III-A's aggregation rule: the sample-count-weighted
 // average of the participants' parameter vectors. A zero weight counts as
 // one so an empty-shard client still participates. The accumulation order
@@ -159,6 +170,16 @@ func (a *SparseFedAvg) FinishRound() []float32 {
 		return nil
 	}
 	return a.r.Merge(float32(1 / a.total))
+}
+
+// support reports the support of the vector the last FinishRound returned
+// (supportedAggregator): the fold's touched coordinates, or nil when a shard
+// swept its whole range or no update was accumulated.
+func (a *SparseFedAvg) support() []int32 {
+	if a.count == 0 {
+		return nil
+	}
+	return a.r.Support()
 }
 
 // Aggregate implements the buffered Aggregator interface in terms of the

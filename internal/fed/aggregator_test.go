@@ -144,9 +144,10 @@ type fedAvgCase struct {
 
 // fedAvgCases builds the five round shapes the fold distinguishes, large
 // enough to cross the shard fan-out threshold: all dense; sparse under one
-// shared mask (the union fast path); sparse under independent masks (the
-// union merge); independent masks whose union passes a quarter of the
-// vector (the overflow to full mode); dense and sparse interleaved.
+// shared mask (every fold re-marks the same coordinates); sparse under
+// independent masks (the touched set grows); independent masks whose union
+// passes a quarter of the vector (the overflow to full mode); dense and
+// sparse interleaved.
 func fedAvgCases() []fedAvgCase {
 	const n, clients = 50_000, 6
 	mk := func(seed uint64, density float64, sharedMask bool, sparse func(c int) bool) []*Update {
@@ -324,8 +325,9 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
 		agg := newAgg()
 		for _, round := range [][]*Update{ups[:2], ups} {
-			for warm := 0; warm < 4; warm++ { // both buffers, and the union scratch they rotate
+			for warm := 0; warm < 4; warm++ { // both buffers, their unions and the support
 				agg.Aggregate(round)
+				agg.support()
 			}
 			allocs := testing.AllocsPerRun(50, func() {
 				agg.BeginRound()
@@ -333,9 +335,10 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 					agg.Accumulate(u)
 				}
 				agg.FinishRound()
+				agg.support()
 			})
 			if allocs != 0 {
-				t.Fatalf("steady-state aggregation of %d updates allocates %v per round", len(round), allocs)
+				t.Fatalf("steady-state aggregation of %d updates (fold, merge, support) allocates %v per round", len(round), allocs)
 			}
 		}
 	})

@@ -88,6 +88,28 @@ func BenchmarkEncodeGlobalUnion19(b *testing.B) {
 	benchEncode(b, &GlobalModel{Params: benchUnion19(), Version: 1}, Compression{})
 }
 
+// BenchmarkEncodeGlobalUnion19Support is the same encode with the fold's
+// support armed on the frame, as a commit broadcast carries it: the encoder
+// reads the union's coordinates instead of compacting all of them.
+func BenchmarkEncodeGlobalUnion19Support(b *testing.B) {
+	global := benchUnion19()
+	var support []int32
+	for i, v := range global {
+		if v != 0 {
+			support = append(support, int32(i))
+		}
+	}
+	f := &sharedFrame{support: support}
+	gm := &GlobalModel{Params: global, Version: 1, frame: f}
+	c := NewCodec(Compression{})
+	for b.Loop() {
+		f.filled = false // encode afresh, not replay the frame
+		if err := c.Encode(io.Discard, gm); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBroadcast is one commit's broadcast to a cohort of wire links that
 // write to nowhere: one encode plus one write per link, so ns/op should
 // barely move with the cohort (it was one encode per link, linear in it).
@@ -97,11 +119,11 @@ func BenchmarkBroadcast(b *testing.B) {
 		b.Run(fmt.Sprintf("cohort=%d", cohort), func(b *testing.B) {
 			srv := discardCohort(cohort)
 			gm := &GlobalModel{Params: global, Version: 1}
-			srv.broadcast(gm, nil, nil) // sizes the frame
+			srv.broadcast(gm, nil, nil, nil) // sizes the frame
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := srv.broadcast(gm, nil, nil); err != nil {
+				if err := srv.broadcast(gm, nil, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

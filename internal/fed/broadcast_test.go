@@ -390,7 +390,7 @@ func TestBroadcastClosedLinkPolicies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv, ends, collect := pipeCohort(t, tc.cfg, 3, nil)
 			ends[1].Close()
-			err := srv.broadcast(gm, nil, tc.lost(srv))
+			err := srv.broadcast(gm, nil, nil, tc.lost(srv))
 			if (err != nil) != tc.want.err {
 				t.Fatalf("broadcast returned %v", err)
 			}
@@ -429,7 +429,7 @@ func TestBroadcastFrameNeverStale(t *testing.T) {
 	want := append([]byte(nil), freshFrame(t, first)...)
 	want = append(want, freshFrame(t, second)...)
 	for _, gm := range []*GlobalModel{first, second} {
-		if err := srv.broadcast(gm, nil, nil); err != nil {
+		if err := srv.broadcast(gm, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if gm.frame != nil {
@@ -465,7 +465,7 @@ func TestBroadcastThroughDecorator(t *testing.T) {
 		return wrapped[len(wrapped)-1]
 	})
 	gm := &GlobalModel{Params: broadcastVectors(2000)[0], Version: 1}
-	if err := srv.broadcast(gm, nil, nil); err != nil {
+	if err := srv.broadcast(gm, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := freshFrame(t, gm)
@@ -504,7 +504,7 @@ func TestBroadcastAllocatesNothing(t *testing.T) {
 	srv := discardCohort(4)
 	gm := &GlobalModel{Params: broadcastVectors(1 << 14)[0], Version: 1}
 	send := func() {
-		if err := srv.broadcast(gm, nil, nil); err != nil {
+		if err := srv.broadcast(gm, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -79,6 +79,17 @@ import (
 // block without a zero skips the compaction: zeroFree answers for it first,
 // so a dense vector reaches the size decision for the price of one read.
 //
+// The encoder has two index sources and one emitter. Without a support it
+// compacts the vector's own coordinates, block by block. A commit broadcast
+// carries the fold's support instead (Server.broadcast arms it on the shared
+// frame): the ascending coordinates the round's sparse folds touched, outside
+// which every coordinate is +0. Then each block is a run of the support,
+// filtered for non-zero bit patterns by compactSupport, so a commit costs
+// what its union holds rather than a scan of the whole model. Both sources
+// yield the same ascending non-zero indices, and the gap and value emitter
+// and the size decision after them are shared, so the frame is byte for byte
+// the one a support-less encode makes.
+//
 // Params blocks are the codec's bulk, so their loops are written to move at
 // memory speed. A float32 run is read and written four coordinates a step
 // (getF32s, putF32s, scatter): each step reslices a 16-byte window whose
@@ -342,7 +353,11 @@ func appendPayload(buf []byte, m Msg, comp Compression) []byte {
 			flags |= flagTaskFinal
 		}
 		buf = append(buf, flags)
-		buf = appendParams(buf, v.Params, nil, comp)
+		var support []int32
+		if v.frame != nil {
+			support = v.frame.support
+		}
+		buf = appendDenseParams(buf, v.Params, support, comp)
 	case *RoundEnd:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.ClientID))
 		var flags byte
@@ -366,7 +381,7 @@ func appendPayload(buf []byte, m Msg, comp Compression) []byte {
 			flags |= flagTaskDone
 		}
 		buf = append(buf, flags)
-		buf = appendParams(buf, v.Params, nil, comp)
+		buf = appendDenseParams(buf, v.Params, nil, comp)
 	case *Leave:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.ClientID))
 	default:
@@ -376,17 +391,25 @@ func appendPayload(buf []byte, m Msg, comp Compression) []byte {
 }
 
 // appendParams emits one params block. A non-nil sp takes precedence and is
-// emitted in sparse form directly; a dense vector is emitted in whichever
-// form is smaller by exact encoded size (appendSparseFromDense decides).
+// emitted in sparse form directly; a dense vector goes to appendDenseParams.
 func appendParams(buf []byte, dense []float32, sp *tensor.SparseVec, comp Compression) []byte {
 	if sp != nil {
 		buf = append(buf, comp.formatByte(true))
 		buf = binary.AppendUvarint(buf, uint64(sp.N))
 		return appendSparseBody(buf, sp.Indices, sp.Values, comp.Quant)
 	}
+	return appendDenseParams(buf, dense, nil, comp)
+}
+
+// appendDenseParams emits a dense vector as a params block in whichever form
+// is smaller by exact encoded size (appendSparseFromDense decides). support,
+// when non-nil, lists in ascending order every coordinate of dense that may
+// hold a non-zero bit pattern; it changes what the encode costs, not what it
+// writes.
+func appendDenseParams(buf []byte, dense []float32, support []int32, comp Compression) []byte {
 	n := len(dense)
 	if !comp.DisableSparse && n > 0 {
-		if out, ok := appendSparseFromDense(buf, dense, comp); ok {
+		if out, ok := appendSparseFromDense(buf, dense, support, comp); ok {
 			return out
 		}
 	}
@@ -485,6 +508,23 @@ func compactNonZero(idx *[compactBlock]int32, src []float32, base int32) int {
 	return k
 }
 
+// compactSupport is compactNonZero over the coordinates a support lists:
+// it stores every j of support whose dense[j] has a non-zero bit pattern at
+// the front of idx, in order, and returns how many it stored; len(support)
+// must not exceed compactBlock. Branch-free for the same reason, and kept out
+// of line for the same reason.
+//
+//go:noinline
+func compactSupport(idx *[compactBlock]int32, dense []float32, support []int32) int {
+	k := 0
+	for _, j := range support {
+		u := math.Float32bits(dense[j])
+		idx[k&(compactBlock-1)] = j
+		k += int((u | -u) >> 31)
+	}
+	return k
+}
+
 // zeroFree reports whether no coordinate of src has an all-zero bit pattern.
 // Eight coordinates are tested a step by ANDing their u | -u, whose sign bit
 // is set exactly when u != 0, and the scan stops at the first step that
@@ -513,31 +553,37 @@ func zeroFree(src []float32) bool {
 // (by bit pattern) coordinates only — when that is smaller than the dense
 // block by exact encoded size, and reports false with buf untouched when it
 // is not. The format puts all gaps before all values, so the block is built
-// in two compaction passes over the vector, neither of which materialises the
-// index list: pass 1 compacts each block of coordinates into the stack
+// in two compaction passes over the index source, neither of which
+// materialises the index list: pass 1 compacts each block into the stack
 // scratch and derives k and the gap bytes from it; pass 2 compacts again and
 // puts every gap and value at its final offset in a buffer grown once. The
 // sparse cost only grows along the vector, so pass 1 gives up — keeping the
 // dense form — at the first block boundary where it provably cannot beat the
 // dense size: a fully dense vector stops ~4/5 of the way through instead of
-// paying the whole scan.
-func appendSparseFromDense(buf []byte, dense []float32, comp Compression) ([]byte, bool) {
+// paying the whole scan. The source is dense's own coordinates, or with a
+// non-nil support the entries of support (see the package note on the two
+// index sources); where the bail happens never changes the bytes.
+func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Compression) ([]byte, bool) {
 	n, q := len(dense), comp.Quant
 	vb := q.valueBytes()
 	var idx [compactBlock]int32
+	src := n
+	if support != nil {
+		src = len(support)
+	}
 
 	k, gapBytes, prev := 0, 0, int32(-1)
-	for lo := 0; lo < n; lo += compactBlock {
-		hi := min(lo+compactBlock, n)
+	for lo := 0; lo < src; lo += compactBlock {
+		hi := min(lo+compactBlock, src)
 		cnt := hi - lo
-		if zeroFree(dense[lo:hi]) {
+		if support == nil && zeroFree(dense[lo:hi]) {
 			// A block without a zero: every gap after its first is 0, one
 			// byte each. A dense vector pays the test and nothing else on its
 			// way to the bail below.
 			gapBytes += uvarintLen(uint64(int32(lo)-prev-1)) + cnt - 1
 			prev = int32(hi - 1)
 		} else {
-			cnt = compactNonZero(&idx, dense[lo:hi], int32(lo))
+			cnt = compactFrom(&idx, dense, support, lo, hi)
 			for _, j := range idx[:cnt] {
 				gapBytes += uvarintLen(uint64(j - prev - 1))
 				prev = j
@@ -568,8 +614,8 @@ func appendSparseFromDense(buf []byte, dense []float32, comp Compression) ([]byt
 	gaps := buf[off : off : off+gapBytes]
 	vals := buf[off+gapBytes : off+gapBytes : len(buf)]
 	prev = -1
-	for lo := 0; lo < n; lo += compactBlock {
-		cnt := compactNonZero(&idx, dense[lo:min(lo+compactBlock, n)], int32(lo))
+	for lo := 0; lo < src; lo += compactBlock {
+		cnt := compactFrom(&idx, dense, support, lo, min(lo+compactBlock, src))
 		for _, j := range idx[:cnt] {
 			gaps = binary.AppendUvarint(gaps, uint64(j-prev-1))
 			prev = j
@@ -590,6 +636,15 @@ func appendSparseFromDense(buf []byte, dense []float32, comp Compression) ([]byt
 		}
 	}
 	return buf, true
+}
+
+// compactFrom compacts block [lo, hi) of the index source into idx: dense's
+// coordinates lo…hi−1, or with a support its entries support[lo:hi].
+func compactFrom(idx *[compactBlock]int32, dense []float32, support []int32, lo, hi int) int {
+	if support == nil {
+		return compactNonZero(idx, dense[lo:hi], int32(lo))
+	}
+	return compactSupport(idx, dense, support[lo:hi])
 }
 
 // appendSparseBody emits k, the optional scale, the index gaps and the

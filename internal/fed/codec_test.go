@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/shard"
 	"repro/internal/tensor"
 )
 
@@ -1347,4 +1348,127 @@ func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
 			t.Errorf("%+v: %v allocations per encode/decode round, want 0", comp, allocs)
 		}
 	}
+}
+
+// checkSupportFrame folds a seeded script of sparse updates through
+// SparseFedAvg at the given shard count, round after round, and holds each
+// commit's support to its contract and its frame to the support-less one:
+// the support is nil exactly when some shard's touched set passed a quarter
+// of its range (the switch to a full sweep), and otherwise it is the strictly
+// ascending set of coordinates the round's folds touched, with +0 bits
+// everywhere outside it; a GlobalModel armed with it encodes, under every
+// value encoding, to the bytes of one encoded without it. The script mixes
+// ordinary sparse updates, exact cancellations of the previous update (sums
+// of +0 inside the support), −0 values, the codec's odd bit patterns, and
+// folds dense enough to cross the switch.
+func checkSupportFrame(t *testing.T, seed uint64, shards, n, folds int) {
+	t.Helper()
+	rng := tensor.NewRNG(seed)
+	agg := NewShardedFedAvg(shards)
+	plan := shard.NewPlan(n, shards)
+	for round := 0; round < 3; round++ {
+		agg.BeginRound()
+		touched := make([]bool, n)
+		var prev *Update
+		for f := 0; f < folds; f++ {
+			u := &Update{Participating: true, Weight: float64(1 + rng.Intn(3))}
+			kind := rng.Intn(5)
+			if kind == 0 && prev != nil {
+				// Exact cancellation: the same coordinates and weight, negated.
+				neg := &tensor.SparseVec{N: n, Indices: prev.Sparse.Indices, Values: make([]float32, len(prev.Sparse.Values))}
+				for i, v := range prev.Sparse.Values {
+					neg.Values[i] = -v
+				}
+				u.Weight, u.Sparse = prev.Weight, neg
+			} else {
+				density := []float64{0.002, 0.01, 0.03, 0.06, 0.3}[rng.Intn(5)]
+				mask := make([]bool, n)
+				vals := make([]float32, n)
+				for i := range mask {
+					mask[i] = rng.Float64() < density
+					switch kind {
+					case 1:
+						vals[i] = float32(math.Copysign(0, -1))
+					case 2:
+						vals[i] = oddValues[rng.Intn(len(oddValues))]
+					default:
+						vals[i] = float32(rng.Norm())
+					}
+				}
+				u.Sparse = tensor.GatherMask(nil, vals, mask)
+			}
+			for _, j := range u.Sparse.Indices {
+				touched[j] = true
+			}
+			agg.Accumulate(u)
+			prev = u
+		}
+		global := agg.FinishRound()
+		support := agg.support()
+
+		swept := false
+		for s := 0; s < plan.Shards(); s++ {
+			lo, hi := plan.Bounds(s)
+			count := 0
+			for j := lo; j < hi; j++ {
+				if touched[j] {
+					count++
+				}
+			}
+			swept = swept || count*4 > hi-lo
+		}
+		if swept != (support == nil) {
+			t.Fatalf("seed %d shards %d n %d round %d: support nil=%v, a shard swept its range=%v", seed, shards, n, round, support == nil, swept)
+		}
+		if support != nil {
+			in := make([]bool, n)
+			for i, j := range support {
+				if i > 0 && j <= support[i-1] {
+					t.Fatalf("seed %d shards %d round %d: support not strictly ascending at %d", seed, shards, round, i)
+				}
+				in[j] = true
+			}
+			for j, v := range global {
+				if in[j] != touched[j] {
+					t.Fatalf("seed %d shards %d round %d: coordinate %d in support %v, touched %v", seed, shards, round, j, in[j], touched[j])
+				}
+				if !in[j] && math.Float32bits(v) != 0 {
+					t.Fatalf("seed %d shards %d round %d: coordinate %d outside the support holds %#x", seed, shards, round, j, math.Float32bits(v))
+				}
+			}
+		}
+		for _, comp := range allCompressions {
+			armed := &GlobalModel{Params: global, Version: 7, frame: &sharedFrame{support: support}}
+			got := buildFrame(nil, armed, comp)
+			want := buildFrame(nil, &GlobalModel{Params: global, Version: 7}, comp)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d shards %d n %d round %d comp %+v: support-armed frame differs from the compaction frame (%d vs %d bytes, first difference at %d)",
+					seed, shards, n, round, comp, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// supportShards is every fold layout the support property runs at.
+var supportShards = []int{1, 2, 4, 7}
+
+// TestSupportFrameMatchesCompaction is the support contract and the
+// encoder's byte identity over random sparse fold sequences.
+func TestSupportFrameMatchesCompaction(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, p := range supportShards {
+			checkSupportFrame(t, seed, p, 200+int(seed)*397, 2+int(seed%4))
+		}
+	}
+}
+
+// FuzzSupportFrame searches for a fold script whose support breaks its
+// contract or whose support-armed frame differs from the compaction frame.
+func FuzzSupportFrame(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(1000), uint8(3))
+	f.Add(uint64(2), uint8(3), uint16(7), uint8(6))
+	f.Add(uint64(3), uint8(2), uint16(4099), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, shards uint8, n uint16, folds uint8) {
+		checkSupportFrame(t, seed, supportShards[int(shards)%len(supportShards)], 1+int(n)%6000, 1+int(folds)%7)
+	})
 }

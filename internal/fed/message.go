@@ -139,6 +139,10 @@ type sharedFrame struct {
 	buf    []byte
 	comp   Compression // the compression buf was encoded with
 	filled bool        // buf holds the current broadcast's message
+	// support is the commit's support when the aggregator knows it (nil
+	// otherwise): every coordinate of the broadcast vector outside it is +0,
+	// so the encoder reads only these (see codec.go, the two index sources).
+	support []int32
 }
 
 // Kind identifies the message type.

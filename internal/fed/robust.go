@@ -25,8 +25,8 @@ import (
 // Byzantine clients per coordinate. Beta 0 drops nothing, which makes the
 // rule the exact weighted mean — it delegates to SparseFedAvg's arithmetic,
 // so TrimmedMeanFedAvg(0) is bitwise identical to the server default on
-// dense updates. When floor(beta·m) would leave no survivors the trim is
-// clamped to (m−1)/2.
+// dense updates. Since beta < 0.5, beta·m rounds below m/2 for every cohort
+// size, so floor(beta·m) always leaves at least one survivor.
 type TrimmedMeanFedAvg struct {
 	beta float64
 	avg  SparseFedAvg // exact weighted-mean arithmetic for the beta=0 / t=0 case
@@ -57,9 +57,6 @@ func (a *TrimmedMeanFedAvg) Aggregate(updates []*Update) []float32 {
 		return nil
 	}
 	trim := int(a.beta * float64(m))
-	if 2*trim >= m {
-		trim = (m - 1) / 2
-	}
 	if trim == 0 {
 		// No trimming: the weighted trimmed mean IS the weighted mean. Use the
 		// streaming rule's exact arithmetic so the result is bitwise identical

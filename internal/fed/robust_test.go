@@ -247,6 +247,55 @@ func TestKrumFixture(t *testing.T) {
 	}
 }
 
+// TestKrumNeighbourBudgetClampsToOne pins Krum where m − f − 2 ≤ 0: the
+// neighbour budget clamps to k = 1, so each update scores its nearest
+// neighbour's distance, and a tie goes to the lowest position. On the line
+// {0, 6, 5, 20, 40, 60} updates 1 and 2 tie at distance 1 and update 1 wins;
+// k = 0 would score every update 0 and pick update 0, k = 2 would pick update
+// 2. Two updates always tie, so update 0 wins whatever f is.
+func TestKrumNeighbourBudgetClampsToOne(t *testing.T) {
+	mk := func(vals ...float32) []*Update {
+		var ups []*Update
+		for i, v := range vals {
+			ups = append(ups, &Update{ClientID: i, Participating: true, Weight: 1, Params: []float32{v}})
+		}
+		return ups
+	}
+	line := []float32{0, 6, 5, 20, 40, 60}
+	for _, c := range []struct{ m, f, want int }{
+		{2, 0, 0}, {2, 1, 0}, {2, 5, 0}, // m = 2
+		{3, 1, 1}, {4, 2, 1}, {5, 3, 1}, {6, 4, 1}, // m = f + 2
+		{3, 5, 1}, // m − f − 2 < 0
+	} {
+		ups := mk(line[:c.m]...)
+		if c.m == 2 {
+			ups = mk(3, -4)
+		}
+		got := NewBuffered(NewKrumFedAvg(c.f)).Aggregate(ups)
+		if want := ups[c.want].Params[0]; got[0] != want {
+			t.Fatalf("m=%d f=%d: krum selected %v, want update %d (%v)", c.m, c.f, got[0], c.want, want)
+		}
+	}
+}
+
+// TestTrimmedMeanLargestBetaKeepsSurvivors: at the largest β the
+// constructor admits, β·m rounds below m/2 for every cohort size, so
+// floor(β·m) leaves one survivor (odd m) or two (even m) — on the values
+// 1…m both average to (m+1)/2 exactly. TrimmedMeanCols panics on a trim
+// with no survivor, so the rule needs no clamp of its own.
+func TestTrimmedMeanLargestBetaKeepsSurvivors(t *testing.T) {
+	agg := NewBuffered(NewTrimmedMeanFedAvg(math.Nextafter(0.5, 0)))
+	for m := 1; m <= 64; m++ {
+		var ups []*Update
+		for i := 0; i < m; i++ {
+			ups = append(ups, &Update{ClientID: i, Participating: true, Weight: 1, Params: []float32{float32(m - i)}})
+		}
+		if got, want := agg.Aggregate(ups)[0], float32(m+1)/2; got != want {
+			t.Fatalf("m=%d: trimmed mean %v, want the middle value %v", m, got, want)
+		}
+	}
+}
+
 // TestFedOptMomentumFixture checks the velocity recurrence by hand: with
 // momentum 0.5 and a single client the inner aggregate is the client's
 // vector; v accumulates (g − x_prev) and the global overshoots toward g.

@@ -168,7 +168,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		// The global slice may alias aggregator scratch; every participant
 		// acknowledges (next Update or RoundEnd) before the next round
 		// rewrites it, so sharing is safe even over the zero-copy loopback.
-		global := s.stream.FinishRound()
+		global, support := s.stream.FinishRound(), s.commitSupport()
 		if global == nil && len(s.metas) > 0 {
 			// Every participating update was rejected: the participants are
 			// blocked waiting for a broadcast that will never come, so fail
@@ -186,7 +186,7 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 				sc.global = append(sc.global[:0], global...)
 				s.snapshot(res, taskIdx, false)
 			}
-			err := s.broadcast(&GlobalModel{Params: global, Version: s.version}, s.participated,
+			err := s.broadcast(&GlobalModel{Params: global, Version: s.version}, support, s.participated,
 				func(id int, err error) error {
 					return sc.dropOrFail(ctx, s, taskIdx, id, fmt.Errorf("fed: global model to client %d: %w", id, err))
 				})

@@ -288,7 +288,7 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 // announce broadcasts one phase-opening message to every alive seat, evicting
 // a seat whose link fails.
 func (a *AsyncScheduler) announce(s *Server, taskIdx int, m Msg) {
-	_ = s.broadcast(m, nil, func(id int, err error) error {
+	_ = s.broadcast(m, nil, nil, func(id int, err error) error {
 		s.evict(taskIdx, id, err)
 		return nil
 	})
@@ -515,7 +515,7 @@ func (a *AsyncScheduler) handleUpdate(s *Server, res *Result, taskIdx, id int, u
 func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 	round := a.commitIdx
 	a.commitIdx++
-	global := s.stream.FinishRound()
+	global, support := s.stream.FinishRound(), s.commitSupport()
 	stats := RoundStats{
 		TaskIdx: taskIdx, Round: round, Participants: a.buffered,
 		Stale:          a.staleCount,
@@ -540,7 +540,7 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 		s.snapshot(res, taskIdx, false)
 		// A failed send is left to the reader's error event, which owns the
 		// eviction.
-		_ = s.broadcast(&GlobalModel{Params: a.global, Version: s.version}, nil, nil)
+		_ = s.broadcast(&GlobalModel{Params: a.global, Version: s.version}, support, nil, nil)
 	}
 	stats.Version = s.version
 	if s.obs != nil {

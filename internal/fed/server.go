@@ -332,15 +332,17 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 // send loop both schedulers share. A GlobalModel is armed with the server's
 // shared frame for exactly the duration of the walk, so its wire links encode
 // it once between them and a frame can never outlive — or be mistaken for —
-// the commit it was built from. The error policy is the caller's: lost
+// the commit it was built from. support is the commit's support as
+// commitSupport captured it (nil for any other message): it rides on the
+// frame, and is disarmed with it. The error policy is the caller's: lost
 // receives each failed Send, and a non-nil return from it aborts the walk with
 // that error; a nil lost drops the failure (the link's reader owns it). A
 // link that fails leaves the frame intact for the seats after it.
-func (s *Server) broadcast(m Msg, to func(id int) bool, lost func(id int, err error) error) error {
+func (s *Server) broadcast(m Msg, support []int32, to func(id int) bool, lost func(id int, err error) error) error {
 	if gm, ok := m.(*GlobalModel); ok {
-		s.frame.filled = false
+		s.frame.filled, s.frame.support = false, support
 		gm.frame = &s.frame
-		defer func() { gm.frame = nil }()
+		defer func() { gm.frame, s.frame.support = nil, nil }()
 	}
 	for id, st := range s.book.live() {
 		if to != nil && !to(id) {
@@ -351,6 +353,17 @@ func (s *Server) broadcast(m Msg, to func(id int) bool, lost func(id int, err er
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// commitSupport is the support of the vector the aggregator's FinishRound
+// just returned, when the aggregator tracks one (supportedAggregator), and
+// nil otherwise. Both schedulers read it right after FinishRound, before the
+// next BeginRound can retire it.
+func (s *Server) commitSupport() []int32 {
+	if sa, ok := s.stream.(supportedAggregator); ok {
+		return sa.support()
 	}
 	return nil
 }

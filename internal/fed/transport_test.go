@@ -368,7 +368,7 @@ func TestWireByteCounters(t *testing.T) {
 	// counts its own bytes: the frame's size, once, on both ends.
 	srv, _, collect := pipeCohort(t, ServerConfig{Scheduler: SchedulerAsync}, 2, nil)
 	gm := &GlobalModel{Params: params, Version: 1}
-	if err := srv.broadcast(gm, nil, nil); err != nil {
+	if err := srv.broadcast(gm, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(freshFrame(t, gm)))

@@ -14,6 +14,14 @@
 // fold stage scales with cores while the ingest loop stays serial only in
 // arrival order.
 //
+// Touched coordinates: each shard's range of each global vector carries a
+// bitmap of the coordinates sparse folds reached this round. A fold sets
+// bits and counts the new ones, which is what switches the range to a full
+// sweep past a quarter of it. Merge walks the bitmap once into the ascending
+// union, scales exactly those coordinates, and keeps the list: it is the
+// merged vector's support (Support) — every coordinate outside it holds +0 —
+// and it is what the lazy clear re-zeroes when the buffer comes round again.
+//
 // Ownership: rounds alternate between two global vectors. The vector
 // returned by Merge stays intact while the next round folds and merges —
 // which is what lets zero-copy loopback clients still be reading a broadcast
@@ -22,6 +30,7 @@
 package shard
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/tensor"
@@ -81,9 +90,21 @@ type shardRange struct {
 	// full marks that the whole range participates: a dense update joined,
 	// or the sparse union outgrew the point where per-coordinate bookkeeping
 	// beats one sequential sweep. Scaling a zero coordinate is the identity,
-	// so both modes produce the same bits.
-	full  bool
-	union []int32 // ascending coordinates touched (unless full)
+	// so both modes produce the same bits. A full range stops marking, so its
+	// bitmap and union mean nothing until the clear resets them.
+	full bool
+	// bits has bit j−lo set for every coordinate j a sparse fold reached this
+	// round; count is how many are set. The bitmap is the open round's
+	// record: folds, Window and RestoreWindow read and write only it. It is
+	// allocated by the range's first sparse fold.
+	bits  []uint64
+	count int
+	// union is the bitmap as an ascending list, built by Merge (listed) and
+	// kept until the clear that ends the range's round re-zeroes exactly
+	// those coordinates. A round abandoned before its Merge is listed by the
+	// clear itself.
+	union  []int32
+	listed bool
 }
 
 // Reducer is the fold engine. Protocol, mirroring a streaming aggregator
@@ -100,12 +121,11 @@ type Reducer struct {
 	cur    int
 	round  uint64
 
-	// Per-shard scratch: the union merge target (swapped with the range's
-	// union), and the shard's subrange view of the sparse update being
-	// folded — a field so that handing it to the kernel allocates nothing.
-	mrg  [][]int32
+	// view is each shard's subrange view of the sparse update being folded
+	// — a field so that handing it to the kernel allocates nothing.
 	view []tensor.SparseVec
 
+	support []int32 // Support's concatenation of the shard unions (shards > 1)
 	winIdx  []int32 // Window sparse-export scratch
 	winVals []float32
 
@@ -162,18 +182,20 @@ func (r *Reducer) BeginRound() {
 // size (re)builds the partition for vector length n. Steady state — the
 // length never changes within a run — this is one comparison.
 func (r *Reducer) size(n int) {
-	if r.plan.n == n && r.mrg != nil {
+	if r.plan.n == n && r.view != nil {
 		return
 	}
 	r.plan = NewPlan(n, r.shards)
-	r.mrg = make([][]int32, r.shards)
 	r.view = make([]tensor.SparseVec, r.shards)
+	// The lists start empty but non-nil: an empty support is a claim (every
+	// coordinate is +0), a nil one is none.
+	r.support = []int32{}
 	for b := range r.bufs {
 		r.bufs[b] = make([]float32, n)
 		r.ranges[b] = make([]shardRange, r.shards)
 		for s := range r.ranges[b] {
 			lo, hi := r.plan.Bounds(s)
-			r.ranges[b][s] = shardRange{lo: lo, hi: hi}
+			r.ranges[b][s] = shardRange{lo: lo, hi: hi, union: []int32{}}
 		}
 	}
 }
@@ -189,13 +211,54 @@ func (r *Reducer) join(sh *shardRange) {
 	if sh.full {
 		clear(buf[sh.lo:sh.hi])
 	} else {
-		for _, j := range sh.union {
+		for _, j := range sh.list() {
 			buf[j] = 0
 		}
 	}
-	sh.union = sh.union[:0]
-	sh.full = false
+	clear(sh.bits)
+	sh.count, sh.full, sh.listed = 0, false, false
 	sh.seen = r.round
+}
+
+// mark sets the bits of a sparse fold's coordinates (ascending, inside the
+// range), counts the ones that were not set yet, and switches the range to
+// full once the touched set passes a quarter of it — from there one
+// sequential sweep is cheaper than per-coordinate bookkeeping.
+func (sh *shardRange) mark(idx []int32) {
+	if sh.bits == nil { // a range only dense updates reach never needs one
+		sh.bits = make([]uint64, (sh.hi-sh.lo+63)/64)
+	}
+	set, lo, added := sh.bits, uint(sh.lo), 0
+	for _, j := range idx {
+		b := uint(j) - lo
+		w := set[b>>6]
+		added += int(^w >> (b & 63) & 1)
+		set[b>>6] = w | 1<<(b&63)
+	}
+	sh.count += added
+	sh.full = sh.count*4 > sh.hi-sh.lo
+}
+
+// list returns the range's touched coordinates in ascending order, walking
+// the bitmap into union unless this round's list is already there.
+func (sh *shardRange) list() []int32 {
+	if !sh.listed {
+		sh.union = appendBits(slices.Grow(sh.union[:0], sh.count), sh.bits, sh.lo)
+		sh.listed = true
+	}
+	return sh.union
+}
+
+// appendBits appends lo+i for every set bit i of set to dst, ascending.
+func appendBits(dst []int32, set []uint64, lo int) []int32 {
+	for w, word := range set {
+		base := int32(lo + w<<6)
+		for word != 0 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // each runs fn over every shard: fanned out over the kernel pool when there
@@ -229,8 +292,8 @@ func (r *Reducer) foldDenseShard(s int, w float32, x []float32) {
 
 // FoldSparse folds one sparse already-weighted contribution: each shard
 // locates its contiguous subrange of the ascending index list by binary
-// search and folds only that, maintaining its range's touched-coordinate
-// union. A shard with no coordinate in range does not participate.
+// search and folds only that, marking the coordinates in its range's bitmap.
+// A shard with no coordinate in range does not participate.
 func (r *Reducer) FoldSparse(w float32, x *tensor.SparseVec) {
 	r.size(x.N)
 	r.opW, r.opSp = w, x
@@ -252,32 +315,21 @@ func (r *Reducer) foldSparseShard(s int, w float32, x *tensor.SparseVec) {
 	*v = tensor.SparseVec{N: x.N, Indices: idx, Values: x.Values[i0:i1]}
 	tensor.AxpySparse(r.bufs[r.cur], w, v)
 	*v = tensor.SparseVec{}
-	if sh.full {
-		return
-	}
-	// Clients sharing one prune mask (the coordinated-sparsity regime) send
-	// identical index lists: detect that with one cheap scan and skip the
-	// branchier merge. When clients prune independently the union keeps
-	// growing; past a quarter of the range, one sequential full sweep is
-	// cheaper than per-coordinate bookkeeping, so stop tracking.
-	if !slices.Equal(sh.union, idx) {
-		r.mrg[s] = tensor.MergeIndices(r.mrg[s], sh.union, idx)
-		sh.union, r.mrg[s] = r.mrg[s], sh.union
-		if len(sh.union)*4 > sh.hi-sh.lo {
-			sh.full = true
-		}
+	if !sh.full {
+		sh.mark(idx)
 	}
 }
 
 // Merge closes the round: every shard scales its range of the open buffer
-// by scale — the whole range when full, only the touched coordinates
-// otherwise — after a shard that sat the round out has re-zeroed what its
-// range still held. Concurrent execution is indistinguishable from the
-// ascending loop because the ranges are disjoint. The returned vector
-// aliases the reducer's double-buffered scratch: it stays intact through the
-// whole next round and is rewritten by the round after that.
+// by scale — the whole range when full, otherwise only the touched
+// coordinates, listed from its bitmap — after a shard that sat the round out
+// has re-zeroed what its range still held. Concurrent execution is
+// indistinguishable from the ascending loop because the ranges are disjoint.
+// The returned vector aliases the reducer's double-buffered scratch: it
+// stays intact through the whole next round and is rewritten by the round
+// after that.
 func (r *Reducer) Merge(scale float32) []float32 {
-	if r.mrg == nil {
+	if r.view == nil {
 		return nil // nothing was ever folded
 	}
 	r.opW = scale
@@ -290,7 +342,7 @@ func (r *Reducer) mergeShard(s int, scale float32) {
 	sh := &r.ranges[r.cur][s]
 	r.join(sh)
 	if !sh.full {
-		tensor.ScaleIndexed(r.bufs[r.cur], scale, sh.union)
+		tensor.ScaleIndexed(r.bufs[r.cur], scale, sh.list())
 		return
 	}
 	// Unrolled like tensor.AxpySlice: the one-statement loop is core-bound
@@ -308,6 +360,31 @@ func (r *Reducer) mergeShard(s int, scale float32) {
 	}
 }
 
+// Support reports the support of the vector the last Merge returned: the
+// ascending list of coordinates any sparse fold of its round reached. Every
+// coordinate outside it holds +0 bits; one inside may still hold a zero (an
+// exact cancellation). It is nil — no claim — when a shard ran full, and
+// also when the open round has not been merged, so it must be read before
+// the next BeginRound. The list aliases reducer scratch valid until the next
+// Merge or Support call.
+func (r *Reducer) Support() []int32 {
+	rs := r.ranges[r.cur]
+	for i := range rs {
+		// Merge lists every range of its round except the full ones.
+		if !rs[i].listed || rs[i].seen != r.round {
+			return nil
+		}
+	}
+	if len(rs) == 1 {
+		return rs[0].union
+	}
+	r.support = r.support[:0]
+	for i := range rs {
+		r.support = append(r.support, rs[i].union...)
+	}
+	return r.support
+}
+
 // Window exports the open round's raw (unscaled) partial accumulation for a
 // durable mid-window snapshot. When any shard runs in full mode the export
 // is dense: idx is nil and vals is the whole partial vector. Otherwise idx
@@ -322,9 +399,13 @@ func (r *Reducer) Window() (idx []int32, vals []float32, dense bool) {
 		// export below reads zeros — not the round before last — in its range.
 		sh := &r.ranges[r.cur][s]
 		r.join(sh)
-		dense = dense || sh.full
-		r.winIdx = append(r.winIdx, sh.union...)
-		for _, j := range sh.union {
+		if sh.full {
+			dense = true
+			continue
+		}
+		at := len(r.winIdx)
+		r.winIdx = appendBits(r.winIdx, sh.bits, sh.lo)
+		for _, j := range r.winIdx[at:] {
 			r.winVals = append(r.winVals, buf[j])
 		}
 	}
@@ -338,7 +419,7 @@ func (r *Reducer) Window() (idx []int32, vals []float32, dense bool) {
 // freshly begun round (call BeginRound first): subsequent folds stack on top
 // of the restored partials exactly as they would have on the uninterrupted
 // originals. A dense capture (idx nil, len(vals) == n) restores every shard
-// in full mode; a sparse capture restores each shard's union subrange.
+// in full mode; a sparse capture marks each shard's subrange in its bitmap.
 func (r *Reducer) RestoreWindow(n int, idx []int32, vals []float32, dense bool) {
 	r.size(n)
 	buf := r.bufs[r.cur]
@@ -355,7 +436,6 @@ func (r *Reducer) RestoreWindow(n int, idx []int32, vals []float32, dense bool) 
 		for i := i0; i < i1; i++ {
 			buf[idx[i]] = vals[i]
 		}
-		sh.union = append(sh.union, idx[i0:i1]...)
-		sh.full = len(sh.union)*4 > sh.hi-sh.lo
+		sh.mark(idx[i0:i1])
 	}
 }

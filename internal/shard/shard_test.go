@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -286,5 +288,105 @@ func TestReducerEmptyAndResize(t *testing.T) {
 	r.FoldSparse(1, &tensor.SparseVec{N: 2, Indices: []int32{1}, Values: []float32{3}})
 	if got := r.Merge(1); got[0] != 0 || got[1] != 3 {
 		t.Fatalf("after an abandoned round: %v, want [0 3]", got)
+	}
+}
+
+// TestReducerSupport: after every Merge, Support is nil exactly when some
+// shard ran full; otherwise it is the strictly ascending set of coordinates
+// the round's sparse folds reached — so every coordinate outside it reads +0
+// bits, while one inside may hold a cancelled zero of either sign. Rounds
+// alternate the two buffers, cross the quarter-range switch, and include a
+// round abandoned before its Merge.
+func TestReducerSupport(t *testing.T) {
+	const n = 3000
+	for _, p := range []int{1, 2, 4, 7} {
+		rng := tensor.NewRNG(uint64(40 + p))
+		r := NewReducer(p)
+		for round := 0; round < 12; round++ {
+			r.BeginRound()
+			// The buffer was merged two rounds ago: an unmerged round must
+			// not claim that round's support.
+			if stale := r.Support(); stale != nil {
+				t.Fatalf("p=%d round %d: an unmerged round claims %d coordinates", p, round, len(stale))
+			}
+			touched := make([]bool, n)
+			folds := 1 + round%3
+			if round%4 == 3 {
+				folds = 8 // 8 × 5 % passes a quarter of every range
+			}
+			var prev *tensor.SparseVec
+			for f := 0; f < folds; f++ {
+				sp := mkSparse(rng, n, 0.05)
+				if f == 1 {
+					// Exact cancellations: the second fold takes back what the
+					// first put on its coordinates, and adds a −0, so the support
+					// holds coordinates whose sums are +0.
+					sp = &tensor.SparseVec{N: n, Indices: prev.Indices, Values: make([]float32, len(prev.Values))}
+					for i, v := range prev.Values {
+						sp.Values[i] = -v
+					}
+					sp.Values[0] = float32(math.Copysign(0, -1))
+				}
+				prev = sp
+				for _, j := range sp.Indices {
+					touched[j] = true
+				}
+				r.FoldSparse(1, sp)
+			}
+			if round == 5 {
+				continue // abandoned: the next use of this buffer must still clear it
+			}
+			got := r.Merge(0.5)
+			sup := r.Support()
+			full := false
+			for s := 0; s < p; s++ {
+				full = full || r.ranges[r.cur][s].full
+			}
+			if full != (sup == nil) {
+				t.Fatalf("p=%d round %d: support nil=%v, some shard full=%v", p, round, sup == nil, full)
+			}
+			if full {
+				continue
+			}
+			in := make([]bool, n)
+			for i, j := range sup {
+				if i > 0 && j <= sup[i-1] {
+					t.Fatalf("p=%d round %d: support not strictly ascending at %d: %d after %d", p, round, i, j, sup[i-1])
+				}
+				in[j] = true
+			}
+			for j := range got {
+				if in[j] != touched[j] {
+					t.Fatalf("p=%d round %d: coordinate %d in support %v, touched %v", p, round, j, in[j], touched[j])
+				}
+				if !in[j] && math.Float32bits(got[j]) != 0 {
+					t.Fatalf("p=%d round %d: coordinate %d outside the support holds %#x", p, round, j, math.Float32bits(got[j]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReducerFoldSparse is one commit window of the sparse ingest
+// workload: two folds of distinct ρ = 10 % masks over 2¹⁸ coordinates, the
+// merge, and the support the broadcast encodes from.
+func BenchmarkReducerFoldSparse(b *testing.B) {
+	const n = 1 << 18
+	rng := tensor.NewRNG(7)
+	ups := []*tensor.SparseVec{mkSparse(rng, n, 0.10), mkSparse(rng, n, 0.10)}
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
+			r := NewReducer(p)
+			var sup []int32
+			for b.Loop() {
+				r.BeginRound()
+				for _, u := range ups {
+					r.FoldSparse(1, u)
+				}
+				r.Merge(0.5)
+				sup = r.Support()
+			}
+			b.ReportMetric(float64(len(sup)), "support")
+		})
 	}
 }

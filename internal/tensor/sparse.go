@@ -226,33 +226,3 @@ func SearchInt32(a []int32, v int32) int {
 	}
 	return lo
 }
-
-// MergeIndices merges two strictly-ascending unique index lists into dst
-// (reused, returned), producing their strictly-ascending union — the
-// bookkeeping a streaming sparse aggregator keeps so it can normalise and
-// clear only the coordinates a round actually touched.
-func MergeIndices(dst, a, b []int32) []int32 {
-	need := len(a) + len(b)
-	if cap(dst) < need {
-		dst = make([]int32, need)
-	}
-	dst = dst[:need]
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		va, vb := a[i], b[j]
-		if va <= vb {
-			dst[k] = va
-			i++
-			if va == vb {
-				j++
-			}
-		} else {
-			dst[k] = vb
-			j++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	k += copy(dst[k:], b[j:])
-	return dst[:k]
-}

@@ -134,27 +134,6 @@ func TestSparseVecDensifyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeIndices(t *testing.T) {
-	cases := []struct{ a, b, want []int32 }{
-		{nil, nil, nil},
-		{[]int32{1, 3}, nil, []int32{1, 3}},
-		{nil, []int32{2}, []int32{2}},
-		{[]int32{1, 3, 5}, []int32{1, 3, 5}, []int32{1, 3, 5}},
-		{[]int32{1, 4}, []int32{2, 4, 9}, []int32{1, 2, 4, 9}},
-	}
-	for _, c := range cases {
-		got := MergeIndices(nil, c.a, c.b)
-		if len(got) != len(c.want) {
-			t.Fatalf("merge(%v,%v) = %v", c.a, c.b, got)
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("merge(%v,%v) = %v", c.a, c.b, got)
-			}
-		}
-	}
-}
-
 func TestAxpySparseNoAllocs(t *testing.T) {
 	defer SetKernelThreads(0)
 	SetKernelThreads(1)
