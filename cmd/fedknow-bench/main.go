@@ -5,32 +5,19 @@
 //	fedknow-bench -exp fig4a -scale ci
 //	fedknow-bench -exp table1 -scale full
 //	fedknow-bench -exp all
-//	fedknow-bench -exp sparse -bench-out BENCH_sparse.json -baseline bench/BENCH_sparse_baseline.json
-//	fedknow-bench -exp async -bench-out BENCH_async.json
-//	fedknow-bench -exp robust -bench-out BENCH_robust.json
 //	fedknow-bench -exp fig5 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Experiments: fig4a–fig4h, table1, fig5, fig6, fig7, fig8, fig9, fig10,
-// hyper, all — plus "sparse", which measures the sparse update pipeline
-// (bytes/round and encode/decode/aggregate cost, dense vs sparse vs
-// quantized) and emits BENCH_sparse.json (with -baseline it also prints a
-// benchstat-style comparison and fails on byte regressions), "async",
-// which runs the same federation under the synchronous and asynchronous
-// schedulers with one straggler in the cohort and emits BENCH_async.json
-// (simulated time per global-model commit), and "robust", which measures
-// every Byzantine-robust aggregation rule (and the naive mean) against the
-// adversarial attack matrix and emits BENCH_robust.json (RMS deviation from
-// the honest cohort's mean). Scale "ci" (default) runs the laptop-sized
+// ablation, hyper, all. Scale "ci" (default) runs the laptop-sized
 // configuration; "full" mirrors the paper's client/round counts and takes
 // hours on CPU.
 //
-// The figure/table experiments also accept the scheduler knobs (-scheduler
+// Every experiment also accepts the scheduler knobs (-scheduler
 // async -async-commit-k 4 -max-staleness 8 -staleness-alpha 0.5) to
 // regenerate any artefact under asynchronous scheduling.
 package main
 
 import (
-	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,10 +33,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig4a..fig4h, table1, fig5, fig6, fig7, fig8, fig9, fig10, ablation, hyper, sparse, async, robust, all)")
+	exp := flag.String("exp", "all", "experiment id (fig4a..fig4h, table1, fig5, fig6, fig7, fig8, fig9, fig10, ablation, hyper, all)")
 	scale := flag.String("scale", "ci", "ci or full")
-	benchOut := flag.String("bench-out", "", "output path for -exp sparse/async/robust (default BENCH_sparse.json / BENCH_async.json / BENCH_robust.json)")
-	baseline := flag.String("baseline", "", "baseline BENCH_sparse.json to compare against (-exp sparse; exits non-zero on byte regressions)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "concurrent clients per federated engine (0 = GOMAXPROCS)")
 	kernelThreads := flag.Int("kernel-threads", 0, "extra tensor-kernel workers shared across clients (0 = GOMAXPROCS); training clients also run kernels inline; results are identical for every setting")
@@ -96,18 +81,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *exp {
-	case "sparse":
-		err = runSparseBench(cmp.Or(*benchOut, "BENCH_sparse.json"), *baseline, *seed)
-	case "async":
-		err = runAsyncBench(cmp.Or(*benchOut, "BENCH_async.json"), *seed, *asyncCommitK, *maxStaleness, *stalenessAlpha)
-	case "robust":
-		err = runRobustBench(cmp.Or(*benchOut, "BENCH_robust.json"), *seed)
-	default:
-		err = runPaperExperiments(*exp, opt)
-	}
 	// The profiles are written however the run ended.
-	if err = errors.Join(err, stopProfiles()); err != nil {
+	if err = errors.Join(runPaperExperiments(*exp, opt), stopProfiles()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -154,65 +129,5 @@ func runPaperExperiments(exp string, opt experiments.Options) error {
 		}
 		fmt.Printf("### %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// runSparseBench measures the sparse update pipeline, writes BENCH_sparse.json
-// and, given a baseline, prints the before/after comparison (failing on
-// regressions of the deterministic byte metrics).
-func runSparseBench(out, baseline string, seed uint64) error {
-	start := time.Now()
-	fmt.Printf("### running sparse pipeline bench\n")
-	rep := experiments.SparseBench(experiments.SparseBenchOptions{Seed: seed})
-	rep.Print(os.Stdout)
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if baseline != "" {
-		base, err := experiments.ReadSparseBench(baseline)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		if err := rep.Compare(base, os.Stdout); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("### sparse done in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runRobustBench measures every robust aggregation rule (and the naive mean)
-// against the adversarial attack matrix and writes BENCH_robust.json.
-func runRobustBench(out string, seed uint64) error {
-	start := time.Now()
-	fmt.Printf("### running robust aggregation bench\n")
-	rep, err := experiments.RobustBench(experiments.RobustBenchOptions{Seed: seed})
-	if err != nil {
-		return err
-	}
-	rep.Print(os.Stdout)
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	fmt.Printf("### robust done in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runAsyncBench compares the synchronous and asynchronous schedulers on the
-// same straggler-shaped federation and writes BENCH_async.json.
-func runAsyncBench(out string, seed uint64, commitK, maxStaleness int, alpha float64) error {
-	start := time.Now()
-	fmt.Printf("### running async scheduler bench\n")
-	rep := experiments.AsyncBench(experiments.AsyncBenchOptions{
-		Seed: seed, CommitK: commitK, MaxStaleness: maxStaleness, StalenessAlpha: alpha,
-	})
-	rep.Print(os.Stdout)
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	fmt.Printf("### async done in %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

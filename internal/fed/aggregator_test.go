@@ -301,9 +301,10 @@ func TestSparseFedAvgBroadcastSurvivesNextRound(t *testing.T) {
 }
 
 // TestSparseFedAvgZeroAllocSteadyState: once the scratch is sized, further
-// rounds — sparse or dense — must not allocate at kernel width 1. (At any
-// greater width tensor.Parallel spawns a goroutine and closure per chunk, so
-// the sharded fan-out allocates by construction; the pin sets the width
+// rounds — a shared mask, distinct masks, sparse with a dense straggler, and
+// the reference WeightedFedAvg's — must not allocate at kernel width 1. (At
+// any greater width tensor.Parallel spawns a goroutine and closure per chunk,
+// so the sharded fan-out allocates by construction; the pin sets the width
 // itself rather than trusting whatever an earlier test left behind.)
 func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 	pinKernelThreads(t, 1)
@@ -317,14 +318,19 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 	for i := range w {
 		w[i] = float32(rng.Norm())
 	}
+	other := make([]bool, n)
+	for i := range other {
+		other[i] = rng.Float64() < 0.1
+	}
 	ups := []*Update{
 		{Participating: true, Weight: 3, Sparse: tensor.GatherMask(nil, w, mask)},
 		{Participating: true, Weight: 2, Sparse: tensor.GatherMask(nil, w, mask)},
 		{Participating: true, Weight: 1, Params: w},
+		{Participating: true, Weight: 4, Sparse: tensor.GatherMask(nil, w, other)},
 	}
 	forEachFedAvgPlan(t, func(t *testing.T, newAgg func() *SparseFedAvg) {
 		agg := newAgg()
-		for _, round := range [][]*Update{ups[:2], ups} {
+		for _, round := range [][]*Update{ups[:2], {ups[0], ups[3]}, ups[:3]} {
 			for warm := 0; warm < 4; warm++ { // both buffers, their unions and the support
 				agg.Aggregate(round)
 				agg.support()
@@ -342,4 +348,10 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 			}
 		}
 	})
+	// The reference rule reuses its one scratch vector the same way.
+	ref := &WeightedFedAvg{}
+	ref.Aggregate(ups)
+	if allocs := testing.AllocsPerRun(50, func() { ref.Aggregate(ups) }); allocs != 0 {
+		t.Fatalf("steady-state WeightedFedAvg.Aggregate allocates %v per call", allocs)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/prune"
 	"repro/internal/tensor"
 )
 
@@ -161,6 +162,54 @@ func TestCodecGoldenFrames(t *testing.T) {
 		// Every fixture must decode back cleanly.
 		if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Errorf("%s: fixture does not decode: %v", c.name, err)
+		}
+	}
+}
+
+// TestPaperShapeFrameBytes pins the exact frame sizes of one round at the
+// paper's shape: the 6-layer CNN at CIFAR-100 shape (22 396 parameters), an
+// upload that is the dense vector or its top-ρ (ρ = 10 %) magnitude
+// selection — the mask the knowledge extractor computes — and a broadcast
+// that is the aggregate such uploads commit, under every value encoding.
+// Frame bytes are deterministic, so any change here is a codec change to
+// make deliberately. README's sparse-pipeline table is 8 × (up + down).
+func TestPaperShapeFrameBytes(t *testing.T) {
+	const n, rho = 22396, 0.10
+	rng := tensor.NewRNG(7)
+	dense := make([]float32, n)
+	rng.FillNorm(dense, 0.05)
+	sparse := prune.Extract(dense, rho)
+	cases := []struct {
+		name     string
+		comp     Compression
+		sparse   bool
+		up, down int
+	}{
+		{"dense-f32", Compression{DisableSparse: true}, false, 89631, 89595},
+		{"sparse-f32", Compression{}, true, 11249, 11213},
+		{"dense-f16", Compression{Quant: QuantF16, DisableSparse: true}, false, 44839, 44803},
+		{"sparse-f16", Compression{Quant: QuantF16}, true, 6769, 6733},
+		{"dense-i8", Compression{Quant: QuantI8, DisableSparse: true}, false, 22447, 22411},
+		{"sparse-i8", Compression{Quant: QuantI8}, true, 4533, 4497},
+	}
+	for _, c := range cases {
+		u := &Update{Participating: true, Weight: 100}
+		if c.sparse {
+			u.Sparse = sparse
+		} else {
+			u.Params = dense
+		}
+		gm := &GlobalModel{Params: (&SparseFedAvg{}).Aggregate([]*Update{u})}
+		enc := NewCodec(c.comp)
+		var up, down bytes.Buffer
+		if err := enc.Encode(&up, u); err != nil {
+			t.Fatalf("%s upload: %v", c.name, err)
+		}
+		if err := enc.Encode(&down, gm); err != nil {
+			t.Fatalf("%s broadcast: %v", c.name, err)
+		}
+		if up.Len() != c.up || down.Len() != c.down {
+			t.Errorf("%s: upload %d B, broadcast %d B; want %d B and %d B", c.name, up.Len(), down.Len(), c.up, c.down)
 		}
 	}
 }

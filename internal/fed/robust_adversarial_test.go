@@ -27,7 +27,10 @@ func rmsDev(global []float32, ref []float64) float64 {
 // matrix: 8 honest clients near a ground truth, 2 colluding attackers. The
 // naive weighted mean is dragged arbitrarily far; every robust rule must stay
 // within the honest cohort's own noise floor. Both classic attack shapes are
-// driven: sign-flip (×−10) and scaled poisoning (×1000).
+// driven: sign-flip (×−10) and scaled poisoning (×1000). The control row
+// "none" has the two extra clients behave honestly (they stay out of the
+// reference), and there every rule, the naive mean included, must hold the
+// noise floor.
 func TestRobustBoundsPoisoning(t *testing.T) {
 	const n, honest, attackers = 512, 8, 2
 	rng := tensor.NewRNG(99)
@@ -41,6 +44,7 @@ func TestRobustBoundsPoisoning(t *testing.T) {
 	}{
 		{"sign-flip", func(i int) float32 { return float32(-10 * truth[i]) }},
 		{"scaled", func(i int) float32 { return float32(1000 * truth[i]) }},
+		{"none", func(i int) float32 { return float32(truth[i] + 0.05*rng.Norm()) }},
 	}
 	rules := []struct {
 		name string
@@ -73,9 +77,12 @@ func TestRobustBoundsPoisoning(t *testing.T) {
 			}
 			ups = append(ups, &Update{ClientID: c, Participating: true, Weight: 1, Params: params})
 		}
-		naive := (&SparseFedAvg{}).Aggregate(ups)
-		if dev := rmsDev(naive, ref); dev < 1 {
-			t.Fatalf("%s: naive mean deviated only %.3f — the attack is too weak to prove anything", atk.name, dev)
+		naive := rmsDev((&SparseFedAvg{}).Aggregate(ups), ref)
+		switch {
+		case atk.name == "none" && naive > 0.25:
+			t.Errorf("naive mean with no attack: deviation %.3f from the honest mean, want ≤ 0.25", naive)
+		case atk.name != "none" && naive < 1:
+			t.Fatalf("%s: naive mean deviated only %.3f — the attack is too weak to prove anything", atk.name, naive)
 		}
 		for _, r := range rules {
 			global := r.mk().Aggregate(ups)

@@ -466,9 +466,9 @@ func TestAddTransposedMatchesScalar(t *testing.T) {
 // TestAxpySliceIsUnfused pins AxpySlice to the scalar multiply-then-add loop
 // bit for bit. It is the aggregation fold's arithmetic (shard.Reducer,
 // fed.WeightedFedAvg, qp.Integrate), and the five FNV digests of
-// fed.TestSparseFedAvgBitwise and experiments.LoadDeterminismPin were
-// captured from it: vectorising it with fused multiply-adds — as the GEMM's
-// own row primitive, axpyRow, is — would move every one of them.
+// fed.TestSparseFedAvgBitwise were captured from it: vectorising it with
+// fused multiply-adds — as the GEMM's own row primitive, axpyRow, is — would
+// move every one of them.
 func TestAxpySliceIsUnfused(t *testing.T) {
 	rng := NewRNG(48)
 	for _, n := range []int{0, 1, 3, 4, 7, 8, 33, 1000} {
