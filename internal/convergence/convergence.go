@@ -1,15 +1,11 @@
 // Package convergence implements the quantities of the paper's §IV
 // convergence analysis: the Lemma 1 bound on local weight training, the
-// Lemma 2 / Assumption 3 bound on global (FedAvg) training, and checks of the
-// Theorem 1 learning-rate constraints. Its tests check that the bounds decay
-// and that the paper's schedules satisfy the theorem's conditions.
+// Lemma 2 / Assumption 3 bound on global (FedAvg) training, and the Eq. 16
+// envelope of the integrated gradient. Its tests check that the bounds decay
+// and grow where the analysis says they do.
 package convergence
 
-import (
-	"math"
-
-	"repro/internal/opt"
-)
+import "math"
 
 // LocalBound evaluates the Lemma 1 upper bound on local-weight training at
 // iteration r:
@@ -50,34 +46,6 @@ func GlobalBound(p GlobalBoundParams, r int) float64 {
 	gamma := math.Max(8*tau, float64(r))
 	b := p.SigmaP + 6*p.L*p.Omega + 8*math.Pow(float64(r-1), 2)*p.Lambda*p.Lambda
 	return tau / (gamma + float64(r) - 1) * (2*b/p.Mu + p.Mu*gamma/2*p.DistSq)
-}
-
-// CheckLocalSchedule reports whether a schedule decays at the O(r^-1/2) rate
-// Theorem 1 requires for local weights: η(4r)/η(r) must approach 1/2.
-func CheckLocalSchedule(s opt.Schedule) bool {
-	for _, r := range []int{16, 64, 256} {
-		ratio := s.LR(4*r) / s.LR(r)
-		if math.Abs(ratio-0.5) > 0.1 {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckGlobalSchedule reports whether a schedule decays at the O(r^-1) rate
-// and satisfies η_r ≤ 2/(µ(γ+r)) for the given µ and γ at every probe
-// iteration: the Theorem 1 condition for global weights.
-func CheckGlobalSchedule(s opt.Schedule, mu, gamma float64) bool {
-	for _, r := range []int{64, 256, 1024} {
-		ratio := s.LR(2*r) / s.LR(r)
-		if math.Abs(ratio-0.5) > 0.1 {
-			return false
-		}
-		if s.LR(r) > 2/(mu*(gamma+float64(r))) {
-			return false
-		}
-	}
-	return true
 }
 
 // IntegratedGradientBound evaluates Eq. 16's bound on the squared norm of

@@ -64,34 +64,6 @@ func TestGlobalBoundDegenerate(t *testing.T) {
 	}
 }
 
-func TestCheckLocalSchedule(t *testing.T) {
-	if !CheckLocalSchedule(opt.InvSqrt{Base: 0.01}) {
-		t.Fatal("InvSqrt satisfies the O(r^-1/2) condition")
-	}
-	if CheckLocalSchedule(opt.Const{Rate: 0.01}) {
-		t.Fatal("a constant schedule does not")
-	}
-	if CheckLocalSchedule(opt.Inv{Base: 0.01, Decay: 1}) {
-		t.Fatal("O(r^-1) decays too fast for the local condition")
-	}
-}
-
-func TestCheckGlobalSchedule(t *testing.T) {
-	mu, gamma := 1.0, 32.0
-	// Inv with decay 1 asymptotically halves per doubling and, with a small
-	// base, stays below 2/(µ(γ+r)).
-	if !CheckGlobalSchedule(opt.Inv{Base: 0.01, Decay: 1}, mu, gamma) {
-		t.Fatal("Inv schedule should satisfy the global condition")
-	}
-	if CheckGlobalSchedule(opt.Const{Rate: 0.01}, mu, gamma) {
-		t.Fatal("constant schedule must fail the decay condition")
-	}
-	// A huge base violates η ≤ 2/(µ(γ+r)) even though the rate is right.
-	if CheckGlobalSchedule(opt.Inv{Base: 100, Decay: 1}, mu, gamma) {
-		t.Fatal("oversized base must fail the magnitude condition")
-	}
-}
-
 func TestIntegratedGradientBound(t *testing.T) {
 	// No dual activity → the bound equals λ².
 	if got := IntegratedGradientBound(2, nil); got != 4 {
@@ -104,19 +76,5 @@ func TestIntegratedGradientBound(t *testing.T) {
 	// Monotone in Σv.
 	if IntegratedGradientBound(1, []float64{0.5}) >= IntegratedGradientBound(1, []float64{1}) {
 		t.Fatal("bound must grow with dual mass")
-	}
-}
-
-// TestPaperScheduleConstraintsHold ties §V-B's searched hyperparameters to
-// §IV: the decay configurations used in the experiments satisfy Theorem 1's
-// conditions by construction (Inv decay for the global rate).
-func TestPaperScheduleConstraintsHold(t *testing.T) {
-	for _, base := range []float64{0.0005, 0.0008, 0.001, 0.005} {
-		if !CheckGlobalSchedule(opt.Inv{Base: base, Decay: 1}, 1, 32) {
-			t.Fatalf("paper lr %v violates the global condition", base)
-		}
-		if !CheckLocalSchedule(opt.InvSqrt{Base: base}) {
-			t.Fatalf("paper lr %v violates the local condition", base)
-		}
 	}
 }

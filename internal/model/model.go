@@ -29,22 +29,31 @@ type Model struct {
 
 	flopsPerSample float64
 	params         []*nn.Param
+	in             *tensor.Tensor // the batch as the network takes it, reused
 }
 
-// Forward runs the network.
+// Forward runs the network on an NCHW batch (N, InC, H, W). It is the one
+// place the layout changes: the batch is transposed once into the CNHW
+// buffer the model keeps, and every activation inside the network stays CNHW
+// (see package nn) up to the (N, NumClasses) logits.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return m.Net.Forward(x, train)
+	n, c := x.Shape[0], x.Shape[1]
+	m.in = tensor.Ensure(m.in, c, n, x.Shape[2], x.Shape[3])
+	tensor.TransposeBlocks(m.in.Data, x.Data, n, c)
+	return m.Net.Forward(m.in, train)
 }
 
-// Backward back-propagates an output gradient. The gradient w.r.t. the
-// network input is not produced (every training loop discards it), which
-// lets the first layer skip its adjoint-lowering work; Backward returns nil
-// when the input gradient was elided.
+// Backward back-propagates an output gradient into the parameters' gradients
+// and returns nil: the gradient w.r.t. the network input is not produced
+// (every training loop discards it), which lets a first layer that can skip
+// its adjoint-lowering work do so.
 func (m *Model) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if s, ok := m.Net.(*nn.Sequential); ok {
-		return s.BackwardDiscardInput(dout)
+		s.BackwardDiscardInput(dout)
+	} else {
+		m.Net.Backward(dout)
 	}
-	return m.Net.Backward(dout)
+	return nil
 }
 
 // Params returns the cached parameter list.
@@ -67,8 +76,7 @@ func (m *Model) ParamBytes() int { return m.NumParams() * 4 }
 // rule of thumb, by the device model.
 func (m *Model) FLOPsPerSample() float64 {
 	if m.flopsPerSample == 0 {
-		x := tensor.New(1, m.InC, m.InH, m.InW)
-		m.Net.Forward(x, false)
+		m.Forward(tensor.New(1, m.InC, m.InH, m.InW), false)
 		m.flopsPerSample = nn.TotalFLOPs(m.Net)
 	}
 	return m.flopsPerSample

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/nn"
@@ -53,6 +54,26 @@ func TestAllModelsForwardShape(t *testing.T) {
 		for _, v := range y.Data {
 			if v != v { // NaN check
 				t.Fatalf("%s: NaN in output", m.Name)
+			}
+		}
+	}
+}
+
+// TestForwardKeepsImagesApart holds the layout boundary: in eval mode the
+// logits of an NCHW batch are, row by row, those of each image run alone (for
+// one image the NCHW and CNHW batches are the same floats). Products of
+// different sizes may take different GEMM routes, hence the tolerance.
+func TestForwardKeepsImagesApart(t *testing.T) {
+	const n, size = 3, 3 * 12 * 12
+	x := tensor.Randn(tensor.NewRNG(4), 1, n, 3, 12, 12)
+	for _, m := range allModels(t) {
+		batch := append([]float32(nil), m.Forward(x, false).Data...)
+		for i := 0; i < n; i++ {
+			one := tensor.FromSlice(x.Data[i*size:(i+1)*size], 1, 3, 12, 12)
+			for j, v := range m.Forward(one, false).Data {
+				if w := batch[i*m.NumClasses+j]; math.Abs(float64(v-w)) > 1e-3*(1+math.Abs(float64(w))) {
+					t.Fatalf("%s: image %d alone gives logit %d = %v, in the batch %v", m.Name, i, j, v, w)
+				}
 			}
 		}
 	}
@@ -142,6 +163,67 @@ func TestWidthScalesParameters(t *testing.T) {
 	w2 := MustBuild("ResNet18", 10, 3, 12, 12, 2, rng.Fork(2))
 	if w2.NumParams() <= w1.NumParams() {
 		t.Fatal("doubling width must increase parameters")
+	}
+}
+
+// zooRun is everything two training steps and an eval forward of a model put
+// out: the eval logits, the second step's flat gradients and every
+// BatchNorm's running mean and variance, in walk order.
+type zooRun struct{ logits, grads, stats []float32 }
+
+// runZoo builds arch at the training shape (3×16×16, batch 8, ten classes),
+// takes two SGD steps on one batch and evaluates it, at the given kernel width.
+func runZoo(arch string, threads int) zooRun {
+	prev := tensor.SetKernelThreads(threads)
+	defer tensor.SetKernelThreads(prev)
+	rng := tensor.NewRNG(29)
+	m := MustBuild(arch, 10, 3, 16, 16, 1, rng.Fork(1))
+	x := tensor.Randn(rng.Fork(2), 1, 8, 3, 16, 16)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var r zooRun
+	for step := 0; step < 2; step++ {
+		_, dl := nn.CrossEntropy(m.Forward(x, true), labels)
+		nn.ZeroGrads(m.Params())
+		m.Backward(dl)
+		r.grads = nn.FlattenGrads(m.Params())
+		for _, p := range m.Params() {
+			p.W.Axpy(-0.05, p.Grad)
+		}
+	}
+	r.logits = append(r.logits, m.Forward(x, false).Data...)
+	nn.Walk(m.Net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			r.stats = append(append(r.stats, bn.RunningMean...), bn.RunningVar...)
+		}
+	})
+	return r
+}
+
+// TestZooDeterministicAcrossWidths holds every registered architecture to the
+// determinism invariant end to end: two training steps and an eval forward at
+// KernelThreads 1, 2 and 4 leave the same logits, gradients and BatchNorm
+// running statistics, bit for bit (two NaNs agree).
+func TestZooDeterministicAcrossWidths(t *testing.T) {
+	for _, arch := range Names() {
+		t.Run(arch, func(t *testing.T) {
+			want := runZoo(arch, 1)
+			for _, threads := range []int{2, 4} {
+				got := runZoo(arch, threads)
+				for _, f := range []struct {
+					name      string
+					got, want []float32
+				}{{"logits", got.logits, want.logits}, {"grads", got.grads, want.grads}, {"running stats", got.stats, want.stats}} {
+					if len(f.got) != len(f.want) {
+						t.Fatalf("threads=%d: %d %s, want %d", threads, len(f.got), f.name, len(f.want))
+					}
+					for i, w := range f.want {
+						if g := f.got[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+							t.Fatalf("threads=%d: %s[%d] = %v, want %v", threads, f.name, i, g, w)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -31,7 +31,7 @@ func benchConvShapes(b *testing.B, density, dead float64, fn func(b *testing.B, 
 				rng := tensor.NewRNG(uint64(sh.outC*100 + n))
 				l := NewConv2D("c", sh.inC, sh.outC, 3, 1, 1, 1, false, rng)
 				sparsify(l.W.W.Data, density, rng)
-				x := tensor.Randn(rng, 1, n, sh.inC, sh.side, sh.side)
+				x := tensor.Randn(rng, 1, sh.inC, n, sh.side, sh.side)
 				dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
 				killChannels(x, firstShare(sh.inC, dead)...)
 				killChannels(dout, firstShare(sh.outC, dead)...)
@@ -105,32 +105,30 @@ var weightGradStages = []struct {
 }
 
 // BenchmarkConvWeightGrad times a 3×3 conv's weight gradient alone, two ways:
-// "dot" is the form it replaced, dW += dY × colsᵀ on tensor.Gemm's dot form
-// with a channel-major dY (the copy the input gradient makes anyway, so not
-// counted); "outer" is the layer's own weightGrad — the pixel-major copy of
-// dY out of NCHW, dWᵀ = cols × dYᵀ on the outer-product kernels and the
-// transposed add into W.Grad. Both cycle through enough layers to exceed
-// 4 MiB, because a training step meets every layer's buffers cold.
+// "dot" is the form it replaced, dW += dY × colsᵀ on tensor.Gemm's dot form,
+// reading the channel-major dY in place; "outer" is the layer's own
+// weightGrad — the pixel-major copy of dY, dWᵀ = cols × dYᵀ on the
+// outer-product kernels and the transposed add into W.Grad. Both cycle
+// through enough layers to exceed 4 MiB, because a training step meets every
+// layer's buffers cold.
 func BenchmarkConvWeightGrad(b *testing.B) {
 	const coldBytes = 4 << 20
 	for _, st := range weightGradStages {
 		for _, n := range []int{8, 16} {
 			rng := tensor.NewRNG(uint64(st.outC*100 + n))
 			fanIn, ns := st.inC*9, n*st.side*st.side
-			sets := coldBytes/(4*(fanIn*ns+2*st.outC*ns+st.outC*fanIn)) + 1
-			layers, douts, dycms := make([]*Conv2D, sets), make([]*tensor.Tensor, sets), make([][]float32, sets)
+			sets := coldBytes/(4*(fanIn*ns+st.outC*ns+st.outC*fanIn)) + 1
+			layers, douts := make([]*Conv2D, sets), make([]*tensor.Tensor, sets)
 			for s := range layers {
 				l := NewConv2D("c", st.inC, st.outC, 3, 1, 1, 1, false, rng)
-				douts[s] = tensor.Randn(rng, 1, l.Forward(tensor.Randn(rng, 1, n, st.inC, st.side, st.side), true).Shape...)
-				l.liveOut = l.liveChannels(l.liveOut[:0], douts[s].Data, st.outC, n, st.side*st.side)
-				dycms[s] = make([]float32, st.outC*ns)
-				l.fromNCHW(dycms[s], douts[s].Data, 0, n)
+				douts[s] = tensor.Randn(rng, 1, l.Forward(tensor.Randn(rng, 1, st.inC, n, st.side, st.side), true).Shape...)
+				l.liveOut = l.liveChannels(l.liveOut[:0], douts[s].Data, st.outC, ns)
 				layers[s] = l
 			}
 			b.Run(fmt.Sprintf("%s/N=%d/dot", st.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					l := layers[i%sets]
-					tensor.Gemm(l.W.Grad.Data, dycms[i%sets], l.cols, st.outC, ns, fanIn, false, true)
+					tensor.Gemm(l.W.Grad.Data, douts[i%sets].Data, l.cols, st.outC, ns, fanIn, false, true)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/N=%d/outer", st.name, n), func(b *testing.B) {
@@ -142,14 +140,34 @@ func BenchmarkConvWeightGrad(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchNormForward(b *testing.B) {
-	rng := tensor.NewRNG(3)
-	l := NewBatchNorm2D("bn", 32, rng)
-	x := tensor.Randn(rng, 1, 8, 32, 8, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(x, true)
+// bnShapes are the BatchNorms of the CI-scale ResNet18 (3×16×16 input) at
+// batch 8, one per stage.
+var bnShapes = []struct{ c, side int }{{8, 16}, {16, 8}, {32, 4}, {64, 2}}
+
+// benchBatchNorm runs fn once per shape with a layer that has seen one
+// training forward of its batch.
+func benchBatchNorm(b *testing.B, fn func(l *BatchNorm2D, x, dout *tensor.Tensor)) {
+	const n = 8
+	for _, sh := range bnShapes {
+		b.Run(fmt.Sprintf("%dch@%dx%d/N=%d", sh.c, sh.side, sh.side, n), func(b *testing.B) {
+			rng := tensor.NewRNG(uint64(3 + sh.c))
+			l := NewBatchNorm2D("bn", sh.c, rng)
+			x := tensor.Randn(rng, 1, sh.c, n, sh.side, sh.side)
+			dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fn(l, x, dout)
+			}
+		})
 	}
+}
+
+func BenchmarkBatchNormForward(b *testing.B) {
+	benchBatchNorm(b, func(l *BatchNorm2D, x, _ *tensor.Tensor) { l.Forward(x, true) })
+}
+
+func BenchmarkBatchNormBackward(b *testing.B) {
+	benchBatchNorm(b, func(l *BatchNorm2D, _, dout *tensor.Tensor) { l.Backward(dout) })
 }
 
 func BenchmarkCrossEntropy(b *testing.B) {

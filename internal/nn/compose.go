@@ -6,6 +6,15 @@ import (
 	"repro/internal/tensor"
 )
 
+// view points t at data with the given shape, reusing t's shape slice: how a
+// container hands a branch a block of channels without copying it, and how
+// Linear sees its input as rows.
+func view(t *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
+	t.Data = data
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
+}
+
 // addInto writes a + b elementwise into dst in a single pass.
 func addInto(dst, a, b []float32) {
 	_ = dst[:len(a)]
@@ -77,17 +86,15 @@ func (r *Residual) Params() []*Param {
 }
 
 // Concat runs branches in parallel on the same input and concatenates their
-// NCHW outputs along the channel dimension (DenseNet, Inception,
-// ShuffleNetV2 all need this).
+// CNHW outputs along the channel dimension (DenseNet, Inception,
+// ShuffleNetV2 all need this). Channel-major, a branch's output is one block
+// of the result and its gradient a view of the output gradient's block.
 type Concat struct {
 	Branches []Layer
 
-	lastChannels []int
-	lastH, lastW int
-
 	outs  []*tensor.Tensor
 	yBuf  *tensor.Tensor
-	dbBuf []*tensor.Tensor
+	dbs   []tensor.Tensor
 	dxBuf *tensor.Tensor
 }
 
@@ -99,54 +106,35 @@ func (c *Concat) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if c.outs == nil {
 		c.outs = make([]*tensor.Tensor, len(c.Branches))
 	}
-	outs := c.outs
 	totalC := 0
-	c.lastChannels = c.lastChannels[:0]
 	for i, br := range c.Branches {
-		outs[i] = br.Forward(x, train)
-		if len(outs[i].Shape) != 4 {
-			panic("nn: Concat branches must output NCHW")
+		c.outs[i] = br.Forward(x, train)
+		if len(c.outs[i].Shape) != 4 {
+			panic("nn: Concat branches must output CNHW")
 		}
-		c.lastChannels = append(c.lastChannels, outs[i].Shape[1])
-		totalC += outs[i].Shape[1]
+		totalC += c.outs[i].Shape[0]
 	}
-	n, h, w := outs[0].Shape[0], outs[0].Shape[2], outs[0].Shape[3]
-	c.lastH, c.lastW = h, w
-	c.yBuf = tensor.Ensure(c.yBuf, n, totalC, h, w)
-	y := c.yBuf
-	spatial := h * w
-	for i := 0; i < n; i++ {
-		chOff := 0
-		for bi, o := range outs {
-			bc := c.lastChannels[bi]
-			src := o.Data[i*bc*spatial : (i+1)*bc*spatial]
-			dst := y.Data[(i*totalC+chOff)*spatial : (i*totalC+chOff+bc)*spatial]
-			copy(dst, src)
-			chOff += bc
-		}
+	s := c.outs[0].Shape
+	c.yBuf = tensor.Ensure(c.yBuf, totalC, s[1], s[2], s[3])
+	off := 0
+	for _, o := range c.outs {
+		off += copy(c.yBuf.Data[off:], o.Data)
 	}
-	return y
+	return c.yBuf
 }
 
-// Backward slices the gradient per branch and sums the input gradients.
+// Backward hands each branch its block of the gradient and sums the input
+// gradients.
 func (c *Concat) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n := dout.Shape[0]
-	totalC := dout.Shape[1]
-	spatial := c.lastH * c.lastW
-	var dx *tensor.Tensor
-	if c.dbBuf == nil {
-		c.dbBuf = make([]*tensor.Tensor, len(c.Branches))
+	if c.dbs == nil {
+		c.dbs = make([]tensor.Tensor, len(c.Branches))
 	}
-	chOff := 0
+	var dx *tensor.Tensor
+	off := 0
 	for bi, br := range c.Branches {
-		bc := c.lastChannels[bi]
-		c.dbBuf[bi] = tensor.Ensure(c.dbBuf[bi], n, bc, c.lastH, c.lastW)
-		db := c.dbBuf[bi]
-		for i := 0; i < n; i++ {
-			src := dout.Data[(i*totalC+chOff)*spatial : (i*totalC+chOff+bc)*spatial]
-			copy(db.Data[i*bc*spatial:(i+1)*bc*spatial], src)
-		}
-		d := br.Backward(db)
+		o := c.outs[bi]
+		d := br.Backward(view(&c.dbs[bi], dout.Data[off:off+o.Len()], o.Shape...))
+		off += o.Len()
 		if dx == nil {
 			c.dxBuf = tensor.Ensure(c.dxBuf, d.Shape...)
 			dx = c.dxBuf
@@ -154,7 +142,6 @@ func (c *Concat) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		} else {
 			dx.AddInPlace(d)
 		}
-		chOff += bc
 	}
 	return dx
 }
@@ -169,13 +156,13 @@ func (c *Concat) Params() []*Param {
 }
 
 // ChannelShuffle permutes channels between groups (ShuffleNetV2): channels
-// laid out as (groups, perGroup) become (perGroup, groups).
+// laid out as (groups, perGroup) become (perGroup, groups). A channel of a
+// CNHW batch is one run, so each moves as one copy.
 type ChannelShuffle struct {
 	Groups int
 
-	lastShape []int
-	yBuf      *tensor.Tensor
-	dxBuf     *tensor.Tensor
+	yBuf  *tensor.Tensor
+	dxBuf *tensor.Tensor
 }
 
 // NewChannelShuffle returns a shuffle over the given group count.
@@ -183,60 +170,51 @@ func NewChannelShuffle(groups int) *ChannelShuffle { return &ChannelShuffle{Grou
 
 // Forward permutes channels.
 func (s *ChannelShuffle) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if c%s.Groups != 0 {
+	if c := x.Shape[0]; c%s.Groups != 0 {
 		panic(fmt.Sprintf("nn: shuffle groups %d must divide channels %d", s.Groups, c))
 	}
-	s.lastShape = append(s.lastShape[:0], x.Shape...)
-	per := c / s.Groups
-	spatial := h * w
 	s.yBuf = tensor.Ensure(s.yBuf, x.Shape...)
-	y := s.yBuf
-	for i := 0; i < n; i++ {
-		for g := 0; g < s.Groups; g++ {
-			for p := 0; p < per; p++ {
-				src := x.Data[(i*c+g*per+p)*spatial : (i*c+g*per+p+1)*spatial]
-				dst := y.Data[(i*c+p*s.Groups+g)*spatial : (i*c+p*s.Groups+g+1)*spatial]
-				copy(dst, src)
-			}
-		}
-	}
-	return y
+	s.permute(s.yBuf.Data, x.Data, x.Shape[0], false)
+	return s.yBuf
 }
 
 // Backward applies the inverse permutation.
 func (s *ChannelShuffle) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := s.lastShape[0], s.lastShape[1], s.lastShape[2], s.lastShape[3]
-	per := c / s.Groups
-	spatial := h * w
-	s.dxBuf = tensor.Ensure(s.dxBuf, s.lastShape...)
-	dx := s.dxBuf
-	for i := 0; i < n; i++ {
-		for g := 0; g < s.Groups; g++ {
-			for p := 0; p < per; p++ {
-				src := dout.Data[(i*c+p*s.Groups+g)*spatial : (i*c+p*s.Groups+g+1)*spatial]
-				dst := dx.Data[(i*c+g*per+p)*spatial : (i*c+g*per+p+1)*spatial]
-				copy(dst, src)
+	s.dxBuf = tensor.Ensure(s.dxBuf, dout.Shape...)
+	s.permute(s.dxBuf.Data, dout.Data, dout.Shape[0], true)
+	return s.dxBuf
+}
+
+// permute copies channel g·per + p of the c channels of src to channel
+// p·Groups + g of dst, or the other way round when inverse.
+func (s *ChannelShuffle) permute(dst, src []float32, c int, inverse bool) {
+	per, run := c/s.Groups, len(src)/c
+	for g := 0; g < s.Groups; g++ {
+		for p := 0; p < per; p++ {
+			from, to := g*per+p, p*s.Groups+g
+			if inverse {
+				from, to = to, from
 			}
+			copy(dst[to*run:(to+1)*run], src[from*run:(from+1)*run])
 		}
 	}
-	return dx
 }
 
 // Params returns nil.
 func (s *ChannelShuffle) Params() []*Param { return nil }
 
 // SEBlock is a squeeze-and-excitation gate: global average pool → FC →
-// ReLU → FC → sigmoid, whose output re-scales each channel of the input.
+// ReLU → FC → sigmoid, whose output re-scales each channel of the input. The
+// squeeze leaves the CNHW layout for the (N, C) rows the FC layers take, and
+// the gate is read back per plane.
 type SEBlock struct {
 	C, Reduced int
 	FC1, FC2   *Linear
 	relu       *ReLU
 	sig        *Sigmoid
 
-	lastX     *tensor.Tensor
-	lastGate  *tensor.Tensor
-	lastShape []int
+	lastX    *tensor.Tensor
+	lastGate *tensor.Tensor
 
 	sqBuf    *tensor.Tensor
 	yBuf     *tensor.Tensor
@@ -262,72 +240,56 @@ func NewSEBlock(name string, c, reduction int, rng *tensor.RNG) *SEBlock {
 
 // Forward computes channel gates and rescales x.
 func (s *SEBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	c, n, plane := x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
 	s.lastX = x
-	s.lastShape = append(s.lastShape[:0], x.Shape...)
-	// squeeze
 	s.sqBuf = tensor.Ensure(s.sqBuf, n, c)
-	sq := s.sqBuf
-	inv := 1 / float32(h*w)
-	spatial := h * w
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * spatial
-			var sum float32
-			for j := 0; j < spatial; j++ {
-				sum += x.Data[base+j]
-			}
-			sq.Data[i*c+ch] = sum * inv
-		}
-	}
-	// excite
-	gate := s.sig.Forward(s.FC2.Forward(s.relu.Forward(s.FC1.Forward(sq, train), train), train), train)
+	squeeze(s.sqBuf.Data, x.Data, c, n, plane)
+	gate := s.sig.Forward(s.FC2.Forward(s.relu.Forward(s.FC1.Forward(s.sqBuf, train), train), train), train)
 	s.lastGate = gate
-	// scale
 	s.yBuf = tensor.Ensure(s.yBuf, x.Shape...)
-	y := s.yBuf
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
+	for ch := 0; ch < c; ch++ {
+		for i := 0; i < n; i++ {
 			g := gate.Data[i*c+ch]
-			base := (i*c + ch) * spatial
-			for j := 0; j < spatial; j++ {
-				y.Data[base+j] = x.Data[base+j] * g
+			base := (ch*n + i) * plane
+			y := s.yBuf.Data[base : base+plane]
+			for j, v := range x.Data[base : base+plane] {
+				y[j] = v * g
 			}
 		}
 	}
-	return y
+	return s.yBuf
 }
 
 // Backward differentiates through both the scaling and the gate path.
 func (s *SEBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := s.lastShape[0], s.lastShape[1], s.lastShape[2], s.lastShape[3]
-	spatial := h * w
+	c, n, plane := dout.Shape[0], dout.Shape[1], dout.Shape[2]*dout.Shape[3]
 	// dGate[i,ch] = sum_j dout * x ; dx (scale path) = dout * gate
 	s.dgateBuf = tensor.Ensure(s.dgateBuf, n, c)
 	dgate := s.dgateBuf
-	s.dxBuf = tensor.Ensure(s.dxBuf, s.lastShape...)
+	s.dxBuf = tensor.Ensure(s.dxBuf, dout.Shape...)
 	dx := s.dxBuf
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * spatial
+	for ch := 0; ch < c; ch++ {
+		for i := 0; i < n; i++ {
+			base := (ch*n + i) * plane
 			g := s.lastGate.Data[i*c+ch]
+			x, dxp := s.lastX.Data[base:base+plane], dx.Data[base:base+plane]
 			var dg float32
-			for j := 0; j < spatial; j++ {
-				dg += dout.Data[base+j] * s.lastX.Data[base+j]
-				dx.Data[base+j] = dout.Data[base+j] * g
+			for j, d := range dout.Data[base : base+plane] {
+				dg += d * x[j]
+				dxp[j] = d * g
 			}
 			dgate.Data[i*c+ch] = dg
 		}
 	}
 	// back through FC2∘ReLU∘FC1∘squeeze
 	dsq := s.FC1.Backward(s.relu.Backward(s.FC2.Backward(s.sig.Backward(dgate))))
-	inv := 1 / float32(spatial)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * spatial
+	inv := 1 / float32(plane)
+	for ch := 0; ch < c; ch++ {
+		for i := 0; i < n; i++ {
 			g := dsq.Data[i*c+ch] * inv
-			for j := 0; j < spatial; j++ {
-				dx.Data[base+j] += g
+			dxp := dx.Data[(ch*n+i)*plane : (ch*n+i+1)*plane]
+			for j := range dxp {
+				dxp[j] += g
 			}
 		}
 	}

@@ -8,35 +8,37 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches, lowered batch-wide:
-// tensor.Im2Col writes the batch into one (InC·K·K) × (N·spatial) column
-// matrix row by row (image i owns columns [i·spatial, (i+1)·spatial) of every
-// row), and each pass is a single GEMM per group against it — forward
-// Y = W × cols, weight gradient dWᵀ = cols × dYᵀ (added into W.Grad
+// Conv2D is a 2-D convolution over CNHW batches (InC, N, H, W), lowered
+// batch-wide: tensor.Im2Col writes the batch into one (InC·K·K) × (N·spatial)
+// column matrix row by row (image i owns columns [i·spatial, (i+1)·spatial)
+// of every row), and each pass is a single GEMM per group against it —
+// forward Y = W × cols, weight gradient dWᵀ = cols × dYᵀ (added into W.Grad
 // transposed), input gradient dcols = Wᵀ × dY, which tensor.Col2Im raises
-// back onto dX. Groups splits input and output channels into independent
-// groups (groups == InC == OutC gives a depthwise convolution).
+// back onto dX. Y, dY and dX are CNHW too, which is the GEMM's own
+// channel-major layout: the forward product is written straight into the
+// output and the input-gradient product reads dY where it lies. Groups splits
+// input and output channels into independent groups (groups == InC == OutC
+// gives a depthwise convolution).
 //
 // Dead channels. The layer does work only for the channels that hold data. A
 // channel is dead when every one of its elements across the batch compares
 // == 0 (so ±0 is dead; a NaN or an Inf keeps its channel alive), and the
 // layer finds that out itself on every pass — the input channels of x in
-// Forward, the rows of the channel-major dY in backward — by a scan that
-// leaves a live channel at its first non-zero; nothing is declared to it and
-// nothing tunes it. When every channel is alive — every step of a dense
-// model — the three products are the ones above on W and dY themselves. When
-// some are dead — after the BatchNorm of a FedKNOW knowledge model, whose
-// dropped scales make most channels exactly 0·x̂ + 0, or behind a masked or
-// dead unit — then
+// Forward, the rows of dY in backward — by a scan that leaves a live channel
+// at its first non-zero; nothing is declared to it and nothing tunes it. When
+// every channel is alive — every step of a dense model — the three products
+// are the ones above on W and dY themselves. When some are dead — after the
+// BatchNorm of a FedKNOW knowledge model, whose dropped scales make most
+// channels exactly 0·x̂ + 0, or behind a masked or dead unit — then
 //
 //   - Forward lowers only the live input channels, into a column matrix of
 //     that many slots, and multiplies it by the matching columns of W;
 //   - backward computes dWᵀ for (tap of a live input channel, live dY row)
 //     alone and adds it into W.Grad at those places, and dB for live rows;
-//   - dcols is the product of the live rows of W and of dY, and only those of
-//     its rows that some live row of W has a non-zero weight for are cleared,
-//     computed and raised (the others would be +0 and tensor.Col2Im leaves
-//     them out; every plane of dX is still cleared).
+//   - dcols is the product of the live rows of W and of dY (gathered), and
+//     only those of its rows that some live row of W has a non-zero weight for
+//     are cleared, computed and raised (the others would be +0 and
+//     tensor.Col2Im leaves them out; every plane of dX is still cleared).
 //
 // The gathered columns or rows of W and the compact dW sit in one buffer the
 // layer owns, no larger than W. What is left out is a term with an
@@ -51,25 +53,24 @@ import (
 // channel as alive (its products are per group and the zoo's are
 // small-volume direct loops).
 //
-// Y crosses the GEMMs channel-major (OutC × N·spatial), and so does dY on
-// its way to dcols; the weight gradient takes dY pixel-major (N·spatial ×
-// OutC). The lowering parallelises over the live input channels and the
-// raising over all of them (a channel owns its K·K rows of the matrix and its
-// planes of dX, and all its taps are summed by one worker in one order), the
-// copies between those layouts and NCHW over images, and the GEMMs over
+// The weight gradient takes dY pixel-major (N·spatial × OutC), the one copy
+// of dY the layer makes. The lowering parallelises over the live input
+// channels, the raising over all of them (a channel owns its K·K rows of the
+// matrix and its run of planes of dX, and all its taps are summed by one
+// worker in one order), the pixel-major copy over pixels, and the GEMMs over
 // disjoint blocks of C whose placement no element's value depends on; the
 // scans, gathers and the transposed add of dW are serial. So every output
 // element has one accumulation order whatever the thread count. All three
 // products run on tensor.Gemm's outer-product form, and none packs an
-// operand: as B, cols, channel-major dY and pixel-major dY have n-contiguous
-// rows, and op(A) is read through strides, which takes Wᵀ in place and cols
-// as it is. The weight gradient's cols is an activation, so that product
-// skips the sparse-A sample (tensor.GemmPartDense).
+// operand: as B, cols, dY and pixel-major dY have n-contiguous rows, and
+// op(A) is read through strides, which takes Wᵀ in place and cols as it is.
+// The weight gradient's cols is an activation, so that product skips the
+// sparse-A sample (tensor.GemmPartDense).
 //
 // The column matrix, the output and the input gradient are retained on the
-// layer and reused; the staging copies of Y and dY, a block of dWᵀ and the
-// column gradient live only inside one call and come from a pool every layer
-// shares.
+// layer and reused; the gathered rows of dY, the pixel-major dY, a block of
+// dWᵀ and the column gradient live only inside one call and come from a pool
+// every layer shares.
 // Steady-state training therefore performs no heap allocations.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad, Groups int
@@ -94,10 +95,10 @@ type Conv2D struct {
 	dxBuf *tensor.Tensor // backward input-gradient, reused
 }
 
-// scratchPool holds the call-scoped conv buffers (the staging copies of Y and
-// dY, a block of dWᵀ and the column gradient). One pool serves every layer of
-// every model, so a network pays for its largest layer once instead of once
-// per layer.
+// scratchPool holds the call-scoped conv buffers (the gathered and the
+// pixel-major dY, a block of dWᵀ and the column gradient). One pool serves
+// every layer of every model, so a network pays for its largest layer once
+// instead of once per layer.
 // Pointers are pooled to avoid boxing slice headers.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
@@ -127,11 +128,10 @@ func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool, rn
 	return c
 }
 
-// split runs fn over [0, n) on the kernel pool: n is the batch's images for
-// the layout copies, the live input channels for lower and all of them for
-// raise. Every fn writes only its own range's regions, so the split never
-// shows in a result. The single-threaded path builds no closure and so
-// allocates nothing.
+// split runs fn over [0, n) on the kernel pool: n is the live input channels
+// for lower, all of them for raise and N·spatial for pixelMajor. Every fn
+// writes only its own range's regions, so the split never shows in a result.
+// The single-threaded path builds no closure and so allocates nothing.
 func (c *Conv2D) split(n int, fn func(c *Conv2D, a, b []float32, lo, hi int), a, b []float32) {
 	if n > 1 && tensor.KernelThreads() > 1 {
 		tensor.Parallel(n, func(lo, hi int) { fn(c, a, b, lo, hi) })
@@ -140,12 +140,13 @@ func (c *Conv2D) split(n int, fn func(c *Conv2D, a, b []float32, lo, hi int), a,
 	}
 }
 
-// Forward convolves a batch of shape (N, InC, H, W).
+// Forward convolves a CNHW batch of shape (InC, N, H, W) into (OutC, N,
+// outH, outW).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: conv input shape %v, want (N,%d,H,W)", x.Shape, c.InC))
+	if len(x.Shape) != 4 || x.Shape[0] != c.InC {
+		panic(fmt.Sprintf("nn: conv input shape %v, want (%d,N,H,W)", x.Shape, c.InC))
 	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	n, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
 	c.lastN, c.lastInH, c.lastInW, c.lastOutH, c.lastOutW = n, h, w, outH, outW
@@ -154,7 +155,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	fanIn := c.InC / c.Groups * kk
 	ns := n * outH * outW
 
-	c.liveIn = c.liveChannels(c.liveIn[:0], x.Data, c.InC, n, h*w)
+	c.liveIn = c.liveChannels(c.liveIn[:0], x.Data, c.InC, n*h*w)
 	live := len(c.liveIn)
 	liveFan := live / c.Groups * kk // per group: a grouped conv is all alive
 	if need := live * kk * ns; cap(c.cols) < need {
@@ -164,37 +165,37 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.split(live, (*Conv2D).lower, c.cols, x.Data)
 
-	ycm := getScratch(c.OutC * ns)
-	clear(*ycm)
+	c.yBuf = tensor.Ensure(c.yBuf, c.OutC, n, outH, outW)
+	y := c.yBuf.Data
+	clear(y)
 	wt := c.W.W.Data
 	if live < c.InC {
 		wt = c.gatherTaps()
 	}
 	for g := 0; g < c.Groups; g++ {
-		tensor.GemmPart((*ycm)[g*gOut*ns:(g+1)*gOut*ns], wt[g*gOut*liveFan:(g+1)*gOut*liveFan],
+		tensor.GemmPart(y[g*gOut*ns:(g+1)*gOut*ns], wt[g*gOut*liveFan:(g+1)*gOut*liveFan],
 			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, gOut*fanIn*ns)
 	}
-	c.yBuf = tensor.Ensure(c.yBuf, n, c.OutC, outH, outW)
-	c.split(n, (*Conv2D).toNCHW, c.yBuf.Data, *ycm)
-	scratchPool.Put(ycm)
+	if c.Bias {
+		for oc, b := range c.B.W.Data {
+			row := y[oc*ns : (oc+1)*ns]
+			for j := range row {
+				row[j] += b
+			}
+		}
+	}
 
 	c.flops = 2 * float64(c.OutC) * float64(fanIn) * float64(ns)
 	return c.yBuf
 }
 
-// liveScan appends to dst, in ascending order, the channels of the NCHW batch
-// x (n images of ch planes of plane floats) that hold anything but ±0. A live
-// channel is mostly settled by the first pixel of its first plane; otherwise
-// its planes are scanned up to the first non-zero. It is a variable only so
-// that this package's tests can put "every channel is alive" in its place and
-// hold the layer to itself; nothing else assigns it.
-var liveScan = func(dst []int, x []float32, ch, n, plane int) []int {
+// liveScan appends to dst, in ascending order, the channels of the CNHW batch
+// x (ch runs of run floats) that hold anything but ±0. It is a variable only
+// so that this package's tests can put "every channel is alive" in its place
+// and hold the layer to itself; nothing else assigns it.
+var liveScan = func(dst []int, x []float32, ch, run int) []int {
 	for k := 0; k < ch; k++ {
-		live := n > 0 && x[k*plane] != 0
-		for i := 0; !live && i < n; i++ {
-			live = anyNonZero(x[(i*ch+k)*plane : (i*ch+k+1)*plane])
-		}
-		if live {
+		if anyNonZero(x[k*run : (k+1)*run]) {
 			dst = append(dst, k)
 		}
 	}
@@ -222,9 +223,10 @@ func anyNonZero(p []float32) bool {
 	return false
 }
 
-// liveChannels returns in dst the channels of the NCHW batch x that are
-// alive, in ascending order: all of them for a grouped convolution.
-func (c *Conv2D) liveChannels(dst []int, x []float32, ch, n, plane int) []int {
+// liveChannels returns in dst the channels of the CNHW batch x (ch runs of
+// run floats) that are alive, in ascending order: all of them for a grouped
+// convolution.
+func (c *Conv2D) liveChannels(dst []int, x []float32, ch, run int) []int {
 	if cap(dst) < ch {
 		dst = make([]int, 0, ch) // once: a later, livelier batch must not grow it
 	}
@@ -234,7 +236,7 @@ func (c *Conv2D) liveChannels(dst []int, x []float32, ch, n, plane int) []int {
 		}
 		return dst
 	}
-	return liveScan(dst, x, ch, n, plane)
+	return liveScan(dst, x, ch, run)
 }
 
 // partBuf returns n floats of the layer's own buffer, which holds one of the
@@ -267,49 +269,15 @@ func (c *Conv2D) gatherTaps() []float32 {
 // lower writes the live input channels in slots [lo, hi) of the column matrix
 // from the batch x.
 func (c *Conv2D) lower(cols, x []float32, lo, hi int) {
-	tensor.Im2Col(cols, x, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+	tensor.Im2Col(cols, x, c.lastN, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
 		c.lastOutH, c.lastOutW, c.liveIn, lo, hi)
-}
-
-// toNCHW copies images [lo, hi) of the channel-major GEMM output into the
-// NCHW tensor, adding the bias on the way.
-func (c *Conv2D) toNCHW(y, ycm []float32, lo, hi int) {
-	spatial := c.lastOutH * c.lastOutW
-	ns := c.lastN * spatial
-	for i := lo; i < hi; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			dst := y[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial]
-			src := ycm[oc*ns+i*spatial : oc*ns+(i+1)*spatial]
-			if c.Bias {
-				b := c.B.W.Data[oc]
-				for j, v := range src {
-					dst[j] = v + b
-				}
-			} else {
-				copy(dst, src)
-			}
-		}
-	}
-}
-
-// fromNCHW is toNCHW's inverse for the output gradient: images [lo, hi) of
-// dout land in their columns of the channel-major matrix, which has one row
-// per live channel of dout.
-func (c *Conv2D) fromNCHW(dycm, dout []float32, lo, hi int) {
-	spatial := c.lastOutH * c.lastOutW
-	ns := c.lastN * spatial
-	for i := lo; i < hi; i++ {
-		for j, oc := range c.liveOut {
-			copy(dycm[j*ns+i*spatial:j*ns+(i+1)*spatial], dout[(i*c.OutC+oc)*spatial:(i*c.OutC+oc+1)*spatial])
-		}
-	}
 }
 
 // raise is lower's adjoint: input channels [lo, hi) of the input gradient are
 // rebuilt from those of their rows of the column gradient that c.taps keeps,
 // which it consumes.
 func (c *Conv2D) raise(dx, dcols []float32, lo, hi int) {
-	tensor.Col2Im(dx, dcols, c.lastN, c.InC, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
+	tensor.Col2Im(dx, dcols, c.lastN, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
 		c.lastOutH, c.lastOutW, lo, hi, c.taps)
 }
 
@@ -329,8 +297,8 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // cols, which the 1 + k weight-gradient products of a FedKNOW step read, is
 // never written after Forward.
 //
-// The operands are W and dY themselves unless a channel is dead: then dY
-// holds its live rows only, dW is computed for the live rows and live input
+// The operands are W and dY themselves unless a channel is dead: then the
+// live rows of dY are gathered, dW is computed for them and the live input
 // taps alone, and dcols comes from the live rows of W. No live row leaves dW
 // and dB untouched and dX zero; no live input channel leaves dW untouched.
 func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
@@ -340,20 +308,23 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 	ns := c.lastN * c.lastOutH * c.lastOutW
 	vol := gOut * fanIn * ns
 
-	c.liveOut = c.liveChannels(c.liveOut[:0], dout.Data, c.OutC, c.lastN, c.lastOutH*c.lastOutW)
+	c.liveOut = c.liveChannels(c.liveOut[:0], dout.Data, c.OutC, ns)
 	rows := len(c.liveOut)
 	gRows := rows / c.Groups // per group: a grouped conv is all alive
 	c.weightGrad(dout.Data, vol)
 
 	if needDX {
-		dycm := getScratch(rows * ns)
-		c.split(c.lastN, (*Conv2D).fromNCHW, *dycm, dout.Data)
-		dcols := getScratch(c.InC * kk * ns)
-		wt := c.W.W.Data
+		dy, wt := dout.Data, c.W.W.Data
+		var live *[]float32
 		c.taps = c.taps[:0]
 		if rows < c.OutC {
-			wt = c.gatherRows()
+			live = getScratch(rows * ns)
+			for j, oc := range c.liveOut {
+				copy((*live)[j*ns:(j+1)*ns], dy[oc*ns:(oc+1)*ns])
+			}
+			dy, wt = *live, c.gatherRows()
 		}
+		dcols := getScratch(c.InC * kk * ns)
 		if len(c.taps) == 0 {
 			clear(*dcols)
 		}
@@ -367,10 +338,12 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 			// A row outside c.taps gets no term on the sparse route and
 			// arithmetic on stale scratch on the dense one; raise reads neither.
 			tensor.GemmPart((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], wt[g*gRows*fanIn:(g+1)*gRows*fanIn],
-				(*dycm)[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, vol)
+				dy[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, vol)
 		}
-		scratchPool.Put(dycm)
-		c.dxBuf = tensor.Ensure(c.dxBuf, c.lastN, c.InC, c.lastInH, c.lastInW)
+		if live != nil {
+			scratchPool.Put(live)
+		}
+		c.dxBuf = tensor.Ensure(c.dxBuf, c.InC, c.lastN, c.lastInH, c.lastInW)
 		c.split(c.InC, (*Conv2D).raise, c.dxBuf.Data, *dcols)
 		scratchPool.Put(dcols)
 	}
@@ -388,8 +361,8 @@ const wgBlockFloats = 4 * 1024
 // W.Grad — or, while a channel is dead, into the compact dW (one row per live
 // row of dY, K·K columns per live input channel) that scatterGrad adds into
 // W.Grad at the places it stands for. It runs in blocks of rows of dWᵀ, which
-// no element's chain depends on. dB sums each pixel-major column of dY in the
-// same order as the chain.
+// no element's chain depends on. dB sums each row of dY in the same order as
+// the chain.
 func (c *Conv2D) weightGrad(dout []float32, vol int) {
 	kk := c.K * c.K
 	ns := c.lastN * c.lastOutH * c.lastOutW
@@ -400,13 +373,12 @@ func (c *Conv2D) weightGrad(dout []float32, vol int) {
 	gRows, liveFan := rows/c.Groups, len(c.liveIn)/c.Groups*kk
 
 	dypm := getScratch(rows * ns)
-	c.split(c.lastN, (*Conv2D).pixelMajor, *dypm, dout)
+	c.split(ns, (*Conv2D).pixelMajor, *dypm, dout)
 	if c.Bias {
-		for j, oc := range c.liveOut {
-			g, r := j/gRows, j%gRows
+		for _, oc := range c.liveOut {
 			var s float32
-			for p := 0; p < ns; p++ {
-				s += (*dypm)[(g*ns+p)*gRows+r]
+			for _, v := range dout[oc*ns : (oc+1)*ns] {
+				s += v
 			}
 			c.B.Grad.Data[oc] += s
 		}
@@ -436,20 +408,17 @@ func (c *Conv2D) weightGrad(dout []float32, vol int) {
 	scratchPool.Put(dypm)
 }
 
-// pixelMajor writes images [lo, hi) of dout's live channels into dypm, group
-// by group an (N·spatial) × gRows matrix: the pixel of image i at s is row
-// i·spatial + s, and the j-th live channel of the group its column.
+// pixelMajor writes pixels [lo, hi) of dout's live rows into dypm, group by
+// group an (N·spatial) × gRows matrix: pixel p is row p, and the j-th live
+// row of the group its column.
 func (c *Conv2D) pixelMajor(dypm, dout []float32, lo, hi int) {
-	spatial := c.lastOutH * c.lastOutW
-	ns := c.lastN * spatial
+	ns := c.lastN * c.lastOutH * c.lastOutW
 	gRows := len(c.liveOut) / c.Groups
-	for i := lo; i < hi; i++ {
-		for j, oc := range c.liveOut {
-			g, r := j/gRows, j%gRows
-			dst := dypm[(g*ns+i*spatial)*gRows+r:]
-			for s, v := range dout[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial] {
-				dst[s*gRows] = v
-			}
+	for j, oc := range c.liveOut {
+		g, r := j/gRows, j%gRows
+		dst := dypm[(g*ns+lo)*gRows+r:]
+		for p, v := range dout[oc*ns+lo : oc*ns+hi] {
+			dst[p*gRows] = v
 		}
 	}
 }

@@ -16,15 +16,15 @@ type naiveConv struct {
 	w, b                              []float32 // (outC, inC/groups, k, k), (outC)
 }
 
-// forward returns y (n, outC, outH, outW) for x (n, inC, h, w).
+// forward returns y (outC, n, outH, outW) for x (inC, n, h, w).
 func (c naiveConv) forward(x []float32, n, h, w int) (y []float64, outH, outW int) {
 	outH, outW = tensor.ConvOutSize(h, c.k, c.stride, c.pad), tensor.ConvOutSize(w, c.k, c.stride, c.pad)
 	y = make([]float64, n*c.outC*outH*outW)
 	c.visit(n, h, w, func(i, oc, oy, ox, xi, wi int) {
-		y[((i*c.outC+oc)*outH+oy)*outW+ox] += float64(x[xi]) * float64(c.w[wi])
+		y[((oc*n+i)*outH+oy)*outW+ox] += float64(x[xi]) * float64(c.w[wi])
 	})
 	for i := range y {
-		y[i] += float64(c.b[i/(outH*outW)%c.outC])
+		y[i] += float64(c.b[i/(n*outH*outW)])
 	}
 	return y, outH, outW
 }
@@ -36,12 +36,12 @@ func (c naiveConv) backward(x, dy []float32, n, h, w int) (dx, dw, db []float64)
 	dw = make([]float64, len(c.w))
 	db = make([]float64, c.outC)
 	c.visit(n, h, w, func(i, oc, oy, ox, xi, wi int) {
-		g := float64(dy[((i*c.outC+oc)*outH+oy)*outW+ox])
+		g := float64(dy[((oc*n+i)*outH+oy)*outW+ox])
 		dx[xi] += g * float64(c.w[wi])
 		dw[wi] += g * float64(x[xi])
 	})
 	for i, g := range dy {
-		db[i/(outH*outW)%c.outC] += float64(g)
+		db[i/(n*outH*outW)] += float64(g)
 	}
 	return dx, dw, db
 }
@@ -63,7 +63,7 @@ func (c naiveConv) visit(n, h, w int, fn func(i, oc, oy, ox, xi, wi int)) {
 								if iy < 0 || iy >= h || ix < 0 || ix >= w {
 									continue
 								}
-								fn(i, oc, oy, ox, ((i*c.inC+ic)*h+iy)*w+ix, ((oc*gIn+ci)*c.k+ky)*c.k+kx)
+								fn(i, oc, oy, ox, ((ic*n+i)*h+iy)*w+ix, ((oc*gIn+ci)*c.k+ky)*c.k+kx)
 							}
 						}
 					}
@@ -96,12 +96,12 @@ func TestConvMatchesNaiveReference(t *testing.T) {
 							l := NewConv2D("c", inC, outC, k, stride, pad, groups, true, rng)
 							rng.FillNorm(l.B.W.Data, 1)
 							ref := naiveConv{inC, outC, k, stride, pad, groups, l.W.W.Data, l.B.W.Data}
-							x := tensor.Randn(rng, 1, n, inC, h, w)
+							x := tensor.Randn(rng, 1, inC, n, h, w)
 
 							y := l.Forward(x, true)
 							wantY, outH, outW := ref.forward(x.Data, n, h, w)
-							if y.Shape[0] != n || y.Shape[1] != outC || y.Shape[2] != outH || y.Shape[3] != outW {
-								t.Fatalf("output shape %v, want (%d,%d,%d,%d)", y.Shape, n, outC, outH, outW)
+							if y.Shape[0] != outC || y.Shape[1] != n || y.Shape[2] != outH || y.Shape[3] != outW {
+								t.Fatalf("output shape %v, want (%d,%d,%d,%d)", y.Shape, outC, n, outH, outW)
 							}
 							dy := tensor.Randn(rng, 1, y.Shape...)
 							ZeroGrads(l.Params())

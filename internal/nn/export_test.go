@@ -8,7 +8,7 @@ package nn
 // state.
 func WithAllLive(fn func()) {
 	prev := liveScan
-	liveScan = func(dst []int, _ []float32, ch, _, _ int) []int {
+	liveScan = func(dst []int, _ []float32, ch, _ int) []int {
 		for k := 0; k < ch; k++ {
 			dst = append(dst, k)
 		}

@@ -42,15 +42,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Len() != n*l.In {
 		panic("nn: Linear input size mismatch")
 	}
-	l.xView.Data = x.Data
-	l.xView.Shape = append(l.xView.Shape[:0], n, l.In)
-	x2 := &l.xView
-	l.lastX = x2
+	l.lastX = view(&l.xView, x.Data, n, l.In)
 	l.yBuf = tensor.Ensure(l.yBuf, n, l.Out)
 	y := l.yBuf
 	clear(y.Data)
 	// y = x × W^T
-	tensor.Gemm(y.Data, x2.Data, l.W.W.Data, n, l.In, l.Out, false, true)
+	tensor.Gemm(y.Data, x.Data, l.W.W.Data, n, l.In, l.Out, false, true)
 	for i := 0; i < n; i++ {
 		row := y.Data[i*l.Out : (i+1)*l.Out]
 		for j, b := range l.B.W.Data {
@@ -223,31 +220,32 @@ func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns nil.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-// Flatten reshapes (N, C, H, W) to (N, C*H*W).
+// Flatten turns a CNHW batch (C, N, H, W) into the (N, C·H·W) rows a Linear
+// layer takes, image i's row holding its planes in channel order: the exit
+// from the channel-major layout, one transpose of planes each way.
 type Flatten struct {
 	lastShape []int
-	view      tensor.Tensor
-	dview     tensor.Tensor
+	yBuf      *tensor.Tensor
+	dxBuf     *tensor.Tensor
 }
 
 // NewFlatten returns a Flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
 
-// Forward flattens all but the batch dimension. The returned tensor is a
-// reused view sharing x's data.
+// Forward gathers each image's planes into its row.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.lastShape = append(f.lastShape[:0], x.Shape...)
-	n := x.Shape[0]
-	f.view.Data = x.Data
-	f.view.Shape = append(f.view.Shape[:0], n, x.Len()/n)
-	return &f.view
+	c, n := x.Shape[0], x.Shape[1]
+	f.yBuf = tensor.Ensure(f.yBuf, n, x.Len()/n)
+	tensor.TransposeBlocks(f.yBuf.Data, x.Data, c, n)
+	return f.yBuf
 }
 
-// Backward restores the cached input shape (again as a reused view).
+// Backward scatters each row back onto the image's planes.
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	f.dview.Data = dout.Data
-	f.dview.Shape = append(f.dview.Shape[:0], f.lastShape...)
-	return &f.dview
+	f.dxBuf = tensor.Ensure(f.dxBuf, f.lastShape...)
+	tensor.TransposeBlocks(f.dxBuf.Data, dout.Data, f.lastShape[1], f.lastShape[0])
+	return f.dxBuf
 }
 
 // Params returns nil.

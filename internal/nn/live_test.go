@@ -8,13 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// killChannels zeroes the given channels of an NCHW batch in every image.
+// killChannels zeroes the given channels of a CNHW batch, in every image.
 func killChannels(x *tensor.Tensor, chans ...int) {
-	n, c, plane := x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
-	for i := 0; i < n; i++ {
-		for _, ch := range chans {
-			clear(x.Data[(i*c+ch)*plane : (i*c+ch+1)*plane])
-		}
+	run := x.Len() / x.Shape[0]
+	for _, ch := range chans {
+		clear(x.Data[ch*run : (ch+1)*run])
 	}
 }
 
@@ -130,7 +128,7 @@ func TestConvLivenessIsBitwiseNeutral(t *testing.T) {
 						rng.FillNorm(g, 1)
 						grad0 = append(grad0, g)
 					}
-					x0 := tensor.Randn(rng, 1, sh.n, sh.inC, sh.side, sh.side)
+					x0 := tensor.Randn(rng, 1, sh.inC, sh.n, sh.side, sh.side)
 					dout0 := tensor.Randn(rng, 1, l.Forward(x0, true).Shape...)
 					for _, deadIn := range sh.deadIn {
 						for _, deadOut := range sh.deadOut {
@@ -165,12 +163,12 @@ func TestConvNaNKeepsChannelAlive(t *testing.T) {
 	grad0 := [][]float32{make([]float32, l.W.Grad.Len()), make([]float32, l.B.Grad.Len())}
 	rng.FillNorm(grad0[0], 1)
 	rng.FillNorm(grad0[1], 1)
-	x := tensor.Randn(rng, 1, 2, 4, 6, 6)
+	x := tensor.Randn(rng, 1, 4, 2, 6, 6)
 	dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
 	killChannels(x, 1, 2, 3)
-	x.Data[1*36+7] = float32(math.NaN())           // channel 1, image 0
-	x.Data[(4+2)*36+35] = float32(math.Inf(-1))    // channel 2, image 1, last pixel
-	x.Data[3*36+4] = float32(math.Copysign(0, -1)) // channel 3: −0 only
+	x.Data[(1*2+0)*36+7] = float32(math.NaN())           // channel 1, image 0
+	x.Data[(2*2+1)*36+35] = float32(math.Inf(-1))        // channel 2, image 1, last pixel
+	x.Data[(3*2+0)*36+4] = float32(math.Copysign(0, -1)) // channel 3: −0 only
 	got := passOf(l, x, dout, grad0)
 	if fmt.Sprint(l.liveIn) != "[0 1 2]" {
 		t.Fatalf("live inputs %v, want [0 1 2]: NaN and Inf are alive, −0 is not", l.liveIn)

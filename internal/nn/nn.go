@@ -7,6 +7,12 @@
 // so a layer instance must not be shared between concurrently-training
 // models. Federated clients each hold their own model; parallelism happens
 // across clients, never inside one model.
+//
+// Layout. Every 4-D activation and gradient a layer takes or returns is CNHW,
+// (C, N, H, W): channel-major, one contiguous run of N·H·W floats per
+// channel, which is the layout a convolution's GEMM writes and reads.
+// GlobalAvgPool, Flatten and the squeeze of SEBlock leave it for the (N, ·)
+// rows Linear takes.
 package nn
 
 import (

@@ -8,37 +8,40 @@ import (
 )
 
 // numGradParam estimates d(loss)/d(param[idx]) by central differences, where
-// loss is the sum of the layer output (so dout = ones).
-func numGradParam(l Layer, x *tensor.Tensor, p *Param, idx int) float64 {
+// loss is the sum of the layer output weighted by w (so dout = w).
+func numGradParam(l Layer, x, w *tensor.Tensor, p *Param, idx int) float64 {
 	const eps = 1e-3
 	orig := p.W.Data[idx]
 	p.W.Data[idx] = orig + eps
-	up := l.Forward(x.Clone(), true).Sum()
+	up := tensor.Dot(w, l.Forward(x.Clone(), true))
 	p.W.Data[idx] = orig - eps
-	down := l.Forward(x.Clone(), true).Sum()
+	down := tensor.Dot(w, l.Forward(x.Clone(), true))
 	p.W.Data[idx] = orig
 	return (up - down) / (2 * eps)
 }
 
 // numGradInput estimates d(loss)/d(x[idx]).
-func numGradInput(l Layer, x *tensor.Tensor, idx int) float64 {
+func numGradInput(l Layer, x, w *tensor.Tensor, idx int) float64 {
 	const eps = 1e-3
 	orig := x.Data[idx]
 	x.Data[idx] = orig + eps
-	up := l.Forward(x.Clone(), true).Sum()
+	up := tensor.Dot(w, l.Forward(x.Clone(), true))
 	x.Data[idx] = orig - eps
-	down := l.Forward(x.Clone(), true).Sum()
+	down := tensor.Dot(w, l.Forward(x.Clone(), true))
 	x.Data[idx] = orig
 	return (up - down) / (2 * eps)
 }
 
 // checkLayerGradients verifies analytic gradients against finite differences
-// for a handful of parameter and input coordinates.
+// for a handful of parameter and input coordinates. The loss weights every
+// output element differently: under a plain sum, an output gradient handed to
+// the wrong channel or image reads the same ones, and the input gradient of a
+// normalisation is zero whatever the layer does.
 func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	y := l.Forward(x.Clone(), true)
 	dout := tensor.New(y.Shape...)
-	dout.Fill(1)
+	tensor.NewRNG(98).FillUniform(dout.Data, 0.5, 1.5)
 	ZeroGrads(l.Params())
 	dx := l.Backward(dout)
 
@@ -46,7 +49,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	for _, p := range l.Params() {
 		for trial := 0; trial < 3 && trial < p.W.Len(); trial++ {
 			idx := rng.Intn(p.W.Len())
-			want := numGradParam(l, x, p, idx)
+			want := numGradParam(l, x, dout, p, idx)
 			got := float64(p.Grad.Data[idx])
 			if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 				t.Fatalf("param %s[%d]: analytic %v vs numeric %v", p.Name, idx, got, want)
@@ -55,7 +58,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		idx := rng.Intn(x.Len())
-		want := numGradInput(l, x, idx)
+		want := numGradInput(l, x, dout, idx)
 		got := float64(dx.Data[idx])
 		if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 			t.Fatalf("input[%d]: analytic %v vs numeric %v", idx, got, want)
@@ -73,7 +76,7 @@ func TestLinearGradients(t *testing.T) {
 func TestConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	l := NewConv2D("conv", 3, 4, 3, 1, 1, 1, true, rng)
-	x := tensor.Randn(rng, 1, 2, 3, 5, 5)
+	x := tensor.Randn(rng, 1, 3, 2, 5, 5)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
@@ -87,21 +90,21 @@ func TestConvStridedGradients(t *testing.T) {
 func TestGroupedConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	l := NewConv2D("gconv", 4, 8, 3, 1, 1, 2, true, rng)
-	x := tensor.Randn(rng, 1, 2, 4, 4, 4)
+	x := tensor.Randn(rng, 1, 4, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestDepthwiseConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	l := NewConv2D("dwconv", 4, 4, 3, 1, 1, 4, false, rng)
-	x := tensor.Randn(rng, 1, 2, 4, 5, 5)
+	x := tensor.Randn(rng, 1, 4, 2, 5, 5)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestConv1x1Gradients(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	l := NewConv2D("pw", 3, 5, 1, 1, 0, 1, true, rng)
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
@@ -111,15 +114,18 @@ func TestBatchNormGradients(t *testing.T) {
 	// Non-trivial gamma/beta so the gradient isn't symmetric.
 	l.Gamma.W.Data[0], l.Gamma.W.Data[1], l.Gamma.W.Data[2] = 1.5, 0.7, 1.1
 	l.Beta.W.Data[0] = 0.3
-	x := tensor.Randn(rng, 1, 4, 3, 3, 3)
+	x := tensor.Randn(rng, 1, 3, 4, 3, 3)
 	checkLayerGradients(t, l, x, 5e-2)
 }
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	l := NewBatchNorm2D("bn", 2, rng)
-	x := tensor.Randn(rng, 1, 8, 2, 4, 4)
-	for i := 0; i < 20; i++ {
+	x := tensor.Randn(rng, 1, 2, 8, 4, 4)
+	for j := 128; j < 256; j++ {
+		x.Data[j] += 3 // channel 1 sits apart from channel 0
+	}
+	for i := 0; i < 50; i++ {
 		l.Forward(x, true)
 	}
 	y := l.Forward(x, false)
@@ -129,7 +135,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	for ch := 0; ch < c; ch++ {
 		var mean float64
 		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
+			base := (ch*n + i) * spatial
 			for j := 0; j < spatial; j++ {
 				mean += float64(y.Data[base+j])
 			}
@@ -261,14 +267,14 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 func TestAvgPoolGradients(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	l := NewAvgPool2D(2, 2)
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 1e-2)
 }
 
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	l := NewGlobalAvgPool()
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 1e-2)
 }
 
@@ -276,7 +282,7 @@ func TestResidualGradients(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	body := NewSequential(NewConv2D("c1", 3, 3, 3, 1, 1, 1, false, rng), NewReLU())
 	l := NewResidual(body, nil)
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
@@ -296,8 +302,20 @@ func TestConcatGradients(t *testing.T) {
 	l := NewConcat(b1, b2)
 	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
 	y := l.Forward(x.Clone(), true)
-	if y.Shape[1] != 5 {
-		t.Fatalf("concat channels = %d, want 5", y.Shape[1])
+	if y.Shape[0] != 5 {
+		t.Fatalf("concat channels = %d, want 5", y.Shape[0])
+	}
+	checkLayerGradients(t, l, x, 2e-2)
+}
+
+// TestSplitConcatGradients is ShuffleNetV2's unit: the first channels pass
+// through, the rest through a convolution, and the halves are rejoined.
+func TestSplitConcatGradients(t *testing.T) {
+	rng := tensor.NewRNG(24)
+	l := NewSplitConcat(2, NewIdentity(), NewConv2D("b", 3, 4, 3, 1, 1, 1, true, rng))
+	x := tensor.Randn(rng, 1, 5, 2, 4, 4)
+	if y := l.Forward(x.Clone(), true); y.Shape[0] != 6 {
+		t.Fatalf("split-concat channels = %d, want 6", y.Shape[0])
 	}
 	checkLayerGradients(t, l, x, 2e-2)
 }
@@ -305,7 +323,7 @@ func TestConcatGradients(t *testing.T) {
 func TestChannelShuffleInverse(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	l := NewChannelShuffle(2)
-	x := tensor.Randn(rng, 1, 2, 6, 3, 3)
+	x := tensor.Randn(rng, 1, 6, 2, 3, 3)
 	y := l.Forward(x, true)
 	// Backward must be the inverse permutation: shuffle(x) then backward
 	// with shuffle(x) recovers x.
@@ -320,7 +338,7 @@ func TestChannelShuffleInverse(t *testing.T) {
 func TestSEBlockGradients(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	l := NewSEBlock("se", 4, 2, rng)
-	x := tensor.Randn(rng, 1, 2, 4, 3, 3)
+	x := tensor.Randn(rng, 1, 4, 2, 3, 3)
 	checkLayerGradients(t, l, x, 3e-2)
 }
 
@@ -333,7 +351,7 @@ func TestSequentialComposition(t *testing.T) {
 		NewFlatten(),
 		NewLinear("fc", 2*2*2, 3, rng),
 	)
-	x := tensor.Randn(rng, 1, 2, 1, 4, 4)
+	x := tensor.Randn(rng, 1, 1, 2, 4, 4)
 	y := l.Forward(x.Clone(), true)
 	if y.Shape[0] != 2 || y.Shape[1] != 3 {
 		t.Fatalf("output shape %v, want (2,3)", y.Shape)
@@ -341,16 +359,50 @@ func TestSequentialComposition(t *testing.T) {
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
+// planeTagged returns a CNHW batch (c, n, 2, 2) whose plane of channel ch and
+// image i holds 10·i + ch.
+func planeTagged(c, n int) *tensor.Tensor {
+	x := tensor.New(c, n, 2, 2)
+	for j := range x.Data {
+		ch, i := j/(4*n), j/4%n
+		x.Data[j] = float32(10*i + ch)
+	}
+	return x
+}
+
+// TestFlattenRoundTrip pins the exit from CNHW: image i's row holds its
+// planes in channel order, and Backward puts every value back.
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
-	x := tensor.New(2, 3, 4, 5)
+	x := planeTagged(3, 2)
 	y := f.Forward(x, true)
-	if y.Shape[0] != 2 || y.Shape[1] != 60 {
+	if y.Shape[0] != 2 || y.Shape[1] != 12 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
+	for j, v := range y.Data {
+		if i, ch := j/12, j%12/4; v != float32(10*i+ch) {
+			t.Fatalf("row %d column %d = %v, want image %d channel %d", i, j%12, v, i, ch)
+		}
+	}
 	dx := f.Backward(y)
-	if len(dx.Shape) != 4 || dx.Shape[3] != 5 {
+	if len(dx.Shape) != 4 || dx.Shape[3] != 2 {
 		t.Fatalf("unflatten shape %v", dx.Shape)
+	}
+	for j, v := range x.Data {
+		if dx.Data[j] != v {
+			t.Fatalf("unflatten[%d] = %v, want %v", j, dx.Data[j], v)
+		}
+	}
+}
+
+// TestGlobalAvgPoolRowsAreImages pins the other exit: row i of the (N, C)
+// output holds image i's channel means, in channel order.
+func TestGlobalAvgPoolRowsAreImages(t *testing.T) {
+	y := NewGlobalAvgPool().Forward(planeTagged(3, 2), true)
+	for j, v := range y.Data {
+		if i, ch := j/3, j%3; v != float32(10*i+ch) {
+			t.Fatalf("y[%d][%d] = %v, want %v", i, ch, v, 10*i+ch)
+		}
 	}
 }
 

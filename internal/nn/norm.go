@@ -6,9 +6,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNorm2D normalises each channel of an NCHW batch to zero mean and unit
-// variance with learnable scale (gamma) and shift (beta). During evaluation
-// it uses exponential running statistics collected in training.
+// BatchNorm2D normalises each channel of a CNHW batch (C, N, H, W) to zero
+// mean and unit variance with learnable scale (gamma) and shift (beta). A
+// channel is one contiguous run of N·H·W floats, which every pass reduces and
+// normalises in order — image by image, pixel by pixel. During evaluation it
+// uses exponential running statistics collected in training.
 type BatchNorm2D struct {
 	C        int
 	Eps      float64
@@ -20,9 +22,8 @@ type BatchNorm2D struct {
 	RunningVar  []float32
 
 	// forward cache
-	lastXHat  *tensor.Tensor
-	lastStd   []float64
-	lastShape []int
+	lastXHat *tensor.Tensor
+	lastStd  []float64
 
 	yBuf  *tensor.Tensor
 	dxBuf *tensor.Tensor
@@ -47,12 +48,11 @@ func NewBatchNorm2D(name string, c int, rng *tensor.RNG) *BatchNorm2D {
 
 // Forward normalises per channel.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	spatial := h * w
-	cnt := float64(n * spatial)
+	c := x.Shape[0]
+	run := x.Len() / c
+	cnt := float64(run)
 	b.yBuf = tensor.Ensure(b.yBuf, x.Shape...)
 	y := b.yBuf
-	b.lastShape = append(b.lastShape[:0], x.Shape...)
 	if train {
 		b.lastXHat = tensor.Ensure(b.lastXHat, x.Shape...)
 		if cap(b.lastStd) < c {
@@ -60,37 +60,28 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		b.lastStd = b.lastStd[:c]
 		for ch := 0; ch < c; ch++ {
+			xRow := x.Data[ch*run : (ch+1)*run]
 			var mean float64
-			for i := 0; i < n; i++ {
-				base := (i*c + ch) * spatial
-				for j := 0; j < spatial; j++ {
-					mean += float64(x.Data[base+j])
-				}
+			for _, v := range xRow {
+				mean += float64(v)
 			}
 			mean /= cnt
 			var variance float64
-			for i := 0; i < n; i++ {
-				base := (i*c + ch) * spatial
-				for j := 0; j < spatial; j++ {
-					d := float64(x.Data[base+j]) - mean
-					variance += d * d
-				}
+			for _, v := range xRow {
+				d := float64(v) - mean
+				variance += d * d
 			}
 			variance /= cnt
 			std := math.Sqrt(variance + b.Eps)
 			b.lastStd[ch] = std
 			invStd := 1 / std
 			g, bt := float64(b.Gamma.W.Data[ch]), float64(b.Beta.W.Data[ch])
-			for i := 0; i < n; i++ {
-				base := (i*c + ch) * spatial
-				xRow := x.Data[base : base+spatial]
-				xhRow := b.lastXHat.Data[base : base+spatial]
-				yRow := y.Data[base : base+spatial]
-				for j, v := range xRow {
-					xh := (float64(v) - mean) * invStd
-					xhRow[j] = float32(xh)
-					yRow[j] = float32(g*xh + bt)
-				}
+			xhRow := b.lastXHat.Data[ch*run : (ch+1)*run]
+			yRow := y.Data[ch*run : (ch+1)*run]
+			for j, v := range xRow {
+				xh := (float64(v) - mean) * invStd
+				xhRow[j] = float32(xh)
+				yRow[j] = float32(g*xh + bt)
 			}
 			b.RunningMean[ch] = float32((1-b.Momentum)*float64(b.RunningMean[ch]) + b.Momentum*mean)
 			b.RunningVar[ch] = float32((1-b.Momentum)*float64(b.RunningVar[ch]) + b.Momentum*variance)
@@ -104,13 +95,9 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// y = scale*x + shift with the division hoisted out of the loop.
 		scale := g / std
 		shift := bt - g*mean/std
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
-			xRow := x.Data[base : base+spatial]
-			yRow := y.Data[base : base+spatial]
-			for j, v := range xRow {
-				yRow[j] = float32(scale*float64(v) + shift)
-			}
+		yRow := y.Data[ch*run : (ch+1)*run]
+		for j, v := range x.Data[ch*run : (ch+1)*run] {
+			yRow[j] = float32(scale*float64(v) + shift)
 		}
 	}
 	return y
@@ -118,20 +105,18 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c := b.lastShape[0], b.lastShape[1]
-	spatial := b.lastShape[2] * b.lastShape[3]
-	cnt := float64(n * spatial)
-	b.dxBuf = tensor.Ensure(b.dxBuf, b.lastShape...)
+	c := dout.Shape[0]
+	run := dout.Len() / c
+	cnt := float64(run)
+	b.dxBuf = tensor.Ensure(b.dxBuf, dout.Shape...)
 	dx := b.dxBuf
 	for ch := 0; ch < c; ch++ {
+		dRow := dout.Data[ch*run : (ch+1)*run]
+		xhRow := b.lastXHat.Data[ch*run : (ch+1)*run]
 		var sumDy, sumDyXHat float64
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
-			for j := 0; j < spatial; j++ {
-				g := float64(dout.Data[base+j])
-				sumDy += g
-				sumDyXHat += g * float64(b.lastXHat.Data[base+j])
-			}
+		for j, g := range dRow {
+			sumDy += float64(g)
+			sumDyXHat += float64(g) * float64(xhRow[j])
 		}
 		b.Beta.Grad.Data[ch] += float32(sumDy)
 		b.Gamma.Grad.Data[ch] += float32(sumDyXHat)
@@ -139,14 +124,9 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		a := gamma / b.lastStd[ch]
 		meanDy := sumDy / cnt
 		meanDyXHat := sumDyXHat / cnt
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
-			dRow := dout.Data[base : base+spatial]
-			xhRow := b.lastXHat.Data[base : base+spatial]
-			dxRow := dx.Data[base : base+spatial]
-			for j, g := range dRow {
-				dxRow[j] = float32(a * (float64(g) - meanDy - float64(xhRow[j])*meanDyXHat))
-			}
+		dxRow := dx.Data[ch*run : (ch+1)*run]
+		for j, g := range dRow {
+			dxRow[j] = float32(a * (float64(g) - meanDy - float64(xhRow[j])*meanDyXHat))
 		}
 	}
 	return dx

@@ -19,7 +19,7 @@ func convFixtureOf(seed uint64, inC, outC, side, n int, density float64) (*Conv2
 	rng := tensor.NewRNG(seed)
 	l := NewConv2D("c", inC, outC, 3, 1, 1, 1, true, rng)
 	sparsify(l.W.W.Data, density, rng)
-	x := tensor.Randn(rng, 1, n, inC, side, side)
+	x := tensor.Randn(rng, 1, inC, n, side, side)
 	y := l.Forward(x, true)
 	dout := tensor.Randn(rng, 1, y.Shape...)
 	return l, x, dout
@@ -170,18 +170,17 @@ func TestScratchReuseKeepsGradientsCorrect(t *testing.T) {
 		return NewConv2D("c", 3, 4, 3, 1, 1, 1, false, rng), NewLinear("fc", 4*6*6, 5, rng)
 	}
 	rng := tensor.NewRNG(22)
-	x1 := tensor.Randn(rng, 1, 2, 3, 6, 6)
-	x2 := tensor.Randn(rng, 1, 2, 3, 6, 6)
+	x1 := tensor.Randn(rng, 1, 3, 2, 6, 6)
+	x2 := tensor.Randn(rng, 1, 3, 2, 6, 6)
+	flat := NewFlatten()
 	d1 := tensor.Randn(rng, 1, 2, 5)
 	d2 := tensor.Randn(rng, 1, 2, 5)
 
 	run := func(c *Conv2D, fc *Linear, x, d *tensor.Tensor) ([]float32, []float32) {
 		ZeroGrads(c.Params())
 		ZeroGrads(fc.Params())
-		h := c.Forward(x, true)
-		fc.Forward(h, true)
-		dh := fc.Backward(d)
-		dx := c.Backward(dh.Reshape(2, 4, 6, 6))
+		fc.Forward(flat.Forward(c.Forward(x, true), true), true)
+		dx := c.Backward(flat.Backward(fc.Backward(d)))
 		grads := FlattenGrads(append(c.Params(), fc.Params()...))
 		return append([]float32(nil), dx.Data...), grads
 	}

@@ -9,21 +9,18 @@ import (
 // SplitConcat routes the first SplitC input channels through branch A and
 // the remaining channels through branch B, then concatenates the two outputs
 // along the channel dimension. This is the channel-split unit of
-// ShuffleNetV2.
+// ShuffleNetV2. Channel-major, the two halves of a CNHW batch are two blocks:
+// each branch is handed a view of its block, and of its block of the output
+// gradient.
 type SplitConcat struct {
 	SplitC int
 	A, B   Layer
 
-	lastShape []int
-	lastAOutC int
-	lastBOutC int
-	lastOutH  int
-	lastOutW  int
-
-	xaBuf, xbBuf *tensor.Tensor
-	outBuf       *tensor.Tensor
-	daBuf, dbBuf *tensor.Tensor
-	dxBuf        *tensor.Tensor
+	lastShape      []int
+	xa, xb, da, db tensor.Tensor
+	ya, yb         *tensor.Tensor
+	outBuf         *tensor.Tensor
+	dxBuf          *tensor.Tensor
 }
 
 // NewSplitConcat returns a split/concat container.
@@ -33,65 +30,33 @@ func NewSplitConcat(splitC int, a, b Layer) *SplitConcat {
 
 // Forward splits channels, runs both branches, and concatenates.
 func (s *SplitConcat) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	c, n, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if s.SplitC <= 0 || s.SplitC >= c {
 		panic(fmt.Sprintf("nn: SplitConcat split %d of %d channels", s.SplitC, c))
 	}
 	s.lastShape = append(s.lastShape[:0], x.Shape...)
-	spatial := h * w
-	s.xaBuf = tensor.Ensure(s.xaBuf, n, s.SplitC, h, w)
-	s.xbBuf = tensor.Ensure(s.xbBuf, n, c-s.SplitC, h, w)
-	xa, xb := s.xaBuf, s.xbBuf
-	for i := 0; i < n; i++ {
-		copy(xa.Data[i*s.SplitC*spatial:(i+1)*s.SplitC*spatial],
-			x.Data[(i*c)*spatial:(i*c+s.SplitC)*spatial])
-		copy(xb.Data[i*(c-s.SplitC)*spatial:(i+1)*(c-s.SplitC)*spatial],
-			x.Data[(i*c+s.SplitC)*spatial:(i+1)*c*spatial])
-	}
-	ya := s.A.Forward(xa, train)
-	yb := s.B.Forward(xb, train)
-	if ya.Shape[2] != yb.Shape[2] || ya.Shape[3] != yb.Shape[3] {
+	at := s.SplitC * n * h * w
+	s.ya = s.A.Forward(view(&s.xa, x.Data[:at], s.SplitC, n, h, w), train)
+	s.yb = s.B.Forward(view(&s.xb, x.Data[at:], c-s.SplitC, n, h, w), train)
+	if s.ya.Shape[2] != s.yb.Shape[2] || s.ya.Shape[3] != s.yb.Shape[3] {
 		panic("nn: SplitConcat branch spatial mismatch")
 	}
-	ca, cb := ya.Shape[1], yb.Shape[1]
-	oh, ow := ya.Shape[2], ya.Shape[3]
-	s.lastAOutC, s.lastBOutC, s.lastOutH, s.lastOutW = ca, cb, oh, ow
-	s.outBuf = tensor.Ensure(s.outBuf, n, ca+cb, oh, ow)
-	out := s.outBuf
-	osp := oh * ow
-	for i := 0; i < n; i++ {
-		copy(out.Data[(i*(ca+cb))*osp:(i*(ca+cb)+ca)*osp], ya.Data[i*ca*osp:(i+1)*ca*osp])
-		copy(out.Data[(i*(ca+cb)+ca)*osp:(i+1)*(ca+cb)*osp], yb.Data[i*cb*osp:(i+1)*cb*osp])
-	}
-	return out
+	s.outBuf = tensor.Ensure(s.outBuf, s.ya.Shape[0]+s.yb.Shape[0], n, s.ya.Shape[2], s.ya.Shape[3])
+	at = copy(s.outBuf.Data, s.ya.Data)
+	copy(s.outBuf.Data[at:], s.yb.Data)
+	return s.outBuf
 }
 
 // Backward splits the output gradient, back-propagates both branches and
 // re-assembles the input gradient.
 func (s *SplitConcat) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c := s.lastShape[0], s.lastShape[1]
-	h, w := s.lastShape[2], s.lastShape[3]
-	ca, cb := s.lastAOutC, s.lastBOutC
-	osp := s.lastOutH * s.lastOutW
-	s.daBuf = tensor.Ensure(s.daBuf, n, ca, s.lastOutH, s.lastOutW)
-	s.dbBuf = tensor.Ensure(s.dbBuf, n, cb, s.lastOutH, s.lastOutW)
-	da, db := s.daBuf, s.dbBuf
-	for i := 0; i < n; i++ {
-		copy(da.Data[i*ca*osp:(i+1)*ca*osp], dout.Data[(i*(ca+cb))*osp:(i*(ca+cb)+ca)*osp])
-		copy(db.Data[i*cb*osp:(i+1)*cb*osp], dout.Data[(i*(ca+cb)+ca)*osp:(i+1)*(ca+cb)*osp])
-	}
-	dxa := s.A.Backward(da)
-	dxb := s.B.Backward(db)
-	s.dxBuf = tensor.Ensure(s.dxBuf, n, c, h, w)
-	dx := s.dxBuf
-	spatial := h * w
-	for i := 0; i < n; i++ {
-		copy(dx.Data[(i*c)*spatial:(i*c+s.SplitC)*spatial],
-			dxa.Data[i*s.SplitC*spatial:(i+1)*s.SplitC*spatial])
-		copy(dx.Data[(i*c+s.SplitC)*spatial:(i+1)*c*spatial],
-			dxb.Data[i*(c-s.SplitC)*spatial:(i+1)*(c-s.SplitC)*spatial])
-	}
-	return dx
+	at := s.ya.Len()
+	dxa := s.A.Backward(view(&s.da, dout.Data[:at], s.ya.Shape...))
+	dxb := s.B.Backward(view(&s.db, dout.Data[at:], s.yb.Shape...))
+	s.dxBuf = tensor.Ensure(s.dxBuf, s.lastShape...)
+	at = copy(s.dxBuf.Data, dxa.Data)
+	copy(s.dxBuf.Data[at:], dxb.Data)
+	return s.dxBuf
 }
 
 // Params concatenates both branches' parameters.

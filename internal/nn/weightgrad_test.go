@@ -51,7 +51,7 @@ func gemmFuses() bool {
 // chain over the N·spatial output positions in order — image, then row, then
 // column — onto zero, each step rounded as step does, then added to grad0.
 func chainWeightGrad(l *Conv2D, x, dout *tensor.Tensor, grad0 []float32, step func(a, b, c float32) float32) []float32 {
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	n, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := dout.Shape[2], dout.Shape[3]
 	gIn, gOut, kk := l.InC/l.Groups, l.OutC/l.Groups, l.K*l.K
 	fanIn := gIn * kk
@@ -66,9 +66,9 @@ func chainWeightGrad(l *Conv2D, x, dout *tensor.Tensor, grad0 []float32, step fu
 					for ox := 0; ox < outW; ox++ {
 						var a float32
 						if iy, ix := oy*l.Stride+ky-l.Pad, ox*l.Stride+kx-l.Pad; iy >= 0 && iy < h && ix >= 0 && ix < w {
-							a = x.Data[((i*l.InC+ch)*h+iy)*w+ix]
+							a = x.Data[((ch*n+i)*h+iy)*w+ix]
 						}
-						s = step(a, dout.Data[((i*l.OutC+oc)*outH+oy)*outW+ox], s)
+						s = step(a, dout.Data[((oc*n+i)*outH+oy)*outW+ox], s)
 					}
 				}
 			}
@@ -120,7 +120,7 @@ func TestConvWeightGradIsOneChain(t *testing.T) {
 			}
 			grad0 := make([]float32, l.W.Grad.Len())
 			rng.FillNorm(grad0, 1)
-			x0 := tensor.Randn(rng, 1, n, sh.inC, sh.side, sh.side)
+			x0 := tensor.Randn(rng, 1, sh.inC, n, sh.side, sh.side)
 			dout0 := tensor.Randn(rng, 1, l.Forward(x0, true).Shape...)
 			for _, deadIn := range sh.deadIn {
 				for _, deadOut := range sh.deadOut {

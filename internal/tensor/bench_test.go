@@ -164,13 +164,13 @@ var benchChans = identity(64)
 
 func BenchmarkIm2Col(b *testing.B) {
 	benchLowering(b, func(x, cols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
-		Im2Col(cols, x, n, c, h, w, k, k, stride, pad, outH, outW, benchChans[:c], 0, c)
+		Im2Col(cols, x, n, h, w, k, k, stride, pad, outH, outW, benchChans[:c], 0, c)
 	})
 }
 
 func BenchmarkCol2Im(b *testing.B) {
 	benchLowering(b, func(dx, dcols []float32, n, c, h, w, k, stride, pad, outH, outW int) {
-		Col2Im(dx, dcols, n, c, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
+		Col2Im(dx, dcols, n, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
 	})
 }
 

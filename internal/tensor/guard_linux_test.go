@@ -116,7 +116,7 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 		chans := []int{1}
 		rowLen := g.matrixLen() / (g.c * g.k * g.k)
 		slots := guarded(t, len(chans)*g.k*g.k*rowLen)
-		Im2Col(slots, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, 0, len(chans))
+		Im2Col(slots, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, 0, len(chans))
 		for s, ch := range chans {
 			sameBits(t, "slot", g, slots[s*g.k*g.k*rowLen:(s+1)*g.k*g.k*rowLen], wantCols[ch*g.k*g.k*rowLen:(ch+1)*g.k*g.k*rowLen])
 		}
@@ -136,7 +136,7 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 				wantDx[pixel] += dcols[slot]
 			}
 		})
-		Col2Im(dx, dcols, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
+		Col2Im(dx, dcols, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
 		sameBits(t, "masked dx", g, dx, wantDx)
 	}
 }

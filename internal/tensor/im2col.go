@@ -2,10 +2,11 @@ package tensor
 
 // Lowering and raising: convolution as GEMM.
 //
-// Im2Col lowers an NCHW batch into one column matrix of c·kh·kw rows and
-// n·outH·outW columns: row (ch, ky, kx) holds, for image i at columns
-// [i·spatial, (i+1)·spatial), the input pixel tap (ky, kx) reads for every
-// output position, and 0 where that tap lands in the padding. Col2Im is its
+// Im2Col lowers a CNHW batch (plane of channel ch, image i at (ch·n + i)·h·w)
+// into one column matrix of c·kh·kw rows and n·outH·outW columns: row
+// (ch, ky, kx) holds, for image i at columns [i·spatial, (i+1)·spatial), the
+// input pixel tap (ky, kx) reads for every output position, and 0 where that
+// tap lands in the padding; a GEMM against it writes CNHW. Col2Im is its
 // adjoint: it sums a column gradient back onto the input planes.
 //
 // Both walk the matrix row by row. A row's tap geometry — the output rows
@@ -44,7 +45,7 @@ package tensor
 // The sum is therefore the same bits as a scalar scatter in (ky, kx) order,
 // whatever the inner loop. All taps of one channel are raised by one caller,
 // so a split over channels — disjoint rows of the matrix when lowering,
-// disjoint planes when raising — never shows in a result.
+// disjoint runs of planes when raising — never shows in a result.
 //
 // Slots and masks. The matrix need not hold every channel: Im2Col lowers the
 // channels it is given a list of, the s-th of them into slot s (rows
@@ -113,20 +114,20 @@ func zeroWraps(seg []float32, at, w, wrap, gaps int) {
 	}
 }
 
-// Im2Col lowers channel chans[s] of the batch x (n × c × h × w) into slot s of
-// the column matrix cols (len(chans)·kh·kw × n·outH·outW, row-major), for s
-// in [lo, hi). Every slot of those rows is written — input pixel or padding
-// zero — and nothing outside them; see the file comment for the order and
-// the two inner loops.
-func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW int, chans []int, lo, hi int) {
+// Im2Col lowers channel chans[s] of the CNHW batch x (n planes of h × w a
+// channel) into slot s of the column matrix cols (len(chans)·kh·kw ×
+// n·outH·outW, row-major), for s in [lo, hi). Every slot of those rows is
+// written — input pixel or padding zero — and nothing outside them; see the
+// file comment for the order and the two inner loops.
+func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, chans []int, lo, hi int) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
-	ns, img := n*spatial, c*plane
+	ns := n * spatial
 	shifted := stride == 1 && outW == w
 	for slot := lo; slot < hi; slot++ {
-		ch := chans[slot]
+		planes := x[chans[slot]*n*plane : (chans[slot]+1)*n*plane]
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
 				r := (slot*kh+ky)*kw + kx
@@ -141,7 +142,7 @@ func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW int, 
 				shift := (ky-pad)*w + off
 				for i := 0; i < n; i++ {
 					seg := row[i*spatial : (i+1)*spatial]
-					src := x[i*img+ch*plane : i*img+(ch+1)*plane]
+					src := planes[i*plane : (i+1)*plane]
 					if shifted {
 						clear(seg[:first])
 						copy(seg[first:last], src[first+shift:])
@@ -170,25 +171,24 @@ func Im2Col(cols, x []float32, n, c, h, w, kh, kw, stride, pad, outH, outW int, 
 	}
 }
 
-// Col2Im raises channels [chLo, chHi) of the column gradient dcols (c·kh·kw
-// rows, laid out as Im2Col writes the full matrix) onto their planes of dx
-// (n × c × h × w) — the adjoint of Im2Col. Those planes are overwritten:
+// Col2Im raises channels [chLo, chHi) of the column gradient dcols (laid out
+// as Im2Col writes the full matrix) onto their planes of the CNHW batch dx —
+// the adjoint of Im2Col. Those planes are overwritten:
 // cleared, then summed into in ascending (ky, kx), the order the file comment
 // derives the result's bits from. Where rows is not empty, a row r with
 // !rows[r] is taken to be +0 and is not touched. dcols is consumed: the wrap
 // slots of a plane-shift run are set to 0 in it (positions no input pixel
 // maps to); nothing else is written.
-func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
+func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
-	ns, img := n*spatial, c*plane
+	ns := n * spatial
 	shifted, masked := stride == 1 && outW == w, len(rows) != 0
 	for ch := chLo; ch < chHi; ch++ {
-		for i := 0; i < n; i++ {
-			clear(dx[i*img+ch*plane : i*img+(ch+1)*plane])
-		}
+		planes := dx[ch*n*plane : (ch+1)*n*plane]
+		clear(planes)
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
 				r := (ch*kh+ky)*kw + kx
@@ -202,7 +202,7 @@ func Col2Im(dx, dcols []float32, n, c, h, w, kh, kw, stride, pad, outH, outW, ch
 				shift := (ky-pad)*w + off
 				for i := 0; i < n; i++ {
 					seg := row[i*spatial : (i+1)*spatial]
-					dst := dx[i*img+ch*plane : i*img+(ch+1)*plane]
+					dst := planes[i*plane : (i+1)*plane]
 					if shifted {
 						zeroWraps(seg, wrapAt, w, wrap, oy.hi-oy.lo-1)
 						axpyRow(dst[first+shift:last+shift], 1, seg[first:last])

@@ -44,7 +44,7 @@ func (g convGeom) forEachSlot(chLo, chHi int, fn func(slot, pixel int)) {
 							iy, ix := oy*g.stride+ky-g.pad, ox*g.stride+kx-g.pad
 							pixel := -1
 							if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
-								pixel = ((i*g.c+ch)*g.h+iy)*g.w + ix
+								pixel = ((ch*g.n+i)*g.h+iy)*g.w + ix
 							}
 							fn(r*ns+(i*outH+oy)*outW+ox, pixel)
 						}
@@ -71,14 +71,14 @@ func (g convGeom) lowerOver(cols, x []float32) {
 	outH, outW := g.outSize()
 	chans := identity(g.c)
 	Parallel(g.chHi-g.chLo, func(lo, hi int) {
-		Im2Col(cols, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, g.chLo+lo, g.chLo+hi)
+		Im2Col(cols, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, g.chLo+lo, g.chLo+hi)
 	})
 }
 
 func (g convGeom) raiseOver(dx, dcols []float32) {
 	outH, outW := g.outSize()
 	Parallel(g.chHi-g.chLo, func(lo, hi int) {
-		Col2Im(dx, dcols, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, g.chLo+lo, g.chLo+hi, nil)
+		Col2Im(dx, dcols, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, g.chLo+lo, g.chLo+hi, nil)
 	})
 }
 
@@ -133,9 +133,7 @@ func checkLowerRaise(t *testing.T, g convGeom) {
 			wantCols[slot] = x[pixel]
 		}
 	})
-	for i := 0; i < g.n; i++ {
-		clear(wantDx[(i*g.c+g.chLo)*g.h*g.w : (i*g.c+g.chHi)*g.h*g.w])
-	}
+	clear(wantDx[g.chLo*g.n*g.h*g.w : g.chHi*g.n*g.h*g.w])
 	g.forEachSlot(g.chLo, g.chHi, func(slot, pixel int) {
 		if pixel >= 0 {
 			wantDx[pixel] += dcols[slot]
@@ -242,7 +240,7 @@ func TestIm2ColSlotsCol2ImMask(t *testing.T) {
 			x := make([]float32, g.batchLen())
 			rng.FillNorm(x, 1)
 			full := make([]float32, g.matrixLen())
-			Im2Col(full, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, identity(g.c), 0, g.c)
+			Im2Col(full, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, identity(g.c), 0, g.c)
 
 			dcols := make([]float32, g.matrixLen())
 			rng.FillNorm(dcols, 1)
@@ -271,7 +269,7 @@ func TestIm2ColSlotsCol2ImMask(t *testing.T) {
 					cols[j] = nan
 				}
 				Parallel(len(chans), func(lo, hi int) {
-					Im2Col(cols, x, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, lo, hi)
+					Im2Col(cols, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, lo, hi)
 				})
 				for s, ch := range chans {
 					sameBits(t, fmt.Sprintf("slot %d at %d threads", s, threads), g, cols[s*kk*ns:(s+1)*kk*ns], full[ch*kk*ns:(ch+1)*kk*ns])
@@ -288,7 +286,7 @@ func TestIm2ColSlotsCol2ImMask(t *testing.T) {
 				}
 				src := append([]float32(nil), dcols...)
 				Parallel(g.c, func(lo, hi int) {
-					Col2Im(dx, src, g.n, g.c, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, lo, hi, mask)
+					Col2Im(dx, src, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, lo, hi, mask)
 				})
 				sameBits(t, fmt.Sprintf("masked dx at %d threads", threads), g, dx, wantDx)
 				for r, on := range mask {

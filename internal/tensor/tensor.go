@@ -291,6 +291,19 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
+// TransposeBlocks copies src, a rows × cols grid of equal-sized contiguous
+// blocks, into dst as the cols × rows grid: block (r, k) of src becomes block
+// (k, r) of dst. With planes for blocks it moves a batch between the (N, C,
+// H, W) and (C, N, H, W) layouts.
+func TransposeBlocks(dst, src []float32, rows, cols int) {
+	size := len(src) / (rows * cols)
+	for r := 0; r < rows; r++ {
+		for k := 0; k < cols; k++ {
+			copy(dst[(k*rows+r)*size:(k*rows+r+1)*size], src[(r*cols+k)*size:(r*cols+k+1)*size])
+		}
+	}
+}
+
 // Ensure returns a tensor with the given shape, reusing t's storage when its
 // capacity suffices (t may be nil). Contents are unspecified: callers that
 // need zeros must clear the data themselves. This is the scratch-buffer

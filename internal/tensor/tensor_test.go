@@ -244,7 +244,7 @@ func TestIm2ColMatchesDirectConvolution(t *testing.T) {
 		want, outH, outW := naiveConvSingle(img, tc.c, tc.h, tc.w, ker, tc.k, tc.k, tc.stride, tc.pad)
 
 		cols := make([]float32, tc.c*tc.k*tc.k*outH*outW)
-		Im2Col(cols, img, 1, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, outH, outW, identity(tc.c), 0, tc.c)
+		Im2Col(cols, img, 1, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, outH, outW, identity(tc.c), 0, tc.c)
 		got := make([]float32, outH*outW)
 		Gemm(got, ker, cols, 1, tc.c*tc.k*tc.k, outH*outW, false, false)
 		for i := range want {
@@ -268,14 +268,30 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	r.FillNorm(y, 1)
 
 	fx := make([]float32, len(y))
-	Im2Col(fx, x, 1, c, h, w, k, k, stride, pad, outH, outW, identity(c), 0, c)
+	Im2Col(fx, x, 1, h, w, k, k, stride, pad, outH, outW, identity(c), 0, c)
 	aty := make([]float32, len(x))
-	Col2Im(aty, y, 1, c, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
+	Col2Im(aty, y, 1, h, w, k, k, stride, pad, outH, outW, 0, c, nil)
 
 	lhs := DotSlice(fx, y)
 	rhs := DotSlice(x, aty)
 	if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {
 		t.Fatalf("adjoint mismatch: <Fx,y>=%v <x,F*y>=%v", lhs, rhs)
+	}
+}
+
+// TestTransposeBlocks moves a 2 × 3 grid of two-float blocks to its 3 × 2
+// transpose and back.
+func TestTransposeBlocks(t *testing.T) {
+	src := []float32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	want := []float32{0, 1, 6, 7, 2, 3, 8, 9, 4, 5, 10, 11}
+	got := make([]float32, len(src))
+	TransposeBlocks(got, src, 2, 3)
+	back := make([]float32, len(src))
+	TransposeBlocks(back, got, 3, 2)
+	for i := range want {
+		if got[i] != want[i] || back[i] != src[i] {
+			t.Fatalf("transposed %v and back %v, want %v and %v", got, back, want, src)
+		}
 	}
 }
 
