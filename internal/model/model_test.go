@@ -227,6 +227,77 @@ func TestZooDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
+// spyConv is a Conv2D that records which of its backward passes ran.
+type spyConv struct {
+	*nn.Conv2D
+	dx, paramsOnly bool
+}
+
+func (s *spyConv) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	s.dx = true
+	return s.Conv2D.Backward(dout)
+}
+
+func (s *spyConv) BackwardParamsOnly(dout *tensor.Tensor) {
+	s.paramsOnly = true
+	s.Conv2D.BackwardParamsOnly(dout)
+}
+
+// spyStem puts a spyConv in place of m's stem convolution — the network's
+// first layer, or the first layer of a Sequential stem — and returns it.
+func spyStem(t *testing.T, m *Model) *spyConv {
+	t.Helper()
+	layers := m.Net.(*nn.Sequential).Layers
+	if s, ok := layers[0].(*nn.Sequential); ok {
+		layers = s.Layers
+	}
+	c, ok := layers[0].(*nn.Conv2D)
+	if !ok {
+		t.Fatalf("%s: stem starts with %T, not a convolution", m.Name, layers[0])
+	}
+	spy := &spyConv{Conv2D: c}
+	layers[0] = spy
+	return spy
+}
+
+// TestStemSkipsInputGradient holds Model.Backward's first-layer elision on
+// every architecture: the stem convolution computes no input gradient, and
+// the parameter gradients are bit for bit those of the network's full
+// Backward, which does compute it.
+func TestStemSkipsInputGradient(t *testing.T) {
+	for _, arch := range Names() {
+		t.Run(arch, func(t *testing.T) {
+			var grads [2][]float32
+			for i, full := range []bool{false, true} {
+				rng := tensor.NewRNG(37)
+				m := MustBuild(arch, 10, 3, 16, 16, 1, rng.Fork(1))
+				spy := spyStem(t, m)
+				x := tensor.Randn(rng.Fork(2), 1, 8, 3, 16, 16)
+				_, dl := nn.CrossEntropy(m.Forward(x, true), []int{0, 1, 2, 3, 4, 5, 6, 7})
+				nn.ZeroGrads(m.Params())
+				if full {
+					m.Net.Backward(dl)
+				} else {
+					m.Backward(dl)
+				}
+				if spy.dx == full && spy.paramsOnly == !full {
+					grads[i] = nn.FlattenGrads(m.Params())
+					continue
+				}
+				if full {
+					t.Fatalf("the network's Backward skipped the stem's input gradient (dx %v, params only %v)", spy.dx, spy.paramsOnly)
+				}
+				t.Fatalf("Model.Backward ran the stem's full backward (dx %v, params only %v)", spy.dx, spy.paramsOnly)
+			}
+			for j, w := range grads[1] {
+				if g := grads[0][j]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("grads[%d] = %v, want %v", j, g, w)
+				}
+			}
+		})
+	}
+}
+
 func TestModelLearnsTinyProblem(t *testing.T) {
 	// SixCNN must fit a two-class toy problem: accuracy well above chance
 	// after a few gradient steps. This is the substrate's end-to-end

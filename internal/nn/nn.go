@@ -92,6 +92,12 @@ func (s *Sequential) BackwardDiscardInput(dout *tensor.Tensor) *tensor.Tensor {
 	return s.Layers[0].Backward(dout)
 }
 
+// BackwardParamsOnly is BackwardDiscardInput with the result dropped, which
+// makes a Sequential a first layer that can skip its own first layer's input
+// gradient: a network whose stem is Sequential(conv, BN) elides the stem
+// conv's adjoint lowering.
+func (s *Sequential) BackwardParamsOnly(dout *tensor.Tensor) { s.BackwardDiscardInput(dout) }
+
 // Params returns the concatenated parameters of all layers.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

@@ -31,6 +31,12 @@ func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
 //go:noescape
 func axpyFMA(c, b *float32, av float32, n int)
 
+// copyAVX copies n float32s from src to dst, which must not overlap.
+// Implemented in dot4_amd64.s.
+//
+//go:noescape
+func copyAVX(dst, src *float32, n int)
+
 // addT8 adds the transposes of nblk 8×8 blocks of an eight-row strip of src
 // (rows lds floats apart) into dst (rows ld floats apart): the block at
 // column 8b of the strip lands on rows 8b… of dst. Implemented in

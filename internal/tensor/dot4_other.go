@@ -22,6 +22,10 @@ func axpyFMA(c, b *float32, av float32, n int) {
 	panic("tensor: axpyFMA without hardware support")
 }
 
+func copyAVX(dst, src *float32, n int) {
+	panic("tensor: copyAVX without hardware support")
+}
+
 func addT8(dst *float32, ld int, src *float32, lds, nblk int) {
 	panic("tensor: addT8 without hardware support")
 }

@@ -313,6 +313,16 @@ func axpyRow(c []float32, av float32, b []float32) {
 	}
 }
 
+// copyRow copies src into dst (len(dst) floats, no overlap): copy's result,
+// without the runtime's slow path on large misaligned rows (see copyAVX).
+func copyRow(dst, src []float32) {
+	if hasDot4 && len(dst) > 0 {
+		copyAVX(&dst[0], &src[:len(dst)][0], len(dst))
+		return
+	}
+	copy(dst, src)
+}
+
 // gemmDirect computes rows [lo, hi) of C with the classic loop nests: the
 // whole of a problem too small for the kernels above to pay off, and the
 // !transB form on machines without the AVX2 kernels.

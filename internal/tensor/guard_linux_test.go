@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"syscall"
 	"testing"
@@ -12,17 +13,36 @@ import (
 // slice faults instead of passing unnoticed.
 func guarded(t *testing.T, n int) []float32 {
 	page := syscall.Getpagesize()
-	size := (4*n+page-1)/page*page + page
+	mem := guardedMap(t, (4*n+page-1)/page*page+page, false)
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-page-4*n])), n)
+}
+
+// guardedFront returns n float32s whose first element is the first four bytes
+// after an inaccessible page: guarded's mirror, for a read or write one byte
+// before the slice.
+func guardedFront(t *testing.T, n int) []float32 {
+	page := syscall.Getpagesize()
+	mem := guardedMap(t, page+(4*n+page-1)/page*page, true)
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[page])), n)
+}
+
+// guardedMap maps size bytes and makes the first page (front) or the last one
+// inaccessible.
+func guardedMap(t *testing.T, size int, front bool) []byte {
+	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // nothing to do about a failed unmap in a test
-	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
+	guard := mem[size-page:]
+	if front {
+		guard = mem[:page]
+	}
+	if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	end := size - page
-	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[end-4*n])), n)
+	return mem
 }
 
 // TestGemmStaysInsideOperands runs the AVX2 kernels with every operand flush
@@ -81,62 +101,77 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 }
 
 // TestLoweringStaysInsideOperands runs Im2Col and Col2Im with the batch and
-// the matrix each flush against a guard page, on both inner loops: the
-// plane-shift run ends at the plane's last pixel when the tap is the window's
-// last, and the row add's masked tail and the strided loop's last tap are the
-// other places a read or write one float too far would land.
+// the matrix each flush against a guard page, behind them and then in front of
+// them, on both ways a row moves: a plane-shift stretch starts at the
+// channel run's first pixel when the tap is the window's first and ends at
+// its last when the tap is the window's last — batch-wide, the first float of
+// the first channel and the last float of the last — and the row add's masked
+// tail and the strided loop's last tap are the other places a read or write
+// one float too far would land.
 func TestLoweringStaysInsideOperands(t *testing.T) {
 	pinKernelThreads(t, 1)
 	for _, g := range []convGeom{
 		{3, 2, 5, 7, 3, 1, 1, 0, 2}, // 'same': plane shift
 		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided: row loop
+		{8, 2, 4, 4, 3, 1, 1, 0, 2}, // 'same', eight 4×4 images a stretch
 	} {
-		x, cols := guarded(t, g.batchLen()), guarded(t, g.matrixLen())
-		dx, dcols := guarded(t, g.batchLen()), guarded(t, g.matrixLen())
-		rng := NewRNG(50)
-		rng.FillNorm(x, 1)
-		rng.FillNorm(dcols, 1)
-		wantCols, wantDx := make([]float32, len(cols)), make([]float32, len(dx))
-		g.forEachSlot(0, g.c, func(slot, pixel int) {
-			if pixel >= 0 {
-				wantCols[slot] = x[pixel]
-				wantDx[pixel] += dcols[slot]
-			}
-		})
-		g.lowerOver(cols, x)
-		sameBits(t, "cols", g, cols, wantCols)
-		g.raiseOver(dx, dcols)
-		sameBits(t, "dx", g, dx, wantDx)
-
-		// Lowering into slots: a matrix of the second channel alone, flush
-		// against the page, must hold its rows of the full one and be all
-		// the routine writes. Raising under a mask: every third row is NaN
-		// and masked out, so reading one would poison its plane.
-		outH, outW := g.outSize()
-		chans := []int{1}
-		rowLen := g.matrixLen() / (g.c * g.k * g.k)
-		slots := guarded(t, len(chans)*g.k*g.k*rowLen)
-		Im2Col(slots, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, 0, len(chans))
-		for s, ch := range chans {
-			sameBits(t, "slot", g, slots[s*g.k*g.k*rowLen:(s+1)*g.k*g.k*rowLen], wantCols[ch*g.k*g.k*rowLen:(ch+1)*g.k*g.k*rowLen])
+		for _, side := range []struct {
+			name  string
+			alloc func(*testing.T, int) []float32
+		}{{"guard behind", guarded}, {"guard in front", guardedFront}} {
+			t.Run(fmt.Sprintf("%v/%s", g, side.name), func(t *testing.T) {
+				checkInsideOperands(t, g, side.alloc)
+			})
 		}
-		rng.FillNorm(dcols, 1)
-		mask := make([]bool, g.c*g.k*g.k)
-		for r := range mask {
-			mask[r] = r%3 != 0
-			if !mask[r] {
-				for j := range dcols[r*rowLen : (r+1)*rowLen] {
-					dcols[r*rowLen+j] = float32(math.NaN())
-				}
-			}
-		}
-		clear(wantDx)
-		g.forEachSlot(0, g.c, func(slot, pixel int) {
-			if pixel >= 0 && mask[slot/rowLen] {
-				wantDx[pixel] += dcols[slot]
-			}
-		})
-		Col2Im(dx, dcols, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
-		sameBits(t, "masked dx", g, dx, wantDx)
 	}
+}
+
+func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) []float32) {
+	x, cols := alloc(t, g.batchLen()), alloc(t, g.matrixLen())
+	dx, dcols := alloc(t, g.batchLen()), alloc(t, g.matrixLen())
+	rng := NewRNG(50)
+	rng.FillNorm(x, 1)
+	rng.FillNorm(dcols, 1)
+	wantCols, wantDx := make([]float32, len(cols)), make([]float32, len(dx))
+	g.forEachSlot(0, g.c, func(slot, pixel int) {
+		if pixel >= 0 {
+			wantCols[slot] = x[pixel]
+			wantDx[pixel] += dcols[slot]
+		}
+	})
+	g.lowerOver(cols, x)
+	sameBits(t, "cols", g, cols, wantCols)
+	g.raiseOver(dx, dcols)
+	sameBits(t, "dx", g, dx, wantDx)
+
+	// Lowering into slots: a matrix of the second channel alone, flush
+	// against the page, must hold its rows of the full one and be all the
+	// routine writes. Raising under a mask: every third row is NaN and masked
+	// out, so reading one would poison its plane.
+	outH, outW := g.outSize()
+	chans := []int{1}
+	rowLen := g.matrixLen() / (g.c * g.k * g.k)
+	slots := alloc(t, len(chans)*g.k*g.k*rowLen)
+	Im2Col(slots, x, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, chans, 0, len(chans))
+	for s, ch := range chans {
+		sameBits(t, "slot", g, slots[s*g.k*g.k*rowLen:(s+1)*g.k*g.k*rowLen], wantCols[ch*g.k*g.k*rowLen:(ch+1)*g.k*g.k*rowLen])
+	}
+	rng.FillNorm(dcols, 1)
+	mask := make([]bool, g.c*g.k*g.k)
+	for r := range mask {
+		mask[r] = r%3 != 0
+		if !mask[r] {
+			for j := range dcols[r*rowLen : (r+1)*rowLen] {
+				dcols[r*rowLen+j] = float32(math.NaN())
+			}
+		}
+	}
+	clear(wantDx)
+	g.forEachSlot(0, g.c, func(slot, pixel int) {
+		if pixel >= 0 && mask[slot/rowLen] {
+			wantDx[pixel] += dcols[slot]
+		}
+	})
+	Col2Im(dx, dcols, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
+	sameBits(t, "masked dx", g, dx, wantDx)
 }

@@ -11,41 +11,41 @@ package tensor
 //
 // Both walk the matrix row by row. A row's tap geometry — the output rows
 // [oy.lo, oy.hi) and columns [ox.lo, ox.hi) whose tap lands inside the input —
-// depends on (ky, kx) alone, so outRange runs kh + kw times a call and the n
-// image segments of a row are then written (or read) one after another:
-// sequential stores down the matrix, with the n source planes of one channel
-// staying in L1 across its kh·kw taps.
+// depends on (ky, kx) alone, so outRange runs kh + kw times a call, and the
+// geometry picks one of two ways to move a row:
 //
-// Inside a segment there are two inner loops, and the geometry picks:
-//
-//   - stride == 1 && outW == w ('same' 3×3, 1×1 — the map keeps its row
-//     pitch): output position j reads input position j + shift, with
-//     shift = (ky−pad)·w + (kx−pad), so the valid part of the segment is the
-//     channel plane shifted — one run from (oy.lo, ox.lo) to (oy.hi−1, ox.hi)
-//     moved by a single copy (lowering) or a single vector add (raising).
-//     The run crosses the wrap slots: the w − ox.hi + ox.lo = |kx−pad|
-//     positions between the last valid column of one output row and the
-//     first of the next, where the shifted plane holds the neighbouring
-//     row's edge pixels but the tap is in the padding. Lowering zeroes them
-//     after the copy; raising zeroes them in the column gradient before the
-//     add, which is why raising consumes its source.
+//   - stride == 1, outH == h and outW == w ('same' 3×3, 1×1 — the map keeps
+//     its plane): output position j of image i reads input position j +
+//     shift of the same image, with shift = (ky−pad)·w + (kx−pad). A
+//     channel's n planes are one run of the CNHW batch, so the whole row is
+//     that run shifted: one stretch, from image 0's first valid slot
+//     (oy.lo, ox.lo) to image n−1's last (oy.hi−1, ox.hi), moved by a single
+//     copy (lowering) or a single vector add (raising). Inside the stretch
+//     are slots whose tap lands in the padding while the shifted run holds a
+//     pixel there: the |kx−pad| wrap slots between two output rows of an
+//     image, where it holds the neighbouring row's edge pixels, and between
+//     two images the fringe, the rows oy leaves out, where it holds pixels of
+//     the image before or after. zeroGaps zeroes them — lowering after the
+//     copy, raising in the column gradient before the add, which is why
+//     raising consumes its source. Lowering clears the slots before and after
+//     the stretch; raising never reads them.
 //   - every other geometry (stride 2, 'valid' windows, kernels wider than
-//     the input): one pass per output row over [ox.lo, ox.hi) (raising does
-//     it in raiseRows).
-//
-// The fringe — everything of a segment outside the valid rows and columns —
-// is zero-filled by lowering and never read by raising.
+//     the input): image by image, one pass per output row over [ox.lo, ox.hi)
+//     (raising does it in raiseRows); lowering zero-fills the rest of the
+//     image's segment, and raising never reads it.
 //
 // Order of adds. An input pixel receives at most one contribution from a
-// given tap, so its gradient is a sum over taps, and both inner loops add
-// them in ascending (ky, kx), each as one correctly rounded add onto a plane
-// Col2Im has cleared to +0 (the vector add is fma(1, s, d) = d + s rounded
-// once). Adding a zeroed wrap slot is x + (+0), which leaves every x but −0
-// alone, and a plane that starts at +0 and is only added to never holds −0.
-// The sum is therefore the same bits as a scalar scatter in (ky, kx) order,
-// whatever the inner loop. All taps of one channel are raised by one caller,
-// so a split over channels — disjoint rows of the matrix when lowering,
-// disjoint runs of planes when raising — never shows in a result.
+// given tap — from the one slot that reads it — so its gradient is a sum over
+// taps, and both ways add them in ascending (ky, kx), each as one correctly
+// rounded add onto a plane Col2Im has cleared to +0 (the vector add is
+// fma(1, s, d) = d + s rounded once). The stretch also lands its zeroed wrap
+// and fringe slots on pixels, of the same image or of a neighbouring one, that
+// the tap does not read; each is x + (+0), which leaves every x but −0 alone,
+// and a plane that starts at +0 and is only added to never holds −0. The sum
+// is therefore the same bits as a scalar scatter in (ky, kx) order, whichever
+// way the row moves. All taps of one channel are raised by one caller, so a
+// split over channels — disjoint rows of the matrix when lowering, disjoint
+// runs of planes when raising — never shows in a result.
 //
 // Slots and masks. The matrix need not hold every channel: Im2Col lowers the
 // channels it is given a list of, the s-th of them into slot s (rows
@@ -100,17 +100,21 @@ func tapSpans(buf []tapSpan, extent, k, stride, pad, out int) []tapSpan {
 	return buf
 }
 
-// zeroWraps zeroes the wrap slots of a plane-shift run: wrap floats at seg[at]
-// and at every w floats after it, gaps times.
-func zeroWraps(seg []float32, at, w, wrap, gaps int) {
-	if wrap == 0 {
-		return
-	}
-	for ; gaps > 0; gaps-- {
-		for j := at; j < at+wrap; j++ {
-			seg[j] = 0
+// zeroGaps zeroes the slots of a batch-wide plane-shift row, between the
+// first valid slot and the last, that lie outside their image's valid rows oy
+// and columns ox: each column outside [ox.lo, ox.hi) as one strided pass over
+// the run (the |kx−pad| wrap slots between two output rows among them), then
+// the rows oy leaves out between two images. The slots before the first valid
+// one and after the last are the caller's.
+func zeroGaps(row []float32, n, plane, w int, oy, ox tapSpan) {
+	first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
+	for col := ox.hi; col < w+ox.lo; col++ {
+		for j := oy.lo*w + col; j < last; j += w {
+			row[j] = 0
 		}
-		at += w
+	}
+	for base := plane; base < n*plane; base += plane {
+		clear(row[base-plane+(oy.hi-1)*w+ox.hi : base+first])
 	}
 }
 
@@ -118,14 +122,14 @@ func zeroWraps(seg []float32, at, w, wrap, gaps int) {
 // channel) into slot s of the column matrix cols (len(chans)·kh·kw ×
 // n·outH·outW, row-major), for s in [lo, hi). Every slot of those rows is
 // written — input pixel or padding zero — and nothing outside them; see the
-// file comment for the order and the two inner loops.
+// file comment for the order and the two ways a row is moved.
 func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, chans []int, lo, hi int) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns := n * spatial
-	shifted := stride == 1 && outW == w
+	shifted := stride == 1 && outH == h && outW == w
 	for slot := lo; slot < hi; slot++ {
 		planes := x[chans[slot]*n*plane : (chans[slot]+1)*n*plane]
 		for ky, oy := range oys {
@@ -136,20 +140,19 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 					clear(row) // the tap never lands inside the input
 					continue
 				}
-				first, last := oy.lo*outW+ox.lo, (oy.hi-1)*outW+ox.hi
-				wrapAt, wrap := oy.lo*outW+ox.hi, outW-ox.hi+ox.lo
 				off := kx - pad
-				shift := (ky-pad)*w + off
+				if shifted {
+					first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
+					shift := (ky-pad)*w + off
+					clear(row[:first])
+					copyRow(row[first:last], planes[first+shift:])
+					zeroGaps(row, n, plane, w, oy, ox)
+					clear(row[last:])
+					continue
+				}
 				for i := 0; i < n; i++ {
 					seg := row[i*spatial : (i+1)*spatial]
 					src := planes[i*plane : (i+1)*plane]
-					if shifted {
-						clear(seg[:first])
-						copy(seg[first:last], src[first+shift:])
-						zeroWraps(seg, wrapAt, w, wrap, oy.hi-oy.lo-1)
-						clear(seg[last:])
-						continue
-					}
 					clear(seg[:oy.lo*outW])
 					for o := oy.lo; o < oy.hi; o++ {
 						in := src[(o*stride+ky-pad)*w:][:w]
@@ -177,15 +180,15 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 // cleared, then summed into in ascending (ky, kx), the order the file comment
 // derives the result's bits from. Where rows is not empty, a row r with
 // !rows[r] is taken to be +0 and is not touched. dcols is consumed: the wrap
-// slots of a plane-shift run are set to 0 in it (positions no input pixel
-// maps to); nothing else is written.
+// and fringe slots inside a plane-shift stretch are set to 0 in it (slots
+// whose tap lands in the padding); nothing else is written.
 func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns := n * spatial
-	shifted, masked := stride == 1 && outW == w, len(rows) != 0
+	shifted, masked := stride == 1 && outH == h && outW == w, len(rows) != 0
 	for ch := chLo; ch < chHi; ch++ {
 		planes := dx[ch*n*plane : (ch+1)*n*plane]
 		clear(planes)
@@ -196,19 +199,16 @@ func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo,
 					continue
 				}
 				row := dcols[r*ns : (r+1)*ns]
-				first, last := oy.lo*outW+ox.lo, (oy.hi-1)*outW+ox.hi
-				wrapAt, wrap := oy.lo*outW+ox.hi, outW-ox.hi+ox.lo
 				off := kx - pad
-				shift := (ky-pad)*w + off
+				if shifted {
+					first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
+					shift := (ky-pad)*w + off
+					zeroGaps(row, n, plane, w, oy, ox)
+					axpyRow(planes[first+shift:last+shift], 1, row[first:last])
+					continue
+				}
 				for i := 0; i < n; i++ {
-					seg := row[i*spatial : (i+1)*spatial]
-					dst := planes[i*plane : (i+1)*plane]
-					if shifted {
-						zeroWraps(seg, wrapAt, w, wrap, oy.hi-oy.lo-1)
-						axpyRow(dst[first+shift:last+shift], 1, seg[first:last])
-						continue
-					}
-					raiseRows(dst, seg, oy, ox, outW, w, stride, ky-pad, off)
+					raiseRows(planes[i*plane:(i+1)*plane], row[i*spatial:(i+1)*spatial], oy, ox, outW, w, stride, ky-pad, off)
 				}
 			}
 		}

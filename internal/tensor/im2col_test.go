@@ -101,18 +101,28 @@ func sameBits(t *testing.T, what string, g convGeom, got, want []float32) {
 // protects every fixed-seed trajectory and the benchmark's result_digest: the
 // input gradient of each convolution is a float32 sum whose bits depend on
 // the order of its adds, and that order is the one this reference spells out.
-// Every padding slot of the column gradient — the wrap slots a plane-shift
-// run crosses among them — holds NaN, so a routine that summed one would
-// poison its plane; afterwards the source may differ from what it was only in
-// padding slots set to 0.
+// Every padding slot of the column gradient — the wrap and fringe slots a
+// plane-shift stretch crosses among them — holds NaN, so a routine that
+// summed one would poison its plane; afterwards the source may differ from
+// what it was only in padding slots set to 0. The first and last row and
+// column of every image, of the batch and of each row of the column
+// gradient, hold NaN, ±Inf and −0 (plantEdges): the pixels a wrap or fringe
+// slot faces, so one left unzeroed, or a read or add that strays into a
+// neighbouring row or image, changes bits. The column gradient gets no −Inf:
+// Inf + (−Inf) is the default NaN, whose bits are not the planted NaN's, and
+// which of two NaNs a sum keeps depends on an operand order the compiler is
+// free to swap.
 func checkLowerRaise(t *testing.T, g convGeom) {
 	t.Helper()
-	nan := float32(math.NaN())
+	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	outH, outW := g.outSize()
 	rng := NewRNG(uint64(31 + g.k + 7*g.stride + 11*g.pad))
 	x := make([]float32, g.batchLen())
 	rng.FillNorm(x, 1)
+	plantEdges(x, g.h, g.w, nan, inf, -inf, negZero)
 	dcols := make([]float32, g.matrixLen())
 	rng.FillNorm(dcols, 1)
+	plantEdges(dcols, outH, outW, nan, inf, negZero)
 	g.forEachSlot(0, g.c, func(slot, pixel int) {
 		if pixel < 0 {
 			dcols[slot] = nan
@@ -167,6 +177,22 @@ func checkLowerRaise(t *testing.T, g convGeom) {
 	}
 }
 
+// plantEdges writes the specials, in turn, over the first and last row and
+// column of every h × w image of buf.
+func plantEdges(buf []float32, h, w int, specials ...float32) {
+	k := 0
+	for img := 0; img < len(buf); img += h * w {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if y == 0 || y == h-1 || x == 0 || x == w-1 {
+					buf[img+y*w+x] = specials[k%len(specials)]
+					k++
+				}
+			}
+		}
+	}
+}
+
 // TestIm2ColCol2ImContract runs checkLowerRaise over the geometries the two
 // inner loops and their fringes can meet, with the AVX2 row add and with its
 // pure-Go form.
@@ -190,6 +216,9 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 		{"kernel_larger_than_input", []convGeom{
 			{3, 2, 1, 1, 7, 1, 3, 0, 2}, {1, 2, 1, 2, 7, 2, 3, 0, 2}, {3, 3, 2, 2, 5, 1, 2, 0, 3}, {3, 3, 2, 3, 7, 3, 3, 0, 3},
 		}},
+		// Many small images a row: the stretch crosses a fringe between every
+		// two of them.
+		{"batch", batchGeoms()},
 		// Rows and planes outside the requested channels must survive.
 		{"channel_subrange", []convGeom{
 			{3, 5, 5, 7, 3, 1, 1, 1, 4}, {3, 5, 5, 7, 3, 2, 1, 1, 4}, {1, 5, 4, 4, 1, 1, 0, 4, 5}, {3, 5, 6, 5, 5, 1, 2, 0, 5},
@@ -219,6 +248,18 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 			})
 		})
 	}
+}
+
+// batchGeoms are the plane-shift geometries of a batch-wide stretch: 2, 8 and
+// 16 images of 1×1 to 8×8, under a 3×3 pad-1 window and a 1×1 one.
+func batchGeoms() []convGeom {
+	var gs []convGeom
+	for _, n := range []int{2, 8, 16} {
+		for _, side := range []int{1, 2, 4, 8} {
+			gs = append(gs, convGeom{n, 3, side, side, 3, 1, 1, 0, 3}, convGeom{n, 3, side, side, 1, 1, 0, 0, 3})
+		}
+	}
+	return gs
 }
 
 // TestIm2ColSlotsCol2ImMask holds the two entry points a convolution with dead
