@@ -171,10 +171,11 @@ func (s *Co2L) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 
 	loss, g := plainGrad(s.ctx, x, labels, classes)
 	if s.prev != nil {
 		// Snapshot predictions as distillation targets.
-		cur := nn.FlattenParams(params)
-		nn.SetFlatParams(params, s.prev)
-		targets := nn.Softmax(m.Forward(x, false))
-		nn.SetFlatParams(params, cur)
+		var targets *tensor.Tensor
+		m.Borrow(func() {
+			nn.SetFlatParams(params, s.prev)
+			targets = nn.Softmax(m.Forward(x, false))
+		})
 		logits := m.Forward(x, true)
 		_, dl := nn.SoftCrossEntropy(logits, targets)
 		nn.ZeroGrads(params)

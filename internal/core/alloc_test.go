@@ -38,8 +38,8 @@ func TestRestoreAllAllocFree(t *testing.T) {
 	}
 	pinKernelThreads(t, 1)
 	f, x, _, _ := knowledgeBearing(21, Options{Rho: 0.1, K: 10}, 3)
-	if allocs := testing.AllocsPerRun(10, func() { f.restorer.RestoreAll(f.knowledge, x) }); allocs != 0 {
-		t.Fatalf("RestoreAll allocates %.1f objects/op in steady state, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { restoreAll(f.restorer, f.knowledge, x) }); allocs != 0 {
+		t.Fatalf("restoring every task allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }
 

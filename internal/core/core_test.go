@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -14,6 +15,51 @@ import (
 
 func tinyModel(rng *tensor.RNG) *model.Model {
 	return model.MustBuild("SixCNN", 8, 3, 12, 12, 1, rng)
+}
+
+// borrowingArchs are the paper's two main models: SixCNN has no BatchNorm,
+// ResNet18 has running statistics a side computation could leak into.
+var borrowingArchs = []string{"SixCNN", "ResNet18"}
+
+// restoreAll runs the production restore sequence on one batch:
+// PrepareTargets, the live train-mode forward a training step runs anyway,
+// then RestoredGradients.
+func restoreAll(r *GradientRestorer, ks []*TaskKnowledge, x *tensor.Tensor) [][]float32 {
+	r.PrepareTargets(ks, x)
+	return r.RestoredGradients(ks, r.m.Forward(x, true))
+}
+
+// liveState is what a side computation must leave alone: the parameters,
+// every BatchNorm running statistic, and the logits of an eval-mode forward
+// on a fixed probe batch.
+type liveState struct{ params, stats, logits []float32 }
+
+func captureLive(m *model.Model) liveState {
+	s := liveState{params: nn.FlattenParams(m.Params())}
+	nn.Walk(m.Net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			s.stats = append(append(s.stats, bn.RunningMean...), bn.RunningVar...)
+		}
+	})
+	probe := tensor.Randn(tensor.NewRNG(99), 1, 4, m.InC, m.InH, m.InW)
+	s.logits = append(s.logits, m.Forward(probe, false).Data...)
+	return s
+}
+
+// requireLiveUnchanged fails unless m's live state is want's, bit for bit.
+func requireLiveUnchanged(t *testing.T, m *model.Model, want liveState, what string) {
+	t.Helper()
+	got := captureLive(m)
+	for _, f := range []struct {
+		name      string
+		got, want []float32
+	}{{"parameter", got.params, want.params}, {"running statistic", got.stats, want.stats}, {"eval logit", got.logits, want.logits}} {
+		for i, w := range f.want {
+			if math.Float32bits(f.got[i]) != math.Float32bits(w) {
+				t.Fatalf("%s changed %s %d of %d: %v, was %v", what, f.name, i, len(f.want), f.got[i], w)
+			}
+		}
+	}
 }
 
 func tinyClientTask(rng *tensor.RNG, classes []int) data.ClientTask {
@@ -54,16 +100,18 @@ func TestExtractorKeepsRhoFraction(t *testing.T) {
 }
 
 func TestExtractorPreservesLiveModel(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	m := tinyModel(rng.Fork(1))
-	before := nn.FlattenParams(m.Params())
-	ct := tinyClientTask(rng.Fork(2), []int{0, 1})
-	NewKnowledgeExtractor(0.1).Extract(m, ct, rng.Fork(3))
-	after := nn.FlattenParams(m.Params())
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("extraction must not mutate the live model")
-		}
+	for _, arch := range borrowingArchs {
+		t.Run(arch, func(t *testing.T) {
+			rng := tensor.NewRNG(2)
+			m := model.MustBuild(arch, 8, 3, 12, 12, 1, rng.Fork(1))
+			ct := tinyClientTask(rng.Fork(2), []int{0, 1})
+			// One live training forward first, so the running statistics
+			// are the model's own rather than their initial values.
+			m.Forward(tensor.Randn(rng.Fork(4), 1, 4, 3, 12, 12), true)
+			before := captureLive(m)
+			NewKnowledgeExtractor(0.1).Extract(m, ct, rng.Fork(3))
+			requireLiveUnchanged(t, m, before, "extraction")
+		})
 	}
 }
 
@@ -90,22 +138,29 @@ func TestExtractorFinetunesStoredCopy(t *testing.T) {
 }
 
 func TestRestorerPreservesModelState(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	m := tinyModel(rng.Fork(1))
-	ct := tinyClientTask(rng.Fork(2), []int{0, 1})
-	k := NewKnowledgeExtractor(0.1).Extract(m, ct, rng.Fork(3))
-	r := NewGradientRestorer(m)
-	before := nn.FlattenParams(m.Params())
-	x := tensor.Randn(rng.Fork(5), 1, 4, 3, 12, 12)
-	g := r.Restore(k, x)
-	after := nn.FlattenParams(m.Params())
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("restore must not mutate live parameters")
-		}
-	}
-	if len(g) != m.NumParams() {
-		t.Fatalf("gradient length %d, want %d", len(g), m.NumParams())
+	for _, arch := range borrowingArchs {
+		t.Run(arch, func(t *testing.T) {
+			rng := tensor.NewRNG(4)
+			m := model.MustBuild(arch, 8, 3, 12, 12, 1, rng.Fork(1))
+			ct := tinyClientTask(rng.Fork(2), []int{0, 1})
+			k := NewKnowledgeExtractor(0.1).Extract(m, ct, rng.Fork(3))
+			m.Forward(tensor.Randn(rng.Fork(6), 1, 4, 3, 12, 12), true)
+			r := NewGradientRestorer(m)
+			before := captureLive(m)
+			x := tensor.Randn(rng.Fork(5), 1, 4, 3, 12, 12)
+			ks := []*TaskKnowledge{k}
+			r.PrepareTargets(ks, x)
+			requireLiveUnchanged(t, m, before, "the knowledge forwards")
+			// The live forward is training and moves the statistics; the
+			// distillation backwards then leave the parameters alone.
+			g := r.RestoredGradients(ks, m.Forward(x, true))[0]
+			if got := nn.FlattenParams(m.Params()); !slices.Equal(got, before.params) {
+				t.Fatal("restore must not mutate live parameters")
+			}
+			if len(g) != m.NumParams() {
+				t.Fatalf("gradient length %d, want %d", len(g), m.NumParams())
+			}
+		})
 	}
 }
 
@@ -122,7 +177,7 @@ func TestRestorerProducesNonZeroGradient(t *testing.T) {
 	}
 	m.Params()
 	x := tensor.Randn(rng.Fork(6), 1, 4, 3, 12, 12)
-	g := NewGradientRestorer(m).Restore(k, x)
+	g := restoreAll(NewGradientRestorer(m), []*TaskKnowledge{k}, x)[0]
 	var norm float64
 	for _, v := range g {
 		norm += float64(v) * float64(v)
@@ -141,17 +196,17 @@ func TestRestoreAllOrder(t *testing.T) {
 	ks := []*TaskKnowledge{e.Extract(m, ctA, rng.Fork(4)), e.Extract(m, ctB, rng.Fork(5))}
 	x := tensor.Randn(rng.Fork(7), 1, 2, 3, 12, 12)
 	r := NewGradientRestorer(m)
-	all := r.RestoreAll(ks, x)
+	all := restoreAll(r, ks, x)
 	if len(all) != 2 {
-		t.Fatalf("RestoreAll returned %d gradients", len(all))
+		t.Fatalf("restoring both tasks returned %d gradients", len(all))
 	}
 	// Copied out: the slices live in the restorer's buffers until its next call.
 	all = [][]float32{append([]float32(nil), all[0]...), append([]float32(nil), all[1]...)}
 	for j, k := range ks {
-		one := r.Restore(k, x)
+		one := restoreAll(r, []*TaskKnowledge{k}, x)[0]
 		for i := range one {
 			if math.Float32bits(all[j][i]) != math.Float32bits(one[i]) {
-				t.Fatalf("RestoreAll must match per-task Restore bit for bit, in order: task %d, gradient[%d] = %v, alone %v", j, i, all[j][i], one[i])
+				t.Fatalf("restoring both tasks must match restoring each alone bit for bit, in order: task %d, gradient[%d] = %v, alone %v", j, i, all[j][i], one[i])
 			}
 		}
 	}
@@ -171,32 +226,12 @@ func TestIntegratorSelectSignature(t *testing.T) {
 	}
 }
 
-func TestIntegrateSelectedSatisfiesSelectedConstraints(t *testing.T) {
-	gi := NewGradientIntegrator()
-	rng := tensor.NewRNG(8)
-	dim := 32
-	g := make([]float32, dim)
-	rng.FillNorm(g, 1)
-	cands := make([][]float32, 6)
-	for i := range cands {
-		cands[i] = make([]float32, dim)
-		rng.FillNorm(cands[i], 1)
-	}
-	out := gi.IntegrateSelected(g, cands, 3)
-	if len(out) != dim {
-		t.Fatal("length mismatch")
-	}
-	// With k >= len(candidates) all constraints must hold.
-	out2 := gi.IntegrateSelected(g, cands, 10)
-	for _, c := range cands {
-		if tensor.DotSlice(c, out2) < -1e-3 {
-			t.Fatal("constraint violated with k >= all candidates")
-		}
-	}
+func newTestCtx(rng *tensor.RNG) *fed.ClientCtx {
+	return newArchCtx(rng, "SixCNN")
 }
 
-func newTestCtx(rng *tensor.RNG) *fed.ClientCtx {
-	m := tinyModel(rng.Fork(1))
+func newArchCtx(rng *tensor.RNG, arch string) *fed.ClientCtx {
+	m := model.MustBuild(arch, 8, 3, 12, 12, 1, rng.Fork(1))
 	return &fed.ClientCtx{
 		ID: 0, NumClients: 1, Model: m,
 		Opt: opt.NewSGD(opt.Const{Rate: 0.01}, 0, 0),
@@ -287,6 +322,34 @@ func TestFedKNOWAfterAggregatePreservesShape(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("fine-tuning did not move weights")
+	}
+}
+
+// TestAfterAggregateStatsIgnorePreAgg holds the guard's gᵇ pass to the
+// borrowed model: it runs a train-mode forward at the pre-aggregation
+// weights, and those batch statistics must not reach the live running
+// statistics, so two different preAgg vectors leave them bit-identical.
+func TestAfterAggregateStatsIgnorePreAgg(t *testing.T) {
+	var stats [2][]float32
+	for i := range stats {
+		rng := tensor.NewRNG(15)
+		ctx := newArchCtx(rng, "ResNet18")
+		f := New(ctx, Options{Rho: 0.1, K: 2, FinetuneIters: 1})
+		ct := tinyClientTask(rng.Fork(3), []int{0, 1})
+		pre := nn.FlattenParams(ctx.Model.Params())
+		for j := range pre {
+			pre[j] *= float32(1 + i)
+		}
+		f.AfterAggregate(pre, ct)
+		stats[i] = captureLive(ctx.Model).stats
+	}
+	if len(stats[0]) == 0 {
+		t.Fatal("ResNet18 has no running statistics")
+	}
+	for j, w := range stats[0] {
+		if math.Float32bits(stats[1][j]) != math.Float32bits(w) {
+			t.Fatalf("running statistic %d is %v after one preAgg and %v after another", j, w, stats[1][j])
+		}
 	}
 }
 

@@ -38,7 +38,9 @@ func NewKnowledgeExtractor(rho float64) *KnowledgeExtractor {
 
 // Extract builds the knowledge of a finished task from the live model,
 // fine-tuning the retained weights on the task's own data (step 3) before
-// recording them.
+// recording them. The fine-tune runs on the borrowed model (model.Model.Borrow),
+// so the live model leaves Extract with the parameters and BatchNorm running
+// statistics it came in with; only its gradients and layer caches change.
 func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *tensor.RNG) *TaskKnowledge {
 	params := m.Params()
 	flat := nn.FlattenParams(params)
@@ -53,30 +55,27 @@ func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *te
 
 	if e.FinetuneIters > 0 && len(ct.Train) > 0 {
 		mask := store.Mask()
-		saved := append([]float32(nil), flat...)
-		// Fine-tune the retained weights in the *pruned* configuration —
-		// everything else zeroed — because that is exactly how the gradient
-		// restorer will evaluate them later (Eq. 2 forwards the knowledge
-		// model, not the full model). Step 3 of §III-B: tune W_i, keep the
-		// other weights unchanged (at their pruned value, zero).
-		nn.SetFlatParams(params, store.Densify())
-		ft := opt.NewSGD(opt.Const{Rate: e.FinetuneLR}, 0, 0)
-		batch := 16
-		if batch > len(ct.Train) {
-			batch = len(ct.Train)
-		}
-		for it := 0; it < e.FinetuneIters; it++ {
-			idx := rng.Perm(len(ct.Train))[:batch]
-			x, labels := data.Batch(ct.Train, idx, m.InC, m.InH, m.InW)
-			logits := m.Forward(x, true)
-			_, dl := nn.MaskedCrossEntropy(logits, labels, ct.Classes)
-			nn.ZeroGrads(params)
-			m.Backward(dl)
-			ft.StepMasked(params, mask)
-		}
-		store.Refresh(nn.FlattenParams(params))
-		// Restore the full model: fine-tuning only shapes the stored copy.
-		nn.SetFlatParams(params, saved)
+		m.Borrow(func() {
+			// Fine-tune the retained weights in the *pruned* configuration —
+			// everything else zeroed — because that is exactly how the
+			// gradient restorer will evaluate them later (Eq. 2 forwards the
+			// knowledge model, not the full model). Step 3 of §III-B: tune
+			// W_i, keep the other weights unchanged (at their pruned value,
+			// zero). The store holds copies, so flat is free to reuse.
+			nn.SetFlatParams(params, store.DensifyInto(flat))
+			ft := opt.NewSGD(opt.Const{Rate: e.FinetuneLR}, 0, 0)
+			batch := min(16, len(ct.Train))
+			for it := 0; it < e.FinetuneIters; it++ {
+				idx := rng.Perm(len(ct.Train))[:batch]
+				x, labels := data.Batch(ct.Train, idx, m.InC, m.InH, m.InW)
+				logits := m.Forward(x, true)
+				_, dl := nn.MaskedCrossEntropy(logits, labels, ct.Classes)
+				nn.ZeroGrads(params)
+				m.Backward(dl)
+				ft.StepMasked(params, mask)
+			}
+			store.Refresh(nn.FlattenParamsInto(flat, params))
+		})
 	}
 	return &TaskKnowledge{TaskID: ct.TaskID, Classes: ct.Classes, Store: store}
 }

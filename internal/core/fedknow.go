@@ -60,7 +60,6 @@ type FedKNOW struct {
 	gBuf        []float32
 	gaBuf       []float32
 	gbBuf       []float32
-	curBuf      []float32
 	dlBuf       *tensor.Tensor   // task-loss logit gradient
 	restoreBuf  []*TaskKnowledge // the signature tasks restored this step
 	constraints [][]float32      // their restored gradients, in signature order
@@ -193,17 +192,16 @@ func (f *FedKNOW) restoreSet() (ks []*TaskKnowledge, reRanking bool) {
 // global model is installed, the client fine-tunes on local data, and each
 // fine-tuning gradient (the post-aggregation direction) is integrated with
 // the gradient computed at the pre-aggregation weights so the update keeps
-// an acute angle with both.
+// an acute angle with both. The gᵇ pass runs on the borrowed model and only
+// when the guard is on; either way the live running statistics see the
+// fine-tune's own forwards and nothing else.
 func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 	if f.opts.FinetuneIters <= 0 || len(ct.Train) == 0 {
 		return
 	}
 	m := f.ctx.Model
 	params := m.Params()
-	batch := 16
-	if batch > len(ct.Train) {
-		batch = len(ct.Train)
-	}
+	batch := min(16, len(ct.Train))
 	for it := 0; it < f.opts.FinetuneIters; it++ {
 		idx := f.ctx.RNG.Perm(len(ct.Train))[:batch]
 		x, labels := data.Batch(ct.Train, idx, m.InC, m.InH, m.InW)
@@ -214,22 +212,21 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 		nn.ZeroGrads(params)
 		m.Backward(f.dlBuf)
 		f.gaBuf = nn.FlattenGradsInto(f.gaBuf, params)
-		gAfter := f.gaBuf
 
-		// gᵇ: gradient at the pre-aggregation weights on the same batch.
-		f.curBuf = nn.FlattenParamsInto(f.curBuf, params)
-		nn.SetFlatParams(params, preAgg)
-		logitsB := m.Forward(x, true)
-		_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logitsB, labels, ct.Classes)
-		nn.ZeroGrads(params)
-		m.Backward(f.dlBuf)
-		f.gbBuf = nn.FlattenGradsInto(f.gbBuf, params)
-		gBefore := f.gbBuf
-		nn.SetFlatParams(params, f.curBuf)
-
-		g2 := gAfter
+		g2 := f.gaBuf
 		if !f.opts.DisableGlobalGuard {
-			g2 = f.integrator.Integrate(gAfter, [][]float32{gBefore})
+			// gᵇ: gradient at the pre-aggregation weights on the same batch,
+			// on the borrowed model, so its batch statistics stay out of the
+			// live running statistics.
+			m.Borrow(func() {
+				nn.SetFlatParams(params, preAgg)
+				logitsB := m.Forward(x, true)
+				_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logitsB, labels, ct.Classes)
+				nn.ZeroGrads(params)
+				m.Backward(f.dlBuf)
+				f.gbBuf = nn.FlattenGradsInto(f.gbBuf, params)
+			})
+			g2 = f.integrator.Integrate(f.gaBuf, [][]float32{f.gbBuf})
 		}
 		nn.SetFlatGrads(params, g2)
 		f.ctx.Opt.Step(params)

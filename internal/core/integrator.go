@@ -39,20 +39,3 @@ func (gi *GradientIntegrator) SelectSignature(g []float32, candidates [][]float3
 func (gi *GradientIntegrator) Integrate(g []float32, constraints [][]float32) []float32 {
 	return gi.ws.Integrate(g, constraints)
 }
-
-// IntegrateSelected is the per-iteration composite operation: select the k
-// most dissimilar candidates, then integrate against exactly those.
-func (gi *GradientIntegrator) IntegrateSelected(g []float32, candidates [][]float32, k int) []float32 {
-	if len(candidates) == 0 {
-		return g
-	}
-	if k >= len(candidates) {
-		return gi.Integrate(g, candidates)
-	}
-	idx := gi.SelectSignature(g, candidates, k)
-	sel := make([][]float32, len(idx))
-	for i, j := range idx {
-		sel[i] = candidates[j]
-	}
-	return gi.Integrate(g, sel)
-}

@@ -30,6 +30,13 @@ type Model struct {
 	flopsPerSample float64
 	params         []*nn.Param
 	in             *tensor.Tensor // the batch as the network takes it, reused
+
+	// Borrow's state: every BatchNorm2D's running mean and variance in walk
+	// order (collected by the first call), the copy of the parameters then
+	// the statistics, and whether a Borrow is in progress.
+	stats    [][]float32
+	saved    []float32
+	borrowed bool
 }
 
 // Forward runs the network on an NCHW batch (N, InC, H, W). It is the one
@@ -62,6 +69,44 @@ func (m *Model) Params() []*nn.Param {
 		m.params = m.Net.Params()
 	}
 	return m.params
+}
+
+// Borrow lends the live model to fn and then puts back its persistent state
+// bit for bit, also when fn panics: every parameter and every BatchNorm2D's RunningMean and
+// RunningVar. fn may install other weights and train on them (forwards,
+// backwards, optimiser steps). Gradients and layer caches are scratch and are
+// left as fn leaves them. This is the one way to run the model at weights
+// other than its own. The copy lives on the model, so a warm call allocates
+// nothing; a call from inside fn panics.
+func (m *Model) Borrow(fn func()) {
+	if m.borrowed {
+		panic("model: Borrow called inside Borrow")
+	}
+	params := m.Params()
+	if m.saved == nil {
+		n := m.NumParams()
+		nn.Walk(m.Net, func(l nn.Layer) {
+			if bn, ok := l.(*nn.BatchNorm2D); ok {
+				m.stats = append(m.stats, bn.RunningMean, bn.RunningVar)
+				n += len(bn.RunningMean) + len(bn.RunningVar)
+			}
+		})
+		m.saved = make([]float32, n)
+	}
+	off := len(nn.FlattenParamsInto(m.saved, params))
+	for _, s := range m.stats {
+		off += copy(m.saved[off:], s)
+	}
+	m.borrowed = true
+	defer func() {
+		off := m.NumParams()
+		nn.SetFlatParams(params, m.saved[:off])
+		for _, s := range m.stats {
+			off += copy(s, m.saved[off:])
+		}
+		m.borrowed = false
+	}()
+	fn()
 }
 
 // NumParams returns the scalar parameter count.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -344,5 +345,84 @@ func TestModelLearnsTinyProblem(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(n); acc < 0.9 {
 		t.Fatalf("SixCNN training accuracy %v, want ≥ 0.9", acc)
+	}
+}
+
+// persistentState copies what Borrow must put back: the parameters, then
+// every BatchNorm's running mean and variance in walk order.
+func persistentState(m *Model) []float32 {
+	s := nn.FlattenParams(m.Params())
+	nn.Walk(m.Net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			s = append(append(s, bn.RunningMean...), bn.RunningVar...)
+		}
+	})
+	return s
+}
+
+// TestBorrowRestoresState holds Model.Borrow to its contract on every zoo
+// architecture: whatever fn does to the model — install other weights, run a
+// train-mode forward, a backward and an SGD step — the parameters and
+// running statistics come back bit for bit, a nested call panics, and a
+// warm call allocates nothing.
+func TestBorrowRestoresState(t *testing.T) {
+	for _, m := range allModels(t) {
+		t.Run(m.Name, func(t *testing.T) {
+			x := tensor.Randn(tensor.NewRNG(6), 1, 2, 3, 12, 12)
+			// One real step first, so the statistics are not their initial values.
+			_, dl := nn.CrossEntropy(m.Forward(x, true), []int{0, 3})
+			m.Backward(dl)
+			want := persistentState(m)
+			other := tensor.Randn(tensor.NewRNG(7), 0.1, m.NumParams()).Data
+			m.Borrow(func() {
+				nn.SetFlatParams(m.Params(), other)
+				_, dl := nn.CrossEntropy(m.Forward(x, true), []int{1, 2})
+				nn.ZeroGrads(m.Params())
+				m.Backward(dl)
+				for _, p := range m.Params() {
+					p.W.Axpy(-0.05, p.Grad)
+				}
+				if got := persistentState(m); slices.Equal(got, want) {
+					t.Fatal("fn left the state untouched; the test proves nothing")
+				}
+			})
+			got := persistentState(m)
+			if len(got) != len(want) {
+				t.Fatalf("state has %d floats after Borrow, want %d", len(got), len(want))
+			}
+			for i, w := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(w) {
+					t.Fatalf("state[%d] = %v after Borrow, want %v (%d parameters first)", i, got[i], w, m.NumParams())
+				}
+			}
+		})
+	}
+}
+
+func TestBorrowNestedPanics(t *testing.T) {
+	m := MustBuild("ResNet18", 7, 3, 12, 12, 1, tensor.NewRNG(8))
+	want := persistentState(m)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a Borrow inside Borrow must panic")
+			}
+		}()
+		m.Borrow(func() {
+			clear(m.Params()[0].W.Data)
+			m.Borrow(func() {})
+		})
+	}()
+	if !slices.Equal(persistentState(m), want) {
+		t.Fatal("a panicking fn must still get the state put back")
+	}
+	m.Borrow(func() {}) // the panic left the model lendable
+}
+
+func TestBorrowAllocFree(t *testing.T) {
+	m := MustBuild("ResNet18", 7, 3, 12, 12, 1, tensor.NewRNG(9))
+	m.Borrow(func() {}) // the first call sizes the copy
+	if allocs := testing.AllocsPerRun(10, func() { m.Borrow(func() {}) }); allocs != 0 {
+		t.Fatalf("Borrow allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }
