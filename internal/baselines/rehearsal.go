@@ -17,9 +17,11 @@ type GEM struct {
 	ctx *fed.ClientCtx
 	// MemFrac is the retained fraction of each task's training samples
 	// (paper setting: 10 %; Fig. 10 sweeps 10–100 %).
-	MemFrac  float64
-	memories [][]data.Sample
-	memClass [][]int
+	MemFrac     float64
+	memories    [][]data.Sample
+	memClass    [][]int
+	constraints [][]float32  // this step's memory gradients
+	ws          qp.Workspace // the QP's buffers; g′ is installed at once
 }
 
 // NewGEM builds the strategy at the paper's 10 % memory setting.
@@ -40,16 +42,16 @@ func (s *GEM) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
 	params := s.ctx.Model.Params()
 	if len(s.memories) > 0 {
 		m := s.ctx.Model
-		constraints := make([][]float32, 0, len(s.memories))
+		s.constraints = s.constraints[:0]
 		for ti, mem := range s.memories {
 			if len(mem) == 0 {
 				continue
 			}
 			mx, mlabels := batchFrom(s.ctx.RNG, mem, 8, m.InC, m.InH, m.InW)
 			_, mg := plainGrad(s.ctx, mx, mlabels, s.memClass[ti])
-			constraints = append(constraints, mg)
+			s.constraints = append(s.constraints, mg)
 		}
-		g = qp.Integrate(g, constraints)
+		g = s.ws.Integrate(g, s.constraints)
 		nn.SetFlatGrads(params, g)
 	}
 	s.ctx.Opt.Step(params)

@@ -1,8 +1,8 @@
 // Package convergence implements the quantities of the paper's §IV
-// convergence analysis: the Lemma 1 bound on local weight training, the
-// Lemma 2 / Assumption 3 bound on global (FedAvg) training, and the Eq. 16
-// envelope of the integrated gradient. Its tests check that the bounds decay
-// and grow where the analysis says they do.
+// convergence analysis: the Lemma 1 bound on local weight training and the
+// Lemma 2 / Assumption 3 bound on global (FedAvg) training. Its tests check
+// that the bounds decay and grow where the analysis says they do. The Eq. 16
+// envelope of the integrated gradient is a property test of package qp.
 package convergence
 
 import "math"
@@ -46,17 +46,4 @@ func GlobalBound(p GlobalBoundParams, r int) float64 {
 	gamma := math.Max(8*tau, float64(r))
 	b := p.SigmaP + 6*p.L*p.Omega + 8*math.Pow(float64(r-1), 2)*p.Lambda*p.Lambda
 	return tau / (gamma + float64(r) - 1) * (2*b/p.Mu + p.Mu*gamma/2*p.DistSq)
-}
-
-// IntegratedGradientBound evaluates Eq. 16's bound on the squared norm of
-// the integrated gradient g′ = Gᵀv + g given the constraint-gradient bound
-// λ (Assumption 1), the dual variables v and the gradient dot products: it
-// returns λ²·(1+Σv)² — the triangle-inequality envelope the proof uses to
-// keep Assumption 1 valid for g′.
-func IntegratedGradientBound(lambda float64, v []float64) float64 {
-	s := 1.0
-	for _, vi := range v {
-		s += vi
-	}
-	return lambda * lambda * s * s
 }

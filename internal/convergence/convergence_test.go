@@ -63,18 +63,3 @@ func TestGlobalBoundDegenerate(t *testing.T) {
 		t.Fatal("µ=0 must give infinite bound")
 	}
 }
-
-func TestIntegratedGradientBound(t *testing.T) {
-	// No dual activity → the bound equals λ².
-	if got := IntegratedGradientBound(2, nil); got != 4 {
-		t.Fatalf("empty v: %v", got)
-	}
-	// v = (1, 1) → λ²·9.
-	if got := IntegratedGradientBound(2, []float64{1, 1}); got != 36 {
-		t.Fatalf("v=(1,1): %v", got)
-	}
-	// Monotone in Σv.
-	if IntegratedGradientBound(1, []float64{0.5}) >= IntegratedGradientBound(1, []float64{1}) {
-		t.Fatal("bound must grow with dual mass")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -293,6 +294,30 @@ func TestFedKNOWTrainStepWithKnowledgeIntegrates(t *testing.T) {
 		if loss != loss {
 			t.Fatal("NaN loss during integrated training")
 		}
+	}
+}
+
+// TestIntegrationStatsMatchMeasured holds the statistics TrainStep takes
+// from the integrator's algebra to the cosine and norm ratio measured between
+// g and the g′ it installs (the optimiser leaves the gradients in place),
+// step by step, and counts every QP run as converged.
+func TestIntegrationStatsMatchMeasured(t *testing.T) {
+	f, x, labels, classes := knowledgeBearing(22, Options{Rho: 0.1, K: 10}, 3)
+	for step := 0; step < 6; step++ {
+		before := f.Stats
+		f.TrainStep(x, labels, classes)
+		g, g2 := f.gBuf, nn.FlattenGrads(f.ctx.Model.Params())
+		wantCos := stats.CosineSimilarity(g2, g)
+		wantRatio := tensor.NormSlice(g2) / tensor.NormSlice(g)
+		if got := f.Stats.CosSum - before.CosSum; math.Abs(got-wantCos) > 1e-6 {
+			t.Errorf("step %d: cos(g′, g) from the outcome %v, measured %v", step, got, wantCos)
+		}
+		if got := f.Stats.NormRatioS - before.NormRatioS; math.Abs(got-wantRatio) > 1e-6 {
+			t.Errorf("step %d: ‖g′‖/‖g‖ from the outcome %v, measured %v", step, got, wantRatio)
+		}
+	}
+	if s := f.Stats; s.Steps != 6 || s.QPRuns == 0 || s.Converged != s.QPRuns || s.Degenerate != 0 {
+		t.Fatalf("stats %+v: want 6 steps, QP runs, every one converged and none degenerate", s)
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/nn"
-	"repro/internal/stats"
+	"repro/internal/qp"
 	"repro/internal/tensor"
 )
 
@@ -70,12 +72,18 @@ type FedKNOW struct {
 	StatsByTask []IntegrationStats
 }
 
-// IntegrationStats summarises what the gradient integrator did.
+// IntegrationStats summarises what the gradient integrator did. Both sums
+// run over every step with stored knowledge: a step whose g satisfies every
+// constraint adds cos(g′, g) = 1 and ‖g′‖/‖g‖ = 1, a step with g = 0 adds
+// nothing, and a degenerate solve (g′ = 0) adds 0 to both. They come from the
+// integrator's Outcome, with no pass over the gradients.
 type IntegrationStats struct {
 	Steps      int     // TrainStep calls with stored knowledge
 	QPRuns     int     // steps where at least one constraint was violated
-	CosSum     float64 // Σ cos(g′, g) over constrained steps
-	NormRatioS float64 // Σ ‖g′‖/‖g‖ over constrained steps
+	Converged  int     // QP runs whose dual solve reached its KKT point
+	Degenerate int     // QP runs whose constraint cone was its apex
+	CosSum     float64 // Σ cos(g′, g) over Steps
+	NormRatioS float64 // Σ ‖g′‖/‖g‖ over Steps
 }
 
 // MeanCos is the average alignment of the integrated gradient with the task
@@ -85,6 +93,31 @@ func (s IntegrationStats) MeanCos() float64 {
 		return 1
 	}
 	return s.CosSum / float64(s.Steps)
+}
+
+// add counts one TrainStep's integration from its outcome.
+func (s *IntegrationStats) add(o qp.Outcome) {
+	s.Steps++
+	if !o.Fired {
+		if o.GG > 0 {
+			s.CosSum++
+			s.NormRatioS++
+		}
+		return
+	}
+	s.QPRuns++
+	if o.Converged {
+		s.Converged++
+	}
+	if o.Degenerate {
+		s.Degenerate++
+	}
+	if o.GG > 0 && o.OutOut > 0 {
+		s.CosSum += o.GOut / math.Sqrt(o.GG*o.OutOut)
+	}
+	if o.GG > 0 {
+		s.NormRatioS += math.Sqrt(o.OutOut / o.GG)
+	}
 }
 
 // ResetStats clears the counters.
@@ -153,15 +186,7 @@ func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 			constraints = f.constraints
 		}
 		g2 := f.integrator.Integrate(g, constraints)
-		f.Stats.Steps++
-		if &g2[0] != &g[0] {
-			f.Stats.QPRuns++
-		}
-		f.Stats.CosSum += stats.CosineSimilarity(g2, g)
-		ng := tensor.NormSlice(g)
-		if ng > 0 {
-			f.Stats.NormRatioS += tensor.NormSlice(g2) / ng
-		}
+		f.Stats.add(f.integrator.Outcome())
 		nn.SetFlatGrads(params, g2)
 	}
 	f.ctx.Opt.Step(params)

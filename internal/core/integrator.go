@@ -39,3 +39,8 @@ func (gi *GradientIntegrator) SelectSignature(g []float32, candidates [][]float3
 func (gi *GradientIntegrator) Integrate(g []float32, constraints [][]float32) []float32 {
 	return gi.ws.Integrate(g, constraints)
 }
+
+// Outcome reports what the last Integrate call did — whether the QP fired,
+// converged or was degenerate, and ‖g‖², g·g′ and ‖g′‖² — from the solve's
+// own algebra, with no pass over the gradients.
+func (gi *GradientIntegrator) Outcome() qp.Outcome { return gi.ws.Outcome() }

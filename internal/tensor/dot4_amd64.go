@@ -45,6 +45,28 @@ func copyAVX(dst, src *float32, n int)
 //go:noescape
 func addT8(dst *float32, ld int, src *float32, lds, nblk int)
 
+// gramTri adds to acc every product rows[i]·rows[j], j <= i < m
+// (1 <= m <= 4), over n floats (a positive multiple of 4), as Gram's four
+// lanes a product, i-major. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gramTri(acc *float64, rows *[4]*float32, m, n int)
+
+// gramRect adds to acc every product b[i]·a[j], i < nb (1 <= nb <= 2),
+// j < 4, over n floats (a positive multiple of 4), as Gram's four lanes a
+// product, i-major. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gramRect(acc *float64, a *[4]*float32, b *[2]*float32, nb, n int)
+
+// axpyRowsAVX writes dst[p] = x[p] + Σᵢ coef[i]·rows[i][p] for p < n (a
+// positive multiple of 8), each product rounded before its add, rows in
+// order, then multiplied by scale when scaled: AxpyRows' arithmetic. rows
+// points at k slice headers. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func axpyRowsAVX(dst, x *float32, rows *[]float32, coef *float32, k, n int, scale float32, scaled bool)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 //
 //go:noescape

@@ -650,3 +650,317 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// The Gram kernels below accumulate float64 dot products of float32 rows, four
+// lanes a product: lane l of a product holds the sum over the coordinates
+// p ≡ l (mod 4) in ascending order, each step one VFMADD231PD of two rows'
+// VCVTPS2PD-widened floats. A float32 × float32 product is exact in float64,
+// so the fused step rounds as DotSlice's separate multiply and add do. The
+// lanes are loaded from acc at entry and stored back at exit, so a product
+// carries across calls; n counts floats and is a positive multiple of 4.
+
+// func gramTri(acc *float64, rows *[4]*float32, m, n int)
+//
+// Every product rows[i]·rows[j], j <= i < m (1 <= m <= 4), in that order
+// (i-major): acc holds m(m+1)/2 products of four lanes each.
+TEXT ·gramTri(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ m+16(FP), CX
+	MOVQ n+24(FP), DX
+	SHLQ $2, DX
+	XORQ AX, AX
+	MOVQ (SI), R8
+	CMPQ CX, $2
+	JL   tri1
+	MOVQ 8(SI), R9
+	JEQ  tri2
+	MOVQ 16(SI), R10
+	CMPQ CX, $3
+	JEQ  tri3
+	MOVQ 24(SI), R11
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	VMOVUPD 256(DI), Y8
+	VMOVUPD 288(DI), Y9
+
+tri4loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VCVTPS2PD   (R9)(AX*1), Y11
+	VCVTPS2PD   (R10)(AX*1), Y12
+	VCVTPS2PD   (R11)(AX*1), Y13
+	VFMADD231PD Y10, Y10, Y0
+	VFMADD231PD Y10, Y11, Y1
+	VFMADD231PD Y11, Y11, Y2
+	VFMADD231PD Y10, Y12, Y3
+	VFMADD231PD Y11, Y12, Y4
+	VFMADD231PD Y12, Y12, Y5
+	VFMADD231PD Y10, Y13, Y6
+	VFMADD231PD Y11, Y13, Y7
+	VFMADD231PD Y12, Y13, Y8
+	VFMADD231PD Y13, Y13, Y9
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          tri4loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VMOVUPD Y8, 256(DI)
+	VMOVUPD Y9, 288(DI)
+	VZEROUPPER
+	RET
+
+tri3:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+
+tri3loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VCVTPS2PD   (R9)(AX*1), Y11
+	VCVTPS2PD   (R10)(AX*1), Y12
+	VFMADD231PD Y10, Y10, Y0
+	VFMADD231PD Y10, Y11, Y1
+	VFMADD231PD Y11, Y11, Y2
+	VFMADD231PD Y10, Y12, Y3
+	VFMADD231PD Y11, Y12, Y4
+	VFMADD231PD Y12, Y12, Y5
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          tri3loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VZEROUPPER
+	RET
+
+tri2:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+
+tri2loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VCVTPS2PD   (R9)(AX*1), Y11
+	VFMADD231PD Y10, Y10, Y0
+	VFMADD231PD Y10, Y11, Y1
+	VFMADD231PD Y11, Y11, Y2
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          tri2loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VZEROUPPER
+	RET
+
+tri1:
+	VMOVUPD (DI), Y0
+
+tri1loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VFMADD231PD Y10, Y10, Y0
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          tri1loop
+
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func gramRect(acc *float64, a *[4]*float32, b *[2]*float32, nb, n int)
+//
+// Every product b[i]·a[j], i < nb (1 <= nb <= 2), j < 4, in that order
+// (i-major): acc holds 4·nb products of four lanes each.
+TEXT ·gramRect(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ nb+24(FP), CX
+	MOVQ n+32(FP), DX
+	SHLQ $2, DX
+	XORQ AX, AX
+	MOVQ (SI), R8
+	MOVQ 8(SI), R9
+	MOVQ 16(SI), R10
+	MOVQ 24(SI), R11
+	MOVQ (BX), R12
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	CMPQ CX, $2
+	JL   rect1
+	MOVQ 8(BX), R13
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+
+rect2loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VCVTPS2PD   (R9)(AX*1), Y11
+	VCVTPS2PD   (R10)(AX*1), Y12
+	VCVTPS2PD   (R11)(AX*1), Y13
+	VCVTPS2PD   (R12)(AX*1), Y14
+	VCVTPS2PD   (R13)(AX*1), Y15
+	VFMADD231PD Y10, Y14, Y0
+	VFMADD231PD Y11, Y14, Y1
+	VFMADD231PD Y12, Y14, Y2
+	VFMADD231PD Y13, Y14, Y3
+	VFMADD231PD Y10, Y15, Y4
+	VFMADD231PD Y11, Y15, Y5
+	VFMADD231PD Y12, Y15, Y6
+	VFMADD231PD Y13, Y15, Y7
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          rect2loop
+
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	JMP     rectstore
+
+rect1:
+rect1loop:
+	VCVTPS2PD   (R8)(AX*1), Y10
+	VCVTPS2PD   (R9)(AX*1), Y11
+	VCVTPS2PD   (R10)(AX*1), Y12
+	VCVTPS2PD   (R11)(AX*1), Y13
+	VCVTPS2PD   (R12)(AX*1), Y14
+	VFMADD231PD Y10, Y14, Y0
+	VFMADD231PD Y11, Y14, Y1
+	VFMADD231PD Y12, Y14, Y2
+	VFMADD231PD Y13, Y14, Y3
+	ADDQ        $16, AX
+	CMPQ        AX, DX
+	JL          rect1loop
+
+rectstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func axpyRowsAVX(dst, x *float32, rows *[]float32, coef *float32, k, n int, scale float32, scaled bool)
+//
+// dst[p] = x[p] + coef[0]·rows[0][p] + … + coef[k-1]·rows[k-1][p] for p < n
+// (a positive multiple of 8), then · scale when scaled: per element the
+// float32 multiply and add of AxpySlice, unfused, row by row in order. rows
+// points at k consecutive slice headers. 32 floats a step in four registers,
+// then 8.
+TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-53
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         rows+16(FP), BX
+	MOVQ         coef+24(FP), R11
+	MOVQ         k+32(FP), R12
+	MOVQ         n+40(FP), DX
+	VBROADCASTSS scale+48(FP), Y15
+	MOVBQZX      scaled+52(FP), R8
+	SHLQ         $2, DX
+	XORQ         AX, AX
+
+rows32:
+	LEAQ    128(AX), CX
+	CMPQ    CX, DX
+	JGT     rows8
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS 32(SI)(AX*1), Y1
+	VMOVUPS 64(SI)(AX*1), Y2
+	VMOVUPS 96(SI)(AX*1), Y3
+	MOVQ    BX, R9
+	MOVQ    R11, R10
+	MOVQ    R12, CX
+	TESTQ   CX, CX
+	JZ      scale32
+
+row32:
+	MOVQ         (R9), R13
+	VBROADCASTSS (R10), Y8
+	VMULPS       (R13)(AX*1), Y8, Y4
+	VMULPS       32(R13)(AX*1), Y8, Y5
+	VMULPS       64(R13)(AX*1), Y8, Y6
+	VMULPS       96(R13)(AX*1), Y8, Y7
+	VADDPS       Y4, Y0, Y0
+	VADDPS       Y5, Y1, Y1
+	VADDPS       Y6, Y2, Y2
+	VADDPS       Y7, Y3, Y3
+	ADDQ         $24, R9
+	ADDQ         $4, R10
+	DECQ         CX
+	JNZ          row32
+
+scale32:
+	TESTQ  R8, R8
+	JZ     store32
+	VMULPS Y15, Y0, Y0
+	VMULPS Y15, Y1, Y1
+	VMULPS Y15, Y2, Y2
+	VMULPS Y15, Y3, Y3
+
+store32:
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	JMP     rows32
+
+rows8:
+	CMPQ    AX, DX
+	JGE     rowsdone
+	VMOVUPS (SI)(AX*1), Y0
+	MOVQ    BX, R9
+	MOVQ    R11, R10
+	MOVQ    R12, CX
+	TESTQ   CX, CX
+	JZ      scale8
+
+row8:
+	MOVQ         (R9), R13
+	VBROADCASTSS (R10), Y8
+	VMULPS       (R13)(AX*1), Y8, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ         $24, R9
+	ADDQ         $4, R10
+	DECQ         CX
+	JNZ          row8
+
+scale8:
+	TESTQ  R8, R8
+	JZ     store8
+	VMULPS Y15, Y0, Y0
+
+store8:
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     rows8
+
+rowsdone:
+	VZEROUPPER
+	RET

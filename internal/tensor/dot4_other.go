@@ -29,3 +29,15 @@ func copyAVX(dst, src *float32, n int) {
 func addT8(dst *float32, ld int, src *float32, lds, nblk int) {
 	panic("tensor: addT8 without hardware support")
 }
+
+func gramTri(acc *float64, rows *[4]*float32, m, n int) {
+	panic("tensor: gramTri without hardware support")
+}
+
+func gramRect(acc *float64, a *[4]*float32, b *[2]*float32, nb, n int) {
+	panic("tensor: gramRect without hardware support")
+}
+
+func axpyRowsAVX(dst, x *float32, rows *[]float32, coef *float32, k, n int, scale float32, scaled bool) {
+	panic("tensor: axpyRowsAVX without hardware support")
+}

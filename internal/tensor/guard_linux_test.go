@@ -100,6 +100,44 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 	}
 }
 
+// TestIntegratorKernelsStayInsideOperands runs Gram and AxpyRows with every
+// row (and AxpyRows' dst and x) flush against a guard page, behind it and
+// then in front of it: the kernels step four or eight floats at a time up to
+// the last whole step and leave the tail to Go, so a block or a tail that
+// ran one float long would fault here.
+func TestIntegratorKernelsStayInsideOperands(t *testing.T) {
+	rng := NewRNG(65)
+	for _, alloc := range []func(*testing.T, int) []float32{guarded, guardedFront} {
+		for _, n := range []int{4, 7, 8, 515, 4099} {
+			rows := make([][]float32, 12)
+			for i := range rows {
+				rows[i] = alloc(t, n)
+				rng.FillNorm(rows[i], 1)
+			}
+			for m := 1; m <= len(rows); m++ {
+				prod := make([]float64, m*(m+1)/2)
+				Gram(prod, rows[:m])
+				for i := range m {
+					for j := 0; j <= i; j++ {
+						if got, want := prod[i*(i+1)/2+j], DotSlice(rows[i], rows[j]); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n%d m%d: product (%d,%d) = %v, DotSlice gives %v", n, m, i, j, got, want)
+						}
+					}
+				}
+			}
+			dst := alloc(t, n)
+			coef := []float32{0.5, -1.25, 3}
+			AxpyRows(dst, rows[0], coef, rows[1:4], 0.75)
+			want := axpyRowsRef(rows[0], coef, rows[1:4], 0.75)
+			for p := range want {
+				if math.Float32bits(dst[p]) != math.Float32bits(want[p]) {
+					t.Fatalf("n%d: AxpyRows element %d = %v, want %v", n, p, dst[p], want[p])
+				}
+			}
+		}
+	}
+}
+
 // TestLoweringStaysInsideOperands runs Im2Col and Col2Im with the batch and
 // the matrix each flush against a guard page, behind them and then in front of
 // them, on both ways a row moves: a plane-shift stretch starts at the

@@ -182,6 +182,51 @@ func AxpySlice(dst []float32, a float32, x []float32) {
 	}
 }
 
+// axpyRowsBlock is AxpyRows' pure-Go coordinate block, in floats: dst's
+// block stays in L1 while every row's block is added to it.
+const axpyRowsBlock = 1024
+
+// AxpyRows writes dst = x + coef[0]·rows[0] + … + coef[k-1]·rows[k-1] and,
+// unless scale is 1, multiplies the result by scale, in one pass over the
+// operands. Per element it performs exactly the float32 operations of
+// copy(dst, x), one AxpySlice(dst, coef[i], rows[i]) per row in order and a
+// final dst[p] *= scale: every product is rounded before its add, so the
+// result is bit for bit theirs. dst must not overlap x or any row.
+func AxpyRows(dst, x []float32, coef []float32, rows [][]float32, scale float32) {
+	n := len(dst)
+	if len(x) != n || len(coef) != len(rows) {
+		panic("tensor: AxpyRows size mismatch")
+	}
+	for _, r := range rows {
+		if len(r) != n {
+			panic("tensor: AxpyRows size mismatch")
+		}
+	}
+	lo := 0
+	if n8 := n &^ 7; hasDot4 && n8 > 0 {
+		var rp *[]float32
+		var cp *float32
+		if len(rows) > 0 {
+			rp, cp = &rows[0], &coef[0]
+		}
+		axpyRowsAVX(&dst[0], &x[0], rp, cp, len(rows), n8, scale, scale != 1)
+		lo = n8
+	}
+	for ; lo < n; lo += axpyRowsBlock {
+		hi := min(lo+axpyRowsBlock, n)
+		d := dst[lo:hi]
+		copy(d, x[lo:hi])
+		for i, r := range rows {
+			AxpySlice(d, coef[i], r[lo:hi])
+		}
+		if scale != 1 {
+			for p := range d {
+				d[p] *= scale
+			}
+		}
+	}
+}
+
 // Dot returns the inner product of t and b viewed as flat vectors.
 func Dot(a, b *Tensor) float64 {
 	return DotSlice(a.Data, b.Data)
