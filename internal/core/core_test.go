@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/opt"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -297,6 +296,31 @@ func TestFedKNOWTrainStepWithKnowledgeIntegrates(t *testing.T) {
 	}
 }
 
+// cosineSimilarity is the measured reference for the integrator's algebraic
+// cosine: cos(θ) between two vectors, 0 when either has zero norm.
+func cosineSimilarity(a, b []float32) float64 {
+	na, nb := tensor.NormSlice(a), tensor.NormSlice(b)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return tensor.DotSlice(a, b) / (na * nb)
+}
+
+func TestCosineSimilarity(t *testing.T) {
+	if d := cosineSimilarity([]float32{1, 0}, []float32{1, 0}); math.Abs(d-1) > 1e-9 {
+		t.Fatalf("parallel cos = %v", d)
+	}
+	if d := cosineSimilarity([]float32{1, 0}, []float32{0, 1}); math.Abs(d) > 1e-9 {
+		t.Fatalf("orthogonal cos = %v", d)
+	}
+	if d := cosineSimilarity([]float32{1, 0}, []float32{-1, 0}); math.Abs(d+1) > 1e-9 {
+		t.Fatalf("antiparallel cos = %v", d)
+	}
+	if d := cosineSimilarity([]float32{0, 0}, []float32{1, 0}); d != 0 {
+		t.Fatalf("zero vector cos = %v, want 0", d)
+	}
+}
+
 // TestIntegrationStatsMatchMeasured holds the statistics TrainStep takes
 // from the integrator's algebra to the cosine and norm ratio measured between
 // g and the g′ it installs (the optimiser leaves the gradients in place),
@@ -307,7 +331,7 @@ func TestIntegrationStatsMatchMeasured(t *testing.T) {
 		before := f.Stats
 		f.TrainStep(x, labels, classes)
 		g, g2 := f.gBuf, nn.FlattenGrads(f.ctx.Model.Params())
-		wantCos := stats.CosineSimilarity(g2, g)
+		wantCos := cosineSimilarity(g2, g)
 		wantRatio := tensor.NormSlice(g2) / tensor.NormSlice(g)
 		if got := f.Stats.CosSum - before.CosSum; math.Abs(got-wantCos) > 1e-6 {
 			t.Errorf("step %d: cos(g′, g) from the outcome %v, measured %v", step, got, wantCos)

@@ -34,7 +34,10 @@ type StreamAggregator interface {
 	Accumulate(u *Update)
 	// FinishRound completes the reduction and returns the global vector, or
 	// nil when no update was accumulated. The result may alias internal
-	// scratch rewritten by the next round.
+	// scratch, but it stays intact through the next BeginRound (or several)
+	// and every Accumulate until the next FinishRound: the server keeps it,
+	// uncopied, as the committed global for a whole window of folds
+	// (TestFinishRoundOutlivesNextWindow).
 	FinishRound() []float32
 }
 
@@ -107,10 +110,10 @@ func (a *WeightedFedAvg) Aggregate(updates []*Update) []float32 {
 // the two are bitwise interchangeable for every shard and thread count.
 //
 // The zero value is the 1-shard (single-loop) plan; NewShardedFedAvg picks
-// the shard count. The FinishRound result stays intact through the whole
-// next round: over the zero-copy loopback transport a streaming reducer
-// starts writing when the next round's first update is decoded, which can be
-// before every participant has consumed the previous broadcast.
+// the shard count. The FinishRound result is one of the reducer's two
+// buffers, so it stays intact through the whole next window — the server
+// commits it without a copy — and an empty round never moves to the other
+// buffer.
 type SparseFedAvg struct {
 	r     *shard.Reducer // nil until the first round: one shard
 	total float64

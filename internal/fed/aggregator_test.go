@@ -355,3 +355,72 @@ func TestSparseFedAvgZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state WeightedFedAvg.Aggregate allocates %v per call", allocs)
 	}
 }
+
+// TestFinishRoundOutlivesNextWindow pins the lifetime both schedulers commit
+// on without a copy: a FinishRound result stays intact through the next
+// BeginRound — also one repeated, as at a task boundary, or one closing an
+// empty round — and every Accumulate, up to the next FinishRound. It holds
+// for the default rule at one and four shards and for every buffered rule,
+// server momentum included, on sparse and on dense updates.
+func TestFinishRoundOutlivesNextWindow(t *testing.T) {
+	const n, cohort, windows = 300, 5, 5
+	specs := []struct {
+		spec   string
+		shards int
+	}{
+		{"fedavg", 1}, {"fedavg", 4},
+		{"trimmed-mean:0", 1}, {"trimmed-mean:0.2", 1}, {"median", 1}, {"krum:1", 1},
+		{"fedopt:0", 1}, {"fedopt:0.9", 1}, {"fedopt:0.5:median", 1},
+	}
+	for _, sc := range specs {
+		for _, sparse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/shards=%d/sparse=%v", sc.spec, sc.shards, sparse), func(t *testing.T) {
+				agg, err := ParseAggregator(sc.spec, sc.shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream := agg.(StreamAggregator)
+				rng := tensor.NewRNG(34)
+				fold := func() {
+					for id := 0; id < cohort; id++ {
+						w := make([]float32, n)
+						mask := make([]bool, n)
+						for i := range w {
+							w[i] = float32(rng.Norm())
+							mask[i] = rng.Float64() < 0.3
+						}
+						u := &Update{ClientID: id, Participating: true, Weight: float64(1 + id), Params: w}
+						if sparse {
+							u.Params, u.Sparse = nil, tensor.GatherMask(nil, w, mask)
+						}
+						stream.Accumulate(u)
+					}
+				}
+				stream.BeginRound()
+				fold()
+				prev := stream.FinishRound()
+				for win := 1; win < windows; win++ {
+					want := append([]float32(nil), prev...)
+					stream.BeginRound()
+					switch win % 3 {
+					case 1: // a task boundary opens the round twice
+						stream.BeginRound()
+					case 2: // an empty round (a stale-only flush) closes in between
+						if g := stream.FinishRound(); g != nil {
+							t.Fatalf("window %d: an empty round returned %d values", win, len(g))
+						}
+						stream.BeginRound()
+					}
+					fold()
+					for i := range want {
+						if math.Float32bits(prev[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("window %d: coordinate %d of the previous result rewritten before FinishRound: %v, was %v",
+								win, i, prev[i], want[i])
+						}
+					}
+					prev = stream.FinishRound()
+				}
+			})
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/tensor"
 )
 
@@ -511,5 +513,232 @@ func TestBroadcastAllocatesNothing(t *testing.T) {
 	send() // sizes the frame
 	if allocs := testing.AllocsPerRun(20, send); allocs != 0 {
 		t.Fatalf("a warmed-up broadcast allocates %v times", allocs)
+	}
+}
+
+// versionSink records the committed global of every version from the cut the
+// server writes ahead of its broadcast, closes done once version last is in,
+// and lists every later cut (mid-window, task boundary) whose global differs
+// from what its version committed.
+type versionSink struct {
+	globals map[uint64][]float32
+	last    uint64
+	done    chan struct{}
+	drifted []uint64
+}
+
+func (s *versionSink) Save(snap *checkpoint.ServerSnapshot) error {
+	if snap.Version == 0 {
+		return nil
+	}
+	g, ok := s.globals[snap.Version]
+	switch {
+	case !ok:
+		s.globals[snap.Version] = slices.Clone(snap.Global)
+		if snap.Version == s.last {
+			close(s.done)
+		}
+	case !slices.Equal(g, snap.Global):
+		s.drifted = append(s.drifted, snap.Version)
+	}
+	return nil
+}
+
+// gatedLink holds back every GlobalModel its holder receives until open is
+// closed.
+type gatedLink struct {
+	Transport
+	open <-chan struct{}
+}
+
+func (l *gatedLink) Recv() (Msg, error) {
+	m, err := l.Transport.Recv()
+	if _, ok := m.(*GlobalModel); ok {
+		select {
+		case <-l.open:
+		case <-time.After(time.Minute): // the comparison below reports it
+		}
+	}
+	return m, err
+}
+
+// TestAsyncLoopbackBroadcastOutlivesLaterCommits: an asynchronous commit
+// broadcasts the aggregator's result itself, which the reducer rewrites two
+// commits later. A loopback seat that reads none of its first task's
+// broadcasts until the task is committed must still find every version
+// bit-equal to what the server committed — the loopback detaches a borrowed
+// message — and every snapshot cut, the next task's mid-window ones
+// included, must carry the global its version committed.
+func TestAsyncLoopbackBroadcastOutlivesLaterCommits(t *testing.T) {
+	const cohort, rounds, tasks, k, n = 3, 3, 2, 2, 64
+	// No staleness bound: every k-th upload commits, and the task-closing
+	// flush commits the rest.
+	perTask := (cohort*rounds + k - 1) / k
+	links := make([]Transport, cohort)
+	ends := make([]Transport, cohort)
+	for i := range links {
+		links[i], ends[i] = LoopbackCap(perTask + 4)
+	}
+	sink := &versionSink{globals: map[uint64][]float32{}, last: uint64(perTask), done: make(chan struct{})}
+	ends[0] = &gatedLink{Transport: ends[0], open: sink.done}
+	srv := NewServer(ServerConfig{
+		Method: "test", NumTasks: tasks, Rounds: rounds, Scheduler: SchedulerAsync,
+		Async: AsyncConfig{CommitEvery: k}, Logf: t.Logf,
+	}, nil, links)
+	srv.SetSnapshots(sink)
+
+	// Every peer uploads a task's rounds up front, then reads what it was
+	// sent through the task-final broadcast. Every upload is its own vector,
+	// so every commit is a distinct global.
+	got := make([][][]*GlobalModel, cohort)
+	errs := make([]error, cohort)
+	var wg sync.WaitGroup
+	for id, link := range ends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer link.Close()
+			errs[id] = func() error {
+				for task := range tasks {
+					if m, err := link.Recv(); err != nil {
+						return err
+					} else if _, ok := m.(*RoundStart); !ok {
+						return fmt.Errorf("task %d: got %T, want *RoundStart", task, m)
+					}
+					for r := range rounds {
+						v := make([]float32, n)
+						for i := range v {
+							v[i] = float32(task*10000 + id*1000 + r*100 + i)
+						}
+						if err := link.Send(&Update{ClientID: id, Participating: true, Weight: 1, Params: v}); err != nil {
+							return err
+						}
+					}
+					var gms []*GlobalModel
+					for final := false; !final; {
+						m, err := link.Recv()
+						if err != nil {
+							return err
+						}
+						gm, ok := m.(*GlobalModel)
+						if !ok {
+							return fmt.Errorf("task %d: got %T, want *GlobalModel", task, m)
+						}
+						// Installing is reading: keep what the seat holds now.
+						gms = append(gms, &GlobalModel{Params: slices.Clone(gm.Params), Version: gm.Version, TaskFinal: gm.TaskFinal})
+						final = gm.TaskFinal
+					}
+					got[id] = append(got[id], gms)
+					if err := link.Send(&RoundEnd{ClientID: id, EvalAccs: make([]float64, task+1)}); err != nil {
+						return err
+					}
+				}
+				if _, err := link.Recv(); err != io.EOF && !errors.Is(err, io.ErrClosedPipe) {
+					return fmt.Errorf("after the last report: %v, want the server's close", err)
+				}
+				return nil
+			}()
+		}()
+	}
+	_, err := srv.Run(context.Background())
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: %v", id, err)
+		}
+	}
+	if len(sink.globals) != tasks*perTask {
+		t.Fatalf("the sink recorded %d versions, want %d", len(sink.globals), tasks*perTask)
+	}
+	if len(sink.drifted) > 0 {
+		t.Fatalf("snapshot cuts at versions %v carry a global other than the one their version committed", sink.drifted)
+	}
+	for id, byTask := range got {
+		for task, gms := range byTask {
+			if len(gms) != perTask+1 {
+				t.Fatalf("peer %d task %d: received %d globals, want %d commits and the task-final one", id, task, len(gms), perTask)
+			}
+			for i, gm := range gms {
+				if want := sink.globals[gm.Version]; !slices.Equal(gm.Params, want) {
+					t.Fatalf("peer %d: version %d (final %v) differs from the committed global at %d of %d coordinates",
+						id, gm.Version, gm.TaskFinal, countDiff(gm.Params, want), len(want))
+				}
+				if want := uint64(task*perTask + min(i+1, perTask)); gm.Version != want {
+					t.Fatalf("peer %d task %d: global %d is version %d, want %d", id, task, i, gm.Version, want)
+				}
+			}
+		}
+	}
+}
+
+// countDiff counts the positions at which a and b differ.
+func countDiff(a, b []float32) int {
+	d := max(len(a), len(b)) - min(len(a), len(b))
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			d++
+		}
+	}
+	return d
+}
+
+// TestAsyncCommitAllocFree: at one kernel thread a steady-state commit window
+// on by-value links — two sparse uploads folded, the merge, the commit and
+// its broadcast — allocates nothing: the committed global is the reducer's
+// buffer and the broadcast message is the scheduler's own.
+func TestAsyncCommitAllocFree(t *testing.T) {
+	pinKernelThreads(t, 1)
+	const n, cohort = 1 << 18, 2
+	srv := discardCohort(cohort)
+	a := srv.sched.(*AsyncScheduler)
+	a.commitK = cohort
+	res := &Result{}
+	rng := tensor.NewRNG(34)
+	// Two windows of 10 %-dense uploads with their own supports: the union a
+	// merge scales is past the sparse kernels' parallel threshold (1 << 15
+	// coordinates) and short of the quarter that switches the fold to full.
+	var ups []*Update
+	for k := range 2 {
+		touched, union := make([]bool, n), 0
+		for id := range cohort {
+			w := make([]float32, n)
+			mask := make([]bool, n)
+			for j := range w {
+				w[j] = float32(rng.Norm())
+				if mask[j] = rng.Float64() < 0.1; mask[j] && !touched[j] {
+					touched[j] = true
+					union++
+				}
+			}
+			ups = append(ups, &Update{ClientID: id, Participating: true, Weight: 1, Sparse: tensor.GatherMask(nil, w, mask)})
+		}
+		if union < 1<<15 || union >= n/4 {
+			t.Fatalf("window %d touches %d coordinates, want a sparse union of at least %d", k, union, 1<<15)
+		}
+	}
+	srv.stream.BeginRound()
+	win := 0
+	window := func() {
+		for id := range cohort {
+			u := ups[win%2*cohort+id]
+			u.BaseVersion = srv.version
+			if err := a.handleUpdate(srv, res, 0, id, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		win++
+	}
+	for range 4 { // both reducer buffers and the frame sized
+		window()
+	}
+	before := srv.version
+	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
+		t.Fatalf("a steady-state commit window allocates %v times", allocs)
+	}
+	if srv.version == before {
+		t.Fatal("no commit ran")
 	}
 }

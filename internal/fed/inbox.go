@@ -13,8 +13,9 @@ import "sync"
 // inbox and direct Recv calls on the same end would race. With copyMsgs
 // set, each message is deep-copied as it is read: WireTransport messages
 // alias the codec's reusable decode buffers, which the pump's next Recv
-// would overwrite. Loopback messages are already immutable per-send values,
-// so the copy is skipped there.
+// would overwrite. Loopback messages need no copy: the loopback's Send
+// already detached every borrowed one (an asynchronous commit, whose vector
+// the server rewrites two commits later).
 type inbox struct {
 	t        Transport
 	copyMsgs bool

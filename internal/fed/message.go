@@ -97,9 +97,11 @@ func (u *Update) ParamLen() int {
 // participants and Params may alias aggregator scratch over
 // LoopbackTransport, which is only rewritten after every participant has
 // acknowledged the round. Under the asynchronous scheduler every commit is
-// broadcast to every alive client and Params is a per-commit copy that is
-// never mutated afterwards (versioned commit buffers), so frames queued
-// behind a training client stay intact.
+// broadcast to every alive client and Params is the aggregator's result
+// itself, rewritten two commits later: the message is borrowed — valid only
+// for the duration of Send — and a transport that hands messages over by
+// reference (the loopback) delivers a detached copy, so a frame queued
+// behind a training client stays intact.
 //
 // A commit is encoded once: while Server.broadcast walks the seats, the
 // message carries the server's shared frame (the unexported field below).
@@ -129,6 +131,10 @@ type GlobalModel struct {
 
 	// frame is the broadcast's shared frame; nil outside Server.broadcast.
 	frame *sharedFrame
+	// borrowed marks Params as valid only while Send runs; owned is the
+	// detached copy every loopback seat of this send shares (see detached).
+	borrowed bool
+	owned    *GlobalModel
 }
 
 // sharedFrame is the one wire frame of one broadcast: header and payload in
@@ -197,6 +203,9 @@ type Catchup struct {
 	// installs Params to stay current and waits for the next task's
 	// RoundStart.
 	TaskDone bool
+
+	// borrowed marks Params as valid only while Send runs (see detached).
+	borrowed bool
 }
 
 // Kind identifies the message type.

@@ -61,8 +61,9 @@ type Scheduler interface {
 // NewServerFromSnapshot refuses sync configs. Sync snapshots are an audit
 // trail, not a recovery point.
 type SyncScheduler struct {
-	// global retains the last committed model for snapshot cuts; only
-	// maintained when a snapshot sink is installed.
+	// global is the last committed model, read by snapshot cuts: the
+	// aggregator's FinishRound result itself, which stays intact until the
+	// next round's FinishRound (StreamAggregator).
 	global []float32
 }
 
@@ -178,14 +179,10 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		}
 		if global != nil {
 			s.version++
-			if s.snap != nil {
-				// Write-ahead of the broadcast, mirroring the async commit:
-				// the cut is durable before any client learns the version.
-				// The broadcast global may alias aggregator scratch, so the
-				// snapshot keeps its own copy.
-				sc.global = append(sc.global[:0], global...)
-				s.snapshot(res, taskIdx, false)
-			}
+			sc.global = global
+			// Write-ahead of the broadcast, mirroring the async commit: the
+			// cut is durable before any client learns the version.
+			s.snapshot(res, taskIdx, false)
 			err := s.broadcast(&GlobalModel{Params: global, Version: s.version}, support, s.participated,
 				func(id int, err error) error {
 					return sc.dropOrFail(ctx, s, taskIdx, id, fmt.Errorf("fed: global model to client %d: %w", id, err))

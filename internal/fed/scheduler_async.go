@@ -78,12 +78,15 @@ type AsyncScheduler struct {
 	// task reports — which decides what a seat (re)admitted now is told.
 	finishing bool
 
-	// global is the latest committed global model. Every commit copies the
-	// aggregator's scratch into a fresh buffer (a "versioned commit
-	// buffer") before broadcasting: zero-copy loopback frames queued behind
-	// a training client must never be mutated by a later commit, and the
-	// aggregator's double buffering only protects one round of lag.
+	// global is the latest committed global model: the aggregator's
+	// FinishRound result itself, which stays intact until the next commit's
+	// FinishRound (StreamAggregator), or the restored snapshot's vector.
+	// Every message that carries it is borrowed, so a loopback seat — the
+	// one reader that can outlive the next commit — gets a detached copy.
 	global []float32
+	// msg is the commit broadcast, reused across commits: a by-value link
+	// reads it only during Send.
+	msg GlobalModel
 
 	paramLen int // agreed parameter-vector length (0 until the first update)
 
@@ -267,7 +270,8 @@ func (a *AsyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 	if a.buffered > 0 || a.staleCount > 0 || a.nonFiniteCount > 0 {
 		a.commit(s, res, taskIdx)
 	}
-	a.announce(s, taskIdx, &GlobalModel{Params: a.global, Version: s.version, TaskFinal: true})
+	a.msg = GlobalModel{Params: a.global, Version: s.version, TaskFinal: true, borrowed: true}
+	a.announce(s, taskIdx, &a.msg)
 
 	// Finish phase: every alive seat that has not reported owes a RoundEnd.
 	a.finishing = true
@@ -368,7 +372,7 @@ func (a *AsyncScheduler) accept(s *Server, res *Result, taskIdx, id int, m Msg) 
 // when the client's last-seen version is behind — or when it still owes the
 // task's report, which it evaluates on the task-final model.
 func (a *AsyncScheduler) catchup(s *Server, taskIdx int, lastVersion uint64, r resume) *Catchup {
-	cu := &Catchup{TaskIdx: taskIdx, Seen: r.seen, Version: s.version, TaskDone: r.done, TaskFinal: r.final}
+	cu := &Catchup{TaskIdx: taskIdx, Seen: r.seen, Version: s.version, TaskDone: r.done, TaskFinal: r.final, borrowed: true}
 	if s.version > lastVersion || r.final {
 		cu.Params = a.global
 	}
@@ -501,7 +505,7 @@ func (a *AsyncScheduler) handleUpdate(s *Server, res *Result, taskIdx, id int, u
 }
 
 // commit closes the current window: finish the streaming reduction, bump
-// the global version, copy the result into a fresh versioned buffer,
+// the global version, keep the result — uncopied — as the committed global,
 // durably snapshot the cut, broadcast it to every alive client, and report
 // the commit to the observer. The snapshot is write-ahead of the broadcast
 // — the cut is on disk before any client can learn the new version — which
@@ -527,7 +531,7 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 	a.evictMark = s.book.evicted
 	if global != nil {
 		s.version++
-		a.global = append([]float32(nil), global...)
+		a.global = global
 	}
 	// The window's folds are now in a.global (or, for a stale-only flush,
 	// there were none): clear the window and open the aggregator's next
@@ -540,7 +544,8 @@ func (a *AsyncScheduler) commit(s *Server, res *Result, taskIdx int) {
 		s.snapshot(res, taskIdx, false)
 		// A failed send is left to the reader's error event, which owns the
 		// eviction.
-		_ = s.broadcast(&GlobalModel{Params: a.global, Version: s.version}, support, nil, nil)
+		a.msg = GlobalModel{Params: a.global, Version: s.version, borrowed: true}
+		_ = s.broadcast(&a.msg, support, nil, nil)
 	}
 	stats.Version = s.version
 	if s.obs != nil {

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -16,6 +17,13 @@ import (
 //
 // Recv returns io.EOF after the peer closes its end and all in-flight
 // messages have been drained — that is the protocol's shutdown signal.
+//
+// A message is only valid for the duration of Send: the asynchronous
+// scheduler's GlobalModel and Catchup carry the committed global itself,
+// which the aggregator rewrites two commits later. A transport that writes
+// synchronously (WireTransport, and any decorator that forwards Send) keeps
+// nothing; one that hands messages over by reference, as the loopback does,
+// must deliver a copy of what it keeps.
 type Transport interface {
 	Send(Msg) error
 	Recv() (Msg, error)
@@ -28,9 +36,12 @@ type Transport interface {
 const loopbackCap = 4
 
 // loopbackEnd is one side of an in-memory transport pair. Messages pass by
-// reference — parameter slices are shared, never copied — which is what
-// keeps the loopback engine's hot path allocation-free and bitwise
-// identical to the old monolithic engine.
+// reference — an Update's or a lockstep GlobalModel's parameter slice is
+// shared, not copied — which is what keeps the loopback engine's hot path
+// allocation-free and bitwise identical to the old monolithic engine. A
+// borrowed message (an asynchronous commit or catch-up) is the one
+// exception: the peer may read it after later commits, so Send delivers a
+// detached copy.
 type loopbackEnd struct {
 	send chan Msg
 	recv chan Msg
@@ -72,7 +83,7 @@ func (l *loopbackEnd) Send(m Msg) error {
 	default:
 	}
 	select {
-	case l.send <- m:
+	case l.send <- detached(m):
 		return nil
 	case <-l.closed:
 		return io.ErrClosedPipe
@@ -109,4 +120,26 @@ func (l *loopbackEnd) Recv() (Msg, error) {
 func (l *loopbackEnd) Close() error {
 	l.closeOnce.Do(func() { close(l.closed) })
 	return nil
+}
+
+// detached returns m, or — for a borrowed GlobalModel or Catchup — a copy
+// that owns its parameters and outlives the Send. A broadcast is copied once:
+// its loopback seats share the copy, which nothing mutates.
+func detached(m Msg) Msg {
+	switch v := m.(type) {
+	case *GlobalModel:
+		if v.borrowed {
+			if v.owned == nil {
+				v.owned = &GlobalModel{Params: slices.Clone(v.Params), Version: v.Version, TaskFinal: v.TaskFinal}
+			}
+			return v.owned
+		}
+	case *Catchup:
+		if v.borrowed {
+			cp := *v
+			cp.Params, cp.borrowed = slices.Clone(v.Params), false
+			return &cp
+		}
+	}
+	return m
 }

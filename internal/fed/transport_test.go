@@ -55,6 +55,37 @@ func TestLoopbackZeroCopy(t *testing.T) {
 	}
 }
 
+// TestLoopbackDetachesBorrowed: a borrowed GlobalModel or Catchup reaches
+// the peer as a copy the sender's later writes do not reach, and the seats
+// of one broadcast share that one copy.
+func TestLoopbackDetachesBorrowed(t *testing.T) {
+	s1, c1 := Loopback()
+	s2, c2 := Loopback()
+	params := []float32{1, 2, 3}
+	gm := &GlobalModel{Params: params, Version: 7, borrowed: true}
+	cu := &Catchup{TaskIdx: 1, Params: params, Version: 7, borrowed: true}
+	for _, send := range []func() error{
+		func() error { return s1.Send(gm) },
+		func() error { return s2.Send(gm) },
+		func() error { return s1.Send(cu) },
+	} {
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params[0] = -1 // the next commit rewrites the vector
+	m1, _ := c1.Recv()
+	m2, _ := c2.Recv()
+	mc, _ := c1.Recv()
+	g1, g2, got := m1.(*GlobalModel), m2.(*GlobalModel), mc.(*Catchup)
+	if g1 != g2 {
+		t.Fatal("the seats of one broadcast must share its one copy")
+	}
+	if g1.Params[0] != 1 || g1.Version != 7 || g1.borrowed || got.Params[0] != 1 || got.TaskIdx != 1 || got.borrowed {
+		t.Fatalf("delivered %+v and %+v, want detached copies of the sent values", g1, got)
+	}
+}
+
 // TestServerRejectsImpersonatedUpdate: the update's ClientID routes the
 // GlobalModel broadcast, so a client claiming another link's ID (possible
 // with a buggy or hostile wire peer) must abort the run instead of panicking

@@ -341,15 +341,3 @@ func (w *Workspace) Integrate(g []float32, G [][]float32) []float32 {
 
 // Outcome reports what the last Integrate call did.
 func (w *Workspace) Outcome() Outcome { return w.last }
-
-// Violations counts how many constraint gradients have a negative dot
-// product with g (diagnostic used in tests and experiment logging).
-func Violations(g []float32, G [][]float32) int {
-	n := 0
-	for _, gi := range G {
-		if tensor.DotSlice(gi, g) < -1e-9 {
-			n++
-		}
-	}
-	return n
-}

@@ -421,11 +421,3 @@ func TestWorkspaceAllocFree(t *testing.T) {
 		t.Fatalf("a warm Workspace.Integrate allocates %.1f objects/op, want 0", allocs)
 	}
 }
-
-func TestViolations(t *testing.T) {
-	g := []float32{1, 0}
-	G := [][]float32{{1, 0}, {-1, 0}, {0, 1}}
-	if got := Violations(g, G); got != 1 {
-		t.Fatalf("Violations = %d, want 1", got)
-	}
-}

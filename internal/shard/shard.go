@@ -23,10 +23,12 @@
 // and it is what the lazy clear re-zeroes when the buffer comes round again.
 //
 // Ownership: rounds alternate between two global vectors. The vector
-// returned by Merge stays intact while the next round folds and merges —
-// which is what lets zero-copy loopback clients still be reading a broadcast
-// when the next commit lands — and is reused by the round after that, each
-// shard first re-zeroing only what its range held.
+// returned by Merge stays intact through every BeginRound and fold until the
+// next Merge returns — which is what lets the server keep it as the committed
+// global, with no copy, for a whole commit window — and is reused by the
+// round after that, each shard first re-zeroing only what its range held. A
+// round that ends without a Merge (abandoned, or opened twice) keeps its
+// buffer, so idle rounds never reach the published vector.
 package shard
 
 import (
@@ -120,6 +122,9 @@ type Reducer struct {
 	ranges [2][]shardRange // [buffer][shard]
 	cur    int
 	round  uint64
+	// merged marks that bufs[cur] holds the last Merge result: the next
+	// BeginRound moves to the other buffer instead of folding over it.
+	merged bool
 
 	// view is each shard's subrange view of the sparse update being folded
 	// — a field so that handing it to the kernel allocates nothing.
@@ -170,12 +175,15 @@ func NewReducer(shards int) *Reducer {
 // Shards reports the configured shard count.
 func (r *Reducer) Shards() int { return r.shards }
 
-// BeginRound opens a new round on the other global buffer (the previous
-// Merge result stays intact for one more full round). What that buffer still
-// holds from two rounds ago is cleared lazily, per shard, when the shard
-// next participates.
+// BeginRound opens a new round: on the other global buffer when the open one
+// holds the last Merge result (which stays intact until the next Merge), on
+// the same one when its round ended unmerged. What the buffer still holds is
+// cleared lazily, per shard, when the shard next participates.
 func (r *Reducer) BeginRound() {
-	r.cur ^= 1
+	if r.merged {
+		r.cur ^= 1
+		r.merged = false
+	}
 	r.round++
 }
 
@@ -326,14 +334,15 @@ func (r *Reducer) foldSparseShard(s int, w float32, x *tensor.SparseVec) {
 // has re-zeroed what its range still held. Concurrent execution is
 // indistinguishable from the ascending loop because the ranges are disjoint.
 // The returned vector aliases the reducer's double-buffered scratch: it
-// stays intact through the whole next round and is rewritten by the round
-// after that.
+// stays intact through every BeginRound and fold until the next Merge
+// returns, and is rewritten by the round after that.
 func (r *Reducer) Merge(scale float32) []float32 {
 	if r.view == nil {
 		return nil // nothing was ever folded
 	}
 	r.opW = scale
 	r.each(r.plan.n, r.mergeRange)
+	r.merged = true
 	return r.bufs[r.cur]
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -178,6 +179,57 @@ func TestReducerMergeSurvivesNextRound(t *testing.T) {
 	for i := range want {
 		if second[i] != want[i] {
 			t.Fatalf("second round coordinate %d = %v, want %v (stale scratch?)", i, second[i], want[i])
+		}
+	}
+}
+
+// TestReducerMergeSurvivesIdleRounds: rounds that end without a Merge — one
+// opened twice, one abandoned after a fold — stay on their own buffer, so the
+// last Merge result is intact until the next Merge returns.
+func TestReducerMergeSurvivesIdleRounds(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		r := NewReducer(p)
+		r.BeginRound()
+		r.FoldDense(1, []float32{5, 6, 7, 8, 9})
+		first := r.Merge(1)
+		r.BeginRound()
+		r.BeginRound() // opened twice
+		r.FoldDense(1, []float32{1, 1, 1, 1, 1})
+		r.BeginRound() // the fold above is abandoned
+		r.FoldSparse(1, &tensor.SparseVec{N: 5, Indices: []int32{0, 3}, Values: []float32{10, 20}})
+		if want := []float32{5, 6, 7, 8, 9}; !slices.Equal(first, want) {
+			t.Fatalf("p=%d: merge rewritten by rounds that never merged: %v, want %v", p, first, want)
+		}
+		if got, want := r.Merge(1), []float32{10, 0, 0, 20, 0}; !slices.Equal(got, want) {
+			t.Fatalf("p=%d: merge after idle rounds %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestReducerMergeAllocFree: at one kernel thread a steady-state round — the
+// folds, and a Merge that scales a sparse union past the kernels' parallel
+// threshold — allocates nothing, at one shard and at several.
+func TestReducerMergeAllocFree(t *testing.T) {
+	pinKernelThreads(t, 1)
+	const n = 1 << 18
+	rng := tensor.NewRNG(34)
+	ups := []*tensor.SparseVec{mkSparse(rng, n, 0.1), mkSparse(rng, n, 0.1)}
+	for _, p := range []int{1, 4} {
+		r := NewReducer(p)
+		round := func() {
+			r.BeginRound()
+			for _, u := range ups {
+				r.FoldSparse(1, u)
+			}
+			r.Merge(0.5)
+		}
+		round()
+		round() // both buffers sized and listed
+		if r.Support() == nil {
+			t.Fatalf("p=%d: the union went full; the pin must scale a sparse one", p)
+		}
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Fatalf("p=%d: a steady-state fold + merge allocates %v times", p, allocs)
 		}
 	}
 }

@@ -55,16 +55,6 @@ func SubsampledWasserstein(a, b []float32, maxN int) float64 {
 	return Wasserstein1D(sa, sb)
 }
 
-// CosineSimilarity returns cos(θ) between two vectors; 0 when either has
-// zero norm.
-func CosineSimilarity(a, b []float32) float64 {
-	na, nb := tensor.NormSlice(a), tensor.NormSlice(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return tensor.DotSlice(a, b) / (na * nb)
-}
-
 // AngleIsObtuse reports whether two vectors form an obtuse angle
 // (dot product < 0), the condition that triggers gradient integration.
 func AngleIsObtuse(a, b []float32) bool {

@@ -79,21 +79,6 @@ func TestSubsampledWassersteinApproximates(t *testing.T) {
 	}
 }
 
-func TestCosineSimilarity(t *testing.T) {
-	if d := CosineSimilarity([]float32{1, 0}, []float32{1, 0}); math.Abs(d-1) > 1e-9 {
-		t.Fatalf("parallel cos = %v", d)
-	}
-	if d := CosineSimilarity([]float32{1, 0}, []float32{0, 1}); math.Abs(d) > 1e-9 {
-		t.Fatalf("orthogonal cos = %v", d)
-	}
-	if d := CosineSimilarity([]float32{1, 0}, []float32{-1, 0}); math.Abs(d+1) > 1e-9 {
-		t.Fatalf("antiparallel cos = %v", d)
-	}
-	if d := CosineSimilarity([]float32{0, 0}, []float32{1, 0}); d != 0 {
-		t.Fatalf("zero vector cos = %v, want 0", d)
-	}
-}
-
 func TestAngleIsObtuse(t *testing.T) {
 	if AngleIsObtuse([]float32{1, 0}, []float32{1, 1}) {
 		t.Fatal("acute reported obtuse")

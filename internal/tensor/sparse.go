@@ -196,9 +196,10 @@ func scaleAddSparseRange(dst []float32, s, a float32, x *SparseVec, lo, hi int) 
 
 // ScaleIndexed multiplies dst by s at the given coordinates only (ascending,
 // unique) — the final FedAvg normalisation over a round's touched-coordinate
-// union, costing O(active knowledge) instead of O(model).
+// union, costing O(active knowledge) instead of O(model). At one kernel
+// thread it builds no closure, so a commit's merge allocates nothing.
 func ScaleIndexed(dst []float32, s float32, idx []int32) {
-	if len(idx) >= sparseParMin {
+	if len(idx) >= sparseParMin && KernelThreads() > 1 {
 		Parallel(len(idx), func(lo, hi int) { scaleIndexedRange(dst, s, idx, lo, hi) })
 		return
 	}
