@@ -216,14 +216,13 @@ func TestAPFLMixesModels(t *testing.T) {
 	trainSteps(t, s, ctx, ct, 3)
 	personal := append([]float32(nil), s.personal...)
 	// Pretend the server installed a shifted global model.
-	params := ctx.Model.Params()
-	global := nn.FlattenParams(params)
+	global := nn.FlattenParams(ctx.Model.Params())
 	for i := range global {
 		global[i] += 1
 	}
-	nn.SetFlatParams(params, global)
+	ctx.Model.SetWeights(global)
 	s.AfterAggregate(personal, ct)
-	mixed := nn.FlattenParams(params)
+	mixed := nn.FlattenParams(ctx.Model.Params())
 	// α=0.5: mixed must sit strictly between personal and global.
 	i := 0
 	want := 0.5*personal[i] + 0.5*global[i]

@@ -22,17 +22,18 @@ import (
 )
 
 // plainGrad computes the masked-cross-entropy gradient of the client model
-// on the batch, leaving it in the parameter gradient accumulators, and
-// returns the loss and the flattened gradient.
-func plainGrad(ctx *fed.ClientCtx, x *tensor.Tensor, labels []int, classes []int) (float64, []float32) {
+// on the batch into the model's gradients (Model.Grads) and returns the loss.
+func plainGrad(ctx *fed.ClientCtx, x *tensor.Tensor, labels []int, classes []int) float64 {
 	m := ctx.Model
-	params := m.Params()
 	logits := m.Forward(x, true)
 	loss, dl := nn.MaskedCrossEntropy(logits, labels, classes)
-	nn.ZeroGrads(params)
+	clear(m.Grads())
 	m.Backward(dl)
-	return loss, nn.FlattenGrads(params)
+	return loss
 }
+
+// step applies the client optimiser to the model's weights and gradients.
+func step(ctx *fed.ClientCtx) { ctx.Opt.Step(ctx.Model.Weights(), ctx.Model.Grads()) }
 
 // sampleBytes estimates the memory cost of retained samples.
 func sampleBytes(samples []data.Sample) int {

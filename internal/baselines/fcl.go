@@ -3,7 +3,6 @@ package baselines
 import (
 	"repro/internal/data"
 	"repro/internal/fed"
-	"repro/internal/nn"
 	"repro/internal/prune"
 	"repro/internal/tensor"
 )
@@ -35,8 +34,8 @@ func (s *FLCN) Name() string { return "FLCN" }
 
 // TrainStep is plain local SGD.
 func (s *FLCN) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	s.ctx.Opt.Step(s.ctx.Model.Params())
+	loss := plainGrad(s.ctx, x, labels, classes)
+	step(s.ctx)
 	return loss
 }
 
@@ -47,14 +46,10 @@ func (s *FLCN) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 		return
 	}
 	m := s.ctx.Model
-	params := m.Params()
 	for it := 0; it < 2; it++ {
 		x, labels := batchFrom(s.ctx.RNG, s.serverBuf, 16, m.InC, m.InH, m.InW)
-		logits := m.Forward(x, true)
-		_, dl := nn.MaskedCrossEntropy(logits, labels, s.serverClasses)
-		nn.ZeroGrads(params)
-		m.Backward(dl)
-		s.ctx.Opt.Step(params)
+		plainGrad(s.ctx, x, labels, s.serverClasses)
+		step(s.ctx)
 	}
 }
 
@@ -136,29 +131,25 @@ func (s *FedWEIT) Name() string {
 // the base (sparsifying the implicit delta) plus a pull toward the peer
 // pool mean (inter-client transfer).
 func (s *FedWEIT) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	params := s.ctx.Model.Params()
+	loss := plainGrad(s.ctx, x, labels, classes)
 	if s.base != nil {
-		off := 0
+		w, g := s.ctx.Model.Weights(), s.ctx.Model.Grads()
 		sp := float32(s.Sparsity)
-		for _, p := range params {
-			for j := range p.W.Data {
-				d := p.W.Data[j] - s.base[off+j]
-				// Subgradient of λ|d|.
-				switch {
-				case d > 0:
-					p.Grad.Data[j] += sp
-				case d < 0:
-					p.Grad.Data[j] -= sp
-				}
-				if s.UseAllClients && s.poolMean != nil {
-					p.Grad.Data[j] += 1e-4 * (p.W.Data[j] - s.poolMean[off+j])
-				}
+		for j := range w {
+			d := w[j] - s.base[j]
+			// Subgradient of λ|d|.
+			switch {
+			case d > 0:
+				g[j] += sp
+			case d < 0:
+				g[j] -= sp
 			}
-			off += p.W.Len()
+			if s.UseAllClients && s.poolMean != nil {
+				g[j] += 1e-4 * (w[j] - s.poolMean[j])
+			}
 		}
 	}
-	s.ctx.Opt.Step(params)
+	step(s.ctx)
 	return loss
 }
 
@@ -166,8 +157,7 @@ func (s *FedWEIT) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 // the simulated peer pool (the mean of peers' adaptive weights; peers are
 // non-IID perturbations of the base in this single-process simulation).
 func (s *FedWEIT) AfterAggregate(preAgg []float32, ct data.ClientTask) {
-	params := s.ctx.Model.Params()
-	s.base = nn.FlattenParams(params)
+	s.base = append(s.base[:0], s.ctx.Model.Weights()...)
 	if s.UseAllClients {
 		if s.poolMean == nil {
 			s.poolMean = make([]float32, len(s.base))
@@ -179,8 +169,7 @@ func (s *FedWEIT) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 // TaskEnd extracts this task's adaptive weights (top-ρw of the delta from
 // the base).
 func (s *FedWEIT) TaskEnd(ct data.ClientTask) {
-	params := s.ctx.Model.Params()
-	w := nn.FlattenParams(params)
+	w := s.ctx.Model.Weights()
 	if s.base == nil {
 		s.base = append([]float32(nil), w...)
 	}

@@ -3,7 +3,6 @@ package baselines
 import (
 	"repro/internal/data"
 	"repro/internal/fed"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -23,8 +22,8 @@ func (s *FedAvg) Name() string { return "FedAvg" }
 
 // TrainStep is one plain SGD step.
 func (s *FedAvg) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	s.ctx.Opt.Step(s.ctx.Model.Params())
+	loss := plainGrad(s.ctx, x, labels, classes)
+	step(s.ctx)
 	return loss
 }
 
@@ -46,28 +45,25 @@ func (s *APFL) Name() string { return "APFL" }
 
 // TrainStep is a plain local step; the personal model tracks the result.
 func (s *APFL) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	s.ctx.Opt.Step(s.ctx.Model.Params())
-	s.personal = nn.FlattenParams(s.ctx.Model.Params())
+	loss := plainGrad(s.ctx, x, labels, classes)
+	step(s.ctx)
+	s.personal = append(s.personal[:0], s.ctx.Model.Weights()...)
 	return loss
 }
 
 // AfterAggregate installs the adaptive mixture of the personal
 // (pre-aggregation) and global models.
 func (s *APFL) AfterAggregate(preAgg []float32, ct data.ClientTask) {
-	params := s.ctx.Model.Params()
-	global := nn.FlattenParams(params)
 	if s.personal == nil {
 		// Copy: preAgg is an engine-owned buffer that is rewritten every
 		// round.
 		s.personal = append([]float32(nil), preAgg...)
 	}
-	mixed := make([]float32, len(global))
+	w := s.ctx.Model.Weights()
 	a := float32(s.Alpha)
-	for i := range mixed {
-		mixed[i] = a*s.personal[i] + (1-a)*global[i]
+	for i, global := range w {
+		w[i] = a*s.personal[i] + (1-a)*global
 	}
-	nn.SetFlatParams(params, mixed)
 }
 
 // FedRep [7] splits the network into shared representation layers and a
@@ -82,7 +78,7 @@ type FedRep struct {
 // NewFedRep builds the strategy.
 func NewFedRep(ctx *fed.ClientCtx) fed.Strategy {
 	params := ctx.Model.Params()
-	n := nn.NumParams(params)
+	n := ctx.Model.NumParams()
 	mask := make([]bool, n)
 	for i := range mask {
 		mask[i] = true
@@ -104,8 +100,8 @@ func (s *FedRep) Name() string { return "FedRep" }
 // TrainStep is a plain local step (representation and head both train
 // locally; FedRep's alternating schedule is folded into the shared loop).
 func (s *FedRep) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	s.ctx.Opt.Step(s.ctx.Model.Params())
+	loss := plainGrad(s.ctx, x, labels, classes)
+	step(s.ctx)
 	return loss
 }
 

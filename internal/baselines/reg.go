@@ -3,7 +3,6 @@ package baselines
 import (
 	"repro/internal/data"
 	"repro/internal/fed"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -29,37 +28,29 @@ func (s *regularized) Name() string { return s.name }
 // TrainStep adds the importance penalty to the task gradient before the
 // optimiser step; AGS-CL additionally freezes its most important weights.
 func (s *regularized) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, _ := plainGrad(s.ctx, x, labels, classes)
-	params := s.ctx.Model.Params()
+	loss := plainGrad(s.ctx, x, labels, classes)
+	w, g := s.ctx.Model.Weights(), s.ctx.Model.Grads()
 	if s.anchor != nil {
-		off := 0
 		lam := float32(s.Lambda)
-		for _, p := range params {
-			for j := range p.W.Data {
-				i := off + j
-				p.Grad.Data[j] += lam * s.importance[i] * (p.W.Data[j] - s.anchor[i])
-			}
-			off += p.W.Len()
+		for i := range w {
+			g[i] += lam * s.importance[i] * (w[i] - s.anchor[i])
 		}
 	}
+	var inv []bool
 	if s.frozen != nil {
-		inv := make([]bool, len(s.frozen))
+		inv = make([]bool, len(s.frozen))
 		for i, f := range s.frozen {
 			inv[i] = !f
 		}
-		s.ctx.Opt.StepMasked(params, inv)
-	} else {
-		s.ctx.Opt.Step(params)
 	}
+	s.ctx.Opt.StepMasked(w, g, inv)
 	return loss
 }
 
 // TaskEnd re-estimates importance and re-anchors.
 func (s *regularized) TaskEnd(ct data.ClientTask) {
-	params := s.ctx.Model.Params()
-	n := nn.NumParams(params)
 	if s.importance == nil {
-		s.importance = make([]float32, n)
+		s.importance = make([]float32, s.ctx.Model.NumParams())
 	}
 	s.estimate(ct)
 	// Normalise importance to unit maximum so the penalty strength is
@@ -77,7 +68,7 @@ func (s *regularized) TaskEnd(ct data.ClientTask) {
 			s.importance[i] *= inv
 		}
 	}
-	s.anchor = nn.FlattenParams(params)
+	s.anchor = append(s.anchor[:0], s.ctx.Model.Weights()...)
 	if s.freezeTop > 0 {
 		s.frozen = topFractionMask(s.importance, s.freezeTop)
 	}
@@ -179,28 +170,19 @@ func NewAGSCL(ctx *fed.ClientCtx) fed.Strategy {
 // batches of the finished task.
 func fisherEstimate(s *regularized, ct data.ClientTask, squared bool) {
 	m := s.ctx.Model
-	params := m.Params()
 	if len(ct.Train) == 0 {
 		return
 	}
 	const batches = 2
 	for b := 0; b < batches; b++ {
 		x, labels := batchFrom(s.ctx.RNG, ct.Train, 16, m.InC, m.InH, m.InW)
-		_, _ = labels, x
-		logits := m.Forward(x, true)
-		_, dl := nn.MaskedCrossEntropy(logits, labels, ct.Classes)
-		nn.ZeroGrads(params)
-		m.Backward(dl)
-		off := 0
-		for _, p := range params {
-			for j, g := range p.Grad.Data {
-				if squared {
-					s.importance[off+j] += g * g
-				} else {
-					s.importance[off+j] += abs32(g)
-				}
+		plainGrad(s.ctx, x, labels, ct.Classes)
+		for j, g := range m.Grads() {
+			if squared {
+				s.importance[j] += g * g
+			} else {
+				s.importance[j] += abs32(g)
 			}
-			off += p.W.Len()
 		}
 	}
 }
@@ -208,7 +190,6 @@ func fisherEstimate(s *regularized, ct data.ClientTask, squared bool) {
 // masEstimate accumulates |∂‖f(x)‖²/∂w|.
 func masEstimate(s *regularized, ct data.ClientTask) {
 	m := s.ctx.Model
-	params := m.Params()
 	if len(ct.Train) == 0 {
 		return
 	}
@@ -217,14 +198,10 @@ func masEstimate(s *regularized, ct data.ClientTask) {
 	// d‖f‖²/dlogits = 2·logits (normalised by batch size).
 	dl := logits.Clone()
 	dl.ScaleInPlace(2 / float32(logits.Shape[0]))
-	nn.ZeroGrads(params)
+	clear(m.Grads())
 	m.Backward(dl)
-	off := 0
-	for _, p := range params {
-		for j, g := range p.Grad.Data {
-			s.importance[off+j] += abs32(g)
-		}
-		off += p.W.Len()
+	for j, g := range m.Grads() {
+		s.importance[j] += abs32(g)
 	}
 }
 

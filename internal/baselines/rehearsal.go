@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/nn"
@@ -38,23 +40,22 @@ func (s *GEM) Name() string { return "GEM" }
 // TrainStep projects the current gradient against every memory task's
 // gradient.
 func (s *GEM) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
-	loss, g := plainGrad(s.ctx, x, labels, classes)
-	params := s.ctx.Model.Params()
+	m := s.ctx.Model
+	loss := plainGrad(s.ctx, x, labels, classes)
 	if len(s.memories) > 0 {
-		m := s.ctx.Model
+		g := slices.Clone(m.Grads())
 		s.constraints = s.constraints[:0]
 		for ti, mem := range s.memories {
 			if len(mem) == 0 {
 				continue
 			}
 			mx, mlabels := batchFrom(s.ctx.RNG, mem, 8, m.InC, m.InH, m.InW)
-			_, mg := plainGrad(s.ctx, mx, mlabels, s.memClass[ti])
-			s.constraints = append(s.constraints, mg)
+			plainGrad(s.ctx, mx, mlabels, s.memClass[ti])
+			s.constraints = append(s.constraints, slices.Clone(m.Grads()))
 		}
-		g = s.ws.Integrate(g, s.constraints)
-		nn.SetFlatGrads(params, g)
+		m.SetGrads(s.ws.Integrate(g, s.constraints))
 	}
-	s.ctx.Opt.Step(params)
+	step(s.ctx)
 	return loss
 }
 
@@ -105,18 +106,18 @@ func (s *BCN) Name() string { return "BCN" }
 // TrainStep mixes a balanced memory batch into the current batch.
 func (s *BCN) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
 	m := s.ctx.Model
-	params := m.Params()
-	loss, g := plainGrad(s.ctx, x, labels, classes)
+	loss := plainGrad(s.ctx, x, labels, classes)
 	if len(s.memories) > 0 {
+		g := slices.Clone(m.Grads())
 		mx, mlabels := batchFrom(s.ctx.RNG, s.memories, x.Shape[0], m.InC, m.InH, m.InW)
-		_, mg := plainGrad(s.ctx, mx, mlabels, s.memClass)
+		plainGrad(s.ctx, mx, mlabels, s.memClass)
 		// Equal-weight mixture of the two gradients.
+		mg := m.Grads()
 		for i := range g {
-			g[i] = 0.5 * (g[i] + mg[i])
+			mg[i] = 0.5 * (g[i] + mg[i])
 		}
-		nn.SetFlatGrads(params, g)
 	}
-	s.ctx.Opt.Step(params)
+	step(s.ctx)
 	return loss
 }
 
@@ -169,40 +170,39 @@ func (s *Co2L) Name() string { return "Co2L" }
 // rehearsal gradient.
 func (s *Co2L) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
 	m := s.ctx.Model
-	params := m.Params()
-	loss, g := plainGrad(s.ctx, x, labels, classes)
+	loss := plainGrad(s.ctx, x, labels, classes)
+	g := slices.Clone(m.Grads())
 	if s.prev != nil {
 		// Snapshot predictions as distillation targets.
 		var targets *tensor.Tensor
 		m.Borrow(func() {
-			nn.SetFlatParams(params, s.prev)
+			m.SetWeights(s.prev)
 			targets = nn.Softmax(m.Forward(x, false))
 		})
 		logits := m.Forward(x, true)
 		_, dl := nn.SoftCrossEntropy(logits, targets)
-		nn.ZeroGrads(params)
+		clear(m.Grads())
 		m.Backward(dl)
-		dg := nn.FlattenGrads(params)
 		lam := float32(s.Distill)
-		for i := range g {
-			g[i] += lam * dg[i]
+		for i, dg := range m.Grads() {
+			g[i] += lam * dg
 		}
 	}
 	if len(s.memories) > 0 {
 		mx, mlabels := batchFrom(s.ctx.RNG, s.memories, 8, m.InC, m.InH, m.InW)
-		_, mg := plainGrad(s.ctx, mx, mlabels, s.memClass)
-		for i := range g {
-			g[i] += 0.5 * mg[i]
+		plainGrad(s.ctx, mx, mlabels, s.memClass)
+		for i, mg := range m.Grads() {
+			g[i] += 0.5 * mg
 		}
 	}
-	nn.SetFlatGrads(params, g)
-	s.ctx.Opt.Step(params)
+	m.SetGrads(g)
+	step(s.ctx)
 	return loss
 }
 
 // TaskEnd snapshots the model and retains samples.
 func (s *Co2L) TaskEnd(ct data.ClientTask) {
-	s.prev = nn.FlattenParams(s.ctx.Model.Params())
+	s.prev = append(s.prev[:0], s.ctx.Model.Weights()...)
 	n := int(float64(len(ct.Train))*s.MemFrac + 0.5)
 	if n < 1 {
 		n = 1

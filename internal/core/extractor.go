@@ -4,6 +4,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -43,7 +45,6 @@ func NewKnowledgeExtractor(rho float64) *KnowledgeExtractor {
 // statistics it came in with; only its gradients and layer caches change.
 func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *tensor.RNG) *TaskKnowledge {
 	params := m.Params()
-	flat := nn.FlattenParams(params)
 	// Layer-wise top-ρ: select within each parameter tensor so the pruned
 	// network keeps a live signal path through every layer (global
 	// selection would zero out the layers with the smallest init scale).
@@ -51,7 +52,7 @@ func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *te
 	for i, p := range params {
 		segments[i] = p.W.Len()
 	}
-	store := prune.ExtractSegments(flat, segments, e.Rho)
+	store := prune.ExtractSegments(m.Weights(), segments, e.Rho)
 
 	if e.FinetuneIters > 0 && len(ct.Train) > 0 {
 		mask := store.Mask()
@@ -61,8 +62,8 @@ func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *te
 			// gradient restorer will evaluate them later (Eq. 2 forwards the
 			// knowledge model, not the full model). Step 3 of §III-B: tune
 			// W_i, keep the other weights unchanged (at their pruned value,
-			// zero). The store holds copies, so flat is free to reuse.
-			nn.SetFlatParams(params, store.DensifyInto(flat))
+			// zero).
+			installKnowledge(m, store)
 			ft := opt.NewSGD(opt.Const{Rate: e.FinetuneLR}, 0, 0)
 			batch := min(16, len(ct.Train))
 			for it := 0; it < e.FinetuneIters; it++ {
@@ -70,12 +71,23 @@ func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *te
 				x, labels := data.Batch(ct.Train, idx, m.InC, m.InH, m.InW)
 				logits := m.Forward(x, true)
 				_, dl := nn.MaskedCrossEntropy(logits, labels, ct.Classes)
-				nn.ZeroGrads(params)
+				clear(m.Grads())
 				m.Backward(dl)
-				ft.StepMasked(params, mask)
+				ft.StepMasked(m.Weights(), m.Grads(), mask)
 			}
-			store.Refresh(nn.FlattenParamsInto(flat, params))
+			store.Refresh(m.Weights())
 		})
 	}
 	return &TaskKnowledge{TaskID: ct.TaskID, Classes: ct.Classes, Store: store}
+}
+
+// installKnowledge densifies a knowledge store straight into the borrowed
+// model's weights: the retained values, zeros elsewhere. A store of another
+// length panics, where DensifyInto would allocate and write nowhere.
+func installKnowledge(m *model.Model, s *prune.SparseStore) {
+	w := m.Weights()
+	if s.N != len(w) {
+		panic(fmt.Sprintf("core: knowledge of %d weights installed into a model of %d", s.N, len(w)))
+	}
+	s.DensifyInto(w)
 }

@@ -157,7 +157,6 @@ func (f *FedKNOW) Knowledge() []*TaskKnowledge { return f.knowledge }
 // distillation backwards share one live forward pass over the batch.
 func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float64 {
 	m := f.ctx.Model
-	params := m.Params()
 	restoring := len(f.knowledge) > 0 && !f.opts.DisableIntegration
 	var restoreSet []*TaskKnowledge
 	var reRanking bool
@@ -169,9 +168,9 @@ func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 	logits := m.Forward(x, true)
 	loss, dl := nn.MaskedCrossEntropyInto(f.dlBuf, logits, labels, classes)
 	f.dlBuf = dl
-	nn.ZeroGrads(params)
+	clear(m.Grads())
 	m.Backward(dl)
-	f.gBuf = nn.FlattenGradsInto(f.gBuf, params)
+	f.gBuf = append(f.gBuf[:0], m.Grads()...)
 	g := f.gBuf
 
 	if restoring {
@@ -187,9 +186,9 @@ func (f *FedKNOW) TrainStep(x *tensor.Tensor, labels []int, classes []int) float
 		}
 		g2 := f.integrator.Integrate(g, constraints)
 		f.Stats.add(f.integrator.Outcome())
-		nn.SetFlatGrads(params, g2)
+		m.SetGrads(g2)
 	}
-	f.ctx.Opt.Step(params)
+	f.ctx.Opt.Step(m.Weights(), m.Grads())
 	f.step++
 	return loss
 }
@@ -225,7 +224,6 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 		return
 	}
 	m := f.ctx.Model
-	params := m.Params()
 	batch := min(16, len(ct.Train))
 	for it := 0; it < f.opts.FinetuneIters; it++ {
 		idx := f.ctx.RNG.Perm(len(ct.Train))[:batch]
@@ -234,9 +232,9 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 		// gᵃ: gradient at the aggregated (current) weights.
 		logits := m.Forward(x, true)
 		_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logits, labels, ct.Classes)
-		nn.ZeroGrads(params)
+		clear(m.Grads())
 		m.Backward(f.dlBuf)
-		f.gaBuf = nn.FlattenGradsInto(f.gaBuf, params)
+		f.gaBuf = append(f.gaBuf[:0], m.Grads()...)
 
 		g2 := f.gaBuf
 		if !f.opts.DisableGlobalGuard {
@@ -244,17 +242,17 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 			// on the borrowed model, so its batch statistics stay out of the
 			// live running statistics.
 			m.Borrow(func() {
-				nn.SetFlatParams(params, preAgg)
+				m.SetWeights(preAgg)
 				logitsB := m.Forward(x, true)
 				_, f.dlBuf = nn.MaskedCrossEntropyInto(f.dlBuf, logitsB, labels, ct.Classes)
-				nn.ZeroGrads(params)
+				clear(m.Grads())
 				m.Backward(f.dlBuf)
-				f.gbBuf = nn.FlattenGradsInto(f.gbBuf, params)
+				f.gbBuf = append(f.gbBuf[:0], m.Grads()...)
 			})
 			g2 = f.integrator.Integrate(f.gaBuf, [][]float32{f.gbBuf})
 		}
-		nn.SetFlatGrads(params, g2)
-		f.ctx.Opt.Step(params)
+		m.SetGrads(g2)
+		f.ctx.Opt.Step(m.Weights(), m.Grads())
 	}
 }
 

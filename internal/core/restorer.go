@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -20,7 +19,6 @@ type GradientRestorer struct {
 	m *model.Model
 	// scratch buffers, reused across restores so the per-iteration restore
 	// loop (k past tasks × every local step) performs no allocations.
-	dense   []float32
 	targets []*tensor.Tensor
 	probs   *tensor.Tensor // live masked softmax of the task being restored
 	dl      *tensor.Tensor // distillation logit gradient fed to Backward
@@ -43,14 +41,12 @@ func NewGradientRestorer(m *model.Model) *GradientRestorer {
 // must then run one live forward on the same batch (training loops fold it
 // into their task-loss forward) and call RestoredGradients.
 func (r *GradientRestorer) PrepareTargets(ks []*TaskKnowledge, x *tensor.Tensor) {
-	params := r.m.Params()
 	for len(r.targets) < len(ks) {
 		r.targets = append(r.targets, nil)
 	}
 	r.m.Borrow(func() {
 		for i, k := range ks {
-			r.dense = k.Store.DensifyInto(r.dense)
-			nn.SetFlatParams(params, r.dense)
+			installKnowledge(r.m, k.Store)
 			logitsK := r.m.Forward(x, false)
 			r.targets[i] = maskedSoftmaxInto(r.targets[i], logitsK, k.Classes)
 		}
@@ -67,16 +63,15 @@ func (r *GradientRestorer) PrepareTargets(ks []*TaskKnowledge, x *tensor.Tensor)
 // gradient in the parameters' accumulators, and the caller installs the one
 // it steps with. The returned slices are valid until the next phase-2 call.
 func (r *GradientRestorer) RestoredGradients(ks []*TaskKnowledge, logits *tensor.Tensor) [][]float32 {
-	params := r.m.Params()
 	for len(r.outBufs) < len(ks) {
 		r.outBufs = append(r.outBufs, nil)
 	}
 	r.outView = r.outView[:0]
 	for i, k := range ks {
 		r.distillGrad(logits, r.targets[i], k.Classes)
-		nn.ZeroGrads(params)
+		clear(r.m.Grads())
 		r.m.Backward(r.dl)
-		r.outBufs[i] = nn.FlattenGradsInto(r.outBufs[i], params)
+		r.outBufs[i] = append(r.outBufs[i][:0], r.m.Grads()...)
 		r.outView = append(r.outView, r.outBufs[i])
 	}
 	return r.outView

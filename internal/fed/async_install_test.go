@@ -19,7 +19,7 @@ import (
 // client ahead of its first upload: RoundStart, a GlobalModel, and then —
 // after the client's rounds — the task-final broadcast. The client has no
 // pre-aggregation vector yet, so install must take its current weights for
-// one: FedKNOW hands that vector to nn.SetFlatParams in AfterAggregate (the
+// one: FedKNOW hands that vector to Model.SetWeights in AfterAggregate (the
 // parent panicked there on a nil one), and FedRep's mask-merge keeps it for
 // the personal head (the parent merged against an empty vector and zeroed
 // the head).

@@ -8,7 +8,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/device"
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/tensor"
 )
@@ -56,10 +55,9 @@ type Client struct {
 	leaveAfter int
 
 	// scratch, reused every round/batch
-	flatBuf   []float32
-	mergedBuf []float32
-	idxBuf    []int
-	evalIdx   []int
+	flatBuf []float32
+	idxBuf  []int
+	evalIdx []int
 	// upd is the reusable round-update message: the server (and any wire
 	// encoder) consumes an Update before the client's next round starts, so
 	// one struct serves every round without allocating.
@@ -72,7 +70,7 @@ func newClient(cfg Config, id, numClients int, dev device.Device, seq []data.Cli
 	build func(rng *tensor.RNG) *model.Model, factory Factory,
 	rng *tensor.RNG, refFlat []float32) *Client {
 	m := build(rng.Fork(7))
-	nn.SetFlatParams(m.Params(), refFlat)
+	m.SetWeights(refFlat)
 	ctx := &ClientCtx{
 		ID:         id,
 		NumClients: numClients,
@@ -105,8 +103,7 @@ func (c *Client) SetLeaveAfterTask(n int) { c.leaveAfter = n }
 func NewWireClient(cfg Config, id, numClients int, dev device.Device, seq []data.ClientTask,
 	build func(rng *tensor.RNG) *model.Model, factory Factory) *Client {
 	root := tensor.NewRNG(cfg.Seed)
-	ref := build(root.Fork(0xC0FFEE))
-	refFlat := nn.FlattenParams(ref.Params())
+	refFlat := build(root.Fork(0xC0FFEE)).Weights()
 	for j := 0; j < id; j++ {
 		root.Fork(uint64(j) + 1)
 	}
@@ -202,7 +199,7 @@ func (c *Client) trainAndUpload(t Transport, ct data.ClientTask, detach bool) er
 			c.strategy.TrainStep(x, labels, ct.Classes)
 		}
 	})
-	c.flatBuf = nn.FlattenParamsInto(c.flatBuf, c.ctx.Model.Params())
+	c.flatBuf = append(c.flatBuf[:0], c.ctx.Model.Weights()...)
 	work := c.ctx.Model.FLOPsPerSample() * 3 * float64(c.cfg.BatchSize*c.cfg.LocalIters)
 	work += c.strategy.OverheadFLOPs() * float64(c.cfg.LocalIters)
 	c.upd = Update{
@@ -253,23 +250,18 @@ func (c *Client) install(gm *GlobalModel, ct data.ClientTask) {
 	global := gm.Params
 	c.gate(func() {
 		if c.flatBuf == nil {
-			c.flatBuf = nn.FlattenParamsInto(c.flatBuf, c.ctx.Model.Params())
+			c.flatBuf = append(c.flatBuf, c.ctx.Model.Weights()...)
 		}
-		mask := c.strategy.AggregateMask()
-		if mask == nil {
-			nn.SetFlatParams(c.ctx.Model.Params(), global)
-		} else {
-			if cap(c.mergedBuf) < len(global) {
-				c.mergedBuf = make([]float32, len(global))
-			}
-			merged := c.mergedBuf[:len(global)]
-			copy(merged, c.flatBuf)
+		// A coordinate the aggregation mask leaves out keeps its
+		// pre-aggregation value.
+		c.ctx.Model.SetWeights(global)
+		if mask := c.strategy.AggregateMask(); mask != nil {
+			w := c.ctx.Model.Weights()
 			for j, use := range mask {
-				if use {
-					merged[j] = global[j]
+				if !use {
+					w[j] = c.flatBuf[j]
 				}
 			}
-			nn.SetFlatParams(c.ctx.Model.Params(), merged)
 		}
 		c.strategy.AfterAggregate(c.flatBuf, ct)
 	})

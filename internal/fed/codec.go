@@ -1056,7 +1056,7 @@ func decodePayload(kind Kind, payload []byte, s *decodeScratch) (Msg, error) {
 		version := c.uvarint()
 		taskFinal := c.u8()&flagTaskFinal != 0
 		// Clients install the global model as a full vector (mask merge,
-		// SetFlatParams), so a sparse-encoded broadcast is densified as it is
+		// Model.SetWeights), so a sparse-encoded broadcast is densified as it is
 		// decoded: absent coordinates are zero by definition of the block.
 		dense, _ := c.params(true)
 		*m = GlobalModel{Params: dense, Version: version, TaskFinal: taskFinal}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/tensor"
 )
@@ -355,8 +354,7 @@ func NewEngine(cfg Config, cluster *device.Cluster, seqs [][]data.ClientTask,
 	root := tensor.NewRNG(cfg.Seed)
 	// All clients start from the same initial weights (§V-B common training
 	// settings): build one reference model and copy its parameters.
-	ref := build(root.Fork(0xC0FFEE))
-	refFlat := nn.FlattenParams(ref.Params())
+	refFlat := build(root.Fork(0xC0FFEE)).Weights()
 	par := cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)

@@ -45,7 +45,7 @@ func (p *passthrough) TrainStep(x *tensor.Tensor, labels []int, classes []int) f
 	loss, dl := nn.MaskedCrossEntropy(logits, labels, classes)
 	nn.ZeroGrads(m.Params())
 	m.Backward(dl)
-	p.ctx.Opt.Step(m.Params())
+	p.ctx.Opt.Step(m.Weights(), m.Grads())
 	p.steps++
 	return loss
 }

@@ -20,6 +20,13 @@ import (
 )
 
 // Model wraps a network with its metadata and measured per-sample cost.
+//
+// A model's state lives in two arenas, built once by newModel: state holds
+// every parameter in Params() order followed by every BatchNorm2D's
+// RunningMean and RunningVar in walk order, and grads holds the gradients in
+// Params() order. Every Param.W.Data, Param.Grad.Data and running statistic
+// is a view of its arena whose capacity ends with it; no layer may reassign
+// one.
 type Model struct {
 	Name       string
 	Net        nn.Layer
@@ -31,12 +38,45 @@ type Model struct {
 	params         []*nn.Param
 	in             *tensor.Tensor // the batch as the network takes it, reused
 
-	// Borrow's state: every BatchNorm2D's running mean and variance in walk
-	// order (collected by the first call), the copy of the parameters then
-	// the statistics, and whether a Borrow is in progress.
-	stats    [][]float32
+	state, grads []float32
+	// Borrow's copy of state, and whether a Borrow is in progress.
 	saved    []float32
 	borrowed bool
+}
+
+// newModel wraps net and moves its parameters, gradients and running
+// statistics into the model's arenas.
+func newModel(name string, net nn.Layer, numClasses, inC, inH, inW int) *Model {
+	m := &Model{Name: name, Net: net, NumClasses: numClasses, InC: inC, InH: inH, InW: inW, params: net.Params()}
+	n := nn.NumParams(m.params)
+	size := n
+	var stats []*[]float32
+	nn.Walk(net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			stats = append(stats, &bn.RunningMean, &bn.RunningVar)
+			size += len(bn.RunningMean) + len(bn.RunningVar)
+		}
+	})
+	m.state, m.grads = make([]float32, size), make([]float32, n)
+	off := 0
+	for _, p := range m.params {
+		p.W.Data = moveInto(m.state, off, p.W.Data)
+		p.Grad.Data = moveInto(m.grads, off, p.Grad.Data)
+		off += p.W.Len()
+	}
+	for _, s := range stats {
+		*s = moveInto(m.state, off, *s)
+		off += len(*s)
+	}
+	return m
+}
+
+// moveInto copies src to arena[off:] and returns that stretch, its capacity
+// capped at its length so an append cannot run into a neighbour.
+func moveInto(arena []float32, off int, src []float32) []float32 {
+	v := arena[off : off+len(src) : off+len(src)]
+	copy(v, src)
+	return v
 }
 
 // Forward runs the network on an NCHW batch (N, InC, H, W). It is the one
@@ -63,54 +103,55 @@ func (m *Model) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return nil
 }
 
-// Params returns the cached parameter list.
-func (m *Model) Params() []*nn.Param {
-	if m.params == nil {
-		m.params = m.Net.Params()
+// Params returns the parameters, in arena order.
+func (m *Model) Params() []*nn.Param { return m.params }
+
+// Weights is the parameter vector: every parameter in Params() order, a view
+// of the state arena. Writing it writes the model.
+func (m *Model) Weights() []float32 { return m.state[:len(m.grads):len(m.grads)] }
+
+// Grads is the gradient vector in Params() order, a view of the gradient
+// arena.
+func (m *Model) Grads() []float32 { return m.grads }
+
+// SetWeights installs w as the parameters. It panics unless w has one value
+// per parameter.
+func (m *Model) SetWeights(w []float32) { install("SetWeights", m.Weights(), w) }
+
+// SetGrads installs g as the gradients. It panics unless g has one value per
+// parameter.
+func (m *Model) SetGrads(g []float32) { install("SetGrads", m.grads, g) }
+
+func install(op string, dst, src []float32) {
+	if len(src) != len(dst) {
+		panic(fmt.Sprintf("model: %s length %d, the model has %d parameters", op, len(src), len(dst)))
 	}
-	return m.params
+	copy(dst, src)
 }
 
 // Borrow lends the live model to fn and then puts back its persistent state
-// bit for bit, also when fn panics: every parameter and every BatchNorm2D's RunningMean and
-// RunningVar. fn may install other weights and train on them (forwards,
-// backwards, optimiser steps). Gradients and layer caches are scratch and are
-// left as fn leaves them. This is the one way to run the model at weights
-// other than its own. The copy lives on the model, so a warm call allocates
-// nothing; a call from inside fn panics.
+// bit for bit, also when fn panics: the state arena, that is every parameter
+// and every BatchNorm2D's RunningMean and RunningVar. fn may install other
+// weights and train on them (forwards, backwards, optimiser steps).
+// Gradients and layer caches are scratch and are left as fn leaves them. This
+// is the one way to run the model at weights other than its own. The copy
+// lives on the model, so a warm call allocates nothing; a call from inside fn
+// panics.
 func (m *Model) Borrow(fn func()) {
 	if m.borrowed {
 		panic("model: Borrow called inside Borrow")
 	}
-	params := m.Params()
-	if m.saved == nil {
-		n := m.NumParams()
-		nn.Walk(m.Net, func(l nn.Layer) {
-			if bn, ok := l.(*nn.BatchNorm2D); ok {
-				m.stats = append(m.stats, bn.RunningMean, bn.RunningVar)
-				n += len(bn.RunningMean) + len(bn.RunningVar)
-			}
-		})
-		m.saved = make([]float32, n)
-	}
-	off := len(nn.FlattenParamsInto(m.saved, params))
-	for _, s := range m.stats {
-		off += copy(m.saved[off:], s)
-	}
+	m.saved = append(m.saved[:0], m.state...)
 	m.borrowed = true
 	defer func() {
-		off := m.NumParams()
-		nn.SetFlatParams(params, m.saved[:off])
-		for _, s := range m.stats {
-			off += copy(s, m.saved[off:])
-		}
+		copy(m.state, m.saved)
 		m.borrowed = false
 	}()
 	fn()
 }
 
 // NumParams returns the scalar parameter count.
-func (m *Model) NumParams() int { return nn.NumParams(m.Params()) }
+func (m *Model) NumParams() int { return len(m.grads) }
 
 // ParamBytes returns the dense float32 size of the model, the unit of
 // federated communication accounting.

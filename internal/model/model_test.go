@@ -375,7 +375,7 @@ func TestBorrowRestoresState(t *testing.T) {
 			want := persistentState(m)
 			other := tensor.Randn(tensor.NewRNG(7), 0.1, m.NumParams()).Data
 			m.Borrow(func() {
-				nn.SetFlatParams(m.Params(), other)
+				m.SetWeights(other)
 				_, dl := nn.CrossEntropy(m.Forward(x, true), []int{1, 2})
 				nn.ZeroGrads(m.Params())
 				m.Backward(dl)

@@ -43,7 +43,7 @@ func NewSixCNN(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model {
 		nn.NewReLU(),
 		nn.NewLinear("fc2", 16*width, numClasses, rng),
 	)
-	return &Model{Name: "SixCNN", Net: net, NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("SixCNN", net, numClasses, inC, inH, inW)
 }
 
 // NewResNet18 builds the standard [2,2,2,2] basic-block ResNet.
@@ -69,7 +69,7 @@ func resNet18Like(name string, se bool, numClasses, inC, inH, inW, width int, rn
 		})
 	layers = append(layers, stages...)
 	layers = append(layers, head(name, outC, numClasses, rng))
-	return &Model{Name: name, Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel(name, nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewResNet152 uses bottleneck blocks with the published [3,8,36,3] stage
@@ -84,7 +84,7 @@ func NewResNet152(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model 
 		})
 	layers = append(layers, stages...)
 	layers = append(layers, head("ResNet152", outC, numClasses, rng))
-	return &Model{Name: "ResNet152", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("ResNet152", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewResNeXt is the grouped-convolution bottleneck network (width category):
@@ -98,7 +98,7 @@ func NewResNeXt(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model {
 		})
 	layers = append(layers, stages...)
 	layers = append(layers, head("ResNeXt", outC, numClasses, rng))
-	return &Model{Name: "ResNeXt", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("ResNeXt", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewWideResNet is a WRN-style network: basic blocks with a ×4 widening
@@ -112,7 +112,7 @@ func NewWideResNet(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model
 		})
 	layers = append(layers, stages...)
 	layers = append(layers, head("WideResNet", outC, numClasses, rng))
-	return &Model{Name: "WideResNet", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("WideResNet", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewDenseNet builds a DenseNet-BC style network (multi-path category):
@@ -140,7 +140,7 @@ func NewDenseNet(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model {
 		}
 	}
 	layers = append(layers, head("DenseNet", c, numClasses, rng))
-	return &Model{Name: "DenseNet", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("DenseNet", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewInceptionV3 builds a scaled Inception-style network (width category):
@@ -160,7 +160,7 @@ func NewInceptionV3(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Mode
 	addModule("inc3")
 	addModule("inc4")
 	layers = append(layers, head("InceptionV3", c, numClasses, rng))
-	return &Model{Name: "InceptionV3", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("InceptionV3", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewMobileNetV2 is the inverted-residual lightweight network with width
@@ -197,7 +197,7 @@ func mobileNetV2(name string, mult, numClasses, inC, inH, inW, width int, rng *t
 		}
 	}
 	layers = append(layers, head(name, c, numClasses, rng))
-	return &Model{Name: name, Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel(name, nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 // NewShuffleNetV2 builds the channel-split/shuffle lightweight network.
@@ -217,7 +217,7 @@ func NewShuffleNetV2(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Mod
 		shuffleUnit("su2.2", c, 1, rng),
 	)
 	layers = append(layers, head("ShuffleNetV2", c, numClasses, rng))
-	return &Model{Name: "ShuffleNetV2", Net: nn.NewSequential(layers...), NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	return newModel("ShuffleNetV2", nn.NewSequential(layers...), numClasses, inC, inH, inW)
 }
 
 func namef(format string, args ...interface{}) string {

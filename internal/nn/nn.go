@@ -15,13 +15,12 @@
 // rows Linear takes.
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Param is one trainable parameter tensor and its gradient accumulator.
+// Inside a model.Model both W.Data and Grad.Data are views of the model's
+// arenas, so a layer reads and writes them in place and never reassigns
+// them.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
@@ -123,74 +122,20 @@ func ZeroGrads(ps []*Param) {
 	}
 }
 
-// FlattenParams copies all parameter values into a single vector.
+// FlattenParams copies all parameter values into a single vector, in order.
 func FlattenParams(ps []*Param) []float32 {
-	return FlattenParamsInto(nil, ps)
-}
-
-// FlattenParamsInto copies all parameter values into dst, reusing its
-// storage when the capacity suffices (dst may be nil). Hot paths — the
-// per-round FedAvg flatten, gradient restoration — call this with a retained
-// buffer so steady-state rounds allocate nothing.
-func FlattenParamsInto(dst []float32, ps []*Param) []float32 {
-	n := NumParams(ps)
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	off := 0
+	out := make([]float32, 0, NumParams(ps))
 	for _, p := range ps {
-		off += copy(dst[off:], p.W.Data)
+		out = append(out, p.W.Data...)
 	}
-	return dst
+	return out
 }
 
-// FlattenGrads copies all gradients into a single vector.
+// FlattenGrads copies all gradients into a single vector, in order.
 func FlattenGrads(ps []*Param) []float32 {
-	return FlattenGradsInto(nil, ps)
-}
-
-// FlattenGradsInto copies all gradients into dst, reusing its storage when
-// the capacity suffices (dst may be nil).
-func FlattenGradsInto(dst []float32, ps []*Param) []float32 {
-	n := NumParams(ps)
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	off := 0
+	out := make([]float32, 0, NumParams(ps))
 	for _, p := range ps {
-		off += copy(dst[off:], p.Grad.Data)
+		out = append(out, p.Grad.Data...)
 	}
-	return dst
-}
-
-// SetFlatParams writes a flat vector (as produced by FlattenParams) back
-// into the parameters. Panics if the length does not match.
-func SetFlatParams(ps []*Param, flat []float32) {
-	off := 0
-	for _, p := range ps {
-		n := p.W.Len()
-		if off+n > len(flat) {
-			panic(fmt.Sprintf("nn: SetFlatParams short vector (%d < %d)", len(flat), NumParams(ps)))
-		}
-		copy(p.W.Data, flat[off:off+n])
-		off += n
-	}
-	if off != len(flat) {
-		panic(fmt.Sprintf("nn: SetFlatParams length %d, params need %d", len(flat), off))
-	}
-}
-
-// SetFlatGrads writes a flat vector into the gradient accumulators.
-func SetFlatGrads(ps []*Param, flat []float32) {
-	off := 0
-	for _, p := range ps {
-		n := p.Grad.Len()
-		copy(p.Grad.Data, flat[off:off+n])
-		off += n
-	}
-	if off != len(flat) {
-		panic(fmt.Sprintf("nn: SetFlatGrads length %d, params need %d", len(flat), off))
-	}
+	return out
 }

@@ -513,14 +513,19 @@ func TestFlattenParamsRoundTrip(t *testing.T) {
 	if want != 3*4+4+4*2+2 {
 		t.Fatalf("NumParams = %d", want)
 	}
-	mod := make([]float32, len(flat))
-	for i := range mod {
-		mod[i] = float32(i)
+	// The vector is the parameters in order: writing it back tensor by
+	// tensor, shifted, flattens to the shifted vector, and the first copy is
+	// unaffected.
+	off := 0
+	for _, p := range ps {
+		for j := range p.W.Data {
+			p.W.Data[j] = flat[off+j] + 1
+		}
+		off += p.W.Len()
 	}
-	SetFlatParams(ps, mod)
 	got := FlattenParams(ps)
-	for i := range mod {
-		if got[i] != mod[i] {
+	for i := range flat {
+		if got[i] != flat[i]+1 {
 			t.Fatalf("round trip differs at %d", i)
 		}
 	}

@@ -18,6 +18,8 @@ type BatchNorm2D struct {
 	Gamma    *Param
 	Beta     *Param
 
+	// The running statistics are written in place, never reassigned: inside
+	// a model.Model they are views of its state arena.
 	RunningMean []float32
 	RunningVar  []float32
 

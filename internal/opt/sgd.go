@@ -5,9 +5,8 @@
 package opt
 
 import (
+	"fmt"
 	"math"
-
-	"repro/internal/nn"
 )
 
 // Schedule maps an iteration counter (1-based) to a learning rate.
@@ -48,14 +47,16 @@ func (s Inv) LR(iter int) float64 {
 	return s.Base / (1 + s.Decay*float64(iter))
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
+// SGD is stochastic gradient descent with optional momentum and weight decay
+// over one weight vector (a model's Weights and Grads). The update is
+// elementwise, so a coordinate moves the same whatever the vector's layout.
 type SGD struct {
 	Sched       Schedule
 	Momentum    float64
 	WeightDecay float64
 
 	iter     int
-	velocity [][]float32
+	velocity []float32
 }
 
 // NewSGD returns an optimiser with the given schedule.
@@ -66,64 +67,61 @@ func NewSGD(sched Schedule, momentum, weightDecay float64) *SGD {
 // Iter returns the number of completed steps.
 func (o *SGD) Iter() int { return o.iter }
 
-// Reset zeroes the step counter and momentum buffers (used when a new task
+// Reset zeroes the step counter and momentum buffer (used when a new task
 // starts and the schedule restarts).
 func (o *SGD) Reset() {
 	o.iter = 0
 	o.velocity = nil
 }
 
-// Step applies one update to the parameters using their accumulated
-// gradients. Gradients are not cleared; callers own nn.ZeroGrads.
-func (o *SGD) Step(params []*nn.Param) {
+// Step applies one update to the weights w from their gradient g, which must
+// have the same length. Gradients are not cleared; callers own nn.ZeroGrads.
+func (o *SGD) Step(w, g []float32) {
+	g = sameLen(w, g)
 	o.iter++
 	lr := o.Sched.LR(o.iter)
-	if o.velocity == nil && o.Momentum != 0 {
-		o.velocity = make([][]float32, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float32, p.W.Len())
+	if o.Momentum == 0 {
+		for j := range w {
+			gj := g[j] + float32(o.WeightDecay)*w[j]
+			w[j] -= float32(lr) * gj
 		}
+		return
 	}
-	for i, p := range params {
-		g := p.Grad.Data
-		w := p.W.Data
-		if o.Momentum != 0 {
-			v := o.velocity[i]
-			m := float32(o.Momentum)
-			for j := range w {
-				gj := g[j] + float32(o.WeightDecay)*w[j]
-				v[j] = m*v[j] + gj
-				w[j] -= float32(lr) * v[j]
-			}
-		} else {
-			for j := range w {
-				gj := g[j] + float32(o.WeightDecay)*w[j]
-				w[j] -= float32(lr) * gj
-			}
+	if o.velocity == nil {
+		o.velocity = make([]float32, len(w))
+	}
+	v := o.velocity[:len(w)]
+	m := float32(o.Momentum)
+	for j := range w {
+		gj := g[j] + float32(o.WeightDecay)*w[j]
+		v[j] = m*v[j] + gj
+		w[j] -= float32(lr) * v[j]
+	}
+}
+
+// StepMasked is Step restricted to coordinates where mask is true; a nil
+// mask means unrestricted. Used by the knowledge extractor's fine-tuning
+// phase (only the retained top-ρ weights move) and by AGS-CL's frozen
+// weights.
+func (o *SGD) StepMasked(w, g []float32, mask []bool) {
+	if mask == nil {
+		o.Step(w, g)
+		return
+	}
+	g, mask = sameLen(w, g), mask[:len(w)]
+	o.iter++
+	lr := float32(o.Sched.LR(o.iter))
+	for j := range w {
+		if mask[j] {
+			w[j] -= lr * (g[j] + float32(o.WeightDecay)*w[j])
 		}
 	}
 }
 
-// StepMasked is Step restricted to coordinates where mask is true. The flat
-// mask covers the concatenation of all parameters in order; a nil mask means
-// unrestricted. Used by the knowledge extractor's fine-tuning phase (only
-// the retained top-ρ weights move) and by FedWEIT's decomposed training.
-func (o *SGD) StepMasked(params []*nn.Param, mask []bool) {
-	if mask == nil {
-		o.Step(params)
-		return
+// sameLen returns g resliced to w's length, panicking unless it has it.
+func sameLen(w, g []float32) []float32 {
+	if len(g) != len(w) {
+		panic(fmt.Sprintf("opt: %d gradients for %d weights", len(g), len(w)))
 	}
-	o.iter++
-	lr := float32(o.Sched.LR(o.iter))
-	off := 0
-	for _, p := range params {
-		g := p.Grad.Data
-		w := p.W.Data
-		for j := range w {
-			if mask[off+j] {
-				w[j] -= lr * (g[j] + float32(o.WeightDecay)*w[j])
-			}
-		}
-		off += len(w)
-	}
+	return g[:len(w)]
 }

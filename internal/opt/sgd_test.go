@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -50,12 +51,11 @@ func TestConvergenceRates(t *testing.T) {
 }
 
 func TestSGDStep(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{1, 2}, 2))
-	p.Grad.Data[0], p.Grad.Data[1] = 1, -1
+	w, g := []float32{1, 2}, []float32{1, -1}
 	o := NewSGD(Const{Rate: 0.5}, 0, 0)
-	o.Step([]*nn.Param{p})
-	if p.W.Data[0] != 0.5 || p.W.Data[1] != 2.5 {
-		t.Fatalf("after step: %v", p.W.Data)
+	o.Step(w, g)
+	if w[0] != 0.5 || w[1] != 2.5 {
+		t.Fatalf("after step: %v", w)
 	}
 	if o.Iter() != 1 {
 		t.Fatalf("Iter = %d", o.Iter())
@@ -63,65 +63,160 @@ func TestSGDStep(t *testing.T) {
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{0}, 1))
+	w, g := []float32{0}, []float32{1}
 	o := NewSGD(Const{Rate: 1}, 0.9, 0)
-	ps := []*nn.Param{p}
-	p.Grad.Data[0] = 1
-	o.Step(ps) // v=1, w=-1
-	o.Step(ps) // v=1.9, w=-2.9
-	if math.Abs(float64(p.W.Data[0])+2.9) > 1e-6 {
-		t.Fatalf("momentum w = %v, want -2.9", p.W.Data[0])
+	o.Step(w, g) // v=1, w=-1
+	o.Step(w, g) // v=1.9, w=-2.9
+	if math.Abs(float64(w[0])+2.9) > 1e-6 {
+		t.Fatalf("momentum w = %v, want -2.9", w[0])
 	}
 }
 
 func TestSGDWeightDecay(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{2}, 1))
+	w := []float32{2}
 	o := NewSGD(Const{Rate: 0.1}, 0, 0.5)
-	o.Step([]*nn.Param{p}) // grad = 0 + 0.5*2 = 1 → w = 2 - 0.1 = 1.9
-	if math.Abs(float64(p.W.Data[0])-1.9) > 1e-6 {
-		t.Fatalf("decay w = %v, want 1.9", p.W.Data[0])
+	o.Step(w, []float32{0}) // grad = 0 + 0.5*2 = 1 → w = 2 - 0.1 = 1.9
+	if math.Abs(float64(w[0])-1.9) > 1e-6 {
+		t.Fatalf("decay w = %v, want 1.9", w[0])
 	}
 }
 
 func TestSGDReset(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{0}, 1))
+	w, g := []float32{0}, []float32{1}
 	o := NewSGD(InvSqrt{Base: 1}, 0.9, 0)
-	p.Grad.Data[0] = 1
-	o.Step([]*nn.Param{p})
+	o.Step(w, g)
 	o.Reset()
 	if o.Iter() != 0 {
 		t.Fatal("Reset must clear the step counter")
 	}
 	// After reset, momentum starts fresh: one step from w0 with lr=1 gives
 	// exactly w0 - 1.
-	w0 := p.W.Data[0]
-	o.Step([]*nn.Param{p})
-	if math.Abs(float64(p.W.Data[0]-(w0-1))) > 1e-6 {
-		t.Fatalf("post-reset step w = %v, want %v", p.W.Data[0], w0-1)
+	w0 := w[0]
+	o.Step(w, g)
+	if math.Abs(float64(w[0]-(w0-1))) > 1e-6 {
+		t.Fatalf("post-reset step w = %v, want %v", w[0], w0-1)
 	}
 }
 
+func TestSGDLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a gradient of another length must panic")
+		}
+	}()
+	NewSGD(Const{Rate: 1}, 0, 0).Step(make([]float32, 3), make([]float32, 4))
+}
+
 func TestStepMasked(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{1, 1, 1}, 3))
-	for i := range p.Grad.Data {
-		p.Grad.Data[i] = 1
-	}
+	w, g := []float32{1, 1, 1}, []float32{1, 1, 1}
 	o := NewSGD(Const{Rate: 1}, 0, 0)
-	o.StepMasked([]*nn.Param{p}, []bool{true, false, true})
+	o.StepMasked(w, g, []bool{true, false, true})
 	want := []float32{0, 1, 0}
-	for i, w := range want {
-		if p.W.Data[i] != w {
-			t.Fatalf("masked step w[%d] = %v, want %v", i, p.W.Data[i], w)
+	for i := range want {
+		if w[i] != want[i] {
+			t.Fatalf("masked step w[%d] = %v, want %v", i, w[i], want[i])
 		}
 	}
 }
 
 func TestStepMaskedNilMeansFull(t *testing.T) {
-	p := nn.NewParam("w", tensor.FromSlice([]float32{1}, 1))
-	p.Grad.Data[0] = 1
+	w := []float32{1}
 	o := NewSGD(Const{Rate: 1}, 0, 0)
-	o.StepMasked([]*nn.Param{p}, nil)
-	if p.W.Data[0] != 0 {
+	o.StepMasked(w, []float32{1}, nil)
+	if w[0] != 0 {
 		t.Fatal("nil mask must behave like Step")
+	}
+}
+
+// refSGD is the per-Param optimiser the vector form replaced: one velocity
+// slice per parameter, and a mask over the parameters' concatenation.
+type refSGD struct {
+	o        *SGD
+	velocity [][]float32
+}
+
+func (r *refSGD) step(params []*nn.Param, mask []bool) {
+	o := r.o
+	o.iter++
+	if mask != nil {
+		lr := float32(o.Sched.LR(o.iter))
+		off := 0
+		for _, p := range params {
+			g := p.Grad.Data
+			w := p.W.Data
+			for j := range w {
+				if mask[off+j] {
+					w[j] -= lr * (g[j] + float32(o.WeightDecay)*w[j])
+				}
+			}
+			off += len(w)
+		}
+		return
+	}
+	lr := o.Sched.LR(o.iter)
+	if r.velocity == nil && o.Momentum != 0 {
+		r.velocity = make([][]float32, len(params))
+		for i, p := range params {
+			r.velocity[i] = make([]float32, p.W.Len())
+		}
+	}
+	for i, p := range params {
+		g := p.Grad.Data
+		w := p.W.Data
+		if o.Momentum != 0 {
+			v := r.velocity[i]
+			m := float32(o.Momentum)
+			for j := range w {
+				gj := g[j] + float32(o.WeightDecay)*w[j]
+				v[j] = m*v[j] + gj
+				w[j] -= float32(lr) * v[j]
+			}
+		} else {
+			for j := range w {
+				gj := g[j] + float32(o.WeightDecay)*w[j]
+				w[j] -= float32(lr) * gj
+			}
+		}
+	}
+}
+
+// TestSGDMatchesPerParamReference holds the one-vector Step and StepMasked to
+// the retired per-Param loop bit for bit, over several steps so the velocity
+// carries, with fresh gradients every step.
+func TestSGDMatchesPerParamReference(t *testing.T) {
+	sizes := []int{5, 1, 17, 64, 3}
+	for _, momentum := range []float64{0, 0.9} {
+		for _, decay := range []float64{0, 5e-4} {
+			for _, masked := range []bool{false, true} {
+				rng := tensor.NewRNG(31)
+				var params []*nn.Param
+				for i, n := range sizes {
+					params = append(params, nn.NewParam(fmt.Sprint("p", i), tensor.Randn(rng, 1, n)))
+				}
+				w := nn.FlattenParams(params)
+				var mask []bool
+				if masked {
+					mask = make([]bool, len(w))
+					for i := range mask {
+						mask[i] = i%3 != 1
+					}
+				}
+				vec := NewSGD(InvSqrt{Base: 0.3}, momentum, decay)
+				ref := &refSGD{o: NewSGD(InvSqrt{Base: 0.3}, momentum, decay)}
+				for step := 0; step < 3; step++ {
+					for _, p := range params {
+						rng.FillNorm(p.Grad.Data, 1)
+					}
+					vec.StepMasked(w, nn.FlattenGrads(params), mask)
+					ref.step(params, mask)
+					for i, want := range nn.FlattenParams(params) {
+						if math.Float32bits(w[i]) != math.Float32bits(want) {
+							t.Fatalf("momentum %v decay %v masked %v step %d: w[%d] = %v, per-Param %v",
+								momentum, decay, masked, step, i, w[i], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
