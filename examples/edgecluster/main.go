@@ -33,7 +33,7 @@ func main() {
 	// Map simulated model bytes to real-hardware scale so the 2 GB budget
 	// is meaningful (a real 6-CNN/ResNet-style model is tens of MB; 60 MB
 	// matches the paper's ResNet-18-with-heads deployment size).
-	probe := build(tensor.NewRNG(1))
+	probe := build(nil) // only its size is read
 	memScale := 60e6 / float64(probe.ParamBytes())
 
 	for _, method := range []string{"GEM", "FedWEIT", "FedKNOW"} {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fed"
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
 
 // Fig4Result carries one panel of Fig. 4: accuracy-vs-training-time curves
@@ -105,7 +104,7 @@ func Fig4(panel string, opt Options) (*Fig4Result, error) {
 // are ~10³–10⁴× smaller than their full-size counterparts (ResNet-18 is
 // ~45 MB in float32).
 func memScaleFor(arch string, ds *data.Dataset, width int) float64 {
-	probe := model.MustBuild(arch, ds.NumClasses, ds.C, ds.H, ds.W, width, tensor.NewRNG(1))
+	probe := model.MustBuild(arch, ds.NumClasses, ds.C, ds.H, ds.W, width, nil) // only its size is read
 	const realModelBytes = 45e6
 	return realModelBytes / float64(probe.ParamBytes())
 }

@@ -69,7 +69,11 @@ type Client struct {
 func newClient(cfg Config, id, numClients int, dev device.Device, seq []data.ClientTask,
 	build func(rng *tensor.RNG) *model.Model, factory Factory,
 	rng *tensor.RNG, refFlat []float32) *Client {
-	m := build(rng.Fork(7))
+	// The model is built without drawing, since refFlat overwrites every
+	// weight. The fork it used to draw from is still taken, so the client's
+	// stream stays where the seed put it.
+	rng.Fork(7)
+	m := build(nil)
 	m.SetWeights(refFlat)
 	ctx := &ClientCtx{
 		ID:         id,

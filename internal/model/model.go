@@ -21,12 +21,12 @@ import (
 
 // Model wraps a network with its metadata and measured per-sample cost.
 //
-// A model's state lives in two arenas, built once by newModel: state holds
-// every parameter in Params() order followed by every BatchNorm2D's
-// RunningMean and RunningVar in walk order, and grads holds the gradients in
-// Params() order. Every Param.W.Data, Param.Grad.Data and running statistic
-// is a view of its arena whose capacity ends with it; no layer may reassign
-// one.
+// A model's state lives in two arenas, which nn.Bind builds before any value
+// is written: state holds every parameter in Params() order followed by
+// every BatchNorm2D's RunningMean and RunningVar in walk order, and grads
+// holds the gradients in Params() order. Every Param.W.Data, Param.Grad.Data
+// and running statistic is a view of its arena whose capacity ends with it;
+// no layer may reassign one.
 type Model struct {
 	Name       string
 	Net        nn.Layer
@@ -44,39 +44,12 @@ type Model struct {
 	borrowed bool
 }
 
-// newModel wraps net and moves its parameters, gradients and running
-// statistics into the model's arenas.
-func newModel(name string, net nn.Layer, numClasses, inC, inH, inW int) *Model {
-	m := &Model{Name: name, Net: net, NumClasses: numClasses, InC: inC, InH: inH, InW: inW, params: net.Params()}
-	n := nn.NumParams(m.params)
-	size := n
-	var stats []*[]float32
-	nn.Walk(net, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm2D); ok {
-			stats = append(stats, &bn.RunningMean, &bn.RunningVar)
-			size += len(bn.RunningMean) + len(bn.RunningVar)
-		}
-	})
-	m.state, m.grads = make([]float32, size), make([]float32, n)
-	off := 0
-	for _, p := range m.params {
-		p.W.Data = moveInto(m.state, off, p.W.Data)
-		p.Grad.Data = moveInto(m.grads, off, p.Grad.Data)
-		off += p.W.Len()
-	}
-	for _, s := range stats {
-		*s = moveInto(m.state, off, *s)
-		off += len(*s)
-	}
+// newModel wraps net and binds it into the model's arenas, drawing its
+// initial weights from rng; a nil rng draws none (see nn.Bind).
+func newModel(name string, net nn.Layer, numClasses, inC, inH, inW int, rng *tensor.RNG) *Model {
+	m := &Model{Name: name, Net: net, NumClasses: numClasses, InC: inC, InH: inH, InW: inW}
+	m.params, m.state, m.grads = nn.Bind(net, rng)
 	return m
-}
-
-// moveInto copies src to arena[off:] and returns that stretch, its capacity
-// capped at its length so an append cannot run into a neighbour.
-func moveInto(arena []float32, off int, src []float32) []float32 {
-	v := arena[off : off+len(src) : off+len(src)]
-	copy(v, src)
-	return v
 }
 
 // Forward runs the network on an NCHW batch (N, InC, H, W). It is the one
@@ -169,7 +142,9 @@ func (m *Model) FLOPsPerSample() float64 {
 }
 
 // Builder constructs a model for the given class count, input geometry and
-// width scale (1 = the package's scaled default width).
+// width scale (1 = the package's scaled default width), drawing its initial
+// weights from rng. A nil rng draws none and leaves them zero, for a caller
+// that installs the weights next.
 type Builder func(numClasses, inC, inH, inW, width int, rng *tensor.RNG) *Model
 
 var registry = map[string]Builder{}

@@ -29,7 +29,7 @@ func benchConvShapes(b *testing.B, density, dead float64, fn func(b *testing.B, 
 		for _, n := range []int{8, 16} {
 			b.Run(fmt.Sprintf("%dto%dch@%dx%d/N=%d", sh.inC, sh.outC, sh.side, sh.side, n), func(b *testing.B) {
 				rng := tensor.NewRNG(uint64(sh.outC*100 + n))
-				l := NewConv2D("c", sh.inC, sh.outC, 3, 1, 1, 1, false, rng)
+				l := bound(NewConv2D("c", sh.inC, sh.outC, 3, 1, 1, 1, false), rng)
 				sparsify(l.W.W.Data, density, rng)
 				x := tensor.Randn(rng, 1, sh.inC, n, sh.side, sh.side)
 				dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
@@ -120,7 +120,7 @@ func BenchmarkConvWeightGrad(b *testing.B) {
 			sets := coldBytes/(4*(fanIn*ns+st.outC*ns+st.outC*fanIn)) + 1
 			layers, douts := make([]*Conv2D, sets), make([]*tensor.Tensor, sets)
 			for s := range layers {
-				l := NewConv2D("c", st.inC, st.outC, 3, 1, 1, 1, false, rng)
+				l := bound(NewConv2D("c", st.inC, st.outC, 3, 1, 1, 1, false), rng)
 				douts[s] = tensor.Randn(rng, 1, l.Forward(tensor.Randn(rng, 1, st.inC, n, st.side, st.side), true).Shape...)
 				l.liveOut = l.liveChannels(l.liveOut[:0], douts[s].Data, st.outC, ns)
 				layers[s] = l
@@ -151,7 +151,7 @@ func benchBatchNorm(b *testing.B, fn func(l *BatchNorm2D, x, dout *tensor.Tensor
 	for _, sh := range bnShapes {
 		b.Run(fmt.Sprintf("%dch@%dx%d/N=%d", sh.c, sh.side, sh.side, n), func(b *testing.B) {
 			rng := tensor.NewRNG(uint64(3 + sh.c))
-			l := NewBatchNorm2D("bn", sh.c, rng)
+			l := bound(NewBatchNorm2D("bn", sh.c), rng)
 			x := tensor.Randn(rng, 1, sh.c, n, sh.side, sh.side)
 			dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
 			b.ResetTimer()

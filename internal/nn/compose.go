@@ -224,15 +224,15 @@ type SEBlock struct {
 
 // NewSEBlock returns a squeeze-and-excitation block over c channels with the
 // given reduction ratio (typical value 4 or 16).
-func NewSEBlock(name string, c, reduction int, rng *tensor.RNG) *SEBlock {
+func NewSEBlock(name string, c, reduction int) *SEBlock {
 	red := c / reduction
 	if red < 1 {
 		red = 1
 	}
 	return &SEBlock{
 		C: c, Reduced: red,
-		FC1:  NewLinear(name+".fc1", c, red, rng),
-		FC2:  NewLinear(name+".fc2", red, c, rng),
+		FC1:  NewLinear(name+".fc1", c, red),
+		FC2:  NewLinear(name+".fc2", red, c),
 		relu: NewReLU(),
 		sig:  NewSigmoid(),
 	}

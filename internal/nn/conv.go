@@ -112,18 +112,17 @@ func getScratch(n int) *[]float32 {
 	return p
 }
 
-// NewConv2D builds a convolution with Kaiming-normal initialisation.
-func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool, rng *tensor.RNG) *Conv2D {
+// NewConv2D declares a convolution with Kaiming-normal weights and a zero
+// bias; Bind gives it storage and draws the weights.
+func NewConv2D(name string, inC, outC, k, stride, pad, groups int, bias bool) *Conv2D {
 	if inC%groups != 0 || outC%groups != 0 {
 		panic(fmt.Sprintf("nn: conv groups %d must divide inC %d and outC %d", groups, inC, outC))
 	}
 	fanIn := inC / groups * k * k
-	w := tensor.New(outC, fanIn)
-	rng.FillNorm(w.Data, math.Sqrt(2.0/float64(fanIn)))
 	c := &Conv2D{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, Groups: groups,
-		Bias: bias, W: NewParam(name+".w", w)}
+		Bias: bias, W: declare(name+".w", kaimingNormal(fanIn), outC, fanIn)}
 	if bias {
-		c.B = NewParam(name+".b", tensor.New(outC))
+		c.B = declare(name+".b", initRule{kind: zeros}, outC)
 	}
 	return c
 }

@@ -93,7 +93,7 @@ func TestConvMatchesNaiveReference(t *testing.T) {
 						name := fmt.Sprintf("groups=%d/stride=%d/pad=%d/K=%d/N=%d", groups, stride, pad, k, n)
 						t.Run(name, func(t *testing.T) {
 							rng := tensor.NewRNG(uint64(1 + groups + 10*stride + 100*pad + 1000*k + 10000*n))
-							l := NewConv2D("c", inC, outC, k, stride, pad, groups, true, rng)
+							l := bound(NewConv2D("c", inC, outC, k, stride, pad, groups, true), rng)
 							rng.FillNorm(l.B.W.Data, 1)
 							ref := naiveConv{inC, outC, k, stride, pad, groups, l.W.W.Data, l.B.W.Data}
 							x := tensor.Randn(rng, 1, inC, n, h, w)

@@ -27,13 +27,12 @@ type Linear struct {
 	xView tensor.Tensor
 }
 
-// NewLinear builds a Linear layer with Kaiming-uniform initialisation.
-func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
-	w := tensor.New(out, in)
-	bound := math.Sqrt(6.0 / float64(in))
-	rng.FillUniform(w.Data, -bound, bound)
-	b := tensor.New(out)
-	return &Linear{In: in, Out: out, W: NewParam(name+".w", w), B: NewParam(name+".b", b)}
+// NewLinear declares a Linear layer with Kaiming-uniform weights and a zero
+// bias; Bind gives it storage and draws the weights.
+func NewLinear(name string, in, out int) *Linear {
+	return &Linear{In: in, Out: out,
+		W: declare(name+".w", kaimingUniform(in), out, in),
+		B: declare(name+".b", initRule{kind: zeros}, out)}
 }
 
 // Forward computes the affine map for a batch.

@@ -117,7 +117,7 @@ func TestConvLivenessIsBitwiseNeutral(t *testing.T) {
 					prev := tensor.SetKernelThreads(threads)
 					defer tensor.SetKernelThreads(prev)
 					rng := tensor.NewRNG(uint64(41 + sh.inC))
-					l := NewConv2D("c", sh.inC, sh.outC, sh.k, sh.stride, sh.pad, 1, sh.bias, rng)
+					l := bound(NewConv2D("c", sh.inC, sh.outC, sh.k, sh.stride, sh.pad, 1, sh.bias), rng)
 					sparsify(l.W.W.Data, density, rng)
 					if sh.bias {
 						rng.FillNorm(l.B.W.Data, 1)
@@ -159,7 +159,7 @@ func TestConvLivenessIsBitwiseNeutral(t *testing.T) {
 // always did; −0 is as dead as +0.
 func TestConvNaNKeepsChannelAlive(t *testing.T) {
 	rng := tensor.NewRNG(43)
-	l := NewConv2D("c", 4, 8, 3, 1, 1, 1, true, rng)
+	l := bound(NewConv2D("c", 4, 8, 3, 1, 1, 1, true), rng)
 	grad0 := [][]float32{make([]float32, l.W.Grad.Len()), make([]float32, l.B.Grad.Len())}
 	rng.FillNorm(grad0[0], 1)
 	rng.FillNorm(grad0[1], 1)

@@ -15,21 +15,111 @@
 // rows Linear takes.
 package nn
 
-import "repro/internal/tensor"
+import (
+	"math"
 
-// Param is one trainable parameter tensor and its gradient accumulator.
-// Inside a model.Model both W.Data and Grad.Data are views of the model's
-// arenas, so a layer reads and writes them in place and never reassigns
-// them.
+	"repro/internal/tensor"
+)
+
+// Param is one trainable parameter tensor and its gradient accumulator. A
+// layer declares it with a shape and an init rule and no storage; Bind makes
+// W.Data and Grad.Data views of the network's arenas, so a layer reads and
+// writes them in place and never reassigns them.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
 	Grad *tensor.Tensor
+	init initRule
 }
 
-// NewParam allocates a parameter and matching zero gradient.
-func NewParam(name string, w *tensor.Tensor) *Param {
-	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape...)}
+// initRule is how Bind fills a parameter.
+type initRule struct {
+	kind  initKind
+	scale float64 // normal: the standard deviation; uniform: the bound
+}
+
+type initKind uint8
+
+const (
+	zeros initKind = iota // the arena's own zeros
+	ones
+	normal  // N(0, scale²)
+	uniform // U[-scale, scale)
+)
+
+// kaimingNormal is He initialisation, N(0, 2/fanIn).
+func kaimingNormal(fanIn int) initRule {
+	return initRule{normal, math.Sqrt(2.0 / float64(fanIn))}
+}
+
+// kaimingUniform is U(-√(6/fanIn), √(6/fanIn)).
+func kaimingUniform(fanIn int) initRule {
+	return initRule{uniform, math.Sqrt(6.0 / float64(fanIn))}
+}
+
+// declare returns a parameter of the given shape whose storage Bind provides.
+func declare(name string, init initRule, shape ...int) *Param {
+	return &Param{Name: name, W: &tensor.Tensor{Shape: shape}, Grad: &tensor.Tensor{Shape: shape}, init: init}
+}
+
+// Bind gives net its storage and its initial values, and returns net.Params()
+// with the two arenas. state holds every parameter in Params() order followed
+// by every BatchNorm2D's RunningMean and RunningVar in Walk order; grads holds
+// the gradients in Params() order. Every W.Data, Grad.Data and statistic
+// becomes the view of its arena whose capacity ends with it. The inits apply
+// in Params() order, drawing from rng. A nil rng means the caller installs
+// the weights: nothing is drawn and the drawn parameters stay zero, while the
+// constant inits (γ = 1, running variance = 1) still apply.
+func Bind(net Layer, rng *tensor.RNG) (params []*Param, state, grads []float32) {
+	params = net.Params()
+	n := 0
+	for _, p := range params {
+		n += elems(p.W.Shape)
+	}
+	size := n
+	var bns []*BatchNorm2D
+	Walk(net, func(l Layer) {
+		if bn, ok := l.(*BatchNorm2D); ok {
+			bns = append(bns, bn)
+			size += 2 * bn.C
+		}
+	})
+	state, grads = make([]float32, size), make([]float32, n)
+	off := 0
+	for _, p := range params {
+		k := elems(p.W.Shape)
+		p.W.Data, p.Grad.Data = capped(state, off, k), capped(grads, off, k)
+		off += k
+		switch {
+		case p.init.kind == ones:
+			p.W.Fill(1)
+		case rng == nil:
+		case p.init.kind == normal:
+			rng.FillNorm(p.W.Data, p.init.scale)
+		case p.init.kind == uniform:
+			rng.FillUniform(p.W.Data, -p.init.scale, p.init.scale)
+		}
+	}
+	for _, bn := range bns {
+		bn.RunningMean, bn.RunningVar = capped(state, off, bn.C), capped(state, off+bn.C, bn.C)
+		for i := range bn.RunningVar {
+			bn.RunningVar[i] = 1
+		}
+		off += 2 * bn.C
+	}
+	return params, state, grads
+}
+
+// capped is arena[off:off+n], its capacity capped at its length so an append
+// cannot run into a neighbour.
+func capped(arena []float32, off, n int) []float32 { return arena[off : off+n : off+n] }
+
+func elems(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // Layer is a differentiable module. Forward runs the computation (train

@@ -68,49 +68,49 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 
 func TestLinearGradients(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	l := NewLinear("fc", 7, 4, rng)
+	l := bound(NewLinear("fc", 7, 4), rng)
 	x := tensor.Randn(rng, 1, 3, 7)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	l := NewConv2D("conv", 3, 4, 3, 1, 1, 1, true, rng)
+	l := bound(NewConv2D("conv", 3, 4, 3, 1, 1, 1, true), rng)
 	x := tensor.Randn(rng, 1, 3, 2, 5, 5)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestConvStridedGradients(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	l := NewConv2D("conv", 2, 6, 3, 2, 1, 1, false, rng)
+	l := bound(NewConv2D("conv", 2, 6, 3, 2, 1, 1, false), rng)
 	x := tensor.Randn(rng, 1, 2, 2, 6, 6)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestGroupedConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	l := NewConv2D("gconv", 4, 8, 3, 1, 1, 2, true, rng)
+	l := bound(NewConv2D("gconv", 4, 8, 3, 1, 1, 2, true), rng)
 	x := tensor.Randn(rng, 1, 4, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestDepthwiseConvGradients(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	l := NewConv2D("dwconv", 4, 4, 3, 1, 1, 4, false, rng)
+	l := bound(NewConv2D("dwconv", 4, 4, 3, 1, 1, 4, false), rng)
 	x := tensor.Randn(rng, 1, 4, 2, 5, 5)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestConv1x1Gradients(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	l := NewConv2D("pw", 3, 5, 1, 1, 0, 1, true, rng)
+	l := bound(NewConv2D("pw", 3, 5, 1, 1, 0, 1, true), rng)
 	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestBatchNormGradients(t *testing.T) {
 	rng := tensor.NewRNG(7)
-	l := NewBatchNorm2D("bn", 3, rng)
+	l := bound(NewBatchNorm2D("bn", 3), rng)
 	// Non-trivial gamma/beta so the gradient isn't symmetric.
 	l.Gamma.W.Data[0], l.Gamma.W.Data[1], l.Gamma.W.Data[2] = 1.5, 0.7, 1.1
 	l.Beta.W.Data[0] = 0.3
@@ -120,7 +120,7 @@ func TestBatchNormGradients(t *testing.T) {
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	l := NewBatchNorm2D("bn", 2, rng)
+	l := bound(NewBatchNorm2D("bn", 2), rng)
 	x := tensor.Randn(rng, 1, 2, 8, 4, 4)
 	for j := 128; j < 256; j++ {
 		x.Data[j] += 3 // channel 1 sits apart from channel 0
@@ -280,26 +280,25 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 
 func TestResidualGradients(t *testing.T) {
 	rng := tensor.NewRNG(12)
-	body := NewSequential(NewConv2D("c1", 3, 3, 3, 1, 1, 1, false, rng), NewReLU())
-	l := NewResidual(body, nil)
+	l := bound(NewResidual(NewSequential(NewConv2D("c1", 3, 3, 3, 1, 1, 1, false), NewReLU()), nil), rng)
 	x := tensor.Randn(rng, 1, 3, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestResidualProjectionShortcut(t *testing.T) {
 	rng := tensor.NewRNG(13)
-	body := NewConv2D("c1", 2, 4, 3, 2, 1, 1, false, rng)
-	short := NewConv2D("sc", 2, 4, 1, 2, 0, 1, false, rng)
-	l := NewResidual(body, short)
+	body := NewConv2D("c1", 2, 4, 3, 2, 1, 1, false)
+	short := NewConv2D("sc", 2, 4, 1, 2, 0, 1, false)
+	l := bound(NewResidual(body, short), rng)
 	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
 	checkLayerGradients(t, l, x, 2e-2)
 }
 
 func TestConcatGradients(t *testing.T) {
 	rng := tensor.NewRNG(14)
-	b1 := NewConv2D("b1", 2, 3, 3, 1, 1, 1, false, rng)
-	b2 := NewConv2D("b2", 2, 2, 1, 1, 0, 1, false, rng)
-	l := NewConcat(b1, b2)
+	b1 := NewConv2D("b1", 2, 3, 3, 1, 1, 1, false)
+	b2 := NewConv2D("b2", 2, 2, 1, 1, 0, 1, false)
+	l := bound(NewConcat(b1, b2), rng)
 	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
 	y := l.Forward(x.Clone(), true)
 	if y.Shape[0] != 5 {
@@ -312,7 +311,7 @@ func TestConcatGradients(t *testing.T) {
 // through, the rest through a convolution, and the halves are rejoined.
 func TestSplitConcatGradients(t *testing.T) {
 	rng := tensor.NewRNG(24)
-	l := NewSplitConcat(2, NewIdentity(), NewConv2D("b", 3, 4, 3, 1, 1, 1, true, rng))
+	l := bound(NewSplitConcat(2, NewIdentity(), NewConv2D("b", 3, 4, 3, 1, 1, 1, true)), rng)
 	x := tensor.Randn(rng, 1, 5, 2, 4, 4)
 	if y := l.Forward(x.Clone(), true); y.Shape[0] != 6 {
 		t.Fatalf("split-concat channels = %d, want 6", y.Shape[0])
@@ -337,20 +336,20 @@ func TestChannelShuffleInverse(t *testing.T) {
 
 func TestSEBlockGradients(t *testing.T) {
 	rng := tensor.NewRNG(16)
-	l := NewSEBlock("se", 4, 2, rng)
+	l := bound(NewSEBlock("se", 4, 2), rng)
 	x := tensor.Randn(rng, 1, 4, 2, 3, 3)
 	checkLayerGradients(t, l, x, 3e-2)
 }
 
 func TestSequentialComposition(t *testing.T) {
 	rng := tensor.NewRNG(17)
-	l := NewSequential(
-		NewConv2D("c1", 1, 2, 3, 1, 1, 1, true, rng),
+	l := bound(NewSequential(
+		NewConv2D("c1", 1, 2, 3, 1, 1, 1, true),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
-		NewLinear("fc", 2*2*2, 3, rng),
-	)
+		NewLinear("fc", 2*2*2, 3),
+	), rng)
 	x := tensor.Randn(rng, 1, 1, 2, 4, 4)
 	y := l.Forward(x.Clone(), true)
 	if y.Shape[0] != 2 || y.Shape[1] != 3 {
@@ -503,7 +502,7 @@ func TestMaskedCrossEntropyIgnoresOtherClasses(t *testing.T) {
 
 func TestFlattenParamsRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(21)
-	l := NewSequential(NewLinear("a", 3, 4, rng), NewReLU(), NewLinear("b", 4, 2, rng))
+	l := bound(NewSequential(NewLinear("a", 3, 4), NewReLU(), NewLinear("b", 4, 2)), rng)
 	ps := l.Params()
 	flat := FlattenParams(ps)
 	if len(flat) != NumParams(ps) {
@@ -533,7 +532,7 @@ func TestFlattenParamsRoundTrip(t *testing.T) {
 
 func TestZeroGrads(t *testing.T) {
 	rng := tensor.NewRNG(22)
-	l := NewLinear("a", 2, 2, rng)
+	l := bound(NewLinear("a", 2, 2), rng)
 	x := tensor.Randn(rng, 1, 1, 2)
 	y := l.Forward(x, true)
 	l.Backward(y)
@@ -551,7 +550,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	// A tiny end-to-end sanity check: a linear classifier must fit a
 	// linearly separable batch with plain SGD on our backward pass.
 	rng := tensor.NewRNG(23)
-	l := NewLinear("fc", 2, 2, rng)
+	l := bound(NewLinear("fc", 2, 2), rng)
 	x := tensor.FromSlice([]float32{
 		1, 1,
 		1, 0.8,
@@ -576,4 +575,11 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if last > first/10 {
 		t.Fatalf("loss did not drop: first %v last %v", first, last)
 	}
+}
+
+// bound binds a standalone layer into arenas of its own, as model.newModel
+// binds a network, and returns it.
+func bound[L Layer](l L, rng *tensor.RNG) L {
+	Bind(l, rng)
+	return l
 }

@@ -18,8 +18,9 @@ type BatchNorm2D struct {
 	Gamma    *Param
 	Beta     *Param
 
-	// The running statistics are written in place, never reassigned: inside
-	// a model.Model they are views of its state arena.
+	// The running statistics start at mean 0 and variance 1. Bind provides
+	// them as views of the state arena; they are written in place, never
+	// reassigned.
 	RunningMean []float32
 	RunningVar  []float32
 
@@ -31,21 +32,14 @@ type BatchNorm2D struct {
 	dxBuf *tensor.Tensor
 }
 
-// NewBatchNorm2D returns a batch-norm over c channels.
-func NewBatchNorm2D(name string, c int, rng *tensor.RNG) *BatchNorm2D {
-	g := tensor.New(c)
-	g.Fill(1)
-	bn := &BatchNorm2D{
+// NewBatchNorm2D declares a batch-norm over c channels with γ = 1 and β = 0;
+// Bind gives it storage.
+func NewBatchNorm2D(name string, c int) *BatchNorm2D {
+	return &BatchNorm2D{
 		C: c, Eps: 1e-5, Momentum: 0.1,
-		Gamma:       NewParam(name+".gamma", g),
-		Beta:        NewParam(name+".beta", tensor.New(c)),
-		RunningMean: make([]float32, c),
-		RunningVar:  make([]float32, c),
+		Gamma: declare(name+".gamma", initRule{kind: ones}, c),
+		Beta:  declare(name+".beta", initRule{kind: zeros}, c),
 	}
-	for i := range bn.RunningVar {
-		bn.RunningVar[i] = 1
-	}
-	return bn
 }
 
 // Forward normalises per channel.

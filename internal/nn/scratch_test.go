@@ -17,7 +17,7 @@ func convFixture(seed uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
 // only that share of the weights, as a knowledge model does.
 func convFixtureOf(seed uint64, inC, outC, side, n int, density float64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
 	rng := tensor.NewRNG(seed)
-	l := NewConv2D("c", inC, outC, 3, 1, 1, 1, true, rng)
+	l := bound(NewConv2D("c", inC, outC, 3, 1, 1, 1, true), rng)
 	sparsify(l.W.W.Data, density, rng)
 	x := tensor.Randn(rng, 1, inC, n, side, side)
 	y := l.Forward(x, true)
@@ -141,7 +141,7 @@ func TestLinearSteadyStateAllocFree(t *testing.T) {
 	defer tensor.SetKernelThreads(0)
 	tensor.SetKernelThreads(1)
 	rng := tensor.NewRNG(11)
-	l := NewLinear("fc", 64, 32, rng)
+	l := bound(NewLinear("fc", 64, 32), rng)
 	x := tensor.Randn(rng, 1, 16, 64)
 	y := l.Forward(x, true)
 	dout := tensor.Randn(rng, 1, y.Shape...)
@@ -167,7 +167,7 @@ func TestLinearSteadyStateAllocFree(t *testing.T) {
 func TestScratchReuseKeepsGradientsCorrect(t *testing.T) {
 	build := func() (*Conv2D, *Linear) {
 		rng := tensor.NewRNG(21)
-		return NewConv2D("c", 3, 4, 3, 1, 1, 1, false, rng), NewLinear("fc", 4*6*6, 5, rng)
+		return bound(NewConv2D("c", 3, 4, 3, 1, 1, 1, false), rng), bound(NewLinear("fc", 4*6*6, 5), rng)
 	}
 	rng := tensor.NewRNG(22)
 	x1 := tensor.Randn(rng, 1, 3, 2, 6, 6)

@@ -114,7 +114,7 @@ func TestConvWeightGradIsOneChain(t *testing.T) {
 	for _, sh := range shapes {
 		for _, n := range batches {
 			rng := tensor.NewRNG(uint64(61 + sh.inC + n))
-			l := NewConv2D("c", sh.inC, sh.outC, 3, 1, 1, sh.groups, false, rng)
+			l := bound(NewConv2D("c", sh.inC, sh.outC, 3, 1, 1, sh.groups, false), rng)
 			if vol := sh.outC / sh.groups * sh.inC / sh.groups * 9 * n * sh.side * sh.side; vol <= 16*1024 {
 				t.Fatalf("%s: whole product volume %d is under the direct-loop size; the reference would not apply", sh.name, vol)
 			}

@@ -191,7 +191,7 @@ func TestSGDMatchesPerParamReference(t *testing.T) {
 				rng := tensor.NewRNG(31)
 				var params []*nn.Param
 				for i, n := range sizes {
-					params = append(params, nn.NewParam(fmt.Sprint("p", i), tensor.Randn(rng, 1, n)))
+					params = append(params, &nn.Param{Name: fmt.Sprint("p", i), W: tensor.Randn(rng, 1, n), Grad: tensor.New(n)})
 				}
 				w := nn.FlattenParams(params)
 				var mask []bool
