@@ -402,6 +402,49 @@ func TestAfterAggregateStatsIgnorePreAgg(t *testing.T) {
 	}
 }
 
+// TestAfterAggregateCountsGuard holds the guard's witnesses: every guarded
+// fine-tune step is a GuardRun, and one whose gᵃ conflicts with gᵇ is a
+// GuardFire. The conflict is forced: the pre-aggregation weights are the live
+// ones negated, at which gᵇ opposes gᵃ on every step at this seed. With the
+// guard off, neither counter moves.
+func TestAfterAggregateCountsGuard(t *testing.T) {
+	const iters = 4
+	for _, disable := range []bool{false, true} {
+		rng := tensor.NewRNG(16)
+		ctx := newTestCtx(rng)
+		f := New(ctx, Options{Rho: 0.1, K: 2, FinetuneIters: iters, DisableGlobalGuard: disable})
+		ct := tinyClientTask(rng.Fork(3), []int{0, 1})
+		pre := append([]float32(nil), ctx.Model.Weights()...)
+		for i := range pre {
+			pre[i] = -pre[i]
+		}
+		f.AfterAggregate(pre, ct)
+		s := f.Stats
+		switch {
+		case disable && (s.GuardRuns != 0 || s.GuardFires != 0):
+			t.Fatalf("guard off: %d runs, %d fires, want none", s.GuardRuns, s.GuardFires)
+		case !disable && (s.GuardRuns != iters || s.GuardFires != iters):
+			t.Fatalf("guard on: %d runs, %d fires, want %d of each", s.GuardRuns, s.GuardFires, iters)
+		}
+	}
+}
+
+// TestExtractFinetuneItersOption holds the option that reaches §III-B's
+// step-3 fine-tune: zero keeps the extractor's 10 iterations (so Options
+// literals that predate it run as before), a positive count replaces them and
+// a negative one skips the step.
+func TestExtractFinetuneItersOption(t *testing.T) {
+	ctx := newTestCtx(tensor.NewRNG(17))
+	for opt, want := range map[int]int{0: 10, 3: 3, -1: 0} {
+		if got := New(ctx, Options{Rho: 0.1, K: 2, ExtractFinetuneIters: opt}).extractor.FinetuneIters; got != want {
+			t.Errorf("ExtractFinetuneIters %d: the extractor fine-tunes %d iterations, want %d", opt, got, want)
+		}
+	}
+	if got := New(ctx, DefaultOptions()).extractor.FinetuneIters; got != 10 {
+		t.Errorf("DefaultOptions fine-tunes the extractor %d iterations, want 10", got)
+	}
+}
+
 func TestFedKNOWOverheadGrowsWithKnowledge(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	ctx := newTestCtx(rng)

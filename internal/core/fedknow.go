@@ -36,6 +36,11 @@ type Options struct {
 	// post-aggregation fine-tune runs without the pre-aggregation gradient
 	// constraint.
 	DisableGlobalGuard bool
+	// ExtractFinetuneIters is the number of masked fine-tuning iterations
+	// the knowledge extractor runs on a finished task's retained weights
+	// (§III-B step 3). Zero keeps the extractor's default, 10; a negative
+	// value skips the step.
+	ExtractFinetuneIters int
 }
 
 // DefaultOptions mirror §V-B.
@@ -77,6 +82,11 @@ type FedKNOW struct {
 // constraint adds cos(g′, g) = 1 and ‖g′‖/‖g‖ = 1, a step with g = 0 adds
 // nothing, and a degenerate solve (g′ = 0) adds 0 to both. They come from the
 // integrator's Outcome, with no pass over the gradients.
+//
+// GuardRuns and GuardFires count the negative-transfer guard in
+// AfterAggregate: every guarded fine-tune step, and those whose gᵃ conflicted
+// with gᵇ (gᵃ·gᵇ < 0, so the integrator fired). Both stay 0 under
+// DisableGlobalGuard.
 type IntegrationStats struct {
 	Steps      int     // TrainStep calls with stored knowledge
 	QPRuns     int     // steps where at least one constraint was violated
@@ -84,6 +94,8 @@ type IntegrationStats struct {
 	Degenerate int     // QP runs whose constraint cone was its apex
 	CosSum     float64 // Σ cos(g′, g) over Steps
 	NormRatioS float64 // Σ ‖g′‖/‖g‖ over Steps
+	GuardRuns  int     // guarded post-aggregation fine-tune steps
+	GuardFires int     // guarded steps where the integrator fired
 }
 
 // MeanCos is the average alignment of the integrated gradient with the task
@@ -128,10 +140,17 @@ func New(ctx *fed.ClientCtx, opts Options) *FedKNOW {
 	if opts.SelectEvery <= 0 {
 		opts.SelectEvery = 5
 	}
+	extractor := NewKnowledgeExtractor(opts.Rho)
+	switch {
+	case opts.ExtractFinetuneIters > 0:
+		extractor.FinetuneIters = opts.ExtractFinetuneIters
+	case opts.ExtractFinetuneIters < 0:
+		extractor.FinetuneIters = 0
+	}
 	return &FedKNOW{
 		ctx:        ctx,
 		opts:       opts,
-		extractor:  NewKnowledgeExtractor(opts.Rho),
+		extractor:  extractor,
 		restorer:   NewGradientRestorer(ctx.Model),
 		integrator: NewGradientIntegrator(),
 	}
@@ -250,6 +269,10 @@ func (f *FedKNOW) AfterAggregate(preAgg []float32, ct data.ClientTask) {
 				f.gbBuf = append(f.gbBuf[:0], m.Grads()...)
 			})
 			g2 = f.integrator.Integrate(f.gaBuf, [][]float32{f.gbBuf})
+			f.Stats.GuardRuns++
+			if f.integrator.Outcome().Fired {
+				f.Stats.GuardFires++
+			}
 		}
 		m.SetGrads(g2)
 		f.ctx.Opt.Step(m.Weights(), m.Grads())

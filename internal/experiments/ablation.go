@@ -43,7 +43,8 @@ func Ablation(opt Options) (*AblationResult, error) {
 		{"FedKNOW-full", base},
 		{"no-integrator", func() core.Options { o := base; o.DisableIntegration = true; return o }()},
 		{"no-global-guard", func() core.Options { o := base; o.DisableGlobalGuard = true; return o }()},
-		{"no-finetune", func() core.Options { o := base; o.FinetuneIters = 0; return o }()},
+		{"no-post-agg-finetune", func() core.Options { o := base; o.FinetuneIters = 0; return o }()},
+		{"no-extract-finetune", func() core.Options { o := base; o.ExtractFinetuneIters = -1; return o }()},
 	}
 	res := &AblationResult{Accuracy: map[string]float64{}, Forgetting: map[string]float64{}}
 	for _, v := range variants {

@@ -292,7 +292,7 @@ func TestAblationStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Variants) != 4 {
+	if len(res.Variants) != 5 {
 		t.Fatalf("%d variants", len(res.Variants))
 	}
 	for _, v := range res.Variants {

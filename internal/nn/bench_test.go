@@ -140,18 +140,19 @@ func BenchmarkConvWeightGrad(b *testing.B) {
 	}
 }
 
-// bnShapes are the BatchNorms of the CI-scale ResNet18 (3×16×16 input) at
-// batch 8, one per stage.
-var bnShapes = []struct{ c, side int }{{8, 16}, {16, 8}, {32, 4}, {64, 2}}
+// bnShapes are the BatchNorms of the CI-scale ResNet18 (3×12×12 input, the
+// shape both training workloads of benchmark/ run) at batch 8, one per stage.
+var bnShapes = []struct{ c, side int }{{8, 12}, {16, 6}, {32, 3}, {64, 2}}
 
-// benchBatchNorm runs fn once per shape with a layer that has seen one
-// training forward of its batch.
-func benchBatchNorm(b *testing.B, fn func(l *BatchNorm2D, x, dout *tensor.Tensor)) {
+// benchActivations runs fn once per bnShapes shape with a layer, an input and
+// an output gradient of that shape; the layer has seen one training forward
+// of its batch.
+func benchActivations[L Layer](b *testing.B, newLayer func(c int) L, fn func(l L, x, dout *tensor.Tensor)) {
 	const n = 8
 	for _, sh := range bnShapes {
 		b.Run(fmt.Sprintf("%dch@%dx%d/N=%d", sh.c, sh.side, sh.side, n), func(b *testing.B) {
 			rng := tensor.NewRNG(uint64(3 + sh.c))
-			l := bound(NewBatchNorm2D("bn", sh.c), rng)
+			l := bound(newLayer(sh.c), rng)
 			x := tensor.Randn(rng, 1, sh.c, n, sh.side, sh.side)
 			dout := tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
 			b.ResetTimer()
@@ -162,12 +163,39 @@ func benchBatchNorm(b *testing.B, fn func(l *BatchNorm2D, x, dout *tensor.Tensor
 	}
 }
 
+func newBN(c int) *BatchNorm2D { return NewBatchNorm2D("bn", c) }
+
 func BenchmarkBatchNormForward(b *testing.B) {
-	benchBatchNorm(b, func(l *BatchNorm2D, x, _ *tensor.Tensor) { l.Forward(x, true) })
+	benchActivations(b, newBN, func(l *BatchNorm2D, x, _ *tensor.Tensor) { l.Forward(x, true) })
 }
 
 func BenchmarkBatchNormBackward(b *testing.B) {
-	benchBatchNorm(b, func(l *BatchNorm2D, _, dout *tensor.Tensor) { l.Backward(dout) })
+	benchActivations(b, newBN, func(l *BatchNorm2D, _, dout *tensor.Tensor) { l.Backward(dout) })
+}
+
+// BenchmarkReLU times the forward and the backward of a ReLU at the
+// BatchNorms' shapes: it follows each of them in the ResNet18 blocks.
+func BenchmarkReLU(b *testing.B) {
+	newReLU := func(int) *ReLU { return NewReLU() }
+	b.Run("forward", func(b *testing.B) {
+		benchActivations(b, newReLU, func(l *ReLU, x, _ *tensor.Tensor) { l.Forward(x, true) })
+	})
+	b.Run("backward", func(b *testing.B) {
+		benchActivations(b, newReLU, func(l *ReLU, _, dout *tensor.Tensor) { l.Backward(dout) })
+	})
+}
+
+// BenchmarkResidualAdd times a residual block's two adds, the forward sum of
+// its paths and the backward sum of their input gradients, with identity
+// paths so that only the adds are timed.
+func BenchmarkResidualAdd(b *testing.B) {
+	newRes := func(int) *Residual { return NewResidual(NewIdentity(), nil) }
+	b.Run("forward", func(b *testing.B) {
+		benchActivations(b, newRes, func(l *Residual, x, _ *tensor.Tensor) { l.Forward(x, true) })
+	})
+	b.Run("backward", func(b *testing.B) {
+		benchActivations(b, newRes, func(l *Residual, _, dout *tensor.Tensor) { l.Backward(dout) })
+	})
 }
 
 func BenchmarkCrossEntropy(b *testing.B) {

@@ -15,14 +15,6 @@ func view(t *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
 	return t
 }
 
-// addInto writes a + b elementwise into dst in a single pass.
-func addInto(dst, a, b []float32) {
-	_ = dst[:len(a)]
-	for i, v := range a {
-		dst[i] = v + b[i]
-	}
-}
-
 // Identity passes its input through unchanged. Used as the default shortcut
 // in residual blocks.
 type Identity struct{}
@@ -66,7 +58,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	r.yBuf = tensor.Ensure(r.yBuf, a.Shape...)
 	y := r.yBuf
-	addInto(y.Data, a.Data, b.Data)
+	tensor.Add(y.Data, a.Data, b.Data)
 	return y
 }
 
@@ -76,7 +68,7 @@ func (r *Residual) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	db := r.Shortcut.Backward(dout)
 	r.dxBuf = tensor.Ensure(r.dxBuf, da.Shape...)
 	dx := r.dxBuf
-	addInto(dx.Data, da.Data, db.Data)
+	tensor.Add(dx.Data, da.Data, db.Data)
 	return dx
 }
 

@@ -91,40 +91,22 @@ type ReLU struct {
 // NewReLU returns a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward clamps negatives to zero. Half of a post-BatchNorm activation is
-// negative, in no pattern a branch predictor can learn, so the loop selects
-// without a jump: max(v, 0) is v for v > 0, +0 for every v <= 0 (−0
-// included) and, a NaN having no order, NaN for a NaN v.
+// Forward clamps negatives to zero (tensor.ReLU): +0 for every x <= 0, −0
+// included, x itself otherwise, and a NaN stays a NaN.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.yBuf = tensor.Ensure(r.yBuf, x.Shape...)
-	xd := x.Data
-	yd := r.yBuf.Data[:len(xd)]
-	for i, v := range xd {
-		yd[i] = max(v, 0)
-	}
+	tensor.ReLU(r.yBuf.Data, x.Data)
 	return r.yBuf
 }
 
 // Backward zeroes gradients where the input was non-positive. The pass mask
 // is recovered from the cached output (y > 0 ⇔ x > 0), so no separate mask
-// array is maintained — and from its bits, not a float comparison: Forward's
-// y is +0 or positive or NaN, hence y > 0 exactly when its bits are non-zero,
-// and a select between two integers on an integer test is one the compiler
-// lowers to a conditional move, so this loop has no data-dependent branch
-// either. A NaN output (from a NaN input) passes its gradient, as it did under
-// the comparison y <= 0.
+// array is maintained: tensor.ReLUGrad tests y's bits, which are non-zero
+// exactly when y > 0 or y is a NaN (from a NaN input, whose gradient passes,
+// as it did under the comparison y <= 0).
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	r.dxBuf = tensor.Ensure(r.dxBuf, dout.Shape...)
-	gd := dout.Data
-	yd := r.yBuf.Data[:len(gd)]
-	dxd := r.dxBuf.Data[:len(gd)]
-	for i, g := range gd {
-		gb := math.Float32bits(g)
-		if math.Float32bits(yd[i]) == 0 {
-			gb = 0
-		}
-		dxd[i] = math.Float32frombits(gb)
-	}
+	tensor.ReLUGrad(r.dxBuf.Data, dout.Data, r.yBuf.Data)
 	return r.dxBuf
 }
 

@@ -28,6 +28,10 @@ type BatchNorm2D struct {
 	lastXHat *tensor.Tensor
 	lastStd  []float64
 
+	// per-channel scratch, 2·C long: the batch mean and variance in Forward,
+	// the two gradient sums in Backward
+	chanStats []float64
+
 	yBuf  *tensor.Tensor
 	dxBuf *tensor.Tensor
 }
@@ -42,11 +46,12 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	}
 }
 
-// Forward normalises per channel.
+// Forward normalises per channel. The per-element passes are
+// internal/tensor's BatchNorm kernels; the per-channel arithmetic stays here,
+// each product rounded before its add.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c := x.Shape[0]
 	run := x.Len() / c
-	cnt := float64(run)
 	b.yBuf = tensor.Ensure(b.yBuf, x.Shape...)
 	y := b.yBuf
 	if train {
@@ -55,32 +60,17 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			b.lastStd = make([]float64, c)
 		}
 		b.lastStd = b.lastStd[:c]
+		mean, variance := b.chanPair(c)
+		tensor.BatchNormMoments(mean, variance, x.Data)
+		m := b.Momentum
 		for ch := 0; ch < c; ch++ {
-			xRow := x.Data[ch*run : (ch+1)*run]
-			var mean float64
-			for _, v := range xRow {
-				mean += float64(v)
-			}
-			mean /= cnt
-			var variance float64
-			for _, v := range xRow {
-				d := float64(v) - mean
-				variance += d * d
-			}
-			variance /= cnt
-			std := math.Sqrt(variance + b.Eps)
+			std := math.Sqrt(variance[ch] + b.Eps)
 			b.lastStd[ch] = std
-			invStd := 1 / std
-			g, bt := float64(b.Gamma.W.Data[ch]), float64(b.Beta.W.Data[ch])
-			xhRow := b.lastXHat.Data[ch*run : (ch+1)*run]
-			yRow := y.Data[ch*run : (ch+1)*run]
-			for j, v := range xRow {
-				xh := (float64(v) - mean) * invStd
-				xhRow[j] = float32(xh)
-				yRow[j] = float32(g*xh + bt)
-			}
-			b.RunningMean[ch] = float32((1-b.Momentum)*float64(b.RunningMean[ch]) + b.Momentum*mean)
-			b.RunningVar[ch] = float32((1-b.Momentum)*float64(b.RunningVar[ch]) + b.Momentum*variance)
+			lo, hi := ch*run, (ch+1)*run
+			tensor.BatchNormNormalize(b.lastXHat.Data[lo:hi], y.Data[lo:hi], x.Data[lo:hi],
+				mean[ch], 1/std, float64(b.Gamma.W.Data[ch]), float64(b.Beta.W.Data[ch]))
+			b.RunningMean[ch] = float32(float64((1-m)*float64(b.RunningMean[ch])) + float64(m*mean[ch]))
+			b.RunningVar[ch] = float32(float64((1-m)*float64(b.RunningVar[ch])) + float64(m*variance[ch]))
 		}
 		return y
 	}
@@ -91,10 +81,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// y = scale*x + shift with the division hoisted out of the loop.
 		scale := g / std
 		shift := bt - g*mean/std
-		yRow := y.Data[ch*run : (ch+1)*run]
-		for j, v := range x.Data[ch*run : (ch+1)*run] {
-			yRow[j] = float32(scale*float64(v) + shift)
-		}
+		tensor.ScaleShift(y.Data[ch*run:(ch+1)*run], x.Data[ch*run:(ch+1)*run], scale, shift)
 	}
 	return y
 }
@@ -106,26 +93,25 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	cnt := float64(run)
 	b.dxBuf = tensor.Ensure(b.dxBuf, dout.Shape...)
 	dx := b.dxBuf
+	sumDy, sumDyXHat := b.chanPair(c)
+	tensor.BatchNormGradSums(sumDy, sumDyXHat, dout.Data, b.lastXHat.Data)
 	for ch := 0; ch < c; ch++ {
-		dRow := dout.Data[ch*run : (ch+1)*run]
-		xhRow := b.lastXHat.Data[ch*run : (ch+1)*run]
-		var sumDy, sumDyXHat float64
-		for j, g := range dRow {
-			sumDy += float64(g)
-			sumDyXHat += float64(g) * float64(xhRow[j])
-		}
-		b.Beta.Grad.Data[ch] += float32(sumDy)
-		b.Gamma.Grad.Data[ch] += float32(sumDyXHat)
-		gamma := float64(b.Gamma.W.Data[ch])
-		a := gamma / b.lastStd[ch]
-		meanDy := sumDy / cnt
-		meanDyXHat := sumDyXHat / cnt
-		dxRow := dx.Data[ch*run : (ch+1)*run]
-		for j, g := range dRow {
-			dxRow[j] = float32(a * (float64(g) - meanDy - float64(xhRow[j])*meanDyXHat))
-		}
+		b.Beta.Grad.Data[ch] += float32(sumDy[ch])
+		b.Gamma.Grad.Data[ch] += float32(sumDyXHat[ch])
+		a := float64(b.Gamma.W.Data[ch]) / b.lastStd[ch]
+		lo, hi := ch*run, (ch+1)*run
+		tensor.BatchNormGrad(dx.Data[lo:hi], dout.Data[lo:hi], b.lastXHat.Data[lo:hi],
+			a, sumDy[ch]/cnt, sumDyXHat[ch]/cnt)
 	}
 	return dx
+}
+
+// chanPair returns the per-channel scratch as two vectors c long.
+func (b *BatchNorm2D) chanPair(c int) (first, second []float64) {
+	if cap(b.chanStats) < 2*c {
+		b.chanStats = make([]float64, 2*c)
+	}
+	return b.chanStats[:c], b.chanStats[c : 2*c]
 }
 
 // Params returns gamma and beta.

@@ -7,6 +7,8 @@ package opt
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // Schedule maps an iteration counter (1-based) to a learning rate.
@@ -39,12 +41,13 @@ type Inv struct {
 	Decay float64
 }
 
-// LR returns base/(1+decay·iter).
+// LR returns base/(1+decay·iter), the product rounded before the add so that
+// a compiler that fuses (arm64) gives amd64's rate.
 func (s Inv) LR(iter int) float64 {
 	if iter < 1 {
 		iter = 1
 	}
-	return s.Base / (1 + s.Decay*float64(iter))
+	return s.Base / (1 + float64(s.Decay*float64(iter)))
 }
 
 // SGD is stochastic gradient descent with optional momentum and weight decay
@@ -76,27 +79,20 @@ func (o *SGD) Reset() {
 
 // Step applies one update to the weights w from their gradient g, which must
 // have the same length. Gradients are not cleared; callers own nn.ZeroGrads.
+// The arithmetic is float32, each product rounded before its add
+// (tensor.SGDStep, tensor.SGDMomentumStep).
 func (o *SGD) Step(w, g []float32) {
 	g = sameLen(w, g)
 	o.iter++
-	lr := o.Sched.LR(o.iter)
+	lr, decay := float32(o.Sched.LR(o.iter)), float32(o.WeightDecay)
 	if o.Momentum == 0 {
-		for j := range w {
-			gj := g[j] + float32(o.WeightDecay)*w[j]
-			w[j] -= float32(lr) * gj
-		}
+		tensor.SGDStep(w, g, lr, decay)
 		return
 	}
 	if o.velocity == nil {
 		o.velocity = make([]float32, len(w))
 	}
-	v := o.velocity[:len(w)]
-	m := float32(o.Momentum)
-	for j := range w {
-		gj := g[j] + float32(o.WeightDecay)*w[j]
-		v[j] = m*v[j] + gj
-		w[j] -= float32(lr) * v[j]
-	}
+	tensor.SGDMomentumStep(w, o.velocity[:len(w)], g, lr, decay, float32(o.Momentum))
 }
 
 // StepMasked is Step restricted to coordinates where mask is true; a nil
@@ -110,12 +106,7 @@ func (o *SGD) StepMasked(w, g []float32, mask []bool) {
 	}
 	g, mask = sameLen(w, g), mask[:len(w)]
 	o.iter++
-	lr := float32(o.Sched.LR(o.iter))
-	for j := range w {
-		if mask[j] {
-			w[j] -= lr * (g[j] + float32(o.WeightDecay)*w[j])
-		}
-	}
+	tensor.SGDStepMasked(w, g, mask, float32(o.Sched.LR(o.iter)), float32(o.WeightDecay))
 }
 
 // sameLen returns g resliced to w's length, panicking unless it has it.

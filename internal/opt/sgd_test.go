@@ -220,3 +220,55 @@ func TestSGDMatchesPerParamReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSGDStepsMatchScalarLoops holds Step (with and without momentum and
+// weight decay) and StepMasked to the loops they ran before the update moved
+// into internal/tensor's kernels, bit for bit over several steps, at lengths
+// that leave a remainder past the kernels' eight-float steps. The loops round
+// each product explicitly before its add, as they computed on amd64, so a
+// kernel fallback a compiler fused (as Go does on arm64) fails here.
+func TestSGDStepsMatchScalarLoops(t *testing.T) {
+	for _, n := range []int{1, 13, 4099} {
+		for _, momentum := range []float64{0, 0.9} {
+			for _, decay := range []float64{0, 5e-4} {
+				rng := tensor.NewRNG(uint64(n))
+				w, g := make([]float32, n), make([]float32, n)
+				rng.FillNorm(w, 1)
+				want, vel := append([]float32(nil), w...), make([]float32, n)
+				mask := make([]bool, n)
+				for i := range mask {
+					mask[i] = i%4 != 1
+				}
+				o := NewSGD(InvSqrt{Base: 0.3}, momentum, decay)
+				for step := 1; step <= 4; step++ {
+					rng.FillNorm(g, 1)
+					lr, wd := float32(o.Sched.LR(step)), float32(decay)
+					if step%2 == 0 {
+						o.StepMasked(w, g, mask)
+						for j := range want {
+							if mask[j] {
+								want[j] -= float32(lr * (g[j] + float32(wd*want[j])))
+							}
+						}
+					} else {
+						o.Step(w, g)
+						for j := range want {
+							gj := g[j] + float32(wd*want[j])
+							if momentum != 0 {
+								vel[j] = float32(float32(momentum)*vel[j]) + gj
+								gj = vel[j]
+							}
+							want[j] -= float32(lr * gj)
+						}
+					}
+					for j := range want {
+						if math.Float32bits(w[j]) != math.Float32bits(want[j]) {
+							t.Fatalf("n %d momentum %v decay %v step %d: w[%d] = %v, the scalar loop gives %v",
+								n, momentum, decay, step, j, w[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -213,3 +213,96 @@ func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) [
 	Col2Im(dx, dcols, g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW, 0, g.c, mask)
 	sameBits(t, "masked dx", g, dx, wantDx)
 }
+
+// guardedBools returns n bools flush against an inaccessible page: behind the
+// last one, or in front of the first when front is set.
+func guardedBools(t *testing.T, n int, front bool) []bool {
+	page := syscall.Getpagesize()
+	mem := guardedMap(t, (n+page-1)/page*page+page, front)
+	off := len(mem) - page - n
+	if front {
+		off = page
+	}
+	return unsafe.Slice((*bool)(unsafe.Pointer(&mem[off])), n)
+}
+
+// TestElementwiseKernelsStayInsideOperands runs every per-element kernel with
+// every operand flush against a guard page, behind it and then in front of
+// it: the AVX2 forms step eight floats (a reduction, four floats of eight
+// rows) up to the last whole step and leave the rest to Go, so a step that
+// ran one element long, or a row pointer one row too far, would fault here.
+// The results are held to the scalar loops, bit for bit.
+func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
+	rng := NewRNG(66)
+	for _, front := range []bool{false, true} {
+		alloc := guarded
+		if front {
+			alloc = guardedFront
+		}
+		filled := func(n int) []float32 {
+			x := alloc(t, n)
+			rng.FillNorm(x, 1)
+			return x
+		}
+		for _, n := range []int{8, 12, 15, 1152, 1157} {
+			what := fmt.Sprintf("front=%v n=%d", front, n)
+			x, g, v := filled(n), filled(n), filled(n)
+			y, want := alloc(t, n), make([]float32, n)
+			ReLU(y, x)
+			refReLU(want, x)
+			requireBits32(t, what+" ReLU", y, want, false)
+			ReLUGrad(y, g, x)
+			refReLUGrad(want, g, x)
+			requireBits32(t, what+" ReLUGrad", y, want, false)
+			Add(y, x, g)
+			refAdd(want, x, g)
+			requireBits32(t, what+" Add", y, want, false)
+			ScaleShift(y, x, 0.7, -0.2)
+			refScaleShift(want, x, 0.7, -0.2)
+			requireBits32(t, what+" ScaleShift", y, want, false)
+			xhat, wantXHat := alloc(t, n), make([]float32, n)
+			BatchNormNormalize(xhat, y, x, 0.1, 1.3, 0.9, 0.2)
+			refNormalize(wantXHat, want, x, 0.1, 1.3, 0.9, 0.2)
+			requireBits32(t, what+" BatchNormNormalize xhat", xhat, wantXHat, false)
+			requireBits32(t, what+" BatchNormNormalize y", y, want, false)
+			BatchNormGrad(y, g, xhat, 1.1, 0.05, -0.3)
+			refBNGrad(want, g, xhat, 1.1, 0.05, -0.3)
+			requireBits32(t, what+" BatchNormGrad", y, want, false)
+
+			mask := guardedBools(t, n, front)
+			for i := range mask {
+				mask[i] = i%3 != 0
+			}
+			w, wantW, wantV := filled(n), make([]float32, n), append([]float32(nil), v...)
+			copy(wantW, w)
+			SGDStepMasked(w, g, mask, 0.03, 5e-4)
+			refSGDMasked(wantW, g, mask, 0.03, 5e-4)
+			requireBits32(t, what+" SGDStepMasked", w, wantW, false)
+			SGDStep(w, g, 0.03, 5e-4)
+			refSGD(wantW, g, 0.03, 5e-4)
+			requireBits32(t, what+" SGDStep", w, wantW, false)
+			SGDMomentumStep(w, v, g, 0.03, 5e-4, 0.9)
+			refSGDMomentum(wantW, wantV, g, 0.03, 5e-4, 0.9)
+			requireBits32(t, what+" SGDMomentumStep", w, wantW, false)
+			requireBits32(t, what+" SGDMomentumStep velocity", v, wantV, false)
+		}
+		// The reductions read eight rows of a run each: the block's last row
+		// ends flush with the batch behind, its first starts flush in front.
+		for _, run := range []int{4, 7, 8, 1152, 1153} {
+			for _, c := range []int{8, 9} {
+				what := fmt.Sprintf("front=%v run=%d c=%d", front, run, c)
+				x, xhat := filled(c*run), filled(c*run)
+				got, got2 := make([]float64, c), make([]float64, c)
+				want, want2 := make([]float64, c), make([]float64, c)
+				BatchNormMoments(got, got2, x)
+				refMoments(want, want2, x)
+				requireBits64(t, what+" BatchNormMoments mean", got, want)
+				requireBits64(t, what+" BatchNormMoments variance", got2, want2)
+				BatchNormGradSums(got, got2, x, xhat)
+				refGradSums(want, want2, x, xhat)
+				requireBits64(t, what+" BatchNormGradSums sumDy", got, want)
+				requireBits64(t, what+" BatchNormGradSums sumDyXHat", got2, want2)
+			}
+		}
+	}
+}

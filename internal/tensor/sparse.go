@@ -160,15 +160,16 @@ func AxpySparse(dst []float32, a float32, x *SparseVec) {
 
 func axpySparseRange(dst []float32, a float32, x *SparseVec, lo, hi int) {
 	idx, val := x.Indices[lo:hi], x.Values[lo:hi]
+	// Each product is rounded before its add, as in AxpySlice.
 	for len(idx) >= 4 {
-		dst[idx[0]] += a * val[0]
-		dst[idx[1]] += a * val[1]
-		dst[idx[2]] += a * val[2]
-		dst[idx[3]] += a * val[3]
+		dst[idx[0]] += float32(a * val[0])
+		dst[idx[1]] += float32(a * val[1])
+		dst[idx[2]] += float32(a * val[2])
+		dst[idx[3]] += float32(a * val[3])
 		idx, val = idx[4:], val[4:]
 	}
 	for i, j := range idx {
-		dst[j] += a * val[i]
+		dst[j] += float32(a * val[i])
 	}
 }
 
@@ -190,7 +191,7 @@ func ScaleAddSparse(dst []float32, s, a float32, x *SparseVec) {
 func scaleAddSparseRange(dst []float32, s, a float32, x *SparseVec, lo, hi int) {
 	idx, val := x.Indices[lo:hi], x.Values[lo:hi]
 	for i, j := range idx {
-		dst[j] = s*dst[j] + a*val[i]
+		dst[j] = float32(s*dst[j]) + float32(a*val[i])
 	}
 }
 

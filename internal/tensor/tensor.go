@@ -168,17 +168,19 @@ func (t *Tensor) Axpy(a float32, x *Tensor) {
 	AxpySlice(t.Data, a, x.Data)
 }
 
-// AxpySlice computes dst += a*x over raw slices, 4-way unrolled.
+// AxpySlice computes dst += a*x over raw slices, 4-way unrolled, each
+// product rounded to float32 before its add: the explicit conversion keeps a
+// compiler that fuses (arm64) from computing other bits than amd64 does.
 func AxpySlice(dst []float32, a float32, x []float32) {
 	for len(dst) >= 4 && len(x) >= 4 {
-		dst[0] += a * x[0]
-		dst[1] += a * x[1]
-		dst[2] += a * x[2]
-		dst[3] += a * x[3]
+		dst[0] += float32(a * x[0])
+		dst[1] += float32(a * x[1])
+		dst[2] += float32(a * x[2])
+		dst[3] += float32(a * x[3])
 		dst, x = dst[4:], x[4:]
 	}
 	for i, v := range x {
-		dst[i] += a * v
+		dst[i] += float32(a * v)
 	}
 }
 
@@ -233,22 +235,24 @@ func Dot(a, b *Tensor) float64 {
 }
 
 // DotSlice returns the inner product of two equal-length slices, accumulated
-// in float64 across four unrolled lanes.
+// in float64 across four unrolled lanes. A product of two float32s is exact
+// in float64, so rounding it explicitly changes no bits; it keeps the arm64
+// build free of fused multiply-adds, which CI checks for this file.
 func DotSlice(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("tensor: Dot size mismatch")
 	}
 	var s0, s1, s2, s3 float64
 	for len(a) >= 4 && len(b) >= 4 {
-		s0 += float64(a[0]) * float64(b[0])
-		s1 += float64(a[1]) * float64(b[1])
-		s2 += float64(a[2]) * float64(b[2])
-		s3 += float64(a[3]) * float64(b[3])
+		s0 += float64(float64(a[0]) * float64(b[0]))
+		s1 += float64(float64(a[1]) * float64(b[1]))
+		s2 += float64(float64(a[2]) * float64(b[2]))
+		s3 += float64(float64(a[3]) * float64(b[3]))
 		a, b = a[4:], b[4:]
 	}
 	s := s0 + s1 + s2 + s3
 	for i, v := range a {
-		s += float64(v) * float64(b[i])
+		s += float64(float64(v) * float64(b[i]))
 	}
 	return s
 }
@@ -260,15 +264,15 @@ func (t *Tensor) Norm() float64 { return NormSlice(t.Data) }
 func NormSlice(x []float32) float64 {
 	var s0, s1, s2, s3 float64
 	for len(x) >= 4 {
-		s0 += float64(x[0]) * float64(x[0])
-		s1 += float64(x[1]) * float64(x[1])
-		s2 += float64(x[2]) * float64(x[2])
-		s3 += float64(x[3]) * float64(x[3])
+		s0 += float64(float64(x[0]) * float64(x[0]))
+		s1 += float64(float64(x[1]) * float64(x[1]))
+		s2 += float64(float64(x[2]) * float64(x[2]))
+		s3 += float64(float64(x[3]) * float64(x[3]))
 		x = x[4:]
 	}
 	s := s0 + s1 + s2 + s3
 	for _, v := range x {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
