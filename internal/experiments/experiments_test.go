@@ -299,5 +299,18 @@ func TestAblationStructure(t *testing.T) {
 		if res.Accuracy[v] <= 0 {
 			t.Fatalf("variant %s has no accuracy", v)
 		}
+		if q, g := res.QPFireRate[v], res.GuardFireRate[v]; q < 0 || q > 1 || g < 0 || g > 1 {
+			t.Fatalf("variant %s: QP fire rate %v, guard fire rate %v", v, q, g)
+		}
+		if d := res.KnowledgeOverChance[v]; d < -1 || d > 1 {
+			t.Fatalf("variant %s: knowledge accuracy minus chance %v", v, d)
+		}
+	}
+	// The witnesses see the components the variants turn off.
+	if res.QPFireRate["FedKNOW-full"] == 0 || res.QPFireRate["no-integrator"] != 0 {
+		t.Fatalf("QP fire rates: full %v, no-integrator %v", res.QPFireRate["FedKNOW-full"], res.QPFireRate["no-integrator"])
+	}
+	if res.GuardFireRate["no-global-guard"] != 0 {
+		t.Fatalf("guard fires without the guard: %v", res.GuardFireRate["no-global-guard"])
 	}
 }

@@ -10,11 +10,14 @@ import (
 // convShapes are the 3×3 same-padding convolutions the benchmarks time: the
 // 16→32-channel layer of README's before/after table, then the four
 // ResNet18 stages of the CI-scale model (3×16×16 input) that dominate a
-// FedKNOW client's time. The late stages (spatial = 16 and 4) are the ones a
-// per-image lowering served badly.
+// FedKNOW client's time, then the stages of the 3×12×12 input the
+// benchmark's fedknow_train workload trains on (its last, 64ch@2, is shared).
+// The late stages (spatial = 16 and 4) are the ones a per-image lowering
+// served badly.
 var convShapes = []struct{ inC, outC, side int }{
 	{16, 32, 16},
 	{8, 8, 16}, {16, 16, 8}, {32, 32, 4}, {64, 64, 2},
+	{8, 8, 12}, {16, 16, 6}, {32, 32, 3},
 }
 
 // benchConvShapes runs fn once per shape and batch size with a warmed layer;

@@ -267,7 +267,7 @@ func (s *SEBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			x, dxp := s.lastX.Data[base:base+plane], dx.Data[base:base+plane]
 			var dg float32
 			for j, d := range dout.Data[base : base+plane] {
-				dg += d * x[j]
+				dg += float32(d * x[j])
 				dxp[j] = d * g
 			}
 			dgate.Data[i*c+ch] = dg
@@ -278,7 +278,7 @@ func (s *SEBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	inv := 1 / float32(plane)
 	for ch := 0; ch < c; ch++ {
 		for i := 0; i < n; i++ {
-			g := dsq.Data[i*c+ch] * inv
+			g := float32(dsq.Data[i*c+ch] * inv)
 			dxp := dx.Data[(ch*n+i)*plane : (ch*n+i+1)*plane]
 			for j := range dxp {
 				dxp[j] += g

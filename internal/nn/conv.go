@@ -65,7 +65,11 @@ import (
 // operand: as B, cols, dY and pixel-major dY have n-contiguous rows, and
 // op(A) is read through strides, which takes Wᵀ in place and cols as it is.
 // The weight gradient's cols is an activation, so that product skips the
-// sparse-A sample (tensor.GemmPartDense).
+// sparse-A sample (tensor.GemmPartDense). Every product writes its output
+// (the GEMM's write form, β = 0) rather than adding onto a cleared buffer —
+// Y, each block of dWᵀ, and dcols when every channel is alive — so no buffer
+// is cleared before a product. Its chains start from +0 in registers, with
+// the bits of chains started from a buffer cleared to +0.
 //
 // The column matrix, the output and the input gradient are retained on the
 // layer and reused; the gathered rows of dY, the pixel-major dY, a block of
@@ -166,14 +170,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	c.yBuf = tensor.Ensure(c.yBuf, c.OutC, n, outH, outW)
 	y := c.yBuf.Data
-	clear(y)
 	wt := c.W.W.Data
 	if live < c.InC {
 		wt = c.gatherTaps()
 	}
 	for g := 0; g < c.Groups; g++ {
 		tensor.GemmPart(y[g*gOut*ns:(g+1)*gOut*ns], wt[g*gOut*liveFan:(g+1)*gOut*liveFan],
-			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, gOut*fanIn*ns)
+			c.cols[g*liveFan*ns:(g+1)*liveFan*ns], gOut, liveFan, ns, false, gOut*fanIn*ns, true)
 	}
 	if c.Bias {
 		for oc, b := range c.B.W.Data {
@@ -274,7 +277,7 @@ func (c *Conv2D) lower(cols, x []float32, lo, hi int) {
 
 // raise is lower's adjoint: input channels [lo, hi) of the input gradient are
 // rebuilt from those of their rows of the column gradient that c.taps keeps,
-// which it consumes.
+// which it only reads.
 func (c *Conv2D) raise(dx, dcols []float32, lo, hi int) {
 	tensor.Col2Im(dx, dcols, c.lastN, c.lastInH, c.lastInW, c.K, c.K, c.Stride, c.Pad,
 		c.lastOutH, c.lastOutW, lo, hi, c.taps)
@@ -292,9 +295,8 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // backward runs the batch-wide gradient GEMMs. The column gradient is
-// scratch that raise consumes (tensor.Col2Im zeroes padding slots in it);
-// cols, which the 1 + k weight-gradient products of a FedKNOW step read, is
-// never written after Forward.
+// call-scoped scratch that raise reads; cols, which the 1 + k weight-gradient
+// products of a FedKNOW step read, is never written after Forward.
 //
 // The operands are W and dY themselves unless a channel is dead: then the
 // live rows of dY are gathered, dW is computed for them and the live input
@@ -324,20 +326,21 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDX bool) {
 			dy, wt = *live, c.gatherRows()
 		}
 		dcols := getScratch(c.InC * kk * ns)
-		if len(c.taps) == 0 {
-			clear(*dcols)
-		}
 		for r, on := range c.taps {
 			if on {
 				clear((*dcols)[r*ns : (r+1)*ns])
 			}
 		}
+		write := len(c.taps) == 0
 		for g := 0; g < c.Groups; g++ {
 			// dcols = Wᵀ × dY → (fanIn, N·spatial), k = gRows: W is read in place.
-			// A row outside c.taps gets no term on the sparse route and
-			// arithmetic on stale scratch on the dense one; raise reads neither.
+			// With every channel alive the product writes all of dcols. With
+			// some dead it accumulates onto the rows in c.taps, cleared above:
+			// a row outside them gets no term on the sparse route and
+			// arithmetic on stale scratch on the dense one, and raise reads
+			// neither, so clearing all of dcols would be wasted.
 			tensor.GemmPart((*dcols)[g*fanIn*ns:(g+1)*fanIn*ns], wt[g*gRows*fanIn:(g+1)*gRows*fanIn],
-				dy[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, vol)
+				dy[g*gRows*ns:(g+1)*gRows*ns], fanIn, gRows, ns, true, vol, write)
 		}
 		if live != nil {
 			scratchPool.Put(live)
@@ -360,8 +363,8 @@ const wgBlockFloats = 4 * 1024
 // W.Grad — or, while a channel is dead, into the compact dW (one row per live
 // row of dY, K·K columns per live input channel) that scatterGrad adds into
 // W.Grad at the places it stands for. It runs in blocks of rows of dWᵀ, which
-// no element's chain depends on. dB sums each row of dY in the same order as
-// the chain.
+// no element's chain depends on, each written by its product, not cleared.
+// dB sums each row of dY in the same order as the chain.
 func (c *Conv2D) weightGrad(dout []float32, vol int) {
 	kk := c.K * c.K
 	ns := c.lastN * c.lastOutH * c.lastOutW
@@ -394,9 +397,8 @@ func (c *Conv2D) weightGrad(dout []float32, vol int) {
 		for r0 := 0; r0 < liveFan; r0 += blk {
 			r1 := min(r0+blk, liveFan)
 			t := (*dwT)[:(r1-r0)*gRows]
-			clear(t)
 			tensor.GemmPartDense(t, c.cols[(g*liveFan+r0)*ns:(g*liveFan+r1)*ns], (*dypm)[g*ns*gRows:(g+1)*ns*gRows],
-				r1-r0, ns, gRows, vol)
+				r1-r0, ns, gRows, vol, true)
 			tensor.AddTransposed(grad[g*gRows*ld+r0:(g+1)*gRows*ld], ld, t, r1-r0, gRows)
 		}
 	}

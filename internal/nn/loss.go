@@ -78,7 +78,7 @@ func SoftCrossEntropy(logits, targets *tensor.Tensor) (float64, *tensor.Tensor) 
 		for j := 0; j < k; j++ {
 			t := float64(targets.Data[i*k+j])
 			if t > 0 {
-				loss -= t * math.Log(math.Max(float64(p.Data[i*k+j]), 1e-12))
+				loss -= float64(t * math.Log(math.Max(float64(p.Data[i*k+j]), 1e-12)))
 			}
 			dlogits.Data[i*k+j] = (p.Data[i*k+j] - targets.Data[i*k+j]) * float32(invN)
 		}
@@ -124,7 +124,7 @@ func MaskedCrossEntropyInto(dst, logits *tensor.Tensor, labels []int, classes []
 		inv := float32(1 / sum)
 		var py float64
 		for _, c := range classes {
-			p := out[c] * inv
+			p := float32(out[c] * inv)
 			py64 := float64(p)
 			if c == y {
 				py = py64

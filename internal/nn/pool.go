@@ -135,7 +135,7 @@ func (a *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for base := 0; base < dx.Len(); base += h * w {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
-				g := dout.Data[oi] * inv
+				g := float32(dout.Data[oi] * inv)
 				oi++
 				for ky := 0; ky < a.K; ky++ {
 					iy := oy*a.Stride + ky

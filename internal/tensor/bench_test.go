@@ -112,7 +112,9 @@ func BenchmarkGemmParallel(b *testing.B) {
 
 // loweringShapes are the convolutions of the CI-scale ResNet18 at batch 8:
 // the 3×3 pad-1 conv of each of its four stages (the plane-shift loop), then
-// the two stride-2 windows that open a stage (the row loop).
+// the two stride-2 windows that open a stage (the row loop), for a 16×16
+// input and then for the 12×12 one the benchmark's fedknow_train workload
+// trains on (its stages run 12 / 6 / 3 / 2).
 var loweringShapes = []struct {
 	name                    string
 	c, side, k, stride, pad int
@@ -123,6 +125,15 @@ var loweringShapes = []struct {
 	{"64ch@2", 64, 2, 3, 1, 1},
 	{"3x3s2-8ch@16", 8, 16, 3, 2, 1},
 	{"1x1s2-8ch@16", 8, 16, 1, 2, 0},
+	{"8ch@12", 8, 12, 3, 1, 1},
+	{"16ch@6", 16, 6, 3, 1, 1},
+	{"32ch@3", 32, 3, 3, 1, 1},
+	{"3x3s2-8ch@12", 8, 12, 3, 2, 1},
+	{"1x1s2-8ch@12", 8, 12, 1, 2, 0},
+	{"3x3s2-16ch@6", 16, 6, 3, 2, 1},
+	{"1x1s2-16ch@6", 16, 6, 1, 2, 0},
+	{"3x3s2-32ch@3", 32, 3, 3, 2, 1},
+	{"1x1s2-32ch@3", 32, 3, 1, 2, 0},
 }
 
 // benchLowering times fn(batch, matrix) over loweringShapes and reports the

@@ -13,17 +13,18 @@ func dot4fma(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 // nc >= 1, as 4×16 register tiles: c and b point at the block's first column
 // in matrices of leading dimension ld, and op(A)[i][p] is a[i*ars+p*aps].
 // Every element is one fused multiply-add chain over p = 0..k-1 onto the
-// incoming C value. Implemented in dot4_amd64.s.
+// incoming C value — or, with write set, onto +0, C being only stored
+// (C = op(A) × B). Implemented in dot4_amd64.s.
 //
 //go:noescape
-func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int)
+func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool)
 
 // gemmOuterHalfFMA is gemmOuterFMA for a block of exactly eight rows and
 // nc <= 8 columns, held one register a row: the same chain per element.
 // Implemented in dot4_amd64.s.
 //
 //go:noescape
-func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
+func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int, write bool)
 
 // axpyFMA computes c[j] = fma(av, b[j], c[j]) for j < n: one step of
 // gemmOuterFMA's chain for one row. Implemented in dot4_amd64.s.
@@ -31,11 +32,20 @@ func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
 //go:noescape
 func axpyFMA(c, b *float32, av float32, n int)
 
-// copyAVX copies n float32s from src to dst, which must not overlap.
-// Implemented in dot4_amd64.s.
+// maskCopyAVX writes dst[j] = src[j] & mask[(q+j) mod period] for j < n: a
+// plane-shift row of Im2Col, each slot written once. mask holds period + 32
+// entries and 32 <= period; dst and src do not overlap. Implemented in
+// dot4_amd64.s.
 //
 //go:noescape
-func copyAVX(dst, src *float32, n int)
+func maskCopyAVX(dst, src *float32, mask *uint32, n, q, period int)
+
+// maskAddAVX adds src[j] & mask[(q+j) mod period] onto dst[j] for j < n, one
+// float32 add each: a plane-shift row of Col2Im, src only read. The mask is as
+// for maskCopyAVX. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int)
 
 // addT8 adds the transposes of nblk 8×8 blocks of an eight-row strip of src
 // (rows lds floats apart) into dst (rows ld floats apart): the block at

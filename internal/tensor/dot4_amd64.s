@@ -128,6 +128,24 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 	VFMADD231PS  Y8, bc, acc0;   \
 	VFMADD231PS  Y9, bc, acc1
 
+// ZEROTILE and ZEROHALF start a tile's chains from +0 in registers: the
+// write form's first k block, in place of loading C.
+#define ZEROTILE \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7
+
+#define ZEROHALF \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y6, Y6, Y6
+
 #define KSTEP \
 	ROWFMA((AX), Y10, Y0, Y1);         \
 	ROWFMA((AX)(R10*1), Y11, Y2, Y3);  \
@@ -149,7 +167,7 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 	ADDQ R9, AX;                   \
 	ADDQ R8, BX
 
-// func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int)
+// func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool)
 //
 // The outer-product micro-kernel over one strip of mr <= 4 rows and nc
 // columns: a 4×16 tile of C sits in Y0..Y7 while p walks k, and each step
@@ -160,8 +178,9 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 // most 8 columns runs it at half width, a single register per row (Y0, Y2,
 // Y4, Y6), masked unless it is exactly 8 wide. So every element of C is one
 // multiply-add chain whichever tile it falls in, and no byte outside the
-// mr × nc block (or op(A)'s mr × k, B's k × nc) is touched.
-TEXT ·gemmOuterFMA(SB), NOSPLIT, $24-72
+// mr × nc block (or op(A)'s mr × k, B's k × nc) is touched. With write set
+// the chains start from +0 in registers and C is only stored, never loaded.
+TEXT ·gemmOuterFMA(SB), NOSPLIT, $24-73
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
@@ -189,6 +208,8 @@ TEXT ·gemmOuterFMA(SB), NOSPLIT, $24-72
 tile:
 	CMPQ CX, $16
 	JL   tail
+	CMPB write+72(FP), $0
+	JNE  tilezero
 
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
@@ -201,7 +222,12 @@ tile:
 	MOVQ    c3-24(SP), AX
 	VMOVUPS (DI)(AX*1), Y6
 	VMOVUPS 32(DI)(AX*1), Y7
+	JMP     tilerun
 
+tilezero:
+	ZEROTILE
+
+tilerun:
 	MOVQ SI, AX
 	MOVQ DX, BX
 	MOVQ R13, R14
@@ -242,6 +268,8 @@ tail:
 	LEAQ    tailmask<>(SB), BX
 	VMOVUPS (BX)(AX*4), Y14
 	VMOVUPS 32(BX)(AX*4), Y15
+	CMPB    write+72(FP), $0
+	JNE     tailzero
 
 	VMASKMOVPS (DI), Y14, Y0
 	VMASKMOVPS 32(DI), Y15, Y1
@@ -254,7 +282,12 @@ tail:
 	MOVQ       c3-24(SP), AX
 	VMASKMOVPS (DI)(AX*1), Y14, Y6
 	VMASKMOVPS 32(DI)(AX*1), Y15, Y7
+	JMP        tailrun
 
+tailzero:
+	ZEROTILE
+
+tailrun:
 	MOVQ SI, AX
 	MOVQ DX, BX
 	MOVQ R13, R14
@@ -281,6 +314,8 @@ ktail:
 	JMP  done
 
 half:
+	CMPB    write+72(FP), $0
+	JNE     halfzero
 	VMOVUPS (DI), Y0
 	MOVQ    c1-8(SP), AX
 	VMOVUPS (DI)(AX*1), Y2
@@ -288,7 +323,12 @@ half:
 	VMOVUPS (DI)(AX*1), Y4
 	MOVQ    c3-24(SP), AX
 	VMOVUPS (DI)(AX*1), Y6
+	JMP     halfrun
 
+halfzero:
+	ZEROHALF
+
+halfrun:
 	MOVQ SI, AX
 	MOVQ DX, BX
 	MOVQ R13, R14
@@ -313,6 +353,8 @@ halfmask:
 	SUBQ    CX, AX
 	LEAQ    tailmask<>(SB), BX
 	VMOVUPS (BX)(AX*4), Y14
+	CMPB    write+72(FP), $0
+	JNE     halfmaskzero
 
 	VMASKMOVPS (DI), Y14, Y0
 	MOVQ       c1-8(SP), AX
@@ -321,7 +363,12 @@ halfmask:
 	VMASKMOVPS (DI)(AX*1), Y14, Y4
 	MOVQ       c3-24(SP), AX
 	VMASKMOVPS (DI)(AX*1), Y14, Y6
+	JMP        halfmaskrun
 
+halfmaskzero:
+	ZEROHALF
+
+halfmaskrun:
 	MOVQ SI, AX
 	MOVQ DX, BX
 	MOVQ R13, R14
@@ -390,13 +437,14 @@ done:
 	VMASKMOVPS Y6, Y14, (DI)(DX*2); \
 	VMASKMOVPS Y7, Y14, (CX)(R8*2)
 
-// func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int)
+// func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int, write bool)
 //
 // gemmOuterFMA's half-width tile for a block of exactly eight rows and
 // nc <= 8 columns: one register per row, so eight independent chains hide the
 // multiply-add latency that four would expose. B is loaded whole when nc is 8
-// and under a mask otherwise; C always goes through the mask, once per call.
-TEXT ·gemmOuterHalfFMA(SB), NOSPLIT, $0-64
+// and under a mask otherwise; C always goes through the mask, once per call,
+// and with write set is only stored, the chains starting from +0.
+TEXT ·gemmOuterHalfFMA(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
@@ -417,13 +465,19 @@ TEXT ·gemmOuterHalfFMA(SB), NOSPLIT, $0-64
 	LEAQ    tailmask<>(SB), SI
 	VMOVUPS (SI)(DX*4), Y14
 
-	// The flags of this compare survive to the JL: LEAQ and VMASKMOVPS
-	// leave them alone.
-	CMPQ CX, $8
 	LEAQ (R8)(R8*2), DX // 3·ld
 	LEAQ (R8)(R8*4), SI // 5·ld
 	LEAQ (DI)(SI*1), CX
+	CMPB write+64(FP), $0
+	JNE  h8zero
 	LOADC8
+	JMP  h8run
+
+h8zero:
+	ZEROTILE
+
+h8run:
+	CMPQ nc+56(FP), $8
 	JL   h8mask
 
 h8loop:
@@ -502,26 +556,47 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func copyAVX(dst, src *float32, n int)
+// The lowering's row kernels move a row of the column matrix through a
+// periodic validity mask: lane j of a step is ANDed with mask[q], q running
+// from the q argument and wrapping to 0 at period (in floats, at least 32).
+// The mask holds period + 32 entries, so a step of up to 32 lanes starting at
+// any q < period reads inside it, and after each step one subtraction brings
+// q back under period. The last n%8 floats of dst and src go through a
+// masked load and store; the mask is read whole.
+
+// MASKWRAP advances the mask offset DX (bytes) by step bytes and wraps it
+// below R8 (the period in bytes).
+#define MASKWRAP(step) \
+	ADDQ    $step, DX; \
+	MOVQ    DX, AX;    \
+	SUBQ    R8, AX;    \
+	CMOVQGE AX, DX
+
+// func maskCopyAVX(dst, src *float32, mask *uint32, n, q, period int)
 //
-// dst[j] = src[j] for j < n on non-overlapping rows, 32 floats a step with
-// unaligned loads and stores; the last n%8 go through a masked load and
-// store. runtime.memmove is not used for this: from 2 KiB up it copies to a
-// 16-byte-aligned destination with REP MOVSQ, which runs at a sixth of the
-// vector loop's speed when the source is 4 bytes off that alignment, as a
-// plane-shift row's source is for one tap in four.
-TEXT ·copyAVX(SB), NOSPLIT, $0-24
+// dst[j] = src[j] & mask[(q+j) mod period] for j < n, dst and src not
+// overlapping: Im2Col's plane-shift row, every slot written once.
+TEXT ·maskCopyAVX(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
+	MOVQ mask+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), DX
+	MOVQ period+40(FP), R8
+	SHLQ $2, DX
+	SHLQ $2, R8
 
-copy32:
+mcopy32:
 	CMPQ    CX, $32
-	JL      copy8
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS 64(SI), Y2
-	VMOVUPS 96(SI), Y3
+	JL      mcopy8
+	VMOVUPS (BX)(DX*1), Y0
+	VMOVUPS 32(BX)(DX*1), Y1
+	VMOVUPS 64(BX)(DX*1), Y2
+	VMOVUPS 96(BX)(DX*1), Y3
+	VANDPS  (SI), Y0, Y0
+	VANDPS  32(SI), Y1, Y1
+	VANDPS  64(SI), Y2, Y2
+	VANDPS  96(SI), Y3, Y3
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -529,29 +604,108 @@ copy32:
 	ADDQ    $128, DI
 	ADDQ    $128, SI
 	SUBQ    $32, CX
-	JMP     copy32
+	MASKWRAP(128)
+	JMP     mcopy32
 
-copy8:
+mcopy8:
 	CMPQ    CX, $8
-	JL      copytail
-	VMOVUPS (SI), Y0
+	JL      mcopytail
+	VMOVUPS (BX)(DX*1), Y0
+	VANDPS  (SI), Y0, Y0
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, DI
 	ADDQ    $32, SI
 	SUBQ    $8, CX
-	JMP     copy8
+	MASKWRAP(32)
+	JMP     mcopy8
 
-copytail:
+mcopytail:
 	TESTQ      CX, CX
-	JZ         copydone
+	JZ         mcopydone
 	MOVQ       $16, AX
 	SUBQ       CX, AX
-	LEAQ       tailmask<>(SB), BX
-	VMOVUPS    (BX)(AX*4), Y14
+	LEAQ       tailmask<>(SB), R9
+	VMOVUPS    (R9)(AX*4), Y14
 	VMASKMOVPS (SI), Y14, Y0
+	VANDPS     (BX)(DX*1), Y0, Y0
 	VMASKMOVPS Y0, Y14, (DI)
 
-copydone:
+mcopydone:
+	VZEROUPPER
+	RET
+
+// func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int)
+//
+// dst[j] = dst[j] + (src[j] & mask[(q+j) mod period]) for j < n, dst and src
+// not overlapping: Col2Im's plane-shift row, src only read. A masked lane
+// adds +0.
+TEXT ·maskAddAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), DX
+	MOVQ period+40(FP), R8
+	SHLQ $2, DX
+	SHLQ $2, R8
+
+madd32:
+	CMPQ    CX, $32
+	JL      madd8
+	VMOVUPS (BX)(DX*1), Y0
+	VMOVUPS 32(BX)(DX*1), Y1
+	VMOVUPS 64(BX)(DX*1), Y2
+	VMOVUPS 96(BX)(DX*1), Y3
+	VANDPS  (SI), Y0, Y0
+	VANDPS  32(SI), Y1, Y1
+	VANDPS  64(SI), Y2, Y2
+	VANDPS  96(SI), Y3, Y3
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	VADDPS  Y0, Y4, Y4
+	VADDPS  Y1, Y5, Y5
+	VADDPS  Y2, Y6, Y6
+	VADDPS  Y3, Y7, Y7
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, CX
+	MASKWRAP(128)
+	JMP     madd32
+
+madd8:
+	CMPQ    CX, $8
+	JL      maddtail
+	VMOVUPS (BX)(DX*1), Y0
+	VANDPS  (SI), Y0, Y0
+	VMOVUPS (DI), Y4
+	VADDPS  Y0, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	MASKWRAP(32)
+	JMP     madd8
+
+maddtail:
+	TESTQ      CX, CX
+	JZ         madddone
+	MOVQ       $16, AX
+	SUBQ       CX, AX
+	LEAQ       tailmask<>(SB), R9
+	VMOVUPS    (R9)(AX*4), Y14
+	VMASKMOVPS (SI), Y14, Y0
+	VANDPS     (BX)(DX*1), Y0, Y0
+	VMASKMOVPS (DI), Y14, Y4
+	VADDPS     Y0, Y4, Y4
+	VMASKMOVPS Y4, Y14, (DI)
+
+madddone:
 	VZEROUPPER
 	RET
 

@@ -10,11 +10,11 @@ func dot4fma(a, b0, b1, b2, b3 *float32, n int, out *[4]float32) {
 	panic("tensor: dot4fma without hardware support")
 }
 
-func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int) {
+func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool) {
 	panic("tensor: gemmOuterFMA without hardware support")
 }
 
-func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int) {
+func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int, write bool) {
 	panic("tensor: gemmOuterHalfFMA without hardware support")
 }
 
@@ -22,8 +22,12 @@ func axpyFMA(c, b *float32, av float32, n int) {
 	panic("tensor: axpyFMA without hardware support")
 }
 
-func copyAVX(dst, src *float32, n int) {
-	panic("tensor: copyAVX without hardware support")
+func maskCopyAVX(dst, src *float32, mask *uint32, n, q, period int) {
+	panic("tensor: maskCopyAVX without hardware support")
+}
+
+func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int) {
+	panic("tensor: maskAddAVX without hardware support")
 }
 
 func addT8(dst *float32, ld int, src *float32, lds, nblk int) {

@@ -52,6 +52,13 @@ package tensor
 // gemmSmall of a whole that is not must still run the kernels (and the
 // reverse). The kernel form is picked by the whole product's volume; the
 // part's own volume only decides whether splitting it over the pool pays.
+//
+// Writing instead of accumulating. A part can also be asked to overwrite C
+// (BLAS's β = 0) rather than add into it. The outer-product kernels then start
+// the first k block's chains from +0 in registers instead of loading C, the
+// sparse route clears a row of C just before its first step, and the direct
+// loops clear their rows first: each element is the chain it would be on a C
+// cleared to +0 beforehand, bit for bit, without the pass that clears it.
 const (
 	// gemmSmall is the m*k*n volume below which a direct loop is used.
 	gemmSmall = 16 * 1024
@@ -77,7 +84,7 @@ const (
 // must zero it first.
 func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 	if !transB {
-		GemmPart(c, a, b, m, k, n, transA, m*k*n)
+		GemmPart(c, a, b, m, k, n, transA, m*k*n, false)
 		return
 	}
 	if transA {
@@ -88,7 +95,7 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 	}
 	switch {
 	case m*k*n <= gemmSmall:
-		gemmDirect(c, a, b, m, k, n, false, true, 0, m)
+		gemmDirect(c, a, b, m, k, n, false, true, false, 0, m)
 	case m*k*n >= gemmParallelCutoff && KernelThreads() > 1:
 		Parallel(m, func(lo, hi int) { gemmDotRows(c, a, b, k, n, lo, hi) })
 	default:
@@ -99,10 +106,18 @@ func Gemm(c, a, b []float32, m, k, n int, transA, transB bool) {
 // GemmPart is Gemm without transB over operands gathered out of a larger
 // product of volume vol (its m·k·n), rounding every element as that product
 // does: vol picks between the direct loops and the kernels, as the file
-// comment explains. A product that is its own whole is Gemm: vol = m·k·n. An
-// empty part (m, k or n of 0) adds nothing and reaches no kernel.
-func GemmPart(c, a, b []float32, m, k, n int, transA bool, vol int) {
-	if m <= 0 || n <= 0 || k <= 0 {
+// comment explains. A product that is its own whole is Gemm: vol = m·k·n.
+// With write set it computes C = op(A)×B instead, every element of C written
+// and none read, with the bits of clearing C and accumulating. An empty part
+// reaches no kernel: it adds nothing, and writes zeros where only k is 0.
+func GemmPart(c, a, b []float32, m, k, n int, transA bool, vol int, write bool) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if k <= 0 {
+		if write {
+			clear(c[:m*n])
+		}
 		return
 	}
 	if vol > gemmSmall && sparseEnough(a[:m*k]) {
@@ -110,13 +125,13 @@ func GemmPart(c, a, b []float32, m, k, n int, transA bool, vol int) {
 		// top-ρ weights over a zero base): skipping zero multipliers beats
 		// the dense tile by the sparsity factor.
 		if m*k*n >= gemmParallelCutoff && KernelThreads() > 1 {
-			Parallel(m, func(lo, hi int) { gemmSparseARows(c, a, b, m, k, n, transA, lo, hi) })
+			Parallel(m, func(lo, hi int) { gemmSparseARows(c, a, b, m, k, n, transA, write, lo, hi) })
 		} else {
-			gemmSparseARows(c, a, b, m, k, n, transA, 0, m)
+			gemmSparseARows(c, a, b, m, k, n, transA, write, 0, m)
 		}
 		return
 	}
-	gemmDense(c, a, b, m, k, n, transA, vol)
+	gemmDense(c, a, b, m, k, n, transA, vol, write)
 }
 
 // GemmPartDense is GemmPart for a row-major A (m×k) that the caller knows to
@@ -125,26 +140,32 @@ func GemmPart(c, a, b []float32, m, k, n int, transA bool, vol int) {
 // at a time; at a narrow n it loses to the tile however many zeros A has, and
 // post-ReLU, padded column matrices sample as sparse. The bits are
 // GemmPart's, since both routes run the same chains.
-func GemmPartDense(c, a, b []float32, m, k, n, vol int) {
-	if m <= 0 || n <= 0 || k <= 0 {
+func GemmPartDense(c, a, b []float32, m, k, n, vol int, write bool) {
+	if m <= 0 || n <= 0 {
 		return
 	}
-	gemmDense(c, a, b, m, k, n, false, vol)
+	if k <= 0 {
+		if write {
+			clear(c[:m*n])
+		}
+		return
+	}
+	gemmDense(c, a, b, m, k, n, false, vol, write)
 }
 
 // gemmDense runs GemmPart's dense routes: the outer-product kernels above
 // gemmSmall where the machine has them, the direct loops otherwise. Closure
 // construction is skipped entirely on the single-threaded path so
 // steady-state training allocates nothing.
-func gemmDense(c, a, b []float32, m, k, n int, transA bool, vol int) {
+func gemmDense(c, a, b []float32, m, k, n int, transA bool, vol int, write bool) {
 	wide := m*k*n >= gemmParallelCutoff && KernelThreads() > 1
 	switch {
 	case vol > gemmSmall && hasDot4:
-		gemmOuter(c, a, b, m, k, n, transA, wide)
+		gemmOuter(c, a, b, m, k, n, transA, write, wide)
 	case wide:
-		Parallel(m, func(lo, hi int) { gemmDirect(c, a, b, m, k, n, transA, false, lo, hi) })
+		Parallel(m, func(lo, hi int) { gemmDirect(c, a, b, m, k, n, transA, false, write, lo, hi) })
 	default:
-		gemmDirect(c, a, b, m, k, n, transA, false, 0, m)
+		gemmDirect(c, a, b, m, k, n, transA, false, write, 0, m)
 	}
 }
 
@@ -206,16 +227,16 @@ func gemmDotRows(c, a, b []float32, k, n, lo, hi int) {
 // more of — the conv products have n = N·spatial of 32…4096 against a
 // forward m of 8…64 — and since an element's value does not depend on its
 // tile, neither split shows in the result.
-func gemmOuter(c, a, b []float32, m, k, n int, transA, wide bool) {
+func gemmOuter(c, a, b []float32, m, k, n int, transA, write, wide bool) {
 	ars, aps := opAStrides(m, k, transA)
 	strips, tiles := (m+3)/4, (n+15)/16
 	switch {
 	case !wide:
-		gemmOuterBlock(c, a, b, k, n, ars, aps, 0, m, 0, n)
+		gemmOuterBlock(c, a, b, k, n, ars, aps, write, 0, m, 0, n)
 	case tiles >= strips:
-		Parallel(tiles, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, 0, m, 16*lo, min(16*hi, n)) })
+		Parallel(tiles, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, write, 0, m, 16*lo, min(16*hi, n)) })
 	default:
-		Parallel(strips, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, 4*lo, min(4*hi, m), 0, n) })
+		Parallel(strips, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, write, 4*lo, min(4*hi, m), 0, n) })
 	}
 }
 
@@ -226,10 +247,11 @@ func gemmOuter(c, a, b []float32, m, k, n int, transA, wide bool) {
 // power-of-two stride apart share cache sets and a taller block would evict
 // itself between two strips; nb then sizes the block for L1. A later k block
 // continues each element's chain from the stored C value, so blocking moves
-// no bit. A block at most 8 columns wide (the weight gradient of a layer with
-// 8 output channels, or fewer live ones) goes eight rows at a time, so that
-// as many chains are in flight as in a full-width strip.
-func gemmOuterBlock(c, a, b []float32, k, n, ars, aps, i0, i1, j0, j1 int) {
+// no bit; with write set the first k block starts them from +0 instead of
+// loading C. A block at most 8 columns wide (the weight gradient of a layer
+// with 8 output channels, or fewer live ones) goes eight rows at a time, so
+// that as many chains are in flight as in a full-width strip.
+func gemmOuterBlock(c, a, b []float32, k, n, ars, aps int, write bool, i0, i1, j0, j1 int) {
 	kMax := max(8, gemmL2Floats/n)
 	kBlocks := (k + kMax - 1) / kMax
 	kb := (k + kBlocks - 1) / kBlocks // even blocks, none taller than kMax
@@ -237,12 +259,12 @@ func gemmOuterBlock(c, a, b []float32, k, n, ars, aps, i0, i1, j0, j1 int) {
 	for ; j0 < j1; j0 += nb {
 		w := min(nb, j1-j0)
 		for p := 0; p < k; p += kb {
-			kp, i := min(kb, k-p), i0
+			kp, i, wr := min(kb, k-p), i0, write && p == 0
 			for ; w <= 8 && i+8 <= i1; i += 8 {
-				gemmOuterHalfFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, w)
+				gemmOuterHalfFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, w, wr)
 			}
 			for ; i < i1; i += 4 {
-				gemmOuterFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, min(4, i1-i), w)
+				gemmOuterFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, min(4, i1-i), w, wr)
 			}
 		}
 	}
@@ -285,13 +307,17 @@ func sparseEnough(a []float32) bool {
 	return zeros*10 >= len(a)*6
 }
 
-// gemmSparseARows computes rows [lo, hi) of C += op(A)×B for a mostly-zero
-// op(A): the outer-product chain one row at a time, with the zero
-// multipliers skipped.
-func gemmSparseARows(c, a, b []float32, m, k, n int, transA bool, lo, hi int) {
+// gemmSparseARows computes rows [lo, hi) of C += op(A)×B (C = op(A)×B with
+// write set) for a mostly-zero op(A): the outer-product chain one row at a
+// time, with the zero multipliers skipped. A row to be written is cleared
+// just before its first step, while it is the row in cache.
+func gemmSparseARows(c, a, b []float32, m, k, n int, transA, write bool, lo, hi int) {
 	ars, aps := opAStrides(m, k, transA)
 	for i := lo; i < hi; i++ {
 		ci := c[i*n : (i+1)*n]
+		if write {
+			clear(ci)
+		}
 		for p := 0; p < k; p++ {
 			if av := a[i*ars+p*aps]; av != 0 {
 				axpyRow(ci, av, b[p*n:(p+1)*n])
@@ -313,20 +339,14 @@ func axpyRow(c []float32, av float32, b []float32) {
 	}
 }
 
-// copyRow copies src into dst (len(dst) floats, no overlap): copy's result,
-// without the runtime's slow path on large misaligned rows (see copyAVX).
-func copyRow(dst, src []float32) {
-	if hasDot4 && len(dst) > 0 {
-		copyAVX(&dst[0], &src[:len(dst)][0], len(dst))
-		return
-	}
-	copy(dst, src)
-}
-
 // gemmDirect computes rows [lo, hi) of C with the classic loop nests: the
 // whole of a problem too small for the kernels above to pay off, and the
-// !transB form on machines without the AVX2 kernels.
-func gemmDirect(c, a, b []float32, m, k, n int, transA, transB bool, lo, hi int) {
+// !transB form on machines without the AVX2 kernels. With write set it
+// clears those rows first.
+func gemmDirect(c, a, b []float32, m, k, n int, transA, transB, write bool, lo, hi int) {
+	if write {
+		clear(c[lo*n : hi*n])
+	}
 	switch {
 	case !transA && !transB:
 		for i := lo; i < hi; i++ {

@@ -241,11 +241,11 @@ func TestGemmSparseRouteMatchesDenseBitwise(t *testing.T) {
 				sparse := make([]float32, m*n)
 				rng.FillNorm(sparse, 1)
 				dense := append([]float32(nil), sparse...)
-				gemmSparseARows(sparse, a, b, m, k, n, transA, 0, m)
+				gemmSparseARows(sparse, a, b, m, k, n, transA, false, 0, m)
 				if hasDot4 {
-					gemmOuter(dense, a, b, m, k, n, transA, false)
+					gemmOuter(dense, a, b, m, k, n, transA, false, false)
 				} else {
-					gemmDirect(dense, a, b, m, k, n, transA, false, 0, m)
+					gemmDirect(dense, a, b, m, k, n, transA, false, false, 0, m)
 				}
 				for i := range dense {
 					if math.Float32bits(sparse[i]) != math.Float32bits(dense[i]) {
@@ -339,13 +339,13 @@ func TestGemmPartMatchesWholeBitwise(t *testing.T) {
 					}
 					whole, part := make([]float32, sh.outC*sh.ns), make([]float32, sh.outC*sh.ns)
 					Gemm(whole, w, cols, sh.outC, sh.fan, sh.ns, false, false)
-					GemmPart(part, wCols, colsL, sh.outC, lf, sh.ns, false, vol)
+					GemmPart(part, wCols, colsL, sh.outC, lf, sh.ns, false, vol, false)
 					same(t, name+" forward", part, whole)
 
 					// Input gradient: dcols = Wᵀ × dY, k terms of dead rows of dY dropped.
 					whole, part = make([]float32, sh.fan*sh.ns), make([]float32, sh.fan*sh.ns)
 					Gemm(whole, w, dy, sh.fan, sh.outC, sh.ns, true, false)
-					GemmPart(part, gather(w, sh.fan, sh.liveOut), dyL, sh.fan, lo, sh.ns, true, vol)
+					GemmPart(part, gather(w, sh.fan, sh.liveOut), dyL, sh.fan, lo, sh.ns, true, vol, false)
 					same(t, name+" input gradient", part, whole)
 
 					// Weight gradient: dWᵀ = cols × dYᵀ with dY pixel-major, dead rows
@@ -360,15 +360,80 @@ func TestGemmPartMatchesWholeBitwise(t *testing.T) {
 						}
 					}
 					part = make([]float32, lf*lo)
-					GemmPart(part, colsL, dyTL, lf, sh.ns, lo, false, vol)
+					GemmPart(part, colsL, dyTL, lf, sh.ns, lo, false, vol, false)
 					same(t, name+" weight gradient", part, wholeL)
 					part = make([]float32, lf*lo)
-					GemmPartDense(part, colsL, dyTL, lf, sh.ns, lo, vol)
+					GemmPartDense(part, colsL, dyTL, lf, sh.ns, lo, vol, false)
 					same(t, name+" weight gradient", part, wholeL)
 				}
 			}
 		}
 	})
+}
+
+// TestGemmWriteMatchesClearedAccumulate holds the write form (C = op(A)×B)
+// to clearing C and accumulating, bit for bit, with C pre-filled with NaN so
+// that a slot the write form loaded, or left unwritten, shows. The shapes
+// reach the 4×16 tile and each of its tails (9–15 columns masked, exactly 8,
+// under 8 masked), the eight-row half tile (whole and masked), a product of
+// more than one k block (n = 4096 caps a block at 64 rows of B), an empty k,
+// and the direct loops; each runs with A dense and
+// with A 90 % zeros, which GemmPart sends down the sparse route, both
+// transpositions, at one and four threads, AVX2 on and off.
+func TestGemmWriteMatchesClearedAccumulate(t *testing.T) {
+	nan := float32(math.NaN())
+	shapes := [][3]int{
+		{4, 600, 16}, {6, 500, 29}, {5, 500, 24}, {7, 600, 53}, {16, 300, 8}, {16, 300, 5}, {8, 400, 3},
+		{3, 150, 4096}, {5, 200, 4100}, {4, 0, 40},
+		{5, 8, 23}, {2, 40, 9}, // at or under gemmSmall: the direct loops
+	}
+	forEachKernelGate(t, func(t *testing.T) {
+		rng := NewRNG(53)
+		for _, threads := range []int{1, 4} {
+			pinKernelThreads(t, threads)
+			for _, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				for _, sparse := range []bool{false, true} {
+					a, b := make([]float32, m*k), make([]float32, k*n)
+					rng.FillNorm(a, 1)
+					rng.FillNorm(b, 1)
+					for i := range a {
+						if sparse && rng.Float64() < 0.9 {
+							a[i] = 0
+						}
+					}
+					for _, transA := range []bool{false, true} {
+						name := fmt.Sprintf("m%d k%d n%d sparse %v tA %v at %d threads", m, k, n, sparse, transA, threads)
+						want, got := make([]float32, m*n), make([]float32, m*n)
+						GemmPart(want, a, b, m, k, n, transA, m*k*n, false)
+						for i := range got {
+							got[i] = nan
+						}
+						GemmPart(got, a, b, m, k, n, transA, m*k*n, true)
+						sameFloats(t, name, got, want)
+						if transA {
+							continue
+						}
+						for i := range got {
+							got[i] = nan
+						}
+						GemmPartDense(got, a, b, m, k, n, m*k*n, true)
+						sameFloats(t, name+" dense", got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameFloats fails unless got and want hold the same bits.
+func sameFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
 }
 
 // TestGemmDeterministicAcrossThreads requires bitwise-identical output for

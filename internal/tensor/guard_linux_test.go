@@ -65,6 +65,9 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 			if d := maxAbsDiff(c, want); d > 1e-3*math.Sqrt(float64(k)) {
 				t.Errorf("m%d k%d n%d tA%v: max abs diff %g", m, k, n, transA, d)
 			}
+			acc := append([]float32(nil), c...) // the write form stores where the accumulating one loads
+			GemmPart(c, a, b, m, k, n, transA, m*k*n, true)
+			sameFloats(t, fmt.Sprintf("write m%d k%d n%d tA%v", m, k, n, transA), c, acc)
 			for i := range a { // the zero-skipping route and its row primitive
 				if i%10 != 0 {
 					a[i] = 0
@@ -145,13 +148,16 @@ func TestIntegratorKernelsStayInsideOperands(t *testing.T) {
 // its last when the tap is the window's last — batch-wide, the first float of
 // the first channel and the last float of the last — and the row add's masked
 // tail and the strided loop's last tap are the other places a read or write
-// one float too far would land.
+// one float too far would land. The row kernels themselves are then run on
+// their own, every tail against the page (checkMaskedRowKernels).
 func TestLoweringStaysInsideOperands(t *testing.T) {
 	pinKernelThreads(t, 1)
 	for _, g := range []convGeom{
 		{3, 2, 5, 7, 3, 1, 1, 0, 2}, // 'same': plane shift
 		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided: row loop
 		{8, 2, 4, 4, 3, 1, 1, 0, 2}, // 'same', eight 4×4 images a stretch
+		{2, 2, 3, 3, 3, 1, 1, 0, 2}, // 'same', stretches of 1 to 13 floats: the masked tails alone
+		{5, 2, 6, 5, 3, 1, 1, 0, 2}, // 'same', stretches of 118 to 150: 32-float steps, then tails
 	} {
 		for _, side := range []struct {
 			name  string
@@ -162,6 +168,68 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 			})
 		}
 	}
+	t.Run("masked row kernels", checkMaskedRowKernels)
+}
+
+// checkMaskedRowKernels runs the plane-shift row kernels with dst, src and
+// the mask each flush against a guard page, behind them and then in front of
+// them: every tail length of an eight-float step after the 32-float steps,
+// from start offsets all over the mask, with the mask exactly period + 32
+// entries long, the slack its contract promises the kernels read within. The
+// AVX2 forms are held to the Go forms, bit for bit.
+func checkMaskedRowKernels(t *testing.T) {
+	if !hasDot4 {
+		t.Skip("no AVX2+FMA kernels on this machine")
+	}
+	t.Cleanup(func() { hasDot4 = true })
+	goForm := func(fn func()) {
+		hasDot4 = false
+		fn()
+		hasDot4 = true
+	}
+	rng := NewRNG(51)
+	for _, period := range []int{32, 36, 50} {
+		for _, front := range []bool{false, true} {
+			alloc := guarded
+			if front {
+				alloc = guardedFront
+			}
+			mask := guardedU32(t, period+32, front)
+			for i := range mask {
+				if rng.Float64() < 0.7 {
+					mask[i] = ^uint32(0)
+				}
+			}
+			for i := period; i < len(mask); i++ {
+				mask[i] = mask[i-period] // the slack repeats the period, as masksFor builds it
+			}
+			for n := 1; n <= 3*period; n++ {
+				dst, src := alloc(t, n), alloc(t, n)
+				rng.FillNorm(src, 1)
+				for q := 0; q < period; q += 7 {
+					want := make([]float32, n)
+					goForm(func() { maskCopy(want, src, mask, q, period) })
+					maskCopy(dst, src, mask, q, period)
+					sameFloats(t, fmt.Sprintf("copy period %d n %d q %d", period, n, q), dst, want)
+					goForm(func() { maskAdd(want, src, mask, q, period) })
+					maskAdd(dst, src, mask, q, period)
+					sameFloats(t, fmt.Sprintf("add period %d n %d q %d", period, n, q), dst, want)
+				}
+			}
+		}
+	}
+}
+
+// guardedU32 returns n uint32s flush against an inaccessible page: behind
+// the last one, or in front of the first when front is set.
+func guardedU32(t *testing.T, n int, front bool) []uint32 {
+	page := syscall.Getpagesize()
+	mem := guardedMap(t, (4*n+page-1)/page*page+page, front)
+	off := len(mem) - page - 4*n
+	if front {
+		off = page
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&mem[off])), n)
 }
 
 func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) []float32) {

@@ -1,5 +1,11 @@
 package tensor
 
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
+
 // Lowering and raising: convolution as GEMM.
 //
 // Im2Col lowers a CNHW batch (plane of channel ch, image i at (ch·n + i)·h·w)
@@ -19,16 +25,21 @@ package tensor
 //     shift of the same image, with shift = (ky−pad)·w + (kx−pad). A
 //     channel's n planes are one run of the CNHW batch, so the whole row is
 //     that run shifted: one stretch, from image 0's first valid slot
-//     (oy.lo, ox.lo) to image n−1's last (oy.hi−1, ox.hi), moved by a single
-//     copy (lowering) or a single vector add (raising). Inside the stretch
-//     are slots whose tap lands in the padding while the shifted run holds a
-//     pixel there: the |kx−pad| wrap slots between two output rows of an
-//     image, where it holds the neighbouring row's edge pixels, and between
-//     two images the fringe, the rows oy leaves out, where it holds pixels of
-//     the image before or after. zeroGaps zeroes them — lowering after the
-//     copy, raising in the column gradient before the add, which is why
-//     raising consumes its source. Lowering clears the slots before and after
-//     the stretch; raising never reads them.
+//     (oy.lo, ox.lo) to image n−1's last (oy.hi−1, ox.hi), moved in one pass
+//     through the tap's validity mask — all ones where the tap lands inside
+//     the image, +0 where it lands in the padding. Inside the stretch are
+//     such padding slots while the shifted run holds a pixel there: the
+//     |kx−pad| wrap slots between two output rows of an image, where it
+//     holds the neighbouring row's edge pixels, and between two images the
+//     fringe, the rows oy leaves out, where it holds pixels of the image
+//     before or after. Lowering writes src & mask, so they come out +0;
+//     raising adds src & mask, so they add +0 and the column gradient is
+//     only read. Lowering clears the slots before and after the stretch;
+//     raising never reads them. The mask of a slot depends on its position
+//     in the plane alone, so it is periodic in the plane and is a property of
+//     the geometry (h, w, tap, pad), not of the batch or the channel: the
+//     masks of a geometry's taps are built the first time it is met and
+//     shared by every call after it (masksFor).
 //   - every other geometry (stride 2, 'valid' windows, kernels wider than
 //     the input): image by image, one pass per output row over [ox.lo, ox.hi)
 //     (raising does it in raiseRows); lowering zero-fills the rest of the
@@ -37,13 +48,12 @@ package tensor
 // Order of adds. An input pixel receives at most one contribution from a
 // given tap — from the one slot that reads it — so its gradient is a sum over
 // taps, and both ways add them in ascending (ky, kx), each as one correctly
-// rounded add onto a plane Col2Im has cleared to +0 (the vector add is
-// fma(1, s, d) = d + s rounded once). The stretch also lands its zeroed wrap
-// and fringe slots on pixels, of the same image or of a neighbouring one, that
-// the tap does not read; each is x + (+0), which leaves every x but −0 alone,
-// and a plane that starts at +0 and is only added to never holds −0. The sum
-// is therefore the same bits as a scalar scatter in (ky, kx) order, whichever
-// way the row moves. All taps of one channel are raised by one caller, so a
+// rounded add onto a plane Col2Im has cleared to +0. The stretch also lands
+// its masked wrap and fringe slots on pixels, of the same image or of a
+// neighbouring one, that the tap does not read; each is x + (+0), which leaves
+// every x but −0 alone, and a plane that starts at +0 and is only added to
+// never holds −0. The sum is therefore the same bits as a scalar scatter in
+// (ky, kx) order, whichever way the row moves. All taps of one channel are raised by one caller, so a
 // split over channels — disjoint rows of the matrix when lowering, disjoint
 // runs of planes when raising — never shows in a result.
 //
@@ -55,7 +65,7 @@ package tensor
 // matrix). Col2Im takes a mask over the rows of the full column gradient and
 // does not read a row outside it: the caller vouches that such a row is +0
 // throughout, and adding it would be x + (+0) on every pixel it reaches, the
-// same no-op as a zeroed wrap slot, so leaving the add out keeps every
+// same no-op as a masked wrap slot, so leaving the add out keeps every
 // surviving add and their order. The planes are cleared all the same; a
 // channel all of whose rows are masked out comes back +0.
 
@@ -100,21 +110,108 @@ func tapSpans(buf []tapSpan, extent, k, stride, pad, out int) []tapSpan {
 	return buf
 }
 
-// zeroGaps zeroes the slots of a batch-wide plane-shift row, between the
-// first valid slot and the last, that lie outside their image's valid rows oy
-// and columns ox: each column outside [ox.lo, ox.hi) as one strided pass over
-// the run (the |kx−pad| wrap slots between two output rows among them), then
-// the rows oy leaves out between two images. The slots before the first valid
-// one and after the last are the caller's.
-func zeroGaps(row []float32, n, plane, w int, oy, ox tapSpan) {
-	first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
-	for col := ox.hi; col < w+ox.lo; col++ {
-		for j := oy.lo*w + col; j < last; j += w {
-			row[j] = 0
+// planeMasks are the validity masks of a plane-shift geometry's taps: entry
+// i of tap (ky, kx)'s mask is all ones when output position i mod plane of an
+// image reads a pixel at that tap, and 0 when it reads padding. period is the
+// smallest multiple of the plane that is at least 32, and each mask holds
+// period + 32 entries, so the AVX2 kernels can read a whole step from any
+// offset below period (maskCopyAVX).
+type planeMasks struct {
+	period int
+	bits   []uint32 // tap t's mask at t·(period+32)
+}
+
+// tap returns the mask of tap t = ky·kw + kx.
+func (pm *planeMasks) tap(t int) []uint32 {
+	n := pm.period + 32
+	return pm.bits[t*n : (t+1)*n]
+}
+
+type maskKey struct{ h, w, kh, kw, pad int }
+
+// maskCache maps each plane-shift geometry met so far to its masks. It is
+// copied on write under maskMu and read without a lock; a geometry's masks
+// are a few KiB and a run meets a handful of geometries, so the map is
+// started over only past maxMaskGeoms.
+var (
+	maskMu    sync.Mutex
+	maskCache atomic.Pointer[map[maskKey]*planeMasks]
+)
+
+const maxMaskGeoms = 64
+
+// masksFor returns the masks of the plane-shift geometry of an h × w plane
+// under a kh × kw window with padding pad, whose taps span oys and oxs.
+func masksFor(h, w, kh, kw, pad int, oys, oxs []tapSpan) *planeMasks {
+	key := maskKey{h, w, kh, kw, pad}
+	if m := maskCache.Load(); m != nil {
+		if pm := (*m)[key]; pm != nil {
+			return pm
 		}
 	}
-	for base := plane; base < n*plane; base += plane {
-		clear(row[base-plane+(oy.hi-1)*w+ox.hi : base+first])
+	maskMu.Lock()
+	defer maskMu.Unlock()
+	old := maskCache.Load()
+	if old != nil {
+		if pm := (*old)[key]; pm != nil {
+			return pm
+		}
+	}
+	plane := h * w
+	pm := &planeMasks{period: plane * ((32 + plane - 1) / plane)}
+	pm.bits = make([]uint32, kh*kw*(pm.period+32))
+	for ky, oy := range oys {
+		for kx, ox := range oxs {
+			m := pm.tap(ky*kw + kx)
+			for i := range m {
+				o, p := i%plane/w, i%w
+				if o >= oy.lo && o < oy.hi && p >= ox.lo && p < ox.hi {
+					m[i] = ^uint32(0)
+				}
+			}
+		}
+	}
+	next := map[maskKey]*planeMasks{key: pm}
+	if old != nil && len(*old) < maxMaskGeoms {
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	maskCache.Store(&next)
+	return pm
+}
+
+// maskCopy writes dst[j] = src[j] & mask[(q+j) mod period], so a masked slot
+// is +0 and any other the source's bits.
+func maskCopy(dst, src []float32, mask []uint32, q, period int) {
+	_ = mask[period+31]
+	if hasDot4 && len(dst) > 0 {
+		maskCopyAVX(&dst[0], &src[:len(dst)][0], &mask[0], len(dst), q, period)
+		return
+	}
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] = math.Float32frombits(math.Float32bits(v) & mask[q])
+		if q++; q == period {
+			q = 0
+		}
+	}
+}
+
+// maskAdd adds src[j] & mask[(q+j) mod period] onto dst[j], one float32 add
+// each: a masked slot adds +0.
+func maskAdd(dst, src []float32, mask []uint32, q, period int) {
+	_ = mask[period+31]
+	if hasDot4 && len(dst) > 0 {
+		maskAddAVX(&dst[0], &src[:len(dst)][0], &mask[0], len(dst), q, period)
+		return
+	}
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] += math.Float32frombits(math.Float32bits(v) & mask[q])
+		if q++; q == period {
+			q = 0
+		}
 	}
 }
 
@@ -129,7 +226,10 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns := n * spatial
-	shifted := stride == 1 && outH == h && outW == w
+	var pm *planeMasks
+	if stride == 1 && outH == h && outW == w {
+		pm = masksFor(h, w, kh, kw, pad, oys, oxs)
+	}
 	for slot := lo; slot < hi; slot++ {
 		planes := x[chans[slot]*n*plane : (chans[slot]+1)*n*plane]
 		for ky, oy := range oys {
@@ -141,12 +241,11 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 					continue
 				}
 				off := kx - pad
-				if shifted {
+				if pm != nil {
 					first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
 					shift := (ky-pad)*w + off
 					clear(row[:first])
-					copyRow(row[first:last], planes[first+shift:])
-					zeroGaps(row, n, plane, w, oy, ox)
+					maskCopy(row[first:last], planes[first+shift:], pm.tap(ky*kw+kx), first%pm.period, pm.period)
 					clear(row[last:])
 					continue
 				}
@@ -179,16 +278,18 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 // the adjoint of Im2Col. Those planes are overwritten:
 // cleared, then summed into in ascending (ky, kx), the order the file comment
 // derives the result's bits from. Where rows is not empty, a row r with
-// !rows[r] is taken to be +0 and is not touched. dcols is consumed: the wrap
-// and fringe slots inside a plane-shift stretch are set to 0 in it (slots
-// whose tap lands in the padding); nothing else is written.
+// !rows[r] is taken to be +0 and is not read. dcols is only read.
 func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
 	var stack [16]tapSpan
 	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
 	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
 	spatial, plane := outH*outW, h*w
 	ns := n * spatial
-	shifted, masked := stride == 1 && outH == h && outW == w, len(rows) != 0
+	masked := len(rows) != 0
+	var pm *planeMasks
+	if stride == 1 && outH == h && outW == w {
+		pm = masksFor(h, w, kh, kw, pad, oys, oxs)
+	}
 	for ch := chLo; ch < chHi; ch++ {
 		planes := dx[ch*n*plane : (ch+1)*n*plane]
 		clear(planes)
@@ -200,11 +301,10 @@ func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo,
 				}
 				row := dcols[r*ns : (r+1)*ns]
 				off := kx - pad
-				if shifted {
+				if pm != nil {
 					first, last := oy.lo*w+ox.lo, (n-1)*plane+(oy.hi-1)*w+ox.hi
 					shift := (ky-pad)*w + off
-					zeroGaps(row, n, plane, w, oy, ox)
-					axpyRow(planes[first+shift:last+shift], 1, row[first:last])
+					maskAdd(planes[first+shift:last+shift], row[first:last], pm.tap(ky*kw+kx), first%pm.period, pm.period)
 					continue
 				}
 				for i := 0; i < n; i++ {
