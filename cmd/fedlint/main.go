@@ -7,6 +7,8 @@
 //	fedlint [-only name,name] [-strict] [-list] [patterns...]
 //
 // Patterns default to ./... — every package under the current directory.
+// fedlint/unused-exported judges only a run that loads whole modules (./...
+// from the repository root); on any other run it reports nothing.
 // Exit status is 0 when the tree is clean, 1 when there are findings, and
 // 2 when analysis itself failed (unparseable or untypeable code).
 package main

@@ -127,7 +127,7 @@ func runAdversarial() {
 // vectors: RoundStart → Update → GlobalModel per round, RoundEnd at the end.
 // The returned slice is a copy of the last broadcast global.
 func syncScriptedPeer(addr string, id int, fp uint64, params func(round int) []float32) []float32 {
-	tr, err := fed.Dial(addr, id, fp)
+	tr, err := fed.DialWith(addr, id, fp, fed.WireOptions{})
 	if err != nil {
 		fail(fmt.Errorf("adversarial: client %d dial: %w", id, err))
 	}
@@ -182,7 +182,7 @@ func runScriptedSync(name string, truth []float64, knobs fed.Config, attacker fu
 			}
 		}(id)
 	}
-	links, err := fed.Serve(ln, advClients, fp)
+	links, err := fed.ServeWith(ln, advClients, fp, fed.WireOptions{})
 	ln.Close()
 	if err != nil {
 		fail(err)
@@ -322,7 +322,7 @@ func runStaleReplayScenario(truth []float64) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			tr, err := fed.Dial(addr, id, fp)
+			tr, err := fed.DialWith(addr, id, fp, fed.WireOptions{})
 			if err != nil {
 				fail(fmt.Errorf("adversarial: client %d dial: %w", id, err))
 			}
@@ -342,7 +342,7 @@ func runStaleReplayScenario(truth []float64) {
 				base, true, 0)
 		}(id)
 	}
-	links, err := fed.Serve(ln, advClients, fp)
+	links, err := fed.ServeWith(ln, advClients, fp, fed.WireOptions{})
 	ln.Close()
 	if err != nil {
 		fail(err)
@@ -386,7 +386,7 @@ func runOversizedFrameScenario(truth []float64) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			tr, err := fed.Dial(addr, id, fp)
+			tr, err := fed.DialWith(addr, id, fp, fed.WireOptions{})
 			if err != nil {
 				fail(fmt.Errorf("adversarial: client %d dial: %w", id, err))
 			}
@@ -450,7 +450,7 @@ func runSlowLorisScenario(truth []float64) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			tr, err := fed.Dial(addr, id, fp)
+			tr, err := fed.DialWith(addr, id, fp, fed.WireOptions{})
 			if err != nil {
 				fail(fmt.Errorf("adversarial: client %d dial: %w", id, err))
 			}

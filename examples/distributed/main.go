@@ -229,7 +229,7 @@ func runKillRejoin(cfg fed.Config, numClients, numTasks int, cluster *device.Clu
 				}
 				return
 			}
-			t, err := fed.Dial(ln.Addr().String(), id, aprint)
+			t, err := fed.DialWith(ln.Addr().String(), id, aprint, fed.WireOptions{})
 			if err != nil {
 				fail(fmt.Errorf("client %d dial: %w", id, err))
 			}
@@ -239,10 +239,11 @@ func runKillRejoin(cfg fed.Config, numClients, numTasks int, cluster *device.Clu
 		}(id)
 	}
 
-	links, acceptor, err := fed.ServeRejoin(ln, numClients, aprint)
+	links, err := fed.ServeWith(ln, numClients, aprint, fed.WireOptions{})
 	if err != nil {
 		fail(err)
 	}
+	acceptor := fed.AcceptRejoins(ln, numClients, aprint, fed.WireOptions{})
 	srv := fed.NewServer(acfg.ServerConfigFor(numClients, numTasks), nil, links)
 	srv.SetRejoins(acceptor.Rejoins())
 	var kill sync.Once
@@ -341,10 +342,11 @@ func runCrashRestart(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	}
 
 	// Incarnation one: snapshots on, killed at the first commit of task 2.
-	links, acceptor, err := fed.ServeRejoin(ln, numClients, aprint)
+	links, err := fed.ServeWith(ln, numClients, aprint, fed.WireOptions{})
 	if err != nil {
 		fail(err)
 	}
+	acceptor := fed.AcceptRejoins(ln, numClients, aprint, fed.WireOptions{})
 	srv := fed.NewServer(acfg.ServerConfigFor(numClients, numTasks), nil, links)
 	srv.SetRejoins(acceptor.Rejoins())
 	srv.SetSnapshots(store)

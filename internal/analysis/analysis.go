@@ -9,8 +9,8 @@
 // the source level, front-running the runtime test that would otherwise
 // catch a violation one seed at a time: determinism of the fold/commit
 // paths, fingerprint completeness, wire-format test exhaustiveness, atomic
-// and mutex hygiene, and godoc coverage. See docs/ARCHITECTURE.md, "Static
-// guarantees".
+// and mutex hygiene, godoc coverage, and exported code only tests use. See
+// docs/ARCHITECTURE.md, "Static guarantees".
 //
 // Diagnostics are suppressed by a comment on the flagged line or the line
 // directly above it:
@@ -24,6 +24,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -42,9 +43,18 @@ type Analyzer struct {
 	// Doc is a one-paragraph description for the driver's -list output.
 	Doc string
 	// Run analyzes one package, reporting through pass.Reportf and
-	// exchanging facts through pass.ExportFact/ImportFact.
+	// exchanging facts through pass.ExportFact/ImportFact. It may be nil.
 	Run func(pass *Pass) error
+	// Finish, if set, runs once after every package has been visited,
+	// with pass.Package nil and every package of the run: for findings a
+	// later package can clear, such as a use in a dependent. It returns
+	// errPartialRun when the run loaded too little to judge; the analyzer
+	// then counts as not run, so its suppressions are not judged stale.
+	Finish func(pass *Pass, pkgs []*Package) error
 }
+
+// errPartialRun is Finish's verdict on a run it cannot judge.
+var errPartialRun = errors.New("analysis: partial run")
 
 // A Diagnostic is one finding at one source position.
 type Diagnostic struct {
@@ -143,8 +153,9 @@ type Suite struct {
 	// (stale //lint:ignore comments) for analyzers that ran.
 	Strict bool
 
-	facts map[string]any
-	diags []Diagnostic
+	facts   map[string]any
+	diags   []Diagnostic
+	partial map[string]bool // analyzers whose Finish returned errPartialRun
 }
 
 // Run executes every analyzer over every package and returns the surviving
@@ -154,15 +165,27 @@ type Suite struct {
 func (s *Suite) Run(pkgs []*Package, fset *token.FileSet) ([]Diagnostic, error) {
 	s.facts = map[string]any{}
 	s.diags = nil
+	s.partial = map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, a := range s.Analyzers {
-			if !s.inScope(a.Name, pkg.Path) {
+			if a.Run == nil || !s.inScope(a.Name, pkg.Path) {
 				continue
 			}
 			pass := &Pass{Analyzer: a, Fset: fset, Package: pkg, suite: s}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
+		}
+	}
+	for _, a := range s.Analyzers {
+		if a.Finish == nil {
+			continue
+		}
+		err := a.Finish(&Pass{Analyzer: a, Fset: fset, suite: s}, pkgs)
+		if errors.Is(err, errPartialRun) {
+			s.partial[a.Name] = true
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 		}
 	}
 	sups := collectSuppressions(pkgs, fset)
@@ -194,11 +217,12 @@ func (s *Suite) inScope(name, path string) bool {
 	return false
 }
 
-// ran reports whether the suite includes an analyzer by that name.
+// ran reports whether the suite includes an analyzer by that name and it
+// judged the run.
 func (s *Suite) ran(name string) bool {
 	for _, a := range s.Analyzers {
 		if a.Name == name {
-			return true
+			return !s.partial[name]
 		}
 	}
 	return false

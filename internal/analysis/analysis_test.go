@@ -24,6 +24,7 @@ var corpusCases = []struct {
 	{"atomic", []*Analyzer{AtomicHygiene}, false},
 	{"godoc", []*Analyzer{ExportedGodoc}, false},
 	{"suppress", []*Analyzer{AtomicHygiene}, true},
+	{"unusedexported", []*Analyzer{UnusedExported}, true},
 }
 
 func TestCorpora(t *testing.T) {
@@ -31,6 +32,23 @@ func TestCorpora(t *testing.T) {
 		t.Run(tc.corpus, func(t *testing.T) {
 			runCorpus(t, tc.corpus, tc.analyzers, tc.strict)
 		})
+	}
+}
+
+// TestUnusedExportedPartialRun: a run that loads only part of a module
+// cannot see every use, so unused-exported reports nothing from it.
+func TestUnusedExportedPartialRun(t *testing.T) {
+	loader := NewLoader()
+	pkgs, err := loader.Load(filepath.Join("testdata", "src", "unusedexported", "lib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := (&Suite{Analyzers: []*Analyzer{UnusedExported}, Strict: true}).Run(pkgs, loader.Fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("partial run reported %s", d)
 	}
 }
 
@@ -51,7 +69,7 @@ func runCorpus(t *testing.T, corpus string, analyzers []*Analyzer, strict bool) 
 	t.Helper()
 	dir := filepath.Join("testdata", "src", corpus)
 	loader := NewLoader()
-	pkgs, err := loader.Load(dir)
+	pkgs, err := loader.Load(filepath.Join(dir, "..."))
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

@@ -82,25 +82,12 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	for _, pat := range patterns {
 		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			root := filepath.Clean(rest)
-			err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(p) {
-					add(p)
-				}
-				return nil
-			})
+			sub, err := packageDirs(rest)
 			if err != nil {
 				return nil, err
+			}
+			for _, d := range sub {
+				add(d)
 			}
 			continue
 		}
@@ -116,6 +103,28 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return l.sortDeps(pkgs), nil
+}
+
+// packageDirs lists the directories the pattern root/... selects: root
+// and every directory below it that holds Go files, "testdata", hidden
+// and underscore directories excluded.
+func packageDirs(root string) ([]string, error) {
+	root = filepath.Clean(root)
+	var dirs []string
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(p) {
+			dirs = append(dirs, p)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // hasGoFiles reports whether dir directly contains at least one .go file.

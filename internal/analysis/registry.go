@@ -9,6 +9,7 @@ func Analyzers() []*Analyzer {
 		WireExhaustive,
 		AtomicHygiene,
 		ExportedGodoc,
+		UnusedExported,
 	}
 }
 

@@ -28,6 +28,8 @@ const (
 )
 
 // WriteParams serialises a flat parameter vector.
+//
+//lint:ignore fedlint/unused-exported kept for ROADMAP 10's client state directory, deleted if item 10 is dropped
 func WriteParams(w io.Writer, flat []float32) error {
 	if err := binary.Write(w, binary.LittleEndian, magicParams); err != nil {
 		return err
@@ -39,6 +41,8 @@ func WriteParams(w io.Writer, flat []float32) error {
 }
 
 // ReadParams deserialises a flat parameter vector, validating the header.
+//
+//lint:ignore fedlint/unused-exported kept for ROADMAP 10's client state directory, deleted if item 10 is dropped
 func ReadParams(r io.Reader) ([]float32, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -59,6 +63,8 @@ func ReadParams(r io.Reader) ([]float32, error) {
 
 // WriteKnowledge serialises one task's knowledge record (task id, classes,
 // sparse store).
+//
+//lint:ignore fedlint/unused-exported kept for ROADMAP 10's client state directory, deleted if item 10 is dropped
 func WriteKnowledge(w io.Writer, taskID int, classes []int, s *prune.SparseStore) error {
 	if err := binary.Write(w, binary.LittleEndian, magicKnowledge); err != nil {
 		return err
@@ -81,6 +87,8 @@ func WriteKnowledge(w io.Writer, taskID int, classes []int, s *prune.SparseStore
 }
 
 // ReadKnowledge deserialises a knowledge record written by WriteKnowledge.
+//
+//lint:ignore fedlint/unused-exported kept for ROADMAP 10's client state directory, deleted if item 10 is dropped
 func ReadKnowledge(r io.Reader) (taskID int, classes []int, s *prune.SparseStore, err error) {
 	var magic uint32
 	if err = binary.Read(r, binary.LittleEndian, &magic); err != nil {

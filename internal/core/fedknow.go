@@ -98,15 +98,6 @@ type IntegrationStats struct {
 	GuardFires int     // guarded steps where the integrator fired
 }
 
-// MeanCos is the average alignment of the integrated gradient with the task
-// gradient.
-func (s IntegrationStats) MeanCos() float64 {
-	if s.Steps == 0 {
-		return 1
-	}
-	return s.CosSum / float64(s.Steps)
-}
-
 // add counts one TrainStep's integration from its outcome.
 func (s *IntegrationStats) add(o qp.Outcome) {
 	s.Steps++

@@ -35,9 +35,6 @@ type Dataset struct {
 	Test       []Sample
 }
 
-// InputLen returns the flattened image length.
-func (d *Dataset) InputLen() int { return d.C * d.H * d.W }
-
 // Config controls a synthetic family's generation.
 type Config struct {
 	Name          string

@@ -12,11 +12,8 @@ func TestGenerateCountsAndShapes(t *testing.T) {
 	if len(d.Train) != 35 || len(d.Test) != 15 {
 		t.Fatalf("train %d test %d", len(d.Train), len(d.Test))
 	}
-	if d.InputLen() != 3*8*8 {
-		t.Fatalf("InputLen = %d", d.InputLen())
-	}
 	for _, s := range d.Train {
-		if len(s.X) != d.InputLen() {
+		if len(s.X) != 3*8*8 {
 			t.Fatal("sample length mismatch")
 		}
 		if s.Y < 0 || s.Y >= 5 {
@@ -62,7 +59,7 @@ func TestClassesAreSeparable(t *testing.T) {
 	// other classes' means — otherwise no model could learn the data.
 	d := Generate(Config{Name: "t", NumClasses: 4, TrainPerClass: 20, TestPerClass: 5,
 		C: 3, H: 8, W: 8, Noise: 0.3, Shift: 1, Seed: 3})
-	dim := d.InputLen()
+	dim := d.C * d.H * d.W
 	means := make([][]float64, 4)
 	counts := make([]int, 4)
 	for i := range means {
@@ -295,31 +292,6 @@ func TestFederateHeterogeneity(t *testing.T) {
 	}
 	if len(task0Classes) < 2 {
 		t.Fatal("all clients got identical class subsets")
-	}
-}
-
-func TestMergeTasks(t *testing.T) {
-	_, a := SVHN.Build(CI, 1)
-	_, b := SVHN.Build(CI, 2)
-	merged, total := MergeTasks(a, b)
-	if len(merged) != 4 {
-		t.Fatalf("merged %d tasks", len(merged))
-	}
-	if total != 16 { // CI SVHN: 2 tasks × 4 classes each → 8 classes per dataset
-		t.Fatalf("total classes = %d, want 16", total)
-	}
-	for i, task := range merged {
-		if task.ID != i {
-			t.Fatalf("task ids must be sequential: %d at %d", task.ID, i)
-		}
-	}
-	// Second dataset's classes must be offset beyond the first's.
-	for _, task := range merged[2:] {
-		for _, c := range task.Classes {
-			if c < 8 {
-				t.Fatalf("class collision after merge: %d", c)
-			}
-		}
 	}
 }
 

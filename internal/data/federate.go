@@ -116,41 +116,3 @@ func MergeDatasets(name string, ds ...*Dataset) *Dataset {
 	out.NumClasses = offset
 	return out
 }
-
-// MergeTasks concatenates several task lists into one long sequence with
-// re-assigned task ids, used by the 80-task experiment (Fig. 7) that chains
-// MiniImageNet + CIFAR100 + TinyImageNet. Class ids are offset per source
-// dataset so they never collide; totalClasses reports the combined label
-// space size.
-func MergeTasks(lists ...[]Task) (merged []Task, totalClasses int) {
-	offset := 0
-	id := 0
-	for _, list := range lists {
-		maxClass := -1
-		for _, t := range list {
-			nt := Task{ID: id}
-			for _, c := range t.Classes {
-				nt.Classes = append(nt.Classes, c+offset)
-				if c > maxClass {
-					maxClass = c
-				}
-			}
-			for _, s := range t.Train {
-				nt.Train = append(nt.Train, Sample{X: s.X, Y: s.Y + offset})
-				if s.Y > maxClass {
-					maxClass = s.Y
-				}
-			}
-			for _, s := range t.Test {
-				nt.Test = append(nt.Test, Sample{X: s.X, Y: s.Y + offset})
-				if s.Y > maxClass {
-					maxClass = s.Y
-				}
-			}
-			merged = append(merged, nt)
-			id++
-		}
-		offset += maxClass + 1
-	}
-	return merged, offset
-}

@@ -314,3 +314,44 @@ func TestAblationStructure(t *testing.T) {
 		t.Fatalf("guard fires without the guard: %v", res.GuardFireRate["no-global-guard"])
 	}
 }
+
+// MeanReduction is FedKNOW's average communication saving versus FedWEIT
+// across datasets (the paper reports 34.28 %).
+func (r *Fig5Result) MeanReduction() float64 {
+	var s float64
+	n := 0
+	for _, d := range r.Datasets {
+		fw := r.VolumeGB[d]["FedWEIT"]
+		if fw <= 0 {
+			continue
+		}
+		s += (fw - r.VolumeGB[d]["FedKNOW"]) / fw
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return s / float64(n)
+}
+
+// FinalAccuracy reads the last-task average accuracy of one model/method.
+func (r *Fig9Result) FinalAccuracy(arch, method string) float64 {
+	s := r.Series[arch][method]
+	if len(s.Y) == 0 {
+		return 0
+	}
+	return s.Y[len(s.Y)-1]
+}
+
+// MeanImprovement averages the per-task improvements of one dataset.
+func (r *Table1Result) MeanImprovement(dataset string) float64 {
+	imp := r.Improvement[dataset]
+	if len(imp) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range imp {
+		s += v
+	}
+	return s / float64(len(imp))
+}

@@ -60,22 +60,3 @@ func Fig5(opt Options, datasets []data.Family) (*Fig5Result, error) {
 	tbl.Print(opt.out())
 	return res, nil
 }
-
-// MeanReduction is FedKNOW's average communication saving versus FedWEIT
-// across datasets (the paper reports 34.28 %).
-func (r *Fig5Result) MeanReduction() float64 {
-	var s float64
-	n := 0
-	for _, d := range r.Datasets {
-		fw := r.VolumeGB[d]["FedWEIT"]
-		if fw <= 0 {
-			continue
-		}
-		s += (fw - r.VolumeGB[d]["FedKNOW"]) / fw
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}

@@ -64,12 +64,3 @@ func Fig9(opt Options, models []string) (*Fig9Result, error) {
 	}
 	return res, nil
 }
-
-// FinalAccuracy reads the last-task average accuracy of one model/method.
-func (r *Fig9Result) FinalAccuracy(arch, method string) float64 {
-	s := r.Series[arch][method]
-	if len(s.Y) == 0 {
-		return 0
-	}
-	return s.Y[len(s.Y)-1]
-}

@@ -88,16 +88,3 @@ func Table1(opt Options, datasets []data.Family) (*Table1Result, error) {
 	tbl.Print(opt.out())
 	return res, nil
 }
-
-// MeanImprovement averages the per-task improvements of one dataset.
-func (r *Table1Result) MeanImprovement(dataset string) float64 {
-	imp := r.Improvement[dataset]
-	if len(imp) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range imp {
-		s += v
-	}
-	return s / float64(len(imp))
-}

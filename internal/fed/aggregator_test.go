@@ -424,3 +424,51 @@ func TestFinishRoundOutlivesNextWindow(t *testing.T) {
 		}
 	}
 }
+
+// WeightedFedAvg is §III-A's aggregation rule as a batch Aggregator, the
+// reference SparseFedAvg is held to bit for bit: the sample-count-weighted
+// average of the participants' parameter vectors. A zero weight counts as
+// one so an empty-shard client still participates. The accumulation order
+// (ascending client ID, Axpy then one scale) is part of the contract — it
+// is what keeps results bitwise reproducible across transports and
+// parallelism settings.
+type WeightedFedAvg struct {
+	buf []float32 // global scratch, reused every round
+}
+
+// Name identifies the aggregation rule.
+func (a *WeightedFedAvg) Name() string { return "WeightedFedAvg" }
+
+// Aggregate computes the weighted average into reused scratch.
+func (a *WeightedFedAvg) Aggregate(updates []*Update) []float32 {
+	var total float64
+	var global []float32
+	for _, u := range updates {
+		w := u.Weight
+		if w == 0 {
+			w = 1
+		}
+		total += w
+		if global == nil {
+			n := u.ParamLen()
+			if cap(a.buf) < n {
+				a.buf = make([]float32, n)
+			}
+			global = a.buf[:n]
+			clear(global)
+		}
+		if u.Sparse != nil {
+			tensor.AxpySparse(global, float32(w), u.Sparse)
+		} else {
+			tensor.AxpySlice(global, float32(w), u.Params)
+		}
+	}
+	if global == nil {
+		return nil
+	}
+	inv := float32(1 / total)
+	for i := range global {
+		global[i] *= inv
+	}
+	return global
+}

@@ -308,7 +308,7 @@ func pipeCohort(t *testing.T, cfg ServerConfig, n int, wrap func(Transport) Tran
 	var wg sync.WaitGroup
 	for i := range links {
 		a, b := net.Pipe()
-		links[i], clientEnds[i] = NewWire(a), b
+		links[i], clientEnds[i] = NewWireWith(a, WireOptions{}), b
 		if wrap != nil {
 			links[i] = wrap(links[i])
 		}
@@ -495,7 +495,7 @@ func (discardConn) Close() error                { return nil }
 func discardCohort(n int) *Server {
 	links := make([]Transport, n)
 	for i := range links {
-		links[i] = NewWire(discardConn{})
+		links[i] = NewWireWith(discardConn{}, WireOptions{})
 	}
 	return NewServer(ServerConfig{Scheduler: SchedulerAsync, NumTasks: 1, Rounds: 1}, nil, links)
 }

@@ -468,12 +468,12 @@ func TestWireAcceptorRefusalCausesDistinct(t *testing.T) {
 		}
 		tr.Close()
 	}
-	bad, err := DialRejoin(addr, 0, fp+1, 0)
+	bad, err := DialRejoinWith(addr, 0, fp+1, 0, WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectClosed(bad, "fingerprint mismatch")
-	oob, err := DialRejoin(addr, 7, fp, 0)
+	oob, err := DialRejoinWith(addr, 7, fp, 0, WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestWireJoinEndToEnd(t *testing.T) {
 	addr := ln.Addr().String()
 	founderCh := make(chan Transport, 1)
 	go func() {
-		tr, err := Dial(addr, 0, fp)
+		tr, err := DialWith(addr, 0, fp, WireOptions{})
 		if err != nil {
 			t.Error(err)
 			return

@@ -289,19 +289,6 @@ func (c *Codec) decodeFrame(r io.Reader) (Msg, int, error) {
 	return m, frameHeader + int(n), err
 }
 
-// Encode writes one frame to w with the default (lossless) compression,
-// without scratch reuse. Hot paths use a Codec.
-func Encode(w io.Writer, m Msg) error {
-	return NewCodec(Compression{}).Encode(w, m)
-}
-
-// Decode reads one frame from r into freshly allocated buffers. io.EOF at a
-// frame boundary means the peer closed cleanly; a truncated frame surfaces
-// as io.ErrUnexpectedEOF.
-func Decode(r io.Reader) (Msg, error) {
-	return NewCodec(Compression{}).Decode(r)
-}
-
 // uvarintLen is the encoded size of v in bytes: one per started group of
 // seven significant bits, computed without the loop (and its data-dependent
 // branch) the encoding itself runs.

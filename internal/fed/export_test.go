@@ -14,3 +14,16 @@ func (c *Client) RunAsyncDelivered(t Transport, msgs ...Msg) error {
 	in := &inbox{t: t, queue: msgs, err: io.EOF, avail: make(chan struct{}, 1)}
 	return c.asyncLoop(context.Background(), t, in, nil)
 }
+
+// Encode writes one frame to w with the default (lossless) compression,
+// without scratch reuse.
+func Encode(w io.Writer, m Msg) error {
+	return NewCodec(Compression{}).Encode(w, m)
+}
+
+// Decode reads one frame from r into freshly allocated buffers. io.EOF at a
+// frame boundary means the peer closed cleanly; a truncated frame surfaces
+// as io.ErrUnexpectedEOF.
+func Decode(r io.Reader) (Msg, error) {
+	return NewCodec(Compression{}).Decode(r)
+}

@@ -3,7 +3,7 @@
 //
 //   - Server (server.go): the round scheduler. It opens rounds, collects
 //     parameter updates, delegates combination to a pluggable Aggregator
-//     (WeightedFedAvg is §III-A's rule), broadcasts the global model, and
+//     (SparseFedAvg is §III-A's rule), broadcasts the global model, and
 //     keeps the books — the simulated clock through the device model,
 //     communication volume, the per-task accuracy matrix, and OOM evictions.
 //   - Client (client.go): one endpoint. It wraps a Strategy (FedKNOW or a
@@ -394,8 +394,8 @@ func NewEngine(cfg Config, cluster *device.Cluster, seqs [][]data.ClientTask,
 		e.clients[i] = c
 	}
 	// nil aggregator → SparseFedAvg, whose dense path is bitwise identical
-	// to WeightedFedAvg (the old engine default) while streaming sparse
-	// updates in O(active knowledge).
+	// to the batch WeightedFedAvg (the old engine default, now the tests'
+	// reference) while streaming sparse updates in O(active knowledge).
 	e.server = NewServer(cfg.ServerConfigFor(len(seqs), len(seqs[0])), nil, serverLinks)
 	return e
 }
@@ -431,6 +431,3 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	wg.Wait()
 	return res, err
 }
-
-// AliveClients reports how many clients have not been evicted.
-func (e *Engine) AliveClients() int { return e.server.AliveClients() }

@@ -208,7 +208,7 @@ func TestEngineOOMEviction(t *testing.T) {
 	if len(res.DeadAfter) != 1 {
 		t.Fatalf("expected 1 eviction, got %v", res.DeadAfter)
 	}
-	if e.AliveClients() != 0 {
+	if e.server.AliveClients() != 0 {
 		t.Fatal("client should be dead")
 	}
 }

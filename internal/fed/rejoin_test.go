@@ -420,14 +420,15 @@ func TestWireRejoinHandshakeRejects(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	go func() {
-		if _, err := Dial(addr, 0, fp); err != nil {
+		if _, err := DialWith(addr, 0, fp, WireOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	links, acceptor, err := ServeRejoin(ln, 1, fp)
+	links, err := ServeWith(ln, 1, fp, WireOptions{})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	acceptor := AcceptRejoins(ln, 1, fp, WireOptions{})
 	defer links[0].Close()
 
 	expectClosed := func(tr Transport, what string) {
@@ -437,18 +438,18 @@ func TestWireRejoinHandshakeRejects(t *testing.T) {
 		}
 		tr.Close()
 	}
-	bad, err := DialRejoin(addr, 0, fp+1, 3)
+	bad, err := DialRejoinWith(addr, 0, fp+1, 3, WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectClosed(bad, "fingerprint mismatch")
-	oob, err := DialRejoin(addr, 7, fp, 0)
+	oob, err := DialRejoinWith(addr, 7, fp, 0, WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectClosed(oob, "out-of-range seat")
 
-	good, err := DialRejoin(addr, 0, fp, 42)
+	good, err := DialRejoinWith(addr, 0, fp, 42, WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +642,7 @@ func TestWireKillAndRejoin(t *testing.T) {
 	wg.Add(2)
 	go func() { // client 0: plain endpoint, direct connection
 		defer wg.Done()
-		tr, err := Dial(ln.Addr().String(), 0, fp)
+		tr, err := DialWith(ln.Addr().String(), 0, fp, WireOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -663,10 +664,11 @@ func TestWireKillAndRejoin(t *testing.T) {
 		}
 	}()
 
-	links, acceptor, err := ServeRejoin(ln, len(seqs), fp)
+	links, err := ServeWith(ln, len(seqs), fp, WireOptions{})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	acceptor := AcceptRejoins(ln, len(seqs), fp, WireOptions{})
 	srv := NewServer(cfg.ServerConfigFor(len(seqs), len(seqs[0])), nil, links)
 	srv.SetRejoins(acceptor.Rejoins())
 	logf, _ := watchLogs()
@@ -711,7 +713,7 @@ func TestWireKillAndRejoin(t *testing.T) {
 // atomicity; it also checks the totals still balance.
 func TestWireByteCountersConcurrent(t *testing.T) {
 	a, b := net.Pipe()
-	ta, tb := NewWire(a), NewWire(b)
+	ta, tb := NewWireWith(a, WireOptions{}), NewWireWith(b, WireOptions{})
 	const frames = 100
 	params := make([]float32, 512)
 	for i := range params {

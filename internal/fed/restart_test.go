@@ -537,10 +537,11 @@ func TestServerCrashRestartRecovers(t *testing.T) {
 	}
 
 	// Incarnation one: snapshots on, killed at the first commit of task 1.
-	links, acceptor, err := ServeRejoin(ln, len(seqs), fp)
+	links, err := ServeWith(ln, len(seqs), fp, WireOptions{})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	acceptor := AcceptRejoins(ln, len(seqs), fp, WireOptions{})
 	logf, _ := watchLogs()
 	scfg := cfg.ServerConfigFor(len(seqs), len(seqs[0]))
 	scfg.Logf = logf

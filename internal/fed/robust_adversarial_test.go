@@ -322,7 +322,7 @@ func TestMaxFrameCap(t *testing.T) {
 	left, right := net.Pipe()
 	defer left.Close()
 	defer right.Close()
-	sender := NewWire(left)
+	sender := NewWireWith(left, WireOptions{})
 	receiver := NewWireWith(right, WireOptions{MaxFrame: 64})
 	errc := make(chan error, 1)
 	go func() { errc <- sender.Send(big) }()

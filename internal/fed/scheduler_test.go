@@ -369,7 +369,7 @@ func TestAsyncWireEviction(t *testing.T) {
 	wg.Add(2)
 	go func() { // client 0: a real endpoint that lives the whole run
 		defer wg.Done()
-		tr, err := Dial(addr, 0, cfg.Fingerprint())
+		tr, err := DialWith(addr, 0, cfg.Fingerprint(), WireOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -382,7 +382,7 @@ func TestAsyncWireEviction(t *testing.T) {
 	}()
 	go func() { // client 1: uploads once, then the connection drops
 		defer wg.Done()
-		tr, err := Dial(addr, 1, cfg.Fingerprint())
+		tr, err := DialWith(addr, 1, cfg.Fingerprint(), WireOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -395,7 +395,7 @@ func TestAsyncWireEviction(t *testing.T) {
 			Params: make([]float32, build(tensor.NewRNG(1)).NumParams())})
 		tr.Close()
 	}()
-	links, err := Serve(ln, len(seqs), cfg.Fingerprint())
+	links, err := ServeWith(ln, len(seqs), cfg.Fingerprint(), WireOptions{})
 	ln.Close()
 	if err != nil {
 		t.Fatalf("serve: %v", err)

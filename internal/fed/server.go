@@ -272,9 +272,6 @@ func (s *Server) SetJoins(ch <-chan JoinRequest) { s.joins = ch }
 // AliveClients reports how many clients have not been evicted.
 func (s *Server) AliveClients() int { return s.book.alive() }
 
-// Version reports the current global-model commit version.
-func (s *Server) Version() uint64 { return s.version }
-
 // Run executes the full task sequence and returns the result. Cancelling ctx
 // aborts between protocol steps: the partial Result gathered so far is
 // returned together with the context's error, and all transports are closed
@@ -400,6 +397,8 @@ func (s *Server) Rejections() (nonFinite, stale, evicted, refused int) {
 // model — not retrained, since the Seen counts already include them. Always
 // 0 under the synchronous scheduler and under streaming (FedAvg-family)
 // rules, whose open window restores exactly.
+//
+//lint:ignore fedlint/unused-exported the churn tests assert it as an invariant until ROADMAP 9's window journal
 func (s *Server) DroppedWindowUploads() int {
 	if as, ok := s.sched.(*AsyncScheduler); ok {
 		return as.droppedWindow

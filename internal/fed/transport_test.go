@@ -140,7 +140,7 @@ func TestServerRejectsMismatchedParamLengths(t *testing.T) {
 
 // TestServeRejectsFingerprintMismatch: a wire client whose job derives from
 // different knobs (seed, hyperparameters) must be rejected at the handshake,
-// and Serve's error path must close the already-accepted connections so
+// and ServeWith's error path must close the already-accepted connections so
 // their clients unblock instead of hanging forever.
 func TestServeRejectsFingerprintMismatch(t *testing.T) {
 	cfg, _, _, _ := tinySetup(25)
@@ -151,27 +151,27 @@ func TestServeRejectsFingerprintMismatch(t *testing.T) {
 	addr := ln.Addr().String()
 	goodDone := make(chan error, 1)
 	go func() {
-		tr, err := Dial(addr, 0, cfg.Fingerprint())
+		tr, err := DialWith(addr, 0, cfg.Fingerprint(), WireOptions{})
 		if err != nil {
 			goodDone <- err
 			return
 		}
-		_, err = tr.Recv() // must unblock when Serve fails and closes the link
+		_, err = tr.Recv() // must unblock when ServeWith fails and closes the link
 		goodDone <- err
 	}()
 	go func() {
 		bad := cfg
 		bad.Seed++
-		if _, err := Dial(addr, 1, bad.Fingerprint()); err != nil {
+		if _, err := DialWith(addr, 1, bad.Fingerprint(), WireOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	if _, err := Serve(ln, 2, cfg.Fingerprint()); err == nil {
-		t.Fatal("Serve accepted a client with a mismatched job fingerprint")
+	if _, err := ServeWith(ln, 2, cfg.Fingerprint(), WireOptions{}); err == nil {
+		t.Fatal("ServeWith accepted a client with a mismatched job fingerprint")
 	}
 	ln.Close()
 	if err := <-goodDone; err == nil {
-		t.Fatal("accepted client's Recv returned a message after failed Serve")
+		t.Fatal("accepted client's Recv returned a message after failed ServeWith")
 	}
 }
 
@@ -342,7 +342,7 @@ func TestServeRejectsCompressionMismatch(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		Dial(ln.Addr().String(), 0, cfg.Fingerprint()) // QuantNone hello
+		DialWith(ln.Addr().String(), 0, cfg.Fingerprint(), WireOptions{}) // QuantNone hello
 	}()
 	_, err = ServeWith(ln, 1, cfg.Fingerprint(),
 		WireOptions{Compression: Compression{Quant: QuantI8}})
@@ -374,7 +374,7 @@ func TestWireTimeout(t *testing.T) {
 // frame both ways, and shrink when the payload is mostly zeros (auto-sparse).
 func TestWireByteCounters(t *testing.T) {
 	a, b := net.Pipe()
-	ta, tb := NewWire(a), NewWire(b)
+	ta, tb := NewWireWith(a, WireOptions{}), NewWireWith(b, WireOptions{})
 	defer ta.Close()
 	defer tb.Close()
 	done := make(chan Msg, 1)

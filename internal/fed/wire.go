@@ -69,11 +69,6 @@ type WireTransport struct {
 	recv atomic.Int64
 }
 
-// NewWire wraps a connected byte stream in a Transport with default options.
-func NewWire(conn io.ReadWriteCloser) *WireTransport {
-	return NewWireWith(conn, WireOptions{})
-}
-
 // NewWireWith wraps a connected byte stream with explicit options.
 func NewWireWith(conn io.ReadWriteCloser, opts WireOptions) *WireTransport {
 	w := &WireTransport{
@@ -140,12 +135,6 @@ func (w *WireTransport) BytesRecv() int64 { return w.recv.Load() }
 
 // Close tears down the underlying stream.
 func (w *WireTransport) Close() error { return w.conn.Close() }
-
-// Serve accepts numClients connections on ln with default options; see
-// ServeWith.
-func Serve(ln net.Listener, numClients int, fingerprint uint64) ([]Transport, error) {
-	return ServeWith(ln, numClients, fingerprint, WireOptions{})
-}
 
 // ServeWith accepts numClients connections on ln, reads each one's Hello
 // identification frame, and returns the server-side transports indexed by
@@ -217,64 +206,45 @@ func ServeWith(ln net.Listener, numClients int, fingerprint uint64, opts WireOpt
 	return links, nil
 }
 
-// Dial connects to a federation server with default options; see DialWith.
-func Dial(addr string, id int, fingerprint uint64) (Transport, error) {
-	return DialWith(addr, id, fingerprint, WireOptions{})
-}
-
 // DialWith connects to a federation server and identifies as client id,
 // presenting the job fingerprint (Config.Fingerprint(); 0 to opt out) and
 // the value encoding for the server's consistency checks. The returned
 // transport is ready for the client's Run loop.
 func DialWith(addr string, id int, fingerprint uint64, opts WireOptions) (Transport, error) {
+	return dial(addr, &helloMsg{clientID: id, fingerprint: fingerprint}, opts)
+}
+
+// dial connects to addr and sends hello, stamped with opts' value encoding:
+// the client side of every handshake.
+func dial(addr string, hello *helloMsg, opts WireOptions) (Transport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	t := NewWireWith(conn, opts)
-	if err := t.Send(&helloMsg{clientID: id, fingerprint: fingerprint, quant: opts.Compression.Quant}); err != nil {
+	hello.quant = opts.Compression.Quant
+	if err := t.Send(hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return t, nil
-}
-
-// DialRejoin reconnects a dropped client with default options; see
-// DialRejoinWith.
-func DialRejoin(addr string, id int, fingerprint uint64, lastVersion uint64) (Transport, error) {
-	return DialRejoinWith(addr, id, fingerprint, lastVersion, WireOptions{})
 }
 
 // DialRejoinWith reconnects a dropped client: it dials the server and sends
 // a rejoin hello carrying the client ID, the job fingerprint, and the
 // client's last-seen global version. The server (when it accepts rejoins —
-// see ServeRejoinWith) replies with one Catchup frame on this transport
+// see AcceptRejoins) replies with one Catchup frame on this transport
 // before the normal message flow resumes; a refusal (live seat, fingerprint
 // mismatch, rejoin not enabled) surfaces as the connection closing without
 // a Catchup. Client.RunReconnect wraps this in a capped-backoff retry loop.
 func DialRejoinWith(addr string, id int, fingerprint uint64, lastVersion uint64, opts WireOptions) (Transport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	t := NewWireWith(conn, opts)
-	if err := t.Send(&helloMsg{clientID: id, fingerprint: fingerprint,
-		quant: opts.Compression.Quant, rejoin: true, lastVersion: lastVersion}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return t, nil
-}
-
-// DialJoin enrolls as a fresh seat with default options; see DialJoinWith.
-func DialJoin(addr string, fingerprint uint64) (Transport, int, *Catchup, error) {
-	return DialJoinWith(addr, fingerprint, WireOptions{})
+	return dial(addr, &helloMsg{clientID: id, fingerprint: fingerprint, rejoin: true, lastVersion: lastVersion}, opts)
 }
 
 // DialJoinWith enrolls a seatless client into a running federation (v5): it
 // dials the server and sends a join hello — no client ID; the server
 // assigns the seat — carrying the job fingerprint and value encoding. An
-// accepting server (ServeRejoinWith / AcceptRejoins feeding Server.SetJoins)
+// accepting server (AcceptRejoins feeding Server.SetJoins)
 // replies with a seat-assignment hello followed by one Catchup positioning
 // the joiner in the current task; both are returned, the Catchup detached
 // from the link's decode scratch, with the assigned seat ID. A refusal —
@@ -284,13 +254,8 @@ func DialJoin(addr string, fingerprint uint64) (Transport, int, *Catchup, error)
 // normal async lifecycle; a later drop rejoins the assigned seat with the
 // ordinary v4 rejoin path.
 func DialJoinWith(addr string, fingerprint uint64, opts WireOptions) (Transport, int, *Catchup, error) {
-	conn, err := net.Dial("tcp", addr)
+	t, err := dial(addr, &helloMsg{join: true, fingerprint: fingerprint}, opts)
 	if err != nil {
-		return nil, 0, nil, err
-	}
-	t := NewWireWith(conn, opts)
-	if err := t.Send(&helloMsg{join: true, fingerprint: fingerprint, quant: opts.Compression.Quant}); err != nil {
-		conn.Close()
 		return nil, 0, nil, err
 	}
 	msg, err := t.Recv()
@@ -377,30 +342,11 @@ type RejoinAcceptor struct {
 	wg       sync.WaitGroup
 }
 
-// ServeRejoin is ServeRejoinWith with default options.
-func ServeRejoin(ln net.Listener, numClients int, fingerprint uint64) ([]Transport, *RejoinAcceptor, error) {
-	return ServeRejoinWith(ln, numClients, fingerprint, WireOptions{})
-}
-
-// ServeRejoinWith accepts the fresh cohort exactly like ServeWith, then
-// keeps the listener open: a background accept loop admits rejoin hellos
-// for the rest of the run and delivers them on the acceptor's Rejoins
-// channel. The caller must not close ln — the acceptor owns it now; call
-// the acceptor's Close after the run. Wire the channel into the server with
-// SetRejoins before Run.
-func ServeRejoinWith(ln net.Listener, numClients int, fingerprint uint64, opts WireOptions) ([]Transport, *RejoinAcceptor, error) {
-	links, err := ServeWith(ln, numClients, fingerprint, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return links, AcceptRejoins(ln, numClients, fingerprint, opts), nil
-}
-
-// AcceptRejoins starts a rejoin acceptor on ln without first serving a
-// fresh cohort — the restart path: a server restored from a snapshot
-// (NewServerFromSnapshot) has no fresh cohort to accept, because every
-// client already holds local training state and re-admits itself with a
-// rejoin hello. numSeats bounds the seat IDs a rejoin may claim — pass the
+// AcceptRejoins keeps ln open after ServeWith has accepted the fresh
+// cohort: a background accept loop admits rejoin (and join) hellos for the
+// rest of the run. A server restored from a snapshot (NewServerFromSnapshot)
+// calls it without ServeWith, because every client already holds local
+// training state and re-admits itself with a rejoin hello. numSeats bounds the seat IDs a rejoin may claim — pass the
 // run's -max-cohort (not the initial cohort size) when seats can join
 // mid-run, so a joined-then-dropped seat can come back. The acceptor owns
 // ln from here on; pair its Rejoins (and Joins) channels with
@@ -440,6 +386,8 @@ func (g *RejoinAcceptor) SetLogf(logf func(string, ...any)) {
 // compression mismatches. Safe to call from any goroutine; scheduler-level
 // refusals (a rejoin for a live seat, a join beyond -max-cohort) are
 // counted separately in Server.Rejections.
+//
+//lint:ignore fedlint/unused-exported ROADMAP 7's Server.Stats() folds it in
 func (g *RejoinAcceptor) Refusals() int { return int(g.refused.Load()) }
 
 // refuse closes a handshake's transport, counts it, and logs the cause.

@@ -64,17 +64,3 @@ func (m *Matrix) ForgettingRate(after int) float64 {
 	}
 	return s / float64(n)
 }
-
-// Accuracy computes top-1 accuracy from prediction/label pairs.
-func Accuracy(pred, labels []int) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}

@@ -61,12 +61,3 @@ func TestForgettingRateSkipsZeroBase(t *testing.T) {
 		t.Fatalf("zero-accuracy base must be skipped: %v", got)
 	}
 }
-
-func TestAccuracy(t *testing.T) {
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy must be 0")
-	}
-}

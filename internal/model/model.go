@@ -13,7 +13,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -167,14 +166,4 @@ func MustBuild(name string, numClasses, inC, inH, inW, width int, rng *tensor.RN
 		panic(err)
 	}
 	return m
-}
-
-// Names lists the registered architectures, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

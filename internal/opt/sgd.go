@@ -1,12 +1,10 @@
 // Package opt implements the optimisers and learning-rate schedules used by
-// the training stack. The schedules mirror the convergence constraints of
-// FedKNOW's §IV proof: local weights decay as O(r^-1/2) and global weights
-// as O(r^-1).
+// the training stack. Inv is the O(r^-1) decay FedKNOW's §IV proof asks
+// of the global weights.
 package opt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -21,18 +19,6 @@ type Const struct{ Rate float64 }
 
 // LR returns the constant rate.
 func (c Const) LR(int) float64 { return c.Rate }
-
-// InvSqrt decays as base / sqrt(r): the O(r^-1/2) schedule Theorem 1
-// requires for local weights.
-type InvSqrt struct{ Base float64 }
-
-// LR returns base/sqrt(iter).
-func (s InvSqrt) LR(iter int) float64 {
-	if iter < 1 {
-		iter = 1
-	}
-	return s.Base / math.Sqrt(float64(iter))
-}
 
 // Inv decays as base / (1 + decay·r): the O(r^-1) schedule Theorem 1
 // requires for global weights (ηG ≤ 2/(µ(γ+r))).
@@ -65,16 +51,6 @@ type SGD struct {
 // NewSGD returns an optimiser with the given schedule.
 func NewSGD(sched Schedule, momentum, weightDecay float64) *SGD {
 	return &SGD{Sched: sched, Momentum: momentum, WeightDecay: weightDecay}
-}
-
-// Iter returns the number of completed steps.
-func (o *SGD) Iter() int { return o.iter }
-
-// Reset zeroes the step counter and momentum buffer (used when a new task
-// starts and the schedule restarts).
-func (o *SGD) Reset() {
-	o.iter = 0
-	o.velocity = nil
 }
 
 // Step applies one update to the weights w from their gradient g, which must

@@ -9,6 +9,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// InvSqrt decays as base / sqrt(r): the O(r^-1/2) schedule Theorem 1
+// requires for local weights; no client trains with it.
+type InvSqrt struct{ Base float64 }
+
+// LR returns base/sqrt(iter).
+func (s InvSqrt) LR(iter int) float64 {
+	if iter < 1 {
+		iter = 1
+	}
+	return s.Base / math.Sqrt(float64(iter))
+}
+
 func TestSchedules(t *testing.T) {
 	c := Const{Rate: 0.01}
 	if c.LR(1) != 0.01 || c.LR(100) != 0.01 {
@@ -57,8 +69,8 @@ func TestSGDStep(t *testing.T) {
 	if w[0] != 0.5 || w[1] != 2.5 {
 		t.Fatalf("after step: %v", w)
 	}
-	if o.Iter() != 1 {
-		t.Fatalf("Iter = %d", o.Iter())
+	if o.iter != 1 {
+		t.Fatalf("iter = %d", o.iter)
 	}
 }
 
@@ -78,23 +90,6 @@ func TestSGDWeightDecay(t *testing.T) {
 	o.Step(w, []float32{0}) // grad = 0 + 0.5*2 = 1 → w = 2 - 0.1 = 1.9
 	if math.Abs(float64(w[0])-1.9) > 1e-6 {
 		t.Fatalf("decay w = %v, want 1.9", w[0])
-	}
-}
-
-func TestSGDReset(t *testing.T) {
-	w, g := []float32{0}, []float32{1}
-	o := NewSGD(InvSqrt{Base: 1}, 0.9, 0)
-	o.Step(w, g)
-	o.Reset()
-	if o.Iter() != 0 {
-		t.Fatal("Reset must clear the step counter")
-	}
-	// After reset, momentum starts fresh: one step from w0 with lr=1 gives
-	// exactly w0 - 1.
-	w0 := w[0]
-	o.Step(w, g)
-	if math.Abs(float64(w[0]-(w0-1))) > 1e-6 {
-		t.Fatalf("post-reset step w = %v, want %v", w[0], w0-1)
 	}
 }
 

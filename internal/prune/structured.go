@@ -64,6 +64,8 @@ func TopFilters(scores []float64, rho float64) []int {
 // ExtractFilters builds a SparseStore retaining the complete rows of the
 // selected top-ρ filters of one convolution kernel — structured knowledge
 // that preserves whole feature detectors instead of scattered weights.
+//
+//lint:ignore fedlint/unused-exported staged deletion (ROADMAP 17)
 func ExtractFilters(w []float32, outC, fanIn int, rho float64, n Norm) *SparseStore {
 	filters := TopFilters(FilterScores(w, outC, fanIn, n), rho)
 	out := &SparseStore{N: len(w)}

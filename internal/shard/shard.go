@@ -63,9 +63,6 @@ func NewPlan(n, shards int) Plan {
 	return Plan{n: n, shards: shards}
 }
 
-// N reports the partitioned vector length.
-func (p Plan) N() int { return p.n }
-
 // Shards reports the partition's shard count.
 func (p Plan) Shards() int { return p.shards }
 

@@ -57,6 +57,8 @@ func SubsampledWasserstein(a, b []float32, maxN int) float64 {
 
 // AngleIsObtuse reports whether two vectors form an obtuse angle
 // (dot product < 0), the condition that triggers gradient integration.
+//
+//lint:ignore fedlint/unused-exported staged deletion (ROADMAP 17)
 func AngleIsObtuse(a, b []float32) bool {
 	return tensor.DotSlice(a, b) < 0
 }
@@ -88,56 +90,4 @@ func TopKDissimilar(ref []float32, candidates [][]float32, k int, dist func(a, b
 		out[i] = ss[i].idx
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-quantile of xs (p in [0, 1]) with linear
-// interpolation between adjacent order statistics — the estimator the load
-// harness uses for its p50/p99 fold-latency figures. xs is not modified.
-// Returns 0 for empty input; panics when p is outside [0, 1].
-func Percentile(xs []float64, p float64) float64 {
-	if p < 0 || p > 1 {
-		panic("stats: Percentile fraction outside [0, 1]")
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	rank := p * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

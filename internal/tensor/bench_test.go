@@ -225,20 +225,3 @@ func BenchmarkAxpySparse10(b *testing.B) {
 		AxpySparse(dst, 0.999, sv)
 	}
 }
-
-func BenchmarkScaleAddSparse10(b *testing.B) {
-	r := NewRNG(10)
-	n := 1 << 16
-	dst := make([]float32, n)
-	mask := make([]bool, n)
-	w := make([]float32, n)
-	r.FillNorm(w, 1)
-	for i := range mask {
-		mask[i] = r.Float64() < 0.1
-	}
-	sv := GatherMask(nil, w, mask)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScaleAddSparse(dst, 0.9, 0.1, sv)
-	}
-}

@@ -13,8 +13,7 @@ package tensor
 //     indifferent to transA (gemmOuter). Every product a convolution issues
 //     runs here: forward Y = W × cols, input gradient dcols = Wᵀ × dY (W read
 //     transposed in place), weight gradient dWᵀ = cols × dYᵀ (cols read in
-//     place, dY pixel-major) — and both Linear backward products and
-//     MatMulInto.
+//     place, dY pixel-major) — and both Linear backward products.
 //   - transB: the rows of B are k-contiguous, and so are the rows of A, so
 //     C[i][j] is a dot product of two sequential reads. The dot form runs one
 //     A row against four B rows with eight independent accumulators and one

@@ -45,11 +45,13 @@ func (r *RNG) Norm() float64 {
 		r.hasSpare = false
 		return r.spare
 	}
+	// Products are rounded before their adds (r.Float64 ends in one), so a
+	// compiler that fuses (arm64) draws amd64's samples.
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = 2*float64(r.Float64()) - 1
+		v = 2*float64(r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -90,7 +92,7 @@ func (r *RNG) FillNorm(dst []float32, std float64) {
 // FillUniform fills dst with uniform samples in [lo,hi).
 func (r *RNG) FillUniform(dst []float32, lo, hi float64) {
 	for i := range dst {
-		dst[i] = float32(lo + (hi-lo)*r.Float64())
+		dst[i] = float32(lo + float64((hi-lo)*r.Float64()))
 	}
 }
 

@@ -39,7 +39,7 @@ func TrimmedMeanCols(dst []float32, rows [][]float32, weights []float64, trim in
 			sortColumn(vals, ws)
 			var sum, wsum float64
 			for i := trim; i < m-trim; i++ {
-				sum += ws[i] * float64(vals[i])
+				sum += float64(ws[i] * float64(vals[i]))
 				wsum += ws[i]
 			}
 			dst[j] = float32(sum / wsum)
@@ -78,7 +78,7 @@ func SqDist64(a, b []float32) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -173,28 +173,6 @@ func axpySparseRange(dst []float32, a float32, x *SparseVec, lo, hi int) {
 	}
 }
 
-// ScaleAddSparse computes dst[j] = s·dst[j] + a·x[j] at x's stored
-// coordinates — the fused scale-and-accumulate a server-side momentum or
-// sharded partial-merge step needs, touching only the active knowledge.
-func ScaleAddSparse(dst []float32, s, a float32, x *SparseVec) {
-	if len(dst) != x.N {
-		panic(fmt.Sprintf("tensor: ScaleAddSparse length %d, want %d", len(dst), x.N))
-	}
-	k := len(x.Indices)
-	if k >= sparseParMin {
-		Parallel(k, func(lo, hi int) { scaleAddSparseRange(dst, s, a, x, lo, hi) })
-		return
-	}
-	scaleAddSparseRange(dst, s, a, x, 0, k)
-}
-
-func scaleAddSparseRange(dst []float32, s, a float32, x *SparseVec, lo, hi int) {
-	idx, val := x.Indices[lo:hi], x.Values[lo:hi]
-	for i, j := range idx {
-		dst[j] = float32(s*dst[j]) + float32(a*val[i])
-	}
-}
-
 // ScaleIndexed multiplies dst by s at the given coordinates only (ascending,
 // unique) — the final FedAvg normalisation over a round's touched-coordinate
 // union, costing O(active knowledge) instead of O(model). At one kernel

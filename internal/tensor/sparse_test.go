@@ -67,18 +67,6 @@ func TestAxpySparseDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
-func TestScaleAddSparse(t *testing.T) {
-	sv := &SparseVec{N: 5, Indices: []int32{1, 3}, Values: []float32{2, -4}}
-	dst := []float32{1, 1, 1, 1, 1}
-	ScaleAddSparse(dst, 0.5, 2, sv)
-	want := []float32{1, 4.5, 1, -7.5, 1} // 0.5·1 + 2·v at stored coords only
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-}
-
 func TestScaleIndexed(t *testing.T) {
 	dst := []float32{1, 2, 3, 4}
 	ScaleIndexed(dst, 10, []int32{0, 2})

@@ -49,23 +49,11 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Reshape returns a tensor sharing t's data with a new shape. The element
-// count must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	if numElems(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // At returns the element at the given multi-index. Intended for tests and
@@ -107,14 +95,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Copy copies src's data into t. Shapes must have equal element counts.
-func (t *Tensor) Copy(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic("tensor: Copy size mismatch")
-	}
-	copy(t.Data, src.Data)
-}
-
 // AddInPlace adds b elementwise into t.
 func (t *Tensor) AddInPlace(b *Tensor) {
 	if len(t.Data) != len(b.Data) {
@@ -130,26 +110,6 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 	}
 	for i, v := range y {
 		x[i] += v
-	}
-}
-
-// SubInPlace subtracts b elementwise from t.
-func (t *Tensor) SubInPlace(b *Tensor) {
-	if len(t.Data) != len(b.Data) {
-		panic("tensor: SubInPlace size mismatch")
-	}
-	for i, v := range b.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t elementwise by b.
-func (t *Tensor) MulInPlace(b *Tensor) {
-	if len(t.Data) != len(b.Data) {
-		panic("tensor: MulInPlace size mismatch")
-	}
-	for i, v := range b.Data {
-		t.Data[i] *= v
 	}
 }
 
@@ -257,9 +217,6 @@ func DotSlice(a, b []float32) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm() float64 { return NormSlice(t.Data) }
-
 // NormSlice returns the Euclidean norm of a slice.
 func NormSlice(x []float32) float64 {
 	var s0, s1, s2, s3 float64
@@ -275,23 +232,6 @@ func NormSlice(x []float32) float64 {
 		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the sum of all elements as float64.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // ArgMaxRow returns the index of the maximum element in row r of a 2-D
@@ -318,26 +258,6 @@ func (t *Tensor) ArgMaxRow(r int, candidates []int) int {
 		}
 	}
 	return best
-}
-
-// MatMul computes C = A×B for A (m×k) and B (k×n), returning an m×n tensor.
-// Hot paths should prefer MatMulInto with a reused destination.
-func MatMul(a, b *Tensor) *Tensor {
-	return MatMulInto(nil, a, b)
-}
-
-// MatMulInto computes C = A×B into dst, reusing dst's storage when it has
-// sufficient capacity (dst may be nil, or a tensor returned by a previous
-// call). The destination is fully overwritten.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	dst = Ensure(dst, m, n)
-	clear(dst.Data)
-	Gemm(dst.Data, a.Data, b.Data, m, k, n, false, false)
-	return dst
 }
 
 // TransposeBlocks copies src, a rows × cols grid of equal-sized contiguous

@@ -11,8 +11,8 @@ func TestNewAndShape(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	if x.Dim(1) != 3 {
-		t.Fatalf("Dim(1) = %d, want 3", x.Dim(1))
+	if x.Shape[1] != 3 {
+		t.Fatalf("Shape[1] = %d, want 3", x.Shape[1])
 	}
 	for _, v := range x.Data {
 		if v != 0 {
@@ -41,15 +41,6 @@ func TestFromSliceValidates(t *testing.T) {
 	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	y := x.Reshape(4)
-	y.Data[0] = 9
-	if x.At(0, 0) != 9 {
-		t.Fatal("Reshape must share backing data")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	x := FromSlice([]float32{1, 2}, 2)
 	y := x.Clone()
@@ -69,20 +60,8 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("AddInPlace[%d] = %v, want %v", i, a.Data[i], w)
 		}
 	}
-	a.SubInPlace(b)
-	for i, w := range []float32{1, 2, 3} {
-		if a.Data[i] != w {
-			t.Fatalf("SubInPlace[%d] = %v, want %v", i, a.Data[i], w)
-		}
-	}
-	a.MulInPlace(b)
-	for i, w := range []float32{4, 10, 18} {
-		if a.Data[i] != w {
-			t.Fatalf("MulInPlace[%d] = %v, want %v", i, a.Data[i], w)
-		}
-	}
 	a.ScaleInPlace(0.5)
-	for i, w := range []float32{2, 5, 9} {
+	for i, w := range []float32{2.5, 3.5, 4.5} {
 		if a.Data[i] != w {
 			t.Fatalf("ScaleInPlace[%d] = %v, want %v", i, a.Data[i], w)
 		}
@@ -101,7 +80,7 @@ func TestAxpyDotNorm(t *testing.T) {
 	if got := Dot(b, b); got != 50 {
 		t.Fatalf("Dot = %v, want 50", got)
 	}
-	if got := b.Norm(); math.Abs(got-math.Sqrt(50)) > 1e-12 {
+	if got := NormSlice(b.Data); math.Abs(got-math.Sqrt(50)) > 1e-12 {
 		t.Fatalf("Norm = %v", got)
 	}
 }
@@ -110,12 +89,6 @@ func TestSumMean(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 4)
 	if x.Sum() != 10 {
 		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 2.5 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
-	if (&Tensor{}).Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
 	}
 }
 
@@ -154,11 +127,11 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		m, k, n := 1+r.Intn(8), 1+r.Intn(8), 1+r.Intn(8)
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
-		got := MatMul(a, b)
+		got := MatMulInto(nil, a, b)
 		want := naiveMatMul(a.Data, b.Data, m, k, n)
 		for i := range want {
 			if math.Abs(float64(got.Data[i]-want[i])) > 1e-4 {
-				t.Fatalf("trial %d: MatMul[%d] = %v, want %v", trial, i, got.Data[i], want[i])
+				t.Fatalf("trial %d: MatMulInto[%d] = %v, want %v", trial, i, got.Data[i], want[i])
 			}
 		}
 	}
