@@ -64,8 +64,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	opt := experiments.Options{Scale: sc, Seed: *seed, Out: os.Stdout,
-		Parallelism: *parallel, KernelThreads: *kernelThreads,
+	opt := experiments.Options{Scale: sc, Seed: *seed, Out: os.Stdout, Parallelism: *parallel,
 		Scheduler: *scheduler, SyncEvict: *syncEvict, AsyncCommitK: *asyncCommitK,
 		MaxStaleness: *maxStaleness, StalenessAlpha: *stalenessAlpha,
 		Shards: *shards}

@@ -234,17 +234,9 @@ func main() {
 	}
 	architecture := *arch
 	if architecture == "" {
-		if fam.Name == "MiniImageNet" || fam.Name == "TinyImageNet" {
-			architecture = "ResNet18"
-		} else {
-			architecture = "SixCNN"
-		}
+		architecture = experiments.ArchFor(fam)
 	}
-	alloc := data.DefaultAlloc(*seed + 1)
-	if sc == data.CI {
-		alloc = data.CIAlloc(*seed + 1)
-	}
-	seqs := data.Federate(tasks, rt.Clients, alloc)
+	seqs := data.Federate(tasks, rt.Clients, experiments.AllocFor(sc, *seed+1))
 
 	j := &job{
 		cfg: fed.Config{

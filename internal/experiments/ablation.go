@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
 
@@ -32,20 +31,7 @@ type AblationResult struct {
 // Ablation runs FedKNOW complete and with each component disabled on a
 // CIFAR100-style workload.
 func Ablation(opt Options) (*AblationResult, error) {
-	fam := data.CIFAR100
-	ds, tasks := fam.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(fam, opt.Scale)
-	arch := archFor(fam)
-	alloc := data.DefaultAlloc(opt.Seed + 1)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 1)
-	} else {
-		rt.Clients = 20
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, rt.Clients, alloc)
-	cluster := device.Jetson20()
-
+	f := newFederation(opt, data.CIFAR100).federate(opt)
 	base := fedKNOWOptions(opt.Scale)
 	variants := []struct {
 		label string
@@ -60,29 +46,17 @@ func Ablation(opt Options) (*AblationResult, error) {
 	res := &AblationResult{Accuracy: map[string]float64{}, Forgetting: map[string]float64{},
 		KnowledgeOverChance: map[string]float64{}, QPFireRate: map[string]float64{}, GuardFireRate: map[string]float64{}}
 	for _, v := range variants {
-		cfg := fed.Config{
-			Method: v.label, Rounds: rt.Rounds, LocalIters: rt.LocalIters,
-			BatchSize: rt.BatchSize, LR: rt.LR, LRDecay: rt.LRDecay,
-			NumClasses: ds.NumClasses, Bandwidth: rt.Bandwidth, Seed: opt.Seed,
-		}
-		opt.applyScheduler(&cfg)
 		var clients []knowledgeClient
-		e := fed.NewEngine(cfg, cluster, seqs,
-			builderFor(arch, ds.NumClasses, ds.C, ds.H, ds.W, rt.Width),
-			func(ctx *fed.ClientCtx) fed.Strategy {
-				s := core.New(ctx, v.opts)
-				clients = append(clients, knowledgeClient{ctx, s})
-				return s
-			})
-		if opt.Observer != nil {
-			e.SetObserver(opt.Observer)
-		}
-		r := e.Run()
+		r := train(opt, f, v.label, func(ctx *fed.ClientCtx) fed.Strategy {
+			s := core.New(ctx, v.opts)
+			clients = append(clients, knowledgeClient{ctx, s})
+			return s
+		})
 		last := r.PerTask[len(r.PerTask)-1]
 		res.Variants = append(res.Variants, v.label)
 		res.Accuracy[v.label] = last.AvgAccuracy
 		res.Forgetting[v.label] = last.ForgettingRate
-		res.KnowledgeOverChance[v.label], res.QPFireRate[v.label], res.GuardFireRate[v.label] = witnesses(clients, seqs)
+		res.KnowledgeOverChance[v.label], res.QPFireRate[v.label], res.GuardFireRate[v.label] = witnesses(clients, f.seqs)
 	}
 	tbl := &Table{
 		Title: "Ablation: FedKNOW component contributions (CIFAR100)",

@@ -6,16 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
-
-// clusterLike lets experiments defer cluster construction.
-type clusterLike interface{ cluster() *device.Cluster }
-
-type fixedCluster struct{ c *device.Cluster }
-
-func (f fixedCluster) cluster() *device.Cluster { return f.c }
 
 // Series is one plotted line: label plus (x, y) points.
 type Series struct {
@@ -92,13 +84,6 @@ type Options struct {
 	// Parallelism bounds concurrently-training clients inside the federated
 	// engine; 0 means GOMAXPROCS. Results are deterministic regardless.
 	Parallelism int
-	// KernelThreads bounds the tensor-kernel worker pool (GEMM row blocks,
-	// conv batch parallelism); 0 keeps the current process-wide setting.
-	// The pool is shared across clients and bounds the *extra* kernel
-	// goroutines: each training client also executes kernel work inline,
-	// so up to Parallelism + KernelThreads − 1 goroutines may run kernels
-	// at once. Results are bitwise identical for every setting.
-	KernelThreads int
 	// Observer, when set, streams every engine run's per-round and per-task
 	// progress (CLIs print live rows; dashboards can tail a long Full-scale
 	// run). It does not affect results.
@@ -119,18 +104,6 @@ type Options struct {
 	// per-shard reducers; results are bitwise identical for every value —
 	// see fed.Config.Shards. 0 or 1 keeps the single-loop default.
 	Shards int
-}
-
-// applyScheduler copies the scheduling-policy knobs into an engine config.
-func (o Options) applyScheduler(cfg *fed.Config) {
-	cfg.Scheduler = o.Scheduler
-	cfg.SyncEvict = o.SyncEvict
-	cfg.Async = fed.AsyncConfig{
-		CommitEvery:    o.AsyncCommitK,
-		MaxStaleness:   o.MaxStaleness,
-		StalenessAlpha: o.StalenessAlpha,
-	}
-	cfg.Shards = o.Shards
 }
 
 // tune applies the optional runtime adjustment.

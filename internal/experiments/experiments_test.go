@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/device"
+	"repro/internal/fed"
 )
 
 func ciOpts(seed uint64) Options {
@@ -27,10 +31,10 @@ func TestRuntimeForFullMatchesPaper(t *testing.T) {
 }
 
 func TestArchSelection(t *testing.T) {
-	if archFor(data.CIFAR100) != "SixCNN" || archFor(data.CORe50) != "SixCNN" {
+	if ArchFor(data.CIFAR100) != "SixCNN" || ArchFor(data.CORe50) != "SixCNN" {
 		t.Fatal("first three datasets use the 6-layer CNN")
 	}
-	if archFor(data.MiniImageNet) != "ResNet18" || archFor(data.TinyImageNet) != "ResNet18" {
+	if ArchFor(data.MiniImageNet) != "ResNet18" || ArchFor(data.TinyImageNet) != "ResNet18" {
 		t.Fatal("ImageNet variants use ResNet-18")
 	}
 }
@@ -221,6 +225,97 @@ func TestTable1Structure(t *testing.T) {
 	}
 	if got := res.MeanImprovement("CIFAR100"); got != s/10 {
 		t.Fatalf("MeanImprovement %v vs %v", got, s/10)
+	}
+}
+
+// TestTable1ImprovementDeterministic feeds improvement baseline accuracies
+// whose float sum depends on the order they are added in: one large value
+// and ten that vanish when added to it one by one, but not when summed first.
+// Every call must return the same bits.
+func TestTable1ImprovementDeterministic(t *testing.T) {
+	results := map[string]*fed.Result{}
+	for i, m := range AllMethods {
+		acc := 1e-16
+		switch i {
+		case 0: // FedKNOW
+			acc = 0.5
+		case len(AllMethods) / 2:
+			acc = 1
+		}
+		results[m] = &fed.Result{PerTask: []fed.TaskPoint{{AvgAccuracy: acc}}}
+	}
+	want := math.Float64bits(improvement(results, 1)[0])
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(improvement(results, 1)[0]); got != want {
+			t.Fatalf("call %d: improvement bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
+// TestFullScaleFederations runs every harness at Full scale with training
+// replaced by an empty result, and pins the federations they prepare: the
+// client count, the cluster and the task count of the paper's §V runs.
+func TestFullScaleFederations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Full-scale datasets; skipped in -short")
+	}
+	var got []*federation
+	defer func(prev func(Options, *federation, string, fed.Factory) *fed.Result) { train = prev }(train)
+	train = func(_ Options, f *federation, _ string, _ fed.Factory) *fed.Result {
+		if len(got) == 0 || got[len(got)-1] != f {
+			got = append(got, f)
+		}
+		return &fed.Result{PerTask: make([]fed.TaskPoint, len(f.tasks))}
+	}
+	type shape struct {
+		clients int
+		cluster *device.Cluster
+		tasks   int
+	}
+	jetson := shape{20, device.Jetson20(), 10}
+	opt := Options{Scale: data.Full, Seed: 1}
+	// Figs. 7 and 8 fix their cohorts: a tuned client count does not reach
+	// them.
+	pinned := opt
+	pinned.Tune = func(rt *Runtime) { rt.Clients = 3 }
+	fig4 := func(panel string) func() error {
+		return func() error { _, err := Fig4(panel, opt); return err }
+	}
+	cases := []struct {
+		name    string
+		harness func() error
+		want    []shape
+	}{
+		{"ablation", func() error { _, err := Ablation(opt); return err }, []shape{jetson}},
+		{"fig4a", fig4("a"), []shape{jetson}},
+		{"fig4d", fig4("d"), []shape{{30, device.Mixed30(), 10}}},
+		{"fig4h", fig4("h"), []shape{{20, device.Jetson20(), 20}}},
+		{"fig5", func() error { _, err := Fig5(opt, []data.Family{data.FC100}); return err }, []shape{jetson}},
+		{"fig6", func() error { _, err := Fig6(opt); return err }, []shape{jetson, jetson}},
+		{"fig7", func() error { _, err := Fig7(pinned); return err }, []shape{{20, device.Jetson20(), 80}}},
+		{"fig8", func() error { _, err := Fig8(pinned); return err }, []shape{
+			{50, device.Uniform(50, device.JetsonXavierNX), 10},
+			{100, device.Uniform(100, device.JetsonXavierNX), 10}}},
+		{"fig9", func() error { _, err := Fig9(opt, []string{"MobileNetV2"}); return err }, []shape{jetson}},
+		{"fig10", func() error { _, err := Fig10(opt); return err }, []shape{jetson}},
+		{"hyper", func() error { _, err := HyperSearch("FedKNOW", opt); return err }, []shape{{20, device.Jetson20(), 2}}},
+		{"table1", func() error { _, err := Table1(opt, []data.Family{data.CORe50}); return err }, []shape{{20, device.Jetson20(), 11}}},
+	}
+	for _, c := range cases {
+		got = nil
+		if err := c.harness(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != len(c.want) {
+			t.Fatalf("%s prepared %d federations, want %d", c.name, len(got), len(c.want))
+		}
+		for i, f := range got {
+			w := c.want[i]
+			if len(f.seqs) != w.clients || !reflect.DeepEqual(f.cluster, w.cluster) || len(f.tasks) != w.tasks {
+				t.Errorf("%s federation %d: %d clients on %d devices, %d tasks; want %d on %d, %d",
+					c.name, i, len(f.seqs), f.cluster.Size(), len(f.tasks), w.clients, w.cluster.Size(), w.tasks)
+			}
+		}
 	}
 }
 

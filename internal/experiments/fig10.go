@@ -4,7 +4,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
 
@@ -51,34 +50,10 @@ func fig10Settings(scale data.Scale) []Fig10Setting {
 
 // Fig10 runs the parameter study on MiniImageNet + ResNet-18.
 func Fig10(opt Options) (*Fig10Result, error) {
-	fam := data.MiniImageNet
-	ds, tasks := fam.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(fam, opt.Scale)
-	arch := archFor(fam)
-	alloc := data.DefaultAlloc(opt.Seed + 1)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 1)
-	} else {
-		rt.Clients = 20
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, rt.Clients, alloc)
-	cluster := device.Jetson20()
-
+	f := newFederation(opt, data.MiniImageNet).federate(opt)
 	res := &Fig10Result{Accuracy: map[string]float64{}, Hours: map[string]float64{}}
 	for _, setting := range fig10Settings(opt.Scale) {
-		cfg := fed.Config{
-			Method: setting.Label, Rounds: rt.Rounds, LocalIters: rt.LocalIters,
-			BatchSize: rt.BatchSize, LR: rt.LR, LRDecay: rt.LRDecay,
-			NumClasses: ds.NumClasses, Bandwidth: rt.Bandwidth, Seed: opt.Seed,
-		}
-		opt.applyScheduler(&cfg)
-		e := fed.NewEngine(cfg, cluster, seqs,
-			builderFor(arch, ds.NumClasses, ds.C, ds.H, ds.W, rt.Width), setting.Factory)
-		if opt.Observer != nil {
-			e.SetObserver(opt.Observer)
-		}
-		r := e.Run()
+		r := train(opt, f, setting.Label, setting.Factory)
 		last := r.PerTask[len(r.PerTask)-1]
 		res.Settings = append(res.Settings, setting.Label)
 		res.Accuracy[setting.Label] = last.AvgAccuracy

@@ -46,54 +46,31 @@ func Fig4(panel string, opt Options) (*Fig4Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown Fig.4 panel %q (a–h)", panel)
 	}
-	ds, tasks := spec.family.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(spec.family, opt.Scale)
-	arch := archFor(spec.family)
-
+	f := newFederation(opt, spec.family)
 	methods := AllMethods
-	var cluster *device.Cluster
 	if spec.mixed30 {
 		methods = fig4MixedMethods
 		if opt.Scale == data.Full {
-			cluster = device.Mixed30()
-			rt.Clients = 30
+			f.cluster = device.Mixed30()
 		} else {
 			// CI-scale mixed cluster: 3 Jetsons + 3 Raspberry Pis (one 2 GB)
 			// so heterogeneity and the OOM path are still exercised.
-			cluster = &device.Cluster{Devices: []device.Device{
+			f.cluster = &device.Cluster{Devices: []device.Device{
 				device.JetsonAGX, device.JetsonXavierNX, device.JetsonNano,
 				device.RaspberryPi(2), device.RaspberryPi(4), device.RaspberryPi(8),
 			}}
-			rt.Clients = 6
 		}
-		rt.MemScale = memScaleFor(arch, ds, rt.Width)
-	} else {
-		if opt.Scale == data.Full {
-			cluster = device.Jetson20()
-			rt.Clients = 20
-		} else {
-			cluster = device.Jetson20()
-		}
+		f.rt.Clients = f.cluster.Size()
+		f.rt.MemScale = memScaleFor(f.arch, f.ds, f.rt.Width)
 	}
-
-	alloc := data.DefaultAlloc(opt.Seed + 1)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 1)
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, rt.Clients, alloc)
+	f.federate(opt)
 
 	res := &Fig4Result{Panel: panel, Dataset: spec.family.Name, Methods: methods,
 		Raw: map[string]*fed.Result{}}
 	for _, m := range methods {
-		r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+		r := train(opt, f, m, MethodFactory(m, opt.Scale))
 		res.Raw[m] = r
-		s := Series{Label: m}
-		for _, tp := range r.PerTask {
-			s.X = append(s.X, tp.SimHours)
-			s.Y = append(s.Y, tp.AvgAccuracy)
-		}
-		res.Series = append(res.Series, s)
+		res.Series = append(res.Series, perTask(m, r, simHours, avgAccuracy))
 	}
 	PrintSeries(opt.out(), fmt.Sprintf("Fig.4(%s): %s accuracy vs training time", panel, spec.family.Name), res.Series)
 	return res, nil

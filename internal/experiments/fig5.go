@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/data"
-	"repro/internal/device"
-)
+import "repro/internal/data"
 
 // Fig5Result is the total communication volume comparison (Fig. 5):
 // FedKNOW vs FedWEIT on each workload, in GB of up+down traffic.
@@ -22,23 +19,11 @@ func Fig5(opt Options, datasets []data.Family) (*Fig5Result, error) {
 	methods := []string{"FedKNOW", "FedWEIT"}
 	res := &Fig5Result{VolumeGB: map[string]map[string]float64{}}
 	for _, fam := range datasets {
-		ds, tasks := fam.Build(opt.Scale, opt.Seed)
-		rt := RuntimeFor(fam, opt.Scale)
-		arch := archFor(fam)
-		alloc := data.DefaultAlloc(opt.Seed + 1)
-		if opt.Scale == data.CI {
-			alloc = data.CIAlloc(opt.Seed + 1)
-		} else {
-			rt.Clients = 20
-		}
-		cluster := device.Jetson20()
-		opt.tune(&rt)
-		seqs := data.Federate(tasks, rt.Clients, alloc)
-
+		f := newFederation(opt, fam).federate(opt)
 		res.Datasets = append(res.Datasets, fam.Name)
 		res.VolumeGB[fam.Name] = map[string]float64{}
 		for _, m := range methods {
-			r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+			r := train(opt, f, m, MethodFactory(m, opt.Scale))
 			last := r.PerTask[len(r.PerTask)-1]
 			res.VolumeGB[fam.Name][m] = gb(last.UpBytes + last.DownBytes)
 		}

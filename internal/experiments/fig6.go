@@ -31,23 +31,12 @@ func Fig6(opt Options) (*Fig6Result, error) {
 	res := &Fig6Result{Hours: map[string]map[string][]float64{}}
 	const refBW = 1024 * 1024
 	for _, combo := range combos {
-		ds, tasks := combo.family.Build(opt.Scale, opt.Seed)
-		rt := RuntimeFor(combo.family, opt.Scale)
-		rt.Bandwidth = refBW
-		arch := archFor(combo.family)
-		alloc := data.DefaultAlloc(opt.Seed + 1)
-		if opt.Scale == data.CI {
-			alloc = data.CIAlloc(opt.Seed + 1)
-		} else {
-			rt.Clients = 20
-		}
-		cluster := device.Jetson20()
-		opt.tune(&rt)
-		seqs := data.Federate(tasks, rt.Clients, alloc)
-
+		f := newFederation(opt, combo.family)
+		f.rt.Bandwidth = refBW
+		f.federate(opt)
 		res.Hours[combo.label] = map[string][]float64{}
 		for _, m := range methods {
-			r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+			r := train(opt, f, m, MethodFactory(m, opt.Scale))
 			ref := r.PerTask[len(r.PerTask)-1].CommHours
 			hours := make([]float64, len(device.Fig6Bandwidths))
 			for i, bw := range device.Fig6Bandwidths {

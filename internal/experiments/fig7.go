@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
 
@@ -19,47 +18,32 @@ type Fig7Result struct {
 	Raw        map[string]*fed.Result
 }
 
-// Fig7 builds the merged dataset (80 tasks × 5 classes at Full scale; 16
-// tasks × 10 classes at CI, preserving the "many small tasks" shape) and
-// runs the three methods.
+// Fig7 builds the merged dataset (80 tasks × 5 classes at Full scale; 10
+// tasks × 16 classes at CI, preserving the "many tasks" shape) and runs the
+// three methods.
 func Fig7(opt Options) (*Fig7Result, error) {
-	mini, _ := data.MiniImageNet.Build(opt.Scale, opt.Seed)
-	cifar, _ := data.CIFAR100.Build(opt.Scale, opt.Seed+1)
-	tiny, _ := data.TinyImageNet.Build(opt.Scale, opt.Seed+2)
-	merged := data.MergeDatasets("Merged80", mini, cifar, tiny)
 	numTasks := 80
-	clients := 20
 	if opt.Scale == data.CI {
 		numTasks = 10
-		clients = 4
 	}
-	tasks := data.SplitTasks(merged, numTasks)
-
-	rt := RuntimeFor(data.MiniImageNet, opt.Scale)
-	rt.Clients = clients
-	alloc := data.DefaultAlloc(opt.Seed + 3)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 3)
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, clients, alloc)
-	cluster := device.Jetson20()
+	f := newFederation(opt, data.MiniImageNet)
+	// The study fixes its cohort (20 clients at Full scale); opt.Tune does
+	// not resize it.
+	f.clients = f.rt.Clients
+	cifar, _ := data.CIFAR100.Build(opt.Scale, opt.Seed+1)
+	tiny, _ := data.TinyImageNet.Build(opt.Scale, opt.Seed+2)
+	f.ds = data.MergeDatasets("Merged80", f.ds, cifar, tiny)
+	f.tasks = data.SplitTasks(f.ds, numTasks)
+	f.alloc = AllocFor(opt.Scale, opt.Seed+3)
+	f.federate(opt)
 
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
 	res := &Fig7Result{NumTasks: numTasks, Methods: methods, Raw: map[string]*fed.Result{}}
 	for _, m := range methods {
-		r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, merged.NumClasses, "ResNet18", merged)
+		r := train(opt, f, m, MethodFactory(m, opt.Scale))
 		res.Raw[m] = r
-		acc := Series{Label: m}
-		fgt := Series{Label: m}
-		for _, tp := range r.PerTask {
-			acc.X = append(acc.X, float64(tp.TaskIdx+1))
-			acc.Y = append(acc.Y, tp.AvgAccuracy)
-			fgt.X = append(fgt.X, float64(tp.TaskIdx+1))
-			fgt.Y = append(fgt.Y, tp.ForgettingRate)
-		}
-		res.Accuracy = append(res.Accuracy, acc)
-		res.Forgetting = append(res.Forgetting, fgt)
+		res.Accuracy = append(res.Accuracy, perTask(m, r, taskNumber, avgAccuracy))
+		res.Forgetting = append(res.Forgetting, perTask(m, r, taskNumber, forgetting))
 	}
 	PrintSeries(opt.out(), fmt.Sprintf("Fig.7(a): avg accuracy vs number of tasks (%d tasks)", numTasks), res.Accuracy)
 	PrintSeries(opt.out(), "Fig.7(b): forgetting rate vs number of tasks", res.Forgetting)

@@ -29,44 +29,29 @@ func Fig8(opt Options) (*Fig8Result, error) {
 		counts = []int{4, 8}
 	}
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
-	fam := data.MiniImageNet
-	ds, tasks := fam.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(fam, opt.Scale)
-	arch := archFor(fam)
+	base := newFederation(opt, data.MiniImageNet)
 
 	res := &Fig8Result{ClientCounts: counts, Methods: methods, Raw: map[string]*fed.Result{}}
 	for _, nClients := range counts {
-		rt := rt
-		rt.Clients = nClients
-		alloc := data.DefaultAlloc(opt.Seed + 1)
-		if opt.Scale == data.CI {
-			alloc = data.CIAlloc(opt.Seed + 1)
-		}
+		f := *base
+		f.clients = nClients
+		f.cluster = device.Uniform(nClients, device.JetsonXavierNX)
 		// Thinner shards at higher client counts: halve the per-client
 		// sample fraction for the larger cluster, mirroring the paper's
 		// observation that 100-client MiniImageNet leaves few samples each.
 		if nClients == counts[len(counts)-1] {
-			alloc.MinFrac /= 2
-			alloc.MaxFrac /= 2
+			f.alloc.MinFrac /= 2
+			f.alloc.MaxFrac /= 2
 		}
-		opt.tune(&rt)
-		seqs := data.Federate(tasks, nClients, alloc)
-		cluster := device.Uniform(nClients, device.JetsonXavierNX)
+		f.federate(opt)
 
 		var accRow, fgtRow []Series
 		for _, m := range methods {
-			r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+			r := train(opt, &f, m, MethodFactory(m, opt.Scale))
 			res.Raw[fmt.Sprintf("%s@%d", m, nClients)] = r
-			acc := Series{Label: fmt.Sprintf("%s (%d clients)", m, nClients)}
-			fgt := Series{Label: acc.Label}
-			for _, tp := range r.PerTask {
-				acc.X = append(acc.X, float64(tp.TaskIdx+1))
-				acc.Y = append(acc.Y, tp.AvgAccuracy)
-				fgt.X = append(fgt.X, float64(tp.TaskIdx+1))
-				fgt.Y = append(fgt.Y, tp.ForgettingRate)
-			}
-			accRow = append(accRow, acc)
-			fgtRow = append(fgtRow, fgt)
+			label := fmt.Sprintf("%s (%d clients)", m, nClients)
+			accRow = append(accRow, perTask(label, r, taskNumber, avgAccuracy))
+			fgtRow = append(fgtRow, perTask(label, r, taskNumber, forgetting))
 		}
 		res.Accuracy = append(res.Accuracy, accRow)
 		res.Forgetting = append(res.Forgetting, fgtRow)

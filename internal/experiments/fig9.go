@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
 
@@ -31,32 +30,17 @@ func Fig9(opt Options, models []string) (*Fig9Result, error) {
 		models = Fig9Models
 	}
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
-	fam := data.MiniImageNet
-	ds, tasks := fam.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(fam, opt.Scale)
-	alloc := data.DefaultAlloc(opt.Seed + 1)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 1)
-	} else {
-		rt.Clients = 20
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, rt.Clients, alloc)
-	cluster := device.Jetson20()
-
+	f := newFederation(opt, data.MiniImageNet).federate(opt)
 	res := &Fig9Result{Models: models, Methods: methods,
 		Series: map[string]map[string]Series{}, Raw: map[string]*fed.Result{}}
 	for _, arch := range models {
+		f.arch = arch
 		res.Series[arch] = map[string]Series{}
 		var panel []Series
 		for _, m := range methods {
-			r := runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+			r := train(opt, f, m, MethodFactory(m, opt.Scale))
 			res.Raw[arch+"/"+m] = r
-			s := Series{Label: m}
-			for _, tp := range r.PerTask {
-				s.X = append(s.X, float64(tp.TaskIdx+1))
-				s.Y = append(s.Y, tp.AvgAccuracy)
-			}
+			s := perTask(m, r, taskNumber, avgAccuracy)
 			res.Series[arch][m] = s
 			panel = append(panel, s)
 		}

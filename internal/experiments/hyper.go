@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/device"
 )
 
 // HyperResult reports a hyperparameter search outcome.
@@ -26,23 +25,12 @@ func HyperSearch(method string, opt Options) (*HyperResult, error) {
 		lrs = []float64{0.005, 0.02}
 		decays = []float64{1e-5, 1e-4}
 	}
-	ds, tasks := data.SVHN.Build(opt.Scale, opt.Seed)
-	rt := RuntimeFor(data.SVHN, opt.Scale)
-	alloc := data.DefaultAlloc(opt.Seed + 1)
-	if opt.Scale == data.CI {
-		alloc = data.CIAlloc(opt.Seed + 1)
-	}
-	opt.tune(&rt)
-	seqs := data.Federate(tasks, rt.Clients, alloc)
-	cluster := device.Jetson20()
-
+	f := newFederation(opt, data.SVHN).federate(opt)
 	res := &HyperResult{Best: map[string]float64{}}
 	for _, lr := range lrs {
 		for _, decay := range decays {
-			rt := rt
-			rt.LR = lr
-			rt.LRDecay = decay
-			r := runOne(method, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, "SixCNN", ds)
+			f.rt.LR, f.rt.LRDecay = lr, decay
+			r := train(opt, f, method, MethodFactory(method, opt.Scale))
 			res.Searched++
 			acc := r.PerTask[len(r.PerTask)-1].AvgAccuracy
 			fmt.Fprintf(opt.out(), "hyper %s lr=%g decay=%g → acc %.4f\n", method, lr, decay, acc)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/device"
 	"repro/internal/fed"
 	"repro/internal/model"
 	"repro/internal/tensor"
@@ -62,15 +63,24 @@ func RuntimeFor(f data.Family, scale data.Scale) Runtime {
 	}
 }
 
-// archFor returns the §V-A model for a dataset family: the 6-layer CNN for
+// ArchFor returns the §V-A model for a dataset family: the 6-layer CNN for
 // CIFAR100/FC100/CORe50, ResNet-18 for Mini/TinyImageNet.
-func archFor(f data.Family) string {
+func ArchFor(f data.Family) string {
 	switch f.Name {
 	case "MiniImageNet", "TinyImageNet":
 		return "ResNet18"
 	default:
 		return "SixCNN"
 	}
+}
+
+// AllocFor returns the §V-A class and sample allocation at a scale: the
+// paper's at Full scale, CIAlloc's larger fractions at CI scale.
+func AllocFor(scale data.Scale, seed uint64) data.AllocConfig {
+	if scale == data.CI {
+		return data.CIAlloc(seed)
+	}
+	return data.DefaultAlloc(seed)
 }
 
 // fedKNOWOptions scales FedKNOW's hyperparameters (§V-B: ρ = 10 %, k = 10).
@@ -107,25 +117,76 @@ func builderFor(arch string, numClasses, inC, inH, inW, width int) func(*tensor.
 	}
 }
 
-// runOne executes one method on one prepared federation and returns the
-// engine result.
-func runOne(method string, opt Options, rt Runtime, cluster clusterLike,
-	seqs [][]data.ClientTask, numClasses int, arch string, ds *data.Dataset) *fed.Result {
-	if opt.KernelThreads > 0 {
-		tensor.SetKernelThreads(opt.KernelThreads)
+// federation is one prepared §V workload: a dataset split into tasks, the
+// protocol constants and model it trains with, the cluster its clients run
+// on, and their task sequences. A harness takes newFederation's default,
+// departs from it where the paper does, and calls federate.
+type federation struct {
+	ds      *data.Dataset
+	tasks   []data.Task
+	rt      Runtime
+	arch    string
+	alloc   data.AllocConfig
+	cluster *device.Cluster
+	// clients, when set, is federated in place of the tuned rt.Clients: the
+	// scalability studies (Figs. 7 and 8) fix their cohort sizes.
+	clients int
+	seqs    [][]data.ClientTask
+}
+
+// newFederation is fam's default §V workload at opt.Scale, not yet
+// federated: its dataset, RuntimeFor, ArchFor, AllocFor and the 20-Jetson
+// cluster.
+func newFederation(opt Options, fam data.Family) *federation {
+	ds, tasks := fam.Build(opt.Scale, opt.Seed)
+	return &federation{ds: ds, tasks: tasks, rt: RuntimeFor(fam, opt.Scale),
+		arch: ArchFor(fam), alloc: AllocFor(opt.Scale, opt.Seed+1), cluster: device.Jetson20()}
+}
+
+// federate applies opt.Tune and deals the tasks out to the clients.
+func (f *federation) federate(opt Options) *federation {
+	opt.tune(&f.rt)
+	n := f.rt.Clients
+	if f.clients > 0 {
+		n = f.clients
 	}
+	f.seqs = data.Federate(f.tasks, n, f.alloc)
+	return f
+}
+
+// train runs one labelled strategy on a prepared federation and returns the
+// engine result; every harness trains through it. It is a variable so that
+// tests can see what a harness prepares without training it.
+var train = func(opt Options, f *federation, label string, factory fed.Factory) *fed.Result {
 	cfg := fed.Config{
-		Method: method, Rounds: rt.Rounds, LocalIters: rt.LocalIters,
-		BatchSize: rt.BatchSize, LR: rt.LR, LRDecay: rt.LRDecay,
-		NumClasses: numClasses, Bandwidth: rt.Bandwidth, MemScale: rt.MemScale,
-		Seed: opt.Seed, Parallelism: opt.Parallelism,
+		Method: label, Rounds: f.rt.Rounds, LocalIters: f.rt.LocalIters,
+		BatchSize: f.rt.BatchSize, LR: f.rt.LR, LRDecay: f.rt.LRDecay,
+		NumClasses: f.ds.NumClasses, Bandwidth: f.rt.Bandwidth, MemScale: f.rt.MemScale,
+		Seed: opt.Seed, Parallelism: opt.Parallelism, Shards: opt.Shards,
+		Scheduler: opt.Scheduler, SyncEvict: opt.SyncEvict,
+		Async: fed.AsyncConfig{CommitEvery: opt.AsyncCommitK,
+			MaxStaleness: opt.MaxStaleness, StalenessAlpha: opt.StalenessAlpha},
 	}
-	opt.applyScheduler(&cfg)
-	e := fed.NewEngine(cfg, cluster.cluster(), seqs,
-		builderFor(arch, numClasses, ds.C, ds.H, ds.W, rt.Width),
-		MethodFactory(method, opt.Scale))
+	e := fed.NewEngine(cfg, f.cluster, f.seqs,
+		builderFor(f.arch, f.ds.NumClasses, f.ds.C, f.ds.H, f.ds.W, f.rt.Width), factory)
 	if opt.Observer != nil {
 		e.SetObserver(opt.Observer)
 	}
 	return e.Run()
 }
+
+// perTask plots x against y over every task point of r.
+func perTask(label string, r *fed.Result, x, y func(fed.TaskPoint) float64) Series {
+	s := Series{Label: label}
+	for _, tp := range r.PerTask {
+		s.X = append(s.X, x(tp))
+		s.Y = append(s.Y, y(tp))
+	}
+	return s
+}
+
+// The task-point coordinates the figures plot.
+func taskNumber(tp fed.TaskPoint) float64  { return float64(tp.TaskIdx + 1) }
+func simHours(tp fed.TaskPoint) float64    { return tp.SimHours }
+func avgAccuracy(tp fed.TaskPoint) float64 { return tp.AvgAccuracy }
+func forgetting(tp fed.TaskPoint) float64  { return tp.ForgettingRate }

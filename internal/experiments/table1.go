@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fed"
 )
 
@@ -26,46 +25,14 @@ func Table1(opt Options, datasets []data.Family) (*Table1Result, error) {
 	res := &Table1Result{Improvement: map[string][]float64{}}
 	maxTasks := 0
 	for _, fam := range datasets {
-		ds, tasks := fam.Build(opt.Scale, opt.Seed)
-		rt := RuntimeFor(fam, opt.Scale)
-		arch := archFor(fam)
-		alloc := data.DefaultAlloc(opt.Seed + 1)
-		cluster := device.Jetson20()
-		if opt.Scale == data.CI {
-			alloc = data.CIAlloc(opt.Seed + 1)
-		} else {
-			rt.Clients = 20
-		}
-		opt.tune(&rt)
-		seqs := data.Federate(tasks, rt.Clients, alloc)
-
+		f := newFederation(opt, fam).federate(opt)
 		results := map[string]*fed.Result{}
 		for _, m := range AllMethods {
-			results[m] = runOne(m, opt, rt, fixedCluster{cluster}, seqs, ds.NumClasses, arch, ds)
+			results[m] = train(opt, f, m, MethodFactory(m, opt.Scale))
 		}
-		nTasks := len(tasks)
-		if nTasks > maxTasks {
-			maxTasks = nTasks
-		}
-		imp := make([]float64, nTasks)
-		for t := 0; t < nTasks; t++ {
-			fk := results["FedKNOW"].PerTask[t].AvgAccuracy
-			var sum float64
-			n := 0
-			for m, r := range results {
-				if m == "FedKNOW" {
-					continue
-				}
-				sum += r.PerTask[t].AvgAccuracy
-				n++
-			}
-			mean := sum / float64(n)
-			if mean > 0 {
-				imp[t] = (fk - mean) / mean * 100
-			}
-		}
+		maxTasks = max(maxTasks, len(f.tasks))
 		res.Datasets = append(res.Datasets, fam.Name)
-		res.Improvement[fam.Name] = imp
+		res.Improvement[fam.Name] = improvement(results, len(f.tasks))
 	}
 
 	tbl := &Table{
@@ -87,4 +54,23 @@ func Table1(opt Options, datasets []data.Family) (*Table1Result, error) {
 	res.Table = tbl
 	tbl.Print(opt.out())
 	return res, nil
+}
+
+// improvement is FedKNOW's per-task accuracy gain over the mean of the 11
+// baselines, in percent. The baselines are summed in AllMethods order, so
+// the float sum, and the result, are the same on every call.
+func improvement(results map[string]*fed.Result, nTasks int) []float64 {
+	others := AllMethods[1:]
+	imp := make([]float64, nTasks)
+	for t := range imp {
+		var sum float64
+		for _, m := range others {
+			sum += results[m].PerTask[t].AvgAccuracy
+		}
+		mean := sum / float64(len(others))
+		if mean > 0 {
+			imp[t] = (results["FedKNOW"].PerTask[t].AvgAccuracy - mean) / mean * 100
+		}
+	}
+	return imp
 }
