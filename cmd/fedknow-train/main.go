@@ -54,7 +54,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"os"
 
@@ -345,51 +344,32 @@ func runLoopback(j *job) {
 	engine.Run()
 }
 
-// runServe is the server role of a distributed run: accept one TCP
-// connection per client, schedule the rounds, aggregate, stream results.
-// Under the async scheduler the listener stays open for the whole run,
-// accepting catch-up rejoins from clients whose connections dropped. With
-// -snapshot-dir the server is crash-only: every commit and task boundary is
-// durably snapshotted (the store is opened — and its directory probed for
-// writability — before any client connects, so a misconfiguration fails
-// fast), and a restart that finds a snapshot resumes from it instead of
-// starting fresh.
+// runServe is the server role of a distributed run: seat the cohort,
+// schedule the rounds, aggregate, stream results. A fresh run accepts one TCP
+// connection per founding client. With -snapshot-dir the server is
+// crash-only: every commit and task boundary is durably snapshotted (the
+// store is opened — and its directory probed for writability — before any
+// client connects, so a misconfiguration fails fast), and a restart that
+// finds a snapshot rebuilds the books from it instead, resuming at the
+// snapshotted task and global version: the cohort already exists, every
+// client holds local training state, and clients running -reconnect just
+// redial and retrain at most the uploads since the last commit. Under the
+// async scheduler the server keeps the listener for the whole run, admitting
+// catch-up rejoins from clients whose connections dropped and -join
+// enrollments up to -max-cohort.
 func runServe(j *job, addr string) error {
 	var store *checkpoint.Store
+	var snap *checkpoint.ServerSnapshot
 	if j.snapDir != "" {
 		var err error
-		store, err = checkpoint.OpenStore(j.snapDir, j.snapKeep, j.fingerprint())
-		if err != nil {
+		if store, err = checkpoint.OpenStore(j.snapDir, j.snapKeep, j.fingerprint()); err != nil {
 			return err
 		}
-		snap, err := store.Load()
-		if err != nil {
+		if snap, err = store.Load(); err != nil {
 			return err
-		}
-		if snap != nil {
-			return runRestore(j, addr, store, snap)
 		}
 	}
 	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving on %s, waiting for %d clients...\n", ln.Addr(), j.minCohort)
-	var links []fed.Transport
-	var acceptor *fed.RejoinAcceptor
-	if j.cfg.Scheduler == fed.SchedulerAsync {
-		// The fresh cohort is -min-cohort seats; the acceptor keeps the
-		// listener open for the rest of the run, bounding rejoin seat IDs by
-		// -max-cohort so a mid-run joiner that later drops can come back.
-		links, err = fed.ServeWith(ln, j.minCohort, j.fingerprint(), j.wire)
-		if err == nil {
-			acceptor = fed.AcceptRejoins(ln, j.maxCohort, j.fingerprint(), j.wire)
-			defer acceptor.Close()
-		}
-	} else {
-		links, err = fed.ServeWith(ln, j.clients, j.fingerprint(), j.wire)
-		ln.Close()
-	}
 	if err != nil {
 		return err
 	}
@@ -397,57 +377,16 @@ func runServe(j *job, addr string) error {
 	// fixed-cohort configuration is unchanged by the elastic knobs.
 	scfg := j.cfg.ServerConfigFor(j.minCohort, j.tasks)
 	scfg.MaxCohort = j.maxCohort
-	srv := fed.NewServer(scfg, nil, links)
-	if acceptor != nil {
-		acceptor.SetLogf(log.Printf)
-		srv.SetRejoins(acceptor.Rejoins())
-		srv.SetJoins(acceptor.Joins())
-	}
-	if store != nil {
-		srv.SetSnapshots(store)
-	}
-	srv.SetObserver(streamRows())
-	banner(j, "wire")
-	_, err = srv.Run(context.Background())
-	if err == nil {
-		// WireTraffic also counts connections retired by a rejoin, so the
-		// summary never loses the bytes a dropped link already carried.
-		sent, recv := srv.WireTraffic()
-		fmt.Printf("measured wire traffic (%s): %.2f MB sent, %.2f MB received\n",
-			j.wire.Compression.Quant, float64(sent)/(1<<20), float64(recv)/(1<<20))
-	}
-	return err
-}
-
-// runRestore is the crash-recovery server role: rebuild the books from the
-// newest durable snapshot, reopen the listener for rejoin hellos only (the
-// cohort already exists — every client holds local training state and
-// re-admits itself), and resume the run at the snapshotted task and global
-// version. Clients running -reconnect just redial; each loses at most the
-// uploads since the last commit, which it retrains because the restored
-// Seen counts are authoritative.
-func runRestore(j *job, addr string, store *checkpoint.Store, snap *checkpoint.ServerSnapshot) error {
-	if j.cfg.Scheduler != fed.SchedulerAsync {
-		return fmt.Errorf("snapshot found in %s, but restart recovery requires -scheduler async (lockstep has no rejoin path to re-admit the cohort through)", store.Dir())
-	}
-	scfg := j.cfg.ServerConfigFor(j.minCohort, j.tasks)
-	scfg.MaxCohort = j.maxCohort
-	srv, err := fed.NewServerFromSnapshot(scfg, nil, snap)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	acceptor := fed.AcceptRejoins(ln, j.maxCohort, j.fingerprint(), j.wire)
-	defer acceptor.Close()
-	acceptor.SetLogf(log.Printf)
-	srv.SetRejoins(acceptor.Rejoins())
-	srv.SetJoins(acceptor.Joins())
-	srv.SetSnapshots(store)
-	srv.SetObserver(streamRows())
-	if snap.TaskIdx >= j.tasks {
+	var srv *fed.Server
+	if snap == nil {
+		fmt.Printf("serving on %s, waiting for %d clients...\n", ln.Addr(), j.minCohort)
+		var links []fed.Transport
+		if links, err = fed.ServeWith(ln, j.minCohort, j.fingerprint(), j.wire); err == nil {
+			srv = fed.NewServer(scfg, nil, links)
+		}
+	} else if srv, err = fed.NewServerFromSnapshot(scfg, nil, snap); err != nil {
+		err = fmt.Errorf("restoring the snapshot in %s: %w", store.Dir(), err)
+	} else if snap.TaskIdx >= j.tasks {
 		// The final boundary cut: the crashed process had already finished
 		// every task, so there is nothing to resume — reprint the summary.
 		fmt.Printf("restored snapshot %d from %s: the run already completed all %d tasks at global version %d\n",
@@ -456,14 +395,29 @@ func runRestore(j *job, addr string, store *checkpoint.Store, snap *checkpoint.S
 		fmt.Printf("restored snapshot %d from %s: resuming at task %d/%d, global version %d; waiting for rejoins on %s\n",
 			snap.Seq, store.Dir(), snap.TaskIdx+1, j.tasks, snap.Version, ln.Addr())
 	}
-	banner(j, "wire")
-	_, err = srv.Run(context.Background())
-	if err == nil {
-		sent, recv := srv.WireTraffic()
-		fmt.Printf("measured wire traffic (%s): %.2f MB sent, %.2f MB received\n",
-			j.wire.Compression.Quant, float64(sent)/(1<<20), float64(recv)/(1<<20))
+	if err == nil && j.cfg.Scheduler == fed.SchedulerAsync {
+		// The server owns the listener from here; Run closes it.
+		err = srv.Accept(ln, j.fingerprint(), j.wire)
+	} else {
+		ln.Close() // a failed set-up, or a lockstep cohort: fixed once seated
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	if store != nil {
+		srv.SetSnapshots(store)
+	}
+	srv.SetObserver(streamRows())
+	banner(j, "wire")
+	if _, err := srv.Run(context.Background()); err != nil {
+		return err
+	}
+	// WireTraffic also counts connections retired by a rejoin, so the
+	// summary never loses the bytes a dropped link already carried.
+	sent, recv := srv.WireTraffic()
+	fmt.Printf("measured wire traffic (%s): %.2f MB sent, %.2f MB received\n",
+		j.wire.Compression.Quant, float64(sent)/(1<<20), float64(recv)/(1<<20))
+	return nil
 }
 
 // runConnect is the client role of a distributed run: rebuild this client's

@@ -5,8 +5,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,7 +28,9 @@ import (
 //
 //  1. After the first commit a seatless client enrolls through the join
 //     handshake; the server assigns it the open seat and replies with a
-//     catch-up.
+//     catch-up. Until the join lands the kill proxy holds seat 0's link, so
+//     seat 0 has not even seen the first task start: the task cannot close
+//     before the join, however fast the other founder trains.
 //  2. At the next commit of the same task — with the joiner in the grown
 //     seat book — the server itself is killed and a replacement restores
 //     from its newest durable snapshot on the same address: the v3 cut must
@@ -37,7 +41,9 @@ import (
 //  3. One founder retires its seat with a clean Leave after reporting its
 //     first task.
 //  4. At the first commit of the next task the other founder's connection
-//     is killed and healed through the ordinary rejoin path.
+//     is killed and healed through the ordinary rejoin path. The proxy holds
+//     the redial until the server has evicted the old link: a rejoin the
+//     server sees first claims a seat that is still alive, and is refused.
 //
 // The bar: the run completes every task while the cohort changes under it
 // and the books show exactly the scripted churn — the leave is a retirement
@@ -142,12 +148,13 @@ func runElasticChurn(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	if err != nil {
 		fail(err)
 	}
-	acceptor := fed.AcceptRejoins(ln, numClients, aprint, fed.WireOptions{})
+	proxy.Hold(joined)
 	scfg := acfg.ServerConfigFor(founders, numTasks)
 	scfg.MaxCohort = numClients
 	srv := fed.NewServer(scfg, nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
-	srv.SetJoins(acceptor.Joins())
+	if err := srv.Accept(ln, aprint, fed.WireOptions{}); err != nil {
+		fail(err)
+	}
 	srv.SetSnapshots(store)
 	crashCtx, crash := context.WithCancel(context.Background())
 	var open, kill sync.Once
@@ -176,7 +183,6 @@ func runElasticChurn(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	if _, err := srv.Run(crashCtx); err == nil {
 		fail(fmt.Errorf("killed run completed instead of returning its cancellation"))
 	}
-	acceptor.Close()
 
 	// Incarnation two: rebind the same address the cohort is redialing,
 	// restore the grown seat book from the cut, and run to completion —
@@ -208,14 +214,22 @@ func runElasticChurn(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	}
 	fmt.Printf("  >> restored snapshot %d: %d seats in the book, resuming at task %d/%d, v%d\n",
 		snap.Seq, len(snap.Seats), snap.TaskIdx+1, numTasks, snap.Version)
+	lostLink := make(chan struct{}) // closed once the server evicts the victim's killed link
+	var evict sync.Once
+	scfg.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		log.Print(line)
+		if strings.HasPrefix(line, fmt.Sprintf("fed: async: evicted client %d ", victim)) {
+			evict.Do(func() { close(lostLink) })
+		}
+	}
 	srv2, err := fed.NewServerFromSnapshot(scfg, nil, snap)
 	if err != nil {
 		fail(fmt.Errorf("restore: %w", err))
 	}
-	acceptor2 := fed.AcceptRejoins(ln2, numClients, aprint, fed.WireOptions{})
-	defer acceptor2.Close()
-	srv2.SetRejoins(acceptor2.Rejoins())
-	srv2.SetJoins(acceptor2.Joins())
+	if err := srv2.Accept(ln2, aprint, fed.WireOptions{}); err != nil {
+		fail(err)
+	}
 	srv2.SetSnapshots(store2)
 	var kill2 sync.Once
 	srv2.SetObserver(fed.ObserverFuncs{
@@ -227,6 +241,7 @@ func runElasticChurn(cfg fed.Config, numClients, numTasks int, cluster *device.C
 				kill2.Do(func() {
 					fmt.Printf("  >> killing seat %d's connection after commit v%d of task %d\n",
 						victim, s.Version, s.TaskIdx+1)
+					proxy.Hold(lostLink)
 					proxy.Kill()
 				})
 			}

@@ -243,9 +243,10 @@ func runKillRejoin(cfg fed.Config, numClients, numTasks int, cluster *device.Clu
 	if err != nil {
 		fail(err)
 	}
-	acceptor := fed.AcceptRejoins(ln, numClients, aprint, fed.WireOptions{})
 	srv := fed.NewServer(acfg.ServerConfigFor(numClients, numTasks), nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
+	if err := srv.Accept(ln, aprint, fed.WireOptions{}); err != nil {
+		fail(err)
+	}
 	var kill sync.Once
 	srv.SetObserver(fed.ObserverFuncs{
 		Round: func(s fed.RoundStats) {
@@ -263,7 +264,6 @@ func runKillRejoin(cfg fed.Config, numClients, numTasks int, cluster *device.Clu
 		fail(fmt.Errorf("server must survive the kill: %w", err))
 	}
 	wg.Wait()
-	acceptor.Close()
 
 	// The churn acceptance bar: every task finished, the cohort restored,
 	// the rejoined client's per-task reports in the books.
@@ -346,9 +346,10 @@ func runCrashRestart(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	if err != nil {
 		fail(err)
 	}
-	acceptor := fed.AcceptRejoins(ln, numClients, aprint, fed.WireOptions{})
 	srv := fed.NewServer(acfg.ServerConfigFor(numClients, numTasks), nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
+	if err := srv.Accept(ln, aprint, fed.WireOptions{}); err != nil {
+		fail(err)
+	}
 	srv.SetSnapshots(store)
 	crashCtx, crash := context.WithCancel(context.Background())
 	var kill sync.Once
@@ -366,7 +367,6 @@ func runCrashRestart(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	if _, err := srv.Run(crashCtx); err == nil {
 		fail(fmt.Errorf("killed run completed instead of returning its cancellation"))
 	}
-	acceptor.Close()
 
 	// Incarnation two: rebind the same address the clients are redialing,
 	// reopen the store like a fresh process, restore, and accept rejoins.
@@ -397,9 +397,9 @@ func runCrashRestart(cfg fed.Config, numClients, numTasks int, cluster *device.C
 	if err != nil {
 		fail(fmt.Errorf("restore: %w", err))
 	}
-	acceptor2 := fed.AcceptRejoins(ln2, numClients, aprint, fed.WireOptions{})
-	defer acceptor2.Close()
-	srv2.SetRejoins(acceptor2.Rejoins())
+	if err := srv2.Accept(ln2, aprint, fed.WireOptions{}); err != nil {
+		fail(err)
+	}
 	srv2.SetSnapshots(store2)
 	srv2.SetObserver(fed.ObserverFuncs{Task: printTask})
 	res, err := srv2.Run(context.Background())
@@ -436,13 +436,16 @@ func runCrashRestart(cfg fed.Config, numClients, numTasks int, cluster *device.C
 // killProxy is a minimal TCP proxy with a kill switch: Kill severs every
 // active connection pair (the stand-in for a network partition or crashed
 // NAT) while the listener keeps accepting, so the victim can reconnect
-// through it.
+// through it. Hold freezes the proxy for a while: the bytes of every pair,
+// either way and on pairs opened meanwhile, wait in the proxy.
 type killProxy struct {
 	ln       net.Listener
 	upstream string
 	mu       sync.Mutex
 	conns    []net.Conn
 	closed   bool
+	held     <-chan struct{} // the Hold in force; nil or closed: none
+	done     chan struct{}   // closed by Close
 }
 
 func newKillProxy(upstream string) (*killProxy, error) {
@@ -450,7 +453,7 @@ func newKillProxy(upstream string) (*killProxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &killProxy{ln: ln, upstream: upstream}
+	p := &killProxy{ln: ln, upstream: upstream, done: make(chan struct{})}
 	go p.loop()
 	return p, nil
 }
@@ -482,9 +485,37 @@ func (p *killProxy) loop() {
 			dst.Close()
 			src.Close()
 		}
-		go pipe(up, down)
-		go pipe(down, up)
+		go pipe(up, heldReader{p, down})
+		go pipe(down, heldReader{p, up})
 	}
+}
+
+// heldReader is one side of a proxied pair: a chunk it reads is forwarded
+// only once no Hold is in force.
+type heldReader struct {
+	p *killProxy
+	net.Conn
+}
+
+func (h heldReader) Read(b []byte) (int, error) {
+	n, err := h.Conn.Read(b)
+	h.p.mu.Lock()
+	held := h.p.held
+	h.p.mu.Unlock()
+	if held != nil {
+		select {
+		case <-held:
+		case <-h.p.done:
+		}
+	}
+	return n, err
+}
+
+// Hold freezes the proxy until until is closed.
+func (p *killProxy) Hold(until <-chan struct{}) {
+	p.mu.Lock()
+	p.held = until
+	p.mu.Unlock()
 }
 
 func (p *killProxy) Kill() {
@@ -501,6 +532,7 @@ func (p *killProxy) Close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
+	close(p.done)
 	p.ln.Close()
 	p.Kill()
 }

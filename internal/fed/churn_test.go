@@ -2,6 +2,7 @@ package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -21,7 +22,7 @@ import (
 func TestChurnJoinDuringCommitWindow(t *testing.T) {
 	logf, waitLog := watchLogs()
 	sink := &memSink{}
-	joins := make(chan JoinRequest, 1)
+	joins := make(chan admission, 1)
 	var mu sync.Mutex
 	var commits []RoundStats
 	s0, c0 := LoopbackCap(64)
@@ -30,7 +31,7 @@ func TestChurnJoinDuringCommitWindow(t *testing.T) {
 		Scheduler: SchedulerAsync, Async: AsyncConfig{CommitEvery: 2},
 		Logf: logf,
 	}, nil, []Transport{s0})
-	srv.SetJoins(joins)
+	srv.admits = joins
 	srv.SetSnapshots(sink)
 	srv.SetObserver(ObserverFuncs{Round: func(s RoundStats) {
 		mu.Lock()
@@ -54,7 +55,7 @@ func TestChurnJoinDuringCommitWindow(t *testing.T) {
 		return s.WindowCount == 1
 	})
 	sJ, cJ := LoopbackCap(64)
-	joins <- JoinRequest{Link: sJ}
+	joins <- admission{seat: joinSeat, link: sJ}
 	msg, err := cJ.Recv()
 	if err != nil {
 		t.Fatalf("seat assignment: %v", err)
@@ -371,8 +372,7 @@ func TestChurnPropertyRandomSchedules(t *testing.T) {
 // handshake link closed — while the run itself is untouched.
 func TestChurnRefusalsCounted(t *testing.T) {
 	logf, waitLog := watchLogs()
-	joins := make(chan JoinRequest, 1)
-	rejoins := make(chan RejoinRequest, 2)
+	admits := make(chan admission, 3)
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	srv := NewServer(ServerConfig{
@@ -380,8 +380,7 @@ func TestChurnRefusalsCounted(t *testing.T) {
 		Scheduler: SchedulerAsync, Async: AsyncConfig{CommitEvery: 1},
 		Logf: logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetJoins(joins)
-	srv.SetRejoins(rejoins)
+	srv.admits = admits
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := srv.Run(context.Background())
@@ -402,17 +401,17 @@ func TestChurnRefusalsCounted(t *testing.T) {
 		tr.Close()
 	}
 	sJ, cJ := LoopbackCap(4)
-	joins <- JoinRequest{Link: sJ}
+	admits <- admission{seat: joinSeat, link: sJ}
 	waitLog(t, "refused join: cohort is at capacity (2 seats, -max-cohort 2)")
 	expectClosed(cJ, "join beyond capacity")
 
 	sA, cA := LoopbackCap(4)
-	rejoins <- RejoinRequest{ClientID: 0, Link: sA}
+	admits <- admission{seat: 0, link: sA}
 	waitLog(t, "refused rejoin for client 0: seat is still alive")
 	expectClosed(cA, "rejoin of a live seat")
 
 	sB, cB := LoopbackCap(4)
-	rejoins <- RejoinRequest{ClientID: 99, Link: sB}
+	admits <- admission{seat: 99, link: sB}
 	waitLog(t, "refused rejoin for unknown client 99")
 	expectClosed(cB, "rejoin of an unallocated seat")
 
@@ -442,23 +441,31 @@ func TestChurnRefusalsCounted(t *testing.T) {
 // TestWireAcceptorRefusalCausesDistinct pins the operator-facing half of the
 // refusal contract at the TCP acceptor: an unknown seat and a fingerprint
 // mismatch must be refused with *different* log lines naming their causes,
-// and both must land in Refusals — a debugging session should never have to
-// guess which of the two went wrong.
+// and both must land in the acceptor's refusal count — a debugging session
+// should never have to guess which of the two went wrong.
 func TestWireAcceptorRefusalCausesDistinct(t *testing.T) {
 	const fp = 0xFEED5EA7
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	acceptor := AcceptRejoins(ln, 4, fp, WireOptions{})
-	defer acceptor.Close()
 	var mu sync.Mutex
 	var lines []string
-	acceptor.SetLogf(func(f string, a ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(f, a...))
-		mu.Unlock()
-	})
+	// The acceptor alone, without a run to consume what it delivers.
+	s0, _ := LoopbackCap(1)
+	srv := NewServer(ServerConfig{
+		Method: "test", NumTasks: 1, Rounds: 1, MaxCohort: 4, Scheduler: SchedulerAsync,
+		Logf: func(f string, a ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(f, a...))
+			mu.Unlock()
+		},
+	}, nil, []Transport{s0})
+	if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	srv.acc.start()
+	defer srv.acc.close()
 	addr := ln.Addr().String()
 
 	expectClosed := func(tr Transport, what string) {
@@ -480,9 +487,9 @@ func TestWireAcceptorRefusalCausesDistinct(t *testing.T) {
 	expectClosed(oob, "unknown seat")
 
 	deadline := time.Now().Add(10 * time.Second)
-	for acceptor.Refusals() < 2 {
+	for srv.acc.refused.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("acceptor counted %d refusals, want 2", acceptor.Refusals())
+			t.Fatalf("acceptor counted %d refusals, want 2", srv.acc.refused.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -506,6 +513,89 @@ func TestWireAcceptorRefusalCausesDistinct(t *testing.T) {
 	if !strings.Contains(fpLine, fmt.Sprintf("%#x", uint64(fp+1))) ||
 		!strings.Contains(fpLine, fmt.Sprintf("%#x", uint64(fp))) {
 		t.Fatalf("fingerprint refusal %q does not name both fingerprints", fpLine)
+	}
+}
+
+// TestServerAcceptOwnsListener pins what Server.Accept hands the server: a
+// handshake the acceptor refuses is logged through ServerConfig.Logf with its
+// cause, and the listener is closed once Run returns — whether the run
+// completed, was cancelled, or ended on a protocol error — so nothing can
+// dial a finished server. A sync server refuses Accept.
+func TestServerAcceptOwnsListener(t *testing.T) {
+	const fp = 0xACCE9700
+	for _, end := range []string{"completed", "cancelled", "protocol error"} {
+		t.Run(end, func(t *testing.T) {
+			logf, waitLog := watchLogs()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			s0, c0 := LoopbackCap(64)
+			defer c0.Close()
+			srv := NewServer(ServerConfig{
+				Method: "test", NumTasks: 1, Rounds: 1,
+				Scheduler: SchedulerAsync, Async: AsyncConfig{CommitEvery: 1},
+				Logf: logf,
+			}, nil, []Transport{s0})
+			if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := srv.Run(ctx)
+				done <- err
+			}()
+			recvRoundStart(t, c0)
+
+			bad, err := DialRejoinWith(addr, 0, fp+1, 0, WireOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitLog(t, fmt.Sprintf("fed: acceptor: refused seat 0: fingerprint mismatch: client %#x, server %#x",
+				uint64(fp+1), uint64(fp)))
+			bad.Close()
+
+			switch end {
+			case "completed":
+				sendUpdate(t, c0, 0, 0, 2)
+				recvGlobal(t, c0)
+				if !recvGlobal(t, c0).TaskFinal {
+					t.Fatal("want the task-final global after the only upload")
+				}
+				c0.Send(&RoundEnd{ClientID: 0, EvalAccs: []float64{0.5}})
+			case "cancelled":
+				cancel()
+			case "protocol error":
+				c0.Send(&RoundEnd{ClientID: 0, EvalAccs: []float64{0.5}}) // an upload is owed
+			}
+			err = <-done
+			switch {
+			case end == "completed" && err != nil:
+				t.Fatalf("run: %v", err)
+			case end == "cancelled" && !errors.Is(err, context.Canceled):
+				t.Fatalf("run returned %v, want its cancellation", err)
+			case end == "protocol error" && (err == nil || errors.Is(err, context.Canceled)):
+				t.Fatalf("run returned %v, want the protocol error", err)
+			}
+			if conn, err := net.Dial("tcp", addr); err == nil {
+				conn.Close()
+				t.Fatalf("dialled %s after Run returned: the server left its listener open", addr)
+			}
+		})
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	s0, _ := LoopbackCap(1)
+	lockstep := NewServer(ServerConfig{Method: "test", NumTasks: 1, Rounds: 1}, nil, []Transport{s0})
+	if err := lockstep.Accept(ln, fp, WireOptions{}); err == nil {
+		t.Fatal("a sync server accepted a listener: lockstep cannot admit seats mid-run")
 	}
 }
 
@@ -535,15 +625,14 @@ func TestWireJoinEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	acceptor := AcceptRejoins(ln, 2, fp, WireOptions{})
-	defer acceptor.Close()
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 2, MaxCohort: 2,
 		Scheduler: SchedulerAsync, Async: AsyncConfig{CommitEvery: 1},
 		Logf: logf,
 	}, nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
-	srv.SetJoins(acceptor.Joins())
+	if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := srv.Run(context.Background())
@@ -601,8 +690,8 @@ func TestWireJoinEndToEnd(t *testing.T) {
 		t.Fatalf("final book: %d alive, DeadAfter %v, want the elastic cohort of 2 intact",
 			srv.AliveClients(), res.DeadAfter)
 	}
-	if acceptor.Refusals() != 0 {
-		t.Fatalf("%d acceptor refusals during a clean join", acceptor.Refusals())
+	if n := srv.acc.refused.Load(); n != 0 {
+		t.Fatalf("%d acceptor refusals during a clean join", n)
 	}
 	founder.Close()
 	joiner.Close()

@@ -107,7 +107,7 @@ type churnFold struct {
 }
 
 // churnHarness is the shared state of one RunChurn execution: the server,
-// the injection channels, the log/commit synchronisation points peers wait
+// the injection channel, the log/commit synchronisation points peers wait
 // on, and the audit trail the invariant checks read.
 type churnHarness struct {
 	cfg       ChurnConfig
@@ -116,8 +116,7 @@ type churnHarness struct {
 	maxCohort int
 	timeout   time.Duration
 
-	rejoins chan RejoinRequest
-	joins   chan JoinRequest
+	admits chan admission
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -415,7 +414,7 @@ func (p *churnPeer) run() error {
 		// opened it (roundDone; RunChurn for a gate of zero).
 		sEnd, cEnd := LoopbackCap(p.h.caps)
 		p.h.register(cEnd)
-		p.h.joins <- JoinRequest{LastVersion: 0, Link: sEnd}
+		p.h.admits <- admission{seat: joinSeat, lastVersion: 0, link: sEnd}
 		msg, err := cEnd.Recv()
 		p.h.endHandshake()
 		if err != nil {
@@ -614,7 +613,7 @@ func (p *churnPeer) rejoin(task int) error {
 	// The report gate is already held (act opened it before the departure);
 	// it is released as soon as the scheduler's reply arrives, before the
 	// peer's own resume can reach a gated report.
-	p.h.rejoins <- RejoinRequest{ClientID: p.seat, LastVersion: p.lastVer, Link: sEnd}
+	p.h.admits <- admission{seat: p.seat, lastVersion: p.lastVer, link: sEnd}
 	p.link = cEnd
 	cu, err := p.recvCatchup()
 	p.h.endHandshake()
@@ -699,8 +698,8 @@ func (p *churnPeer) awaitRoundStart(expect int) error {
 
 // RunChurn executes one churn-simulation run: it builds an asynchronous
 // server over loopback links with the scripted founding cohort, drives every
-// scripted peer concurrently (joins and rejoins are injected through the
-// same channels a RejoinAcceptor would feed), and audits the run against the
+// scripted peer concurrently (joins and rejoins are injected on the channel
+// Server.Accept's acceptor would feed), and audits the run against the
 // elastic-membership invariants. The returned report's Violations list is
 // empty iff every invariant held; the error covers malformed configurations
 // only — a misbehaving run is a report full of violations, not an error.
@@ -741,8 +740,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		maxCohort: maxCohort,
 		timeout:   timeout,
 		caps:      len(cfg.Scripts)*cfg.Rounds*cfg.Tasks + 4*cfg.Tasks + 16,
-		rejoins:   make(chan RejoinRequest, len(cfg.Scripts)),
-		joins:     make(chan JoinRequest, len(cfg.Scripts)),
+		admits:    make(chan admission, len(cfg.Scripts)), // a peer has one handshake in flight at most
 		seats:     map[int]*churnPeer{},
 		joinGates: map[int]int{},
 	}
@@ -782,8 +780,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		Logf:      h.logf,
 	}, agg, links)
 	h.srv = srv
-	srv.SetRejoins(h.rejoins)
-	srv.SetJoins(h.joins)
+	srv.admits = h.admits
 	srv.SetObserver(ObserverFuncs{Round: h.roundDone})
 
 	// A slow ticker wakes cond waiters so their deadlines can fire even when

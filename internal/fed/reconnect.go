@@ -56,7 +56,7 @@ type Reconnect struct {
 // exactly where the server's Catchup says to, without losing any local
 // training state. It requires the asynchronous scheduler (the server's
 // rejoin path splices seats into the async reader set; lockstep has no
-// mid-round splice point) and a server accepting rejoins (AcceptRejoins).
+// mid-round splice point) and a server that admits seats (Server.Accept).
 //
 // Transient Send/Recv failures — connection resets, per-message -wire-
 // timeout expiries against an idle-but-healthy peer, half-written frames —

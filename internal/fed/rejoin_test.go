@@ -99,13 +99,13 @@ func TestAsyncRejoinMidTaskResumes(t *testing.T) {
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	logf, waitLog := watchLogs()
-	rejoins := make(chan RejoinRequest, 2)
+	rejoins := make(chan admission, 2)
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 2, Scheduler: SchedulerAsync,
 		Async: AsyncConfig{CommitEvery: 1},
 		Logf:  logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetRejoins(rejoins)
+	srv.admits = rejoins
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := srv.Run(context.Background())
@@ -133,7 +133,7 @@ func TestAsyncRejoinMidTaskResumes(t *testing.T) {
 	// Rejoin on a fresh link, last-seen version 1 (it installed v1 before
 	// the drop).
 	sNew, cNew := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 1, LastVersion: 1, Link: sNew}
+	rejoins <- admission{seat: 1, lastVersion: 1, link: sNew}
 	cu := recvCatchup(t, cNew)
 	if cu.TaskIdx != 0 || cu.Seen != 1 || cu.TaskFinal || cu.TaskDone {
 		t.Fatalf("catch-up %+v, want task 0, seen 1, no flags", cu)
@@ -177,13 +177,13 @@ func TestAsyncRejoinStaleGetsFreshCatchup(t *testing.T) {
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	logf, waitLog := watchLogs()
-	rejoins := make(chan RejoinRequest, 2)
+	rejoins := make(chan admission, 2)
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 3, Scheduler: SchedulerAsync,
 		Async: AsyncConfig{CommitEvery: 1, MaxStaleness: 1},
 		Logf:  logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetRejoins(rejoins)
+	srv.admits = rejoins
 	var rounds []RoundStats
 	srv.SetObserver(ObserverFuncs{Round: func(s RoundStats) { rounds = append(rounds, s) }})
 	done := make(chan struct{})
@@ -208,7 +208,7 @@ func TestAsyncRejoinStaleGetsFreshCatchup(t *testing.T) {
 	// Rejoining 2 versions behind the current one — beyond MaxStaleness 1 —
 	// must yield a fresh catch-up, not a rejection.
 	sNew, cNew := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 1, LastVersion: 0, Link: sNew}
+	rejoins <- admission{seat: 1, lastVersion: 0, link: sNew}
 	cu := recvCatchup(t, cNew)
 	if cu.TaskFinal || cu.TaskDone {
 		t.Fatalf("catch-up %+v, want a plain mid-collect catch-up", cu)
@@ -249,13 +249,13 @@ func TestAsyncRejoinLiveSeatRefused(t *testing.T) {
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	logf, waitLog := watchLogs()
-	rejoins := make(chan RejoinRequest, 2)
+	rejoins := make(chan admission, 2)
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 1, Scheduler: SchedulerAsync,
 		Async: AsyncConfig{CommitEvery: 2},
 		Logf:  logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetRejoins(rejoins)
+	srv.admits = rejoins
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -267,13 +267,13 @@ func TestAsyncRejoinLiveSeatRefused(t *testing.T) {
 	recvRoundStart(t, c0)
 	recvRoundStart(t, c1)
 	sDup, cDup := LoopbackCap(4)
-	rejoins <- RejoinRequest{ClientID: 0, LastVersion: 0, Link: sDup}
+	rejoins <- admission{seat: 0, lastVersion: 0, link: sDup}
 	waitLog(t, "refused rejoin for client 0")
 	if _, err := cDup.Recv(); err != io.EOF {
 		t.Fatalf("double-rejoin of a live seat: peer got %v, want io.EOF (refusal)", err)
 	}
 	sBad, cBad := LoopbackCap(4)
-	rejoins <- RejoinRequest{ClientID: 99, LastVersion: 0, Link: sBad}
+	rejoins <- admission{seat: 99, lastVersion: 0, link: sBad}
 	waitLog(t, "refused rejoin for unknown client 99")
 	if _, err := cBad.Recv(); err != io.EOF {
 		t.Fatalf("out-of-range rejoin: peer got %v, want io.EOF", err)
@@ -304,13 +304,13 @@ func TestAsyncRejoinAfterFinalBroadcast(t *testing.T) {
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	logf, waitLog := watchLogs()
-	rejoins := make(chan RejoinRequest, 2)
+	rejoins := make(chan admission, 2)
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 1, Scheduler: SchedulerAsync,
 		Async: AsyncConfig{CommitEvery: 2},
 		Logf:  logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetRejoins(rejoins)
+	srv.admits = rejoins
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := srv.Run(context.Background())
@@ -333,7 +333,7 @@ func TestAsyncRejoinAfterFinalBroadcast(t *testing.T) {
 	waitLog(t, "evicted client 1")
 
 	sNew, cNew := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 1, LastVersion: 1, Link: sNew}
+	rejoins <- admission{seat: 1, lastVersion: 1, link: sNew}
 	cu := recvCatchup(t, cNew)
 	if !cu.TaskFinal || cu.TaskDone {
 		t.Fatalf("catch-up %+v, want TaskFinal (the seat still owes its report)", cu)
@@ -362,13 +362,13 @@ func TestAsyncRejoinAfterReportGetsTaskDone(t *testing.T) {
 	s0, c0 := LoopbackCap(64)
 	s1, c1 := LoopbackCap(64)
 	logf, waitLog := watchLogs()
-	rejoins := make(chan RejoinRequest, 2)
+	rejoins := make(chan admission, 2)
 	srv := NewServer(ServerConfig{
 		Method: "test", NumTasks: 1, Rounds: 1, Scheduler: SchedulerAsync,
 		Async: AsyncConfig{CommitEvery: 2},
 		Logf:  logf,
 	}, nil, []Transport{s0, s1})
-	srv.SetRejoins(rejoins)
+	srv.admits = rejoins
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := srv.Run(context.Background())
@@ -391,7 +391,7 @@ func TestAsyncRejoinAfterReportGetsTaskDone(t *testing.T) {
 	waitLog(t, "evicted client 1")
 
 	sNew, cNew := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 1, LastVersion: 1, Link: sNew}
+	rejoins <- admission{seat: 1, lastVersion: 1, link: sNew}
 	cu := recvCatchup(t, cNew)
 	if !cu.TaskDone || cu.TaskFinal {
 		t.Fatalf("catch-up %+v, want TaskDone (the seat already reported)", cu)
@@ -428,7 +428,15 @@ func TestWireRejoinHandshakeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	acceptor := AcceptRejoins(ln, 1, fp, WireOptions{})
+	// The acceptor alone, without a run to consume what it delivers.
+	srv := NewServer(ServerConfig{
+		Method: "test", NumTasks: 1, Rounds: 1, Scheduler: SchedulerAsync,
+		Logf: func(string, ...any) {},
+	}, nil, links)
+	if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	srv.acc.start()
 	defer links[0].Close()
 
 	expectClosed := func(tr Transport, what string) {
@@ -454,15 +462,15 @@ func TestWireRejoinHandshakeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case rq := <-acceptor.Rejoins():
-		if rq.ClientID != 0 || rq.LastVersion != 42 {
+	case rq := <-srv.admits:
+		if rq.seat != 0 || rq.lastVersion != 42 {
 			t.Fatalf("delivered rejoin %+v, want client 0 at version 42", rq)
 		}
-		rq.Link.Close()
+		rq.link.Close()
 	case <-time.After(5 * time.Second):
 		t.Fatal("valid rejoin never delivered")
 	}
-	if err := acceptor.Close(); err != nil {
+	if err := srv.acc.close(); err != nil {
 		t.Fatalf("acceptor close: %v", err)
 	}
 	good.Close()
@@ -668,9 +676,10 @@ func TestWireKillAndRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	acceptor := AcceptRejoins(ln, len(seqs), fp, WireOptions{})
 	srv := NewServer(cfg.ServerConfigFor(len(seqs), len(seqs[0])), nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
+	if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	logf, _ := watchLogs()
 	srv.cfg.Logf = logf
 	var kill sync.Once
@@ -684,7 +693,6 @@ func TestWireKillAndRejoin(t *testing.T) {
 		t.Fatalf("server must survive the kill: %v", err)
 	}
 	wg.Wait()
-	acceptor.Close()
 
 	if len(res.PerTask) != 3 {
 		t.Fatalf("%d task points, want all 3 despite the kill", len(res.PerTask))

@@ -150,8 +150,8 @@ func TestServerSnapshotRestoreResumesMidTask(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	rejoins := make(chan RejoinRequest, 2)
-	srv2.SetRejoins(rejoins)
+	rejoins := make(chan admission, 2)
+	srv2.admits = rejoins
 	srv2.SetSnapshots(store2)
 	firstRound := -1
 	var obsOnce sync.Once
@@ -170,7 +170,7 @@ func TestServerSnapshotRestoreResumesMidTask(t *testing.T) {
 	// Client 0 rejoins already holding the cut's version: the Catchup names
 	// its resume point but carries no parameters.
 	sR0, cR0 := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 0, LastVersion: 2, Link: sR0}
+	rejoins <- admission{seat: 0, lastVersion: 2, link: sR0}
 	cu0 := recvCatchup(t, cR0)
 	if cu0.TaskIdx != 0 || cu0.Seen != 1 || cu0.TaskFinal || cu0.TaskDone {
 		t.Fatalf("catch-up 0 %+v, want task 0, seen 1, no flags", cu0)
@@ -182,7 +182,7 @@ func TestServerSnapshotRestoreResumesMidTask(t *testing.T) {
 
 	// Client 1 lost the v2 broadcast in the crash: its Catchup replays it.
 	sR1, cR1 := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 1, LastVersion: 1, Link: sR1}
+	rejoins <- admission{seat: 1, lastVersion: 1, link: sR1}
 	cu1 := recvCatchup(t, cR1)
 	if cu1.Version != 2 || len(cu1.Params) != 1 || cu1.Params[0] != 6 {
 		t.Fatalf("catch-up 1 v%d %v, want the replayed v2 [6]", cu1.Version, cu1.Params)
@@ -317,8 +317,8 @@ func TestServerSnapshotRestoresMidWindow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: restore: %v", shards, err)
 		}
-		rejoins := make(chan RejoinRequest, 1)
-		srv2.SetRejoins(rejoins)
+		rejoins := make(chan admission, 1)
+		srv2.admits = rejoins
 		sink2 := &memSink{}
 		srv2.SetSnapshots(sink2)
 		done2 := make(chan *Result, 1)
@@ -331,7 +331,7 @@ func TestServerSnapshotRestoresMidWindow(t *testing.T) {
 		}()
 
 		sR, cR := LoopbackCap(64)
-		rejoins <- RejoinRequest{ClientID: 0, LastVersion: 0, Link: sR}
+		rejoins <- admission{seat: 0, lastVersion: 0, link: sR}
 		cu := recvCatchup(t, cR)
 		if cu.Seen != 2 || cu.TaskIdx != 0 {
 			t.Fatalf("shards=%d: catch-up %+v, want task 0 with 2 uploads already in — nothing retrained", shards, cu)
@@ -541,12 +541,13 @@ func TestServerCrashRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	acceptor := AcceptRejoins(ln, len(seqs), fp, WireOptions{})
 	logf, _ := watchLogs()
 	scfg := cfg.ServerConfigFor(len(seqs), len(seqs[0]))
 	scfg.Logf = logf
 	srv := NewServer(scfg, nil, links)
-	srv.SetRejoins(acceptor.Rejoins())
+	if err := srv.Accept(ln, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	srv.SetSnapshots(store)
 	crashCtx, crash := context.WithCancel(context.Background())
 	var kill sync.Once
@@ -558,7 +559,6 @@ func TestServerCrashRestartRecovers(t *testing.T) {
 	if _, err := srv.Run(crashCtx); err == nil {
 		t.Fatal("killed run must return its cancellation, not complete")
 	}
-	acceptor.Close()
 
 	// Incarnation two: rebind the same address (clients are redialing it),
 	// reopen the store like a fresh process, restore, and accept rejoins.
@@ -589,9 +589,9 @@ func TestServerCrashRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	acceptor2 := AcceptRejoins(ln2, len(seqs), fp, WireOptions{})
-	defer acceptor2.Close()
-	srv2.SetRejoins(acceptor2.Rejoins())
+	if err := srv2.Accept(ln2, fp, WireOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	srv2.SetSnapshots(store2)
 	res, err := srv2.Run(context.Background())
 	if err != nil {
@@ -677,8 +677,8 @@ func TestRobustRestartDropsWindowLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	rejoins := make(chan RejoinRequest, 1)
-	srv2.SetRejoins(rejoins)
+	rejoins := make(chan admission, 1)
+	srv2.admits = rejoins
 	done2 := make(chan *Result, 1)
 	go func() {
 		res, err := srv2.Run(context.Background())
@@ -691,7 +691,7 @@ func TestRobustRestartDropsWindowLoudly(t *testing.T) {
 	waitLog2(t, "cannot restore an open commit window; dropping 2 buffered uploads")
 
 	sR, cR := LoopbackCap(64)
-	rejoins <- RejoinRequest{ClientID: 0, LastVersion: 0, Link: sR}
+	rejoins <- admission{seat: 0, lastVersion: 0, link: sR}
 	cu := recvCatchup(t, cR)
 	if cu.TaskIdx != 0 || cu.Seen != 2 {
 		t.Fatalf("catch-up %+v, want task 0 with the cut's 2 uploads still credited", cu)

@@ -59,11 +59,10 @@ type schedEvent struct {
 // A dropped transport does not abort the run: the client is evicted, logged
 // through ServerConfig.Logf, and the survivors keep scheduling. The seat is
 // not discarded — the seat book retains its device clock and per-task upload
-// progress — and when the server was given a rejoin source
-// (Server.SetRejoins), a client that reconnects with a rejoin hello is
-// re-admitted: the scheduler sends a Catchup (current task, uploads already
-// received, the current versioned global) on the fresh link and splices it
-// back into the reader set. See docs/ARCHITECTURE.md, "The seat book".
+// progress — and when the server admits seats (Server.Accept), a client that
+// reconnects with a rejoin hello is re-admitted: the scheduler sends a
+// Catchup (current task, uploads already received, the current versioned
+// global) on the fresh link and splices it back into the reader set. See docs/ARCHITECTURE.md, "The seat book".
 type AsyncScheduler struct {
 	commitK  int
 	maxStale int
@@ -311,11 +310,8 @@ func (a *AsyncScheduler) step(ctx context.Context, s *Server, res *Result, taskI
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case rq := <-s.rejoins: // nil, never ready, without a rejoin source
-		a.readmit(s, taskIdx, rq)
-		return nil
-	case jq := <-s.joins:
-		a.admitJoin(s, taskIdx, jq)
+	case rq := <-s.admits: // nil, never ready, without a membership source
+		a.admit(s, taskIdx, rq)
 		return nil
 	case ev = <-a.events:
 	}
@@ -379,56 +375,55 @@ func (a *AsyncScheduler) catchup(s *Server, taskIdx int, lastVersion uint64, r r
 	return cu
 }
 
-// readmit splices a rejoining client back into the run (seatBook.readmit):
-// the fresh link first carries the Catchup, then joins the reader set. A
-// refused rejoin or a failed reply closes the link; the client retries.
-func (a *AsyncScheduler) readmit(s *Server, taskIdx int, rq RejoinRequest) {
-	id := rq.ClientID
-	err := s.book.readmit(id, rq.Link, a.finishing, func(_ int, r resume) error {
-		return rq.Link.Send(a.catchup(s, taskIdx, rq.LastVersion, r))
-	})
+// admit seats one membership handshake: a rejoin re-admits the seat it claims
+// (seatBook.readmit), a join opens the next free seat (seatBook.admit) and
+// first tells the client which seat that is with a seat-assignment hello.
+// Either way the fresh link then carries the Catchup and joins the reader
+// set; RoundStart is deliberately not replayed — the Catchup carries the task
+// position, which is all the async client lifecycle needs. A refused request
+// (a live or unknown seat, a join beyond MaxCohort) or a failed reply closes
+// the link; the client retries.
+func (a *AsyncScheduler) admit(s *Server, taskIdx int, rq admission) {
+	join := rq.seat == joinSeat
+	greet := func(id int, r resume) error {
+		if join {
+			if err := rq.link.Send(&helloMsg{clientID: id}); err != nil {
+				return fmt.Errorf("seat assignment: %w", err)
+			}
+		}
+		return rq.link.Send(a.catchup(s, taskIdx, rq.lastVersion, r))
+	}
+	var err error
+	id := rq.seat
+	if join {
+		id, err = s.book.admit(rq.link, a.finishing, greet)
+	} else {
+		err = s.book.readmit(id, rq.link, a.finishing, greet)
+	}
 	switch {
 	case err == nil:
 		st, _ := s.book.at(id)
 		a.startReader(id, st)
-		s.logf("fed: async: client %d rejoined at task %d (catch-up v%d, %d/%d uploads in)",
-			id, taskIdx, s.version, st.seen, s.cfg.Rounds)
+		if join {
+			s.logf("fed: async: admitted join as seat %d at task %d (cohort now %d/%d, catch-up v%d)",
+				id, taskIdx, s.book.size(), s.cfg.MaxCohort, s.version)
+		} else {
+			s.logf("fed: async: client %d rejoined at task %d (catch-up v%d, %d/%d uploads in)",
+				id, taskIdx, s.version, st.seen, s.cfg.Rounds)
+		}
 		return
+	case errors.Is(err, errBookFull):
+		s.logf("fed: async: refused join: cohort is at capacity (%d seats, -max-cohort %d)", s.book.size(), s.cfg.MaxCohort)
 	case errors.Is(err, errSeatUnknown):
 		s.logf("fed: async: refused rejoin for unknown client %d", id)
 	case errors.Is(err, errSeatAlive):
 		s.logf("fed: async: refused rejoin for client %d: seat is still alive", id)
+	case join:
+		s.logf("fed: async: join handshake for seat %d failed: %v", id, err)
 	default:
 		s.logf("fed: async: rejoin catch-up to client %d failed: %v", id, err)
 	}
-	rq.Link.Close()
-}
-
-// admitJoin grows the seat book for one validated join handshake (v5,
-// seatBook.admit): the fresh link first carries the seat-assignment hello,
-// then the Catchup. RoundStart is deliberately not replayed — the Catchup
-// carries the task position, which is all the async client lifecycle needs.
-// A join beyond MaxCohort or a failed reply closes the link.
-func (a *AsyncScheduler) admitJoin(s *Server, taskIdx int, jq JoinRequest) {
-	id, err := s.book.admit(jq.Link, a.finishing, func(id int, r resume) error {
-		if err := jq.Link.Send(&helloMsg{clientID: id}); err != nil {
-			return fmt.Errorf("seat assignment: %w", err)
-		}
-		return jq.Link.Send(a.catchup(s, taskIdx, jq.LastVersion, r))
-	})
-	switch {
-	case err == nil:
-		st, _ := s.book.at(id)
-		a.startReader(id, st)
-		s.logf("fed: async: admitted join as seat %d at task %d (cohort now %d/%d, catch-up v%d)",
-			id, taskIdx, s.book.size(), s.cfg.MaxCohort, s.version)
-		return
-	case errors.Is(err, errBookFull):
-		s.logf("fed: async: refused join: cohort is at capacity (%d seats, -max-cohort %d)", s.book.size(), s.cfg.MaxCohort)
-	default:
-		s.logf("fed: async: join handshake for seat %d failed: %v", id, err)
-	}
-	jq.Link.Close()
+	rq.link.Close()
 }
 
 // handleUpdate accounts, staleness-checks and folds one upload. The update

@@ -3,8 +3,10 @@ package fed
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"net"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
@@ -89,7 +91,8 @@ type ServerConfig struct {
 	// MaxCohort caps the seat book under elastic membership: mid-run joins
 	// (the v5 join hello) are admitted until the book holds MaxCohort seats
 	// and refused — counted, logged — beyond it. 0 means NumClients (no
-	// growth). Only the asynchronous scheduler consumes joins.
+	// growth). Only the asynchronous scheduler consumes joins. It also bounds
+	// the seat IDs a rejoin hello may claim at the acceptor (Accept).
 	MaxCohort int
 	// NumTasks is the continual-learning task count.
 	NumTasks int
@@ -129,8 +132,10 @@ type ServerConfig struct {
 	// (RoundStats.NonFinite) instead of folded into the global. The CLI
 	// defaults it on whenever a robust aggregator is selected.
 	RejectNonFinite bool
-	// Logf, when set, receives operational log lines (client evictions);
-	// nil uses the standard library logger. It never receives results.
+	// Logf, when set, receives operational log lines (client evictions,
+	// refused handshakes); nil uses the standard library logger. It never
+	// receives results. Under Accept it is also called from the accept
+	// loop's handshake goroutines, concurrently with the scheduler.
 	Logf func(format string, args ...any)
 }
 
@@ -161,8 +166,12 @@ type Server struct {
 	book    *seatBook
 	dropRNG *tensor.RNG
 	obs     RoundObserver
-	rejoins <-chan RejoinRequest
-	joins   <-chan JoinRequest
+
+	// admits carries validated rejoin and join handshakes to the scheduler:
+	// the acceptor's output once Accept armed one (in-package tests inject
+	// loopback requests on it directly), nil — never ready — otherwise.
+	admits chan admission
+	acc    *acceptor
 
 	// snap, when set, receives a durable state cut at run start, write-ahead
 	// of every commit broadcast, and at every task boundary (SetSnapshots).
@@ -252,22 +261,35 @@ func NewServer(cfg ServerConfig, agg Aggregator, links []Transport) *Server {
 // SetObserver installs the streaming hook; call before Run.
 func (s *Server) SetObserver(o RoundObserver) { s.obs = o }
 
-// SetRejoins installs the source of rejoin handshakes (normally a
-// RejoinAcceptor's channel; tests inject loopback links directly); call
-// before Run. Only the asynchronous scheduler consumes rejoins — it retains
-// an evicted seat's state (parameter length, device clock, per-task upload
-// progress) and re-admits the seat with a Catchup reply; the synchronous
-// scheduler ignores the channel (lockstep has no mid-round splice point).
-func (s *Server) SetRejoins(ch <-chan RejoinRequest) { s.rejoins = ch }
-
-// SetJoins installs the source of mid-run join handshakes (normally a
-// RejoinAcceptor's Joins channel; tests inject loopback links directly); call
-// before Run. Only the asynchronous scheduler consumes joins — it assigns the
-// next free seat ID, replies with a seat-assignment hello plus a phase-aware
-// Catchup, and grows the seat book, subject to the MaxCohort cap; the
-// synchronous scheduler ignores the channel (a lockstep cohort is fixed at
-// round start).
-func (s *Server) SetJoins(ch <-chan JoinRequest) { s.joins = ch }
+// Accept makes the server admit seats over ln for the rest of the run: Run
+// accepts on it, validates each rejoin or join hello (the job fingerprint,
+// opts' value encoding, a claimed seat ID below MaxCohort), and hands the
+// survivors to the scheduler, which re-admits a dropped seat with a Catchup
+// or opens the next free seat for a joiner. Refused handshakes are closed,
+// counted and logged through ServerConfig.Logf with their cause. Call it
+// before Run — after ServeWith has seated the founding cohort, or on a
+// server restored by NewServerFromSnapshot, whose whole cohort rejoins. The
+// server owns ln from here on: Accept only records it, Run starts the accept
+// loop, and Run closes ln on every return path. Only the asynchronous
+// scheduler re-admits and grows its cohort mid-run (lockstep has no splice
+// point), so Accept on any other server is an error and leaves ln to the
+// caller.
+func (s *Server) Accept(ln net.Listener, fingerprint uint64, opts WireOptions) error {
+	if _, ok := s.sched.(*AsyncScheduler); !ok {
+		return fmt.Errorf("fed: the %s scheduler admits no seats mid-run (rejoin and join require the async scheduler)", s.sched.Name())
+	}
+	// One pending handshake per seat the book can hold: the whole cohort
+	// redialing a restarted server queues without parking a goroutine each.
+	s.admits = make(chan admission, s.cfg.MaxCohort)
+	s.acc = &acceptor{
+		ln: ln, fingerprint: fingerprint, opts: opts,
+		seats: s.cfg.MaxCohort, out: s.admits, logf: s.logf,
+		loopDone: make(chan struct{}),
+		pending:  make(map[io.Closer]struct{}),
+		stop:     make(chan struct{}),
+	}
+	return nil
+}
 
 // AliveClients reports how many clients have not been evicted.
 func (s *Server) AliveClients() int { return s.book.alive() }
@@ -275,11 +297,15 @@ func (s *Server) AliveClients() int { return s.book.alive() }
 // Run executes the full task sequence and returns the result. Cancelling ctx
 // aborts between protocol steps: the partial Result gathered so far is
 // returned together with the context's error, and all transports are closed
-// so client loops terminate. Run closes the transports on every path and
-// must only be called once.
+// so client loops terminate. Run closes the transports — and the listener
+// Accept handed it — on every path and must only be called once.
 func (s *Server) Run(ctx context.Context) (*Result, error) {
 	defer s.sched.Close()
 	defer s.book.closeAll()
+	if s.acc != nil {
+		s.acc.start()
+		defer s.acc.close()
+	}
 	res := &Result{Method: s.cfg.Method, Matrix: metrics.NewMatrix(s.cfg.NumTasks)}
 	// The seat book is DeadAfter's one writer: the public report is rendered
 	// from it on every return path.
@@ -382,7 +408,7 @@ func (s *Server) evict(taskIdx, id int, err error) {
 // .Evictions); this accessor is the run-level summary the adversarial matrix
 // legs and churn tests assert on. Transport-level refusals — fingerprint or
 // compression mismatches the acceptor closes before the scheduler ever sees
-// a seat — are counted separately by RejoinAcceptor.Refusals.
+// a seat — are counted separately, by the acceptor Accept armed.
 func (s *Server) Rejections() (nonFinite, stale, evicted, refused int) {
 	if as, ok := s.sched.(*AsyncScheduler); ok {
 		stale = as.staleTotal

@@ -116,12 +116,12 @@ func (deadLink) Close() error { return nil }
 // restart half of the crash-only design. Every seat starts evicted behind a
 // dead placeholder link; the restored scheduler waits for each seat that
 // was alive at the cut to re-admit itself through the rejoin path
-// (Server.SetRejoins, normally fed to AcceptRejoins' channel), replaying a
-// phase-aware Catchup built from the snapshot's authoritative Seen counts.
-// Requires the asynchronous scheduler: lockstep has no rejoin splice point,
-// so restoring a sync run is refused with an error rather than silently
-// hanging. The caller re-installs sinks and observers (SetSnapshots,
-// SetObserver) before Run.
+// (Server.Accept), replaying a phase-aware Catchup built from the
+// snapshot's authoritative Seen counts. Requires the asynchronous scheduler:
+// lockstep has no rejoin splice point, so restoring a sync run is refused
+// with an error rather than silently hanging. The caller re-installs the
+// listener, sinks and observers (Accept, SetSnapshots, SetObserver) before
+// Run.
 func NewServerFromSnapshot(cfg ServerConfig, agg Aggregator, snap *checkpoint.ServerSnapshot) (*Server, error) {
 	if cfg.Scheduler != SchedulerAsync {
 		return nil, fmt.Errorf("fed: restart recovery requires the async scheduler (lockstep has no rejoin splice point to re-admit the cohort through)")

@@ -232,8 +232,8 @@ func dial(addr string, hello *helloMsg, opts WireOptions) (Transport, error) {
 
 // DialRejoinWith reconnects a dropped client: it dials the server and sends
 // a rejoin hello carrying the client ID, the job fingerprint, and the
-// client's last-seen global version. The server (when it accepts rejoins —
-// see AcceptRejoins) replies with one Catchup frame on this transport
+// client's last-seen global version. The server (when it admits seats —
+// see Server.Accept) replies with one Catchup frame on this transport
 // before the normal message flow resumes; a refusal (live seat, fingerprint
 // mismatch, rejoin not enabled) surfaces as the connection closing without
 // a Catchup. Client.RunReconnect wraps this in a capped-backoff retry loop.
@@ -243,16 +243,15 @@ func DialRejoinWith(addr string, id int, fingerprint uint64, lastVersion uint64,
 
 // DialJoinWith enrolls a seatless client into a running federation (v5): it
 // dials the server and sends a join hello — no client ID; the server
-// assigns the seat — carrying the job fingerprint and value encoding. An
-// accepting server (AcceptRejoins feeding Server.SetJoins)
-// replies with a seat-assignment hello followed by one Catchup positioning
-// the joiner in the current task; both are returned, the Catchup detached
-// from the link's decode scratch, with the assigned seat ID. A refusal —
-// fingerprint or compression mismatch, cohort at -max-cohort capacity, a
-// server not accepting joins — surfaces as the connection closing without a
-// reply. After this handshake the transport is ready for the client's
-// normal async lifecycle; a later drop rejoins the assigned seat with the
-// ordinary v4 rejoin path.
+// assigns the seat — carrying the job fingerprint and value encoding. A
+// server that admits seats (Server.Accept) replies with a seat-assignment
+// hello followed by one Catchup positioning the joiner in the current task;
+// both are returned, the Catchup detached from the link's decode scratch,
+// with the assigned seat ID. A refusal — fingerprint or compression
+// mismatch, cohort at -max-cohort capacity, a server not accepting joins —
+// surfaces as the connection closing without a reply. After this handshake
+// the transport is ready for the client's normal async lifecycle; a later
+// drop rejoins the assigned seat with the ordinary v4 rejoin path.
 func DialJoinWith(addr string, fingerprint uint64, opts WireOptions) (Transport, int, *Catchup, error) {
 	t, err := dial(addr, &helloMsg{join: true, fingerprint: fingerprint}, opts)
 	if err != nil {
@@ -284,130 +283,61 @@ func DialJoinWith(addr string, fingerprint uint64, opts WireOptions) (Transport,
 	return t, seat, &out, nil
 }
 
-// RejoinRequest is one validated rejoin handshake: a dropped client that
-// re-dialed, passed the fingerprint and compression checks, and waits on
-// Link for the server's Catchup reply. The scheduler that consumes it
-// either re-admits the seat (sending the Catchup and splicing Link into
-// its reader set) or refuses by closing Link.
-type RejoinRequest struct {
-	// ClientID is the seat the client claims; the scheduler refuses the
-	// request when that seat is still alive.
-	ClientID int
-	// LastVersion is the client's last-installed global version, from the
-	// rejoin hello; the catch-up payload is omitted when the server has
-	// nothing newer.
-	LastVersion uint64
-	// Link is the fresh transport, already past the hello.
-	Link Transport
+// admission is one validated membership handshake: a client that dialed
+// mid-run, passed the fingerprint and value-encoding checks, and waits on link
+// for the scheduler's reply. A rejoin claims seat — a dropped client coming
+// back to the seat it held; a join claims none (seat is joinSeat) and is
+// assigned the next free one. lastVersion is the client's last-installed
+// global version, from its hello: the catch-up omits the payload when the
+// server has nothing newer. The scheduler either seats the link (replying
+// with the Catchup and splicing it into its reader set) or refuses by closing
+// it.
+type admission struct {
+	seat        int
+	lastVersion uint64
+	link        Transport
 }
 
-// JoinRequest is one validated join handshake (v5): a seatless client that
-// dialed mid-run, passed the fingerprint and compression checks, and waits
-// on Link for the server's seat-assignment hello and Catchup reply. The
-// scheduler that consumes it either admits a fresh seat (growing its seat
-// book) or refuses — cohort at -max-cohort capacity — by closing Link.
-type JoinRequest struct {
-	// LastVersion is the joiner's last-installed global version, from the
-	// join hello — 0 for a genuinely fresh client; the catch-up payload is
-	// omitted when the server has nothing newer.
-	LastVersion uint64
-	// Link is the fresh transport, already past the hello.
-	Link Transport
-}
+// joinSeat is the seat a join hello claims: none.
+const joinSeat = -1
 
-// RejoinAcceptor keeps accepting connections on a listener after the fresh
-// cohort has joined, validating each rejoin or join hello (fingerprint,
-// value encoding, ID range) and delivering the survivors as RejoinRequests
-// and JoinRequests. It is the wire half of churn recovery and elastic
-// membership: pair it with Server.SetRejoins (and SetJoins) so the
-// asynchronous scheduler can re-admit and admit seats. Refusals are counted
-// (Refusals) and, with SetLogf, logged with their cause — an unknown seat,
-// a fingerprint mismatch, and a compression mismatch are operationally very
+// acceptor is the accept loop Server.Accept arms and Server.Run drives: it
+// keeps accepting connections on the listener for the whole run, validates
+// each rejoin or join hello (fingerprint, value encoding, a claimed seat
+// below the server's MaxCohort) and hands the survivors to the scheduler on
+// out. Refusals are counted and logged with their cause — an unknown seat, a
+// fingerprint mismatch, and a compression mismatch are operationally very
 // different failures and must be distinguishable from the server's logs.
-type RejoinAcceptor struct {
+type acceptor struct {
 	ln          net.Listener
-	numSeats    int
 	fingerprint uint64
 	opts        WireOptions
-	ch          chan RejoinRequest
-	joins       chan JoinRequest
-	logf        atomic.Pointer[func(string, ...any)]
-	refused     atomic.Int64
+	seats       int // claimed seat IDs are bounded by this (MaxCohort)
+	out         chan admission
+	logf        func(string, ...any)
+	// refused counts the handshakes refused here — malformed first frames,
+	// unknown seats, fingerprint and compression mismatches; the scheduler's
+	// own refusals (a live seat, a full cohort) are the seat book's.
+	refused atomic.Int64
 
-	mu       sync.Mutex
-	pending  map[io.Closer]struct{} // connections mid-handshake
-	stopped  bool
-	stop     chan struct{}
-	loopDone chan struct{}
-	wg       sync.WaitGroup
+	loopDone chan struct{} // closed when the accept loop exits
+
+	mu      sync.Mutex
+	pending map[io.Closer]struct{} // connections mid-handshake
+	stopped bool
+	stop    chan struct{}
+	wg      sync.WaitGroup
 }
 
-// AcceptRejoins keeps ln open after ServeWith has accepted the fresh
-// cohort: a background accept loop admits rejoin (and join) hellos for the
-// rest of the run. A server restored from a snapshot (NewServerFromSnapshot)
-// calls it without ServeWith, because every client already holds local
-// training state and re-admits itself with a rejoin hello. numSeats bounds the seat IDs a rejoin may claim — pass the
-// run's -max-cohort (not the initial cohort size) when seats can join
-// mid-run, so a joined-then-dropped seat can come back. The acceptor owns
-// ln from here on; pair its Rejoins (and Joins) channels with
-// Server.SetRejoins (and SetJoins) and call Close after the run.
-func AcceptRejoins(ln net.Listener, numSeats int, fingerprint uint64, opts WireOptions) *RejoinAcceptor {
-	g := &RejoinAcceptor{
-		ln: ln, numSeats: numSeats, fingerprint: fingerprint, opts: opts,
-		ch:      make(chan RejoinRequest, numSeats),
-		joins:   make(chan JoinRequest, numSeats),
-		pending: make(map[io.Closer]struct{}),
-		stop:    make(chan struct{}), loopDone: make(chan struct{}),
-	}
-	go g.loop()
-	return g
-}
+// start launches the accept loop.
+func (g *acceptor) start() { go g.loop() }
 
-// Rejoins is the stream of validated rejoin handshakes; pass it to
-// Server.SetRejoins.
-func (g *RejoinAcceptor) Rejoins() <-chan RejoinRequest { return g.ch }
-
-// Joins is the stream of validated join handshakes; pass it to
-// Server.SetJoins. Joins nobody consumes are refused at Close.
-func (g *RejoinAcceptor) Joins() <-chan JoinRequest { return g.joins }
-
-// SetLogf installs a logger for refused handshakes (nil silences them
-// again). Safe to call while the acceptor is running.
-func (g *RejoinAcceptor) SetLogf(logf func(string, ...any)) {
-	if logf == nil {
-		g.logf.Store(nil)
-		return
-	}
-	g.logf.Store(&logf)
-}
-
-// Refusals reports how many handshakes the acceptor has refused so far —
-// malformed first frames, unknown seats, fingerprint mismatches,
-// compression mismatches. Safe to call from any goroutine; scheduler-level
-// refusals (a rejoin for a live seat, a join beyond -max-cohort) are
-// counted separately in Server.Rejections.
-//
-//lint:ignore fedlint/unused-exported ROADMAP 7's Server.Stats() folds it in
-func (g *RejoinAcceptor) Refusals() int { return int(g.refused.Load()) }
-
-// refuse closes a handshake's transport, counts it, and logs the cause.
-func (g *RejoinAcceptor) refuse(t Transport, format string, args ...any) {
-	t.Close()
-	g.refused.Add(1)
-	if logf := g.logf.Load(); logf != nil {
-		(*logf)("fed: acceptor: refused "+format, args...)
-	}
-}
-
-// Close shuts the acceptor down: the listener closes, in-flight handshakes
-// are severed, and any validated rejoins nobody consumed are closed so
-// their clients' Recv fails fast instead of hanging.
-func (g *RejoinAcceptor) Close() error {
+// close shuts the acceptor down and reports the listener's close error: the
+// listener closes, in-flight handshakes are severed, and any validated
+// handshakes nobody consumed are closed so their clients' Recv fails fast
+// instead of hanging.
+func (g *acceptor) close() error {
 	g.mu.Lock()
-	if g.stopped {
-		g.mu.Unlock()
-		return nil
-	}
 	g.stopped = true
 	close(g.stop)
 	for c := range g.pending {
@@ -419,19 +349,24 @@ func (g *RejoinAcceptor) Close() error {
 	g.wg.Wait()
 	for {
 		select {
-		case rq := <-g.ch:
-			rq.Link.Close()
-		case jq := <-g.joins:
-			jq.Link.Close()
+		case rq := <-g.out:
+			rq.link.Close()
 		default:
 			return err
 		}
 	}
 }
 
+// refuse closes a handshake's transport, counts it, and logs the cause.
+func (g *acceptor) refuse(t Transport, format string, args ...any) {
+	t.Close()
+	g.refused.Add(1)
+	g.logf("fed: acceptor: refused "+format, args...)
+}
+
 // loop accepts connections until the listener closes, handing each to a
 // handshake goroutine so one silent dialer cannot block later rejoins.
-func (g *RejoinAcceptor) loop() {
+func (g *acceptor) loop() {
 	defer close(g.loopDone)
 	for {
 		conn, err := g.ln.Accept()
@@ -458,7 +393,7 @@ func (g *RejoinAcceptor) loop() {
 // and "fingerprint mismatch" are different operational failures (a typo'd
 // -client-id versus a process run with different knobs) and must not share
 // a log line.
-func (g *RejoinAcceptor) handshake(conn net.Conn) {
+func (g *acceptor) handshake(conn net.Conn) {
 	defer g.wg.Done()
 	defer func() {
 		g.mu.Lock()
@@ -487,21 +422,16 @@ func (g *RejoinAcceptor) handshake(conn net.Conn) {
 		g.refuse(t, "seat %d: %s compression, server uses %s (pass the same -compress to every process)",
 			hello.clientID, hello.quant, g.opts.Compression.Quant)
 		return
+	case hello.rejoin && (hello.clientID < 0 || hello.clientID >= g.seats):
+		g.refuse(t, "rejoin for unknown seat %d (seat IDs bounded by %d)", hello.clientID, g.seats)
+		return
 	}
+	rq := admission{seat: hello.clientID, lastVersion: hello.lastVersion, link: t}
 	if hello.join {
-		select {
-		case g.joins <- JoinRequest{LastVersion: hello.lastVersion, Link: t}:
-		case <-g.stop:
-			t.Close()
-		}
-		return
-	}
-	if hello.clientID < 0 || hello.clientID >= g.numSeats {
-		g.refuse(t, "rejoin for unknown seat %d (seat IDs bounded by %d)", hello.clientID, g.numSeats)
-		return
+		rq.seat = joinSeat
 	}
 	select {
-	case g.ch <- RejoinRequest{ClientID: hello.clientID, LastVersion: hello.lastVersion, Link: t}:
+	case g.out <- rq:
 	case <-g.stop:
 		t.Close()
 	}

@@ -1,13 +1,12 @@
-// Package stats provides the distance and geometry utilities FedKNOW's
-// signature-task selection relies on: the 1-D Wasserstein distance between
-// gradient coordinate distributions, cosine similarity, and angle tests.
+// Package stats provides the distance utilities FedKNOW's signature-task
+// selection relies on: the 1-D Wasserstein distance between gradient
+// coordinate distributions, its subsampled approximation, and the
+// most-dissimilar selection rule.
 package stats
 
 import (
 	"math"
 	"sort"
-
-	"repro/internal/tensor"
 )
 
 // Wasserstein1D computes the 1-D (order-1) Wasserstein distance between the
@@ -53,14 +52,6 @@ func SubsampledWasserstein(a, b []float32, maxN int) float64 {
 		sb = append(sb, b[i])
 	}
 	return Wasserstein1D(sa, sb)
-}
-
-// AngleIsObtuse reports whether two vectors form an obtuse angle
-// (dot product < 0), the condition that triggers gradient integration.
-//
-//lint:ignore fedlint/unused-exported staged deletion (ROADMAP 17)
-func AngleIsObtuse(a, b []float32) bool {
-	return tensor.DotSlice(a, b) < 0
 }
 
 // TopKDissimilar returns the indices of the k candidates whose distance to

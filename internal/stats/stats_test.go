@@ -79,15 +79,6 @@ func TestSubsampledWassersteinApproximates(t *testing.T) {
 	}
 }
 
-func TestAngleIsObtuse(t *testing.T) {
-	if AngleIsObtuse([]float32{1, 0}, []float32{1, 1}) {
-		t.Fatal("acute reported obtuse")
-	}
-	if !AngleIsObtuse([]float32{1, 0}, []float32{-1, 0.1}) {
-		t.Fatal("obtuse not detected")
-	}
-}
-
 func TestTopKDissimilar(t *testing.T) {
 	ref := []float32{0, 0, 0}
 	cands := [][]float32{
