@@ -25,6 +25,10 @@ import (
 const (
 	magicParams    = uint32(0xFEDC0001)
 	magicKnowledge = uint32(0xFEDC0002)
+
+	// maxCount bounds a header's parameter count: it must fit an int on
+	// every platform, 32-bit ones included.
+	maxCount = math.MaxInt32
 )
 
 // WriteParams serialises a flat parameter vector.
@@ -55,7 +59,7 @@ func ReadParams(r io.Reader) ([]float32, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
-	if n > 1<<31 {
+	if n > maxCount {
 		return nil, fmt.Errorf("checkpoint: implausible parameter count %d", n)
 	}
 	return readF32s(r, int(n))
@@ -103,11 +107,13 @@ func ReadKnowledge(r io.Reader) (taskID int, classes []int, s *prune.SparseStore
 			return 0, nil, nil, err
 		}
 	}
-	nClasses, n, k := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	if nClasses > 1<<20 || n > 1<<31 || k > n {
+	// The counts are bounded as read, before any becomes an int: a corrupt
+	// count ≥ 2⁶³ would turn negative and pass a bound checked after.
+	if hdr[1] > 1<<20 || hdr[2] > maxCount || hdr[3] > hdr[2] {
 		return 0, nil, nil, fmt.Errorf("checkpoint: implausible knowledge header %v", hdr)
 	}
-	classes = make([]int, nClasses)
+	n, k := int(hdr[2]), int(hdr[3])
+	classes = make([]int, hdr[1])
 	for i := range classes {
 		var c int64
 		if err = binary.Read(r, binary.LittleEndian, &c); err != nil {

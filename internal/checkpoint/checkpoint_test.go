@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +100,31 @@ func TestKnowledgeBadHeader(t *testing.T) {
 	// Params magic where knowledge expected.
 	if _, _, _, err := ReadKnowledge(&buf); err == nil {
 		t.Fatal("wrong record type must error")
+	}
+
+	// Hostile counts: a class count that turns negative as an int, and a
+	// coordinate count an int cannot hold on a 32-bit platform. Each must be
+	// refused by the header check, not panic in an allocation.
+	for _, hdr := range [][4]uint64{
+		{0, 1 << 63, 10, 1},
+		{0, math.MaxUint64, 10, 1},
+		{0, 1, 1 << 40, 1},
+		{0, 1, 1 << 31, 0},
+		{0, 1, math.MaxUint64, math.MaxUint64},
+		{0, 1, 10, 11},
+	} {
+		buf.Reset()
+		binary.Write(&buf, binary.LittleEndian, magicKnowledge)
+		binary.Write(&buf, binary.LittleEndian, hdr)
+		if _, _, _, err := ReadKnowledge(&buf); err == nil || !strings.Contains(err.Error(), "implausible knowledge header") {
+			t.Errorf("header %v: err %v, want the header refused", hdr, err)
+		}
+	}
+	buf.Reset()
+	binary.Write(&buf, binary.LittleEndian, magicParams)
+	binary.Write(&buf, binary.LittleEndian, uint64(1<<31))
+	if _, err := ReadParams(&buf); err == nil || !strings.Contains(err.Error(), "implausible parameter count") {
+		t.Errorf("params count 2³¹: err %v, want the count refused", err)
 	}
 }
 

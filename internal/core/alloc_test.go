@@ -47,15 +47,17 @@ func TestRestoreAllAllocFree(t *testing.T) {
 // forwards, the shared live forward, one distillation backward per task, the
 // QP and the optimiser step — at zero allocations, on both ways of choosing
 // the restore set: every stored task (K covers the store, the paper's
-// default) and a cached signature subset (re-ranked only by the warm-up call
-// AllocsPerRun makes before it counts).
+// default), a cached signature subset (re-ranked only by the warm-up call
+// AllocsPerRun makes before it counts), and a subset re-ranked by
+// Wasserstein dissimilarity at every step.
 func TestTrainStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse and instruments allocations")
 	}
 	for name, opts := range map[string]Options{
-		"all stored tasks": {Rho: 0.1, K: 10},
-		"signature subset": {Rho: 0.1, K: 2, SelectEvery: 1 << 30},
+		"all stored tasks":       {Rho: 0.1, K: 10},
+		"signature subset":       {Rho: 0.1, K: 2, SelectEvery: 1 << 30},
+		"re-ranked at each step": {Rho: 0.1, K: 2, SelectEvery: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			pinKernelThreads(t, 1)

@@ -16,6 +16,12 @@ type GradientIntegrator struct {
 	SubsampleN int
 
 	ws qp.Workspace // the QP's buffers, reused across steps
+
+	// SelectSignature's buffers, reused across re-rankings: g's sorted
+	// subsample, one candidate's, every candidate's distance, the ranking.
+	ref, cand []float32
+	dist      []float64
+	signature []int
 }
 
 // NewGradientIntegrator returns an integrator with the default ranking
@@ -26,11 +32,21 @@ func NewGradientIntegrator() *GradientIntegrator {
 
 // SelectSignature ranks candidate gradients by Wasserstein dissimilarity to
 // g and returns the indices of the k most dissimilar — the signature tasks
-// most endangered by an update along g (§III-C).
+// most endangered by an update along g (§III-C). g's subsample is sorted once
+// for all candidates. The result lives in a buffer the integrator owns and
+// is valid until the next SelectSignature call.
 func (gi *GradientIntegrator) SelectSignature(g []float32, candidates [][]float32, k int) []int {
-	return stats.TopKDissimilar(g, candidates, k, func(a, b []float32) float64 {
-		return stats.SubsampledWasserstein(a, b, gi.SubsampleN)
-	})
+	gi.ref = stats.SortedSubsample(gi.ref, g, gi.SubsampleN)
+	gi.dist = gi.dist[:0]
+	for _, c := range candidates {
+		if len(c) != len(g) {
+			panic("core: SelectSignature gradient length mismatch")
+		}
+		gi.cand = stats.SortedSubsample(gi.cand, c, gi.SubsampleN)
+		gi.dist = append(gi.dist, stats.SortedDistance(gi.ref, gi.cand))
+	}
+	gi.signature = stats.TopK(gi.signature, gi.dist, k)
+	return gi.signature
 }
 
 // Integrate solves the dual QP and returns g′ = Gᵀv + g. When no constraint

@@ -381,9 +381,7 @@ func appendPayload(buf []byte, m Msg, comp Compression) []byte {
 // emitted in sparse form directly; a dense vector goes to appendDenseParams.
 func appendParams(buf []byte, dense []float32, sp *tensor.SparseVec, comp Compression) []byte {
 	if sp != nil {
-		buf = append(buf, comp.formatByte(true))
-		buf = binary.AppendUvarint(buf, uint64(sp.N))
-		return appendSparseBody(buf, sp.Indices, sp.Values, comp.Quant)
+		return appendSparseVec(buf, sp, comp)
 	}
 	return appendDenseParams(buf, dense, nil, comp)
 }
@@ -469,44 +467,55 @@ func putF32s(dst []byte, src []float32) {
 }
 
 // compactBlock is how many coordinates one compaction step covers: the
-// encoder's only scratch is one stack block of that many indices (2 KiB), so
-// encoding costs no memory that grows with the model.
+// encoder's only scratch is one stack block of that many indices and values
+// (4 KiB), so encoding costs no memory that grows with the model.
 const compactBlock = 512
 
-// compactNonZero stores base+i for every i whose src[i] has a non-zero *bit
-// pattern* at the front of idx, in ascending order, and returns how many it
-// stored; len(src) must not exceed compactBlock. It is branch-free: the index
-// is stored unconditionally and the cursor advances by the sign bit of
-// u | -u, which is set exactly when u != 0. The test is on the bits,
-// not the value, so negative zero and NaN stay "non-zero" and cross the wire —
-// that is what keeps the float32 encodings bit-exact. A branch on v != 0 here
-// mispredicts about a third of the time on a 19 %-dense union. Kept out of
-// line: inlined into the encoder, the loop's two live counters are spilled
-// to the stack on every element.
+// compacted is one compaction step's output: the ascending indices of the
+// non-zero coordinates it found and, beside each, the coordinate's value.
+type compacted struct {
+	idx [compactBlock]int32
+	val [compactBlock]float32
+}
+
+// compactNonZero stores base+i and src[i] for every i whose src[i] has a
+// non-zero *bit pattern* at the front of c, in ascending order, and returns
+// how many it stored; len(src) must not exceed compactBlock. It is
+// branch-free: the pair is stored unconditionally and the cursor advances by
+// the sign bit of u | -u, which is set exactly when u != 0. The test is on the
+// bits, not the value, so negative zero and NaN stay "non-zero" and cross the
+// wire — that is what keeps the float32 encodings bit-exact. A branch on
+// v != 0 here mispredicts about a third of the time on a 19 %-dense union.
+// Kept out of line: inlined into the encoder, the loop's live counters are
+// spilled to the stack on every element.
 //
 //go:noinline
-func compactNonZero(idx *[compactBlock]int32, src []float32, base int32) int {
+func compactNonZero(c *compacted, src []float32, base int32) int {
 	k := 0
 	for i, v := range src {
 		u := math.Float32bits(v)
-		idx[k&(compactBlock-1)] = base + int32(i) // k ≤ i < compactBlock: the mask only drops the bounds check
+		m := k & (compactBlock - 1) // k ≤ i < compactBlock: the mask only drops the bounds checks
+		c.idx[m], c.val[m] = base+int32(i), v
 		k += int((u | -u) >> 31)
 	}
 	return k
 }
 
 // compactSupport is compactNonZero over the coordinates a support lists:
-// it stores every j of support whose dense[j] has a non-zero bit pattern at
-// the front of idx, in order, and returns how many it stored; len(support)
-// must not exceed compactBlock. Branch-free for the same reason, and kept out
-// of line for the same reason.
+// it stores every j of support whose dense[j] has a non-zero bit pattern, and
+// that value, at the front of c, in order, and returns how many it stored;
+// len(support) must not exceed compactBlock. Branch-free for the same reason,
+// and kept out of line for the same reason. Storing the value spares the
+// emitter a second load of dense[j], a gather across the model.
 //
 //go:noinline
-func compactSupport(idx *[compactBlock]int32, dense []float32, support []int32) int {
+func compactSupport(c *compacted, dense []float32, support []int32) int {
 	k := 0
 	for _, j := range support {
-		u := math.Float32bits(dense[j])
-		idx[k&(compactBlock-1)] = j
+		v := dense[j]
+		u := math.Float32bits(v)
+		m := k & (compactBlock - 1)
+		c.idx[m], c.val[m] = j, v
 		k += int((u | -u) >> 31)
 	}
 	return k
@@ -539,27 +548,49 @@ func zeroFree(src []float32) bool {
 // appendSparseFromDense emits dense as a sparse params block — the non-zero
 // (by bit pattern) coordinates only — when that is smaller than the dense
 // block by exact encoded size, and reports false with buf untouched when it
-// is not. The format puts all gaps before all values, so the block is built
-// in two compaction passes over the index source, neither of which
-// materialises the index list: pass 1 compacts each block into the stack
-// scratch and derives k and the gap bytes from it; pass 2 compacts again and
-// puts every gap and value at its final offset in a buffer grown once. The
-// sparse cost only grows along the vector, so pass 1 gives up — keeping the
-// dense form — at the first block boundary where it provably cannot beat the
-// dense size: a fully dense vector stops ~4/5 of the way through instead of
-// paying the whole scan. The source is dense's own coordinates, or with a
-// non-nil support the entries of support (see the package note on the two
-// index sources); where the bail happens never changes the bytes.
+// is not. The index source is dense's own coordinates, or with a non-nil
+// support the entries of support (see the package note on the two index
+// sources); neither is ever materialised as an index list.
+//
+// The format puts all gaps before all values, so the block must be sized
+// before its first value is written; that sizing is all that differs between
+// the sources, and one compaction pass then writes the block
+// (appendCompacted). A support bounds the block without reading dense at
+// all: the compacted indices are the support less its zero coordinates, and
+// dropping an entry merges two gaps into one, which never lengthens their
+// varints (len(a+b+1) ≤ len(a) + len(b)), so the support's own gap bytes and
+// length bound the block's. When that bound does not beat the dense size —
+// and always without a support — sparseSize compacts the source once to size
+// the block exactly. Which way it was sized never changes the bytes.
 func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Compression) ([]byte, bool) {
-	n, q := len(dense), comp.Quant
-	vb := q.valueBytes()
-	var idx [compactBlock]int32
-	src := n
+	n, vb := len(dense), comp.Quant.valueBytes()
+	if support != nil {
+		// The optional int8 scale costs the same in both forms and cancels.
+		if k, gapBytes := gapBytesOf(support); uvarintLen(uint64(k))+gapBytes+k*vb < n*vb {
+			return appendCompacted(buf, dense, support, k, gapBytes, comp), true
+		}
+	}
+	k, gapBytes, ok := sparseSize(dense, support, vb)
+	if !ok {
+		return buf, false
+	}
+	return appendCompacted(buf, dense, support, k, gapBytes, comp), true
+}
+
+// sparseSize compacts the index source block by block into the stack scratch
+// and returns the exact k and gap bytes of dense's sparse block, with ok
+// false when that block is not smaller than the dense one. The sparse cost
+// only grows along the vector, so it gives up at the first block boundary
+// where it provably cannot beat the dense size: a fully dense vector stops
+// ~4/5 of the way through instead of paying the whole scan. Where the bail
+// happens never changes the decision.
+func sparseSize(dense []float32, support []int32, vb int) (k, gapBytes int, ok bool) {
+	var c compacted
+	n, src := len(dense), len(dense)
 	if support != nil {
 		src = len(support)
 	}
-
-	k, gapBytes, prev := 0, 0, int32(-1)
+	prev := int32(-1)
 	for lo := 0; lo < src; lo += compactBlock {
 		hi := min(lo+compactBlock, src)
 		cnt := hi - lo
@@ -570,98 +601,191 @@ func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Co
 			gapBytes += uvarintLen(uint64(int32(lo)-prev-1)) + cnt - 1
 			prev = int32(hi - 1)
 		} else {
-			cnt = compactFrom(&idx, dense, support, lo, hi)
-			for _, j := range idx[:cnt] {
+			cnt = compactFrom(&c, dense, support, lo, hi)
+			for _, j := range c.idx[:cnt] {
 				gapBytes += uvarintLen(uint64(j - prev - 1))
 				prev = j
 			}
 		}
 		k += cnt
 		if gapBytes+k*vb+1 >= n*vb {
-			return buf, false
+			return 0, 0, false
 		}
 	}
-	// The optional int8 scale costs the same in both forms and cancels.
-	if uvarintLen(uint64(k))+gapBytes+k*vb >= n*vb {
-		return buf, false
-	}
+	return k, gapBytes, uvarintLen(uint64(k))+gapBytes+k*vb < n*vb
+}
 
+// appendCompacted writes dense's sparse block in one compaction pass over
+// the index source, into a window sized for k entries whose gaps take
+// gapBytes bytes: each compaction block's gaps and values go straight to
+// their final offsets. The sizes are exact, or a support's bound; only when
+// an exact cancellation dropped a support entry does the value run move down
+// to meet the gaps (one copy), k's varint get rewritten — and should it have
+// shrunk, the body move down to meet it.
+func appendCompacted(buf []byte, dense []float32, support []int32, k, gapBytes int, comp Compression) []byte {
+	vb := comp.Quant.valueBytes()
+	kAt := len(buf) + 1 + uvarintLen(uint64(len(dense))) // after the format byte and n
+	buf, scale := appendSparseHeader(buf, len(dense), k, dense, comp)
+	off := len(buf)
+	buf = slices.Grow(buf, gapBytes+k*vb)[:off+gapBytes+k*vb]
+	gaps, vals := buf[off:off+gapBytes], buf[off+gapBytes:]
+	var c compacted
+	src := len(dense)
+	if support != nil {
+		src = len(support)
+	}
+	prev := int32(-1)
+	for lo := 0; lo < src; lo += compactBlock {
+		cnt := compactFrom(&c, dense, support, lo, min(lo+compactBlock, src))
+		prev = emitBlock(&gaps, &vals, c.idx[:cnt], c.val[:cnt], prev, comp.Quant, scale)
+	}
+	if len(vals) == 0 {
+		return buf // every entry the window was sized for was written
+	}
+	stored, gapsEnd := k-len(vals)/vb, off+gapBytes-len(gaps)
+	end := gapsEnd + copy(buf[gapsEnd:], buf[off+gapBytes:len(buf)-len(vals)])
+	body := kAt + uvarintLen(uint64(k))
+	if shrink := uvarintLen(uint64(k)) - uvarintLen(uint64(stored)); shrink > 0 {
+		end = body - shrink + copy(buf[body-shrink:], buf[body:end])
+	}
+	binary.AppendUvarint(buf[:kAt], uint64(stored))
+	return buf[:end]
+}
+
+// gapBytesOf returns the length of the ascending indices idx and the bytes
+// their gaps take as uvarints. Eight gaps that are all one byte — their OR
+// is below 0x80 — are counted at once.
+func gapBytesOf(idx []int32) (k, gapBytes int) {
+	prev, x := int32(-1), idx
+	for ; len(x) >= 8; x = x[8:] {
+		s := x[:8]
+		if uint32((s[0]-prev-1)|(s[1]-s[0]-1)|(s[2]-s[1]-1)|(s[3]-s[2]-1)|
+			(s[4]-s[3]-1)|(s[5]-s[4]-1)|(s[6]-s[5]-1)|(s[7]-s[6]-1)) < 0x80 {
+			gapBytes += 8
+		} else {
+			for _, j := range s {
+				gapBytes += uvarintLen(uint64(j - prev - 1))
+				prev = j
+			}
+		}
+		prev = s[7]
+	}
+	for _, j := range x {
+		gapBytes += uvarintLen(uint64(j - prev - 1))
+		prev = j
+	}
+	return len(idx), gapBytes
+}
+
+// appendSparseHeader appends a sparse block's format byte, n, k and — for
+// int8 — the scale of vals, and returns the scale.
+func appendSparseHeader(buf []byte, n, k int, vals []float32, comp Compression) ([]byte, float32) {
 	buf = append(buf, comp.formatByte(true))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(k))
 	var scale float32
-	if q == QuantI8 {
-		scale = i8Scale(dense)
+	if comp.Quant == QuantI8 {
+		scale = i8Scale(vals)
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
 	}
-	off := len(buf)
-	buf = slices.Grow(buf, gapBytes+k*vb)[:off+gapBytes+k*vb]
-	// Both streams are appended into their own windows of that buffer: the
-	// capacities are exact, so neither append can reallocate.
-	gaps := buf[off : off : off+gapBytes]
-	vals := buf[off+gapBytes : off+gapBytes : len(buf)]
-	prev = -1
-	for lo := 0; lo < src; lo += compactBlock {
-		cnt := compactFrom(&idx, dense, support, lo, min(lo+compactBlock, src))
-		for _, j := range idx[:cnt] {
-			gaps = binary.AppendUvarint(gaps, uint64(j-prev-1))
-			prev = j
-		}
-		switch q {
-		case QuantF16:
-			for _, j := range idx[:cnt] {
-				vals = binary.LittleEndian.AppendUint16(vals, f32ToF16(dense[j]))
-			}
-		case QuantI8:
-			for _, j := range idx[:cnt] {
-				vals = append(vals, byte(i8Quantize(dense[j], scale)))
-			}
-		default:
-			for _, j := range idx[:cnt] {
-				vals = binary.LittleEndian.AppendUint32(vals, math.Float32bits(dense[j]))
-			}
-		}
-	}
-	return buf, true
+	return buf, scale
 }
 
 // compactFrom compacts block [lo, hi) of the index source into idx: dense's
 // coordinates lo…hi−1, or with a support its entries support[lo:hi].
-func compactFrom(idx *[compactBlock]int32, dense []float32, support []int32, lo, hi int) int {
+func compactFrom(c *compacted, dense []float32, support []int32, lo, hi int) int {
 	if support == nil {
-		return compactNonZero(idx, dense[lo:hi], int32(lo))
+		return compactNonZero(c, dense[lo:hi], int32(lo))
 	}
-	return compactSupport(idx, dense, support[lo:hi])
+	return compactSupport(c, dense, support[lo:hi])
 }
 
-// appendSparseBody emits k, the optional scale, the index gaps and the
-// values of an explicit sparse vector (indices strictly ascending).
-func appendSparseBody(buf []byte, idx []int32, vals []float32, q Quant) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(idx)))
-	var scale float32
-	if q == QuantI8 {
-		scale = i8Scale(vals)
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
+// emitBlock is the sparse emitter every source shares: it writes the gaps of
+// idx (ascending, the first taken after prev) at the front of *gaps and the
+// values vals, one per index, at the front of *vals, moves both windows past
+// what it wrote, and returns the last index written.
+func emitBlock(gaps, vals *[]byte, idx []int32, v []float32, prev int32, q Quant, scale float32) int32 {
+	if len(idx) == 0 {
+		return prev
 	}
-	prev := int32(-1)
+	*gaps = (*gaps)[putGaps(*gaps, idx, prev):]
+	*vals = (*vals)[putValues(*vals, v, q, scale):]
+	return idx[len(idx)-1]
+}
+
+// putGaps writes the uvarint gaps of the ascending indices idx, the first
+// taken after prev, at the front of dst, which must hold them, and returns
+// the bytes written. Eight gaps that are all one byte — nearly every eight of
+// a sparse model — are one 8-byte store, with no append's capacity check;
+// any other eight go one varint at a time.
+func putGaps(dst []byte, idx []int32, prev int32) int {
+	o := 0
+	for ; len(idx) >= 8; idx = idx[8:] {
+		s := idx[:8]
+		g := s[0] - prev - 1
+		or, w := g, uint64(uint32(g))
+		g = s[1] - s[0] - 1
+		or, w = or|g, w|uint64(uint32(g))<<8
+		g = s[2] - s[1] - 1
+		or, w = or|g, w|uint64(uint32(g))<<16
+		g = s[3] - s[2] - 1
+		or, w = or|g, w|uint64(uint32(g))<<24
+		g = s[4] - s[3] - 1
+		or, w = or|g, w|uint64(uint32(g))<<32
+		g = s[5] - s[4] - 1
+		or, w = or|g, w|uint64(uint32(g))<<40
+		g = s[6] - s[5] - 1
+		or, w = or|g, w|uint64(uint32(g))<<48
+		g = s[7] - s[6] - 1
+		or, w = or|g, w|uint64(uint32(g))<<56
+		if uint32(or) < 0x80 {
+			binary.LittleEndian.PutUint64(dst[o:], w)
+			o += 8
+		} else {
+			for _, j := range s {
+				o += binary.PutUvarint(dst[o:], uint64(j-prev-1))
+				prev = j
+			}
+		}
+		prev = s[7]
+	}
 	for _, j := range idx {
-		buf = binary.AppendUvarint(buf, uint64(j-prev-1))
+		o += binary.PutUvarint(dst[o:], uint64(j-prev-1))
 		prev = j
 	}
+	return o
+}
+
+// putValues encodes vals at the front of dst, which must hold them, and
+// returns the bytes written.
+func putValues(dst []byte, vals []float32, q Quant, scale float32) int {
 	switch q {
 	case QuantF16:
-		for _, v := range vals {
-			buf = binary.LittleEndian.AppendUint16(buf, f32ToF16(v))
+		dst = dst[:2*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(dst[2*i:], f32ToF16(v))
 		}
 	case QuantI8:
-		for _, v := range vals {
-			buf = append(buf, byte(i8Quantize(v, scale)))
+		dst = dst[:len(vals)]
+		for i, v := range vals {
+			dst[i] = byte(i8Quantize(v, scale))
 		}
 	default:
-		off := len(buf)
-		buf = slices.Grow(buf, 4*len(vals))[:off+4*len(vals)]
-		putF32s(buf[off:], vals)
+		putF32s(dst, vals)
 	}
+	return len(vals) * q.valueBytes()
+}
+
+// appendSparseVec emits an explicit sparse vector (indices strictly
+// ascending) as a sparse params block: one sizing pass over the indices, then
+// every gap and value written in place.
+func appendSparseVec(buf []byte, sp *tensor.SparseVec, comp Compression) []byte {
+	k, gapBytes := gapBytesOf(sp.Indices)
+	buf, scale := appendSparseHeader(buf, sp.N, k, sp.Values, comp)
+	off, vb := len(buf), comp.Quant.valueBytes()
+	buf = slices.Grow(buf, gapBytes+k*vb)[:off+gapBytes+k*vb]
+	gaps, vals := buf[off:off+gapBytes], buf[off+gapBytes:]
+	emitBlock(&gaps, &vals, sp.Indices, sp.Values, -1, comp.Quant, scale)
 	return buf
 }
 
@@ -862,14 +986,37 @@ func (c *cursor) params(densify bool) (dense []float32, sp *tensor.SparseVec) {
 }
 
 // indices decodes len(idx) index gaps into strictly ascending indices below
-// n. A gap byte below 0x80 is a whole canonical varint, so it is read
-// straight; any other goes through uvarint and the gap bound. The straight
-// path skips that bound, which a one-byte gap can only break under a frame
-// limit lowered below 4·127 bytes — and then the index it lands on is still
-// refused, by the range check: n ≤ paramLimit < gap ≤ index.
+// n. Eight gap bytes with no continuation bit between them are eight whole
+// canonical varints: they are read as one word, and since the indices ascend,
+// the eighth index bounds all eight, so one range check covers the word. Any
+// other word — a continuation bit, fewer than eight gaps or bytes left, or an
+// index ≥ n — goes one gap at a time: a byte below 0x80 read straight, any
+// other through uvarint and the gap bound. The one-byte reads skip that
+// bound, which a one-byte gap can only break under a frame limit lowered
+// below 4·127 bytes — and then the index it lands on is still refused, by the
+// range check: n ≤ paramLimit < gap ≤ index.
 func (c *cursor) indices(idx []int32, n uint64) {
 	buf, off, prev := c.buf, c.off, int64(-1)
-	for i := range idx {
+	for i := 0; i < len(idx); {
+		if i+8 <= len(idx) && off+8 <= len(buf) {
+			if w := binary.LittleEndian.Uint64(buf[off:]); w&0x8080808080808080 == 0 {
+				j0 := prev + 1 + int64(w&0x7F)
+				j1 := j0 + 1 + int64(w>>8&0x7F)
+				j2 := j1 + 1 + int64(w>>16&0x7F)
+				j3 := j2 + 1 + int64(w>>24&0x7F)
+				j4 := j3 + 1 + int64(w>>32&0x7F)
+				j5 := j4 + 1 + int64(w>>40&0x7F)
+				j6 := j5 + 1 + int64(w>>48&0x7F)
+				j7 := j6 + 1 + int64(w>>56)
+				if j7 < int64(n) {
+					d := idx[i : i+8 : i+8]
+					d[0], d[1], d[2], d[3] = int32(j0), int32(j1), int32(j2), int32(j3)
+					d[4], d[5], d[6], d[7] = int32(j4), int32(j5), int32(j6), int32(j7)
+					i, off, prev = i+8, off+8, j7
+					continue
+				}
+			}
+		}
 		var gap uint64
 		if off < len(buf) && buf[off] < 0x80 {
 			gap = uint64(buf[off])
@@ -896,6 +1043,7 @@ func (c *cursor) indices(idx []int32, n uint64) {
 		}
 		idx[i] = int32(j)
 		prev = j
+		i++
 	}
 	c.off = off
 }

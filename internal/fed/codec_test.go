@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -1139,50 +1140,130 @@ func sparseBlock(n, k int, gaps ...byte) []byte {
 	return b
 }
 
-// TestDecodeParamsGapEdges covers the gap encodings the one-byte path must
-// hand over, or refuse, exactly as the reference does: non-canonical
-// multi-byte gaps, a gap landing exactly on n, and a gap over a lowered
-// frame limit's coordinate bound.
+// gapEdge is one hand-built params block, the frame limit it is decoded
+// under (0: the default), and what the decoder must make of it: "" to accept,
+// otherwise a piece of its error text.
+type gapEdge struct {
+	name  string
+	block []byte
+	limit int
+	err   string
+}
+
+// lanes returns k one-byte gaps of 1 with the gap bytes of lane i replaced
+// by at[i]: the shapes a word of eight gaps can take.
+func lanes(k int, at map[int][]byte) []byte {
+	var g []byte
+	for i := 0; i < k; i++ {
+		if b, ok := at[i]; ok {
+			g = append(g, b...)
+		} else {
+			g = append(g, 1)
+		}
+	}
+	return g
+}
+
+// i8Block builds an int8 sparse params block by hand: n, k, a scale, the gap
+// bytes as given and no values — the bytes after the gaps are whatever the
+// gaps leave of the count pre-check's 2k.
+func i8Block(n, k int, gaps ...byte) []byte {
+	b := binary.AppendUvarint([]byte{fmtSparse | byte(QuantI8)}, uint64(n))
+	b = binary.AppendUvarint(b, uint64(k))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(0.5))
+	return append(b, gaps...)
+}
+
+// gapEdges is every gap shape the word-at-a-time path must hand over to the
+// one-gap path, or refuse, exactly as the reference does, with the error
+// text the decoder gave before it read words.
+func gapEdges() []gapEdge {
+	cases := []gapEdge{
+		{"non-canonical 1", sparseBlock(8, 2, 0x81, 0x00, 0x80, 0x00), 0, ""}, // idx 1, 2
+		{"non-canonical 127", sparseBlock(200, 1, 0xFF, 0x80, 0x00), 0, ""},   // idx 127
+		{"0x80 then 0x01 is 128", sparseBlock(200, 2, 0x80, 0x01, 0x05), 0, ""},
+		{"one-byte gap lands on n", sparseBlock(5, 1, 5), 0, "sparse index 5 out of range [0,5)"},
+		{"one-byte gap lands on n-1", sparseBlock(5, 1, 4), 0, ""},
+		{"second gap lands on n", sparseBlock(5, 2, 1, 3), 0, "sparse index 5 out of range [0,5)"},
+		{"two-byte gap lands on n", sparseBlock(129, 1, 0x81, 0x01), 0, "sparse index 129 out of range [0,129)"},
+		{"varint runs off the block", sparseBlock(8, 1, 0x80), 0, "truncated payload"},
+
+		// Indices 2·i+1 for i < k: a word's eighth index is 15 after the
+		// first word, 31 after the second.
+		{"lane 7 lands on n-1", sparseBlock(16, 8, lanes(8, nil)...), 0, ""},
+		{"lane 7 lands on n", sparseBlock(15, 8, lanes(8, nil)...), 0, "sparse index 15 out of range [0,15)"},
+		{"second word, lane 7 lands on n-1", sparseBlock(32, 16, lanes(16, nil)...), 0, ""},
+		{"second word, lane 7 lands on n", sparseBlock(31, 16, lanes(16, nil)...), 0, "sparse index 31 out of range [0,31)"},
+		{"lane 0 lands on n-1", sparseBlock(40, 8, lanes(8, map[int][]byte{0: {39}})...), 0, "sparse index 41 out of range [0,40)"},
+		{"lane 0 lands on n", sparseBlock(40, 8, lanes(8, map[int][]byte{0: {40}})...), 0, "sparse index 40 out of range [0,40)"},
+		{"second word, lane 0 lands on n-1", sparseBlock(17, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,17)"},
+		{"second word, lane 0 lands on n", sparseBlock(16, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,16)"},
+
+		// Truncated inside a word: the count pre-check refuses an f32 block
+		// cut in its gaps; an int8 block whose first eight gaps are
+		// four-byte varints passes it with three bytes left for nine gaps.
+		{"f32 block cut mid-word", sparseBlock(64, 16, lanes(16, nil)...)[:3+12], 0, "sparse params count 16 exceeds payload"},
+		{"int8 gaps run out mid-word", i8Block(400, 16, append(bytes.Repeat([]byte{0x80, 0x80, 0x80, 0x00}, 7), 0, 0, 0, 0, 0)...), 0, "bad varint at offset"},
+
+		// Frame limit 64 bounds a block to 16 coordinates, under the 127 a
+		// one-byte gap can reach. The one-byte path skips the gap bound, so
+		// its refusal comes from the range check — n ≤ 16 < gap — where the
+		// reference names the gap; a multi-byte gap still meets the gap
+		// bound first.
+		{"one-byte gap over the bound", sparseBlock(16, 1, 100), 64, "out of range"},
+		{"two-byte gap over the bound", sparseBlock(16, 1, 0x80, 0x01), 64, "gap 128 exceeds limit"},
+		{"one-byte gap over the bound in lane 5", sparseBlock(16, 8, lanes(8, map[int][]byte{5: {100}})...), 64, "sparse index 110 out of range [0,16)"},
+		{"lowered limit, lane 7 lands on n", sparseBlock(16, 8, lanes(8, map[int][]byte{7: {2}})...), 64, "sparse index 16 out of range [0,16)"},
+		{"lowered limit, a word inside it", sparseBlock(16, 8, 0, 0, 0, 0, 0, 0, 0, 8), 64, ""},
+	}
+	for lane := 0; lane < 8; lane++ {
+		for _, k := range []int{8, 16} {
+			// 128 as a two-byte gap, and 1 as a non-canonical one, in each
+			// lane of the first word.
+			cases = append(cases,
+				gapEdge{fmt.Sprintf("two-byte gap in lane %d of %d", lane, k), sparseBlock(400, k, lanes(k, map[int][]byte{lane: {0x80, 0x01}})...), 0, ""},
+				gapEdge{fmt.Sprintf("non-canonical gap in lane %d of %d", lane, k), sparseBlock(400, k, lanes(k, map[int][]byte{lane: {0x81, 0x00}})...), 0, ""})
+		}
+	}
+	for k := 1; k <= 17; k++ {
+		// Every tail length after zero, one and two words.
+		cases = append(cases, gapEdge{fmt.Sprintf("k=%d", k), sparseBlock(2*k, k, lanes(k, nil)...), 0, ""},
+			gapEdge{fmt.Sprintf("k=%d, last on n", k), sparseBlock(2*k-1, k, lanes(k, nil)...), 0, fmt.Sprintf("sparse index %d out of range", 2*k-1)})
+	}
+	return cases
+}
+
+// TestDecodeParamsGapEdges holds the decoder to the reference, and to the
+// error text it gave before it read gaps a word at a time, on every gap shape
+// that leaves the word path: a multi-byte gap in each lane, an index landing
+// on n − 1 or n in the first and last lane, every tail length, a block
+// truncated inside a word, and a lowered frame limit inside one. Every
+// truncation of each block is held to the reference too.
 func TestDecodeParamsGapEdges(t *testing.T) {
 	d := &decoders{}
-	for _, c := range []struct {
-		name  string
-		block []byte
-		ok    bool
-	}{
-		{"non-canonical 1", sparseBlock(8, 2, 0x81, 0x00, 0x80, 0x00), true}, // idx 1, 2
-		{"non-canonical 127", sparseBlock(200, 1, 0xFF, 0x80, 0x00), true},   // idx 127
-		{"0x80 then 0x01 is 128", sparseBlock(200, 2, 0x80, 0x01, 0x05), true},
-		{"one-byte gap lands on n", sparseBlock(5, 1, 5), false},
-		{"one-byte gap lands on n-1", sparseBlock(5, 1, 4), true},
-		{"second gap lands on n", sparseBlock(5, 2, 1, 3), false},
-		{"two-byte gap lands on n", sparseBlock(129, 1, 0x81, 0x01), false},
-		{"varint runs off the block", sparseBlock(8, 1, 0x80), false},
-	} {
-		checkDecodeParams(t, d, c.block, 0)
-		got := &cursor{buf: c.block, scratch: &decodeScratch{}}
-		if got.params(false); (got.err == nil) != c.ok {
-			t.Errorf("%s: err %v, want ok=%v", c.name, got.err, c.ok)
+	for _, c := range gapEdges() {
+		checkDecodeParams(t, d, c.block, c.limit)
+		for i := range c.block {
+			checkDecodeParams(t, d, c.block[:i], c.limit)
+		}
+		got, _ := d.decode(c.block, c.limit, false)
+		if c.err == "" && got.err != nil || c.err != "" && (got.err == nil || !strings.Contains(got.err.Error(), c.err)) {
+			t.Errorf("%s: err %v, want %q", c.name, got.err, c.err)
 		}
 	}
 
-	// Frame limit 64 bounds a block to 16 coordinates, under the 127 a one-byte
-	// gap can reach. The one-byte path skips the gap bound, so its refusal
-	// comes from the range check — n ≤ 16 < gap — with different text; a
-	// multi-byte gap still meets the gap bound first.
+	// Under the lowered limit the reference names the gap where the one-byte
+	// path names the index it lands on.
 	for _, c := range []struct {
-		name      string
-		block     []byte
-		got, want string
+		name  string
+		block []byte
+		want  string
 	}{
-		{"one-byte gap over the bound", sparseBlock(16, 1, 100), "out of range", "gap 100 exceeds limit"},
-		{"two-byte gap over the bound", sparseBlock(16, 1, 0x80, 0x01), "gap 128 exceeds limit", "gap 128 exceeds limit"},
+		{"one-byte gap over the bound", sparseBlock(16, 1, 100), "gap 100 exceeds limit"},
+		{"two-byte gap over the bound", sparseBlock(16, 1, 0x80, 0x01), "gap 128 exceeds limit"},
 	} {
-		checkDecodeParams(t, d, c.block, 64)
-		got, want := d.decode(c.block, 64, false)
-		if got.err == nil || !strings.Contains(got.err.Error(), c.got) ||
-			want.err == nil || !strings.Contains(want.err.Error(), c.want) {
-			t.Errorf("%s: decoder err %v (want %q), reference err %v (want %q)", c.name, got.err, c.got, want.err, c.want)
+		if _, want := d.decode(c.block, 64, false); want.err == nil || !strings.Contains(want.err.Error(), c.want) {
+			t.Errorf("%s: reference err %v, want %q", c.name, want.err, c.want)
 		}
 	}
 	for _, limit := range []int{0, 64, 400, 512} {
@@ -1204,8 +1285,13 @@ func FuzzDecodeParams(f *testing.F) {
 		}
 		f.Add(appendParams(nil, nil, sparseOf(v), Compression{}), uint16(0), true)
 	}
-	f.Add(sparseBlock(8, 2, 0x81, 0x00, 0x80, 0x00), uint16(0), true)
-	f.Add(sparseBlock(16, 1, 100), uint16(1<<16-64), false) // frame limit 64
+	for _, c := range gapEdges() {
+		limit := uint16(0)
+		if c.limit > 0 {
+			limit = uint16(1<<16 - c.limit)
+		}
+		f.Add(c.block, limit, c.err == "")
+	}
 	f.Add([]byte{0x00, 0x20, 0x01, 0x02}, uint16(0), false) // dense count over payload
 	f.Fuzz(func(t *testing.T, block []byte, limit uint16, densify bool) {
 		if got, want := (&decoders{}).decode(block, 1<<16-int(limit), densify); !got.agrees(want) {
@@ -1350,6 +1436,48 @@ func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFirstEncodeAllocatesOnlyItsFrame: a fresh Codec's first encode of a
+// sparse block — the support-armed broadcast of a union-19 global, and a
+// ρ = 10 % explicit sparse upload — allocates the frame it returns and at
+// most a constant more (the header's first small buffers, the round-up of a
+// large allocation to whole pages). Nothing sized by the model may stage
+// gaps or values beside the frame.
+func TestFirstEncodeAllocatesOnlyItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const slack = 16 << 10
+	global := benchUnion19()
+	var support []int32
+	for i, v := range global {
+		if v != 0 {
+			support = append(support, int32(i))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		m    Msg
+	}{
+		{"support-armed union-19 global", &GlobalModel{Params: global, Version: 1, frame: &sharedFrame{support: support}}},
+		{"ρ = 10 % sparse upload", benchUpdate(false)},
+	} {
+		codec := NewCodec(Compression{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frame, err := codec.frame(c.m)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(frame) >= 4*benchN {
+			t.Fatalf("%s: a %d-byte frame is not sparse", c.name, len(frame))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(frame))+slack {
+			t.Errorf("%s: first encode allocated %d bytes for a %d-byte frame, want at most %d more", c.name, alloc, len(frame), slack)
+		}
+	}
+}
+
 // checkSupportFrame folds a seeded script of sparse updates through
 // SparseFedAvg at the given shard count, round after round, and holds each
 // commit's support to its contract and its frame to the support-less one:
@@ -1452,13 +1580,83 @@ func checkSupportFrame(t *testing.T, seed uint64, shards, n, folds int) {
 // supportShards is every fold layout the support property runs at.
 var supportShards = []int{1, 2, 4, 7}
 
+// checkCancelledSupport folds one sparse update over support and a second,
+// of the same weight, that cancels it exactly on drop, so the commit's
+// support keeps entries whose coordinates hold +0; it holds that support to
+// the script and the support-armed frame to the compaction frame under every
+// compression.
+func checkCancelledSupport(t *testing.T, name string, n int, support, drop []int32) {
+	t.Helper()
+	agg := NewShardedFedAvg(1)
+	agg.BeginRound()
+	up := &tensor.SparseVec{N: n, Indices: support}
+	for i := range support {
+		up.Values = append(up.Values, float32(i%7)+0.25)
+	}
+	down := &tensor.SparseVec{N: n, Indices: drop}
+	for _, j := range drop {
+		down.Values = append(down.Values, -up.Values[slices.Index(support, j)])
+	}
+	agg.Accumulate(&Update{Participating: true, Weight: 2, Sparse: up})
+	agg.Accumulate(&Update{Participating: true, Weight: 2, Sparse: down})
+	global := agg.FinishRound()
+	if got := agg.support(); !slices.Equal(got, support) {
+		t.Fatalf("%s: support %v, want %v", name, got, support)
+	}
+	for _, j := range drop {
+		if math.Float32bits(global[j]) != 0 {
+			t.Fatalf("%s: cancelled coordinate %d holds %#x", name, j, math.Float32bits(global[j]))
+		}
+	}
+	for _, comp := range allCompressions {
+		got := buildFrame(nil, &GlobalModel{Params: global, Version: 7, frame: &sharedFrame{support: support}}, comp)
+		want := buildFrame(nil, &GlobalModel{Params: global, Version: 7}, comp)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s, comp %+v: support-armed frame differs from the compaction frame (%d vs %d bytes, first difference at %d)",
+				name, comp, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
 // TestSupportFrameMatchesCompaction is the support contract and the
-// encoder's byte identity over random sparse fold sequences.
+// encoder's byte identity over random sparse fold sequences, and over the
+// cancellations that make the support's bound overshoot the block: a
+// dropped first entry, last entry and run of entries, a drop whose merged
+// gap shortens the gap bytes (0 and 0 merge into 1: two bytes become one)
+// and one whose merged gap keeps them (63 and 64 merge into 128: two bytes
+// stay two), and drops that take k from 128 to 127, shrinking its varint.
 func TestSupportFrameMatchesCompaction(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, p := range supportShards {
 			checkSupportFrame(t, seed, p, 200+int(seed)*397, 2+int(seed%4))
 		}
+	}
+	every := func(lo, hi, step int32) []int32 {
+		var out []int32
+		for j := lo; j < hi; j += step {
+			out = append(out, j)
+		}
+		return out
+	}
+	s := every(3, 1000, 9) // 111 entries, gaps of 8
+	k128 := every(0, 1280, 10)
+	for _, c := range []struct {
+		name          string
+		n             int
+		support, drop []int32
+	}{
+		{"first entry", 1000, s, s[:1]},
+		{"last entry", 1000, s, s[len(s)-1:]},
+		{"a run", 1000, s, s[40:52]},
+		{"all of it", 1000, s, s},
+		{"0 and 0 merge into 1", 1000, []int32{5, 6, 7, 40}, []int32{6}},
+		{"63 and 64 merge into 128", 1000, []int32{5, 69, 134, 140}, []int32{69}},
+		{"k 128 to 127, first", 6000, k128, k128[:1]},
+		{"k 128 to 127, middle", 6000, k128, k128[64:65]},
+		{"k 128 to 127, last", 6000, k128, k128[127:]},
+		{"k 128 to 100", 6000, k128, k128[10:38]},
+	} {
+		checkCancelledSupport(t, c.name, c.n, c.support, c.drop)
 	}
 }
 

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
 
 func TestWassersteinIdentical(t *testing.T) {
@@ -116,5 +119,62 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty stats must be 0")
+	}
+}
+
+// refSubsampledWasserstein is the distance signature selection ranked by
+// before it sorted into reused buffers: a fresh subsample of each side, each
+// sorted with sort.Slice.
+func refSubsampledWasserstein(a, b []float32, maxN int) float64 {
+	if maxN > 0 && len(a) > maxN {
+		stride := len(a) / maxN
+		var sa, sb []float32
+		for i := 0; i < len(a) && len(sa) < maxN; i += stride {
+			sa, sb = append(sa, a[i]), append(sb, b[i])
+		}
+		a, b = sa, sb
+	}
+	as := append([]float32(nil), a...)
+	bs := append([]float32(nil), b...)
+	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
+	var s float64
+	for i := range as {
+		s += math.Abs(float64(as[i]) - float64(bs[i]))
+	}
+	if len(as) == 0 {
+		return 0
+	}
+	return s / float64(len(as))
+}
+
+// TestSortedDistanceMatchesReference holds the subsample-and-sort-once
+// distance to the reference bit for bit on finite samples, signed zeros and
+// ties included, at and around the subsample bound.
+func TestSortedDistanceMatchesReference(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{0, 1, 7, 100, 2047, 2048, 2049, 5000} {
+		a, b := make([]float32, n), make([]float32, n)
+		for i := range a {
+			switch rng.Intn(4) {
+			case 0:
+				a[i] = negZero
+			case 1:
+				a[i] = float32(rng.Intn(3))
+			default:
+				a[i] = float32(rng.Norm())
+			}
+			b[i] = float32(rng.Norm()) * 0.01
+			if rng.Intn(3) == 0 {
+				b[i] = 0
+			}
+		}
+		for _, maxN := range []int{0, 64, 2048} {
+			got := SortedDistance(SortedSubsample(nil, a, maxN), SortedSubsample(nil, b, maxN))
+			if want := refSubsampledWasserstein(a, b, maxN); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d maxN=%d: distance %v, reference %v", n, maxN, got, want)
+			}
+		}
 	}
 }
