@@ -71,35 +71,41 @@ import (
 // server's largest per-commit cost (a global model is always handed over
 // dense), so it is done by stream compaction rather than by branching on each
 // coordinate: compactNonZero turns a block of coordinates into the ascending
-// list of its non-zero indices without a data-dependent branch, and
-// appendSparseFromDense runs it twice — once to size the block exactly, once
-// to fill it. "Non-zero" means a non-zero bit pattern, not a non-zero value:
+// list of its non-zero indices, and their values, without a data-dependent
+// branch. "Non-zero" means a non-zero bit pattern, not a non-zero value:
 // negative zero (and every NaN) is stored, because dropping -0 would decode as
 // +0 and a wire run would no longer be bit-identical to a loopback run. A
 // block without a zero skips the compaction: zeroFree answers for it first,
 // so a dense vector reaches the size decision for the price of one read.
 //
-// The encoder has two index sources and one emitter. Without a support it
+// The encoder has three index sources and one emitter. Without a support it
 // compacts the vector's own coordinates, block by block. A commit broadcast
 // carries the fold's support instead (Server.broadcast arms it on the shared
 // frame): the ascending coordinates the round's sparse folds touched, outside
 // which every coordinate is +0. Then each block is a run of the support,
 // filtered for non-zero bit patterns by compactSupport, so a commit costs
-// what its union holds rather than a scan of the whole model. Both sources
-// yield the same ascending non-zero indices, and the gap and value emitter
-// and the size decision after them are shared, so the frame is byte for byte
-// the one a support-less encode makes.
+// what its union holds rather than a scan of the whole model. An explicit
+// sparse vector (every sparse upload) is its own index list. The sources
+// differ only in how the block is sized before its first value is written —
+// the format puts every gap before every value: the support-less source
+// compacts once to size it exactly, a support bounds it from its own
+// entries without reading the vector, and an explicit vector counts its
+// gaps. Then one pass writes each gap and value at its final offset in the
+// frame buffer (emitBlock), so the frame is byte for byte the one a
+// support-less encode makes and needs no buffer but itself.
 //
 // Params blocks are the codec's bulk, so their loops are written to move at
 // memory speed. A float32 run is read and written four coordinates a step
 // (getF32s, putF32s, scatter): each step reslices a 16-byte window whose
-// bounds the compiler proves once, instead of a check per coordinate. A gap
-// byte below 0x80 is a whole varint, read without the varint loop and its
-// checks (binary.AppendUvarint inlines, so the encoder already writes one
-// that way). Nothing reinterprets a []byte as a []float32 through unsafe: that
-// would tie the wire format to the host's byte order (it breaks on
-// big-endian), and on amd64 the explicit little-endian step already compiles
-// to one load and one store per coordinate.
+// bounds the compiler proves once, instead of a check per coordinate. Index
+// gaps move eight at a time: eight gaps below 0x80 are eight whole varints,
+// one 8-byte store in the encoder (putGaps) and one 8-byte load in the
+// decoder (cursor.indices), which range-checks only the eighth index of the
+// word, since the indices ascend; any other word goes one varint at a time,
+// with every check. Nothing reinterprets a []byte as a []float32 through
+// unsafe: that would tie the wire format to the host's byte order (it breaks
+// on big-endian), and on amd64 the explicit little-endian step already
+// compiles to one load and one store per coordinate.
 const (
 	// maxFrame bounds a frame payload (256 MB ≈ a 64M-parameter model);
 	// anything larger is a corrupt or hostile stream. WireOptions.MaxFrame
@@ -549,7 +555,7 @@ func zeroFree(src []float32) bool {
 // (by bit pattern) coordinates only — when that is smaller than the dense
 // block by exact encoded size, and reports false with buf untouched when it
 // is not. The index source is dense's own coordinates, or with a non-nil
-// support the entries of support (see the package note on the two index
+// support the entries of support (see the package note on the index
 // sources); neither is ever materialised as an index list.
 //
 // The format puts all gaps before all values, so the block must be sized
