@@ -572,7 +572,7 @@ func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Co
 	n, vb := len(dense), comp.Quant.valueBytes()
 	if support != nil {
 		// The optional int8 scale costs the same in both forms and cancels.
-		if k, gapBytes := gapBytesOf(support); uvarintLen(uint64(k))+gapBytes+k*vb < n*vb {
+		if k, gapBytes := len(support), gapBytesOf(support); uvarintLen(uint64(k))+gapBytes+k*vb < n*vb {
 			return appendCompacted(buf, dense, support, k, gapBytes, comp), true
 		}
 	}
@@ -650,18 +650,18 @@ func appendCompacted(buf []byte, dense []float32, support []int32, k, gapBytes i
 	}
 	stored, gapsEnd := k-len(vals)/vb, off+gapBytes-len(gaps)
 	end := gapsEnd + copy(buf[gapsEnd:], buf[off+gapBytes:len(buf)-len(vals)])
-	body := kAt + uvarintLen(uint64(k))
 	if shrink := uvarintLen(uint64(k)) - uvarintLen(uint64(stored)); shrink > 0 {
+		body := kAt + uvarintLen(uint64(k))
 		end = body - shrink + copy(buf[body-shrink:], buf[body:end])
 	}
 	binary.AppendUvarint(buf[:kAt], uint64(stored))
 	return buf[:end]
 }
 
-// gapBytesOf returns the length of the ascending indices idx and the bytes
-// their gaps take as uvarints. Eight gaps that are all one byte — their OR
-// is below 0x80 — are counted at once.
-func gapBytesOf(idx []int32) (k, gapBytes int) {
+// gapBytesOf returns the bytes the gaps of the ascending indices idx take as
+// uvarints. Eight gaps that are all one byte — their OR is below 0x80 — are
+// counted at once.
+func gapBytesOf(idx []int32) (gapBytes int) {
 	prev, x := int32(-1), idx
 	for ; len(x) >= 8; x = x[8:] {
 		s := x[:8]
@@ -680,7 +680,7 @@ func gapBytesOf(idx []int32) (k, gapBytes int) {
 		gapBytes += uvarintLen(uint64(j - prev - 1))
 		prev = j
 	}
-	return len(idx), gapBytes
+	return gapBytes
 }
 
 // appendSparseHeader appends a sparse block's format byte, n, k and — for
@@ -697,7 +697,7 @@ func appendSparseHeader(buf []byte, n, k int, vals []float32, comp Compression) 
 	return buf, scale
 }
 
-// compactFrom compacts block [lo, hi) of the index source into idx: dense's
+// compactFrom compacts block [lo, hi) of the index source into c: dense's
 // coordinates lo…hi−1, or with a support its entries support[lo:hi].
 func compactFrom(c *compacted, dense []float32, support []int32, lo, hi int) int {
 	if support == nil {
@@ -786,7 +786,7 @@ func putValues(dst []byte, vals []float32, q Quant, scale float32) int {
 // ascending) as a sparse params block: one sizing pass over the indices, then
 // every gap and value written in place.
 func appendSparseVec(buf []byte, sp *tensor.SparseVec, comp Compression) []byte {
-	k, gapBytes := gapBytesOf(sp.Indices)
+	k, gapBytes := len(sp.Indices), gapBytesOf(sp.Indices)
 	buf, scale := appendSparseHeader(buf, sp.N, k, sp.Values, comp)
 	off, vb := len(buf), comp.Quant.valueBytes()
 	buf = slices.Grow(buf, gapBytes+k*vb)[:off+gapBytes+k*vb]
@@ -1006,13 +1006,13 @@ func (c *cursor) indices(idx []int32, n uint64) {
 	for i := 0; i < len(idx); {
 		if i+8 <= len(idx) && off+8 <= len(buf) {
 			if w := binary.LittleEndian.Uint64(buf[off:]); w&0x8080808080808080 == 0 {
-				j0 := prev + 1 + int64(w&0x7F)
-				j1 := j0 + 1 + int64(w>>8&0x7F)
-				j2 := j1 + 1 + int64(w>>16&0x7F)
-				j3 := j2 + 1 + int64(w>>24&0x7F)
-				j4 := j3 + 1 + int64(w>>32&0x7F)
-				j5 := j4 + 1 + int64(w>>40&0x7F)
-				j6 := j5 + 1 + int64(w>>48&0x7F)
+				j0 := prev + 1 + int64(byte(w))
+				j1 := j0 + 1 + int64(byte(w>>8))
+				j2 := j1 + 1 + int64(byte(w>>16))
+				j3 := j2 + 1 + int64(byte(w>>24))
+				j4 := j3 + 1 + int64(byte(w>>32))
+				j5 := j4 + 1 + int64(byte(w>>40))
+				j6 := j5 + 1 + int64(byte(w>>48))
 				j7 := j6 + 1 + int64(w>>56)
 				if j7 < int64(n) {
 					d := idx[i : i+8 : i+8]
