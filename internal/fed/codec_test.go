@@ -1196,8 +1196,9 @@ func gapEdges() []gapEdge {
 		{"second word, lane 7 lands on n", sparseBlock(31, 16, lanes(16, nil)...), 0, "sparse index 31 out of range [0,31)"},
 		{"lane 0 lands on n-1", sparseBlock(40, 8, lanes(8, map[int][]byte{0: {39}})...), 0, "sparse index 41 out of range [0,40)"},
 		{"lane 0 lands on n", sparseBlock(40, 8, lanes(8, map[int][]byte{0: {40}})...), 0, "sparse index 40 out of range [0,40)"},
-		{"second word, lane 0 lands on n-1", sparseBlock(17, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,17)"},
-		{"second word, lane 0 lands on n", sparseBlock(16, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,16)"},
+		{"second word, lane 0 lands on n-1", sparseBlock(18, 16, lanes(16, nil)...), 0, "sparse index 19 out of range [0,18)"},
+		{"second word, lane 0 lands on n", sparseBlock(17, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,17)"},
+		{"second word, lane 0 past n", sparseBlock(16, 16, lanes(16, nil)...), 0, "sparse index 17 out of range [0,16)"},
 
 		// Truncated inside a word: the count pre-check refuses an f32 block
 		// cut in its gaps; an int8 block whose first eight gaps are
