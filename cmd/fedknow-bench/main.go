@@ -54,13 +54,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc data.Scale
-	switch *scale {
-	case "ci":
-		sc = data.CI
-	case "full":
-		sc = data.Full
-	default:
+	sc, ok := data.ScaleByName(*scale)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}

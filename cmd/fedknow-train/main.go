@@ -2,10 +2,15 @@
 // explicit knobs and prints the per-task accuracy, forgetting rate, time and
 // communication accounting, streaming each row as the task finishes.
 //
-// By default the whole federation runs in-process over the loopback
-// transport. With -listen / -connect the same job runs over TCP: one server
-// process schedules rounds and aggregates, one process per client trains —
-// and the result is bit-identical to the loopback run of the same seed.
+// The job is the §V harnesses' own: the dataset at -scale (ci or full), its
+// federation (experiments.NewFederation, with -clients, -rounds, -iters,
+// -bandwidth and -arch applied as a runtime tune) and that federation's
+// fed.Config; the CLI adds only -dropout, -aggregator and -reject-nonfinite.
+// By default the whole federation runs in-process, through the same
+// Federation.Run the harnesses train with. With -listen / -connect the same
+// job runs over TCP: one server process schedules rounds and aggregates, one
+// process per client trains — and the result is bit-identical to the
+// in-process run of the same seed.
 //
 // Usage:
 //
@@ -40,16 +45,19 @@
 // connection aborts the run by default (reproducibility); -sync-evict opts
 // into evicting the lost client and finishing with the survivors.
 //
-// The server itself is crash-only with -snapshot-dir: every commit and task
-// boundary is atomically snapshotted (versioned global plus the full seat
-// book), and a restarted server process finding a snapshot resumes the run
-// at the recorded task and version, re-admitting the -reconnect cohort
-// through the same rejoin path — clients retrain at most the uploads since
-// the last commit. -snapshot-keep bounds how many previous snapshots are
-// retained as torn-write fallbacks.
+// Under -scheduler async the server itself is crash-only with -snapshot-dir:
+// every commit and task boundary is atomically snapshotted (versioned global
+// plus the full seat book), and a restarted server process finding a
+// snapshot resumes the run at the recorded task and version, re-admitting the
+// -reconnect cohort through the same rejoin path — clients retrain at most
+// the uploads since the last commit. -snapshot-keep bounds how many previous
+// snapshots are retained as torn-write fallbacks. A lockstep run has no
+// rejoin splice point to restore through, so -snapshot-dir requires
+// -scheduler async.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -59,36 +67,22 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/fed"
-	"repro/internal/model"
 	"repro/internal/profiling"
 	"repro/internal/tensor"
 )
 
-// job is everything derived from the flags that both wire roles and the
-// loopback run share; deriving it identically in every process is what makes
-// a distributed run reproduce the in-process one.
+// job is the federation and run configuration every role derives
+// identically from the flags: what makes a distributed run reproduce the
+// in-process one.
 type job struct {
-	cfg       fed.Config
-	wire      fed.WireOptions
-	reconnect int    // client role: max consecutive rejoin attempts (0 = off)
-	snapDir   string // server role: durable snapshot directory ("" = off)
-	snapKeep  int    // server role: previous snapshots kept besides the newest
-	minCohort int    // server role: fresh connections awaited before the run starts
-	maxCohort int    // server role: seat-book cap for mid-run joins
-	fam       data.Family
-	scale     data.Scale
-	arch      string
-	width     int
-	clients   int
-	tasks     int
-	ds        *data.Dataset
-	seqs      [][]data.ClientTask
-	cluster   *device.Cluster
-	build     func(*tensor.RNG) *model.Model
-	factory   fed.Factory
+	f       *experiments.Federation
+	cfg     fed.Config
+	factory fed.Factory
+	wire    fed.WireOptions
+	fam     data.Family
+	scale   data.Scale
 }
 
 func main() {
@@ -119,7 +113,7 @@ func main() {
 	maxFrame := flag.Int("max-frame", 0, "cap the wire decoder's frame payload in bytes, bounding the allocation a malicious length prefix can force (0 = the 256 MB package default; size it to the dense model payload plus slack)")
 	reconnect := flag.Int("reconnect", 0, "client role: rejoin a dropped connection with a catch-up handshake, retrying up to N consecutive times under capped exponential backoff (requires -scheduler async; 0 disables)")
 	syncEvict := flag.Bool("sync-evict", false, "sync scheduler: evict a client whose connection drops and keep the cohort going instead of aborting the run (relaxes lockstep reproducibility; every process of one run must agree)")
-	snapshotDir := flag.String("snapshot-dir", "", "server role: durably snapshot the versioned global and the full seat book to this directory at every commit and task boundary; a restarted server finding a snapshot here resumes the run, re-admitting -reconnect clients through the rejoin path (requires -listen; restart recovery requires -scheduler async)")
+	snapshotDir := flag.String("snapshot-dir", "", "server role: durably snapshot the versioned global and the full seat book to this directory at every commit and task boundary; a restarted server finding a snapshot here resumes the run, re-admitting -reconnect clients through the rejoin path (requires -listen and -scheduler async)")
 	snapshotKeep := flag.Int("snapshot-keep", 1, "previous snapshots retained besides the newest (negative keeps all)")
 	minCohort := flag.Int("min-cohort", 0, "server role, elastic membership: start the run once this many fresh clients have connected instead of all -clients; the rest may enroll mid-run with -join (requires -listen and -scheduler async; 0 = -clients, the fixed-cohort default)")
 	maxCohort := flag.Int("max-cohort", 0, "server role, elastic membership: cap the seat book — mid-run -join enrollments beyond it are refused and counted (0 = -clients; at most -clients, the data-shard space)")
@@ -128,6 +122,8 @@ func main() {
 	join := flag.Bool("join", false, "client role, elastic membership: enroll into the running federation without a preassigned seat — the server assigns the seat ID and replies with a catch-up (requires -connect and -scheduler async; excludes -client-id)")
 	flag.Parse()
 	tensor.SetKernelThreads(*kernelThreads)
+	set := map[string]bool{} // the flags given on the command line
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *listen != "" && *connect != "" {
 		fmt.Fprintln(os.Stderr, "-listen and -connect are mutually exclusive")
@@ -153,6 +149,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-snapshot-dir requires -listen (snapshots capture the wire server's seat book; loopback runs have no rejoin path to restore through)")
 		os.Exit(2)
 	}
+	if *snapshotDir != "" && *scheduler != fed.SchedulerAsync {
+		fmt.Fprintln(os.Stderr, "-snapshot-dir requires -scheduler async (a restart re-admits the cohort through the rejoin path, which lockstep does not have)")
+		os.Exit(2)
+	}
 	if (*minCohort != 0 || *maxCohort != 0) && *listen == "" {
 		fmt.Fprintln(os.Stderr, "-min-cohort/-max-cohort require -listen (elastic membership is a wire-server feature)")
 		os.Exit(2)
@@ -170,13 +170,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-join requires -scheduler async (only the async scheduler admits mid-run seats)")
 			os.Exit(2)
 		}
-		clientIDSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "client-id" {
-				clientIDSet = true
-			}
-		})
-		if clientIDSet {
+		if set["client-id"] {
 			fmt.Fprintln(os.Stderr, "-join excludes -client-id (the server assigns the seat; use -connect with -client-id for a fresh-cohort seat)")
 			os.Exit(2)
 		}
@@ -197,14 +191,7 @@ func main() {
 	// Ingest hardening defaults on for robust rules: a robust aggregation
 	// that folds NaN is still poisoned. An explicit -reject-nonfinite=false
 	// wins over the default.
-	robustSelected := *aggregator != "" && *aggregator != "fedavg"
-	rejectSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "reject-nonfinite" {
-			rejectSet = true
-		}
-	})
-	if robustSelected && !rejectSet {
+	if *aggregator != "" && *aggregator != "fedavg" && !set["reject-nonfinite"] {
 		*rejectNonFinite = true
 	}
 
@@ -213,75 +200,54 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
 		os.Exit(2)
 	}
-	sc := data.CI
-	if *scale == "full" {
-		sc = data.Full
+	sc, ok := data.ScaleByName(*scale)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown -scale %q (ci, full)\n", *scale)
+		os.Exit(2)
 	}
-	ds, tasks := fam.Build(sc, *seed)
-	rt := experiments.RuntimeFor(fam, sc)
-	if *clients > 0 {
-		rt.Clients = *clients
-	}
-	if *rounds > 0 {
-		rt.Rounds = *rounds
-	}
-	if *iters > 0 {
-		rt.LocalIters = *iters
-	}
-	if *bandwidth > 0 {
-		rt.Bandwidth = *bandwidth
-	}
-	architecture := *arch
-	if architecture == "" {
-		architecture = experiments.ArchFor(fam)
-	}
-	seqs := data.Federate(tasks, rt.Clients, experiments.AllocFor(sc, *seed+1))
-
+	opt := experiments.Options{Scale: sc, Seed: *seed, Parallelism: *parallel,
+		Scheduler: *scheduler, SyncEvict: *syncEvict, AsyncCommitK: *asyncCommitK,
+		MaxStaleness: *maxStaleness, StalenessAlpha: *stalenessAlpha, Shards: *shards,
+		Tune: func(rt *experiments.Runtime) {
+			if *clients > 0 {
+				rt.Clients = *clients
+			}
+			if *rounds > 0 {
+				rt.Rounds = *rounds
+			}
+			if *iters > 0 {
+				rt.LocalIters = *iters
+			}
+			if *bandwidth > 0 {
+				rt.Bandwidth = *bandwidth
+			}
+			if *arch != "" {
+				rt.Arch = *arch
+			}
+		}}
+	f := experiments.NewFederation(opt, fam).Federate(opt)
 	j := &job{
-		cfg: fed.Config{
-			Method: *method, Rounds: rt.Rounds, LocalIters: rt.LocalIters,
-			BatchSize: rt.BatchSize, LR: rt.LR, LRDecay: rt.LRDecay,
-			NumClasses: ds.NumClasses, Bandwidth: rt.Bandwidth, Seed: *seed,
-			Parallelism: *parallel, DropoutProb: *dropout,
-			Scheduler: *scheduler, SyncEvict: *syncEvict,
-			Async: fed.AsyncConfig{CommitEvery: *asyncCommitK,
-				MaxStaleness: *maxStaleness, StalenessAlpha: *stalenessAlpha},
-			Shards: *shards,
-			Robust: *aggregator, RejectNonFinite: *rejectNonFinite,
-		},
+		f: f, cfg: f.Config(opt, *method), factory: experiments.MethodFactory(*method, sc),
 		wire: fed.WireOptions{
 			Compression: fed.Compression{Quant: quant},
 			Timeout:     *wireTimeout,
 			MaxFrame:    *maxFrame,
 		},
-		reconnect: *reconnect,
-		snapDir:   *snapshotDir,
-		snapKeep:  *snapshotKeep,
-		minCohort: *minCohort,
-		maxCohort: *maxCohort,
-		fam:       fam, scale: sc, arch: architecture, width: rt.Width,
-		clients: rt.Clients, tasks: len(tasks), ds: ds, seqs: seqs,
-		cluster: device.Jetson20(),
-		build: func(rng *tensor.RNG) *model.Model {
-			return model.MustBuild(architecture, ds.NumClasses, ds.C, ds.H, ds.W, rt.Width, rng)
-		},
-		factory: experiments.MethodFactory(*method, sc),
+		fam: fam, scale: sc,
 	}
+	j.cfg.DropoutProb = *dropout
+	j.cfg.Robust, j.cfg.RejectNonFinite = *aggregator, *rejectNonFinite
 	// Resolve the elastic-cohort knobs against the seat space. -clients is
 	// the data-shard (and so seat-ID) space; the initial cohort may be
 	// smaller, the cap may not exceed it.
-	if j.minCohort == 0 {
-		j.minCohort = j.clients
-	}
-	if j.maxCohort == 0 {
-		j.maxCohort = j.clients
-	}
-	if j.minCohort < 1 || j.minCohort > j.clients {
-		fmt.Fprintf(os.Stderr, "-min-cohort %d out of range [1,%d] (-clients bounds the seat space)\n", j.minCohort, j.clients)
+	seats := f.Runtime().Clients
+	*minCohort, *maxCohort = cmp.Or(*minCohort, seats), cmp.Or(*maxCohort, seats)
+	if *minCohort < 1 || *minCohort > seats {
+		fmt.Fprintf(os.Stderr, "-min-cohort %d out of range [1,%d] (-clients bounds the seat space)\n", *minCohort, seats)
 		os.Exit(2)
 	}
-	if j.maxCohort < j.minCohort || j.maxCohort > j.clients {
-		fmt.Fprintf(os.Stderr, "-max-cohort %d out of range [%d,%d] (at least -min-cohort, at most -clients)\n", j.maxCohort, j.minCohort, j.clients)
+	if *maxCohort < *minCohort || *maxCohort > seats {
+		fmt.Fprintf(os.Stderr, "-max-cohort %d out of range [%d,%d] (at least -min-cohort, at most -clients)\n", *maxCohort, *minCohort, seats)
 		os.Exit(2)
 	}
 
@@ -292,11 +258,12 @@ func main() {
 	}
 	switch {
 	case *listen != "":
-		err = runServe(j, *listen)
+		err = runServe(j, *listen, *minCohort, *maxCohort, *snapshotDir, *snapshotKeep)
 	case *connect != "":
-		err = runConnect(j, *connect, *clientID, *join)
+		err = runConnect(j, *connect, *clientID, *join, *reconnect)
 	default:
-		runLoopback(j)
+		banner(j, "loopback")
+		f.Run(j.cfg, j.factory, streamRows())
 	}
 	// The profiles are written however the run ended.
 	if err = errors.Join(err, stopProfiles()); err != nil {
@@ -310,19 +277,17 @@ func main() {
 // the lossy -compress mode, which changes results) — so the wire handshake
 // rejects any flag mismatch between processes.
 func (j *job) fingerprint() uint64 {
-	return j.cfg.Fingerprint(j.fam.Name, j.arch, j.scale.String(),
-		fmt.Sprint(j.clients), fmt.Sprint(j.tasks), fmt.Sprint(j.width),
+	rt := j.f.Runtime()
+	return j.cfg.Fingerprint(j.fam.Name, rt.Arch, j.scale.String(),
+		fmt.Sprint(rt.Clients), fmt.Sprint(j.f.Tasks()), fmt.Sprint(rt.Width),
 		j.wire.Compression.Quant.String())
 }
 
 // banner prints the run header shared by the loopback and server roles.
 func banner(j *job, transport string) {
-	sched := j.cfg.Scheduler
-	if sched == "" {
-		sched = fed.SchedulerSync
-	}
+	rt := j.f.Runtime()
 	fmt.Printf("%s on %s (%s, %d clients, %d tasks, %s scale, %s transport, %s scheduler)\n",
-		j.cfg.Method, j.fam.Name, j.arch, j.clients, j.tasks, j.scale, transport, sched)
+		j.cfg.Method, j.fam.Name, rt.Arch, rt.Clients, j.f.Tasks(), j.scale, transport, j.cfg.Scheduler)
 	fmt.Printf("%-6s %-10s %-10s %-10s %-12s %-12s\n",
 		"task", "avg-acc", "forget", "sim-hours", "up-bytes", "down-bytes")
 }
@@ -334,14 +299,6 @@ func streamRows() fed.RoundObserver {
 		fmt.Printf("%-6d %-10.4f %-10.4f %-10.4f %-12d %-12d\n",
 			tp.TaskIdx+1, tp.AvgAccuracy, tp.ForgettingRate, tp.SimHours, tp.UpBytes, tp.DownBytes)
 	}}
-}
-
-// runLoopback runs the whole federation in-process.
-func runLoopback(j *job) {
-	engine := fed.NewEngine(j.cfg, j.cluster, j.seqs, j.build, j.factory)
-	engine.SetObserver(streamRows())
-	banner(j, "loopback")
-	engine.Run()
 }
 
 // runServe is the server role of a distributed run: seat the cohort,
@@ -357,12 +314,12 @@ func runLoopback(j *job) {
 // async scheduler the server keeps the listener for the whole run, admitting
 // catch-up rejoins from clients whose connections dropped and -join
 // enrollments up to -max-cohort.
-func runServe(j *job, addr string) error {
+func runServe(j *job, addr string, minCohort, maxCohort int, snapDir string, snapKeep int) error {
 	var store *checkpoint.Store
 	var snap *checkpoint.ServerSnapshot
-	if j.snapDir != "" {
+	if snapDir != "" {
 		var err error
-		if store, err = checkpoint.OpenStore(j.snapDir, j.snapKeep, j.fingerprint()); err != nil {
+		if store, err = checkpoint.OpenStore(snapDir, snapKeep, j.fingerprint()); err != nil {
 			return err
 		}
 		if snap, err = store.Load(); err != nil {
@@ -375,25 +332,26 @@ func runServe(j *job, addr string) error {
 	}
 	// A sync run always resolves -min-cohort/-max-cohort to -clients, so the
 	// fixed-cohort configuration is unchanged by the elastic knobs.
-	scfg := j.cfg.ServerConfigFor(j.minCohort, j.tasks)
-	scfg.MaxCohort = j.maxCohort
+	tasks := j.f.Tasks()
+	scfg := j.cfg.ServerConfigFor(minCohort, tasks)
+	scfg.MaxCohort = maxCohort
 	var srv *fed.Server
 	if snap == nil {
-		fmt.Printf("serving on %s, waiting for %d clients...\n", ln.Addr(), j.minCohort)
+		fmt.Printf("serving on %s, waiting for %d clients...\n", ln.Addr(), minCohort)
 		var links []fed.Transport
-		if links, err = fed.ServeWith(ln, j.minCohort, j.fingerprint(), j.wire); err == nil {
+		if links, err = fed.ServeWith(ln, minCohort, j.fingerprint(), j.wire); err == nil {
 			srv = fed.NewServer(scfg, nil, links)
 		}
 	} else if srv, err = fed.NewServerFromSnapshot(scfg, nil, snap); err != nil {
 		err = fmt.Errorf("restoring the snapshot in %s: %w", store.Dir(), err)
-	} else if snap.TaskIdx >= j.tasks {
+	} else if snap.TaskIdx >= tasks {
 		// The final boundary cut: the crashed process had already finished
 		// every task, so there is nothing to resume — reprint the summary.
 		fmt.Printf("restored snapshot %d from %s: the run already completed all %d tasks at global version %d\n",
-			snap.Seq, store.Dir(), j.tasks, snap.Version)
+			snap.Seq, store.Dir(), tasks, snap.Version)
 	} else {
 		fmt.Printf("restored snapshot %d from %s: resuming at task %d/%d, global version %d; waiting for rejoins on %s\n",
-			snap.Seq, store.Dir(), snap.TaskIdx+1, j.tasks, snap.Version, ln.Addr())
+			snap.Seq, store.Dir(), snap.TaskIdx+1, tasks, snap.Version, ln.Addr())
 	}
 	if err == nil && j.cfg.Scheduler == fed.SchedulerAsync {
 		// The server owns the listener from here; Run closes it.
@@ -405,7 +363,9 @@ func runServe(j *job, addr string) error {
 		return err
 	}
 	if store != nil {
-		srv.SetSnapshots(store)
+		if err := srv.SetSnapshots(store); err != nil {
+			return err
+		}
 	}
 	srv.SetObserver(streamRows())
 	banner(j, "wire")
@@ -428,20 +388,19 @@ func runServe(j *job, addr string) error {
 // server assigns the seat ID, the client rebuilds that seat's shard and
 // model, resumes from the catch-up, and heals later drops through the
 // ordinary rejoin path.
-func runConnect(j *job, addr string, id int, join bool) error {
+func runConnect(j *job, addr string, id int, join bool, reconnect int) error {
 	if join {
-		return runJoin(j, addr)
+		return runJoin(j, addr, reconnect)
 	}
-	if id < 0 || id >= j.clients {
-		return fmt.Errorf("client id %d out of range [0,%d)", id, j.clients)
+	if seats := j.f.Runtime().Clients; id < 0 || id >= seats {
+		return fmt.Errorf("client id %d out of range [0,%d)", id, seats)
 	}
-	c := fed.NewWireClient(j.cfg, id, j.clients, j.cluster.Devices[id%j.cluster.Size()],
-		j.seqs[id], j.build, j.factory)
-	if j.reconnect > 0 {
+	c := j.f.Client(j.cfg, id, j.factory)
+	if reconnect > 0 {
 		fmt.Printf("client %d joining %s with rejoin-on-drop, up to %d attempts (%s on %s)\n",
-			id, addr, j.reconnect, j.cfg.Method, j.fam.Name)
+			id, addr, reconnect, j.cfg.Method, j.fam.Name)
 		if err := c.RunReconnect(context.Background(), fed.Reconnect{
-			Addr: addr, Fingerprint: j.fingerprint(), Wire: j.wire, Attempts: j.reconnect,
+			Addr: addr, Fingerprint: j.fingerprint(), Wire: j.wire, Attempts: reconnect,
 		}); err != nil {
 			return err
 		}
@@ -466,21 +425,20 @@ func runConnect(j *job, addr string, id int, join bool) error {
 // -client-id would have), then resumes the async lifecycle from the server's
 // catch-up. A later drop rejoins the assigned seat like any -reconnect
 // client.
-func runJoin(j *job, addr string) error {
+func runJoin(j *job, addr string, reconnect int) error {
 	t, seat, cu, err := fed.DialJoinWith(addr, j.fingerprint(), j.wire)
 	if err != nil {
 		return err
 	}
-	if seat < 0 || seat >= j.clients {
+	if seats := j.f.Runtime().Clients; seat < 0 || seat >= seats {
 		t.Close()
-		return fmt.Errorf("server assigned seat %d outside this job's seat space [0,%d)", seat, j.clients)
+		return fmt.Errorf("server assigned seat %d outside this job's seat space [0,%d)", seat, seats)
 	}
-	c := fed.NewWireClient(j.cfg, seat, j.clients, j.cluster.Devices[seat%j.cluster.Size()],
-		j.seqs[seat], j.build, j.factory)
+	c := j.f.Client(j.cfg, seat, j.factory)
 	fmt.Printf("client enrolled mid-run as seat %d on %s (catch-up: task %d, v%d)\n",
 		seat, addr, cu.TaskIdx+1, cu.Version)
 	if err := c.ResumeReconnect(context.Background(), fed.Reconnect{
-		Addr: addr, Fingerprint: j.fingerprint(), Wire: j.wire, Attempts: j.reconnect,
+		Addr: addr, Fingerprint: j.fingerprint(), Wire: j.wire, Attempts: reconnect,
 	}, t, cu); err != nil {
 		return err
 	}

@@ -208,3 +208,14 @@ func (s Scale) String() string {
 	}
 	return "ci"
 }
+
+// ScaleByName finds a scale by its String form ("ci" or "full"); ok is false
+// when unknown.
+func ScaleByName(name string) (Scale, bool) {
+	for _, s := range []Scale{CI, Full} {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return CI, false
+}

@@ -193,6 +193,16 @@ func TestFamilyByName(t *testing.T) {
 	if _, ok := FamilyByName("nope"); ok {
 		t.Fatal("unknown family must not resolve")
 	}
+	for _, sc := range []Scale{CI, Full} {
+		if got, ok := ScaleByName(sc.String()); !ok || got != sc {
+			t.Fatalf("ScaleByName(%q) = %v, %v", sc.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "Full", "CI", "paper"} {
+		if _, ok := ScaleByName(name); ok {
+			t.Fatalf("unknown scale %q must not resolve", name)
+		}
+	}
 }
 
 func TestFamilyBuildCI(t *testing.T) {

@@ -31,7 +31,7 @@ type AblationResult struct {
 // Ablation runs FedKNOW complete and with each component disabled on a
 // CIFAR100-style workload.
 func Ablation(opt Options) (*AblationResult, error) {
-	f := newFederation(opt, data.CIFAR100).federate(opt)
+	f := NewFederation(opt, data.CIFAR100).Federate(opt)
 	base := fedKNOWOptions(opt.Scale)
 	variants := []struct {
 		label string

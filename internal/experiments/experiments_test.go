@@ -31,11 +31,34 @@ func TestRuntimeForFullMatchesPaper(t *testing.T) {
 }
 
 func TestArchSelection(t *testing.T) {
-	if ArchFor(data.CIFAR100) != "SixCNN" || ArchFor(data.CORe50) != "SixCNN" {
+	if archFor(data.CIFAR100) != "SixCNN" || archFor(data.CORe50) != "SixCNN" {
 		t.Fatal("first three datasets use the 6-layer CNN")
 	}
-	if ArchFor(data.MiniImageNet) != "ResNet18" || ArchFor(data.TinyImageNet) != "ResNet18" {
+	if archFor(data.MiniImageNet) != "ResNet18" || archFor(data.TinyImageNet) != "ResNet18" {
 		t.Fatal("ImageNet variants use ResNet-18")
+	}
+}
+
+// TestTuneReachesConfig: a Tune that sets the client count, rounds,
+// iterations, bandwidth and architecture yields a federation, a Config and a
+// client model with exactly those values — the path fedknow-train's flags
+// take.
+func TestTuneReachesConfig(t *testing.T) {
+	opt := ciOpts(1)
+	opt.Tune = func(rt *Runtime) {
+		rt.Clients, rt.Rounds, rt.LocalIters = 3, 5, 7
+		rt.Bandwidth, rt.Arch = 51200, "ShuffleNetV2"
+	}
+	f := NewFederation(opt, data.CIFAR100).Federate(opt)
+	if rt := f.Runtime(); len(f.seqs) != 3 || rt.Clients != 3 || rt.Arch != "ShuffleNetV2" {
+		t.Fatalf("federation: %d task sequences, runtime %+v", len(f.seqs), rt)
+	}
+	if name := f.builder()(nil).Name; name != "ShuffleNetV2" {
+		t.Fatalf("clients build %s", name)
+	}
+	cfg := f.Config(opt, "FedAvg")
+	if cfg.Method != "FedAvg" || cfg.Rounds != 5 || cfg.LocalIters != 7 || cfg.Bandwidth != 51200 {
+		t.Fatalf("config %+v", cfg)
 	}
 }
 
@@ -259,9 +282,9 @@ func TestFullScaleFederations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the Full-scale datasets; skipped in -short")
 	}
-	var got []*federation
-	defer func(prev func(Options, *federation, string, fed.Factory) *fed.Result) { train = prev }(train)
-	train = func(_ Options, f *federation, _ string, _ fed.Factory) *fed.Result {
+	var got []*Federation
+	defer func(prev func(Options, *Federation, string, fed.Factory) *fed.Result) { train = prev }(train)
+	train = func(_ Options, f *Federation, _ string, _ fed.Factory) *fed.Result {
 		if len(got) == 0 || got[len(got)-1] != f {
 			got = append(got, f)
 		}

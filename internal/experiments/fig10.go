@@ -50,7 +50,7 @@ func fig10Settings(scale data.Scale) []Fig10Setting {
 
 // Fig10 runs the parameter study on MiniImageNet + ResNet-18.
 func Fig10(opt Options) (*Fig10Result, error) {
-	f := newFederation(opt, data.MiniImageNet).federate(opt)
+	f := NewFederation(opt, data.MiniImageNet).Federate(opt)
 	res := &Fig10Result{Accuracy: map[string]float64{}, Hours: map[string]float64{}}
 	for _, setting := range fig10Settings(opt.Scale) {
 		r := train(opt, f, setting.Label, setting.Factory)

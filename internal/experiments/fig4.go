@@ -46,7 +46,7 @@ func Fig4(panel string, opt Options) (*Fig4Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown Fig.4 panel %q (a–h)", panel)
 	}
-	f := newFederation(opt, spec.family)
+	f := NewFederation(opt, spec.family)
 	methods := AllMethods
 	if spec.mixed30 {
 		methods = fig4MixedMethods
@@ -61,9 +61,9 @@ func Fig4(panel string, opt Options) (*Fig4Result, error) {
 			}}
 		}
 		f.rt.Clients = f.cluster.Size()
-		f.rt.MemScale = memScaleFor(f.arch, f.ds, f.rt.Width)
+		f.rt.MemScale = memScaleFor(f.rt.Arch, f.ds, f.rt.Width)
 	}
-	f.federate(opt)
+	f.Federate(opt)
 
 	res := &Fig4Result{Panel: panel, Dataset: spec.family.Name, Methods: methods,
 		Raw: map[string]*fed.Result{}}

@@ -19,7 +19,7 @@ func Fig5(opt Options, datasets []data.Family) (*Fig5Result, error) {
 	methods := []string{"FedKNOW", "FedWEIT"}
 	res := &Fig5Result{VolumeGB: map[string]map[string]float64{}}
 	for _, fam := range datasets {
-		f := newFederation(opt, fam).federate(opt)
+		f := NewFederation(opt, fam).Federate(opt)
 		res.Datasets = append(res.Datasets, fam.Name)
 		res.VolumeGB[fam.Name] = map[string]float64{}
 		for _, m := range methods {

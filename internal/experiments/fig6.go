@@ -31,9 +31,9 @@ func Fig6(opt Options) (*Fig6Result, error) {
 	res := &Fig6Result{Hours: map[string]map[string][]float64{}}
 	const refBW = 1024 * 1024
 	for _, combo := range combos {
-		f := newFederation(opt, combo.family)
+		f := NewFederation(opt, combo.family)
 		f.rt.Bandwidth = refBW
-		f.federate(opt)
+		f.Federate(opt)
 		res.Hours[combo.label] = map[string][]float64{}
 		for _, m := range methods {
 			r := train(opt, f, m, MethodFactory(m, opt.Scale))

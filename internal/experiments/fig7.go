@@ -26,7 +26,7 @@ func Fig7(opt Options) (*Fig7Result, error) {
 	if opt.Scale == data.CI {
 		numTasks = 10
 	}
-	f := newFederation(opt, data.MiniImageNet)
+	f := NewFederation(opt, data.MiniImageNet)
 	// The study fixes its cohort (20 clients at Full scale); opt.Tune does
 	// not resize it.
 	f.clients = f.rt.Clients
@@ -34,8 +34,8 @@ func Fig7(opt Options) (*Fig7Result, error) {
 	tiny, _ := data.TinyImageNet.Build(opt.Scale, opt.Seed+2)
 	f.ds = data.MergeDatasets("Merged80", f.ds, cifar, tiny)
 	f.tasks = data.SplitTasks(f.ds, numTasks)
-	f.alloc = AllocFor(opt.Scale, opt.Seed+3)
-	f.federate(opt)
+	f.alloc = allocFor(opt.Scale, opt.Seed+3)
+	f.Federate(opt)
 
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
 	res := &Fig7Result{NumTasks: numTasks, Methods: methods, Raw: map[string]*fed.Result{}}

@@ -29,7 +29,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 		counts = []int{4, 8}
 	}
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
-	base := newFederation(opt, data.MiniImageNet)
+	base := NewFederation(opt, data.MiniImageNet)
 
 	res := &Fig8Result{ClientCounts: counts, Methods: methods, Raw: map[string]*fed.Result{}}
 	for _, nClients := range counts {
@@ -43,7 +43,7 @@ func Fig8(opt Options) (*Fig8Result, error) {
 			f.alloc.MinFrac /= 2
 			f.alloc.MaxFrac /= 2
 		}
-		f.federate(opt)
+		f.Federate(opt)
 
 		var accRow, fgtRow []Series
 		for _, m := range methods {

@@ -30,11 +30,11 @@ func Fig9(opt Options, models []string) (*Fig9Result, error) {
 		models = Fig9Models
 	}
 	methods := []string{"GEM", "FedWEIT", "FedKNOW"}
-	f := newFederation(opt, data.MiniImageNet).federate(opt)
+	f := NewFederation(opt, data.MiniImageNet).Federate(opt)
 	res := &Fig9Result{Models: models, Methods: methods,
 		Series: map[string]map[string]Series{}, Raw: map[string]*fed.Result{}}
 	for _, arch := range models {
-		f.arch = arch
+		f.rt.Arch = arch
 		res.Series[arch] = map[string]Series{}
 		var panel []Series
 		for _, m := range methods {

@@ -25,7 +25,7 @@ func HyperSearch(method string, opt Options) (*HyperResult, error) {
 		lrs = []float64{0.005, 0.02}
 		decays = []float64{1e-5, 1e-4}
 	}
-	f := newFederation(opt, data.SVHN).federate(opt)
+	f := NewFederation(opt, data.SVHN).Federate(opt)
 	res := &HyperResult{Best: map[string]float64{}}
 	for _, lr := range lrs {
 		for _, decay := range decays {

@@ -26,6 +26,7 @@ type Runtime struct {
 	Bandwidth  float64 // bytes/second (paper default: 1 MB/s)
 	Width      int
 	MemScale   float64
+	Arch       string // model architecture (§V-A picks one per dataset)
 }
 
 // paperRounds holds §V-B's per-workload aggregation-round counts.
@@ -52,20 +53,20 @@ func RuntimeFor(f data.Family, scale data.Scale) Runtime {
 		}
 		return Runtime{
 			Clients: 20, Rounds: r, LocalIters: 25, BatchSize: 16,
-			LR: lr[0], LRDecay: lr[1], Bandwidth: 1024 * 1024, Width: 1,
+			LR: lr[0], LRDecay: lr[1], Bandwidth: 1024 * 1024, Width: 1, Arch: archFor(f),
 		}
 	}
 	// CI scale: few clients, short rounds, higher LR so learning is visible
 	// within the shrunken budget.
 	return Runtime{
 		Clients: 4, Rounds: 2, LocalIters: 2, BatchSize: 8,
-		LR: 0.02, LRDecay: 1e-4, Bandwidth: 1024 * 1024, Width: 1,
+		LR: 0.02, LRDecay: 1e-4, Bandwidth: 1024 * 1024, Width: 1, Arch: archFor(f),
 	}
 }
 
-// ArchFor returns the §V-A model for a dataset family: the 6-layer CNN for
+// archFor returns the §V-A model for a dataset family: the 6-layer CNN for
 // CIFAR100/FC100/CORe50, ResNet-18 for Mini/TinyImageNet.
-func ArchFor(f data.Family) string {
+func archFor(f data.Family) string {
 	switch f.Name {
 	case "MiniImageNet", "TinyImageNet":
 		return "ResNet18"
@@ -74,9 +75,9 @@ func ArchFor(f data.Family) string {
 	}
 }
 
-// AllocFor returns the §V-A class and sample allocation at a scale: the
+// allocFor returns the §V-A class and sample allocation at a scale: the
 // paper's at Full scale, CIAlloc's larger fractions at CI scale.
-func AllocFor(scale data.Scale, seed uint64) data.AllocConfig {
+func allocFor(scale data.Scale, seed uint64) data.AllocConfig {
 	if scale == data.CI {
 		return data.CIAlloc(seed)
 	}
@@ -110,22 +111,16 @@ func MethodFactory(name string, scale data.Scale) fed.Factory {
 // baselines.
 var AllMethods = append([]string{"FedKNOW"}, baselines.Names...)
 
-// builderFor returns the model builder for an architecture and geometry.
-func builderFor(arch string, numClasses, inC, inH, inW, width int) func(*tensor.RNG) *model.Model {
-	return func(rng *tensor.RNG) *model.Model {
-		return model.MustBuild(arch, numClasses, inC, inH, inW, width, rng)
-	}
-}
-
-// federation is one prepared §V workload: a dataset split into tasks, the
+// Federation is one prepared §V workload: a dataset split into tasks, the
 // protocol constants and model it trains with, the cluster its clients run
-// on, and their task sequences. A harness takes newFederation's default,
-// departs from it where the paper does, and calls federate.
-type federation struct {
+// on, and their task sequences. A harness takes NewFederation's default,
+// departs from it where the paper does, and calls Federate; every run of it
+// is configured by Config and trained by Run, and a wire client of it is
+// built by Client.
+type Federation struct {
 	ds      *data.Dataset
 	tasks   []data.Task
 	rt      Runtime
-	arch    string
 	alloc   data.AllocConfig
 	cluster *device.Cluster
 	// clients, when set, is federated in place of the tuned rt.Clients: the
@@ -134,17 +129,17 @@ type federation struct {
 	seqs    [][]data.ClientTask
 }
 
-// newFederation is fam's default §V workload at opt.Scale, not yet
-// federated: its dataset, RuntimeFor, ArchFor, AllocFor and the 20-Jetson
-// cluster.
-func newFederation(opt Options, fam data.Family) *federation {
+// NewFederation is fam's default §V workload at opt.Scale, not yet
+// federated: its dataset, RuntimeFor (architecture included), allocFor and
+// the 20-Jetson cluster.
+func NewFederation(opt Options, fam data.Family) *Federation {
 	ds, tasks := fam.Build(opt.Scale, opt.Seed)
-	return &federation{ds: ds, tasks: tasks, rt: RuntimeFor(fam, opt.Scale),
-		arch: ArchFor(fam), alloc: AllocFor(opt.Scale, opt.Seed+1), cluster: device.Jetson20()}
+	return &Federation{ds: ds, tasks: tasks, rt: RuntimeFor(fam, opt.Scale),
+		alloc: allocFor(opt.Scale, opt.Seed+1), cluster: device.Jetson20()}
 }
 
-// federate applies opt.Tune and deals the tasks out to the clients.
-func (f *federation) federate(opt Options) *federation {
+// Federate applies opt.Tune and deals the tasks out to the clients.
+func (f *Federation) Federate(opt Options) *Federation {
 	opt.tune(&f.rt)
 	n := f.rt.Clients
 	if f.clients > 0 {
@@ -154,11 +149,18 @@ func (f *federation) federate(opt Options) *federation {
 	return f
 }
 
-// train runs one labelled strategy on a prepared federation and returns the
-// engine result; every harness trains through it. It is a variable so that
-// tests can see what a harness prepares without training it.
-var train = func(opt Options, f *federation, label string, factory fed.Factory) *fed.Result {
-	cfg := fed.Config{
+// Runtime returns the federation's protocol constants, tuned once Federate
+// has run.
+func (f *Federation) Runtime() Runtime { return f.rt }
+
+// Tasks returns the number of tasks every client learns in sequence.
+func (f *Federation) Tasks() int { return len(f.tasks) }
+
+// Config is the engine configuration of one labelled run on f: the tuned
+// protocol constants with opt's seed, parallelism, fold shards and
+// scheduler.
+func (f *Federation) Config(opt Options, label string) fed.Config {
+	return fed.Config{
 		Method: label, Rounds: f.rt.Rounds, LocalIters: f.rt.LocalIters,
 		BatchSize: f.rt.BatchSize, LR: f.rt.LR, LRDecay: f.rt.LRDecay,
 		NumClasses: f.ds.NumClasses, Bandwidth: f.rt.Bandwidth, MemScale: f.rt.MemScale,
@@ -167,12 +169,38 @@ var train = func(opt Options, f *federation, label string, factory fed.Factory) 
 		Async: fed.AsyncConfig{CommitEvery: opt.AsyncCommitK,
 			MaxStaleness: opt.MaxStaleness, StalenessAlpha: opt.StalenessAlpha},
 	}
-	e := fed.NewEngine(cfg, f.cluster, f.seqs,
-		builderFor(f.arch, f.ds.NumClasses, f.ds.C, f.ds.H, f.ds.W, f.rt.Width), factory)
-	if opt.Observer != nil {
-		e.SetObserver(opt.Observer)
+}
+
+// Run trains every client of f in-process under cfg, streaming progress to
+// observer when it is not nil, and returns the engine result.
+func (f *Federation) Run(cfg fed.Config, factory fed.Factory, observer fed.RoundObserver) *fed.Result {
+	e := fed.NewEngine(cfg, f.cluster, f.seqs, f.builder(), factory)
+	if observer != nil {
+		e.SetObserver(observer)
 	}
 	return e.Run()
+}
+
+// Client builds seat id's wire client under cfg: that seat's task sequence
+// and device, and the federation's model.
+func (f *Federation) Client(cfg fed.Config, id int, factory fed.Factory) *fed.Client {
+	return fed.NewWireClient(cfg, id, len(f.seqs), f.cluster.Devices[id%f.cluster.Size()],
+		f.seqs[id], f.builder(), factory)
+}
+
+// builder returns the model builder for f's architecture and geometry.
+func (f *Federation) builder() func(*tensor.RNG) *model.Model {
+	arch, ds, width := f.rt.Arch, f.ds, f.rt.Width
+	return func(rng *tensor.RNG) *model.Model {
+		return model.MustBuild(arch, ds.NumClasses, ds.C, ds.H, ds.W, width, rng)
+	}
+}
+
+// train runs one labelled strategy on a prepared federation and returns the
+// engine result; every harness trains through it. It is a variable so that
+// tests can see what a harness prepares without training it.
+var train = func(opt Options, f *Federation, label string, factory fed.Factory) *fed.Result {
+	return f.Run(f.Config(opt, label), factory, opt.Observer)
 }
 
 // perTask plots x against y over every task point of r.

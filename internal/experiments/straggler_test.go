@@ -32,16 +32,15 @@ func runStragglerFederation(sched string, clients, commitK, rounds int, straggle
 	if sched == fed.SchedulerAsync {
 		cfg.Async = fed.AsyncConfig{CommitEvery: commitK}
 	}
-	build := builderFor("SixCNN", ds.NumClasses, ds.C, ds.H, ds.W, 1)
-	e := fed.NewEngine(cfg, &device.Cluster{Devices: devices}, seqs, build, MethodFactory("FedAvg", data.CI))
-	e.SetObserver(fed.ObserverFuncs{Round: func(s fed.RoundStats) {
+	f := &Federation{ds: ds, rt: Runtime{Arch: "SixCNN", Width: 1},
+		cluster: &device.Cluster{Devices: devices}, seqs: seqs}
+	res := f.Run(cfg, MethodFactory("FedAvg", data.CI), fed.ObserverFuncs{Round: func(s fed.RoundStats) {
 		// A zero-participant RoundStats is the async task-closing stale-tail
 		// report, not a commit.
 		if s.Participants > 0 {
 			commits++
 		}
 	}})
-	res := e.Run()
 	return commits, res.PerTask[len(res.PerTask)-1].SimHours * 3600 / float64(commits)
 }
 

@@ -25,7 +25,7 @@ func Table1(opt Options, datasets []data.Family) (*Table1Result, error) {
 	res := &Table1Result{Improvement: map[string][]float64{}}
 	maxTasks := 0
 	for _, fam := range datasets {
-		f := newFederation(opt, fam).federate(opt)
+		f := NewFederation(opt, fam).Federate(opt)
 		results := map[string]*fed.Result{}
 		for _, m := range AllMethods {
 			results[m] = train(opt, f, m, MethodFactory(m, opt.Scale))

@@ -455,6 +455,23 @@ func TestServerRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestSetSnapshotsRefusesSync: only the async scheduler takes a snapshot
+// sink. A lockstep server cannot be restored from a cut, so one that wrote
+// them would leave a snapshot directory its own restart then refuses.
+func TestSetSnapshotsRefusesSync(t *testing.T) {
+	for _, sched := range []string{"", SchedulerSync, SchedulerAsync} {
+		link, _ := Loopback()
+		srv := NewServer(ServerConfig{Method: "test", NumTasks: 1, Rounds: 1, Scheduler: sched}, nil, []Transport{link})
+		err := srv.SetSnapshots(&memSink{})
+		if sched == SchedulerAsync && err != nil {
+			t.Fatalf("the async scheduler must take a sink: %v", err)
+		}
+		if sched != SchedulerAsync && err == nil {
+			t.Fatalf("scheduler %q took a snapshot sink", sched)
+		}
+	}
+}
+
 // TestReconnectJitterDeterministic pins the rejoin backoff jitter: full
 // jitter in [d/2, d), reproducible per client across runs, decorrelated
 // across clients — a restart disconnects the whole cohort at once, and

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/checkpoint"
 	"repro/internal/device"
 )
 
@@ -54,18 +53,10 @@ type Scheduler interface {
 // (see docs/ARCHITECTURE.md). Protocol violations (impersonation,
 // mismatched lengths, wrong message kinds) still abort either way.
 //
-// With a snapshot sink installed (Server.SetSnapshots) the lockstep policy
-// writes a durable cut at every round commit and task boundary, but it
-// cannot be restored from one: re-admitting a cohort requires the rejoin
-// splice point only the asynchronous scheduler has, so
-// NewServerFromSnapshot refuses sync configs. Sync snapshots are an audit
-// trail, not a recovery point.
-type SyncScheduler struct {
-	// global is the last committed model, read by snapshot cuts: the
-	// aggregator's FinishRound result itself, which stays intact until the
-	// next round's FinishRound (StreamAggregator).
-	global []float32
-}
+// The lockstep policy takes no snapshots (Server.SetSnapshots refuses it):
+// re-admitting a cohort after a restart requires the rejoin splice point
+// only the asynchronous scheduler has.
+type SyncScheduler struct{}
 
 // Name identifies the scheduling policy.
 func (*SyncScheduler) Name() string { return SchedulerSync }
@@ -179,10 +170,6 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 		}
 		if global != nil {
 			s.version++
-			sc.global = global
-			// Write-ahead of the broadcast, mirroring the async commit: the
-			// cut is durable before any client learns the version.
-			s.snapshot(res, taskIdx, false)
 			err := s.broadcast(&GlobalModel{Params: global, Version: s.version}, support, s.participated,
 				func(id int, err error) error {
 					return sc.dropOrFail(ctx, s, taskIdx, id, fmt.Errorf("fed: global model to client %d: %w", id, err))
@@ -216,14 +203,6 @@ func (sc *SyncScheduler) RunTask(ctx context.Context, s *Server, taskIdx int, re
 func (s *Server) participated(id int) bool {
 	_, ok := slices.BinarySearchFunc(s.metas, id, func(m updateMeta, id int) int { return m.clientID - id })
 	return ok
-}
-
-// fillSnapshot contributes the lockstep policy's state to a durable cut:
-// the last committed global. Lockstep rounds have no mid-task resume point,
-// so upload counts and commit ordinals stay zero.
-func (sc *SyncScheduler) fillSnapshot(_ *Server, snap *checkpoint.ServerSnapshot, _ bool) {
-	snap.Global = sc.global
-	snap.ParamLen = len(sc.global)
 }
 
 // dropOrFail is the lockstep answer to a transport failure: abort the run

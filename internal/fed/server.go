@@ -174,7 +174,8 @@ type Server struct {
 	acc    *acceptor
 
 	// snap, when set, receives a durable state cut at run start, write-ahead
-	// of every commit broadcast, and at every task boundary (SetSnapshots).
+	// of every commit broadcast, and at every task boundary (SetSnapshots;
+	// async servers only).
 	// resume, when set, is the cut this server was rebuilt from
 	// (NewServerFromSnapshot) and positions Run's task loop.
 	snap   SnapshotSink

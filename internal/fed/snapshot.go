@@ -20,19 +20,19 @@ type SnapshotSink interface {
 	Save(*checkpoint.ServerSnapshot) error
 }
 
-// SetSnapshots installs the durable snapshot sink; call before Run. A
-// mid-run Save failure is logged loudly and the run continues — losing
-// future restartability is better than aborting live training — so probe
-// the sink's health at startup (checkpoint.OpenStore does).
-func (s *Server) SetSnapshots(sink SnapshotSink) { s.snap = sink }
-
-// snapshotFiller is implemented by schedulers that contribute their
-// policy-owned state (the committed global, the open commit window) to a
-// snapshot. boundary marks a task-boundary cut: the in-progress task's
-// counters (Seen, CommitIdx) are zeroed because snap.TaskIdx already names
-// the next task.
-type snapshotFiller interface {
-	fillSnapshot(s *Server, snap *checkpoint.ServerSnapshot, boundary bool)
+// SetSnapshots installs the durable snapshot sink; call before Run. Only
+// the asynchronous scheduler takes one: a cut is a restart point, and
+// NewServerFromSnapshot restores only that policy, so any other is refused
+// with an error, as Accept refuses it. A mid-run Save failure is logged
+// loudly and the run continues — losing future restartability is better
+// than aborting live training — so probe the sink's health at startup
+// (checkpoint.OpenStore does).
+func (s *Server) SetSnapshots(sink SnapshotSink) error {
+	if _, ok := s.sched.(*AsyncScheduler); !ok {
+		return fmt.Errorf("fed: the %s scheduler takes no snapshots (a restart re-admits the cohort through the rejoin path only the async scheduler has)", s.sched.Name())
+	}
+	s.snap = sink
+	return nil
 }
 
 // windowedAggregator is implemented by streaming aggregators whose open
@@ -57,7 +57,9 @@ type windowedAggregator interface {
 
 // snapshot builds and persists one durable cut. resumeTask is the task a
 // restarted server should resume at: the in-progress task for a commit cut,
-// the next task for a boundary cut.
+// the next task for a boundary cut, whose in-progress counters (Seen,
+// CommitIdx) are zero. A sink is only ever installed on an async server
+// (SetSnapshots).
 func (s *Server) snapshot(res *Result, resumeTask int, boundary bool) {
 	if s.snap == nil {
 		return
@@ -88,9 +90,7 @@ func (s *Server) snapshot(res *Result, resumeTask int, boundary bool) {
 	for i := 0; i < len(res.PerTask) && i < len(res.Matrix.Acc); i++ {
 		snap.Matrix = append(snap.Matrix, res.Matrix.Acc[i])
 	}
-	if f, ok := s.sched.(snapshotFiller); ok {
-		f.fillSnapshot(s, snap, boundary)
-	}
+	s.sched.(*AsyncScheduler).fillSnapshot(s, snap, boundary)
 	if err := s.snap.Save(snap); err != nil {
 		s.logf("fed: SNAPSHOT SAVE FAILED at task %d version %d — a crash from here loses progress back to the previous snapshot: %v",
 			resumeTask, s.version, err)
