@@ -53,6 +53,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -scheduler %q (sync, async)\n", *scheduler)
 		os.Exit(2)
 	}
+	if *syncEvict && *scheduler != fed.SchedulerSync {
+		fmt.Fprintln(os.Stderr, "-sync-evict only applies to -scheduler sync (async always evicts)")
+		os.Exit(2)
+	}
 
 	sc, ok := data.ScaleByName(*scale)
 	if !ok {

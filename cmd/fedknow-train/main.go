@@ -188,6 +188,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-max-frame must be non-negative")
 		os.Exit(2)
 	}
+	if *clients < 0 || *rounds < 0 || *iters < 0 || *bandwidth < 0 {
+		fmt.Fprintln(os.Stderr, "-clients, -rounds, -iters and -bandwidth must be non-negative (0 keeps the scale's default)")
+		os.Exit(2)
+	}
 	// Ingest hardening defaults on for robust rules: a robust aggregation
 	// that folds NaN is still poisoned. An explicit -reject-nonfinite=false
 	// wins over the default.

@@ -130,7 +130,7 @@ func (c *Client) Run(ctx context.Context, t Transport) error {
 	stop := context.AfterFunc(ctx, func() { t.Close() })
 	defer stop()
 	if c.cfg.Scheduler == SchedulerAsync {
-		return c.runAsync(ctx, t)
+		return c.asyncLoop(ctx, t, newInbox(t), nil)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -159,7 +159,7 @@ func (c *Client) Run(ctx context.Context, t Transport) error {
 		}
 		ct := c.seq[rs.TaskIdx]
 		if rs.Participate {
-			if err := c.trainAndUpload(t, ct, false); err != nil {
+			if err := c.trainAndUpload(t, ct); err != nil {
 				return err
 			}
 			if err := c.installGlobal(t, ct); err != nil {
@@ -189,14 +189,11 @@ func (c *Client) Run(ctx context.Context, t Transport) error {
 	}
 }
 
-// trainAndUpload runs the round's local iterations and sends the Update.
-// With detach the sent message owns its memory — a fresh struct and a copy
-// of the parameter vector: the asynchronous client trains on (and rewrites
-// flatBuf and c.upd during) the next round without waiting for the server
-// to consume the zero-copy loopback frame, and the asynchronous server may
-// still be reading (and staleness-reweighting) the previous message when
-// this round ends, so the lockstep aliasing contract protects neither.
-func (c *Client) trainAndUpload(t Transport, ct data.ClientTask, detach bool) error {
+// trainAndUpload runs the round's local iterations and sends the Update. An
+// asynchronous upload is borrowed: the client rewrites flatBuf and c.upd in
+// its next round without waiting for the server, which may still be reading
+// (and staleness-reweighting) this one, so a link that keeps it detaches it.
+func (c *Client) trainAndUpload(t Transport, ct data.ClientTask) error {
 	c.gate(func() {
 		for it := 0; it < c.cfg.LocalIters; it++ {
 			x, labels := c.nextBatch(ct, c.cfg.BatchSize)
@@ -215,11 +212,7 @@ func (c *Client) trainAndUpload(t Transport, ct data.ClientTask, detach bool) er
 		ComputeSeconds: c.dev.TrainTime(work),
 		UpBytes:        int64(c.ctx.Model.ParamBytes() + c.strategy.ExtraUploadBytes()),
 		DownBytes:      int64(c.ctx.Model.ParamBytes() + c.strategy.ExtraDownloadBytes()),
-	}
-	if detach {
-		u := c.upd
-		u.Params = append([]float32(nil), c.flatBuf...)
-		return t.Send(&u)
+		borrowed:       c.cfg.Scheduler == SchedulerAsync,
 	}
 	return t.Send(&c.upd)
 }
@@ -272,27 +265,18 @@ func (c *Client) install(gm *GlobalModel, ct data.ClientTask) {
 	c.baseVersion = gm.Version
 }
 
-// runAsync speaks the asynchronous lifecycle: one RoundStart announces a
+// asyncLoop speaks the asynchronous lifecycle: one RoundStart announces a
 // task, then the client trains its Rounds rounds back to back — before each
 // round it installs the freshest committed global that has arrived (skipping
 // the ones it outpaced) without ever blocking — and finally waits for the
-// task-final broadcast, installs it, evaluates, and reports RoundEnd. An
-// inbox goroutine pumps the receive direction so broadcasts queue while the
-// client trains; uploads over loopback are detached copies because the
-// lockstep aliasing contract does not hold here.
-func (c *Client) runAsync(ctx context.Context, t Transport) error {
-	_, wire := t.(*WireTransport)
-	return c.asyncLoop(ctx, t, newInbox(t, wire), nil)
-}
-
-// asyncLoop drives the asynchronous task sequence. resume, when non-nil, is
-// a rejoin catch-up: instead of waiting for a RoundStart, the first task is
-// positioned from the Catchup — install the current global (when the server
-// sent one), then resume uploading at the round the server's books say is
-// next, or jump straight to the task-final evaluation (TaskFinal) or to
-// awaiting the next task (TaskDone).
+// task-final broadcast, installs it, evaluates, and reports RoundEnd. The
+// inbox pumps the receive direction so broadcasts queue while the client
+// trains. resume, when non-nil, is a rejoin catch-up: instead of waiting for
+// a RoundStart, the first task is positioned from the Catchup — install the
+// current global (when the server sent one), then resume uploading at the
+// round the server's books say is next, or jump straight to the task-final
+// evaluation (TaskFinal) or to awaiting the next task (TaskDone).
 func (c *Client) asyncLoop(ctx context.Context, t Transport, in *inbox, resume *Catchup) error {
-	_, wire := t.(*WireTransport)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -349,7 +333,7 @@ func (c *Client) asyncLoop(ctx context.Context, t Transport, in *inbox, resume *
 			}
 			taskIdx = rs.TaskIdx
 		}
-		done, err := c.asyncTask(ctx, t, in, taskIdx, startRound, skipToFinal, !wire)
+		done, err := c.asyncTask(ctx, t, in, taskIdx, startRound, skipToFinal)
 		if err != nil {
 			return err
 		}
@@ -373,7 +357,7 @@ func (c *Client) asyncLoop(ctx context.Context, t Transport, in *inbox, resume *
 // barrier, and the RoundEnd report. skipToFinal short-circuits to the
 // report — a rejoin catch-up that already carried the task-final global.
 // done is true when the client's run is over (an OOM death report).
-func (c *Client) asyncTask(ctx context.Context, t Transport, in *inbox, taskIdx, startRound int, skipToFinal, detach bool) (done bool, err error) {
+func (c *Client) asyncTask(ctx context.Context, t Transport, in *inbox, taskIdx, startRound int, skipToFinal bool) (done bool, err error) {
 	ct := c.seq[taskIdx]
 	if !skipToFinal {
 		for r := startRound; r < c.cfg.Rounds; r++ {
@@ -383,7 +367,7 @@ func (c *Client) asyncTask(ctx context.Context, t Transport, in *inbox, taskIdx,
 			if gm := in.drainGlobals(); gm != nil {
 				c.install(gm, ct)
 			}
-			if err := c.trainAndUpload(t, ct, detach); err != nil {
+			if err := c.trainAndUpload(t, ct); err != nil {
 				return false, err
 			}
 		}

@@ -203,20 +203,6 @@ type AsyncConfig struct {
 	// deweighting; fresh updates (staleness 0) are never deweighted at any
 	// α.
 	StalenessAlpha float64
-	// LoopbackCap overrides the per-link loopback queue capacity of an
-	// asynchronous in-process engine. 0 picks the default, Rounds+4 capped
-	// at 256 — bounded regardless of cohort size, because delivery never
-	// needs a task's worst case in flight: every async client drains its
-	// inbox continuously through a pump goroutine (runAsync), so a commit
-	// broadcast waits at most one pump iteration, never for training, and
-	// the server's reader/ack loop consumes uploads continuously in the
-	// other direction. Like Parallelism it never changes results and is
-	// excluded from the job fingerprint; it exists so memory-constrained
-	// hosts (or stress tests) can shrink the queues further.
-	// fingerprint:exempt queue capacity is backpressure, not semantics —
-	// delivery order and fold order are unaffected (see above), so the
-	// digest must not split cohorts over a memory-tuning knob.
-	LoopbackCap int
 }
 
 // Fingerprint digests every result-affecting knob of the configuration (and
@@ -224,11 +210,11 @@ type AsyncConfig struct {
 // if every process derives the same job from the same knobs, so the wire
 // handshake carries this digest and the server rejects clients that disagree
 // — a seed or hyperparameter mismatch fails loudly instead of silently
-// producing non-reproducible results. Parallelism and Async.LoopbackCap are
-// excluded: they never change results. Shards is included even though it is
-// bitwise-neutral too — it selects the server's aggregation layout, and every
-// process of one run declaring the layout it runs against is worth more than
-// letting a load test accidentally mix them.
+// producing non-reproducible results. Parallelism is excluded: it never
+// changes results. Shards is included even though it is bitwise-neutral too
+// — it selects the server's aggregation layout, and every process of one run
+// declaring the layout it runs against is worth more than letting a load
+// test accidentally mix them.
 //
 // Config cannot see job-level knobs that also shape the run — dataset,
 // architecture, client count, model width, scale. Callers that know them
@@ -377,13 +363,7 @@ func NewEngine(cfg Config, cluster *device.Cluster, seqs [][]data.ClientTask,
 	// own task fully bufferable; the 256 cap bounds memory for huge runs.
 	bufCap := loopbackCap
 	if cfg.Scheduler == SchedulerAsync {
-		bufCap = cfg.Async.LoopbackCap
-		if bufCap <= 0 {
-			bufCap = cfg.Rounds + 4
-			if bufCap > 256 {
-				bufCap = 256
-			}
-		}
+		bufCap = min(cfg.Rounds+4, 256)
 	}
 	for i, seq := range seqs {
 		rng := root.Fork(uint64(i) + 1)

@@ -10,15 +10,12 @@ import "sync"
 // peer that nobody Recvs eventually blocks the sender).
 //
 // The pump is the transport's only receiver once the inbox exists — mixing
-// inbox and direct Recv calls on the same end would race. With copyMsgs
-// set, each message is deep-copied as it is read: WireTransport messages
-// alias the codec's reusable decode buffers, which the pump's next Recv
-// would overwrite. Loopback messages need no copy: the loopback's Send
-// already detached every borrowed one (an asynchronous commit, whose vector
-// the server rewrites two commits later).
+// inbox and direct Recv calls on the same end would race. It keeps every
+// message past the link's next Recv, so it queues each one detached: a
+// borrowed message (a wire link's pooled decode) is copied, an owned one (a
+// loopback delivery) is queued as it came.
 type inbox struct {
-	t        Transport
-	copyMsgs bool
+	t Transport
 
 	mu    sync.Mutex
 	queue []Msg
@@ -28,8 +25,8 @@ type inbox struct {
 
 // newInbox starts the pump. The inbox drains until the transport's Recv
 // fails (io.EOF on clean shutdown); closing the transport stops the pump.
-func newInbox(t Transport, copyMsgs bool) *inbox {
-	b := &inbox{t: t, copyMsgs: copyMsgs, avail: make(chan struct{}, 1)}
+func newInbox(t Transport) *inbox {
+	b := &inbox{t: t, avail: make(chan struct{}, 1)}
 	go b.pump()
 	return b
 }
@@ -40,10 +37,7 @@ func (b *inbox) pump() {
 		m, err := b.t.Recv()
 		b.mu.Lock()
 		if m != nil {
-			if b.copyMsgs {
-				m = copyMsg(m)
-			}
-			b.queue = append(b.queue, m)
+			b.queue = append(b.queue, detached(m))
 		}
 		if err != nil {
 			b.err = err
@@ -98,21 +92,4 @@ func (b *inbox) drainGlobals() *GlobalModel {
 		last = gm
 	}
 	return last
-}
-
-// copyMsg deep-copies the message kinds a client can receive, detaching
-// them from transport decode scratch. Other kinds pass through by
-// reference (the client rejects them as protocol errors anyway).
-func copyMsg(m Msg) Msg {
-	switch v := m.(type) {
-	case *GlobalModel:
-		cp := *v
-		cp.Params = append([]float32(nil), v.Params...)
-		return &cp
-	case *RoundStart:
-		cp := *v
-		return &cp
-	default:
-		return m
-	}
 }

@@ -37,6 +37,9 @@ type RoundStart struct {
 	// TaskDone marks the task's final round: after it the client runs its
 	// TaskEnd hook, the memory check, evaluation, and replies RoundEnd.
 	TaskDone bool
+
+	// borrowed marks the struct as a wire link's pooled decode (see detached).
+	borrowed bool
 }
 
 // Kind identifies the message type.
@@ -44,9 +47,11 @@ func (*RoundStart) Kind() Kind { return KindRoundStart }
 
 // Update (client → server) carries one round of local training: the flat
 // parameter vector, the aggregation weight, and the device accounting the
-// server folds into the synchronous-round clock. Over LoopbackTransport
-// Params aliases the client's scratch buffer (zero copy); the client must
-// not mutate it until the server's GlobalModel arrives.
+// server folds into the synchronous-round clock. A lockstep upload is never
+// borrowed: over the loopback Params aliases the client's scratch buffer
+// (zero copy), which the client leaves alone until the server's GlobalModel
+// arrives. An asynchronous upload is borrowed — the client trains on while
+// the server reads — so the loopback delivers a detached copy.
 type Update struct {
 	ClientID int
 	// Participating is false for a dropped-out client's empty acknowledgement;
@@ -78,6 +83,10 @@ type Update struct {
 	// direction: dense model bytes plus the strategy's extra traffic.
 	UpBytes   int64
 	DownBytes int64
+
+	// borrowed marks the message as valid only until its lender rewrites it
+	// (see detached).
+	borrowed bool
 }
 
 // Kind identifies the message type.
@@ -98,10 +107,9 @@ func (u *Update) ParamLen() int {
 // LoopbackTransport, which is only rewritten after every participant has
 // acknowledged the round. Under the asynchronous scheduler every commit is
 // broadcast to every alive client and Params is the aggregator's result
-// itself, rewritten two commits later: the message is borrowed — valid only
-// for the duration of Send — and a transport that hands messages over by
-// reference (the loopback) delivers a detached copy, so a frame queued
-// behind a training client stays intact.
+// itself, rewritten two commits later: the message is borrowed, and a
+// transport that hands messages over by reference (the loopback) delivers a
+// detached copy, so a frame queued behind a training client stays intact.
 //
 // A commit is encoded once: while Server.broadcast walks the seats, the
 // message carries the server's shared frame (the unexported field below).
@@ -113,8 +121,9 @@ func (u *Update) ParamLen() int {
 // helper arms it, and it disarms it before returning: a GlobalModel built by
 // anyone else (a client's install, a test, a decoder) carries none and
 // encodes per link. Receivers never see it — a decoded message is built
-// without it, and the loopback transport passes the pointer through without
-// reading the field.
+// without it, and the loopback transport delivers the sender's pointer (or
+// its detached copy) without reading the field. The borrowed mark rides the
+// same way.
 type GlobalModel struct {
 	Params []float32
 	// Version is the global model's commit version: 0 for the shared initial
@@ -131,8 +140,9 @@ type GlobalModel struct {
 
 	// frame is the broadcast's shared frame; nil outside Server.broadcast.
 	frame *sharedFrame
-	// borrowed marks Params as valid only while Send runs; owned is the
-	// detached copy every loopback seat of this send shares (see detached).
+	// borrowed marks Params as valid only until its lender rewrites them;
+	// owned is the detached copy every loopback seat of this send shares
+	// (see detached).
 	borrowed bool
 	owned    *GlobalModel
 }
@@ -204,7 +214,8 @@ type Catchup struct {
 	// RoundStart.
 	TaskDone bool
 
-	// borrowed marks Params as valid only while Send runs (see detached).
+	// borrowed marks Params as valid only until its lender rewrites them
+	// (see detached).
 	borrowed bool
 }
 

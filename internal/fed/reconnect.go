@@ -114,7 +114,7 @@ func (c *Client) reconnectLoop(ctx context.Context, rc Reconnect, err error) err
 
 // rejoin redials with the catch-up handshake under capped exponential
 // backoff and returns the fresh transport plus the server's Catchup,
-// detached from the link's decode scratch.
+// detached.
 func (c *Client) rejoin(ctx context.Context, rc Reconnect) (Transport, *Catchup, error) {
 	attempts := rc.Attempts
 	if attempts <= 0 {
@@ -165,9 +165,7 @@ func (c *Client) rejoin(ctx context.Context, rc Reconnect) (Transport, *Catchup,
 			t.Close()
 			return nil, nil, fmt.Errorf("fed: client %d rejoin got %T, want *Catchup", c.ctx.ID, msg)
 		}
-		out := *cu
-		out.Params = append([]float32(nil), cu.Params...)
-		return t, &out, nil
+		return t, detached(cu).(*Catchup), nil
 	}
 	return nil, nil, fmt.Errorf("fed: client %d gave up rejoining after %d attempts: %w", c.ctx.ID, attempts, lastErr)
 }
@@ -198,8 +196,7 @@ func (c *Client) resume(ctx context.Context, t Transport, cu *Catchup) error {
 	defer t.Close()
 	stop := context.AfterFunc(ctx, func() { t.Close() })
 	defer stop()
-	_, wire := t.(*WireTransport)
-	return c.asyncLoop(ctx, t, newInbox(t, wire), cu)
+	return c.asyncLoop(ctx, t, newInbox(t), cu)
 }
 
 // retryable reports whether err is a connection-level failure a reconnect

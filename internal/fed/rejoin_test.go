@@ -538,7 +538,7 @@ func TestClientTaskDoneCatchupFinishes(t *testing.T) {
 		srvEnd, cliEnd := LoopbackCap(8)
 		srvEnd.Close() // nothing follows the catch-up: the run is over
 		cu := &Catchup{TaskIdx: taskIdx, Seen: cfg.Rounds, Version: 1, TaskDone: true}
-		if err := c.asyncLoop(context.Background(), cliEnd, newInbox(cliEnd, false), cu); err != nil {
+		if err := c.asyncLoop(context.Background(), cliEnd, newInbox(cliEnd), cu); err != nil {
 			t.Fatalf("task-done resume at task %d: %v", taskIdx, err)
 		}
 		return c

@@ -418,39 +418,70 @@ func TestAsyncWireEviction(t *testing.T) {
 	}
 }
 
-// TestAsyncLoopbackCapBounded pins the satellite contract on
-// Async.LoopbackCap: a deliberately tiny per-link buffer must not deadlock
-// the engine — the client inbox pump keeps draining commits into its
-// unbounded queue, so a blocking commit broadcast resolves within one pump
-// iteration no matter how small the channel is. CommitEvery=1 maximises
-// commit broadcasts per upload, the worst case for a small buffer. The
-// commit COUNT and total participation are policy-determined (every upload
-// folds and commits; no staleness bound means no rejections), so those
-// books must match a default-cap run exactly even though upload arrival
-// ORDER — and therefore the folded weights — varies with goroutine
-// scheduling in the loopback engine.
+// TestAsyncLoopbackCapBounded pins the bounded async loopback: a
+// deliberately tiny per-link buffer must not deadlock the federation — the
+// client inbox pump keeps draining commits into its unbounded queue, so a
+// blocking commit broadcast resolves within one pump iteration no matter how
+// small the channel is. The capped run wires LoopbackCap(2) pairs into a
+// server and standalone clients by hand; the reference is the engine with
+// its default capacity. CommitEvery=1 maximises commit broadcasts per upload,
+// the worst case for a small buffer. The commit COUNT and total
+// participation are policy-determined (every upload folds and commits; no
+// staleness bound means no rejections), so those books must match exactly
+// even though upload arrival ORDER — and therefore the folded weights —
+// varies with goroutine scheduling.
 func TestAsyncLoopbackCapBounded(t *testing.T) {
-	run := func(cap int) (*Result, []RoundStats) {
+	run := func(capped bool) (*Result, []RoundStats) {
 		cfg, cluster, seqs, build := tinySetup(47)
 		cfg.Scheduler = SchedulerAsync
-		cfg.Async = AsyncConfig{CommitEvery: 1, LoopbackCap: cap}
-		e := NewEngine(cfg, cluster, seqs, build, func(ctx *ClientCtx) Strategy {
-			return &passthrough{ctx: ctx}
-		})
+		cfg.Async = AsyncConfig{CommitEvery: 1}
+		factory := func(ctx *ClientCtx) Strategy { return &passthrough{ctx: ctx} }
 		var rounds []RoundStats
-		e.SetObserver(ObserverFuncs{Round: func(s RoundStats) { rounds = append(rounds, s) }})
+		obs := ObserverFuncs{Round: func(s RoundStats) { rounds = append(rounds, s) }}
 		done := make(chan *Result, 1)
-		go func() { done <- e.Run() }()
+		if capped {
+			var clients sync.WaitGroup
+			links := make([]Transport, len(seqs))
+			for id := range seqs {
+				var cli Transport
+				links[id], cli = LoopbackCap(2) // far smaller than one task's commit count
+				c := NewWireClient(cfg, id, len(seqs), cluster.Devices[id%cluster.Size()], seqs[id], build, factory)
+				clients.Add(1)
+				go func() {
+					defer clients.Done()
+					if err := c.Run(context.Background(), cli); err != nil {
+						t.Errorf("client %d: %v", id, err)
+					}
+				}()
+			}
+			srv := NewServer(cfg.ServerConfigFor(len(seqs), len(seqs[0])), nil, links)
+			srv.SetObserver(obs)
+			go func() {
+				res, err := srv.Run(context.Background())
+				if err != nil {
+					t.Error(err)
+				}
+				clients.Wait()
+				done <- res
+			}()
+		} else {
+			e := NewEngine(cfg, cluster, seqs, build, factory)
+			e.SetObserver(obs)
+			go func() { done <- e.Run() }()
+		}
 		select {
 		case res := <-done:
+			if res == nil {
+				t.FailNow()
+			}
 			return res, rounds
 		case <-time.After(2 * time.Minute):
-			t.Fatalf("engine with LoopbackCap=%d did not finish: a bounded buffer must not deadlock delivery", cap)
+			t.Fatalf("federation with capped=%v did not finish: a bounded buffer must not deadlock delivery", capped)
 			return nil, nil
 		}
 	}
-	capped, cappedRounds := run(2) // far smaller than one task's commit count
-	dflt, dfltRounds := run(0)
+	capped, cappedRounds := run(true)
+	dflt, dfltRounds := run(false)
 	if len(cappedRounds) != len(dfltRounds) {
 		t.Fatalf("capped run made %d commits, default made %d", len(cappedRounds), len(dfltRounds))
 	}

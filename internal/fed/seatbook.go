@@ -157,7 +157,7 @@ func (b *seatBook) readmit(id int, link Transport, finish bool, greet func(id in
 		return err
 	}
 	b.trafficMu.Lock()
-	if w, ok := st.link.(*WireTransport); ok {
+	if w, ok := st.link.(byteCounter); ok {
 		b.retiredSent += w.BytesSent()
 		b.retiredRecv += w.BytesRecv()
 	}
@@ -332,14 +332,20 @@ func (b *seatBook) restore(snap *checkpoint.ServerSnapshot) {
 	b.trafficMu.Unlock()
 }
 
-// wireTraffic sums the measured bytes of every wire link the book has held.
-// Safe from any goroutine.
+// byteCounter is a link that measures its traffic, as a WireTransport does.
+type byteCounter interface {
+	BytesSent() int64
+	BytesRecv() int64
+}
+
+// wireTraffic sums the measured bytes of every link the book has held that
+// counts them. Safe from any goroutine.
 func (b *seatBook) wireTraffic() (sent, recv int64) {
 	b.trafficMu.Lock()
 	defer b.trafficMu.Unlock()
 	sent, recv = b.retiredSent, b.retiredRecv
 	for id := range b.seats {
-		if w, ok := b.seats[id].link.(*WireTransport); ok {
+		if w, ok := b.seats[id].link.(byteCounter); ok {
 			sent += w.BytesSent()
 			recv += w.BytesRecv()
 		}

@@ -4,6 +4,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // Transport is one duplex message link between the server and a single
@@ -18,12 +20,16 @@ import (
 // Recv returns io.EOF after the peer closes its end and all in-flight
 // messages have been drained — that is the protocol's shutdown signal.
 //
-// A message is only valid for the duration of Send: the asynchronous
-// scheduler's GlobalModel and Catchup carry the committed global itself,
-// which the aggregator rewrites two commits later. A transport that writes
-// synchronously (WireTransport, and any decorator that forwards Send) keeps
-// nothing; one that hands messages over by reference, as the loopback does,
-// must deliver a copy of what it keeps.
+// How long a message stays valid rides on the message, not on the link: a
+// message marked borrowed (the unexported flag on GlobalModel, Catchup,
+// Update and RoundStart) is valid only until its lender's next write — the
+// asynchronous scheduler lends its committed global, the asynchronous client
+// its upload buffer, a WireTransport's Recv its pooled decode struct. Whoever
+// keeps a message past that calls detached, the one place a message is
+// copied: the loopback's Send, the client's inbox pump, and a client's rejoin
+// or join handshake. An unborrowed message passes by reference. Since the
+// mark travels with the message, a decorator that forwards Send and Recv
+// changes nothing.
 type Transport interface {
 	Send(Msg) error
 	Recv() (Msg, error)
@@ -36,12 +42,11 @@ type Transport interface {
 const loopbackCap = 4
 
 // loopbackEnd is one side of an in-memory transport pair. Messages pass by
-// reference — an Update's or a lockstep GlobalModel's parameter slice is
+// reference — a lockstep Update's or GlobalModel's parameter slice is
 // shared, not copied — which is what keeps the loopback engine's hot path
 // allocation-free and bitwise identical to the old monolithic engine. A
-// borrowed message (an asynchronous commit or catch-up) is the one
-// exception: the peer may read it after later commits, so Send delivers a
-// detached copy.
+// borrowed message is the one exception: the peer may read it after its
+// lender rewrote it, so Send delivers a detached copy.
 type loopbackEnd struct {
 	send chan Msg
 	recv chan Msg
@@ -59,10 +64,9 @@ func Loopback() (server, client Transport) {
 }
 
 // LoopbackCap is Loopback with an explicit per-direction buffer capacity.
-// The asynchronous scheduler requires a capacity that covers a whole task's
-// in-flight messages (Engine computes Rounds × clients + 4): neither
-// endpoint may ever block on Send, or a slow client would stall the commit
-// loop — the exact failure mode the scheduler exists to remove.
+// The asynchronous engine sizes its links Rounds+4, capped at 256: the
+// client's inbox pump drains commits continuously, so a small buffer delays
+// a commit-loop Send by at most one pump iteration.
 func LoopbackCap(n int) (server, client Transport) {
 	s2c := make(chan Msg, n)
 	c2s := make(chan Msg, n)
@@ -122,9 +126,9 @@ func (l *loopbackEnd) Close() error {
 	return nil
 }
 
-// detached returns m, or — for a borrowed GlobalModel or Catchup — a copy
-// that owns its parameters and outlives the Send. A broadcast is copied once:
-// its loopback seats share the copy, which nothing mutates.
+// detached returns m, or — when m is borrowed — a copy that owns its memory
+// and outlives the lender. It is the package's one message copy. A broadcast
+// is copied once: its loopback seats share the copy, which nothing mutates.
 func detached(m Msg) Msg {
 	switch v := m.(type) {
 	case *GlobalModel:
@@ -138,6 +142,22 @@ func detached(m Msg) Msg {
 		if v.borrowed {
 			cp := *v
 			cp.Params, cp.borrowed = slices.Clone(v.Params), false
+			return &cp
+		}
+	case *Update:
+		if v.borrowed {
+			cp := *v
+			cp.Params, cp.borrowed = slices.Clone(v.Params), false
+			if v.Sparse != nil {
+				cp.Sparse = &tensor.SparseVec{N: v.Sparse.N,
+					Indices: slices.Clone(v.Sparse.Indices), Values: slices.Clone(v.Sparse.Values)}
+			}
+			return &cp
+		}
+	case *RoundStart:
+		if v.borrowed {
+			cp := *v
+			cp.borrowed = false
 			return &cp
 		}
 	}

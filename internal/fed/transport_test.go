@@ -55,34 +55,47 @@ func TestLoopbackZeroCopy(t *testing.T) {
 	}
 }
 
-// TestLoopbackDetachesBorrowed: a borrowed GlobalModel or Catchup reaches
-// the peer as a copy the sender's later writes do not reach, and the seats
-// of one broadcast share that one copy.
+// TestLoopbackDetachesBorrowed: a borrowed GlobalModel, Catchup, Update or
+// RoundStart reaches the peer as a copy the sender's later writes do not
+// reach, and the seats of one broadcast share that one copy.
 func TestLoopbackDetachesBorrowed(t *testing.T) {
 	s1, c1 := Loopback()
 	s2, c2 := Loopback()
 	params := []float32{1, 2, 3}
 	gm := &GlobalModel{Params: params, Version: 7, borrowed: true}
 	cu := &Catchup{TaskIdx: 1, Params: params, Version: 7, borrowed: true}
+	up := &Update{ClientID: 2, Participating: true, Params: params, BaseVersion: 7, borrowed: true}
+	rs := &RoundStart{TaskIdx: 1, Participate: true, borrowed: true}
 	for _, send := range []func() error{
 		func() error { return s1.Send(gm) },
 		func() error { return s2.Send(gm) },
 		func() error { return s1.Send(cu) },
+		func() error { return c2.Send(up) },
+		func() error { return s2.Send(rs) },
 	} {
 		if err := send(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	params[0] = -1 // the next commit rewrites the vector
+	params[0] = -1 // the next commit (or the client's next round) rewrites the vector
+	rs.TaskIdx = 2 // the link's next decode rewrites its pooled struct
 	m1, _ := c1.Recv()
 	m2, _ := c2.Recv()
 	mc, _ := c1.Recv()
+	mu, _ := s2.Recv()
+	mr, _ := c2.Recv()
 	g1, g2, got := m1.(*GlobalModel), m2.(*GlobalModel), mc.(*Catchup)
 	if g1 != g2 {
 		t.Fatal("the seats of one broadcast must share its one copy")
 	}
 	if g1.Params[0] != 1 || g1.Version != 7 || g1.borrowed || got.Params[0] != 1 || got.TaskIdx != 1 || got.borrowed {
 		t.Fatalf("delivered %+v and %+v, want detached copies of the sent values", g1, got)
+	}
+	if u := mu.(*Update); u == up || u.Params[0] != 1 || u.ClientID != 2 || u.BaseVersion != 7 || u.borrowed {
+		t.Fatalf("delivered %+v, want a detached copy of the sent update", u)
+	}
+	if r := mr.(*RoundStart); r == rs || r.TaskIdx != 1 || !r.Participate || r.borrowed {
+		t.Fatalf("delivered %+v, want a detached copy of the sent round start", r)
 	}
 }
 
@@ -181,11 +194,14 @@ func TestServeRejectsFingerprintMismatch(t *testing.T) {
 // separate process would use).
 func runWire(t *testing.T, cfg Config, cluster *device.Cluster, seqs [][]data.ClientTask,
 	build func(*tensor.RNG) *model.Model, factory Factory) *Result {
-	return runWireWith(t, cfg, cluster, seqs, build, factory, WireOptions{})
+	return runWireWith(t, cfg, cluster, seqs, build, factory, WireOptions{}, nil, nil)
 }
 
+// runWireWith is runWire with link options, a wrapper applied to every
+// client's link (nil for bare links) and a server observer (may be nil).
 func runWireWith(t *testing.T, cfg Config, cluster *device.Cluster, seqs [][]data.ClientTask,
-	build func(*tensor.RNG) *model.Model, factory Factory, opts WireOptions) *Result {
+	build func(*tensor.RNG) *model.Model, factory Factory, opts WireOptions,
+	wrap func(Transport) Transport, obs RoundObserver) *Result {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -203,6 +219,9 @@ func runWireWith(t *testing.T, cfg Config, cluster *device.Cluster, seqs [][]dat
 				errs[id] = err
 				return
 			}
+			if wrap != nil {
+				tr = wrap(tr)
+			}
 			c := NewWireClient(cfg, id, len(seqs), cluster.Devices[id%cluster.Size()],
 				seqs[id], build, factory)
 			errs[id] = c.Run(context.Background(), tr)
@@ -214,17 +233,64 @@ func runWireWith(t *testing.T, cfg Config, cluster *device.Cluster, seqs [][]dat
 		t.Fatalf("serve: %v", err)
 	}
 	srv := NewServer(cfg.ServerConfigFor(len(seqs), len(seqs[0])), nil, links)
-	res, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatalf("server run: %v", err)
+	if obs != nil {
+		srv.SetObserver(obs)
 	}
+	res, err := srv.Run(context.Background())
 	wg.Wait()
+	if err != nil {
+		t.Fatalf("server run: %v (clients: %v)", err, errs)
+	}
 	for id, err := range errs {
 		if err != nil {
 			t.Fatalf("wire client %d: %v", id, err)
 		}
 	}
 	return res
+}
+
+// passLink is a client link behind a decorator that forwards every call
+// unchanged, as a tracing or metering wrapper does.
+type passLink struct{ Transport }
+
+// TestWireDecoratedClientLinks: a decorated client link is the same link. An
+// asynchronous wire federation whose clients each speak through a
+// forwarding decorator completes every task with the commit count and
+// participation of a bare run — a message's lifetime rides on the message,
+// so nothing in the client keys on the concrete transport. The bare run
+// goes first, as the reference.
+func TestWireDecoratedClientLinks(t *testing.T) {
+	run := func(wrap func(Transport) Transport) (*Result, []RoundStats) {
+		cfg, cluster, seqs, build := tinySetup(21)
+		cfg.Scheduler = SchedulerAsync
+		cfg.Rounds = 4
+		cfg.Async = AsyncConfig{CommitEvery: 1}
+		var rounds []RoundStats
+		res := runWireWith(t, cfg, cluster, seqs, build,
+			func(ctx *ClientCtx) Strategy { return &passthrough{ctx: ctx} }, WireOptions{},
+			wrap, ObserverFuncs{Round: func(s RoundStats) { rounds = append(rounds, s) }})
+		return res, rounds
+	}
+	bare, bareRounds := run(nil)
+	dec, decRounds := run(func(t Transport) Transport { return passLink{t} })
+	if len(decRounds) != len(bareRounds) {
+		t.Fatalf("decorated run made %d commits, bare run %d", len(decRounds), len(bareRounds))
+	}
+	for i, r := range decRounds {
+		if r.Participants != 1 || r.Stale != 0 || r.Version != bareRounds[i].Version {
+			t.Fatalf("decorated commit %d: %+v, want one fold and version %d as in the bare run", i, r, bareRounds[i].Version)
+		}
+	}
+	if len(dec.PerTask) != len(bare.PerTask) || len(dec.DeadAfter) != 0 || len(bare.DeadAfter) != 0 {
+		t.Fatalf("decorated run finished %d tasks (lost %v), bare %d (lost %v)",
+			len(dec.PerTask), dec.DeadAfter, len(bare.PerTask), bare.DeadAfter)
+	}
+	for i := range bare.PerTask {
+		d, b := dec.PerTask[i], bare.PerTask[i]
+		if d.UpBytes != b.UpBytes || d.DownBytes != b.DownBytes {
+			t.Fatalf("task %d traffic: decorated %d/%d, bare %d/%d", i, d.UpBytes, d.DownBytes, b.UpBytes, b.DownBytes)
+		}
+	}
 }
 
 // compareResults demands bit-level equality — the acceptance bar for the
@@ -318,7 +384,7 @@ func TestWireQuantizedF16Run(t *testing.T) {
 	factory := func(ctx *ClientCtx) Strategy { return &passthrough{ctx: ctx} }
 	loop := NewEngine(cfg, cluster, seqs, build, factory).Run()
 	wire := runWireWith(t, cfg, cluster, seqs, build, factory,
-		WireOptions{Compression: Compression{Quant: QuantF16}})
+		WireOptions{Compression: Compression{Quant: QuantF16}}, nil, nil)
 	if len(wire.PerTask) != len(loop.PerTask) {
 		t.Fatalf("quantized run incomplete: %d of %d tasks", len(wire.PerTask), len(loop.PerTask))
 	}

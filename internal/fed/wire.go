@@ -108,11 +108,11 @@ func (w *WireTransport) Send(m Msg) error {
 }
 
 // Recv decodes the next frame. A clean peer close surfaces as io.EOF, the
-// protocol's shutdown signal. The returned message's slices alias the
-// transport's reusable decode buffers and stay valid until the next Recv
-// with a slice-bearing message — the lockstep protocol consumes every
-// message before the link's next Recv, mirroring the loopback transport's
-// zero-copy aliasing contract.
+// protocol's shutdown signal. The returned message is the link's pooled
+// struct, its slices alias the reusable decode buffers, and the next Recv of
+// its kind rewrites both, so Recv marks it borrowed: the lockstep protocol
+// consumes every message before the link's next Recv and reads it in place;
+// whoever queues it past that takes a detached copy.
 func (w *WireTransport) Recv() (Msg, error) {
 	if w.dl != nil && w.opts.Timeout > 0 {
 		if err := w.dl.SetReadDeadline(time.Now().Add(w.opts.Timeout)); err != nil {
@@ -121,6 +121,16 @@ func (w *WireTransport) Recv() (Msg, error) {
 	}
 	m, n, err := w.codec.decodeFrame(w.br)
 	w.recv.Add(int64(n))
+	switch v := m.(type) {
+	case *GlobalModel:
+		v.borrowed = true
+	case *Catchup:
+		v.borrowed = true
+	case *Update:
+		v.borrowed = true
+	case *RoundStart:
+		v.borrowed = true
+	}
 	return m, err
 }
 
@@ -246,12 +256,12 @@ func DialRejoinWith(addr string, id int, fingerprint uint64, lastVersion uint64,
 // assigns the seat — carrying the job fingerprint and value encoding. A
 // server that admits seats (Server.Accept) replies with a seat-assignment
 // hello followed by one Catchup positioning the joiner in the current task;
-// both are returned, the Catchup detached from the link's decode scratch,
-// with the assigned seat ID. A refusal — fingerprint or compression
-// mismatch, cohort at -max-cohort capacity, a server not accepting joins —
-// surfaces as the connection closing without a reply. After this handshake
-// the transport is ready for the client's normal async lifecycle; a later
-// drop rejoins the assigned seat with the ordinary v4 rejoin path.
+// the Catchup is returned detached, with the assigned seat ID. A refusal —
+// fingerprint or compression mismatch, cohort at -max-cohort capacity, a
+// server not accepting joins — surfaces as the connection closing without a
+// reply. After this handshake the transport is ready for the client's
+// normal async lifecycle; a later drop rejoins the assigned seat with the
+// ordinary v4 rejoin path.
 func DialJoinWith(addr string, fingerprint uint64, opts WireOptions) (Transport, int, *Catchup, error) {
 	t, err := dial(addr, &helloMsg{join: true, fingerprint: fingerprint}, opts)
 	if err != nil {
@@ -278,9 +288,7 @@ func DialJoinWith(addr string, fingerprint uint64, opts WireOptions) (Transport,
 		t.Close()
 		return nil, 0, nil, fmt.Errorf("fed: join got %T, want *Catchup", msg)
 	}
-	out := *cu
-	out.Params = append([]float32(nil), cu.Params...)
-	return t, seat, &out, nil
+	return t, seat, detached(cu).(*Catchup), nil
 }
 
 // admission is one validated membership handshake: a client that dialed
