@@ -75,8 +75,11 @@ import (
 // branch. "Non-zero" means a non-zero bit pattern, not a non-zero value:
 // negative zero (and every NaN) is stored, because dropping -0 would decode as
 // +0 and a wire run would no longer be bit-identical to a loopback run. A
-// block without a zero skips the compaction: zeroFree answers for it first,
-// so a dense vector reaches the size decision for the price of one read.
+// block without a zero skips the compaction: zeroFreeLen answers for it
+// first. A lossless vector without a support whose first block has no zero
+// is taken for dense and tested while its dense block is written
+// (appendDenseFirst), so a dense vector is read once, not once to decide and
+// again to write.
 //
 // The encoder has three index sources and one emitter. Without a support it
 // compacts the vector's own coordinates, block by block. A commit broadcast
@@ -400,7 +403,14 @@ func appendParams(buf []byte, dense []float32, sp *tensor.SparseVec, comp Compre
 func appendDenseParams(buf []byte, dense []float32, support []int32, comp Compression) []byte {
 	n := len(dense)
 	if !comp.DisableSparse && n > 0 {
-		if out, ok := appendSparseFromDense(buf, dense, support, comp); ok {
+		from := 0 // dense[:from] is known to hold no zero bit pattern
+		if support == nil && comp.Quant == QuantNone {
+			head := dense[:min(n, compactBlock)]
+			if from = zeroFreeLen(head); from == len(head) {
+				return appendDenseFirst(buf, dense, comp)
+			}
+		}
+		if out, ok := appendSparseFromDense(buf, dense, support, from, comp); ok {
 			return out
 		}
 	}
@@ -472,6 +482,71 @@ func putF32s(dst []byte, src []float32) {
 	}
 }
 
+// appendDenseFirst emits a lossless float32 vector without a support, whose
+// first compaction block holds no zero, in whichever form is smaller, taking
+// it for dense: the dense window is sized and written, and the same pass
+// tests every coordinate it writes (putF32sZeroFree). A vector with no zero is
+// done after that one read — its sparse block, a gap byte and a value a
+// coordinate, is never the smaller. At the first zero after a zero-free
+// prefix of m coordinates the sparse size resumes from the prefix (k = m, one
+// gap byte each) instead of from coordinate 0; if dense still wins, only the
+// rest is written, and otherwise the window is dropped and the sparse block
+// written in its place. Only a vector whose first block holds no zero sizes
+// the window, so a sparse one whose first block holds a zero never grows the
+// frame buffer past what its sparse block needs.
+func appendDenseFirst(buf []byte, dense []float32, comp Compression) []byte {
+	n, start := len(dense), len(buf)
+	buf = append(buf, comp.formatByte(false))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	off := len(buf)
+	buf = slices.Grow(buf, 4*n)[:off+4*n]
+	m := putF32sZeroFree(buf[off:], dense)
+	if m == n {
+		return buf
+	}
+	k, gapBytes, ok := sparseSize(dense, nil, 4, m)
+	if !ok {
+		putF32s(buf[off+4*m:], dense[m:])
+		return buf
+	}
+	return appendCompacted(buf[:start], dense, nil, k, gapBytes, comp)
+}
+
+// putF32sZeroFree is putF32s testing what it writes, eight coordinates a
+// step: each step stores its eight and ANDs their u | -u as zeroFreeLen does,
+// and the pass stops after the first step holding a zero bit pattern. It
+// returns what zeroFreeLen(src) returns, and dst then holds at least that
+// many coordinates of src.
+func putF32sZeroFree(dst []byte, src []float32) int {
+	n := len(src)
+	dst = dst[:4*n]
+	for len(src) >= 8 && len(dst) >= 32 {
+		s, d := src[:8], dst[:32]
+		u0, u1, u2, u3 := math.Float32bits(s[0]), math.Float32bits(s[1]), math.Float32bits(s[2]), math.Float32bits(s[3])
+		u4, u5, u6, u7 := math.Float32bits(s[4]), math.Float32bits(s[5]), math.Float32bits(s[6]), math.Float32bits(s[7])
+		binary.LittleEndian.PutUint32(d[0:], u0)
+		binary.LittleEndian.PutUint32(d[4:], u1)
+		binary.LittleEndian.PutUint32(d[8:], u2)
+		binary.LittleEndian.PutUint32(d[12:], u3)
+		binary.LittleEndian.PutUint32(d[16:], u4)
+		binary.LittleEndian.PutUint32(d[20:], u5)
+		binary.LittleEndian.PutUint32(d[24:], u6)
+		binary.LittleEndian.PutUint32(d[28:], u7)
+		if ((u0|-u0)&(u1|-u1)&(u2|-u2)&(u3|-u3)&(u4|-u4)&(u5|-u5)&(u6|-u6)&(u7|-u7))>>31 == 0 {
+			return n - len(src)
+		}
+		src, dst = src[8:], dst[32:]
+	}
+	for i, v := range src {
+		u := math.Float32bits(v)
+		if u == 0 {
+			return n - len(src) + i
+		}
+		binary.LittleEndian.PutUint32(dst[4*i:], u)
+	}
+	return n
+}
+
 // compactBlock is how many coordinates one compaction step covers: the
 // encoder's only scratch is one stack block of that many indices and values
 // (4 KiB), so encoding costs no memory that grows with the model.
@@ -527,28 +602,32 @@ func compactSupport(c *compacted, dense []float32, support []int32) int {
 	return k
 }
 
-// zeroFree reports whether no coordinate of src has an all-zero bit pattern.
-// Eight coordinates are tested a step by ANDing their u | -u, whose sign bit
-// is set exactly when u != 0, and the scan stops at the first step that
-// holds a zero: a sparse block answers at its first eight coordinates, a
-// zero-free one is read once with no data-dependent branch inside a step.
-func zeroFree(src []float32) bool {
+// zeroFreeLen returns len(src) when no coordinate of src has an all-zero bit
+// pattern, and otherwise a prefix length m with no zero in src[:m] and one in
+// src[m:m+8]: the start of the eight-coordinate step, or the tail coordinate,
+// holding the first zero. Eight coordinates are tested a step by ANDing their
+// u | -u, whose sign bit is set exactly when u != 0, and the scan stops at the
+// first step that holds a zero: a sparse block answers at its first eight
+// coordinates, a zero-free one is read once with no data-dependent branch
+// inside a step.
+func zeroFreeLen(src []float32) int {
+	n := len(src)
 	for len(src) >= 8 {
 		s := src[:8]
 		u0, u1, u2, u3 := math.Float32bits(s[0]), math.Float32bits(s[1]), math.Float32bits(s[2]), math.Float32bits(s[3])
 		u4, u5, u6, u7 := math.Float32bits(s[4]), math.Float32bits(s[5]), math.Float32bits(s[6]), math.Float32bits(s[7])
 		all := (u0 | -u0) & (u1 | -u1) & (u2 | -u2) & (u3 | -u3) & (u4 | -u4) & (u5 | -u5) & (u6 | -u6) & (u7 | -u7)
 		if all>>31 == 0 {
-			return false
+			return n - len(src)
 		}
 		src = src[8:]
 	}
-	for _, v := range src {
+	for i, v := range src {
 		if math.Float32bits(v) == 0 {
-			return false
+			return n - len(src) + i
 		}
 	}
-	return true
+	return n
 }
 
 // appendSparseFromDense emits dense as a sparse params block — the non-zero
@@ -568,7 +647,7 @@ func zeroFree(src []float32) bool {
 // length bound the block's. When that bound does not beat the dense size —
 // and always without a support — sparseSize compacts the source once to size
 // the block exactly. Which way it was sized never changes the bytes.
-func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Compression) ([]byte, bool) {
+func appendSparseFromDense(buf []byte, dense []float32, support []int32, from int, comp Compression) ([]byte, bool) {
 	n, vb := len(dense), comp.Quant.valueBytes()
 	if support != nil {
 		// The optional int8 scale costs the same in both forms and cancels.
@@ -576,7 +655,7 @@ func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Co
 			return appendCompacted(buf, dense, support, k, gapBytes, comp), true
 		}
 	}
-	k, gapBytes, ok := sparseSize(dense, support, vb)
+	k, gapBytes, ok := sparseSize(dense, support, vb, from)
 	if !ok {
 		return buf, false
 	}
@@ -585,25 +664,31 @@ func appendSparseFromDense(buf []byte, dense []float32, support []int32, comp Co
 
 // sparseSize compacts the index source block by block into the stack scratch
 // and returns the exact k and gap bytes of dense's sparse block, with ok
-// false when that block is not smaller than the dense one. The sparse cost
-// only grows along the vector, so it gives up at the first block boundary
-// where it provably cannot beat the dense size: a fully dense vector stops
-// ~4/5 of the way through instead of paying the whole scan. Where the bail
-// happens never changes the decision.
-func sparseSize(dense []float32, support []int32, vb int) (k, gapBytes int, ok bool) {
+// false when that block is not smaller than the dense one. Without a support
+// it starts at coordinate from, every coordinate before which is known to
+// hold a non-zero bit pattern: from entries, a one-byte gap each. The sparse
+// cost only grows along the vector, so it gives up at the first block
+// boundary where it provably cannot beat the dense size: a fully dense vector
+// stops ~4/5 of the way through instead of paying the whole scan. Where the
+// bail happens never changes the decision.
+func sparseSize(dense []float32, support []int32, vb, from int) (k, gapBytes int, ok bool) {
 	var c compacted
 	n, src := len(dense), len(dense)
 	if support != nil {
 		src = len(support)
 	}
-	prev := int32(-1)
-	for lo := 0; lo < src; lo += compactBlock {
+	k, gapBytes = from, from
+	prev := int32(from - 1)
+	for lo := from; lo < src; lo += compactBlock {
+		if gapBytes+k*vb+1 >= n*vb {
+			return 0, 0, false
+		}
 		hi := min(lo+compactBlock, src)
 		cnt := hi - lo
-		if support == nil && zeroFree(dense[lo:hi]) {
+		if support == nil && zeroFreeLen(dense[lo:hi]) == cnt {
 			// A block without a zero: every gap after its first is 0, one
 			// byte each. A dense vector pays the test and nothing else on its
-			// way to the bail below.
+			// way to the bail above.
 			gapBytes += uvarintLen(uint64(int32(lo)-prev-1)) + cnt - 1
 			prev = int32(hi - 1)
 		} else {
@@ -614,9 +699,6 @@ func sparseSize(dense []float32, support []int32, vb int) (k, gapBytes int, ok b
 			}
 		}
 		k += cnt
-		if gapBytes+k*vb+1 >= n*vb {
-			return 0, 0, false
-		}
 	}
 	return k, gapBytes, uvarintLen(uint64(k))+gapBytes+k*vb < n*vb
 }

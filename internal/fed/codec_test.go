@@ -756,33 +756,117 @@ func TestEncodeParamsMatchesReference(t *testing.T) {
 		odd[i] = oddValues[(i/37)%len(oddValues)]
 	}
 	checkEncodeParams(t, odd)
+
+	// The fused dense write: one zero in an otherwise zero-free vector, in
+	// each lane of the first eight-coordinate step, of a middle one and of the
+	// last full one, and at each tail coordinate. Dense still wins each time,
+	// so the write stops at the zero's step, the size resumes from the prefix
+	// and only the rest is written.
+	nz := 4*compactBlock + 5
+	for _, step := range []int{0, 100, nz/8 - 1} {
+		for lane := range 8 {
+			checkEncodeParams(t, zeroFreeWith(nz, 8*step+lane))
+		}
+	}
+	for p := 8 * (nz / 8); p < nz; p++ {
+		checkEncodeParams(t, zeroFreeWith(nz, p))
+	}
+	// Tails of one to seven coordinates behind whole steps, inside and past
+	// the first compaction block, zero-free and with a last coordinate of +0.
+	for _, steps := range []int{1, compactBlock / 8, 3 * compactBlock / 8} {
+		for tail := 1; tail <= 7; tail++ {
+			n := 8*steps + tail
+			checkEncodeParams(t, zeroFreeWith(n))
+			checkEncodeParams(t, zeroFreeWith(n, n-1))
+		}
+	}
+	// −0 and NaN payloads are non-zero bit patterns: a vector of nothing else
+	// stays dense.
+	odd = make([]float32, 3*compactBlock+3)
+	for i := range odd {
+		odd[i] = [...]float32{float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC00123), math.Float32frombits(0xFF800001)}[i%3]
+	}
+	checkEncodeParams(t, odd)
+	// A zero just after a zero-free prefix at, and either side of, a
+	// compaction block boundary: followed by non-zeros (dense wins), by
+	// zeros only (sparse wins), and by a sparse stretch.
+	nb := 8 * compactBlock
+	for _, b := range []int{compactBlock, 2 * compactBlock} {
+		for p := b - 1; p <= b+1; p++ {
+			checkEncodeParams(t, zeroFreeWith(nb, p))
+			tail := zeroFreeWith(nb)
+			clear(tail[p:])
+			checkEncodeParams(t, slices.Clone(tail))
+			for i := p + 1; i < nb; i += 9 {
+				tail[i] = oddValues[i%len(oddValues)]
+			}
+			checkEncodeParams(t, tail)
+		}
+	}
+	// A zero-free prefix then only zeros, across the exact break-even: the
+	// sparse block of a prefix of p takes 5p + len(uvarint(p)) bytes against
+	// the dense 4n, so n = 4096 is beaten at p = 3276 and not at 3277, in the
+	// middle of a step, and n = 4091 at p = 3272 and not at 3273, where the
+	// first zero opens a step: a prefix counted one coordinate long there
+	// flips the form.
+	for _, c := range []struct{ n, p int }{{4096, 3276}, {4091, 3272}} {
+		for p := c.p - 3; p <= c.p+3; p++ {
+			v := zeroFreeWith(c.n)
+			clear(v[p:])
+			checkEncodeParams(t, v)
+		}
+	}
 }
 
-// TestZeroFree holds the zero-free test to a direct scan: one zero bit
-// pattern at any position of any length is found, and a negative zero is not
-// a zero. A block with exactly one zero is also the only kind on which a wrong
-// answer reaches the encoding — it sizes the sparse block by one coordinate
-// too many — so some are encoded as well, ahead of a zero tail that makes the
-// sparse form win.
+// zeroFreeWith returns n coordinates cycling through oddValues, none of them
+// a zero bit pattern, with +0 at each of zeros.
+func zeroFreeWith(n int, zeros ...int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = oddValues[i%len(oddValues)]
+	}
+	for _, p := range zeros {
+		v[p] = 0
+	}
+	return v
+}
+
+// TestZeroFree holds the zero-free test, and the dense write that runs it, to
+// a direct scan: one zero bit pattern at any position of any length is found,
+// the prefix reported before it is zero-free and ends at most seven
+// coordinates short of it, and a negative zero is not a zero. A block with
+// exactly one zero is also the only kind on which a wrong answer reaches the
+// encoding — it sizes the sparse block by one coordinate too many — so some
+// are encoded as well, ahead of a zero tail that makes the sparse form win.
 func TestZeroFree(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, compactBlock - 1, compactBlock} {
 		v := make([]float32, n)
 		for i := range v {
 			v[i] = oddValues[i%len(oddValues)]
 		}
-		if !zeroFree(v) {
-			t.Fatalf("n=%d: a block without a zero reported one", n)
+		out := make([]byte, 4*n)
+		check := func(what string, want int) {
+			t.Helper()
+			if m := zeroFreeLen(v); m > want || m+8 <= want || (m == n) != (want == n) {
+				t.Fatalf("n=%d %s: zeroFreeLen %d, first zero at %d", n, what, m, want)
+			}
+			clear(out)
+			m := putF32sZeroFree(out, v)
+			if m != zeroFreeLen(v) {
+				t.Fatalf("n=%d %s: the fused write proved %d, zeroFreeLen %d", n, what, m, zeroFreeLen(v))
+			}
+			got := make([]float32, m)
+			if getF32s(got, out); !sameBits(got, v[:m]) {
+				t.Fatalf("n=%d %s: the fused write stored other bits for its prefix of %d", n, what, m)
+			}
 		}
+		check("no zero", n)
 		for p := range v {
 			keep := v[p]
 			v[p] = 0
-			if zeroFree(v) {
-				t.Fatalf("n=%d: the zero at %d was missed", n, p)
-			}
+			check(fmt.Sprintf("zero at %d", p), p)
 			v[p] = float32(math.Copysign(0, -1))
-			if !zeroFree(v) {
-				t.Fatalf("n=%d: the negative zero at %d counted as a zero", n, p)
-			}
+			check(fmt.Sprintf("negative zero at %d", p), n)
 			if n == compactBlock && (p%8 == 0 || p%8 == 7) {
 				v[p] = 0
 				checkEncodeParams(t, append(slices.Clone(v), make([]float32, 8*compactBlock)...))
@@ -1438,8 +1522,10 @@ func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestFirstEncodeAllocatesOnlyItsFrame: a fresh Codec's first encode of a
-// sparse block — the support-armed broadcast of a union-19 global, and a
-// ρ = 10 % explicit sparse upload — allocates the frame it returns and at
+// sparse block — the support-armed broadcast of a union-19 global, a
+// ρ = 10 % explicit sparse upload, and a union-19 dense upload whose first
+// eight coordinates are non-zero, which the dense write must not take for
+// dense — allocates the frame it returns and at
 // most a constant more (the header's first small buffers, the round-up of a
 // large allocation to whole pages). Nothing sized by the model may stage
 // gaps or values beside the frame.
@@ -1455,12 +1541,15 @@ func TestFirstEncodeAllocatesOnlyItsFrame(t *testing.T) {
 			support = append(support, int32(i))
 		}
 	}
+	led := benchUnion19()
+	copy(led, zeroFreeWith(8))
 	for _, c := range []struct {
 		name string
 		m    Msg
 	}{
 		{"support-armed union-19 global", &GlobalModel{Params: global, Version: 1, frame: &sharedFrame{support: support}}},
 		{"ρ = 10 % sparse upload", benchUpdate(false)},
+		{"support-less union-19 upload led by eight non-zeros", &Update{Participating: true, Weight: 100, Params: led}},
 	} {
 		codec := NewCodec(Compression{})
 		var before, after runtime.MemStats

@@ -351,19 +351,7 @@ func (r *Reducer) mergeShard(s int, scale float32) {
 		tensor.ScaleIndexed(r.bufs[r.cur], scale, sh.list())
 		return
 	}
-	// Unrolled like tensor.AxpySlice: the one-statement loop is core-bound
-	// and its speed swings ~30 % with where the linker happens to align it.
-	seg := r.bufs[r.cur][sh.lo:sh.hi]
-	for len(seg) >= 4 {
-		seg[0] *= scale
-		seg[1] *= scale
-		seg[2] *= scale
-		seg[3] *= scale
-		seg = seg[4:]
-	}
-	for i := range seg {
-		seg[i] *= scale
-	}
+	tensor.ScaleSlice(r.bufs[r.cur][sh.lo:sh.hi], scale)
 }
 
 // Support reports the support of the vector the last Merge returned: the

@@ -442,3 +442,28 @@ func BenchmarkReducerFoldSparse(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReducerFoldDense is one commit window of the dense ingest
+// workload: two folds of dense contributions over 2¹⁸ coordinates and the
+// merge, whose scale then runs over every range.
+func BenchmarkReducerFoldDense(b *testing.B) {
+	const n = 1 << 18
+	rng := tensor.NewRNG(8)
+	ups := make([][]float32, 2)
+	for i := range ups {
+		ups[i] = make([]float32, n)
+		rng.FillNorm(ups[i], 1)
+	}
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
+			r := NewReducer(p)
+			for b.Loop() {
+				r.BeginRound()
+				for _, u := range ups {
+					r.FoldDense(0.5, u)
+				}
+				r.Merge(0.5)
+			}
+		})
+	}
+}

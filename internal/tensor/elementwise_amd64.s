@@ -192,6 +192,49 @@ add8:
 	VZEROUPPER
 	RET
 
+// func axpyAVX(dst, x *float32, n int, a float32)
+//
+// dst[j] = dst[j] + a*x[j], the product rounded before the add: AxpySlice's
+// arithmetic, the aggregation fold's, which must stay unfused.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS a+24(FP), Y15
+	SHLQ         $2, CX
+	XORQ         AX, AX
+
+axpy8:
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS  (SI)(AX*1), Y15, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpy8
+	VZEROUPPER
+	RET
+
+// func scaleAVX(dst *float32, n int, s float32)
+//
+// dst[j] = dst[j] * s.
+TEXT ·scaleAVX(SB), NOSPLIT, $0-20
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS s+16(FP), Y15
+	SHLQ         $2, CX
+	XORQ         AX, AX
+
+scale8:
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     scale8
+	VZEROUPPER
+	RET
+
 // func sgdAVX(w, grad *float32, n int, lr, decay float32)
 //
 // w[j] = w[j] - lr*(g[j] + decay*w[j]).

@@ -29,6 +29,14 @@ func addAVX(dst, a, b *float32, n int) {
 	panic("tensor: addAVX without hardware support")
 }
 
+func axpyAVX(dst, x *float32, n int, a float32) {
+	panic("tensor: axpyAVX without hardware support")
+}
+
+func scaleAVX(dst *float32, n int, s float32) {
+	panic("tensor: scaleAVX without hardware support")
+}
+
 func sgdAVX(w, grad *float32, n int, lr, decay float32) {
 	panic("tensor: sgdAVX without hardware support")
 }

@@ -89,6 +89,25 @@ func refAdd(dst, a, b []float32) {
 	}
 }
 
+// refAxpy and refScale are AxpySlice's loop and mergeShard's scale loop as
+// they stood.
+func refAxpy(dst []float32, a float32, x []float32) {
+	for i, v := range x {
+		dst[i] += float32(a * v)
+	}
+}
+
+func refScale(dst []float32, s float32) {
+	for i := range dst {
+		dst[i] *= s
+	}
+}
+
+// axpyCoefs are the multipliers AxpySlice and ScaleSlice are checked with:
+// both zeros (a·NaN and a·Inf are NaN, a·finite a signed zero), the identity,
+// a denormal (products underflow) and an ordinary weight.
+var axpyCoefs = []float32{0, float32(math.Copysign(0, -1)), 1, 1e-40, 0.3137}
+
 func refSGD(w, g []float32, lr, decay float32) {
 	for j := range w {
 		gj := g[j] + float32(decay*w[j])
@@ -184,10 +203,11 @@ func requireBits64(t *testing.T, what string, got, want []float64) {
 // the scalar loop it replaced, bit for bit, at every length from 0 to 33 and
 // at channel-run lengths, on normal inputs and on inputs laced with NaN, ±0,
 // ±Inf and denormals, with the AVX2 forms on and with the gate off. The
-// BatchNorm reductions run 1 to 21 channels, so the eight-channel blocks, the
-// channels past them and rows with a tail of one to three floats are all
-// covered, and a channel with a special input carries it into that channel's
-// statistics and outputs.
+// fold's AxpySlice and the merge's ScaleSlice run at every multiplier of
+// axpyCoefs. The BatchNorm reductions run 1 to 21 channels, so the
+// eight-channel blocks, the channels past them and rows with a tail of one to
+// three floats are all covered, and a channel with a special input carries it
+// into that channel's statistics and outputs.
 func TestElementwiseKernelsMatchScalarBitwise(t *testing.T) {
 	forEachKernelGate(t, func(t *testing.T) {
 		rng := NewRNG(81)
@@ -269,6 +289,19 @@ func checkFloat32Kernels(t *testing.T, rng *RNG, what string, n int, special boo
 	Add(got, x, g)
 	refAdd(want, x, g)
 	requireBits32(t, what+" Add", got, want, true)
+
+	for _, a := range axpyCoefs {
+		copy(got, v)
+		copy(want, v)
+		AxpySlice(got, a, x)
+		refAxpy(want, a, x)
+		requireBits32(t, fmt.Sprintf("%s AxpySlice a=%v", what, a), got, want, true)
+		copy(got, x)
+		copy(want, x)
+		ScaleSlice(got, a)
+		refScale(want, a)
+		requireBits32(t, fmt.Sprintf("%s ScaleSlice s=%v", what, a), got, want, true)
+	}
 
 	const lr, decay, momentum = float32(0.0313), float32(5e-4), float32(0.9)
 	for _, dec := range []float32{0, decay} {

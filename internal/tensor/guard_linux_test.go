@@ -325,6 +325,13 @@ func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
 			Add(y, x, g)
 			refAdd(want, x, g)
 			requireBits32(t, what+" Add", y, want, false)
+			copy(want, y)
+			AxpySlice(y, 0.3137, x)
+			refAxpy(want, 0.3137, x)
+			requireBits32(t, what+" AxpySlice", y, want, false)
+			ScaleSlice(y, 0.7)
+			refScale(want, 0.7)
+			requireBits32(t, what+" ScaleSlice", y, want, false)
 			ScaleShift(y, x, 0.7, -0.2)
 			refScaleShift(want, x, 0.7, -0.2)
 			requireBits32(t, what+" ScaleShift", y, want, false)

@@ -115,8 +115,19 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
+	ScaleSlice(t.Data, s)
+}
+
+// ScaleSlice computes dst[i] *= s, the whole multiples of eight through the
+// AVX2 kernel where it runs.
+func ScaleSlice(dst []float32, s float32) {
+	lo := 0
+	if n8 := len(dst) &^ 7; hasDot4 && n8 > 0 {
+		scaleAVX(&dst[0], n8, s)
+		lo = n8
+	}
+	for i := lo; i < len(dst); i++ {
+		dst[i] *= s
 	}
 }
 
@@ -128,10 +139,20 @@ func (t *Tensor) Axpy(a float32, x *Tensor) {
 	AxpySlice(t.Data, a, x.Data)
 }
 
-// AxpySlice computes dst += a*x over raw slices, 4-way unrolled, each
-// product rounded to float32 before its add: the explicit conversion keeps a
-// compiler that fuses (arm64) from computing other bits than amd64 does.
+// AxpySlice computes dst += a*x over equal-length slices, each product
+// rounded to float32 before its add: the explicit conversion keeps a compiler
+// that fuses (arm64) from computing other bits than amd64 does, and the AVX2
+// kernel that runs the whole multiples of eight multiplies and then adds; the
+// rest runs 4-way unrolled. A length mismatch panics before anything is
+// written.
 func AxpySlice(dst []float32, a float32, x []float32) {
+	if len(dst) != len(x) {
+		panic("tensor: AxpySlice size mismatch")
+	}
+	if n8 := len(x) &^ 7; hasDot4 && n8 > 0 {
+		axpyAVX(&dst[0], &x[0], n8, a)
+		dst, x = dst[n8:], x[n8:]
+	}
 	for len(dst) >= 4 && len(x) >= 4 {
 		dst[0] += float32(a * x[0])
 		dst[1] += float32(a * x[1])

@@ -85,6 +85,33 @@ func TestAxpyDotNorm(t *testing.T) {
 	}
 }
 
+// TestAxpySliceRejectsMismatchBeforeWriting: AxpySlice panics on unequal
+// lengths either way round, at kernel and tail lengths alike, and leaves dst
+// as it was.
+func TestAxpySliceRejectsMismatchBeforeWriting(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		for _, n := range [][2]int{{16, 17}, {17, 16}, {3, 5}, {5, 3}, {0, 1}, {1, 0}} {
+			dst, x := make([]float32, n[0]), make([]float32, n[1])
+			for i := range x {
+				x[i] = 1
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("len(dst) %d, len(x) %d: no panic", n[0], n[1])
+					}
+				}()
+				AxpySlice(dst, 2, x)
+			}()
+			for i, v := range dst {
+				if v != 0 {
+					t.Fatalf("len(dst) %d, len(x) %d: element %d written before the panic", n[0], n[1], i)
+				}
+			}
+		}
+	})
+}
+
 func TestSumMean(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 4)
 	if x.Sum() != 10 {
