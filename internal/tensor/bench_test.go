@@ -15,10 +15,13 @@ type gemmShape struct {
 // BenchmarkGemm covers the square and conv-shaped problems the training
 // stack actually issues: (out-channels × fan-in × spatial) for forward,
 // plus transposed variants for the backward GEMMs, the stem's weight gradient
-// (n = 8: the outer-product tile at half width), and then the twelve products
-// of the CI-scale ResNet18's four stages at batch 8 — a 3×3 conv of ch
-// channels over an s×s map is forward ch × 9ch × 8s², dWᵀ = cols × dYᵀ
-// 9ch × 8s² × ch, dcols 9ch × ch × 8s² — 2.36 MFLOP each.
+// (n = 8: the outer-product tile at half width), and then the products of the
+// 3×12×12 ResNet18 the training workloads run, whose four stages are 8, 16,
+// 32 and 64 channels over 12, 6, 3 and 2 pixel maps: a 3×3 conv of ch channels
+// over an s×s map at batch N is forward ch × 9ch × Ns², dWᵀ = cols × dYᵀ
+// 9ch × Ns² × ch and dcols 9ch × ch × Ns², at N = 8 (a training step) and
+// N = 16 (the pre-aggregation pass and knowledge extraction). Every shape
+// runs on each kernel tier the CPU has.
 func BenchmarkGemm(b *testing.B) {
 	shapes := []gemmShape{
 		{"square64", 64, 64, 64, false, false},
@@ -31,30 +34,43 @@ func BenchmarkGemm(b *testing.B) {
 		{"linear-fwd-16x1024x100", 16, 1024, 100, false, true},
 		{"linear-dW-100x16x1024", 100, 16, 1024, true, false},
 	}
-	for _, st := range []struct{ ch, side int }{{8, 16}, {16, 8}, {32, 4}, {64, 2}} {
-		ch, ns := st.ch, 8*st.side*st.side
-		at := fmt.Sprintf("%dch@%d", ch, st.side)
-		shapes = append(shapes,
-			gemmShape{"resnet-fwd-" + at, ch, 9 * ch, ns, false, false},
-			gemmShape{"resnet-dW-" + at, 9 * ch, ns, ch, false, false},
-			gemmShape{"resnet-dcols-" + at, 9 * ch, ch, ns, true, false})
+	for _, batch := range []int{8, 16} {
+		for _, st := range []struct{ ch, side int }{{8, 12}, {16, 6}, {32, 3}, {64, 2}} {
+			ch, ns := st.ch, batch*st.side*st.side
+			at := fmt.Sprintf("%dch@%d/N%d", ch, st.side, batch)
+			shapes = append(shapes,
+				gemmShape{"resnet-fwd-" + at, ch, 9 * ch, ns, false, false},
+				gemmShape{"resnet-dW-" + at, 9 * ch, ns, ch, false, false},
+				gemmShape{"resnet-dcols-" + at, 9 * ch, ch, ns, true, false})
+		}
+	}
+	tiers := []string{"go"}
+	if hasDot4 {
+		tiers = []string{"avx2"}
+	}
+	if hasAVX512 {
+		tiers = append(tiers, "avx512")
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			r := NewRNG(1)
-			a := make([]float32, sh.m*sh.k)
-			x := make([]float32, sh.k*sh.n)
-			r.FillNorm(a, 1)
-			r.FillNorm(x, 1)
-			c := make([]float32, sh.m*sh.n)
-			flop := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(c)
-				Gemm(c, a, x, sh.m, sh.k, sh.n, sh.tA, sh.tB)
-			}
-			b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		for _, tier := range tiers {
+			b.Run(sh.name+"/"+tier, func(b *testing.B) {
+				setKernelGate(b, tier != "go")
+				setAVX512Gate(b, tier == "avx512")
+				r := NewRNG(1)
+				a := make([]float32, sh.m*sh.k)
+				x := make([]float32, sh.k*sh.n)
+				r.FillNorm(a, 1)
+				r.FillNorm(x, 1)
+				c := make([]float32, sh.m*sh.n)
+				flop := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clear(c)
+					Gemm(c, a, x, sh.m, sh.k, sh.n, sh.tA, sh.tB)
+				}
+				b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
 	}
 }
 

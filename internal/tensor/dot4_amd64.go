@@ -26,6 +26,20 @@ func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool)
 //go:noescape
 func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int, write bool)
 
+// gemmOuter512 is gemmOuterFMA at 512 bits, as 4×32 register tiles: the
+// same arguments, the same chain per element. Only called where hasAVX512.
+// Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gemmOuter512(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool)
+
+// gemmOuter512H is gemmOuterHalfFMA at 512 bits, for a block of exactly eight
+// rows and nc <= 16 columns held one register a row: the same chain per
+// element. Only called where hasAVX512. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func gemmOuter512H(c, a, b *float32, ld, ars, aps, k, nc int, write bool)
+
 // axpyFMA computes c[j] = fma(av, b[j], c[j]) for j < n: one step of
 // gemmOuterFMA's chain for one row. Implemented in dot4_amd64.s.
 //
@@ -110,4 +124,14 @@ var hasDot4 = func() bool {
 	}
 	_, b7, _, _ := cpuidex(7, 0)
 	return b7&(1<<5) != 0 // AVX2
+}()
+
+// hasAVX512 reports whether the 512-bit outer-product tiles are usable on top
+// of the AVX2 kernels: the CPU must support AVX512F and the OS must have
+// enabled the opmask and ZMM state (XCR0 bits 5–7, besides SSE and AVX
+// state). Detected once at startup.
+var hasAVX512 = hasDot4 && func() bool {
+	_, b7, _, _ := cpuidex(7, 0)
+	xa, _ := xgetbv0()
+	return b7&(1<<16) != 0 && xa&0xe6 == 0xe6
 }()

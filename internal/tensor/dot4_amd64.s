@@ -498,6 +498,260 @@ h8store:
 	VZEROUPPER
 	RET
 
+// The AVX-512 tier of the outer-product form: gemmOuterFMA's and
+// gemmOuterHalfFMA's arithmetic in ZMM registers, sixteen lanes a register.
+// A lane's FMA rounds once whatever the register width, and p still walks k in
+// order, so every element is the chain the AVX2 tiles compute, bit for bit.
+// The last tile runs under zero-masking loads and masked stores on opmask
+// registers, which suppress faults on the lanes they leave out.
+
+// ZZEROTILE starts a 512-bit tile's eight chains from +0 in registers.
+#define ZZEROTILE \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	VPXORD Z2, Z2, Z2; \
+	VPXORD Z3, Z3, Z3; \
+	VPXORD Z4, Z4, Z4; \
+	VPXORD Z5, Z5, Z5; \
+	VPXORD Z6, Z6, Z6; \
+	VPXORD Z7, Z7, Z7
+
+// ZROWFMA and ZKSTEP are ROWFMA and KSTEP at 512 bits: the two B vectors of a
+// 32-column row are in Z8, Z9.
+#define ZROWFMA(aop, bc, acc0, acc1) \
+	VBROADCASTSS aop, bc;        \
+	VFMADD231PS  Z8, bc, acc0;   \
+	VFMADD231PS  Z9, bc, acc1
+
+#define ZKSTEP \
+	ZROWFMA((AX), Z10, Z0, Z1);         \
+	ZROWFMA((AX)(R10*1), Z11, Z2, Z3);  \
+	ZROWFMA((AX)(R11*1), Z12, Z4, Z5);  \
+	ZROWFMA((AX)(R12*1), Z13, Z6, Z7);  \
+	ADDQ R9, AX;                        \
+	ADDQ R8, BX
+
+// func gemmOuter512(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool)
+//
+// gemmOuterFMA at 512 bits: a 4×32 tile of C sits in Z0..Z7, two registers a
+// row, while p walks k, and each step loads one 32-float row of B and
+// broadcasts the four op(A) values of that p. Tile rows past mr alias row
+// mr-1, as in gemmOuterFMA. A last tile narrower than 32 columns runs the same
+// sequence with its loads and stores under K1 (columns 0..15) and K2 (16..31);
+// a zero-masked load fills the lanes past nc with +0, whose chains are never
+// stored. With write set the chains start from +0 and C is only stored.
+TEXT ·gemmOuter512(SB), NOSPLIT, $24-73
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ ld+24(FP), R8
+	MOVQ ars+32(FP), R13
+	MOVQ aps+40(FP), R9
+	MOVQ mr+56(FP), AX
+	MOVQ nc+64(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R13
+	SHLQ $2, R9
+	DECQ AX
+
+	ROWOFF(1, R13, R10)
+	ROWOFF(2, R13, R11)
+	ROWOFF(3, R13, R12)
+	ROWOFF(1, R8, BX)
+	MOVQ BX, c1-8(SP)
+	ROWOFF(2, R8, BX)
+	MOVQ BX, c2-16(SP)
+	ROWOFF(3, R8, BX)
+	MOVQ BX, c3-24(SP)
+	MOVQ k+48(FP), R13
+
+ztile:
+	CMPQ CX, $32
+	JL   ztail
+	CMPB write+72(FP), $0
+	JNE  ztilezero
+
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	MOVQ    c1-8(SP), AX
+	VMOVUPS (DI)(AX*1), Z2
+	VMOVUPS 64(DI)(AX*1), Z3
+	MOVQ    c2-16(SP), AX
+	VMOVUPS (DI)(AX*1), Z4
+	VMOVUPS 64(DI)(AX*1), Z5
+	MOVQ    c3-24(SP), AX
+	VMOVUPS (DI)(AX*1), Z6
+	VMOVUPS 64(DI)(AX*1), Z7
+	JMP     ztilerun
+
+ztilezero:
+	ZZEROTILE
+
+ztilerun:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R13, R14
+
+zkloop:
+	VMOVUPS (BX), Z8
+	VMOVUPS 64(BX), Z9
+	ZKSTEP
+	DECQ R14
+	JNZ  zkloop
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	MOVQ    c1-8(SP), AX
+	VMOVUPS Z2, (DI)(AX*1)
+	VMOVUPS Z3, 64(DI)(AX*1)
+	MOVQ    c2-16(SP), AX
+	VMOVUPS Z4, (DI)(AX*1)
+	VMOVUPS Z5, 64(DI)(AX*1)
+	MOVQ    c3-24(SP), AX
+	VMOVUPS Z6, (DI)(AX*1)
+	VMOVUPS Z7, 64(DI)(AX*1)
+
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+	JMP  ztile
+
+ztail:
+	TESTQ CX, CX
+	JZ    zdone
+
+	// K1:K2 = (1 << nc) - 1, nc < 32: the tail's columns.
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	SHRQ  $16, AX
+	KMOVW AX, K2
+	CMPB  write+72(FP), $0
+	JNE   ztailzero
+
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z 64(DI), K2, Z1
+	MOVQ      c1-8(SP), AX
+	VMOVUPS.Z (DI)(AX*1), K1, Z2
+	VMOVUPS.Z 64(DI)(AX*1), K2, Z3
+	MOVQ      c2-16(SP), AX
+	VMOVUPS.Z (DI)(AX*1), K1, Z4
+	VMOVUPS.Z 64(DI)(AX*1), K2, Z5
+	MOVQ      c3-24(SP), AX
+	VMOVUPS.Z (DI)(AX*1), K1, Z6
+	VMOVUPS.Z 64(DI)(AX*1), K2, Z7
+	JMP       ztailrun
+
+ztailzero:
+	ZZEROTILE
+
+ztailrun:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R13, R14
+
+zktail:
+	VMOVUPS.Z (BX), K1, Z8
+	VMOVUPS.Z 64(BX), K2, Z9
+	ZKSTEP
+	DECQ      R14
+	JNZ       zktail
+
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K2, 64(DI)
+	MOVQ    c1-8(SP), AX
+	VMOVUPS Z2, K1, (DI)(AX*1)
+	VMOVUPS Z3, K2, 64(DI)(AX*1)
+	MOVQ    c2-16(SP), AX
+	VMOVUPS Z4, K1, (DI)(AX*1)
+	VMOVUPS Z5, K2, 64(DI)(AX*1)
+	MOVQ    c3-24(SP), AX
+	VMOVUPS Z6, K1, (DI)(AX*1)
+	VMOVUPS Z7, K2, 64(DI)(AX*1)
+
+zdone:
+	VZEROUPPER
+	RET
+
+// Z8STEP is one k step of gemmOuter512H after the B vector is in Z8: each of
+// the eight op(A) values of that p, rows r·ars apart, is broadcast from memory
+// inside its row's multiply-add.
+#define Z8STEP \
+	VFMADD231PS.BCST (AX), Z8, Z0;         \
+	VFMADD231PS.BCST (AX)(R10*1), Z8, Z1;  \
+	VFMADD231PS.BCST (AX)(R10*2), Z8, Z2;  \
+	VFMADD231PS.BCST (AX)(R11*1), Z8, Z3;  \
+	VFMADD231PS.BCST (AX)(R10*4), Z8, Z4;  \
+	VFMADD231PS.BCST (AX)(R12*1), Z8, Z5;  \
+	VFMADD231PS.BCST (AX)(R11*2), Z8, Z6;  \
+	VFMADD231PS.BCST (AX)(R13*1), Z8, Z7;  \
+	ADDQ             R9, AX;               \
+	ADDQ             R8, BX
+
+// func gemmOuter512H(c, a, b *float32, ld, ars, aps, k, nc int, write bool)
+//
+// gemmOuterHalfFMA at 512 bits, for a block of exactly eight rows and
+// 9 <= nc <= 16 columns: one register a row, Z0..Z7, eight independent
+// chains. B and C go through the mask in K1 (the first nc lanes); with write
+// set C is only stored, the chains starting from +0.
+TEXT ·gemmOuter512H(SB), NOSPLIT, $0-65
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ ld+24(FP), R8
+	MOVQ ars+32(FP), R10
+	MOVQ aps+40(FP), R9
+	MOVQ k+48(FP), R14
+	MOVQ nc+56(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R10
+	SHLQ $2, R9
+	LEAQ (R10)(R10*2), R11 // 3·ars
+	LEAQ (R10)(R10*4), R12 // 5·ars
+	LEAQ (R11)(R10*4), R13 // 7·ars
+
+	MOVL  $1, DX
+	SHLQ  CX, DX
+	DECQ  DX
+	KMOVW DX, K1
+
+	LEAQ (R8)(R8*2), DX // 3·ld
+	LEAQ (R8)(R8*4), SI // 5·ld
+	LEAQ (DI)(SI*1), CX
+	CMPB write+64(FP), $0
+	JNE  z8zero
+
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z (DI)(R8*1), K1, Z1
+	VMOVUPS.Z (DI)(R8*2), K1, Z2
+	VMOVUPS.Z (DI)(DX*1), K1, Z3
+	VMOVUPS.Z (DI)(R8*4), K1, Z4
+	VMOVUPS.Z (DI)(SI*1), K1, Z5
+	VMOVUPS.Z (DI)(DX*2), K1, Z6
+	VMOVUPS.Z (CX)(R8*2), K1, Z7
+	JMP       z8loop
+
+z8zero:
+	ZZEROTILE
+
+z8loop:
+	VMOVUPS.Z (BX), K1, Z8
+	Z8STEP
+	DECQ      R14
+	JNZ       z8loop
+
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K1, (DI)(R8*1)
+	VMOVUPS Z2, K1, (DI)(R8*2)
+	VMOVUPS Z3, K1, (DI)(DX*1)
+	VMOVUPS Z4, K1, (DI)(R8*4)
+	VMOVUPS Z5, K1, (DI)(SI*1)
+	VMOVUPS Z6, K1, (DI)(DX*2)
+	VMOVUPS Z7, K1, (CX)(R8*2)
+	VZEROUPPER
+	RET
+
 // func axpyFMA(c, b *float32, av float32, n int)
 //
 // The GEMM's row primitive, c[j] = fma(av, b[j], c[j]) for j < n: one k step

@@ -2,7 +2,7 @@
 
 package tensor
 
-var hasDot4 = false
+var hasDot4, hasAVX512 = false, false
 
 // The AVX2 kernels are never called on non-amd64 builds (hasDot4 is false).
 
@@ -16,6 +16,14 @@ func gemmOuterFMA(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool) {
 
 func gemmOuterHalfFMA(c, a, b *float32, ld, ars, aps, k, nc int, write bool) {
 	panic("tensor: gemmOuterHalfFMA without hardware support")
+}
+
+func gemmOuter512(c, a, b *float32, ld, ars, aps, k, mr, nc int, write bool) {
+	panic("tensor: gemmOuter512 without hardware support")
+}
+
+func gemmOuter512H(c, a, b *float32, ld, ars, aps, k, nc int, write bool) {
+	panic("tensor: gemmOuter512H without hardware support")
 }
 
 func axpyFMA(c, b *float32, av float32, n int) {

@@ -20,6 +20,17 @@ package tensor
 //     store per k multiply-adds (gemmDotRows). Its one caller is Linear
 //     forward, always a whole product.
 //
+// Tiers. The outer-product form has three: pure Go (gemmDirect) everywhere,
+// the AVX2 tiles above where hasDot4, and where hasAVX512 as well (AVX512F
+// with the OS saving opmask and ZMM state, detected once, no flag) 512-bit
+// tiles: 4×32, two ZMM a row, for a block wider than 16 columns, and 8 rows of
+// one ZMM for 9 to 16 columns. A block of at most 8 columns keeps the AVX2 8×8
+// tile, and rows an eight-row tile leaves over the AVX2 4×16 one, so the AVX2
+// tiles stay in use and are the only kernels on CPUs without AVX-512F. The
+// two vector tiers give every element the same bits: a lane's fused
+// multiply-add rounds once whatever the register width, and p walks k in the
+// same order.
+//
 // When op(A) is mostly zeros (FedKNOW's ρ = 10 % knowledge models) the
 // outer-product form runs one row at a time and skips the zero multipliers
 // (gemmSparseARows). A sample of op(A) decides, except where the caller knows
@@ -222,18 +233,20 @@ func gemmDotRows(c, a, b []float32, k, n, lo, hi int) {
 }
 
 // gemmOuter runs the outer-product form over C += op(A) × B. The work is
-// split over whichever of the 16-column tiles and the 4-row strips there are
-// more of — the conv products have n = N·spatial of 32…4096 against a
-// forward m of 8…64 — and since an element's value does not depend on its
-// tile, neither split shows in the result.
+// split over whichever of the tile columns (16 wide, 32 on the AVX-512 tier)
+// and the 4-row strips there are more of — the conv products have
+// n = N·spatial of 32…4096 against a forward m of 8…64 — and since an
+// element's value does not depend on its tile, neither split shows in the
+// result.
 func gemmOuter(c, a, b []float32, m, k, n int, transA, write, wide bool) {
 	ars, aps := opAStrides(m, k, transA)
-	strips, tiles := (m+3)/4, (n+15)/16
+	tw := tileWidth()
+	strips, tiles := (m+3)/4, (n+tw-1)/tw
 	switch {
 	case !wide:
 		gemmOuterBlock(c, a, b, k, n, ars, aps, write, 0, m, 0, n)
 	case tiles >= strips:
-		Parallel(tiles, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, write, 0, m, 16*lo, min(16*hi, n)) })
+		Parallel(tiles, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, write, 0, m, tw*lo, min(tw*hi, n)) })
 	default:
 		Parallel(strips, func(lo, hi int) { gemmOuterBlock(c, a, b, k, n, ars, aps, write, 4*lo, min(4*hi, m), 0, n) })
 	}
@@ -249,24 +262,46 @@ func gemmOuter(c, a, b []float32, m, k, n int, transA, write, wide bool) {
 // no bit; with write set the first k block starts them from +0 instead of
 // loading C. A block at most 8 columns wide (the weight gradient of a layer
 // with 8 output channels, or fewer live ones) goes eight rows at a time, so
-// that as many chains are in flight as in a full-width strip.
+// that as many chains are in flight as in a full-width strip. On the AVX-512
+// tier nb is a multiple of 32, a block of 9 to 16 columns also goes eight
+// rows at a time (one ZMM a row), and a wider one runs the 4×32 tile; rows an
+// eight-row tile leaves over take the AVX2 4×16 tile.
 func gemmOuterBlock(c, a, b []float32, k, n, ars, aps int, write bool, i0, i1, j0, j1 int) {
 	kMax := max(8, gemmL2Floats/n)
 	kBlocks := (k + kMax - 1) / kMax
 	kb := (k + kBlocks - 1) / kBlocks // even blocks, none taller than kMax
-	nb := max(16, (gemmL1Floats/kb)&^15)
+	tw := tileWidth()
+	nb := max(tw, (gemmL1Floats/kb)&^(tw-1))
 	for ; j0 < j1; j0 += nb {
 		w := min(nb, j1-j0)
+		wide512, rows8 := hasAVX512 && w > 16, w <= 8 || hasAVX512 && w <= 16
 		for p := 0; p < k; p += kb {
 			kp, i, wr := min(kb, k-p), i0, write && p == 0
-			for ; w <= 8 && i+8 <= i1; i += 8 {
-				gemmOuterHalfFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, w, wr)
+			for ; rows8 && i+8 <= i1; i += 8 {
+				if w <= 8 {
+					gemmOuterHalfFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, w, wr)
+				} else {
+					gemmOuter512H(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, w, wr)
+				}
 			}
 			for ; i < i1; i += 4 {
-				gemmOuterFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, min(4, i1-i), w, wr)
+				if wide512 {
+					gemmOuter512(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, min(4, i1-i), w, wr)
+				} else {
+					gemmOuterFMA(&c[i*n+j0], &a[i*ars+p*aps], &b[p*n+j0], n, ars, aps, kp, min(4, i1-i), w, wr)
+				}
 			}
 		}
 	}
+}
+
+// tileWidth is the column width of the outer-product form's widest tile: 32
+// on the AVX-512 tier, 16 otherwise.
+func tileWidth() int {
+	if hasAVX512 {
+		return 32
+	}
+	return 16
 }
 
 // opAStrides returns the strides op(A) is read through without transposing

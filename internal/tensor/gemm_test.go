@@ -64,11 +64,30 @@ func setKernelGate(t testing.TB, on bool) {
 	t.Cleanup(func() { hasDot4 = prev })
 }
 
-// forEachKernelGate runs fn once with the kernels as detected and, where
-// that means AVX2, once more with the gate off, so the pure-Go forms are
-// exercised on amd64 too.
+// setAVX512Gate switches the AVX-512 tiles on or off for the rest of the
+// test as setKernelGate does the AVX2 kernels; off leaves the AVX2 tiles
+// running. Turning them on where the CPU lacks AVX-512F skips the test.
+func setAVX512Gate(t testing.TB, on bool) {
+	if on && !hasAVX512 {
+		t.Skip("no AVX-512F tiles on this machine")
+	}
+	prev := hasAVX512
+	hasAVX512 = on
+	t.Cleanup(func() { hasAVX512 = prev })
+}
+
+// forEachKernelGate runs fn once for every kernel tier the CPU has: as
+// detected, then with the AVX-512 tiles off where they were on (the AVX2
+// tiles), then with the gate off where the AVX2 kernels were on (the pure-Go
+// forms), so every form is exercised on the one machine.
 func forEachKernelGate(t *testing.T, fn func(t *testing.T)) {
 	t.Run("detected", fn)
+	if hasAVX512 {
+		t.Run("avx2", func(t *testing.T) {
+			setAVX512Gate(t, false)
+			fn(t)
+		})
+	}
 	if hasDot4 {
 		t.Run("gate-off", func(t *testing.T) {
 			setKernelGate(t, false)
@@ -424,6 +443,58 @@ func TestGemmWriteMatchesClearedAccumulate(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestGemmTiersMatchBitwise holds the AVX-512 tiles to the AVX2 ones bit for
+// bit: rows 1–9 (the 4-row tiles' aliased rows and the eight-row tile with a
+// row left over), every width up to 64 (every last-tile width of the 4×32
+// tile, after a whole tile and alone, and the eight-row tile's 9–16
+// columns), a short k and, past 8 columns, one that crosses the gemmL2Floats
+// k-block split, both transpositions, accumulating and writing. C sits in a
+// longer buffer whose tail, and with write set C itself, starts as junk, so a
+// store past the block, a chain dropped or a write form that reads C shows as
+// a bit that differs.
+func TestGemmTiersMatchBitwise(t *testing.T) {
+	setAVX512Gate(t, true)
+	const maxM, maxN, pad = 9, 64, 32
+	rng := NewRNG(71)
+	pool := make([]float32, gemmL2Floats+4*maxN)
+	rng.FillNorm(pool, 1)
+	acc := make([]float32, maxM*maxN)
+	rng.FillNorm(acc, 1)
+	junk := math.Float32frombits(0x7fc0beef)
+	run := func(buf, a, b []float32, m, k, n int, transA, write, avx512 bool) {
+		hasAVX512 = avx512
+		for i := range buf {
+			buf[i] = junk
+		}
+		if !write {
+			copy(buf, acc[:m*n])
+		}
+		GemmPart(buf[:m*n], a, b, m, k, n, transA, max(m*k*n, gemmSmall+1), write)
+	}
+	want := make([]float32, maxM*maxN+pad)
+	got := make([]float32, maxM*maxN+pad)
+	for n := 1; n <= maxN; n++ {
+		ks := []int{7}
+		if n > 8 { // narrower blocks run the AVX2 8×8 tile on both tiers
+			ks = append(ks, gemmL2Floats/n+3)
+		}
+		for _, k := range ks {
+			b := pool[len(pool)-k*n:]
+			for m := 1; m <= maxM; m++ {
+				a := pool[:m*k]
+				for _, transA := range []bool{false, true} {
+					for _, write := range []bool{false, true} {
+						run(want, a, b, m, k, n, transA, write, false)
+						run(got, a, b, m, k, n, transA, write, true)
+						sameFloats(t, fmt.Sprintf("m%d k%d n%d tA %v write %v", m, k, n, transA, write),
+							got[:m*n+pad], want[:m*n+pad])
+					}
+				}
+			}
+		}
+	}
 }
 
 // sameFloats fails unless got and want hold the same bits.

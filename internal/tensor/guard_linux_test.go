@@ -45,10 +45,11 @@ func guardedMap(t *testing.T, size int, front bool) []byte {
 	return mem
 }
 
-// TestGemmStaysInsideOperands runs the AVX2 kernels with every operand flush
-// against a guard page: the tile kernel loads sixteen floats a row and four
-// rows a strip, so an edge tile that was not masked (or a row alias that
-// was not clamped) would run off the end of c, a or b here and fault.
+// TestGemmStaysInsideOperands runs the outer-product kernels with every
+// operand flush against a guard page: a tile loads sixteen or thirty-two
+// floats a row and four or eight rows a strip, so an edge tile that was not
+// masked (or a row alias that was not clamped) would run off the end of c, a
+// or b here and fault.
 func TestGemmStaysInsideOperands(t *testing.T) {
 	pinKernelThreads(t, 1)
 	rng := NewRNG(49)
@@ -83,6 +84,33 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 			rng.FillNorm(a, 1)
 		}
 	}
+	// Every last-tile width of the 4×32 and 4×16 tiles, alone and after a
+	// whole tile, on aliased rows (3) and with a row left over from the
+	// eight-row tiles (9), and the eight-row tiles' widths (8): on each tier
+	// the CPU has, the part's volume sending it to the kernels.
+	forEachKernelGate(t, func(t *testing.T) {
+		for _, m := range []int{3, 8, 9} {
+			for n := 1; n < 64; n++ {
+				const k = 5
+				a, b, c := guarded(t, m*k), guarded(t, k*n), guarded(t, m*n)
+				rng.FillNorm(a, 1)
+				rng.FillNorm(b, 1)
+				for _, transA := range []bool{false, true} {
+					want := make([]float32, m*n)
+					gemmRef(want, a, b, m, k, n, transA, false)
+					for _, write := range []bool{false, true} {
+						if !write {
+							clear(c)
+						}
+						GemmPart(c, a, b, m, k, n, transA, gemmSmall+1, write)
+						if d := maxAbsDiff(c, want); d > 1e-5 {
+							t.Errorf("tail m%d n%d tA%v write %v: max abs diff %g", m, n, transA, write, d)
+						}
+					}
+				}
+			}
+		}
+	})
 	// AddTransposed's 8×8 blocks load eight floats a row of src and add eight
 	// a row of dst: its last block ends flush with both.
 	for _, sh := range [][2]int{{16, 24}, {13, 17}, {576, 64}} {
