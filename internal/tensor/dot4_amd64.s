@@ -503,18 +503,9 @@ h8store:
 // A lane's FMA rounds once whatever the register width, and p still walks k in
 // order, so every element is the chain the AVX2 tiles compute, bit for bit.
 // The last tile runs under zero-masking loads and masked stores on opmask
-// registers, which suppress faults on the lanes they leave out.
-
-// ZZEROTILE starts a 512-bit tile's eight chains from +0 in registers.
-#define ZZEROTILE \
-	VPXORD Z0, Z0, Z0; \
-	VPXORD Z1, Z1, Z1; \
-	VPXORD Z2, Z2, Z2; \
-	VPXORD Z3, Z3, Z3; \
-	VPXORD Z4, Z4, Z4; \
-	VPXORD Z5, Z5, Z5; \
-	VPXORD Z6, Z6, Z6; \
-	VPXORD Z7, Z7, Z7
+// registers, which suppress faults on the lanes they leave out. ZEROTILE
+// starts a 512-bit tile's chains from +0 too: a VEX-encoded VXORPS zeroes its
+// destination above bit 255.
 
 // ZROWFMA and ZKSTEP are ROWFMA and KSTEP at 512 bits: the two B vectors of a
 // 32-column row are in Z8, Z9.
@@ -585,7 +576,7 @@ ztile:
 	JMP     ztilerun
 
 ztilezero:
-	ZZEROTILE
+	ZEROTILE
 
 ztilerun:
 	MOVQ SI, AX
@@ -644,7 +635,7 @@ ztail:
 	JMP       ztailrun
 
 ztailzero:
-	ZZEROTILE
+	ZEROTILE
 
 ztailrun:
 	MOVQ SI, AX
@@ -733,7 +724,7 @@ TEXT ·gemmOuter512H(SB), NOSPLIT, $0-65
 	JMP       z8loop
 
 z8zero:
-	ZZEROTILE
+	ZEROTILE
 
 z8loop:
 	VMOVUPS.Z (BX), K1, Z8
