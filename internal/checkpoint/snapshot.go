@@ -1,3 +1,13 @@
+// Package checkpoint persists the federation server's seat-book snapshots, so
+// that a server restarted after a crash resumes its job where the last cut
+// left it. A snapshot is a small self-describing little-endian binary layout
+// with a CRC-32 trailer, written and found again through an atomic
+// sequence-numbered Store (see ServerSnapshot and Store).
+//
+// Decoders never trust a header's element count for allocation: every count
+// is checked against the payload bytes actually present, so a truncated or
+// corrupt file fails with a clean error instead of attempting a multi-GB
+// allocation.
 package checkpoint
 
 import (
@@ -578,13 +588,18 @@ func (lw *leWriter) i64(v int64) { lw.u64(uint64(v)) }
 
 func (lw *leWriter) f64(v float64) { lw.u64(math.Float64bits(v)) }
 
+// writeChunk is the element budget of one write of the chunked encoders (1
+// MiB of file bytes for 4-byte elements), so a large vector is staged a slice
+// at a time rather than whole.
+const writeChunk = 1 << 18
+
 func (lw *leWriter) f32s(vals []float32) {
 	if lw.err != nil {
 		return
 	}
-	buf := make([]byte, 4*min(len(vals), readChunk))
+	buf := make([]byte, 4*min(len(vals), writeChunk))
 	for len(vals) > 0 {
-		c := min(len(vals), readChunk)
+		c := min(len(vals), writeChunk)
 		for i := 0; i < c; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(vals[i]))
 		}
@@ -600,9 +615,9 @@ func (lw *leWriter) i32s(vals []int32) {
 	if lw.err != nil {
 		return
 	}
-	buf := make([]byte, 4*min(len(vals), readChunk))
+	buf := make([]byte, 4*min(len(vals), writeChunk))
 	for len(vals) > 0 {
-		c := min(len(vals), readChunk)
+		c := min(len(vals), writeChunk)
 		for i := 0; i < c; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], uint32(vals[i]))
 		}

@@ -3,6 +3,7 @@ package fed
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -878,16 +879,16 @@ func TestZeroFree(t *testing.T) {
 
 // fuzzParamsVector expands a fuzz pattern into a vector: the pattern is a
 // sequence of (uvarint zero-run, value selector byte) pairs; whatever is left
-// after the last whole pair is a trailing zero run. The length is capped so a
-// hostile run cannot exhaust memory.
-func fuzzParamsVector(pattern []byte) []float32 {
-	const maxN = 1<<22 + 1024
+// after the last whole pair is a trailing zero run. The length is capped at
+// maxN, so a hostile run cannot exhaust memory: a run that would pass it ends
+// the vector.
+func fuzzParamsVector(pattern []byte, maxN int) []float32 {
 	var nz []int
 	var sel []byte
 	n := 0
 	for len(pattern) > 0 {
 		run, w := binary.Uvarint(pattern)
-		if w <= 0 || run > maxN || n+int(run) > maxN {
+		if w <= 0 || run > uint64(maxN) || n+int(run) > maxN {
 			break
 		}
 		pattern = pattern[w:]
@@ -904,6 +905,26 @@ func fuzzParamsVector(pattern []byte) []float32 {
 		out[at] = oddValues[int(sel[i])%len(oddValues)]
 	}
 	return out
+}
+
+// The two caps of fuzzParamsVector. A seed may run to seedMaxN: past 2²¹, the
+// step of a uvarint from three bytes to four, both for a gap and for the
+// vector's length in the block header, with two compaction blocks to spare
+// past 2²². The mutator's inputs stop at mutatorMaxN, past the step from two
+// bytes to three at 2¹⁴: at seedMaxN most of its budget went to a few
+// four-million-coordinate vectors, each encoded, referenced and decoded six
+// times. The seeds reach the large shapes on purpose, and plain go test runs
+// them at full size every time.
+const (
+	seedMaxN    = 1<<22 + 2*compactBlock
+	mutatorMaxN = 1 << 16
+)
+
+// fuzzing reports whether this test binary runs a fuzz target's mutator
+// (-test.fuzz), not only its seeds.
+func fuzzing() bool {
+	f := flag.Lookup("test.fuzz")
+	return f != nil && f.Value.String() != ""
 }
 
 // FuzzEncodeParams searches for a vector on which the compacting encoder and
@@ -929,8 +950,24 @@ func FuzzEncodeParams(f *testing.F) {
 	f.Add(pat(compactBlock, compactBlock-1, 1, 0, 2, 127, 3))
 	f.Add(pat(0, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5)) // fully dense
 	f.Add(pat(1000, 3, 1, 496, 1, 498, 4))
+	// The length's own uvarint steps in the header: 2¹⁴ − 1 and 2¹⁴ zeros,
+	// then 2²¹ − 1 and 2²¹ coordinates ending in a value.
+	f.Add(pat(1<<14 - 1))
+	f.Add(pat(1 << 14))
+	f.Add(pat(0, 1<<21-2, 6))
+	f.Add(pat(0, 1<<21-1, 7))
+	// The old cap exactly: a four-byte gap of 2²², then two dense blocks.
+	top := pat(0, 1<<22, 0)
+	for i := 1; i < 2*compactBlock; i++ {
+		top = append(top, pat(0, 0, i)...)
+	}
+	f.Add(top)
+	maxN := seedMaxN
+	if fuzzing() {
+		maxN = mutatorMaxN
+	}
 	f.Fuzz(func(t *testing.T, pattern []byte) {
-		checkEncodeParams(t, fuzzParamsVector(pattern))
+		checkEncodeParams(t, fuzzParamsVector(pattern, maxN))
 	})
 }
 

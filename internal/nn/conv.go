@@ -54,7 +54,8 @@ import (
 // small-volume direct loops).
 //
 // The weight gradient takes dY pixel-major (N·spatial × OutC), the one copy
-// of dY the layer makes. The lowering parallelises over the live input
+// of dY the layer makes (tensor.TransposeRows, eight rows by eight pixels in
+// registers at a time). The lowering parallelises over the live input
 // channels, the raising over all of them (a channel owns its K·K rows of the
 // matrix and its run of planes of dX, and all its taps are summed by one
 // worker in one order), the pixel-major copy over pixels, and the GEMMs over
@@ -415,12 +416,8 @@ func (c *Conv2D) weightGrad(dout []float32, vol int) {
 func (c *Conv2D) pixelMajor(dypm, dout []float32, lo, hi int) {
 	ns := c.lastN * c.lastOutH * c.lastOutW
 	gRows := len(c.liveOut) / c.Groups
-	for j, oc := range c.liveOut {
-		g, r := j/gRows, j%gRows
-		dst := dypm[(g*ns+lo)*gRows+r:]
-		for p, v := range dout[oc*ns+lo : oc*ns+hi] {
-			dst[p*gRows] = v
-		}
+	for g := 0; g < c.Groups; g++ {
+		tensor.TransposeRows(dypm[(g*ns+lo)*gRows:], gRows, dout, c.liveOut[g*gRows:(g+1)*gRows], ns, lo, hi)
 	}
 }
 

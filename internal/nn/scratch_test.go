@@ -102,33 +102,43 @@ func everyOther(c int) []int {
 // single-threaded path (multi-threaded runs allocate only the worker
 // closures) — on a batch with every channel alive, and on a layer that sees
 // half-dead and fully alive batches turn about, whose live lists, gathered
-// weights and tap mask are the layer's own and made once.
+// weights and tap mask are the layer's own and made once. A stride-2 layer,
+// whose lowering and raising move phase planes through pooled scratch, is
+// held to the same.
 func TestConvSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse and instruments allocations")
 	}
 	defer tensor.SetKernelThreads(0)
 	tensor.SetKernelThreads(1)
-	l, x, dout := convFixture(9)
-	xDead, doutDead := x.Clone(), dout.Clone()
-	killChannels(xDead, everyOther(l.InC)...)
-	killChannels(doutDead, everyOther(l.OutC)...)
-	for name, batches := range map[string][][2]*tensor.Tensor{
-		"alive":      {{x, dout}},
-		"turn about": {{xDead, doutDead}, {x, dout}},
-	} {
-		step := func() {
-			for _, b := range batches {
-				ZeroGrads(l.Params())
-				l.Forward(b[0], true)
-				l.Backward(b[1])
+	strided := func(seed uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
+		rng := tensor.NewRNG(seed)
+		l := bound(NewConv2D("s", 8, 16, 3, 2, 1, 1, false), rng)
+		x := tensor.Randn(rng, 1, 8, 6, 11, 11)
+		return l, x, tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
+	}
+	for _, fixture := range []func(uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor){convFixture, strided} {
+		l, x, dout := fixture(9)
+		xDead, doutDead := x.Clone(), dout.Clone()
+		killChannels(xDead, everyOther(l.InC)...)
+		killChannels(doutDead, everyOther(l.OutC)...)
+		for name, batches := range map[string][][2]*tensor.Tensor{
+			"alive":      {{x, dout}},
+			"turn about": {{xDead, doutDead}, {x, dout}},
+		} {
+			step := func() {
+				for _, b := range batches {
+					ZeroGrads(l.Params())
+					l.Forward(b[0], true)
+					l.Backward(b[1])
+				}
 			}
-		}
-		for i := 0; i < 3; i++ { // warm the scratch buffers and the layer's own
-			step()
-		}
-		if allocs := testing.AllocsPerRun(20, step); allocs > 0.5 {
-			t.Fatalf("%s: conv forward+backward allocates %.1f objects/op in steady state, want 0", name, allocs)
+			for i := 0; i < 3; i++ { // warm the scratch buffers and the layer's own
+				step()
+			}
+			if allocs := testing.AllocsPerRun(20, step); allocs > 0.5 {
+				t.Fatalf("stride %d %s: conv forward+backward allocates %.1f objects/op in steady state, want 0", l.Stride, name, allocs)
+			}
 		}
 	}
 }

@@ -127,10 +127,11 @@ func BenchmarkGemmParallel(b *testing.B) {
 }
 
 // loweringShapes are the convolutions of the CI-scale ResNet18 at batch 8:
-// the 3×3 pad-1 conv of each of its four stages (the plane-shift loop), then
-// the two stride-2 windows that open a stage (the row loop), for a 16×16
-// input and then for the 12×12 one the benchmark's fedknow_train workload
-// trains on (its stages run 12 / 6 / 3 / 2).
+// the 3×3 pad-1 conv of each of its four stages (the plane shift), then the
+// two stride-2 windows that open a stage — the 3×3 one on phase planes, the
+// 1×1 shortcut on the row loop — for a 16×16 input and then for the 12×12
+// one the benchmark's fedknow_train workload trains on (its stages run 12 /
+// 6 / 3 / 2).
 var loweringShapes = []struct {
 	name                    string
 	c, side, k, stride, pad int

@@ -69,6 +69,13 @@ func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int)
 //go:noescape
 func addT8(dst *float32, ld int, src *float32, lds, nblk int)
 
+// copyT8 writes the transposes of nblk 8×8 blocks of eight rows (rows[j]
+// points at row j's first float) into dst (rows ld floats apart): float p of
+// block b of row j lands at dst[(8b+p)·ld + j]. Implemented in dot4_amd64.s.
+//
+//go:noescape
+func copyT8(dst *float32, ld int, rows *[8]*float32, nblk int)
+
 // gramTri adds to acc every product rows[i]·rows[j], j <= i < m
 // (1 <= m <= 4), over n floats (a positive multiple of 4), as Gram's four
 // lanes a product, i-major. Implemented in dot4_amd64.s.

@@ -1031,6 +1031,75 @@ t8loop:
 	VZEROUPPER
 	RET
 
+// func copyT8(dst *float32, ld int, rows *[8]*float32, nblk int)
+//
+// TransposeRows' block of eight rows: for each of nblk blocks of eight
+// floats of the rows, dst[p*ld+j] = rows[j][p] for j, p < 8, with the rows
+// moving eight floats and dst eight rows a block. A block is loaded as addT8
+// loads its strip, rows j and j+4 sharing a register, so that one 4×4
+// transpose per lane leaves float p of every row — row p of dst — whole in a
+// register, which is stored as it is.
+TEXT ·copyT8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), DX
+	MOVQ rows+16(FP), AX
+	MOVQ nblk+24(FP), CX
+	SHLQ $2, DX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ 32(AX), R12
+	MOVQ 40(AX), R13
+	MOVQ 48(AX), BX
+	MOVQ 56(AX), SI
+	XORQ AX, AX
+
+c8loop:
+	VMOVUPS     (R8)(AX*1), X0
+	VINSERTF128 $1, (R12)(AX*1), Y0, Y0
+	VMOVUPS     (R9)(AX*1), X1
+	VINSERTF128 $1, (R13)(AX*1), Y1, Y1
+	VMOVUPS     (R10)(AX*1), X2
+	VINSERTF128 $1, (BX)(AX*1), Y2, Y2
+	VMOVUPS     (R11)(AX*1), X3
+	VINSERTF128 $1, (SI)(AX*1), Y3, Y3
+	VMOVUPS     16(R8)(AX*1), X4
+	VINSERTF128 $1, 16(R12)(AX*1), Y4, Y4
+	VMOVUPS     16(R9)(AX*1), X5
+	VINSERTF128 $1, 16(R13)(AX*1), Y5, Y5
+	VMOVUPS     16(R10)(AX*1), X6
+	VINSERTF128 $1, 16(BX)(AX*1), Y6, Y6
+	VMOVUPS     16(R11)(AX*1), X7
+	VINSERTF128 $1, 16(SI)(AX*1), Y7, Y7
+
+	T4X4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	T4X4(Y4, Y5, Y6, Y7, Y12, Y13, Y14, Y15)
+
+	VMOVUPS Y0, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y5, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y6, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Y7, (DI)
+	ADDQ    DX, DI
+
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  c8loop
+
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -42,6 +42,10 @@ func addT8(dst *float32, ld int, src *float32, lds, nblk int) {
 	panic("tensor: addT8 without hardware support")
 }
 
+func copyT8(dst *float32, ld int, rows *[8]*float32, nblk int) {
+	panic("tensor: copyT8 without hardware support")
+}
+
 func gramTri(acc *float64, rows *[4]*float32, m, n int) {
 	panic("tensor: gramTri without hardware support")
 }

@@ -471,3 +471,40 @@ func AddTransposed(dst []float32, ld int, src []float32, m, n int) {
 		}
 	}
 }
+
+// TransposeRows writes pixels [lo, hi) of the rows rows[j] of src, runs of ns
+// floats, pixel-major into dst, whose rows are ld floats apart:
+// dst[(p−lo)·ld + j] = src[rows[j]·ns + p] for j < len(rows), lo <= p < hi.
+// It is how a convolution's live rows of dY become the pixel-major operand of
+// its weight gradient. With the AVX2 kernels eight rows by eight pixels are
+// transposed in registers at a time; the rows and pixels left over take the
+// scalar loop. Every element is copied either way, so no bit can differ.
+func TransposeRows(dst []float32, ld int, src []float32, rows []int, ns, lo, hi int) {
+	np := hi - lo
+	if np <= 0 || len(rows) == 0 {
+		return
+	}
+	_ = dst[(np-1)*ld+len(rows)-1]
+	r8, p8 := 0, 0
+	if hasDot4 {
+		r8, p8 = len(rows)&^7, np&^7
+	}
+	if p8 > 0 {
+		var ptrs [8]*float32
+		for j := 0; j < r8; j += 8 {
+			for k, r := range rows[j : j+8] {
+				ptrs[k] = &src[r*ns+lo : r*ns+lo+p8][0]
+			}
+			copyT8(&dst[j], ld, &ptrs, p8/8)
+		}
+	}
+	for j, r := range rows {
+		p := lo
+		if j < r8 {
+			p = lo + p8
+		}
+		for ; p < hi; p++ {
+			dst[(p-lo)*ld+j] = src[r*ns+p]
+		}
+	}
+}

@@ -599,6 +599,60 @@ func TestAddTransposedMatchesScalar(t *testing.T) {
 	})
 }
 
+// transposeRowsRef is TransposeRows by its definition, one element at a time.
+func transposeRowsRef(dst []float32, ld int, src []float32, rows []int, ns, lo, hi int) {
+	for j, r := range rows {
+		for p := lo; p < hi; p++ {
+			dst[(p-lo)*ld+j] = src[r*ns+p]
+		}
+	}
+}
+
+// TestTransposeRowsMatchesGoForm holds TransposeRows to its Go form, and both
+// to the definition, bit for bit (NaNs, infinities and −0 among the values):
+// every count of rows from 1 to 20 and of pixels from 1 to 19 (each tail of
+// the 8×8 blocks, alone and after whole ones), from pixel 0 and from an odd
+// one, over row lists in no order, and into a destination wider than the
+// rows, whose other columns must come back as they were.
+func TestTransposeRowsMatchesGoForm(t *testing.T) {
+	const c, ns = 24, 29
+	rng := NewRNG(67)
+	src := make([]float32, c*ns)
+	rng.FillNorm(src, 1)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	for i := 0; i < len(src); i += 7 {
+		src[i] = specials[i%len(specials)]
+	}
+	lists := make([][]int, 21)
+	for nr := 1; nr < len(lists); nr++ {
+		rows := make([]int, c)
+		for i := range rows {
+			rows[i] = i
+		}
+		for i := range rows { // a shuffle: any list of rows, not only ascending ones
+			j := i + int(rng.Float64()*float64(len(rows)-i))
+			rows[i], rows[j] = rows[j], rows[i]
+		}
+		lists[nr] = rows[:nr]
+	}
+	forEachKernelGate(t, func(t *testing.T) {
+		for _, rows := range lists[1:] {
+			for _, lo := range []int{0, 5} {
+				for np := 1; np <= 19; np++ {
+					ld := len(rows) + 3
+					want, got := make([]float32, np*ld), make([]float32, np*ld)
+					for i := range want {
+						want[i], got[i] = 42, 42
+					}
+					transposeRowsRef(want, ld, src, rows, ns, lo, lo+np)
+					TransposeRows(got, ld, src, rows, ns, lo, lo+np)
+					sameFloats(t, fmt.Sprintf("rows %v pixels [%d, %d)", rows, lo, lo+np), got, want)
+				}
+			}
+		}
+	})
+}
+
 // TestAxpySliceIsUnfused pins AxpySlice to the scalar multiply-then-add loop
 // bit for bit. It is the aggregation fold's arithmetic (shard.Reducer,
 // fed.WeightedFedAvg, qp.Integrate), and the five FNV digests of

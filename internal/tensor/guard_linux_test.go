@@ -131,6 +131,44 @@ func TestGemmStaysInsideOperands(t *testing.T) {
 	}
 }
 
+// TestTransposeRowsStaysInsideOperands runs TransposeRows with the source and
+// the destination flush against a guard page, behind them and then in front
+// of them: the last row of the source, read to its last pixel, ends at the
+// page, or the first, read from pixel 0, starts at it, and the destination is
+// exactly as long as the transpose. An 8×8 block loads eight floats of each of
+// eight rows and stores eight of eight destination rows, so a block that ran
+// past the pixels or rows it was given would fault here. Results are held to
+// the Go form bit for bit.
+func TestTransposeRowsStaysInsideOperands(t *testing.T) {
+	rng := NewRNG(68)
+	for _, alloc := range []func(*testing.T, int) []float32{guarded, guardedFront} {
+		for _, sh := range [][2]int{{8, 8}, {16, 64}, {9, 17}, {19, 31}, {64, 32}} {
+			nr, ns := sh[0], sh[1]
+			const c = 70
+			src := alloc(t, c*ns)
+			rng.FillNorm(src, 1)
+			rows := []int{c - 1, 0}
+			for len(rows) < nr {
+				rows = append(rows, 1+len(rows)*3%(c-2))
+			}
+			for _, lo := range []int{0, ns % 8} {
+				np, ld := ns-lo, nr
+				dst := alloc(t, (np-1)*ld+nr)
+				want := make([]float32, len(dst))
+				goForm := func() {
+					prev := hasDot4
+					hasDot4 = false
+					defer func() { hasDot4 = prev }()
+					TransposeRows(want, ld, src, rows, ns, lo, ns)
+				}
+				goForm()
+				TransposeRows(dst, ld, src, rows, ns, lo, ns)
+				sameFloats(t, fmt.Sprintf("rows %d pixels [%d, %d)", nr, lo, ns), dst, want)
+			}
+		}
+	}
+}
+
 // TestIntegratorKernelsStayInsideOperands runs Gram and AxpyRows with every
 // row (and AxpyRows' dst and x) flush against a guard page, behind it and
 // then in front of it: the kernels step four or eight floats at a time up to
@@ -182,7 +220,10 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 	pinKernelThreads(t, 1)
 	for _, g := range []convGeom{
 		{3, 2, 5, 7, 3, 1, 1, 0, 2}, // 'same': plane shift
-		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided: row loop
+		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided 'same': phase planes
+		{3, 2, 7, 7, 3, 2, 1, 0, 2}, // strided 'same', odd side both ways: short phases
+		{3, 2, 5, 7, 1, 2, 0, 0, 2}, // strided 1×1: row loop
+		{3, 2, 6, 7, 3, 2, 0, 0, 2}, // strided 'valid': row loop
 		{8, 2, 4, 4, 3, 1, 1, 0, 2}, // 'same', eight 4×4 images a stretch
 		{2, 2, 3, 3, 3, 1, 1, 0, 2}, // 'same', stretches of 1 to 13 floats: the masked tails alone
 		{5, 2, 6, 5, 3, 1, 1, 0, 2}, // 'same', stretches of 118 to 150: 32-float steps, then tails

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -203,6 +204,9 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 		{"strided", []convGeom{
 			{3, 3, 5, 7, 3, 2, 1, 0, 3}, {3, 3, 8, 6, 1, 2, 0, 0, 3}, {1, 3, 9, 7, 5, 3, 2, 0, 3}, {3, 3, 7, 9, 7, 2, 3, 0, 3},
 		}},
+		// Strided 'same' windows, on phase planes: odd sides make short
+		// phases, and a stride above the window leaves phases no tap reads.
+		{"strided_same", stridedSameGeoms(t)},
 		// Stride 1 with outW != w: rows of the map do not abut in the matrix.
 		{"valid_stride1", []convGeom{
 			{3, 3, 6, 7, 3, 1, 0, 0, 3}, {1, 3, 7, 6, 5, 1, 1, 0, 3}, {3, 3, 5, 5, 3, 1, 2, 0, 3},
@@ -257,6 +261,55 @@ func batchGeoms() []convGeom {
 	return gs
 }
 
+// stridedSameGeoms are the phase-plane geometries: strides 2 and 3 under 3×3
+// and 5×5 'same' windows (pad k/2), every side from 2 to 13 across each axis
+// (the other axis 15 minus it, so odd and even sides meet in one geometry),
+// at 1, 3, 8 and 16 images; then 3×3 windows at strides 4 and 5, which read
+// two and three phases of each axis's four and five.
+func stridedSameGeoms(t *testing.T) []convGeom {
+	var gs []convGeom
+	for _, n := range []int{1, 3, 8, 16} {
+		for _, stride := range []int{2, 3} {
+			for _, k := range []int{3, 5} {
+				for side := 2; side <= 13; side++ {
+					gs = append(gs, convGeom{n, 3, side, 15 - side, k, stride, k / 2, 0, 3})
+				}
+			}
+		}
+		for _, stride := range []int{4, 5} {
+			for _, side := range []int{3, 7, 10} {
+				gs = append(gs, convGeom{n, 3, side, side + 1, 3, stride, 1, 0, 3})
+			}
+		}
+	}
+	for _, g := range gs {
+		if outH, outW := g.outSize(); !planeShift(g.h, g.w, g.k, g.k, g.stride, outH, outW) {
+			t.Fatalf("%v is not lowered on phase planes", g)
+		}
+	}
+	return gs
+}
+
+// TestPlaneMasksKeyedByStride holds the mask cache to its key: a stride-1 and
+// a stride-2 'same' window over one plane, with one kernel and one padding,
+// map different outputs to different pixels, so they must not share masks.
+func TestPlaneMasksKeyedByStride(t *testing.T) {
+	const h, w, k, pad = 6, 7, 3, 1
+	masks := func(stride int) *planeMasks {
+		outH, outW := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
+		oys := tapSpans(nil, h, k, stride, pad, outH)
+		oxs := tapSpans(nil, w, k, stride, pad, outW)
+		return masksFor(h, w, k, k, stride, pad, outH, outW, oys, oxs)
+	}
+	one, two := masks(1), masks(2)
+	if one == two || one.period == two.period && slices.Equal(one.bits, two.bits) {
+		t.Fatalf("stride 1 and stride 2 over %d×%d, k%d p%d get the same masks", h, w, k, pad)
+	}
+	if masks(2) != two {
+		t.Fatal("a geometry met twice built its masks twice")
+	}
+}
+
 // TestIm2ColSlotsCol2ImMask holds the two entry points a convolution with dead
 // channels uses to the full routines. Lowering a list of channels into slots
 // must write, in slot s, exactly the rows the full matrix holds for channel
@@ -269,6 +322,7 @@ func TestIm2ColSlotsCol2ImMask(t *testing.T) {
 	forEachKernelGate(t, func(t *testing.T) {
 		for _, g := range []convGeom{
 			{3, 5, 5, 7, 3, 1, 1, 0, 5}, {3, 5, 5, 7, 3, 2, 1, 0, 5}, {2, 5, 4, 4, 1, 2, 0, 0, 5}, {1, 5, 6, 5, 5, 1, 2, 0, 5},
+			{8, 5, 6, 6, 3, 2, 1, 0, 5}, {3, 5, 9, 8, 5, 3, 2, 0, 5}, // strided 'same': phase planes
 		} {
 			outH, outW := g.outSize()
 			kk, ns := g.k*g.k, g.n*outH*outW
