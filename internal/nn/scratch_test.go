@@ -102,30 +102,48 @@ func everyOther(c int) []int {
 // single-threaded path (multi-threaded runs allocate only the worker
 // closures) — on a batch with every channel alive, and on a layer that sees
 // half-dead and fully alive batches turn about, whose live lists, gathered
-// weights and tap mask are the layer's own and made once. A stride-2 layer,
-// whose lowering and raising move phase planes through pooled scratch, is
-// held to the same.
+// weights and tap mask are the layer's own and made once. A stride-2 layer
+// and a stride-1 layer on a 2×2 map, both lowered through a gather plan, are
+// held to the same; the 2×2 layer sees two batch sizes turn about, so each
+// (geometry, batch size) builds its plan once and is then found in the cache.
 func TestConvSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector disables sync.Pool reuse and instruments allocations")
 	}
 	defer tensor.SetKernelThreads(0)
 	tensor.SetKernelThreads(1)
-	strided := func(seed uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
+	// Each fixture returns a layer and the (input, output gradient) pairs of
+	// its "alive" steps.
+	fixed := func(seed uint64) (*Conv2D, [][2]*tensor.Tensor) {
+		l, x, dout := convFixture(seed)
+		return l, [][2]*tensor.Tensor{{x, dout}}
+	}
+	strided := func(seed uint64) (*Conv2D, [][2]*tensor.Tensor) {
 		rng := tensor.NewRNG(seed)
 		l := bound(NewConv2D("s", 8, 16, 3, 2, 1, 1, false), rng)
 		x := tensor.Randn(rng, 1, 8, 6, 11, 11)
-		return l, x, tensor.Randn(rng, 1, l.Forward(x, true).Shape...)
+		return l, [][2]*tensor.Tensor{{x, tensor.Randn(rng, 1, l.Forward(x, true).Shape...)}}
 	}
-	for _, fixture := range []func(uint64) (*Conv2D, *tensor.Tensor, *tensor.Tensor){convFixture, strided} {
-		l, x, dout := fixture(9)
-		xDead, doutDead := x.Clone(), dout.Clone()
-		killChannels(xDead, everyOther(l.InC)...)
-		killChannels(doutDead, everyOther(l.OutC)...)
-		for name, batches := range map[string][][2]*tensor.Tensor{
-			"alive":      {{x, dout}},
-			"turn about": {{xDead, doutDead}, {x, dout}},
-		} {
+	smallMap := func(seed uint64) (*Conv2D, [][2]*tensor.Tensor) {
+		rng := tensor.NewRNG(seed)
+		l := bound(NewConv2D("m", 8, 16, 3, 1, 1, 1, false), rng)
+		var steps [][2]*tensor.Tensor
+		for _, n := range []int{6, 4} {
+			x := tensor.Randn(rng, 1, 8, n, 2, 2)
+			steps = append(steps, [2]*tensor.Tensor{x, tensor.Randn(rng, 1, l.Forward(x, true).Shape...)})
+		}
+		return l, steps
+	}
+	for _, fixture := range []func(uint64) (*Conv2D, [][2]*tensor.Tensor){fixed, strided, smallMap} {
+		l, alive := fixture(9)
+		var turnAbout [][2]*tensor.Tensor
+		for _, b := range alive {
+			xDead, doutDead := b[0].Clone(), b[1].Clone()
+			killChannels(xDead, everyOther(l.InC)...)
+			killChannels(doutDead, everyOther(l.OutC)...)
+			turnAbout = append(turnAbout, [2]*tensor.Tensor{xDead, doutDead}, b)
+		}
+		for name, batches := range map[string][][2]*tensor.Tensor{"alive": alive, "turn about": turnAbout} {
 			step := func() {
 				for _, b := range batches {
 					ZeroGrads(l.Params())
@@ -137,7 +155,7 @@ func TestConvSteadyStateAllocFree(t *testing.T) {
 				step()
 			}
 			if allocs := testing.AllocsPerRun(20, step); allocs > 0.5 {
-				t.Fatalf("stride %d %s: conv forward+backward allocates %.1f objects/op in steady state, want 0", l.Stride, name, allocs)
+				t.Fatalf("stride %d on %v %s: conv forward+backward allocates %.1f objects/op in steady state, want 0", l.Stride, alive[0][0].Shape, name, allocs)
 			}
 		}
 	}

@@ -127,11 +127,12 @@ func BenchmarkGemmParallel(b *testing.B) {
 }
 
 // loweringShapes are the convolutions of the CI-scale ResNet18 at batch 8:
-// the 3×3 pad-1 conv of each of its four stages (the plane shift), then the
-// two stride-2 windows that open a stage — the 3×3 one on phase planes, the
-// 1×1 shortcut on the row loop — for a 16×16 input and then for the 12×12
-// one the benchmark's fedknow_train workload trains on (its stages run 12 /
-// 6 / 3 / 2).
+// the 3×3 pad-1 conv of each of its four stages, then the two stride-2
+// windows that open a stage — the 3×3 one and the 1×1 shortcut — for a
+// 16×16 input and then for the 12×12 one the benchmark's training workloads
+// train on (its stages run 12 / 6 / 3 / 2). The 16×16 to 4×4 maps go
+// through the plane shift; the 3×3 and 2×2 maps and every stride-2 window
+// through a gather plan.
 var loweringShapes = []struct {
 	name                    string
 	c, side, k, stride, pad int

@@ -38,6 +38,14 @@ func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int) {
 	panic("tensor: maskAddAVX without hardware support")
 }
 
+func planLowerAVX(dst, src *float32, base, lane *int32, n int) {
+	panic("tensor: planLowerAVX without hardware support")
+}
+
+func planRaiseAVX(dst, src *float32, ends, taps, base, lane *int32, live *bool, n int) {
+	panic("tensor: planRaiseAVX without hardware support")
+}
+
 func addT8(dst *float32, ld int, src *float32, lds, nblk int) {
 	panic("tensor: addT8 without hardware support")
 }

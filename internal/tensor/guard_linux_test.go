@@ -207,26 +207,32 @@ func TestIntegratorKernelsStayInsideOperands(t *testing.T) {
 	}
 }
 
-// TestLoweringStaysInsideOperands runs Im2Col and Col2Im with the batch and
-// the matrix each flush against a guard page, behind them and then in front of
-// them, on both ways a row moves: a plane-shift stretch starts at the
+// TestLoweringStaysInsideOperands runs Im2Col and Col2Im with x, cols, dcols
+// and dx each flush against a guard page, behind them and then in front of
+// them, on both ways a channel moves: a plane-shift stretch starts at the
 // channel run's first pixel when the tap is the window's first and ends at
 // its last when the tap is the window's last — batch-wide, the first float of
-// the first channel and the last float of the last — and the row add's masked
-// tail and the strided loop's last tap are the other places a read or write
-// one float too far would land. The row kernels themselves are then run on
-// their own, every tail against the page (checkMaskedRowKernels).
+// the first channel and the last float of the last — and a plan's last
+// lowering step and last raising block are partial where a channel's block of
+// the matrix or run of pixels is not a multiple of 8, the other places a read
+// or write one float too far would land. The kernels themselves are then run
+// on their own, every tail against the page (checkMaskedRowKernels,
+// checkPlanKernels).
 func TestLoweringStaysInsideOperands(t *testing.T) {
 	pinKernelThreads(t, 1)
 	for _, g := range []convGeom{
 		{3, 2, 5, 7, 3, 1, 1, 0, 2}, // 'same': plane shift
-		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided 'same': phase planes
-		{3, 2, 7, 7, 3, 2, 1, 0, 2}, // strided 'same', odd side both ways: short phases
-		{3, 2, 5, 7, 1, 2, 0, 0, 2}, // strided 1×1: row loop
-		{3, 2, 6, 7, 3, 2, 0, 0, 2}, // strided 'valid': row loop
+		{3, 2, 5, 7, 3, 2, 1, 0, 2}, // strided 'same': plan
+		{3, 2, 7, 7, 3, 2, 1, 0, 2}, // strided 'same', odd side both ways: plan
+		{3, 2, 5, 7, 1, 2, 0, 0, 2}, // strided 1×1: plan
+		{3, 2, 6, 7, 3, 2, 0, 0, 2}, // strided 'valid': plan
 		{8, 2, 4, 4, 3, 1, 1, 0, 2}, // 'same', eight 4×4 images a stretch
-		{2, 2, 3, 3, 3, 1, 1, 0, 2}, // 'same', stretches of 1 to 13 floats: the masked tails alone
+		{2, 2, 3, 3, 3, 1, 1, 0, 2}, // 'same' on a 3×3 map: plan, 162-slot blocks, 18-pixel runs
 		{5, 2, 6, 5, 3, 1, 1, 0, 2}, // 'same', stretches of 118 to 150: 32-float steps, then tails
+		{1, 2, 3, 5, 3, 2, 1, 0, 2}, // plan, 54-slot blocks and 15-pixel runs: both tails
+		{9, 2, 2, 2, 2, 1, 0, 0, 2}, // plan, 'valid' 2×2 over nine 2×2 images: 36-slot blocks and runs
+		{3, 2, 2, 3, 5, 1, 2, 0, 2}, // plan, a window larger than the input
+		{1, 2, 1, 1, 7, 2, 3, 0, 2}, // plan, one pixel under a 7×7 window
 	} {
 		for _, side := range []struct {
 			name  string
@@ -238,6 +244,86 @@ func TestLoweringStaysInsideOperands(t *testing.T) {
 		}
 	}
 	t.Run("masked row kernels", checkMaskedRowKernels)
+	t.Run("plan kernels", checkPlanKernels)
+}
+
+// checkPlanKernels runs the gather-plan kernels with every operand — the
+// channel's planes and block of the matrix, the lowering table, the raising
+// table's ends, taps and offsets, and the row mask — flush against a guard
+// page, behind it and then in front of it, over plans whose tables end in
+// every tail length. The AVX2 forms are held to the Go forms, bit for bit;
+// half of the taps are dead in a second raise, whose entries must then go
+// unread (their slots are NaN).
+func checkPlanKernels(t *testing.T) {
+	if !hasDot4 {
+		t.Skip("no AVX2+FMA kernels on this machine")
+	}
+	t.Cleanup(func() { hasDot4 = true })
+	goForm := func(fn func()) {
+		hasDot4 = false
+		fn()
+		hasDot4 = true
+	}
+	rng := NewRNG(52)
+	for _, g := range []convGeom{
+		{1, 1, 3, 5, 3, 2, 1, 0, 1}, {3, 1, 3, 5, 1, 2, 0, 0, 1}, {1, 1, 1, 1, 1, 1, 0, 0, 1},
+		{2, 1, 3, 3, 3, 1, 1, 0, 1}, {9, 1, 3, 5, 2, 1, 0, 0, 1}, {5, 1, 7, 3, 3, 2, 1, 0, 1},
+		{1, 1, 2, 3, 5, 1, 2, 0, 1}, {3, 1, 4, 7, 5, 3, 2, 0, 1}, {16, 1, 2, 2, 3, 1, 1, 0, 1},
+	} {
+		outH, outW := g.outSize()
+		kk, blk, px := g.k*g.k, g.matrixLen(), g.batchLen()
+		p := buildPlan(g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW)
+		for _, front := range []bool{false, true} {
+			alloc := guarded
+			if front {
+				alloc = guardedFront
+			}
+			gp := &gatherPlan{
+				lower: vecTable{guardedCopy(t, p.lower.base, front), guardedCopy(t, p.lower.lane, front)},
+				raise: vecTable{guardedCopy(t, p.raise.base, front), guardedCopy(t, p.raise.lane, front)},
+				ends:  guardedCopy(t, p.ends, front), taps: guardedCopy(t, p.taps, front),
+				all: guardedCopy(t, p.all, front),
+			}
+			what := fmt.Sprintf("%v front=%v", g, front)
+			x, cols, want := alloc(t, px), alloc(t, blk), make([]float32, blk)
+			rng.FillNorm(x, 1)
+			goForm(func() { planLower(want, x, &gp.lower) })
+			planLower(cols, x, &gp.lower)
+			sameFloats(t, what+" lower", cols, want)
+
+			dcols, dx, wantDx := alloc(t, blk), alloc(t, px), make([]float32, px)
+			rng.FillNorm(dcols, 1)
+			goForm(func() { planRaise(wantDx, dcols, gp, gp.all) })
+			planRaise(dx, dcols, gp, gp.all)
+			sameFloats(t, what+" raise", dx, wantDx)
+
+			live := guardedOf[bool](t, kk, front)
+			for tap := range live {
+				live[tap] = tap%2 == 0
+				if !live[tap] {
+					for j := range dcols[tap*blk/kk : (tap+1)*blk/kk] {
+						dcols[tap*blk/kk+j] = float32(math.NaN())
+					}
+				}
+			}
+			goForm(func() { planRaise(wantDx, dcols, gp, live) })
+			planRaise(dx, dcols, gp, live)
+			sameFloats(t, what+" raise, odd taps dead", dx, wantDx)
+			for j, v := range dx {
+				if v != v {
+					t.Fatalf("%s: a dead tap reached pixel %d", what, j)
+				}
+			}
+		}
+	}
+}
+
+// guardedCopy returns a copy of s flush against an inaccessible page: behind
+// its last element, or in front of its first when front is set.
+func guardedCopy[T any](t *testing.T, s []T, front bool) []T {
+	g := guardedOf[T](t, len(s), front)
+	copy(g, s)
+	return g
 }
 
 // checkMaskedRowKernels runs the plane-shift row kernels with dst, src and
@@ -263,7 +349,7 @@ func checkMaskedRowKernels(t *testing.T) {
 			if front {
 				alloc = guardedFront
 			}
-			mask := guardedU32(t, period+32, front)
+			mask := guardedOf[uint32](t, period+32, front)
 			for i := range mask {
 				if rng.Float64() < 0.7 {
 					mask[i] = ^uint32(0)
@@ -289,16 +375,17 @@ func checkMaskedRowKernels(t *testing.T) {
 	}
 }
 
-// guardedU32 returns n uint32s flush against an inaccessible page: behind
-// the last one, or in front of the first when front is set.
-func guardedU32(t *testing.T, n int, front bool) []uint32 {
+// guardedOf returns n values of type T flush against an inaccessible page:
+// behind the last one, or in front of the first when front is set.
+func guardedOf[T any](t *testing.T, n int, front bool) []T {
+	size := int(unsafe.Sizeof(*new(T)))
 	page := syscall.Getpagesize()
-	mem := guardedMap(t, (4*n+page-1)/page*page+page, front)
-	off := len(mem) - page - 4*n
+	mem := guardedMap(t, (size*n+page-1)/page*page+page, front)
+	off := len(mem) - page - size*n
 	if front {
 		off = page
 	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&mem[off])), n)
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[off])), n)
 }
 
 func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) []float32) {
@@ -351,18 +438,6 @@ func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) [
 	sameBits(t, "masked dx", g, dx, wantDx)
 }
 
-// guardedBools returns n bools flush against an inaccessible page: behind the
-// last one, or in front of the first when front is set.
-func guardedBools(t *testing.T, n int, front bool) []bool {
-	page := syscall.Getpagesize()
-	mem := guardedMap(t, (n+page-1)/page*page+page, front)
-	off := len(mem) - page - n
-	if front {
-		off = page
-	}
-	return unsafe.Slice((*bool)(unsafe.Pointer(&mem[off])), n)
-}
-
 // TestElementwiseKernelsStayInsideOperands runs every per-element kernel with
 // every operand flush against a guard page, behind it and then in front of
 // it: the AVX2 forms step eight floats (a reduction, four floats of eight
@@ -413,7 +488,7 @@ func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
 			refBNGrad(want, g, xhat, 1.1, 0.05, -0.3)
 			requireBits32(t, what+" BatchNormGrad", y, want, false)
 
-			mask := guardedBools(t, n, front)
+			mask := guardedOf[bool](t, n, front)
 			for i := range mask {
 				mask[i] = i%3 != 0
 			}

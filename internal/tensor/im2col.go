@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -16,70 +17,71 @@ import (
 // tap lands in the padding; a GEMM against it writes CNHW. Col2Im is its
 // adjoint: it sums a column gradient back onto the input planes.
 //
-// Both walk the matrix row by row. A row's tap geometry — the output rows
-// [oy.lo, oy.hi) and columns [ox.lo, ox.hi) whose tap lands inside the input —
-// depends on (ky, kx) alone, so outRange runs kh + kw times a call, and the
-// geometry picks one of three ways to move a row:
+// A channel owns kh·kw rows of the matrix and one run of n planes of the
+// batch, and both routines go channel by channel. The geometry picks one of
+// two ways to move a channel, a fixed rule with no setting:
 //
-//   - stride == 1, outH == h and outW == w ('same' 3×3, 1×1 — the map keeps
-//     its plane): output position j of image i reads input position j +
+//   - the plane shift, for a stride-1 window whose map keeps its plane
+//     (outH == h, outW == w: 'same' 3×3, 1×1) of at least minShiftPixels
+//     output pixels. Output position j of image i reads input position j +
 //     shift of the same image, with shift = (ky−pad)·w + (kx−pad). A
 //     channel's n planes are one run of the CNHW batch, so the whole row is
-//     that run shifted: one stretch, from image 0's first valid slot
-//     (oy.lo, ox.lo) to image n−1's last (oy.hi−1, ox.hi), moved in one pass
-//     through the tap's validity mask — all ones where the tap lands inside
-//     the image, +0 where it lands in the padding. Inside the stretch are
-//     such padding slots while the shifted run holds a pixel there: the
-//     |kx−pad| wrap slots between two output rows of an image, where it
-//     holds the neighbouring row's edge pixels, and between two images the
-//     fringe, the rows oy leaves out, where it holds pixels of the image
-//     before or after. Lowering writes src & mask, so they come out +0;
-//     raising adds src & mask, so they add +0 and the column gradient is
-//     only read. Lowering clears the slots before and after the stretch;
-//     raising never reads them. The mask of a slot depends on its position
-//     in the plane alone, so it is periodic in the plane and is a property of
-//     the geometry (h, w, tap, stride, pad), not of the batch or the channel:
-//     the masks of a geometry's taps are built the first time it is met and
-//     shared by every call after it (masksFor).
-//   - a strided 'same' window (outH == ⌈h/s⌉, outW == ⌈w/s⌉ and a window
-//     of more than one tap) is the same shift on phase planes. Phase (a, b)
-//     of an image holds its input rows a, a+s, … and columns b, b+s, …, laid
-//     out outH × outW. Tap (ky, kx) reads only phase ((ky−pad) mod s,
-//     (kx−pad) mod s), at offset (dy, dx) = (⌊(ky−pad)/s⌋, ⌊(kx−pad)/s⌋):
-//     output (o, p) reads the phase's pixel (o+dy, p+dx). So the row is that
-//     phase's batch run shifted by dy·outW + dx, moved through the tap's mask
-//     as above, a slot valid iff 0 ≤ o+dy < ⌈(h−a)/s⌉ and 0 ≤ p+dx <
-//     ⌈(w−b)/s⌉. An odd side makes a phase shorter than outH or outW; the
-//     mask covers its tail, which is never read unmasked. At s = 1 the one
-//     phase is the plane itself and nothing is copied: this is the branch
-//     above. At s > 1 lowering first copies, channel by channel, the phases
-//     some tap reads into call-scoped scratch (phasePool); raising clears
-//     them, adds the rows into them and then copies them back onto the
-//     channel's planes, a pixel of a phase no tap reads coming back +0.
-//   - every other geometry ('valid' windows, strided 1×1 windows, kernels
-//     wider than the input): image by image, one pass per output row over
-//     [ox.lo, ox.hi) (raising does it in raiseRows); lowering zero-fills the
-//     rest of the image's segment, and raising never reads it. A strided 1×1
-//     window reads one phase of s², and a lowering plus a raising of it
-//     measured slower as a phase copy and a stretch than on this loop.
+//     that run shifted: one stretch, from image 0's first valid slot (oy.lo,
+//     ox.lo) to image n−1's last (oy.hi−1, ox.hi), moved in one pass through
+//     the tap's validity mask — all ones where the tap lands inside the image,
+//     +0 where it lands in the padding. Inside the stretch are such padding
+//     slots while the shifted run holds a pixel there: the |kx−pad| wrap
+//     slots between two output rows of an image, where it holds the
+//     neighbouring row's edge pixels, and between two images the fringe, the
+//     rows oy leaves out, where it holds pixels of the image before or after.
+//     Lowering writes src & mask, so they come out +0; raising adds src &
+//     mask, so they add +0 and the column gradient is only read. Lowering
+//     clears the slots before and after the stretch; raising clears the planes
+//     first and never reads them. The mask of a slot depends on its position
+//     in the plane alone, so it is periodic in the plane and a property of
+//     the geometry (h, w, window, pad), not of the batch or the channel: the
+//     masks of a geometry's taps are built the first time it is met and shared
+//     by every call after it (masksFor).
+//   - the gather plan, for every other geometry: strided windows, 'valid'
+//     ones, windows wider than the input, and the small maps of the late
+//     stages, whose rows of 2–72 floats the stretch crossed with more
+//     bookkeeping than data. A plan (planFor) is built once per geometry and
+//     batch size n, cached like the masks. Its lowering table gives, for each
+//     slot of a channel's kh·kw·n·outH·outW block of the matrix, the offset
+//     of the pixel it reads in the channel's n planes, or −1 for padding;
+//     lowering a channel is one pass over it, 8 slots a step, +0 where it
+//     holds −1 (planLower). Its raising table is the same map read the other
+//     way: for each block of 8 consecutive pixels of the channel's run, one
+//     vector of 8 slot offsets for each tap that some pixel of the block
+//     receives, in ascending tap order, −1 in the lanes that do not receive
+//     it. Raising a block reads its vectors and adds them, in that order,
+//     onto +0, then stores the 8 sums (planRaise): each pixel is written
+//     once, and a tap no pixel of the block receives (3 of 4 for a 3×3
+//     stride-2 window, on average) costs nothing. A vector whose offsets lie
+//     within 8 floats of each other is one load of those 8 floats and a lane
+//     permutation, any other a masked gather (vecTable); in ResNet18's
+//     windows every raising vector and every lowering vector of a stride-1
+//     map is of the first kind, and a stride-2 lowering, whose lanes read
+//     every other pixel, is gathered.
 //
-// No bit depends on the way a row moves. Lowering copies pixels and writes
-// +0 elsewhere, so the matrix is the same bytes. Raising adds the same terms
-// in the same order, whether onto a plane or onto a phase that is then
-// copied onto it, as the next paragraph shows.
+// No bit depends on the way a channel moves. Lowering copies pixels and
+// writes +0 elsewhere, so the matrix is the same bytes. Raising adds the same
+// terms in the same order, as the next paragraph shows.
 //
 // Order of adds. An input pixel receives at most one contribution from a
 // given tap — from the one slot that reads it — so its gradient is a sum over
-// taps, and every way adds them in ascending (ky, kx), each as one correctly
-// rounded add onto a plane (or phase) Col2Im has cleared to +0. The stretch
-// also lands its masked wrap and fringe slots on pixels, of the same image or
-// of a neighbouring one, that the tap does not read; each is x + (+0), which
-// leaves every x but −0 alone, and a plane that starts at +0 and is only
-// added to never holds −0. The sum is therefore the same bits as a scalar scatter in
-// (ky, kx) order, whichever way the row moves. All taps of one channel are
-// raised by one caller, so a split over channels — disjoint rows of the
-// matrix when lowering, disjoint runs of planes when raising — never shows in
-// a result.
+// taps, and both ways add them in ascending (ky, kx), each as one correctly
+// rounded add onto +0: the plane shift onto planes it has cleared, the plan
+// onto a register. Both also add terms that are +0 by construction: the
+// stretch's masked wrap and fringe slots, which land on pixels of the same
+// image or of a neighbouring one that the tap does not read, and a plan
+// vector's −1 lanes, read as +0. Each is x + (+0), which leaves every x
+// but −0 alone, and a sum that starts at +0 and is only added to never holds
+// −0 (round to nearest gives x + (−x) = +0). The sum is therefore the same
+// bits as a scalar scatter in (ky, kx) order, whichever way the channel moves.
+// All taps of one channel are raised by one caller, so a split over channels
+// — disjoint rows of the matrix when lowering, disjoint runs of planes when
+// raising — never shows in a result.
 //
 // Slots and masks. The matrix need not hold every channel: Im2Col lowers the
 // channels it is given a list of, the s-th of them into slot s (rows
@@ -90,99 +92,101 @@ import (
 // does not read a row outside it: the caller vouches that such a row is +0
 // throughout, and adding it would be x + (+0) on every pixel it reaches, the
 // same no-op as a masked wrap slot, so leaving the add out keeps every
-// surviving add and their order. The planes are cleared all the same; a
-// channel all of whose rows are masked out comes back +0.
+// surviving add and their order. Every plane of the channels raised is written
+// all the same; a channel all of whose rows are masked out comes back +0.
 
-// outRange returns the [lo, hi) range of output coordinates whose input tap
-// o*stride + k - pad lands inside [0, extent).
-func outRange(extent, k, stride, pad, out int) (lo, hi int) {
-	// o*stride + k - pad >= 0  →  o >= ceil((pad-k)/stride)
-	lo = 0
-	if pad-k > 0 {
-		lo = (pad - k + stride - 1) / stride
-	}
-	// o*stride + k - pad < extent  →  o < ceil((extent+pad-k)/stride).
-	// A tap past the padded extent gives a non-positive numerator, where
-	// truncating division is not ceiling — clamp to an empty range instead
-	// (the whole row is padding then, e.g. a kernel larger than the input).
-	hi = extent + pad - k
-	if hi <= 0 {
-		hi = 0
-	} else {
-		hi = (hi + stride - 1) / stride
-	}
-	if hi > out {
-		hi = out
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
+// minShiftPixels is the smallest map the plane shift moves. Measured on a
+// 2-vCPU Xeon VM (family 6 model 207, AVX-512, Go 1.24) at batch 8, medians
+// of six alternated runs, the plan's time over the shift's, lowering /
+// raising, hot and cold: a 3×3 map (32 channels) 0.33–0.36 / 0.59–0.74, a
+// 4×4 one (32 channels) 0.68–0.70 / 0.76–0.89, a 6×6 one (16 channels)
+// 0.84–1.06 / 0.84–1.27, an 8×8 one (16 channels) 1.02–1.13 / 1.22–1.35. The
+// crossover lies between 4×4 and 6×6. The threshold stays at 4×4: the plane
+// shift's tests run on maps of 16 to 72 pixels, and the benchmark's training
+// workloads have no 4×4 map.
+const minShiftPixels = 16
+
+// planeShift reports whether a geometry is moved by the plane shift: a
+// stride-1 window whose map is the input's, of at least minShiftPixels.
+func planeShift(h, w, stride, outH, outW int) bool {
+	return stride == 1 && outH == h && outW == w && outH*outW >= minShiftPixels
 }
 
-// tapSpan is what one kernel offset t does along an axis: the range [lo, hi)
-// of output coordinates it serves, and where it reads — phase ph = (t−pad)
-// mod stride at offset d = ⌊(t−pad)/stride⌋, so output o reads phase
-// coordinate o + d. slot is ph's index among the phases the window reads
-// (readPhases); at stride 1 it is 0, the planes themselves.
-type tapSpan struct{ lo, hi, ph, d, slot int }
+// tapSpan is what one kernel offset does along an axis of a plane shift: the
+// range [lo, hi) of output coordinates it serves, each reading input
+// coordinate o + d.
+type tapSpan struct{ lo, hi, d int }
 
 func (sp tapSpan) empty() bool { return sp.lo >= sp.hi }
 
-// tapSpans appends the span of each of the k kernel offsets along one axis.
+// tapSpans appends the span of each of the k kernel offsets along one axis of
+// a plane shift (stride 1, out == extent): output o reads o + t − pad, inside
+// [0, extent) for o in [pad − t, extent + pad − t), clamped to the map; a tap
+// past the padded extent serves no output (a kernel larger than the input).
 // Callers pass a stack-backed buf; a kernel too large for it spills to the
 // heap through append.
-func tapSpans(buf []tapSpan, extent, k, stride, pad, out int) []tapSpan {
+func tapSpans(buf []tapSpan, extent, k, pad int) []tapSpan {
 	for t := 0; t < k; t++ {
-		lo, hi := outRange(extent, t, stride, pad, out)
 		d := t - pad
-		if d < 0 {
-			d -= stride - 1 // floor, not truncation
-		}
-		d /= stride
-		buf = append(buf, tapSpan{lo: lo, hi: hi, ph: t - pad - d*stride, d: d})
+		hi := min(max(extent-d, 0), extent)
+		buf = append(buf, tapSpan{lo: min(max(-d, 0), hi), hi: hi, d: d})
 	}
 	return buf
-}
-
-// readPhases appends to buf, once each in the order the taps first meet them,
-// the phases that the taps of spans serving some output read, and sets each
-// such tap's slot to its phase's index in the list.
-func readPhases(buf []int, spans []tapSpan) []int {
-	for i := range spans {
-		if sp := &spans[i]; !sp.empty() {
-			if sp.slot = slices.Index(buf, sp.ph); sp.slot < 0 {
-				sp.slot, buf = len(buf), append(buf, sp.ph)
-			}
-		}
-	}
-	return buf
-}
-
-// planeShift reports whether a window is lowered by the phase-plane shift:
-// its map is the input's, divided by the stride and rounded up, and at a
-// stride above 1 its window is wider than one tap. A strided 1×1 window reads
-// one phase of stride², so its phase form is mostly the copy; it raised
-// 1.2–1.5× slower than the row loop and lowered no faster than 0.84×.
-func planeShift(h, w, kh, kw, stride, outH, outW int) bool {
-	return outH == (h+stride-1)/stride && outW == (w+stride-1)/stride && (stride == 1 || kh*kw > 1)
 }
 
 // stretch returns the slots [first, last) of a batch-wide row that tap
 // (oy, ox) of a plane shift moves — from image 0's first slot the tap serves
-// to image n−1's last — and the shift from a slot to the phase position it
-// reads. first lies in image 0's map, below one plane, so it is also the
-// stretch's offset into the masks' period.
-func stretch(oy, ox tapSpan, n, outH, outW int) (first, last, shift int) {
-	return oy.lo*outW + ox.lo, ((n-1)*outH+oy.hi-1)*outW + ox.hi, oy.d*outW + ox.d
+// to image n−1's last — and the shift from a slot to the pixel it reads.
+// first lies in image 0's map, below one plane, so it is also the stretch's
+// offset into the masks' period.
+func stretch(oy, ox tapSpan, n, h, w int) (first, last, shift int) {
+	return oy.lo*w + ox.lo, ((n-1)*h+oy.hi-1)*w + ox.hi, oy.d*w + ox.d
+}
+
+// geomCache holds what is built once per geometry and shared by every call
+// after it: the plane shift's masks and the gather plans. The map is copied
+// on write under mu and read without a lock, so a lookup allocates nothing;
+// a run meets a handful of geometries, so the map is started over only past
+// maxCachedGeoms.
+type geomCache[K comparable, V any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]V]
+}
+
+const maxCachedGeoms = 64
+
+// get returns the value cached under key, building it first if it is not.
+func (c *geomCache[K, V]) get(key K, build func() V) V {
+	if m := c.m.Load(); m != nil {
+		if v, ok := (*m)[key]; ok {
+			return v
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.m.Load()
+	if old != nil {
+		if v, ok := (*old)[key]; ok {
+			return v
+		}
+	}
+	v := build()
+	next := map[K]V{key: v}
+	if old != nil && len(*old) < maxCachedGeoms {
+		for k, ov := range *old {
+			next[k] = ov
+		}
+	}
+	c.m.Store(&next)
+	return v
 }
 
 // planeMasks are the validity masks of a plane-shift geometry's taps: entry
 // i of tap (ky, kx)'s mask is all ones when output position i mod plane of an
-// image (plane = outH·outW) reads a pixel at that tap, and 0 when it reads
-// padding or past a short phase. period is the smallest multiple of the plane
-// that is at least 32, and each mask holds period + 32 entries, so the AVX2
-// kernels can read a whole step from any offset below period (maskCopyAVX).
+// image (plane = h·w) reads a pixel at that tap, and 0 when it reads padding.
+// period is the smallest multiple of the plane that is at least 32, and each
+// mask holds period + 32 entries, so the AVX2 kernels can read a whole step
+// from any offset below period (maskCopyAVX).
 type planeMasks struct {
 	period int
 	bits   []uint32 // tap t's mask at t·(period+32)
@@ -194,132 +198,193 @@ func (pm *planeMasks) tap(t int) []uint32 {
 	return pm.bits[t*n : (t+1)*n]
 }
 
-type maskKey struct{ h, w, kh, kw, stride, pad int }
+type maskKey struct{ h, w, kh, kw, pad int }
 
-// maskCache maps each plane-shift geometry met so far to its masks. It is
-// copied on write under maskMu and read without a lock; a geometry's masks
-// are a few KiB and a run meets a handful of geometries, so the map is
-// started over only past maxMaskGeoms.
-var (
-	maskMu    sync.Mutex
-	maskCache atomic.Pointer[map[maskKey]*planeMasks]
-)
+var maskCache geomCache[maskKey, *planeMasks]
 
-const maxMaskGeoms = 64
-
-// masksFor returns the masks of the plane-shift geometry of an h × w plane
-// under a kh × kw window with the given stride and padding, whose outH × outW
-// map the taps span along oys and oxs.
-func masksFor(h, w, kh, kw, stride, pad, outH, outW int, oys, oxs []tapSpan) *planeMasks {
-	key := maskKey{h, w, kh, kw, stride, pad}
-	if m := maskCache.Load(); m != nil {
-		if pm := (*m)[key]; pm != nil {
-			return pm
-		}
-	}
-	maskMu.Lock()
-	defer maskMu.Unlock()
-	old := maskCache.Load()
-	if old != nil {
-		if pm := (*old)[key]; pm != nil {
-			return pm
-		}
-	}
-	plane := outH * outW
-	pm := &planeMasks{period: plane * ((32 + plane - 1) / plane)}
-	pm.bits = make([]uint32, kh*kw*(pm.period+32))
-	for ky, oy := range oys {
-		for kx, ox := range oxs {
-			m := pm.tap(ky*kw + kx)
-			for i := range m {
-				o, p := i%plane/outW, i%outW
-				if o >= oy.lo && o < oy.hi && p >= ox.lo && p < ox.hi {
-					m[i] = ^uint32(0)
-				}
-			}
-		}
-	}
-	next := map[maskKey]*planeMasks{key: pm}
-	if old != nil && len(*old) < maxMaskGeoms {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	maskCache.Store(&next)
-	return pm
-}
-
-// phasePool holds the call-scoped phase planes of strided plane shifts: one
-// channel's read phases at a time, reused across the channels of a call.
-// Pointers are pooled to avoid boxing slice headers.
-var phasePool = sync.Pool{New: func() any { return new([]float32) }}
-
-// getPhases returns a pooled buffer of n floats, contents undefined.
-func getPhases(n int) *[]float32 {
-	p := phasePool.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// shiftFor returns what a plane-shift geometry moves its rows with: the
-// masks of its taps, its phase layout (ps, 16 ints, backs the phase lists and
-// spans' slots) and, above stride 1, a pooled buffer for one channel's read
-// phases, which the caller puts back. pm is nil where the row loop moves the
-// rows instead.
-func shiftFor(ps []int, oys, oxs []tapSpan, n, h, w, kh, kw, stride, pad, outH, outW int) (pm *planeMasks, g phaseGeom, buf *[]float32) {
-	if !planeShift(h, w, kh, kw, stride, outH, outW) {
-		return nil, g, nil
-	}
-	pm = masksFor(h, w, kh, kw, stride, pad, outH, outW, oys, oxs)
-	g = phaseGeom{n, h, w, stride, outH, outW, readPhases(ps[:0:8], oys), readPhases(ps[8:8], oxs)}
-	if stride > 1 {
-		buf = getPhases(len(g.ra) * len(g.rb) * n * outH * outW)
-	}
-	return pm, g, buf
-}
-
-// phaseGeom is one strided plane shift's layout of the phase planes: the row
-// and column phases read (in slot order), each phase plane n · outH · outW
-// floats, phase (ra[i], rb[j]) at ((i·len(rb) + j)·n + image)·outH·outW.
-type phaseGeom struct {
-	n, h, w, stride, outH, outW int
-	ra, rb                      []int
-}
-
-// copyPhases copies a channel's read phases between its n planes and
-// phases: into phases, or, with back set, back onto the planes, where a pixel
-// of a phase no tap reads is set to +0. Copying in leaves the rows and columns
-// of a short phase past its end as they were; the masks never let them
-// through.
-func (g *phaseGeom) copyPhases(phases, planes []float32, back bool) {
-	n, h, w, s, outW := g.n, g.h, g.w, g.stride, g.outW
-	spatial := g.outH * outW
-	if back && (len(g.ra) < s || len(g.rb) < s) {
-		clear(planes)
-	}
-	for bi, b := range g.rb {
-		wb := (w - b + s - 1) / s // a phase's width, once per call: a division
-		for ai, a := range g.ra {
-			ph := phases[(ai*len(g.rb)+bi)*n*spatial:][:n*spatial]
-			for i := 0; i < n; i++ {
-				img := planes[i*h*w : (i+1)*h*w]
-				for r, y := i*spatial, a; y < h; r, y = r+outW, y+s {
-					row, px := ph[r:r+wb], img[y*w+b:]
-					if back {
-						for q, v := range row {
-							px[q*s] = v
-						}
-					} else {
-						for q := range row {
-							row[q] = px[q*s]
-						}
+// masksFor returns the masks of the plane shift of an h × w plane under a
+// kh × kw window with the given padding, whose taps span oys and oxs.
+func masksFor(h, w, kh, kw, pad int, oys, oxs []tapSpan) *planeMasks {
+	return maskCache.get(maskKey{h, w, kh, kw, pad}, func() *planeMasks {
+		plane := h * w
+		pm := &planeMasks{period: plane * ((32 + plane - 1) / plane)}
+		pm.bits = make([]uint32, kh*kw*(pm.period+32))
+		for ky, oy := range oys {
+			for kx, ox := range oxs {
+				m := pm.tap(ky*kw + kx)
+				for i := range m {
+					o, p := i%plane/w, i%w
+					if o >= oy.lo && o < oy.hi && p >= ox.lo && p < ox.hi {
+						m[i] = ^uint32(0)
 					}
 				}
 			}
 		}
+		return pm
+	})
+}
+
+// gatherPlan is how one geometry that is not a plane shift moves a channel,
+// at one batch size (see the file comment).
+type gatherPlan struct {
+	// lower's vector v fills slots [8v, 8v+8) of a channel's kh·kw·n·outH·outW
+	// block of the column matrix from the channel's n planes.
+	lower vecTable
+	// raise's vector e is a tap, taps[e], read from the channel's block of the
+	// column gradient into the pixels of one block of 8 that receive it.
+	// Block b of 8 pixels owns vectors [ends[b−1], ends[b]) (from 0 for b = 0).
+	raise      vecTable
+	ends, taps []int32
+	// all is kh·kw trues: the row mask of a raise that has none.
+	all []bool
+}
+
+// vecTable is a list of 8-lane vectors, each lane reading one float of a
+// source or nothing (+0). Offsets are int32, the width of the AVX2 gather's
+// indices. Vector v's lanes are lane[8v : 8v+8], −1 where a lane reads
+// nothing. Where base[v] ≥ 0 the floats it reads lie in the window
+// src[base[v] : base[v]+8], which is loaded whole, and the lanes are offsets
+// 0–7 into it: the window of a stride-1 row is the row itself, and a
+// stride-2 tap hands the pixels of one image row consecutive slots. Where
+// base[v] = −1 the lanes are offsets into src, gathered.
+type vecTable struct{ base, lane []int32 }
+
+// add appends the vector whose lane l reads src[slots[l]] (l < len(slots) ≤
+// 8; −1 and missing lanes read nothing) from a source of n floats.
+func (vt *vecTable) add(slots []int32, n int) {
+	lo, hi := int32(n), int32(-1)
+	for _, j := range slots {
+		if j >= 0 {
+			lo, hi = min(lo, j), max(hi, j)
+		}
+	}
+	base := int32(-1)
+	if n >= 8 && hi-lo < 8 {
+		base = min(lo, int32(n-8))
+	}
+	vt.base = append(vt.base, base)
+	for l := 0; l < 8; l++ {
+		j := int32(-1)
+		if l < len(slots) && slots[l] >= 0 {
+			j = slots[l] - max(base, 0)
+		}
+		vt.lane = append(vt.lane, j)
+	}
+}
+
+// read returns vector v read from src: lane l is src[max(base, 0) + lane],
+// +0 where lane is −1.
+func (vt *vecTable) read(v int, src []float32) (out [8]float32) {
+	base := max(vt.base[v], 0)
+	for l, j := range vt.lane[8*v : 8*v+8] {
+		if j >= 0 {
+			out[l] = src[base+j]
+		}
+	}
+	return out
+}
+
+type planKey struct{ n, h, w, kh, kw, stride, pad, outH, outW int }
+
+var planCache geomCache[planKey, *gatherPlan]
+
+// planFor returns the gather plan of n images of h × w under a kh × kw window
+// with the given stride and padding, whose map is outH × outW.
+func planFor(n, h, w, kh, kw, stride, pad, outH, outW int) *gatherPlan {
+	return planCache.get(planKey{n, h, w, kh, kw, stride, pad, outH, outW}, func() *gatherPlan {
+		return buildPlan(n, h, w, kh, kw, stride, pad, outH, outW)
+	})
+}
+
+func buildPlan(n, h, w, kh, kw, stride, pad, outH, outW int) *gatherPlan {
+	kk, spatial, px := kh*kw, outH*outW, n*h*w
+	ns := n * spatial
+	if kk*ns > math.MaxInt32 || kk*px > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: a lowering of %d × %d slots does not fit int32 offsets", kk, ns))
+	}
+	// reads[j] is the pixel slot j reads, and recv[t·px + q] the slot of tap
+	// t that pixel q receives; −1 for none.
+	reads, recv := make([]int32, kk*ns), make([]int32, kk*px)
+	for j := range reads {
+		reads[j] = -1
+	}
+	for j := range recv {
+		recv[j] = -1
+	}
+	p := &gatherPlan{all: make([]bool, kk)}
+	for ky := 0; ky < kh; ky++ {
+		for kx := 0; kx < kw; kx++ {
+			t := ky*kw + kx
+			p.all[t] = true
+			for i := 0; i < n; i++ {
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*stride + ky - pad
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*stride + kx - pad
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							continue
+						}
+						j, q := t*ns+(i*outH+oy)*outW+ox, (i*h+iy)*w+ix
+						reads[j], recv[t*px+q] = int32(q), int32(j)
+					}
+				}
+			}
+		}
+	}
+	for j := 0; j < kk*ns; j += 8 {
+		p.lower.add(reads[j:min(j+8, kk*ns)], px)
+	}
+	for b := 0; b < px; b += 8 {
+		for t := 0; t < kk; t++ {
+			if lanes := recv[t*px+b : t*px+min(b+8, px)]; slices.ContainsFunc(lanes, func(j int32) bool { return j >= 0 }) {
+				p.taps = append(p.taps, int32(t))
+				p.raise.add(lanes, kk*ns)
+			}
+		}
+		p.ends = append(p.ends, int32(len(p.taps)))
+	}
+	return p
+}
+
+// planLower writes a channel's block of the column matrix from its n planes
+// through a plan's lowering table: slot j the pixel it reads, +0 for padding.
+func planLower(dst, src []float32, vt *vecTable) {
+	_ = vt.base[(len(dst)-1)/8]
+	if hasDot4 {
+		planLowerAVX(&dst[0], &src[0], &vt.base[0], &vt.lane[0], len(dst))
+		return
+	}
+	for v := range (len(dst) + 7) / 8 {
+		vals := vt.read(v, src)
+		copy(dst[8*v:], vals[:])
+	}
+}
+
+// planRaise writes a channel's n planes from its block of the column gradient
+// through a plan's raising table: each pixel the sum, onto +0 in ascending
+// tap order, of the slots that read it, leaving out the taps t with !live[t].
+func planRaise(dst, src []float32, p *gatherPlan, live []bool) {
+	_ = live[len(p.all)-1]
+	if len(p.taps) == 0 {
+		clear(dst) // no tap lands inside the input
+		return
+	}
+	if hasDot4 {
+		planRaiseAVX(&dst[0], &src[0], &p.ends[0], &p.taps[0], &p.raise.base[0], &p.raise.lane[0], &live[0], len(dst))
+		return
+	}
+	e := 0
+	for b, end := range p.ends {
+		var acc [8]float32
+		for ; e < int(end); e++ {
+			if live[p.taps[e]] {
+				vals := p.raise.read(e, src)
+				for l, v := range vals {
+					acc[l] += v
+				}
+			}
+		}
+		copy(dst[8*b:], acc[:])
 	}
 }
 
@@ -361,22 +426,23 @@ func maskAdd(dst, src []float32, mask []uint32, q, period int) {
 // channel) into slot s of the column matrix cols (len(chans)·kh·kw ×
 // n·outH·outW, row-major), for s in [lo, hi). Every slot of those rows is
 // written — input pixel or padding zero — and nothing outside them; see the
-// file comment for the order and the three ways a row is moved.
+// file comment for the two ways a channel is moved.
 func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, chans []int, lo, hi int) {
-	var stack [16]tapSpan
-	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
-	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
-	spatial, plane := outH*outW, h*w
-	ns := n * spatial
-	var ps [16]int
-	pm, g, buf := shiftFor(ps[:], oys, oxs, n, h, w, kh, kw, stride, pad, outH, outW)
-	for slot := lo; slot < hi; slot++ {
-		planes := x[chans[slot]*n*plane : (chans[slot]+1)*n*plane]
-		phases := planes // at stride 1, the one phase
-		if buf != nil {
-			g.copyPhases(*buf, planes, false)
-			phases = *buf
+	px, ns := n*h*w, n*outH*outW
+	block := kh * kw * ns
+	if !planeShift(h, w, stride, outH, outW) {
+		p := planFor(n, h, w, kh, kw, stride, pad, outH, outW)
+		for slot := lo; slot < hi; slot++ {
+			planLower(cols[slot*block:(slot+1)*block], x[chans[slot]*px:(chans[slot]+1)*px], &p.lower)
 		}
+		return
+	}
+	var stack [16]tapSpan
+	oys := tapSpans(stack[:0:8], h, kh, pad)
+	oxs := tapSpans(stack[8:8], w, kw, pad)
+	pm := masksFor(h, w, kh, kw, pad, oys, oxs)
+	for slot := lo; slot < hi; slot++ {
+		planes := x[chans[slot]*px : (chans[slot]+1)*px]
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
 				r := (slot*kh+ky)*kw + kx
@@ -385,47 +451,42 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 					clear(row) // the tap never lands inside the input
 					continue
 				}
-				if pm != nil {
-					phase := phases[(oy.slot*len(g.rb)+ox.slot)*ns:][:ns]
-					first, last, shift := stretch(oy, ox, n, outH, outW)
-					clear(row[:first])
-					maskCopy(row[first:last], phase[first+shift:], pm.tap(ky*kw+kx), first, pm.period)
-					clear(row[last:])
-					continue
-				}
-				for i := 0; i < n; i++ {
-					lowerRows(row[i*spatial:(i+1)*spatial], planes[i*plane:(i+1)*plane], oy, ox, outW, w, stride, ky-pad, kx-pad)
-				}
+				first, last, shift := stretch(oy, ox, n, h, w)
+				clear(row[:first])
+				maskCopy(row[first:last], planes[first+shift:], pm.tap(ky*kw+kx), first, pm.period)
+				clear(row[last:])
 			}
 		}
-	}
-	if buf != nil {
-		phasePool.Put(buf)
 	}
 }
 
 // Col2Im raises channels [chLo, chHi) of the column gradient dcols (laid out
 // as Im2Col writes the full matrix) onto their planes of the CNHW batch dx —
-// the adjoint of Im2Col. Those planes are overwritten:
-// cleared, then summed into in ascending (ky, kx), the order the file comment
-// derives the result's bits from. Where rows is not empty, a row r with
-// !rows[r] is taken to be +0 and is not read. dcols is only read.
+// the adjoint of Im2Col. Those planes are overwritten with sums onto +0 in
+// ascending (ky, kx), the order the file comment derives the result's bits
+// from. Where rows is not empty, a row r with !rows[r] is taken to be +0 and
+// is not read. dcols is only read.
 func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo, chHi int, rows []bool) {
-	var stack [16]tapSpan
-	oys := tapSpans(stack[:0:8], h, kh, stride, pad, outH)
-	oxs := tapSpans(stack[8:8], w, kw, stride, pad, outW)
-	spatial, plane := outH*outW, h*w
-	ns := n * spatial
+	kk, px, ns := kh*kw, n*h*w, n*outH*outW
 	masked := len(rows) != 0
-	var ps [16]int
-	pm, g, buf := shiftFor(ps[:], oys, oxs, n, h, w, kh, kw, stride, pad, outH, outW)
-	for ch := chLo; ch < chHi; ch++ {
-		planes := dx[ch*n*plane : (ch+1)*n*plane]
-		phases := planes // at stride 1, the one phase
-		if buf != nil {
-			phases = *buf
+	if !planeShift(h, w, stride, outH, outW) {
+		p := planFor(n, h, w, kh, kw, stride, pad, outH, outW)
+		for ch := chLo; ch < chHi; ch++ {
+			live := p.all
+			if masked {
+				live = rows[ch*kk : (ch+1)*kk]
+			}
+			planRaise(dx[ch*px:(ch+1)*px], dcols[ch*kk*ns:(ch+1)*kk*ns], p, live)
 		}
-		clear(phases)
+		return
+	}
+	var stack [16]tapSpan
+	oys := tapSpans(stack[:0:8], h, kh, pad)
+	oxs := tapSpans(stack[8:8], w, kw, pad)
+	pm := masksFor(h, w, kh, kw, pad, oys, oxs)
+	for ch := chLo; ch < chHi; ch++ {
+		planes := dx[ch*px : (ch+1)*px]
+		clear(planes)
 		for ky, oy := range oys {
 			for kx, ox := range oxs {
 				r := (ch*kh+ky)*kw + kx
@@ -433,69 +494,9 @@ func Col2Im(dx, dcols []float32, n, h, w, kh, kw, stride, pad, outH, outW, chLo,
 					continue
 				}
 				row := dcols[r*ns : (r+1)*ns]
-				if pm != nil {
-					phase := phases[(oy.slot*len(g.rb)+ox.slot)*ns:][:ns]
-					first, last, shift := stretch(oy, ox, n, outH, outW)
-					maskAdd(phase[first+shift:last+shift], row[first:last], pm.tap(ky*kw+kx), first, pm.period)
-					continue
-				}
-				for i := 0; i < n; i++ {
-					raiseRows(planes[i*plane:(i+1)*plane], row[i*spatial:(i+1)*spatial], oy, ox, outW, w, stride, ky-pad, kx-pad)
-				}
+				first, last, shift := stretch(oy, ox, n, h, w)
+				maskAdd(planes[first+shift:last+shift], row[first:last], pm.tap(ky*kw+kx), first, pm.period)
 			}
-		}
-		if buf != nil {
-			g.copyPhases(phases, planes, true)
-		}
-	}
-	if buf != nil {
-		phasePool.Put(buf)
-	}
-}
-
-// lowerRows writes one image's segment of a row of the column matrix from the
-// image's plane, one output row at a time: output position (o, p) reads input
-// pixel (o·stride + top, p·stride + off), and every other slot of the segment
-// is written +0. It is Im2Col's row loop, kept out of line for the reason
-// raiseRows is: inlined, it shares Im2Col's register allocation, and a
-// strided 1×1 window lowered 0.6–0.9× as fast.
-//
-//go:noinline
-func lowerRows(seg, src []float32, oy, ox tapSpan, outW, w, stride, top, off int) {
-	clear(seg[:oy.lo*outW])
-	for o := oy.lo; o < oy.hi; o++ {
-		in := src[(o*stride+top)*w:][:w]
-		out := seg[o*outW:][:outW]
-		for p := 0; p < ox.lo; p++ {
-			out[p] = 0
-		}
-		for p := ox.lo; p < ox.hi; p++ {
-			out[p] = in[p*stride+off]
-		}
-		for p := ox.hi; p < outW; p++ {
-			out[p] = 0
-		}
-	}
-	clear(seg[oy.hi*outW:])
-}
-
-// raiseRows adds one image's segment of a column-gradient row onto the image's
-// plane, one output row at a time: output position (o, p) lands on input
-// pixel (o·stride + top, p·stride + off). It is Col2Im's inner loop for the
-// geometries that are not a plane shift, kept out of line: inlined, it shares
-// Col2Im's register allocation, which reloads five to seven values from the
-// stack per element (the count moved with every variable Col2Im gained); on
-// its own the loop is a load, an add and a store, and measures 0.8× the
-// inlined time on the stride-2 windows, the call included.
-//
-//go:noinline
-func raiseRows(dst, seg []float32, oy, ox tapSpan, outW, w, stride, top, off int) {
-	for o := oy.lo; o < oy.hi; o++ {
-		out := dst[(o*stride+top)*w:][:w]
-		at := ox.lo*stride + off
-		for _, v := range seg[o*outW+ox.lo : o*outW+ox.hi] {
-			out[at] += v
-			at += stride
 		}
 	}
 }

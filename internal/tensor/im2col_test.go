@@ -190,38 +190,50 @@ func plantEdges(buf []float32, h, w int, specials ...float32) {
 }
 
 // TestIm2ColCol2ImContract runs checkLowerRaise over the geometries the two
-// inner loops and their fringes can meet, with the AVX2 row add and with its
-// pure-Go form.
+// ways a channel moves and their fringes can meet, with the AVX2 kernels and
+// with their pure-Go forms. A case named for a way asserts that each of its
+// geometries takes it.
 func TestIm2ColCol2ImContract(t *testing.T) {
+	const either, shift, plan = 0, 1, 2
 	type contractCase struct {
 		name  string
+		path  int
 		geoms []convGeom
 	}
 	cases := []contractCase{
-		{"same", []convGeom{
+		{"same", shift, []convGeom{
 			{3, 3, 5, 7, 3, 1, 1, 0, 3}, {1, 3, 6, 4, 5, 1, 2, 0, 3}, {3, 3, 9, 8, 7, 1, 3, 0, 3}, {3, 3, 4, 6, 1, 1, 0, 0, 3},
 		}},
-		{"strided", []convGeom{
+		{"strided", plan, []convGeom{
 			{3, 3, 5, 7, 3, 2, 1, 0, 3}, {3, 3, 8, 6, 1, 2, 0, 0, 3}, {1, 3, 9, 7, 5, 3, 2, 0, 3}, {3, 3, 7, 9, 7, 2, 3, 0, 3},
 		}},
-		// Strided 'same' windows, on phase planes: odd sides make short
-		// phases, and a stride above the window leaves phases no tap reads.
-		{"strided_same", stridedSameGeoms(t)},
+		// Strided 'same' windows: odd sides leave a pixel row or column no
+		// tap of one parity reads, and a stride above the window leaves
+		// pixels no tap reads at all.
+		{"strided_same", plan, stridedSameGeoms()},
 		// Stride 1 with outW != w: rows of the map do not abut in the matrix.
-		{"valid_stride1", []convGeom{
+		{"valid_stride1", plan, []convGeom{
 			{3, 3, 6, 7, 3, 1, 0, 0, 3}, {1, 3, 7, 6, 5, 1, 1, 0, 3}, {3, 3, 5, 5, 3, 1, 2, 0, 3},
 		}},
-		// Taps that never land inside the input, on both inner loops.
-		{"kernel_larger_than_input", []convGeom{
+		// Taps that never land inside the input.
+		{"kernel_larger_than_input", either, []convGeom{
 			{3, 2, 1, 1, 7, 1, 3, 0, 2}, {1, 2, 1, 2, 7, 2, 3, 0, 2}, {3, 3, 2, 2, 5, 1, 2, 0, 3}, {3, 3, 2, 3, 7, 3, 3, 0, 3},
 		}},
+		// The same on the plane shift: rows 0 and 6 of a 7×7 window over a
+		// 2 × 8 map are all padding.
+		{"kernel_larger_than_input_shift", shift, []convGeom{
+			{3, 3, 2, 8, 7, 1, 3, 0, 3}, {2, 3, 8, 2, 7, 1, 3, 0, 3},
+		}},
 		// Many small images a row: the stretch crosses a fringe between every
-		// two of them.
-		{"batch", batchGeoms()},
+		// two of them, and a plan's 8-pixel blocks span images.
+		{"batch", either, batchGeoms()},
 		// Rows and planes outside the requested channels must survive.
-		{"channel_subrange", []convGeom{
+		{"channel_subrange", either, []convGeom{
 			{3, 5, 5, 7, 3, 1, 1, 1, 4}, {3, 5, 5, 7, 3, 2, 1, 1, 4}, {1, 5, 4, 4, 1, 1, 0, 4, 5}, {3, 5, 6, 5, 5, 1, 2, 0, 5},
 		}},
+		// Tables whose length is not a multiple of the 8-lane step: the
+		// last lowering step and the last raising block are partial.
+		{"plan_tails", plan, planTailGeoms(t)},
 	}
 	var sweep []convGeom
 	for _, n := range []int{1, 3} {
@@ -237,9 +249,15 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 			}
 		}
 	}
-	cases = append(cases, contractCase{"sweep", sweep})
+	cases = append(cases, contractCase{"sweep", either, sweep})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			for _, g := range tc.geoms {
+				outH, outW := g.outSize()
+				if onShift := planeShift(g.h, g.w, g.stride, outH, outW); tc.path == shift && !onShift || tc.path == plan && onShift {
+					t.Fatalf("%v does not take the way its case is named for", g)
+				}
+			}
 			forEachKernelGate(t, func(t *testing.T) {
 				for _, g := range tc.geoms {
 					checkLowerRaise(t, g)
@@ -249,8 +267,8 @@ func TestIm2ColCol2ImContract(t *testing.T) {
 	}
 }
 
-// batchGeoms are the plane-shift geometries of a batch-wide stretch: 2, 8 and
-// 16 images of 1×1 to 8×8, under a 3×3 pad-1 window and a 1×1 one.
+// batchGeoms are the geometries of a batch-wide stretch or plan: 2, 8 and 16
+// images of 1×1 to 8×8, under a 3×3 pad-1 window and a 1×1 one.
 func batchGeoms() []convGeom {
 	var gs []convGeom
 	for _, n := range []int{2, 8, 16} {
@@ -261,12 +279,12 @@ func batchGeoms() []convGeom {
 	return gs
 }
 
-// stridedSameGeoms are the phase-plane geometries: strides 2 and 3 under 3×3
+// stridedSameGeoms are strided 'same' windows: strides 2 and 3 under 3×3
 // and 5×5 'same' windows (pad k/2), every side from 2 to 13 across each axis
 // (the other axis 15 minus it, so odd and even sides meet in one geometry),
 // at 1, 3, 8 and 16 images; then 3×3 windows at strides 4 and 5, which read
-// two and three phases of each axis's four and five.
-func stridedSameGeoms(t *testing.T) []convGeom {
+// two and three of each axis's four and five pixel parities.
+func stridedSameGeoms() []convGeom {
 	var gs []convGeom
 	for _, n := range []int{1, 3, 8, 16} {
 		for _, stride := range []int{2, 3} {
@@ -282,31 +300,64 @@ func stridedSameGeoms(t *testing.T) []convGeom {
 			}
 		}
 	}
-	for _, g := range gs {
-		if outH, outW := g.outSize(); !planeShift(g.h, g.w, g.k, g.k, g.stride, outH, outW) {
-			t.Fatalf("%v is not lowered on phase planes", g)
+	return gs
+}
+
+// planTailGeoms are plan geometries at 1, 3, 9 and 16 images — a 3×3
+// stride-2 'same' window, a 1×1 stride-2 one, a 2×2 'valid' one and a 3×3
+// 'same' one on a small map — over odd sides. Below 16 images only those are
+// kept in which neither a channel's block of the matrix (kh·kw·n·outH·outW)
+// nor its run of pixels (n·h·w) is a multiple of 8; at 16 both always are.
+func planTailGeoms(t *testing.T) []convGeom {
+	var gs []convGeom
+	for _, n := range []int{1, 3, 9, 16} {
+		for _, hw := range [][2]int{{3, 5}, {5, 3}, {1, 3}, {5, 7}} {
+			for _, win := range [][3]int{{3, 2, 1}, {1, 2, 0}, {2, 1, 0}, {3, 1, 1}} {
+				g := convGeom{n, 2, hw[0], hw[1], win[0], win[1], win[2], 0, 2}
+				outH, outW := g.outSize()
+				blk, px := g.matrixLen()/g.c, g.batchLen()/g.c
+				if outH >= 1 && outW >= 1 && !planeShift(g.h, g.w, g.stride, outH, outW) && (n == 16 || blk%8 != 0 && px%8 != 0) {
+					gs = append(gs, g)
+				}
+			}
 		}
+	}
+	if len(gs) < 32 {
+		t.Fatalf("only %d tail geometries", len(gs))
 	}
 	return gs
 }
 
-// TestPlaneMasksKeyedByStride holds the mask cache to its key: a stride-1 and
-// a stride-2 'same' window over one plane, with one kernel and one padding,
-// map different outputs to different pixels, so they must not share masks.
-func TestPlaneMasksKeyedByStride(t *testing.T) {
-	const h, w, k, pad = 6, 7, 3, 1
-	masks := func(stride int) *planeMasks {
-		outH, outW := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
-		oys := tapSpans(nil, h, k, stride, pad, outH)
-		oxs := tapSpans(nil, w, k, stride, pad, outW)
-		return masksFor(h, w, k, k, stride, pad, outH, outW, oys, oxs)
+// TestPlansKeyedByGeometry holds the plan cache to its key: windows that
+// differ only in stride, padding, window size or batch map different slots to
+// different pixels, so each gets a plan of its own, and a geometry met twice
+// reuses the plan built the first time. The cache starts over past
+// maxCachedGeoms, so the test empties it first: the other tests of the
+// package meet more geometries than that.
+func TestPlansKeyedByGeometry(t *testing.T) {
+	planCache.mu.Lock()
+	planCache.m.Store(nil)
+	planCache.mu.Unlock()
+	base := convGeom{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 2, pad: 1}
+	planOf := func(g convGeom) *gatherPlan {
+		outH, outW := g.outSize()
+		return planFor(g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW)
 	}
-	one, two := masks(1), masks(2)
-	if one == two || one.period == two.period && slices.Equal(one.bits, two.bits) {
-		t.Fatalf("stride 1 and stride 2 over %d×%d, k%d p%d get the same masks", h, w, k, pad)
+	first := planOf(base)
+	for _, g := range []convGeom{
+		{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 3, pad: 1},
+		{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 2, pad: 0},
+		{n: 3, c: 1, h: 6, w: 7, k: 1, stride: 2, pad: 1},
+		{n: 2, c: 1, h: 6, w: 7, k: 3, stride: 2, pad: 1},
+		{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 1, pad: 1}, // a small map off the plane shift
+	} {
+		p := planOf(g)
+		if p == first || slices.Equal(p.lower.lane, first.lower.lane) && slices.Equal(p.raise.lane, first.raise.lane) {
+			t.Fatalf("%v and %v share a plan", g, base)
+		}
 	}
-	if masks(2) != two {
-		t.Fatal("a geometry met twice built its masks twice")
+	if planOf(base) != first {
+		t.Fatalf("%v met twice built its plan twice", base)
 	}
 }
 
@@ -322,7 +373,11 @@ func TestIm2ColSlotsCol2ImMask(t *testing.T) {
 	forEachKernelGate(t, func(t *testing.T) {
 		for _, g := range []convGeom{
 			{3, 5, 5, 7, 3, 1, 1, 0, 5}, {3, 5, 5, 7, 3, 2, 1, 0, 5}, {2, 5, 4, 4, 1, 2, 0, 0, 5}, {1, 5, 6, 5, 5, 1, 2, 0, 5},
-			{8, 5, 6, 6, 3, 2, 1, 0, 5}, {3, 5, 9, 8, 5, 3, 2, 0, 5}, // strided 'same': phase planes
+			{8, 5, 6, 6, 3, 2, 1, 0, 5}, {3, 5, 9, 8, 5, 3, 2, 0, 5}, // strided 'same': the plan
+			// The plan with some of a channel's taps masked out: a 2×2
+			// stride-1 window, a 1×1 stride-2 one (one tap, so a channel is
+			// wholly in or out) and a 3×3 stride-2 one.
+			{3, 5, 5, 6, 2, 1, 0, 0, 5}, {3, 5, 7, 5, 1, 2, 0, 0, 5}, {3, 5, 7, 6, 3, 2, 1, 0, 5},
 		} {
 			outH, outW := g.outSize()
 			kk, ns := g.k*g.k, g.n*outH*outW
