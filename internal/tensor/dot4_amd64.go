@@ -62,20 +62,20 @@ func maskCopyAVX(dst, src *float32, mask *uint32, n, q, period int)
 func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int)
 
 // planLowerAVX writes dst[j] for j < n from src through a gather plan's
-// lowering vectors (vecTable: base and lane, eight lanes a vector), a lane of
-// −1 writing +0: a channel's block of Im2Col's matrix. Implemented in
+// lowering vectors (eight int32 offsets into src a vector), a lane of −1
+// writing +0: a channel's block of Im2Col's matrix. Implemented in
 // dot4_amd64.s.
 //
 //go:noescape
-func planLowerAVX(dst, src *float32, base, lane *int32, n int)
+func planLowerAVX(dst, src *float32, lower *int32, n int)
 
 // planRaiseAVX writes a channel's n pixels through a gather plan's raising
 // table: block b of 8 pixels is the sum, onto +0 in vector order, of its
-// vectors [ends[b−1], ends[b]) read from src (base and lane as for
-// planLowerAVX) whose tap t has live[t]. Implemented in dot4_amd64.s.
+// vectors [ends[b−1], ends[b]) of raise read from src (as for planLowerAVX)
+// whose tap t has live[t]. Implemented in dot4_amd64.s.
 //
 //go:noescape
-func planRaiseAVX(dst, src *float32, ends, taps, base, lane *int32, live *bool, n int)
+func planRaiseAVX(dst, src *float32, ends, taps, raise *int32, live *bool, n int)
 
 // addT8 adds the transposes of nblk 8×8 blocks of an eight-row strip of src
 // (rows lds floats apart) into dst (rows ld floats apart): the block at

@@ -955,55 +955,38 @@ madddone:
 	RET
 
 // The gather-plan kernels move a channel through a table of 8-lane vectors
-// (vecTable), each lane reading one float of src or +0 where its offset is
-// -1. A vector with a base >= 0 reads the 8-float window at src + base:
-// VPERMPS loads it whole and picks lane l's float by the low three bits of
-// its offset, and the lanes of -1, whose sign VPSRAD spreads over the lane,
-// are cleared. A vector with base -1 is gathered: VGATHERDPS loads the lanes
-// whose mask element has its sign bit set and leaves the others of its
-// destination as they were, so the mask is the offsets with every bit
-// flipped (Y15 is all ones) and the destination starts at +0; a masked-off
-// lane is never read, and the gather clears its mask, which is made afresh
-// for each one. Either way Y0 ends up holding the vector; AX, Y1 and Y2 are
-// scratch.
+// of int32 offsets into src, each lane reading one float of src or +0 where
+// its offset is -1. VGATHERDPS loads the lanes whose mask element has its
+// sign bit set and leaves the others of its destination as they were, so the
+// mask is the offsets with every bit flipped (Y15 is all ones) and the
+// destination starts at +0: a -1 lane is never read and comes out +0. The
+// gather clears its mask, which is made afresh for each vector. Y0 ends up
+// holding the vector; Y1 and Y2 are scratch.
 
-// func planLowerAVX(dst, src *float32, base, lane *int32, n int)
+// func planLowerAVX(dst, src *float32, lower *int32, n int)
 //
 // dst[8v..8v+8) = vector v, for the ceil(n/8) vectors that cover dst; the
 // last n%8 floats go through a masked store.
-TEXT ·planLowerAVX(SB), NOSPLIT, $0-40
+TEXT ·planLowerAVX(SB), NOSPLIT, $0-32
 	MOVQ     dst+0(FP), DI
 	MOVQ     src+8(FP), SI
-	MOVQ     base+16(FP), BX
-	MOVQ     lane+24(FP), R10
-	MOVQ     n+32(FP), CX
+	MOVQ     lower+16(FP), R10
+	MOVQ     n+24(FP), CX
 	VPCMPEQD Y15, Y15, Y15
 
 plowervec:
-	MOVLQSX (BX), AX
-	VMOVDQU (R10), Y1
-	TESTQ   AX, AX
-	JS      plowergather
-	VPERMPS (SI)(AX*4), Y1, Y0
-	VPSRAD  $31, Y1, Y2
-	VANDNPS Y0, Y2, Y0
-	JMP     plowerstore
-
-plowergather:
+	VMOVDQU    (R10), Y1
 	VPXOR      Y15, Y1, Y2
 	VXORPS     Y0, Y0, Y0
 	VGATHERDPS Y2, (SI)(Y1*4), Y0
-
-plowerstore:
-	ADDQ    $4, BX
-	ADDQ    $32, R10
-	CMPQ    CX, $8
-	JL      plowertail
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNZ     plowervec
-	JMP     plowerdone
+	ADDQ       $32, R10
+	CMPQ       CX, $8
+	JL         plowertail
+	VMOVUPS    Y0, (DI)
+	ADDQ       $32, DI
+	SUBQ       $8, CX
+	JNZ        plowervec
+	JMP        plowerdone
 
 plowertail:
 	MOVQ       $16, AX
@@ -1016,21 +999,20 @@ plowerdone:
 	VZEROUPPER
 	RET
 
-// func planRaiseAVX(dst, src *float32, ends, taps, base, lane *int32, live *bool, n int)
+// func planRaiseAVX(dst, src *float32, ends, taps, raise *int32, live *bool, n int)
 //
 // Writes dst[0..n) eight pixels a block: block b is the sum, onto +0 in
 // vector order, of its vectors e in [ends[b-1], ends[b]) whose tap taps[e]
 // has live[taps[e]] set; a vector of a dead tap is not read. A -1 lane adds
 // +0. The last n%8 sums go through a masked store. src is only read.
-TEXT ·planRaiseAVX(SB), NOSPLIT, $0-64
+TEXT ·planRaiseAVX(SB), NOSPLIT, $0-56
 	MOVQ     dst+0(FP), DI
 	MOVQ     src+8(FP), SI
 	MOVQ     ends+16(FP), R8
 	MOVQ     taps+24(FP), R9
-	MOVQ     base+32(FP), BX
-	MOVQ     lane+40(FP), R10
-	MOVQ     live+48(FP), R11
-	MOVQ     n+56(FP), CX
+	MOVQ     raise+32(FP), R10
+	MOVQ     live+40(FP), R11
+	MOVQ     n+48(FP), CX
 	XORQ     DX, DX
 	VPCMPEQD Y15, Y15, Y15
 
@@ -1040,22 +1022,12 @@ praiseblock:
 	ADDQ    $4, R8
 
 praisevec:
-	CMPQ    DX, R12
-	JGE     praisestore
-	MOVLQSX (R9)(DX*4), AX
-	CMPB    (R11)(AX*1), $0
-	JEQ     praisenext
-	MOVLQSX (BX)(DX*4), AX
-	VMOVDQU (R10), Y1
-	TESTQ   AX, AX
-	JS      praisegather
-	VPERMPS (SI)(AX*4), Y1, Y0
-	VPSRAD  $31, Y1, Y2
-	VANDNPS Y0, Y2, Y0
-	VADDPS  Y0, Y3, Y3
-	JMP     praisenext
-
-praisegather:
+	CMPQ       DX, R12
+	JGE        praisestore
+	MOVLQSX    (R9)(DX*4), AX
+	CMPB       (R11)(AX*1), $0
+	JEQ        praisenext
+	VMOVDQU    (R10), Y1
 	VPXOR      Y15, Y1, Y2
 	VXORPS     Y0, Y0, Y0
 	VGATHERDPS Y2, (SI)(Y1*4), Y0

@@ -38,11 +38,11 @@ func maskAddAVX(dst, src *float32, mask *uint32, n, q, period int) {
 	panic("tensor: maskAddAVX without hardware support")
 }
 
-func planLowerAVX(dst, src *float32, base, lane *int32, n int) {
+func planLowerAVX(dst, src *float32, lower *int32, n int) {
 	panic("tensor: planLowerAVX without hardware support")
 }
 
-func planRaiseAVX(dst, src *float32, ends, taps, base, lane *int32, live *bool, n int) {
+func planRaiseAVX(dst, src *float32, ends, taps, raise *int32, live *bool, n int) {
 	panic("tensor: planRaiseAVX without hardware support")
 }
 

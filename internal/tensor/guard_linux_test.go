@@ -279,16 +279,15 @@ func checkPlanKernels(t *testing.T) {
 				alloc = guardedFront
 			}
 			gp := &gatherPlan{
-				lower: vecTable{guardedCopy(t, p.lower.base, front), guardedCopy(t, p.lower.lane, front)},
-				raise: vecTable{guardedCopy(t, p.raise.base, front), guardedCopy(t, p.raise.lane, front)},
-				ends:  guardedCopy(t, p.ends, front), taps: guardedCopy(t, p.taps, front),
+				lower: guardedCopy(t, p.lower, front), raise: guardedCopy(t, p.raise, front),
+				ends: guardedCopy(t, p.ends, front), taps: guardedCopy(t, p.taps, front),
 				all: guardedCopy(t, p.all, front),
 			}
 			what := fmt.Sprintf("%v front=%v", g, front)
 			x, cols, want := alloc(t, px), alloc(t, blk), make([]float32, blk)
 			rng.FillNorm(x, 1)
-			goForm(func() { planLower(want, x, &gp.lower) })
-			planLower(cols, x, &gp.lower)
+			goForm(func() { planLower(want, x, gp.lower) })
+			planLower(cols, x, gp.lower)
 			sameFloats(t, what+" lower", cols, want)
 
 			dcols, dx, wantDx := alloc(t, blk), alloc(t, px), make([]float32, px)

@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -57,12 +57,8 @@ import (
 //     it. Raising a block reads its vectors and adds them, in that order,
 //     onto +0, then stores the 8 sums (planRaise): each pixel is written
 //     once, and a tap no pixel of the block receives (3 of 4 for a 3×3
-//     stride-2 window, on average) costs nothing. A vector whose offsets lie
-//     within 8 floats of each other is one load of those 8 floats and a lane
-//     permutation, any other a masked gather (vecTable); in ResNet18's
-//     windows every raising vector and every lowering vector of a stride-1
-//     map is of the first kind, and a stride-2 lowering, whose lanes read
-//     every other pixel, is gathered.
+//     stride-2 window, on average) costs nothing. Every vector, lowering or
+//     raising, is one masked gather of 8 lanes (VGATHERDPS) onto +0.
 //
 // No bit depends on the way a channel moves. Lowering copies pixels and
 // writes +0 elsewhere, so the matrix is the same bytes. Raising adds the same
@@ -101,9 +97,12 @@ import (
 // raising, hot and cold: a 3×3 map (32 channels) 0.33–0.36 / 0.59–0.74, a
 // 4×4 one (32 channels) 0.68–0.70 / 0.76–0.89, a 6×6 one (16 channels)
 // 0.84–1.06 / 0.84–1.27, an 8×8 one (16 channels) 1.02–1.13 / 1.22–1.35. The
-// crossover lies between 4×4 and 6×6. The threshold stays at 4×4: the plane
-// shift's tests run on maps of 16 to 72 pixels, and the benchmark's training
-// workloads have no 4×4 map.
+// crossover lies between 4×4 and 6×6, so 16 is not the measured crossover
+// (about 36 would be): maps of 16 to 35 pixels, the 4×4 maps of a 16×16
+// ResNet18 among them, stay on the slower way. It is where the plane shift's
+// contract and guard tests put their maps (16 to 72 pixels); moving it to the
+// crossover means moving those tests' geometries above it first (ROADMAP item
+// 2). The benchmark's training workloads have no map of 16 to 35 pixels.
 const minShiftPixels = 16
 
 // planeShift reports whether a geometry is moved by the plane shift: a
@@ -145,12 +144,23 @@ func stretch(oy, ox tapSpan, n, h, w int) (first, last, shift int) {
 
 // geomCache holds what is built once per geometry and shared by every call
 // after it: the plane shift's masks and the gather plans. The map is copied
-// on write under mu and read without a lock, so a lookup allocates nothing;
-// a run meets a handful of geometries, so the map is started over only past
-// maxCachedGeoms.
+// on write under mu and read without a lock, so a lookup allocates nothing.
+// Past maxCachedGeoms entries, a build evicts the entry least recently looked
+// up, and only that one: a plan is keyed by batch size too, so each
+// evaluation batch size (a test set's last, partial batch) adds entries,
+// while the layers being trained look theirs up every step and keep them.
 type geomCache[K comparable, V any] struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[K]V]
+	mu     sync.Mutex
+	m      atomic.Pointer[map[K]*geomEntry[V]]
+	builds atomic.Int64 // the cache's clock: builds so far
+}
+
+// geomEntry is a cached value and the clock at its last lookup, rewritten
+// only when a build has moved the clock since, so a steady run of lookups
+// writes nothing.
+type geomEntry[V any] struct {
+	v    V
+	used atomic.Int64
 }
 
 const maxCachedGeoms = 64
@@ -158,27 +168,39 @@ const maxCachedGeoms = 64
 // get returns the value cached under key, building it first if it is not.
 func (c *geomCache[K, V]) get(key K, build func() V) V {
 	if m := c.m.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v
+		if e, ok := (*m)[key]; ok {
+			if now := c.builds.Load(); e.used.Load() != now {
+				e.used.Store(now)
+			}
+			return e.v
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := c.m.Load()
 	if old != nil {
-		if v, ok := (*old)[key]; ok {
-			return v
+		if e, ok := (*old)[key]; ok {
+			return e.v
 		}
 	}
-	v := build()
-	next := map[K]V{key: v}
-	if old != nil && len(*old) < maxCachedGeoms {
-		for k, ov := range *old {
-			next[k] = ov
-		}
+	e := &geomEntry[V]{v: build()}
+	e.used.Store(c.builds.Add(1))
+	next := map[K]*geomEntry[V]{}
+	if old != nil {
+		maps.Copy(next, *old)
 	}
+	if len(next) >= maxCachedGeoms {
+		stale, oldest := key, int64(math.MaxInt64)
+		for k, oe := range next {
+			if u := oe.used.Load(); u < oldest {
+				stale, oldest = k, u
+			}
+		}
+		delete(next, stale)
+	}
+	next[key] = e
 	c.m.Store(&next)
-	return v
+	return e.v
 }
 
 // planeMasks are the validity masks of a plane-shift geometry's taps: entry
@@ -225,60 +247,28 @@ func masksFor(h, w, kh, kw, pad int, oys, oxs []tapSpan) *planeMasks {
 }
 
 // gatherPlan is how one geometry that is not a plane shift moves a channel,
-// at one batch size (see the file comment).
+// at one batch size (see the file comment). Its vectors are 8 lanes of int32,
+// the width of the AVX2 gather's indices; lane l of a vector reads src[lane]
+// of its source, or nothing (+0) where lane is −1.
 type gatherPlan struct {
-	// lower's vector v fills slots [8v, 8v+8) of a channel's kh·kw·n·outH·outW
-	// block of the column matrix from the channel's n planes.
-	lower vecTable
-	// raise's vector e is a tap, taps[e], read from the channel's block of the
-	// column gradient into the pixels of one block of 8 that receive it.
-	// Block b of 8 pixels owns vectors [ends[b−1], ends[b]) (from 0 for b = 0).
-	raise      vecTable
-	ends, taps []int32
+	// lower's vector v, lower[8v : 8v+8], fills slots [8v, 8v+8) of a
+	// channel's kh·kw·n·outH·outW block of the column matrix from the
+	// channel's n planes; lanes past the block are −1.
+	lower []int32
+	// raise's vector e, raise[8e : 8e+8], is a tap, taps[e], read from the
+	// channel's block of the column gradient into the pixels of one block of
+	// 8 that receive it. Block b of 8 pixels owns vectors [ends[b−1], ends[b])
+	// (from 0 for b = 0).
+	raise, taps, ends []int32
 	// all is kh·kw trues: the row mask of a raise that has none.
 	all []bool
 }
 
-// vecTable is a list of 8-lane vectors, each lane reading one float of a
-// source or nothing (+0). Offsets are int32, the width of the AVX2 gather's
-// indices. Vector v's lanes are lane[8v : 8v+8], −1 where a lane reads
-// nothing. Where base[v] ≥ 0 the floats it reads lie in the window
-// src[base[v] : base[v]+8], which is loaded whole, and the lanes are offsets
-// 0–7 into it: the window of a stride-1 row is the row itself, and a
-// stride-2 tap hands the pixels of one image row consecutive slots. Where
-// base[v] = −1 the lanes are offsets into src, gathered.
-type vecTable struct{ base, lane []int32 }
-
-// add appends the vector whose lane l reads src[slots[l]] (l < len(slots) ≤
-// 8; −1 and missing lanes read nothing) from a source of n floats.
-func (vt *vecTable) add(slots []int32, n int) {
-	lo, hi := int32(n), int32(-1)
-	for _, j := range slots {
+// gather8 returns the vector lanes[:8] reads from src.
+func gather8(lanes []int32, src []float32) (out [8]float32) {
+	for l, j := range lanes[:8] {
 		if j >= 0 {
-			lo, hi = min(lo, j), max(hi, j)
-		}
-	}
-	base := int32(-1)
-	if n >= 8 && hi-lo < 8 {
-		base = min(lo, int32(n-8))
-	}
-	vt.base = append(vt.base, base)
-	for l := 0; l < 8; l++ {
-		j := int32(-1)
-		if l < len(slots) && slots[l] >= 0 {
-			j = slots[l] - max(base, 0)
-		}
-		vt.lane = append(vt.lane, j)
-	}
-}
-
-// read returns vector v read from src: lane l is src[max(base, 0) + lane],
-// +0 where lane is −1.
-func (vt *vecTable) read(v int, src []float32) (out [8]float32) {
-	base := max(vt.base[v], 0)
-	for l, j := range vt.lane[8*v : 8*v+8] {
-		if j >= 0 {
-			out[l] = src[base+j]
+			out[l] = src[j]
 		}
 	}
 	return out
@@ -296,66 +286,82 @@ func planFor(n, h, w, kh, kw, stride, pad, outH, outW int) *gatherPlan {
 	})
 }
 
+// buildPlan allocates the plan's tables at their final length and nothing
+// else: the lowering table is one lane per slot, and a first pass over the
+// raising vectors counts them.
 func buildPlan(n, h, w, kh, kw, stride, pad, outH, outW int) *gatherPlan {
 	kk, spatial, px := kh*kw, outH*outW, n*h*w
 	ns := n * spatial
-	if kk*ns > math.MaxInt32 || kk*px > math.MaxInt32 {
+	if kk*ns > math.MaxInt32 || px > math.MaxInt32 {
 		panic(fmt.Sprintf("tensor: a lowering of %d × %d slots does not fit int32 offsets", kk, ns))
 	}
-	// reads[j] is the pixel slot j reads, and recv[t·px + q] the slot of tap
-	// t that pixel q receives; −1 for none.
-	reads, recv := make([]int32, kk*ns), make([]int32, kk*px)
-	for j := range reads {
-		reads[j] = -1
+	p := &gatherPlan{lower: make([]int32, (kk*ns+7)/8*8), all: make([]bool, kk)}
+	for j := range p.lower {
+		p.lower[j] = -1
 	}
-	for j := range recv {
-		recv[j] = -1
-	}
-	p := &gatherPlan{all: make([]bool, kk)}
-	for ky := 0; ky < kh; ky++ {
-		for kx := 0; kx < kw; kx++ {
-			t := ky*kw + kx
-			p.all[t] = true
-			for i := 0; i < n; i++ {
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride + ky - pad
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride + kx - pad
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
-							continue
-						}
-						j, q := t*ns+(i*outH+oy)*outW+ox, (i*h+iy)*w+ix
-						reads[j], recv[t*px+q] = int32(q), int32(j)
+	for t := range kk {
+		p.all[t] = true
+		ky, kx := t/kw, t%kw
+		for i := range n {
+			for oy := range outH {
+				iy := oy*stride + ky - pad
+				for ox := range outW {
+					if ix := ox*stride + kx - pad; iy >= 0 && iy < h && ix >= 0 && ix < w {
+						p.lower[t*ns+(i*outH+oy)*outW+ox] = int32((i*h+iy)*w + ix)
 					}
 				}
 			}
 		}
 	}
-	for j := 0; j < kk*ns; j += 8 {
-		p.lower.add(reads[j:min(j+8, kk*ns)], px)
-	}
-	for b := 0; b < px; b += 8 {
-		for t := 0; t < kk; t++ {
-			if lanes := recv[t*px+b : t*px+min(b+8, px)]; slices.ContainsFunc(lanes, func(j int32) bool { return j >= 0 }) {
-				p.taps = append(p.taps, int32(t))
-				p.raise.add(lanes, kk*ns)
-			}
+	// recv returns the slot of tap t that pixel q receives, −1 for none: the
+	// lowering read backwards, input row iy = oy·stride + ky − pad.
+	recv := func(t, q int) int32 {
+		dy, dx := q/w%h+pad-t/kw, q%w+pad-t%kw
+		if q >= px || dy < 0 || dx < 0 || dy%stride != 0 || dx%stride != 0 || dy/stride >= outH || dx/stride >= outW {
+			return -1
 		}
-		p.ends = append(p.ends, int32(len(p.taps)))
+		return int32(t*ns + (q/(h*w)*outH+dy/stride)*outW + dx/stride)
+	}
+	blocks := (px + 7) / 8
+	p.ends = make([]int32, blocks)
+	for pass := range 2 {
+		e := 0
+		for b := range blocks {
+			for t := range kk {
+				var lanes [8]int32
+				live := false
+				for l := range lanes {
+					lanes[l] = recv(t, 8*b+l)
+					live = live || lanes[l] >= 0
+				}
+				if !live {
+					continue
+				}
+				if pass == 1 {
+					copy(p.raise[8*e:], lanes[:])
+					p.taps[e] = int32(t)
+				}
+				e++
+			}
+			p.ends[b] = int32(e)
+		}
+		if pass == 0 {
+			p.raise, p.taps = make([]int32, 8*e), make([]int32, e)
+		}
 	}
 	return p
 }
 
 // planLower writes a channel's block of the column matrix from its n planes
 // through a plan's lowering table: slot j the pixel it reads, +0 for padding.
-func planLower(dst, src []float32, vt *vecTable) {
-	_ = vt.base[(len(dst)-1)/8]
+func planLower(dst, src []float32, lower []int32) {
+	_ = lower[len(dst)-1]
 	if hasDot4 {
-		planLowerAVX(&dst[0], &src[0], &vt.base[0], &vt.lane[0], len(dst))
+		planLowerAVX(&dst[0], &src[0], &lower[0], len(dst))
 		return
 	}
 	for v := range (len(dst) + 7) / 8 {
-		vals := vt.read(v, src)
+		vals := gather8(lower[8*v:], src)
 		copy(dst[8*v:], vals[:])
 	}
 }
@@ -370,7 +376,7 @@ func planRaise(dst, src []float32, p *gatherPlan, live []bool) {
 		return
 	}
 	if hasDot4 {
-		planRaiseAVX(&dst[0], &src[0], &p.ends[0], &p.taps[0], &p.raise.base[0], &p.raise.lane[0], &live[0], len(dst))
+		planRaiseAVX(&dst[0], &src[0], &p.ends[0], &p.taps[0], &p.raise[0], &live[0], len(dst))
 		return
 	}
 	e := 0
@@ -378,7 +384,7 @@ func planRaise(dst, src []float32, p *gatherPlan, live []bool) {
 		var acc [8]float32
 		for ; e < int(end); e++ {
 			if live[p.taps[e]] {
-				vals := p.raise.read(e, src)
+				vals := gather8(p.raise[8*e:], src)
 				for l, v := range vals {
 					acc[l] += v
 				}
@@ -433,7 +439,7 @@ func Im2Col(cols, x []float32, n, h, w, kh, kw, stride, pad, outH, outW int, cha
 	if !planeShift(h, w, stride, outH, outW) {
 		p := planFor(n, h, w, kh, kw, stride, pad, outH, outW)
 		for slot := lo; slot < hi; slot++ {
-			planLower(cols[slot*block:(slot+1)*block], x[chans[slot]*px:(chans[slot]+1)*px], &p.lower)
+			planLower(cols[slot*block:(slot+1)*block], x[chans[slot]*px:(chans[slot]+1)*px], p.lower)
 		}
 		return
 	}

@@ -328,21 +328,18 @@ func planTailGeoms(t *testing.T) []convGeom {
 	return gs
 }
 
+// planOf returns the plan Im2Col and Col2Im use for g.
+func planOf(g convGeom) *gatherPlan {
+	outH, outW := g.outSize()
+	return planFor(g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW)
+}
+
 // TestPlansKeyedByGeometry holds the plan cache to its key: windows that
 // differ only in stride, padding, window size or batch map different slots to
 // different pixels, so each gets a plan of its own, and a geometry met twice
-// reuses the plan built the first time. The cache starts over past
-// maxCachedGeoms, so the test empties it first: the other tests of the
-// package meet more geometries than that.
+// reuses the plan built the first time.
 func TestPlansKeyedByGeometry(t *testing.T) {
-	planCache.mu.Lock()
-	planCache.m.Store(nil)
-	planCache.mu.Unlock()
 	base := convGeom{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 2, pad: 1}
-	planOf := func(g convGeom) *gatherPlan {
-		outH, outW := g.outSize()
-		return planFor(g.n, g.h, g.w, g.k, g.k, g.stride, g.pad, outH, outW)
-	}
 	first := planOf(base)
 	for _, g := range []convGeom{
 		{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 3, pad: 1},
@@ -352,12 +349,37 @@ func TestPlansKeyedByGeometry(t *testing.T) {
 		{n: 3, c: 1, h: 6, w: 7, k: 3, stride: 1, pad: 1}, // a small map off the plane shift
 	} {
 		p := planOf(g)
-		if p == first || slices.Equal(p.lower.lane, first.lower.lane) && slices.Equal(p.raise.lane, first.raise.lane) {
+		if p == first || slices.Equal(p.lower, first.lower) && slices.Equal(p.raise, first.raise) {
 			t.Fatalf("%v and %v share a plan", g, base)
 		}
 	}
 	if planOf(base) != first {
 		t.Fatalf("%v met twice built its plan twice", base)
+	}
+}
+
+// TestPlanCacheKeepsGeometriesInUse meets a training geometry between the
+// builds of twice maxCachedGeoms others, each met once, as an evaluation's
+// batch sizes are: the cache must stay within its bound by evicting those,
+// and the training geometry must keep its plan and find it without
+// allocating.
+func TestPlanCacheKeepsGeometriesInUse(t *testing.T) {
+	train := convGeom{n: 8, c: 1, h: 3, w: 3, k: 3, stride: 2, pad: 1}
+	first := planOf(train)
+	for n := 1; n <= 2*maxCachedGeoms; n++ {
+		if planOf(train) != first {
+			t.Fatalf("%v rebuilt after %d other batch sizes", train, n-1)
+		}
+		planOf(convGeom{n: 100 + n, c: 1, h: 3, w: 3, k: 3, stride: 2, pad: 1})
+		if got := len(*planCache.m.Load()); got > maxCachedGeoms {
+			t.Fatalf("the cache holds %d plans, above its bound %d", got, maxCachedGeoms)
+		}
+	}
+	if planOf(train) != first {
+		t.Fatalf("%v rebuilt", train)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { planOf(train) }); allocs != 0 {
+		t.Fatalf("a cached plan's lookup allocates %v times", allocs)
 	}
 }
 
