@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/model"
+	"repro/internal/prune"
 	"repro/internal/tensor"
 )
 
@@ -71,5 +73,27 @@ func TestTrainStepAllocFree(t *testing.T) {
 				t.Fatal("no step solved the QP: the pin did not cover the integrator's buffers")
 			}
 		})
+	}
+}
+
+// TestExtractSegmentsAllocs pins the top-ρ selection's allocations to its
+// result: the store and its index and value slices. The digit histograms and
+// the candidate keys live on the stack, so the count holds whatever the
+// number of segments.
+func TestExtractSegmentsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	m := model.MustBuild("ResNet18", 10, 3, 16, 16, 1, tensor.NewRNG(31).Fork(1))
+	segments, w := paramSegments(m), m.Weights()
+	for _, copies := range []int{1, 4} {
+		many := make([]int, 0, copies*len(segments))
+		manyW := make([]float32, 0, copies*len(w))
+		for range copies {
+			many, manyW = append(many, segments...), append(manyW, w...)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { prune.ExtractSegments(manyW, many, 0.1) }); allocs > 3 {
+			t.Fatalf("%d segments: %v allocations per call, want at most 3", len(many), allocs)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/prune"
 	"repro/internal/tensor"
 )
 
@@ -31,3 +32,18 @@ func BenchmarkExtract(b *testing.B) {
 		e.Extract(m, ct, draw)
 	}
 }
+
+// BenchmarkExtractSegments times the top-ρ selection alone (step 2 of
+// §III-B) over the same model's own parameter segments: the layer-wise
+// prune.ExtractSegments that KnowledgeExtractor.Extract starts with.
+func BenchmarkExtractSegments(b *testing.B) {
+	m := model.MustBuild("ResNet18", 10, 3, 16, 16, 1, tensor.NewRNG(31).Fork(1))
+	segments := paramSegments(m)
+	w := m.Weights()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		storeSink = prune.ExtractSegments(w, segments, 0.1)
+	}
+}
+
+var storeSink *prune.SparseStore

@@ -44,15 +44,10 @@ func NewKnowledgeExtractor(rho float64) *KnowledgeExtractor {
 // so the live model leaves Extract with the parameters and BatchNorm running
 // statistics it came in with; only its gradients and layer caches change.
 func (e *KnowledgeExtractor) Extract(m *model.Model, ct data.ClientTask, rng *tensor.RNG) *TaskKnowledge {
-	params := m.Params()
 	// Layer-wise top-ρ: select within each parameter tensor so the pruned
 	// network keeps a live signal path through every layer (global
 	// selection would zero out the layers with the smallest init scale).
-	segments := make([]int, len(params))
-	for i, p := range params {
-		segments[i] = p.W.Len()
-	}
-	store := prune.ExtractSegments(m.Weights(), segments, e.Rho)
+	store := prune.ExtractSegments(m.Weights(), paramSegments(m), e.Rho)
 
 	if e.FinetuneIters > 0 && len(ct.Train) > 0 {
 		mask := store.Mask()
@@ -90,4 +85,15 @@ func installKnowledge(m *model.Model, s *prune.SparseStore) {
 		panic(fmt.Sprintf("core: knowledge of %d weights installed into a model of %d", s.N, len(w)))
 	}
 	s.DensifyInto(w)
+}
+
+// paramSegments returns the length of each of m's parameter tensors, in the
+// order they lie in m.Weights().
+func paramSegments(m *model.Model) []int {
+	params := m.Params()
+	segments := make([]int, len(params))
+	for i, p := range params {
+		segments[i] = p.W.Len()
+	}
+	return segments
 }

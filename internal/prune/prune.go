@@ -6,6 +6,7 @@ package prune
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -35,102 +36,140 @@ func TopK(n int, rho float64) int {
 	return k
 }
 
-// Extract retains the top-ρ fraction of weights by |w| as a SparseStore.
-// Selection runs in O(n) via quickselect on the magnitude threshold; ties at
-// the threshold are broken by ascending index, matching a full (|w| desc,
-// index asc) sort. NaN magnitudes (diverged models) rank as zero.
+// Extract retains the top-ρ fraction of weights by |w| as a SparseStore:
+// the top TopK(len(w), ρ) of a (|w| descending, index ascending) order,
+// NaN ranking as zero, reported in ascending index order. The selection is
+// a radix select on magnitudeKey, so it costs a few linear passes and no
+// scratch the size of w.
 func Extract(w []float32, rho float64) *SparseStore {
-	k := TopK(len(w), rho)
-	if k == 0 {
-		return &SparseStore{N: len(w)}
-	}
-	out := &SparseStore{N: len(w), Indices: make([]int32, 0, k), Values: make([]float32, 0, k)}
-	extractInto(out, w, 0, k, make([]float32, len(w)))
-	return out
+	return ExtractSegments(w, []int{len(w)}, rho)
 }
 
-// extractInto appends the k largest-magnitude weights of w to out in
-// ascending index order, their indices shifted by off. mag is scratch of at
-// least len(w) floats.
-func extractInto(out *SparseStore, w []float32, off, k int, mag []float32) {
+// magnitudeKey is v's sort key for selection: its IEEE-754 bits with the
+// sign cleared, and NaN mapped to 0. For non-negative floats the bit
+// patterns order as the values do (+Inf above every finite value), so keys
+// order as |v| does; +0 and −0 share key 0, and a NaN ranks with them.
+func magnitudeKey(v float32) uint32 {
+	k := math.Float32bits(v) &^ (1 << 31)
+	if k > 0x7f800000 {
+		k = 0
+	}
+	return k
+}
+
+// The key's 31 bits are settled in three digits, most significant first:
+// bits 20–30 (keyTop), then 10–19 and 0–9 (keyLow each).
+const (
+	keyTop = 11
+	keyLow = 10
+)
+
+// candCap bounds the candidate keys a selection gathers on its stack. The
+// keys that share the k-th largest key's settled digits are gathered once
+// they fit; until then the next digit is settled over all of w. A top-digit
+// bucket spans an eighth of an octave, so at ρ = 10 % it holds a few percent
+// of a layer's weights: every segment of the CI-scale ResNet18 fits.
+const candCap = 2048
+
+// selectInto writes the k largest-magnitude weights of w to idx[:k] and
+// vals[:k] in ascending index order, their indices shifted by off. It
+// settles the k-th largest key t one digit at a time, each by a histogram
+// of that digit over the keys that share the digits already settled, and
+// counts the keys above t on the way. It then takes every weight whose key
+// is above t, and the first k − greater whose key equals t: those lie
+// before cut, so the weights before cut are taken at key ≥ t and the rest
+// at key > t.
+func selectInto(idx []int32, vals []float32, w []float32, off, k int) {
 	if k == 0 {
 		return
 	}
-	mag = mag[:len(w)]
-	for i, v := range w {
-		mag[i] = absOrZero(v)
+	var top [1 << keyTop]uint32
+	for _, v := range w {
+		top[magnitudeKey(v)>>(2*keyLow)]++
 	}
-	t, greater := kthLargest(mag, k)
-	ties := k - greater
-	for i, v := range w {
-		a := absOrZero(v)
-		if a > t {
-			out.Indices = append(out.Indices, int32(off+i))
-			out.Values = append(out.Values, v)
-		} else if a == t && ties > 0 {
-			ties--
-			out.Indices = append(out.Indices, int32(off+i))
-			out.Values = append(out.Values, v)
-		}
-	}
-}
+	t, greater := digitOf(top[:], k)
+	share := top[t] // keys sharing t's settled digits
 
-// absOrZero is |v| with NaN mapped to 0 so selection has a total order.
-func absOrZero(v float32) float32 {
-	if v != v {
-		return 0
-	}
-	return abs32(v)
-}
-
-// kthLargest returns the k-th largest value of a (1-based) and how many
-// values are strictly greater, by iterative quickselect with a median-of-three
-// pivot and three-way partitioning, so heavily-duplicated inputs (sparse
-// deltas are mostly zeros) stay linear instead of degrading quadratically.
-// The slice is permuted in place. Whenever the range narrows, everything left
-// of it is greater than everything in it, so the count of greater values is
-// where the run of the answer's equals begins.
-func kthLargest(a []float32, k int) (kth float32, greater int) {
-	pos := k - 1
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		// Median-of-three pivot value.
-		p0, p1, p2 := a[lo], a[lo+(hi-lo)/2], a[hi]
-		if p0 > p1 {
-			p0, p1 = p1, p0
-		}
-		if p1 > p2 {
-			p1 = p2
-			if p0 > p1 {
-				p1 = p0
+	var low [1 << keyLow]uint32
+	var buf [candCap]uint32
+	var cand []uint32 // those keys, once gathered
+	for shift := keyLow; shift >= 0; shift -= keyLow {
+		settled := shift + keyLow
+		if cand == nil && share <= candCap {
+			cand = buf[:0]
+			for _, v := range w {
+				if key := magnitudeKey(v); key>>settled == t {
+					cand = append(cand, key)
+				}
 			}
 		}
-		pivot := p1
-		// Dutch-flag partition, descending: [ >pivot | ==pivot | <pivot ].
-		lt, gt := lo, hi
-		for i := lo; i <= gt; {
-			switch v := a[i]; {
-			case v > pivot:
-				a[lt], a[i] = a[i], a[lt]
-				lt++
-				i++
-			case v < pivot:
-				a[i], a[gt] = a[gt], a[i]
-				gt--
-			default:
-				i++
+		clear(low[:])
+		if cand != nil {
+			for _, key := range cand {
+				if key>>settled == t {
+					low[key>>shift&(1<<keyLow-1)]++
+				}
+			}
+		} else {
+			for _, v := range w {
+				if key := magnitudeKey(v); key>>settled == t {
+					low[key>>shift&(1<<keyLow-1)]++
+				}
 			}
 		}
-		switch {
-		case pos < lt:
-			hi = lt - 1
-		case pos > gt:
-			lo = gt + 1
-		default:
-			return pivot, lt
+		d, above := digitOf(low[:], k-greater)
+		t, greater, share = t<<keyLow|d, greater+above, low[d]
+	}
+
+	cut, ties := len(w), k-greater
+	if int(share) > ties {
+		for i, v := range w {
+			if magnitudeKey(v) == t {
+				if ties--; ties == 0 {
+					cut = i + 1
+					break
+				}
+			}
 		}
 	}
-	return a[pos], pos
+	n := keepFrom(idx, vals, w[:cut], off, t)
+	keepFrom(idx[n:], vals[n:], w[cut:], off+cut, t+1)
+}
+
+// keepFrom writes the weights of w whose key is at least min, and their
+// indices shifted by off, to the front of idx and vals, and returns how
+// many it wrote.
+func keepFrom(idx []int32, vals []float32, w []float32, off int, min uint32) int {
+	n := 0
+	for i, v := range w {
+		if magnitudeKey(v) >= min {
+			idx[n], vals[n] = int32(off+i), v
+			n++
+		}
+	}
+	return n
+}
+
+// digitOf returns the highest digit d of histogram h at which the count of
+// keys with digit ≥ d reaches k (1 ≤ k ≤ the total count), and the count of
+// keys with a digit above d. It steps over eight buckets at a time while
+// their sum stays short of k.
+func digitOf(h []uint32, k int) (d uint32, above int) {
+	i := len(h)
+	for ; i >= 8; i -= 8 {
+		g := h[i-8 : i : i]
+		sum := int(g[0] + g[1] + g[2] + g[3] + g[4] + g[5] + g[6] + g[7])
+		if above+sum >= k {
+			break
+		}
+		above += sum
+	}
+	for i--; ; i-- {
+		if above+int(h[i]) >= k {
+			return uint32(i), above
+		}
+		above += int(h[i])
+	}
 }
 
 // ExtractSegments retains the top-ρ fraction of weights *within each
@@ -140,10 +179,9 @@ func kthLargest(a []float32, k int) (kth float32, greater int) {
 // initialisation scale and zero out whole layers. segments must sum to
 // len(w).
 func ExtractSegments(w []float32, segments []int, rho float64) *SparseStore {
-	total, longest, sum := 0, 0, 0
+	total, sum := 0, 0
 	for _, segLen := range segments {
 		total += TopK(segLen, rho)
-		longest = max(longest, segLen)
 		sum += segLen
 	}
 	if sum != len(w) {
@@ -153,19 +191,12 @@ func ExtractSegments(w []float32, segments []int, rho float64) *SparseStore {
 	if total == 0 {
 		return out
 	}
-	out.Indices, out.Values = make([]int32, 0, total), make([]float32, 0, total)
-	mag := make([]float32, longest)
-	off := 0
+	out.Indices, out.Values = make([]int32, total), make([]float32, total)
+	off, n := 0, 0
 	for _, segLen := range segments {
-		extractInto(out, w[off:off+segLen], off, TopK(segLen, rho), mag)
-		off += segLen
+		k := TopK(segLen, rho)
+		selectInto(out.Indices[n:n+k], out.Values[n:n+k], w[off:off+segLen], off, k)
+		off, n = off+segLen, n+k
 	}
 	return out
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
