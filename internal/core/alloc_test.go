@@ -77,9 +77,8 @@ func TestTrainStepAllocFree(t *testing.T) {
 }
 
 // TestExtractSegmentsAllocs pins the top-ρ selection's allocations to its
-// result: the store and its index and value slices. The digit histograms and
-// the candidate keys live on the stack, so the count holds whatever the
-// number of segments.
+// result: the store and its index and value slices. The digit histograms
+// live on the stack, so the count holds whatever the number of segments.
 func TestExtractSegmentsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")

@@ -64,13 +64,6 @@ const (
 	keyLow = 10
 )
 
-// candCap bounds the candidate keys a selection gathers on its stack. The
-// keys that share the k-th largest key's settled digits are gathered once
-// they fit; until then the next digit is settled over all of w. A top-digit
-// bucket spans an eighth of an octave, so at ρ = 10 % it holds a few percent
-// of a layer's weights: every segment of the CI-scale ResNet18 fits.
-const candCap = 2048
-
 // selectInto writes the k largest-magnitude weights of w to idx[:k] and
 // vals[:k] in ascending index order, their indices shifted by off. It
 // settles the k-th largest key t one digit at a time, each by a histogram
@@ -78,7 +71,9 @@ const candCap = 2048
 // counts the keys above t on the way. It then takes every weight whose key
 // is above t, and the first k − greater whose key equals t: those lie
 // before cut, so the weights before cut are taken at key ≥ t and the rest
-// at key > t.
+// at key > t. The emit writes each weight to the next free slot and moves
+// on from it only if the weight is taken, so it does not branch on the
+// data, and it stops at the k-th.
 func selectInto(idx []int32, vals []float32, w []float32, off, k int) {
 	if k == 0 {
 		return
@@ -88,41 +83,23 @@ func selectInto(idx []int32, vals []float32, w []float32, off, k int) {
 		top[magnitudeKey(v)>>(2*keyLow)]++
 	}
 	t, greater := digitOf(top[:], k)
-	share := top[t] // keys sharing t's settled digits
 
 	var low [1 << keyLow]uint32
-	var buf [candCap]uint32
-	var cand []uint32 // those keys, once gathered
+	var equal uint32 // keys equal to t, once its last digit is settled
 	for shift := keyLow; shift >= 0; shift -= keyLow {
 		settled := shift + keyLow
-		if cand == nil && share <= candCap {
-			cand = buf[:0]
-			for _, v := range w {
-				if key := magnitudeKey(v); key>>settled == t {
-					cand = append(cand, key)
-				}
-			}
-		}
 		clear(low[:])
-		if cand != nil {
-			for _, key := range cand {
-				if key>>settled == t {
-					low[key>>shift&(1<<keyLow-1)]++
-				}
-			}
-		} else {
-			for _, v := range w {
-				if key := magnitudeKey(v); key>>settled == t {
-					low[key>>shift&(1<<keyLow-1)]++
-				}
+		for _, v := range w {
+			if key := magnitudeKey(v); key>>settled == t {
+				low[key>>shift&(1<<keyLow-1)]++
 			}
 		}
 		d, above := digitOf(low[:], k-greater)
-		t, greater, share = t<<keyLow|d, greater+above, low[d]
+		t, greater, equal = t<<keyLow|d, greater+above, low[d]
 	}
 
 	cut, ties := len(w), k-greater
-	if int(share) > ties {
+	if int(equal) > ties {
 		for i, v := range w {
 			if magnitudeKey(v) == t {
 				if ties--; ties == 0 {
@@ -132,39 +109,24 @@ func selectInto(idx []int32, vals []float32, w []float32, off, k int) {
 			}
 		}
 	}
-	n := keepFrom(idx, vals, w[:cut], off, t)
-	keepFrom(idx[n:], vals[n:], w[cut:], off+cut, t+1)
-}
-
-// keepFrom writes the weights of w whose key is at least min, and their
-// indices shifted by off, to the front of idx and vals, and returns how
-// many it wrote.
-func keepFrom(idx []int32, vals []float32, w []float32, off int, min uint32) int {
-	n := 0
-	for i, v := range w {
+	min := t
+	for i, n := 0, 0; n < len(idx); i++ {
+		if i == cut {
+			min = t + 1
+		}
+		v := w[i]
+		idx[n], vals[n] = int32(off+i), v // kept once n steps past it
 		if magnitudeKey(v) >= min {
-			idx[n], vals[n] = int32(off+i), v
 			n++
 		}
 	}
-	return n
 }
 
 // digitOf returns the highest digit d of histogram h at which the count of
 // keys with digit ≥ d reaches k (1 ≤ k ≤ the total count), and the count of
-// keys with a digit above d. It steps over eight buckets at a time while
-// their sum stays short of k.
+// keys with a digit above d.
 func digitOf(h []uint32, k int) (d uint32, above int) {
-	i := len(h)
-	for ; i >= 8; i -= 8 {
-		g := h[i-8 : i : i]
-		sum := int(g[0] + g[1] + g[2] + g[3] + g[4] + g[5] + g[6] + g[7])
-		if above+sum >= k {
-			break
-		}
-		above += sum
-	}
-	for i--; ; i-- {
+	for i := len(h) - 1; ; i-- {
 		if above+int(h[i]) >= k {
 			return uint32(i), above
 		}

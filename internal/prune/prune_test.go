@@ -192,7 +192,7 @@ func sameSelection(t *testing.T, s *SparseStore, idx []int32, vals []float32) {
 // get that wrong: magnitudes that share the top digit and differ only in a
 // lower one, signed zeros, NaNs of both signs with payloads and infinities,
 // denormals, and all-equal segments (BatchNorm γ = 1 at init), at lengths
-// 1–9 and past the candidate bound.
+// 1–9 and in segments of thousands.
 func TestExtractMatchesFullSort(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	levels := []float32{0, 0, 0, 0.5, -0.5, 1, -1, 2, float32(math.NaN())}
@@ -223,8 +223,8 @@ func TestExtractMatchesFullSort(t *testing.T) {
 				switch trial % 3 {
 				case 0: // every short length
 					segments = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
-				case 1: // past the candidate bound: the digits settle over w
-					segments = []int{candCap + 1 + rng.Intn(3*candCap)}
+				case 1: // one long segment
+					segments = []int{2049 + rng.Intn(6144)}
 				default:
 					segments = []int{rng.Intn(10), rng.Intn(300), rng.Intn(10)}
 				}
@@ -278,7 +278,7 @@ func radixLevelSets() []levelSet {
 // ExtractSegments and Extract differ from the sort reference. w is raw's
 // little-endian float32s; each byte of cuts is one segment's length and the
 // rest of w is the last segment; pct is ρ in percent. Its seeds stay short,
-// since minimising an input costs a sort per try; segments past candCap are
+// since minimising an input costs a sort per try; segments of thousands are
 // TestExtractMatchesFullSort's.
 func FuzzExtractSegments(f *testing.F) {
 	encode := func(w []float32) []byte {
