@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // Server snapshot framing: a fixed header (magic, format version, payload
@@ -557,10 +559,13 @@ func loadSnapshotFile(path string) (*ServerSnapshot, error) {
 }
 
 // leWriter accumulates little-endian fields, latching the first error.
+// Vectors are staged a chunk at a time through stage, one buffer reused by
+// every vector the writer writes.
 type leWriter struct {
 	w       io.Writer
 	err     error
 	scratch [8]byte
+	stage   []byte
 }
 
 func (lw *leWriter) write(b []byte) {
@@ -593,39 +598,36 @@ func (lw *leWriter) f64(v float64) { lw.u64(math.Float64bits(v)) }
 // at a time rather than whole.
 const writeChunk = 1 << 18
 
-func (lw *leWriter) f32s(vals []float32) {
-	if lw.err != nil {
-		return
+// staged returns the writer's stage buffer holding at least 4·n bytes, n at
+// most writeChunk.
+func (lw *leWriter) staged(n int) []byte {
+	if cap(lw.stage) < 4*n {
+		lw.stage = make([]byte, 4*n)
 	}
-	buf := make([]byte, 4*min(len(vals), writeChunk))
-	for len(vals) > 0 {
+	return lw.stage[:4*n]
+}
+
+// f32s writes vals as one little-endian float32 run, the form a wire params
+// block's values take.
+func (lw *leWriter) f32s(vals []float32) {
+	for len(vals) > 0 && lw.err == nil {
 		c := min(len(vals), writeChunk)
-		for i := 0; i < c; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(vals[i]))
-		}
-		lw.write(buf[:4*c])
+		buf := lw.staged(c)
+		tensor.PutFloat32sLE(buf, vals[:c])
+		lw.write(buf)
 		vals = vals[c:]
-		if lw.err != nil {
-			return
-		}
 	}
 }
 
 func (lw *leWriter) i32s(vals []int32) {
-	if lw.err != nil {
-		return
-	}
-	buf := make([]byte, 4*min(len(vals), writeChunk))
-	for len(vals) > 0 {
+	for len(vals) > 0 && lw.err == nil {
 		c := min(len(vals), writeChunk)
-		for i := 0; i < c; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(vals[i]))
+		buf := lw.staged(c)
+		for i, v := range vals[:c] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
 		}
-		lw.write(buf[:4*c])
+		lw.write(buf)
 		vals = vals[c:]
-		if lw.err != nil {
-			return
-		}
 	}
 }
 
@@ -706,9 +708,7 @@ func (p *leReader) f32s(n int) []float32 {
 		return nil
 	}
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	tensor.GetFloat32sLE(out, b)
 	return out
 }
 

@@ -97,18 +97,22 @@ import (
 // frame buffer (emitBlock), so the frame is byte for byte the one a
 // support-less encode makes and needs no buffer but itself.
 //
-// Params blocks are the codec's bulk, so their loops are written to move at
-// memory speed. A float32 run is read and written four coordinates a step
-// (getF32s, putF32s, scatter): each step reslices a 16-byte window whose
-// bounds the compiler proves once, instead of a check per coordinate. Index
-// gaps move eight at a time: eight gaps below 0x80 are eight whole varints,
-// one 8-byte store in the encoder (putGaps) and one 8-byte load in the
-// decoder (cursor.indices), which range-checks only the eighth index of the
-// word, since the indices ascend; any other word goes one varint at a time,
-// with every check. Nothing reinterprets a []byte as a []float32 through
-// unsafe: that would tie the wire format to the host's byte order (it breaks
-// on big-endian), and on amd64 the explicit little-endian step already
-// compiles to one load and one store per coordinate.
+// Params blocks are the codec's bulk. Every dense float32 run — a dense
+// block, the values of a lossless sparse block, their decode — goes through
+// internal/tensor's little-endian run kernels (PutFloat32sLE, whose write
+// also tests for a zero bit pattern, and GetFloat32sLE), which the snapshot
+// store shares. On amd64 they move 32 bytes a vector in AVX2; the Go loop,
+// four coordinates a 16-byte window, is the format's definition and what
+// every other build runs. The codec itself holds no assembly and no unsafe:
+// nothing reinterprets a []byte as a []float32, which would tie the wire
+// format to the host's byte order, and the kernels' vector form runs only on
+// little-endian amd64. A sparse block's values scatter four a step (scatter)
+// for the same reason the Go loop does: one 16-byte window whose bounds the
+// compiler proves once. Index gaps move eight at a time: eight gaps below
+// 0x80 are eight whole varints, one 8-byte store in the encoder (putGaps)
+// and one 8-byte load in the decoder (cursor.indices), which range-checks
+// only the eighth index of the word, since the indices ascend; any other
+// word goes one varint at a time, with every check.
 const (
 	// maxFrame bounds a frame payload (256 MB ≈ a 64M-parameter model);
 	// anything larger is a corrupt or hostile stream. WireOptions.MaxFrame
@@ -438,113 +442,38 @@ func appendDenseParams(buf []byte, dense []float32, support []int32, comp Compre
 	default:
 		off := len(buf)
 		buf = buf[:off+4*n]
-		putF32s(buf[off:], dense)
+		tensor.PutFloat32sLE(buf[off:], dense)
 	}
 	return buf
-}
-
-// getF32s decodes the little-endian float32 run at the front of src into dst;
-// src must hold at least 4·len(dst) bytes. It moves four coordinates a step,
-// each step one 16-byte window of src: with both lengths in the loop
-// condition the compiler proves all eight accesses in bounds, where
-// src[4*i:] costs a check per coordinate (on 2¹⁸ floats 100 µs against 220).
-func getF32s(dst []float32, src []byte) {
-	src = src[:4*len(dst)]
-	for len(dst) >= 4 && len(src) >= 16 {
-		d, s := dst[:4], src[:16]
-		d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
-		d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
-		d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
-		d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
-		dst, src = dst[4:], src[16:]
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-}
-
-// putF32s encodes src as a little-endian float32 run at the front of dst,
-// which must hold at least 4·len(src) bytes: getF32s' loop the other way
-// round (on 2¹⁸ floats 120 µs, where an append per value into spare capacity
-// takes 180).
-func putF32s(dst []byte, src []float32) {
-	dst = dst[:4*len(src)]
-	for len(src) >= 4 && len(dst) >= 16 {
-		s, d := src[:4], dst[:16]
-		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(s[0]))
-		binary.LittleEndian.PutUint32(d[4:], math.Float32bits(s[1]))
-		binary.LittleEndian.PutUint32(d[8:], math.Float32bits(s[2]))
-		binary.LittleEndian.PutUint32(d[12:], math.Float32bits(s[3]))
-		src, dst = src[4:], dst[16:]
-	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
 }
 
 // appendDenseFirst emits a lossless float32 vector without a support, whose
 // first compaction block holds no zero, in whichever form is smaller, taking
 // it for dense: the dense window is sized and written, and the same pass
-// tests every coordinate it writes (putF32sZeroFree). A vector with no zero is
-// done after that one read — its sparse block, a gap byte and a value a
-// coordinate, is never the smaller. At the first zero after a zero-free
-// prefix of m coordinates the sparse size resumes from the prefix (k = m, one
-// gap byte each) instead of from coordinate 0; if dense still wins, only the
-// rest is written, and otherwise the window is dropped and the sparse block
-// written in its place. Only a vector whose first block holds no zero sizes
-// the window, so a sparse one whose first block holds a zero never grows the
-// frame buffer past what its sparse block needs.
+// tests every coordinate it writes (tensor.PutFloat32sLE). A vector with no
+// zero is done after that one read — its sparse block, a gap byte and a
+// value a coordinate, is never the smaller. At the first zero after a
+// zero-free prefix of m coordinates the sparse size resumes from the prefix
+// (k = m, one gap byte each) instead of from coordinate 0; if dense still
+// wins, the window already holds it, and otherwise the window is dropped and
+// the sparse block written in its place. Only a vector whose first block
+// holds no zero sizes the window, so a sparse one whose first block holds a
+// zero never grows the frame buffer past what its sparse block needs.
 func appendDenseFirst(buf []byte, dense []float32, comp Compression) []byte {
 	n, start := len(dense), len(buf)
 	buf = append(buf, comp.formatByte(false))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	off := len(buf)
 	buf = slices.Grow(buf, 4*n)[:off+4*n]
-	m := putF32sZeroFree(buf[off:], dense)
+	m := tensor.PutFloat32sLE(buf[off:], dense)
 	if m == n {
 		return buf
 	}
 	k, gapBytes, ok := sparseSize(dense, nil, 4, m)
 	if !ok {
-		putF32s(buf[off+4*m:], dense[m:])
 		return buf
 	}
 	return appendCompacted(buf[:start], dense, nil, k, gapBytes, comp)
-}
-
-// putF32sZeroFree is putF32s testing what it writes, eight coordinates a
-// step: each step stores its eight and ANDs their u | -u as zeroFreeLen does,
-// and the pass stops after the first step holding a zero bit pattern. It
-// returns what zeroFreeLen(src) returns, and dst then holds at least that
-// many coordinates of src.
-func putF32sZeroFree(dst []byte, src []float32) int {
-	n := len(src)
-	dst = dst[:4*n]
-	for len(src) >= 8 && len(dst) >= 32 {
-		s, d := src[:8], dst[:32]
-		u0, u1, u2, u3 := math.Float32bits(s[0]), math.Float32bits(s[1]), math.Float32bits(s[2]), math.Float32bits(s[3])
-		u4, u5, u6, u7 := math.Float32bits(s[4]), math.Float32bits(s[5]), math.Float32bits(s[6]), math.Float32bits(s[7])
-		binary.LittleEndian.PutUint32(d[0:], u0)
-		binary.LittleEndian.PutUint32(d[4:], u1)
-		binary.LittleEndian.PutUint32(d[8:], u2)
-		binary.LittleEndian.PutUint32(d[12:], u3)
-		binary.LittleEndian.PutUint32(d[16:], u4)
-		binary.LittleEndian.PutUint32(d[20:], u5)
-		binary.LittleEndian.PutUint32(d[24:], u6)
-		binary.LittleEndian.PutUint32(d[28:], u7)
-		if ((u0|-u0)&(u1|-u1)&(u2|-u2)&(u3|-u3)&(u4|-u4)&(u5|-u5)&(u6|-u6)&(u7|-u7))>>31 == 0 {
-			return n - len(src)
-		}
-		src, dst = src[8:], dst[32:]
-	}
-	for i, v := range src {
-		u := math.Float32bits(v)
-		if u == 0 {
-			return n - len(src) + i
-		}
-		binary.LittleEndian.PutUint32(dst[4*i:], u)
-	}
-	return n
 }
 
 // compactBlock is how many coordinates one compaction step covers: the
@@ -859,7 +788,7 @@ func putValues(dst []byte, vals []float32, q Quant, scale float32) int {
 			dst[i] = byte(i8Quantize(v, scale))
 		}
 	default:
-		putF32s(dst, vals)
+		tensor.PutFloat32sLE(dst, vals)
 	}
 	return len(vals) * q.valueBytes()
 }
@@ -1166,14 +1095,14 @@ func (c *cursor) quantValues(out []float32, q Quant, scale float32) {
 		}
 	default:
 		if b := c.take(len(out) * 4); b != nil {
-			getF32s(out, b)
+			tensor.GetFloat32sLE(out, b)
 		}
 	}
 }
 
 // scatter dequantises the len(idx) values encoded in src into dst at idx.
-// The float32 case moves four values a step, like getF32s: one 16-byte window
-// of src and four stores whose only checks are on the indices.
+// The float32 case moves four values a step: one 16-byte window of src and
+// four stores whose only checks are on the indices.
 func scatter(dst []float32, idx []int32, src []byte, q Quant, scale float32) {
 	switch q {
 	case QuantF16:

@@ -852,13 +852,13 @@ func TestZeroFree(t *testing.T) {
 				t.Fatalf("n=%d %s: zeroFreeLen %d, first zero at %d", n, what, m, want)
 			}
 			clear(out)
-			m := putF32sZeroFree(out, v)
+			m := tensor.PutFloat32sLE(out, v)
 			if m != zeroFreeLen(v) {
 				t.Fatalf("n=%d %s: the fused write proved %d, zeroFreeLen %d", n, what, m, zeroFreeLen(v))
 			}
-			got := make([]float32, m)
-			if getF32s(got, out); !sameBits(got, v[:m]) {
-				t.Fatalf("n=%d %s: the fused write stored other bits for its prefix of %d", n, what, m)
+			got := make([]float32, n)
+			if tensor.GetFloat32sLE(got, out); !sameBits(got, v) {
+				t.Fatalf("n=%d %s: the fused write stored other bits (prefix %d)", n, what, m)
 			}
 		}
 		check("no zero", n)

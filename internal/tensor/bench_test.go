@@ -243,3 +243,37 @@ func BenchmarkAxpySparse10(b *testing.B) {
 		AxpySparse(dst, 0.999, sv)
 	}
 }
+
+// BenchmarkFloat32LE moves one 2¹⁸-coordinate run (1 MiB, a dense upload of
+// the ingest workloads) each way, with the AVX2 kernels (avx2) and with the
+// Go loops (go), beside a plain byte copy of the same size (copy) as the
+// memory-speed mark; SetBytes is the run's bytes.
+func BenchmarkFloat32LE(b *testing.B) {
+	const n = 1 << 18
+	v := make([]float32, n)
+	NewRNG(1).FillNorm(v, 1)
+	enc, dup := make([]byte, 4*n), make([]byte, 4*n)
+	PutFloat32sLE(enc, v)
+	b.Run("copy", func(b *testing.B) {
+		b.SetBytes(4 * n)
+		for i := 0; i < b.N; i++ {
+			copy(dup, enc)
+		}
+	})
+	for _, tier := range []string{"avx2", "go"} {
+		b.Run("put/"+tier, func(b *testing.B) {
+			setKernelGate(b, tier == "avx2")
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				PutFloat32sLE(enc, v)
+			}
+		})
+		b.Run("get/"+tier, func(b *testing.B) {
+			setKernelGate(b, tier == "avx2")
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				GetFloat32sLE(v, enc)
+			}
+		})
+	}
+}

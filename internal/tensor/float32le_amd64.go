@@ -1,0 +1,12 @@
+//go:build amd64
+
+package tensor
+
+// The little-endian float32 run kernels of float32le.go, implemented in
+// float32le_amd64.s. Each moves n floats, n a positive multiple of 8.
+
+//go:noescape
+func putF32sAVX(dst *byte, src *float32, n int) int
+
+//go:noescape
+func getF32sAVX(dst *float32, src *byte, n int)

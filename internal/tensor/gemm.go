@@ -319,26 +319,27 @@ func opAStrides(m, k int, transA bool) (ars, aps int) {
 // per element, so for finite operands a borderline sample that falls either
 // way yields the same bits (TestGemmSparseRouteMatchesDenseBitwise).
 // Knowledge models (ρ=10 % retained) and masked logit gradients sit far from
-// the boundary.
+// the boundary. The sample stops as soon as its remaining probes cannot
+// change the verdict — a dense operand after 52 of 128 — and the verdict is
+// the whole sample's.
 func sparseEnough(a []float32) bool {
-	zeros := 0
+	step := 1
 	if len(a) > 512 {
-		step := len(a) / 128
-		probes := 0
-		for i := 0; i < len(a); i += step {
-			if a[i] == 0 {
-				zeros++
+		step = len(a) / 128
+	}
+	probes := (len(a) + step - 1) / step
+	need := (probes*6 + 9) / 10 // the fewest zeros with zeros*10 >= probes*6
+	zeros, nonZeros := 0, 0
+	for i := 0; i < len(a); i += step {
+		if a[i] == 0 {
+			if zeros++; zeros >= need {
+				return true
 			}
-			probes++
-		}
-		return zeros*10 >= probes*6
-	}
-	for _, v := range a {
-		if v == 0 {
-			zeros++
+		} else if nonZeros++; nonZeros > probes-need {
+			return false
 		}
 	}
-	return zeros*10 >= len(a)*6
+	return zeros >= need
 }
 
 // gemmSparseARows computes rows [lo, hi) of C += op(A)×B (C = op(A)×B with

@@ -277,6 +277,79 @@ func TestGemmSparseRouteMatchesDenseBitwise(t *testing.T) {
 	})
 }
 
+// sparseEnoughFull is sparseEnough as it stood before it stopped early:
+// every probe of the sample is counted, then judged.
+func sparseEnoughFull(a []float32) bool {
+	zeros := 0
+	if len(a) > 512 {
+		step := len(a) / 128
+		probes := 0
+		for i := 0; i < len(a); i += step {
+			if a[i] == 0 {
+				zeros++
+			}
+			probes++
+		}
+		return zeros*10 >= probes*6
+	}
+	for _, v := range a {
+		if v == 0 {
+			zeros++
+		}
+	}
+	return zeros*10 >= len(a)*6
+}
+
+// TestSparseEnoughStopsAtTheFullVerdict holds the early-stopping sample to
+// the whole sample's verdict: with 128 probes at the 76/77-zero boundary,
+// the zeros placed first, last or interleaved; at every length 513–1024,
+// where the stride leaves 128 to 171 probes, at every zero share around
+// 60 %; and on short operands, which are counted whole.
+func TestSparseEnoughStopsAtTheFullVerdict(t *testing.T) {
+	check := func(what string, a []float32) {
+		t.Helper()
+		if got, want := sparseEnough(a), sparseEnoughFull(a); got != want {
+			t.Fatalf("%s: sparseEnough %v, the full sample %v", what, got, want)
+		}
+	}
+	// build returns n ones with the probes (stride step) that zero picks
+	// cleared.
+	build := func(n, step int, zero func(probe int) bool) []float32 {
+		a := make([]float32, n)
+		for i := range a {
+			a[i] = 1
+		}
+		for p, i := 0, 0; i < n; p, i = p+1, i+step {
+			if zero(p) {
+				a[i] = 0
+			}
+		}
+		return a
+	}
+	const n, step = 1280, 10 // 128 probes
+	for _, zeros := range []int{76, 77} {
+		check(fmt.Sprintf("%d zeros first", zeros), build(n, step, func(p int) bool { return p < zeros }))
+		check(fmt.Sprintf("%d zeros last", zeros), build(n, step, func(p int) bool { return p >= 128-zeros }))
+		check(fmt.Sprintf("%d zeros interleaved", zeros), build(n, step, func(p int) bool { return p*zeros/128 != (p+1)*zeros/128 }))
+	}
+	rng := NewRNG(52)
+	for n := 513; n <= 1024; n++ {
+		step := n / 128
+		probes := (n + step - 1) / step
+		for zeros := probes*6/10 - 2; zeros <= probes*6/10+2; zeros++ {
+			perm := rng.Perm(probes)
+			check(fmt.Sprintf("n=%d %d of %d probes zero", n, zeros, probes),
+				build(n, step, func(p int) bool { return perm[p] < zeros }))
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		for zeros := 0; zeros <= n; zeros++ {
+			perm := rng.Perm(n)
+			check(fmt.Sprintf("n=%d %d zeros", n, zeros), build(n, 1, func(p int) bool { return perm[p] < zeros }))
+		}
+	}
+}
+
 // TestGemmPartMatchesWholeBitwise holds GemmPart to its contract on the three
 // products of a convolution. The whole product has exactly-zero rows in its
 // operands (dead channels); the part is the same product with those rows

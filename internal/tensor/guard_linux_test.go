@@ -437,12 +437,13 @@ func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) [
 	sameBits(t, "masked dx", g, dx, wantDx)
 }
 
-// TestElementwiseKernelsStayInsideOperands runs every per-element kernel with
-// every operand flush against a guard page, behind it and then in front of
-// it: the AVX2 forms step eight floats (a reduction, four floats of eight
-// rows) up to the last whole step and leave the rest to Go, so a step that
-// ran one element long, or a row pointer one row too far, would fault here.
-// The results are held to the scalar loops, bit for bit.
+// TestElementwiseKernelsStayInsideOperands runs every per-element kernel, and
+// the little-endian run kernels, with every operand flush against a guard
+// page, behind it and then in front of it: the AVX2 forms step eight floats
+// (a reduction, four floats of eight rows) up to the last whole step and
+// leave the rest to Go, so a step that ran one element long, or a row
+// pointer one row too far, would fault here. The results are held to the
+// scalar loops, bit for bit.
 func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
 	rng := NewRNG(66)
 	for _, front := range []bool{false, true} {
@@ -520,6 +521,28 @@ func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
 				refGradSums(want, want2, x, xhat)
 				requireBits64(t, what+" BatchNormGradSums sumDy", got, want)
 				requireBits64(t, what+" BatchNormGradSums sumDyXHat", got2, want2)
+			}
+		}
+		// The little-endian run kernels step 32 bytes, four vectors while
+		// four remain: every tail after zero to two four-vector steps. The
+		// encoder runs with no zero (its testing loops to the end), with a
+		// +0 first (its copy-only loops to the end) and with one opening the
+		// last whole vector.
+		for n := 1; n <= 72; n++ {
+			for _, zero := range []int{-1, 0, max(n&^7-8, 0)} {
+				what := fmt.Sprintf("front=%v n=%d zero at %d", front, n, zero)
+				src := guardedCopy(t, leVector(rng, n), front)
+				if zero >= 0 {
+					src[zero] = 0
+				}
+				dst, want := guardedOf[byte](t, 4*n, front), make([]byte, 4*n)
+				refPutLE(want, src)
+				if m, wantM := PutFloat32sLE(dst, src), refZeroFree(src); m != wantM || string(dst) != string(want) {
+					t.Fatalf("%s: PutFloat32sLE reported %d (want %d) or wrote other bytes", what, m, wantM)
+				}
+				got := alloc(t, n)
+				GetFloat32sLE(got, dst)
+				requireBits32(t, what+" GetFloat32sLE", got, src, false)
 			}
 		}
 	}
