@@ -23,13 +23,17 @@ type Aggregator interface {
 // the server folds each update into the global scratch the moment it is
 // decoded (still in ascending-client-ID order) instead of buffering per-
 // client copies, so server memory and latency stay flat as the federation
-// grows. An update passed to Accumulate may alias transport decode buffers
-// and is only valid for the duration of the call.
+// grows. An update passed to Accumulate may alias transport buffers — a
+// lossless dense upload off a wire link carries its values in wire form,
+// aliasing the frame payload itself (see Update.DenseInto) — and is only
+// valid for the duration of the call.
 type StreamAggregator interface {
 	Aggregator
 	// BeginRound resets the round state.
 	BeginRound()
-	// Accumulate folds one participating update into the round.
+	// Accumulate folds one participating update into the round. The update
+	// may be in wire form, aliasing the frame payload; DenseInto reads its
+	// values.
 	Accumulate(u *Update)
 	// FinishRound completes the reduction and returns the global vector, or
 	// nil when no update was accumulated. The result may alias internal
@@ -111,11 +115,14 @@ func (a *SparseFedAvg) Accumulate(u *Update) {
 	}
 	a.total += w
 	a.count++
-	if u.Sparse != nil {
+	switch {
+	case u.Sparse != nil:
 		a.r.FoldSparse(float32(w), u.Sparse)
-		return
+	case u.paramsLE != nil:
+		a.r.FoldDenseLE(float32(w), u.paramsLE)
+	default:
+		a.r.FoldDense(float32(w), u.Params)
 	}
-	a.r.FoldDense(float32(w), u.Params)
 }
 
 // FinishRound normalises the round by the accumulated weight; nil when no

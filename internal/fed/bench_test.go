@@ -131,24 +131,35 @@ func BenchmarkBroadcast(b *testing.B) {
 	}
 }
 
+// benchDecode times one decode of m's frame two ways: payload decodes the
+// payload where it lies, as a link does once the frame is read; frame reads
+// it from a bytes.Reader first, which adds a copy of the whole payload.
 func benchDecode(b *testing.B, m Msg, comp Compression) {
 	var buf bytes.Buffer
 	if err := NewCodec(comp).Encode(&buf, m); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()
-	c := NewCodec(Compression{})
-	r := bytes.NewReader(frame)
-	if _, err := c.Decode(r); err != nil { // warm the decode scratch
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(frame)
-		if _, err := c.Decode(r); err != nil {
-			b.Fatal(err)
+	b.Run("payload", func(b *testing.B) {
+		var s decodeScratch
+		b.SetBytes(int64(len(frame) - frameHeader))
+		for b.Loop() {
+			if _, err := decodePayload(Kind(frame[0]), frame[frameHeader:], &s); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("frame", func(b *testing.B) {
+		c := NewCodec(Compression{})
+		r := bytes.NewReader(frame)
+		b.SetBytes(int64(len(frame)))
+		for b.Loop() {
+			r.Reset(frame)
+			if _, err := c.Decode(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkDecodeDense(b *testing.B) {
@@ -164,6 +175,37 @@ func BenchmarkDecodeSparse10(b *testing.B) {
 // installs: what every client and scripted peer pays per commit.
 func BenchmarkDecodeGlobalUnion19(b *testing.B) {
 	benchDecode(b, &GlobalModel{Params: benchUnion19(), Version: 1}, Compression{})
+}
+
+// BenchmarkFoldDenseUpload is the server's work on the dense uploads of one
+// commit window of ingest_dense_sharded (K = 2, Shards = 2): each of two
+// upload frames decoded where it lies, and folded. The round is never
+// merged, so every window's first fold is a range's first participation
+// (clear and add, or the write) and its second adds. SetBytes is the two
+// payloads.
+func BenchmarkFoldDenseUpload(b *testing.B) {
+	var buf bytes.Buffer
+	if err := NewCodec(Compression{}).Encode(&buf, benchUpdate(true)); err != nil {
+		b.Fatal(err)
+	}
+	payload := buf.Bytes()[frameHeader:]
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			agg := NewShardedFedAvg(shards)
+			var s decodeScratch
+			b.SetBytes(2 * int64(len(payload)))
+			for b.Loop() {
+				agg.BeginRound()
+				for range 2 {
+					m, err := decodePayload(KindUpdate, payload, &s)
+					if err != nil {
+						b.Fatal(err)
+					}
+					agg.Accumulate(m.(*Update))
+				}
+			}
+		})
+	}
 }
 
 func benchAggregate(b *testing.B, agg Aggregator, dense bool, clients int) {

@@ -103,12 +103,15 @@ import (
 // also tests for a zero bit pattern, and GetFloat32sLE), which the snapshot
 // store shares. On amd64 they move 32 bytes a vector in AVX2; the Go loop,
 // four coordinates a 16-byte window, is the format's definition and what
-// every other build runs. The codec itself holds no assembly and no unsafe:
-// nothing reinterprets a []byte as a []float32, which would tie the wire
-// format to the host's byte order, and the kernels' vector form runs only on
-// little-endian amd64. A sparse block's values scatter four a step (scatter)
-// for the same reason the Go loop does: one 16-byte window whose bounds the
-// compiler proves once. Index gaps move eight at a time: eight gaps below
+// every other build runs. An Update's lossless dense block is not decoded
+// at all: the decoded message carries the run where it lies in the payload
+// (its wire form), and the server's fold reads it there (AxpyFloat32sLE, the
+// fold's axpy over a run), so the values cross memory once. The codec itself
+// holds no assembly and no unsafe: nothing reinterprets a []byte as a
+// []float32, which would tie the wire format to the host's byte order, and
+// the kernels' vector form runs only on little-endian amd64. A sparse
+// block's values scatter four a step (scatter) for the same reason the Go
+// loop does: one 16-byte window whose bounds the compiler proves once. Index gaps move eight at a time: eight gaps below
 // 0x80 are eight whole varints, one 8-byte store in the encoder (putGaps)
 // and one 8-byte load in the decoder (cursor.indices), which range-checks
 // only the eighth index of the word, since the indices ascend; any other
@@ -345,7 +348,13 @@ func appendPayload(buf []byte, m Msg, comp Compression) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.UpBytes))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.DownBytes))
 		buf = binary.AppendUvarint(buf, v.BaseVersion)
-		buf = appendParams(buf, v.Params, v.Sparse, comp)
+		dense := v.Params
+		if v.paramsLE != nil {
+			// An upload re-sent as it was received; nothing on the
+			// server's path does this, so its decode may allocate.
+			dense = v.DenseInto(nil)
+		}
+		buf = appendParams(buf, dense, v.Sparse, comp)
 	case *GlobalModel:
 		buf = binary.AppendUvarint(buf, v.Version)
 		var flags byte
@@ -807,11 +816,11 @@ func appendSparseVec(buf []byte, sp *tensor.SparseVec, comp Compression) []byte 
 }
 
 // decodeScratch holds the reusable buffers and message structs of one
-// decoding stream. Messages decoded with the same scratch alias its buffers:
-// each stays valid only until the next message reusing the same buffer is
-// decoded — which matches the lockstep protocol, where every message is
-// consumed before the link's next Recv. Use a fresh scratch for retained
-// messages.
+// decoding stream. Messages decoded with the same scratch alias its buffers
+// — an Update in wire form the payload itself: each stays valid only until
+// the next message reusing the same buffer is decoded — which matches the
+// lockstep protocol, where every message is consumed before the link's next
+// Recv. Use a fresh scratch for retained messages.
 type decodeScratch struct {
 	hdr     [5]byte
 	limit   int // effective frame bound of the current decode (0 = default)
@@ -915,23 +924,26 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-// params decodes one params block into the scratch buffers: dense forms
-// yield a float32 slice, sparse forms a SparseVec — or, with densify, the
-// full vector, its absent coordinates zero. Lossy value encodings are
-// dequantised here, so every caller sees float32.
-func (c *cursor) params(densify bool) (dense []float32, sp *tensor.SparseVec) {
+// params decodes one params block in one of two forms. With install — the
+// form a client installs — every block becomes a full float32 vector in the
+// scratch buffers, a sparse block's absent coordinates zero. Without it —
+// the form the server folds — a sparse block becomes a SparseVec, and a
+// lossless dense block is not decoded at all: run is its little-endian
+// float32 run, aliasing the payload. Lossy value encodings are dequantised
+// here either way, so no caller sees them.
+func (c *cursor) params(install bool) (dense []float32, run []byte, sp *tensor.SparseVec) {
 	format := c.u8()
 	n := c.uvarint()
 	if c.err != nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if format&^(fmtValueMask|fmtSparse) != 0 || Quant(format&fmtValueMask) > QuantI8 {
 		c.err = fmt.Errorf("fed: unknown params format %#x", format)
-		return nil, nil
+		return nil, nil, nil
 	}
 	if n > c.paramLimit() {
 		c.err = fmt.Errorf("fed: params length %d exceeds limit %d", n, c.paramLimit())
-		return nil, nil
+		return nil, nil, nil
 	}
 	q := Quant(format & fmtValueMask)
 	if n == 0 {
@@ -943,7 +955,7 @@ func (c *cursor) params(densify bool) (dense []float32, sp *tensor.SparseVec) {
 				c.f32()
 			}
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	// Each count is held to the exact minimum size of what it claims before
 	// anything is sized by it, so a hostile count cannot make the decoder
@@ -957,23 +969,26 @@ func (c *cursor) params(densify bool) (dense []float32, sp *tensor.SparseVec) {
 	if format&fmtSparse == 0 {
 		if uint64(len(c.buf)-c.off) < scaleBytes+n*vb {
 			c.err = fmt.Errorf("fed: params count %d exceeds payload", n)
-			return nil, nil
+			return nil, nil, nil
+		}
+		if q == QuantNone && !install {
+			return nil, c.take(4 * int(n)), nil
 		}
 		out := grow(&c.scratch.f32, int(n))
 		c.values(out, q)
-		return out, nil
+		return out, nil, nil
 	}
 	k := c.uvarint()
 	if c.err != nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if k > n {
 		c.err = fmt.Errorf("fed: sparse params store %d of %d coordinates", k, n)
-		return nil, nil
+		return nil, nil, nil
 	}
 	if uint64(len(c.buf)-c.off) < scaleBytes+k*(1+vb) {
 		c.err = fmt.Errorf("fed: sparse params count %d exceeds payload", k)
-		return nil, nil
+		return nil, nil, nil
 	}
 	idx := grow(&c.scratch.spIdx, int(k))
 	var scale float32
@@ -982,24 +997,24 @@ func (c *cursor) params(densify bool) (dense []float32, sp *tensor.SparseVec) {
 	}
 	c.indices(idx, n)
 	if c.err != nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	if densify {
+	if install {
 		// The values follow the gaps, so they go straight from the payload
 		// to their coordinates: nothing is staged in spVal.
 		b := c.take(len(idx) * int(vb))
 		if b == nil {
-			return nil, nil
+			return nil, nil, nil
 		}
 		out := grow(&c.scratch.f32, int(n))
 		clear(out)
 		scatter(out, idx, b, q, scale)
-		return out, nil
+		return out, nil, nil
 	}
 	sp = &c.scratch.sp
 	*sp = tensor.SparseVec{N: int(n), Indices: idx, Values: grow(&c.scratch.spVal, int(k))}
 	c.quantValues(sp.Values, q, scale)
-	return nil, sp
+	return nil, nil, sp
 }
 
 // indices decodes len(idx) index gaps into strictly ascending indices below
@@ -1201,7 +1216,7 @@ func decodePayload(kind Kind, payload []byte, s *decodeScratch) (Msg, error) {
 		m.UpBytes = int64(c.u64())
 		m.DownBytes = int64(c.u64())
 		m.BaseVersion = c.uvarint()
-		m.Params, m.Sparse = c.params(false)
+		m.Params, m.paramsLE, m.Sparse = c.params(false)
 		return c.finish(m)
 	case KindGlobalModel:
 		m := &s.gm
@@ -1210,7 +1225,7 @@ func decodePayload(kind Kind, payload []byte, s *decodeScratch) (Msg, error) {
 		// Clients install the global model as a full vector (mask merge,
 		// Model.SetWeights), so a sparse-encoded broadcast is densified as it is
 		// decoded: absent coordinates are zero by definition of the block.
-		dense, _ := c.params(true)
+		dense, _, _ := c.params(true)
 		*m = GlobalModel{Params: dense, Version: version, TaskFinal: taskFinal}
 		return c.finish(m)
 	case KindRoundEnd:
@@ -1232,7 +1247,7 @@ func decodePayload(kind Kind, payload []byte, s *decodeScratch) (Msg, error) {
 		flags := c.u8()
 		// Like the global model, the catch-up payload is installed as a full
 		// vector.
-		dense, _ := c.params(true)
+		dense, _, _ := c.params(true)
 		*m = Catchup{TaskIdx: taskIdx, Seen: int(seen), Version: version,
 			TaskFinal: flags&flagTaskFinal != 0, TaskDone: flags&flagTaskDone != 0,
 			Params: dense}

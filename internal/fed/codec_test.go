@@ -59,7 +59,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
-		if !reflect.DeepEqual(got, m) {
+		if u, ok := got.(*Update); ok && u.ParamLen() > 0 && (u.Params != nil || u.paramsLE == nil) {
+			t.Fatalf("round trip: a lossless dense update decoded to %+v, want its wire form", u)
+		}
+		if got = materialised(got); !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip %T: got %+v, want %+v", m, got, m)
 		}
 	}
@@ -71,12 +74,23 @@ func TestCodecFloatBitsPreserved(t *testing.T) {
 	nan32 := math.Float32frombits(0x7FC00123)
 	u := roundTrip(t, &Update{Params: []float32{nan32}, Participating: true,
 		Weight: math.Float64frombits(0x7FF8000000000042)}).(*Update)
-	if math.Float32bits(u.Params[0]) != 0x7FC00123 {
-		t.Errorf("float32 bits %#x", math.Float32bits(u.Params[0]))
+	if got := u.DenseInto(nil); math.Float32bits(got[0]) != 0x7FC00123 {
+		t.Errorf("float32 bits %#x", math.Float32bits(got[0]))
 	}
 	if math.Float64bits(u.Weight) != 0x7FF8000000000042 {
 		t.Errorf("float64 bits %#x", math.Float64bits(u.Weight))
 	}
+}
+
+// materialised returns m with the values of an update in wire form decoded
+// into Params (through DenseInto, the tests' one way to read them), which
+// is how it compares with the message that was sent; any other message is
+// returned as it is.
+func materialised(m Msg) Msg {
+	if u, ok := m.(*Update); ok && u.paramsLE != nil {
+		u.Params, u.paramsLE = u.DenseInto(nil), nil
+	}
+	return m
 }
 
 func TestCodecStreamOfFrames(t *testing.T) {
@@ -97,7 +111,7 @@ func TestCodecStreamOfFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got = materialised(got); !reflect.DeepEqual(got, want) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
@@ -225,7 +239,7 @@ func TestCodecRoundTripSparse(t *testing.T) {
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m).(*Update)
-		if got.Params != nil {
+		if got.Params != nil || got.paramsLE != nil {
 			t.Fatalf("sparse update decoded with dense params")
 		}
 		if got.Sparse.N != m.Sparse.N || got.Sparse.Len() != m.Sparse.Len() {
@@ -361,7 +375,7 @@ func TestCodecQuantizedEmptyParams(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		u := got.(*Update)
-		if u.ClientID != 3 || u.Params != nil || u.Sparse != nil {
+		if u.ClientID != 3 || u.Params != nil || u.paramsLE != nil || u.Sparse != nil {
 			t.Fatalf("%s: %+v", q, u)
 		}
 	}
@@ -496,6 +510,16 @@ func FuzzDecode(f *testing.F) {
 		m, err := Decode(bytes.NewReader(raw))
 		if err != nil {
 			return
+		}
+		if u, ok := m.(*Update); ok && u.Sparse == nil && u.ParamLen() > 0 {
+			// A dense upload folds from the form it was decoded to (a
+			// lossless one from its frame) bit for bit as its vector does:
+			// once onto a range (the write) and once more (the add).
+			vec := &Update{Weight: u.Weight, Params: u.DenseInto(nil)}
+			got := NewShardedFedAvg(3).Aggregate([]*Update{u, u})
+			if want := NewShardedFedAvg(3).Aggregate([]*Update{vec, vec}); !sameBits(got, want) {
+				t.Fatalf("folding the decoded update gives %v, folding its vector %v", got, want)
+			}
 		}
 		var buf bytes.Buffer
 		if err := Encode(&buf, m); err != nil {
@@ -658,12 +682,16 @@ func firstDiff(a, b []byte) int {
 func checkParamsDecode(t *testing.T, block []byte, dense []float32, q Quant) {
 	t.Helper()
 	c := &cursor{buf: block, scratch: &decodeScratch{}}
-	got, sp := c.params(false)
+	got, run, sp := c.params(false)
 	if c.err != nil || c.off != len(block) {
 		t.Fatalf("n=%d quant=%s: decode: err %v, %d of %d bytes read", len(dense), q, c.err, c.off, len(block))
 	}
 	if sp != nil {
 		got = sp.Densify()
+	}
+	if run != nil {
+		got = make([]float32, len(run)/4)
+		tensor.GetFloat32sLE(got, run)
 	}
 	if len(got) != len(dense) {
 		t.Fatalf("n=%d quant=%s: decoded %d coordinates", len(dense), q, len(got))
@@ -1124,8 +1152,15 @@ type decoders struct{ fixed, ref decodeScratch }
 func (d *decoders) decode(block []byte, limit int, densify bool) (got, want decoded) {
 	d.fixed.limit, d.ref.limit = limit, limit
 	c := &cursor{buf: block, scratch: &d.fixed}
-	got.dense, got.sp = c.params(densify)
+	var run []byte
+	got.dense, run, got.sp = c.params(densify)
 	got.err, got.off = c.err, c.off
+	if run != nil {
+		// A lossless dense block the fold form leaves in the payload: its
+		// run's values are what the reference decodes.
+		got.dense = make([]float32, len(run)/4)
+		tensor.GetFloat32sLE(got.dense, run)
+	}
 	c = &cursor{buf: block, scratch: &d.ref}
 	want.dense, want.sp = refDecodeParams(c, densify)
 	want.err, want.off = c.err, c.off
@@ -1489,7 +1524,7 @@ func TestCodecQuantizedNumericalEdges(t *testing.T) {
 				t.Fatalf("%s, %s: %v", c.name, form.name, err)
 			}
 			u := m.(*Update)
-			got, fold := u.Params, make([]float32, len(c.in))
+			got, fold := u.DenseInto(nil), make([]float32, len(c.in))
 			if form.name == "sparse" {
 				if u.Sparse == nil || !slices.Equal(u.Sparse.Indices, sp.Indices) {
 					t.Fatalf("%s, sparse: decoded %+v", c.name, u.Sparse)

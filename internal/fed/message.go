@@ -1,6 +1,10 @@
 package fed
 
-import "repro/internal/tensor"
+import (
+	"encoding/binary"
+
+	"repro/internal/tensor"
+)
 
 // Kind discriminates the round-lifecycle message types on a Transport.
 type Kind byte
@@ -51,7 +55,10 @@ func (*RoundStart) Kind() Kind { return KindRoundStart }
 // borrowed: over the loopback Params aliases the client's scratch buffer
 // (zero copy), which the client leaves alone until the server's GlobalModel
 // arrives. An asynchronous upload is borrowed — the client trains on while
-// the server reads — so the loopback delivers a detached copy.
+// the server reads — so the loopback delivers a detached copy. A wire link
+// delivers a lossless dense upload in wire form: its values stay the
+// little-endian float32 run of the frame they arrived in, which the server's
+// fold reads directly, so nothing decodes them into a buffer first.
 type Update struct {
 	ClientID int
 	// Participating is false for a dropped-out client's empty acknowledgement;
@@ -60,8 +67,11 @@ type Update struct {
 	// Weight is the FedAvg aggregation weight (the client's training-sample
 	// count for the task; zero is treated as one by WeightedFedAvg).
 	Weight float64
-	// Params is the dense parameter vector. Exactly one of Params and Sparse
-	// is set on a participating update.
+	// Params is the dense parameter vector as its sender holds it. A
+	// participating update carries its vector in exactly one of three forms:
+	// Params, Sparse, or — received over a wire link as a lossless dense
+	// block — the wire form, which leaves both nil. ParamLen and DenseInto
+	// read all three.
 	Params []float32
 	// Sparse carries the parameter vector in sparse form — coordinates not
 	// stored are zero. A masked update (ρ-pruned knowledge, a delta against
@@ -84,6 +94,12 @@ type Update struct {
 	UpBytes   int64
 	DownBytes int64
 
+	// paramsLE is the wire form: the dense vector as the little-endian
+	// float32 run of its params block, aliasing the frame payload the link
+	// read it into. A decoded update is borrowed, so it lives exactly as long
+	// as the frame.
+	paramsLE []byte
+
 	// borrowed marks the message as valid only until its lender rewrites it
 	// (see detached).
 	borrowed bool
@@ -92,13 +108,53 @@ type Update struct {
 // Kind identifies the message type.
 func (*Update) Kind() Kind { return KindUpdate }
 
-// ParamLen returns the logical parameter-vector length in either
+// ParamLen returns the logical parameter-vector length in any
 // representation (0 for a dropped-out acknowledgement).
 func (u *Update) ParamLen() int {
 	if u.Sparse != nil {
 		return u.Sparse.N
 	}
+	if u.paramsLE != nil {
+		return len(u.paramsLE) / 4
+	}
 	return len(u.Params)
+}
+
+// DenseInto writes the update's parameter vector into dst, reallocated only
+// when its capacity is below ParamLen, and returns dst[:ParamLen()]: Params
+// copied, the wire form decoded, or Sparse scattered over zeros. It is how a
+// StreamAggregator that keeps a dense copy reads an update in any form.
+func (u *Update) DenseInto(dst []float32) []float32 {
+	n := u.ParamLen()
+	if cap(dst) < n {
+		dst = make([]float32, n)
+	}
+	dst = dst[:n]
+	switch {
+	case u.Sparse != nil:
+		clear(dst)
+		for i, j := range u.Sparse.Indices {
+			dst[j] = u.Sparse.Values[i]
+		}
+	case u.paramsLE != nil:
+		tensor.GetFloat32sLE(dst, u.paramsLE)
+	default:
+		copy(dst, u.Params)
+	}
+	return dst
+}
+
+// allFiniteLE reports whether every float32 of the little-endian run b is
+// finite, testing each one's exponent field (all ones is an infinity or a
+// NaN) on the bytes, with no decode.
+func allFiniteLE(b []byte) bool {
+	const exp = 0x7f800000
+	for ; len(b) >= 4; b = b[4:] {
+		if binary.LittleEndian.Uint32(b)&exp == exp {
+			return false
+		}
+	}
+	return true
 }
 
 // GlobalModel (server → client) broadcasts the aggregated flat parameter

@@ -292,26 +292,15 @@ func (b *BufferedAggregator) Name() string { return "Buffered(" + b.inner.Name()
 func (b *BufferedAggregator) BeginRound() { b.n = 0 }
 
 // Accumulate deep-copies one participating update into a pooled slot,
-// densifying sparse parameters.
+// densifying sparse parameters and decoding a wire-form upload straight from
+// its frame.
 func (b *BufferedAggregator) Accumulate(u *Update) {
 	if b.n == len(b.slots) {
 		b.slots = append(b.slots, &bufferedSlot{})
 	}
 	s := b.slots[b.n]
 	b.n++
-	n := u.ParamLen()
-	if cap(s.params) < n {
-		s.params = make([]float32, n)
-	}
-	s.params = s.params[:n]
-	if u.Sparse != nil {
-		clear(s.params)
-		for i, j := range u.Sparse.Indices {
-			s.params[j] = u.Sparse.Values[i]
-		}
-	} else {
-		copy(s.params, u.Params)
-	}
+	s.params = u.DenseInto(s.params)
 	s.u = Update{
 		ClientID:      u.ClientID,
 		Participating: u.Participating,

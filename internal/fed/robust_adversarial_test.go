@@ -303,7 +303,7 @@ func TestMaxFrameCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-bounds frame refused: %v", err)
 	}
-	if u := msg.(*Update); u.ClientID != 3 || u.Params[2] != 3 {
+	if u := msg.(*Update); u.ClientID != 3 || u.DenseInto(nil)[2] != 3 {
 		t.Fatalf("in-bounds frame mangled: %+v", u)
 	}
 	// The logical params bound scales with the cap: a small sparse frame must

@@ -427,8 +427,10 @@ func (a *AsyncScheduler) admit(s *Server, taskIdx int, rq admission) {
 }
 
 // handleUpdate accounts, staleness-checks and folds one upload. The update
-// may alias the link's decode buffers: everything the scheduler keeps is
-// copied out (or folded into aggregator scratch) before returning.
+// may alias the link's frame payload (a lossless dense upload in wire form)
+// or its decode buffers: everything the scheduler keeps is copied out (or
+// folded into aggregator scratch) before returning, and the reader's next
+// Recv waits for the ack that follows.
 func (a *AsyncScheduler) handleUpdate(s *Server, res *Result, taskIdx, id int, u *Update) error {
 	if u.ClientID != id {
 		return fmt.Errorf("fed: link %d sent update claiming client %d", id, u.ClientID)

@@ -452,9 +452,12 @@ func (s *Server) admitUpdate(u *Update, taskIdx int) bool {
 	}
 	ok := u.Weight == u.Weight && u.Weight >= 0 && u.Weight <= maxFiniteWeight
 	if ok {
-		if u.Sparse != nil {
+		switch {
+		case u.Sparse != nil:
 			ok = tensor.AllFinite(u.Sparse.Values)
-		} else {
+		case u.paramsLE != nil:
+			ok = allFiniteLE(u.paramsLE)
+		default:
 			ok = tensor.AllFinite(u.Params)
 		}
 	}

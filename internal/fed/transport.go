@@ -147,7 +147,7 @@ func detached(m Msg) Msg {
 	case *Update:
 		if v.borrowed {
 			cp := *v
-			cp.Params, cp.borrowed = slices.Clone(v.Params), false
+			cp.Params, cp.paramsLE, cp.borrowed = slices.Clone(v.Params), slices.Clone(v.paramsLE), false
 			if v.Sparse != nil {
 				cp.Sparse = &tensor.SparseVec{N: v.Sparse.N,
 					Indices: slices.Clone(v.Sparse.Indices), Values: slices.Clone(v.Sparse.Values)}

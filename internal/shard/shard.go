@@ -12,7 +12,11 @@
 // clear → Axpy → one scale loop (fed.WeightedFedAvg) — so the result is
 // bitwise identical for every shard count and every thread count, and the
 // fold stage scales with cores while the ingest loop stays serial only in
-// arrival order.
+// arrival order. A dense fold that opens its range's round writes 0 + w·x
+// over what the range held instead of clearing it first (the kernels' write
+// form, the clear and the add in one pass), and a dense operand may be the
+// little-endian float32 run it arrived as (FoldDenseLE), folded with no
+// decode.
 //
 // Touched coordinates: each shard's range of each global vector carries a
 // bitmap of the coordinates sparse folds reached this round. A fold sets
@@ -82,7 +86,7 @@ func (p Plan) Bounds(s int) (lo, hi int) {
 // record and what must be re-zeroed before the range is folded into again.
 // seen lags the reducer's round counter until the shard first participates,
 // which is what makes clearing lazy and parallel: it happens inside the
-// shard's own fold call.
+// shard's own fold call, and not at all when that fold is dense.
 type shardRange struct {
 	lo, hi int
 	seen   uint64
@@ -134,10 +138,11 @@ type Reducer struct {
 	// Pending-operation operands plus persistent range closures over them:
 	// building a fresh closure per fold would allocate on every update, so
 	// the hot path stays allocation-free by parking the operands in fields
-	// for the duration of one dispatch. opX/opSp may alias transport decode
-	// scratch and are nilled as soon as the dispatch returns.
+	// for the duration of one dispatch. opX/opLE/opSp may alias transport
+	// frame or decode scratch and are nilled as soon as the dispatch returns.
 	opW         float32 // a fold's weight, or a merge's scale
 	opX         []float32
+	opLE        []byte // a dense operand as a little-endian float32 run
 	opSp        *tensor.SparseVec
 	denseRange  func(lo, hi int)
 	sparseRange func(lo, hi int)
@@ -153,7 +158,7 @@ func NewReducer(shards int) *Reducer {
 	r := &Reducer{shards: shards}
 	r.denseRange = func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			r.foldDenseShard(s, r.opW, r.opX)
+			r.foldDenseShard(s)
 		}
 	}
 	r.sparseRange = func(lo, hi int) {
@@ -205,24 +210,28 @@ func (r *Reducer) size(n int) {
 	}
 }
 
-// join restores one range's all-zero invariant on its shard's first
-// participation of the open round, clearing only what its previous round
-// touched.
-func (r *Reducer) join(sh *shardRange) {
+// join opens the round on one range at its shard's first participation and
+// reports whether it did. A range the caller is about to write whole (write:
+// a dense fold's write form) is left as it is; any other gets its all-zero
+// invariant back, clearing only what its previous round touched.
+func (r *Reducer) join(sh *shardRange, write bool) bool {
 	if sh.seen == r.round {
-		return
+		return false
 	}
-	buf := r.bufs[r.cur]
-	if sh.full {
-		clear(buf[sh.lo:sh.hi])
-	} else {
-		for _, j := range sh.list() {
-			buf[j] = 0
+	if !write {
+		buf := r.bufs[r.cur]
+		if sh.full {
+			clear(buf[sh.lo:sh.hi])
+		} else {
+			for _, j := range sh.list() {
+				buf[j] = 0
+			}
 		}
 	}
 	clear(sh.bits)
 	sh.count, sh.full, sh.listed = 0, false, false
 	sh.seen = r.round
+	return true
 }
 
 // mark sets the bits of a sparse fold's coordinates (ascending, inside the
@@ -287,11 +296,35 @@ func (r *Reducer) FoldDense(w float32, x []float32) {
 	r.opX = nil
 }
 
-// foldDenseShard folds one shard's range of a dense contribution.
-func (r *Reducer) foldDenseShard(s int, w float32, x []float32) {
+// FoldDenseLE is FoldDense with x the little-endian float32 run of 4n bytes
+// it arrived as (the wire's dense params block): every shard folds its range
+// straight from the run, bit for bit FoldDense of the decoded vector.
+func (r *Reducer) FoldDenseLE(w float32, x []byte) {
+	n := len(x) / 4
+	r.size(n)
+	r.opW, r.opLE = w, x
+	r.each(n, r.denseRange)
+	r.opLE = nil
+}
+
+// foldDenseShard folds one shard's range of the dense operand, opLE when it
+// is set and opX otherwise. The range's first participation of the round
+// writes 0 + w·x over what it held, which is bit for bit clearing it and
+// adding; later ones add.
+func (r *Reducer) foldDenseShard(s int) {
 	sh := &r.ranges[r.cur][s]
-	r.join(sh)
-	tensor.AxpySlice(r.bufs[r.cur][sh.lo:sh.hi], w, x[sh.lo:sh.hi])
+	dst, w, lo, hi := r.bufs[r.cur][sh.lo:sh.hi], r.opW, sh.lo, sh.hi
+	write := r.join(sh, true)
+	switch {
+	case r.opLE != nil && write:
+		tensor.AxpyWriteFloat32sLE(dst, w, r.opLE[4*lo:4*hi])
+	case r.opLE != nil:
+		tensor.AxpyFloat32sLE(dst, w, r.opLE[4*lo:4*hi])
+	case write:
+		tensor.AxpyWriteSlice(dst, w, r.opX[lo:hi])
+	default:
+		tensor.AxpySlice(dst, w, r.opX[lo:hi])
+	}
 	sh.full = true
 }
 
@@ -314,7 +347,7 @@ func (r *Reducer) foldSparseShard(s int, w float32, x *tensor.SparseVec) {
 	if i0 == i1 {
 		return
 	}
-	r.join(sh)
+	r.join(sh, false)
 	idx := x.Indices[i0:i1]
 	v := &r.view[s]
 	*v = tensor.SparseVec{N: x.N, Indices: idx, Values: x.Values[i0:i1]}
@@ -346,7 +379,7 @@ func (r *Reducer) Merge(scale float32) []float32 {
 // mergeShard normalises one shard's range in place.
 func (r *Reducer) mergeShard(s int, scale float32) {
 	sh := &r.ranges[r.cur][s]
-	r.join(sh)
+	r.join(sh, false)
 	if !sh.full {
 		tensor.ScaleIndexed(r.bufs[r.cur], scale, sh.list())
 		return
@@ -392,7 +425,7 @@ func (r *Reducer) Window() (idx []int32, vals []float32, dense bool) {
 		// A shard that has not participated joins empty-handed, so the dense
 		// export below reads zeros — not the round before last — in its range.
 		sh := &r.ranges[r.cur][s]
-		r.join(sh)
+		r.join(sh, false)
 		if sh.full {
 			dense = true
 			continue
@@ -419,7 +452,7 @@ func (r *Reducer) RestoreWindow(n int, idx []int32, vals []float32, dense bool) 
 	buf := r.bufs[r.cur]
 	for s := range r.ranges[r.cur] {
 		sh := &r.ranges[r.cur][s]
-		r.join(sh)
+		r.join(sh, dense)
 		if dense {
 			copy(buf[sh.lo:sh.hi], vals[sh.lo:sh.hi])
 			sh.full = true

@@ -419,6 +419,96 @@ func TestReducerSupport(t *testing.T) {
 	}
 }
 
+// TestReducerFoldDenseLEMatchesFoldDense folds the same rounds into two
+// reducers per shard count, one handed each dense operand as a vector
+// (FoldDense), the other as its little-endian run (FoldDenseLE), and holds
+// both to clear → AxpySlice / AxpySparse → scale on a plain vector: Window
+// before every merge, then Merge and Support, bit for bit. The rounds open
+// dense (a range's first participation writes), add dense onto dense, go
+// sparse over the buffer a dense round left and dense over the one a sparse
+// round left, open sparse and add dense, leave ranges out (a sparse update
+// reaching only the first shards) and sit idle (begun, never merged). The
+// dense values carry -0 and denormals and some weights are tiny, so products
+// round to -0, which the first write must turn into +0 as the add onto a
+// cleared coordinate does.
+func TestReducerFoldDenseLEMatchesFoldDense(t *testing.T) {
+	const n = 3_001
+	type fold struct {
+		w     float32
+		dense []float32 // nil for a sparse fold
+		sp    *tensor.SparseVec
+	}
+	rng := tensor.NewRNG(52)
+	mkDense := func() []float32 {
+		v := make([]float32, n)
+		rng.FillNorm(v, 1)
+		for i := 0; i < n; i += 5 {
+			v[i] = math.Float32frombits([]uint32{0x80000000, 0x80000001, 0x00000003, 0x807fffff}[i/5%4])
+		}
+		return v
+	}
+	head := mkSparse(rng, n, 0.05)
+	head.Indices, head.Values = head.Indices[:len(head.Indices)/4], head.Values[:len(head.Values)/4]
+	rounds := [][]fold{
+		{{1e-30, mkDense(), nil}, {2, mkDense(), nil}},
+		{{1.5, nil, mkSparse(rng, n, 0.02)}, {0.5, nil, mkSparse(rng, n, 0.3)}},
+		{{1e-30, mkDense(), nil}},
+		nil, // idle
+		{{0.25, nil, head}, {3, mkDense(), nil}, {1, nil, mkSparse(rng, n, 0.1)}},
+		{{1, nil, head}},
+		{{0.75, mkDense(), nil}, {1e-30, nil, mkSparse(rng, n, 0.5)}},
+	}
+	for _, p := range []int{1, 2, 3, 7} {
+		vec, run := NewReducer(p), NewReducer(p)
+		for ri, round := range rounds {
+			what := fmt.Sprintf("shards=%d round %d", p, ri)
+			vec.BeginRound()
+			run.BeginRound()
+			if round == nil {
+				continue
+			}
+			want := make([]float32, n)
+			total := 0.0
+			for _, f := range round {
+				total += float64(f.w)
+				if f.sp != nil {
+					vec.FoldSparse(f.w, f.sp)
+					run.FoldSparse(f.w, f.sp)
+					tensor.AxpySparse(want, f.w, f.sp)
+					continue
+				}
+				b := make([]byte, 4*n)
+				tensor.PutFloat32sLE(b, f.dense)
+				vec.FoldDense(f.w, f.dense)
+				run.FoldDenseLE(f.w, b)
+				tensor.AxpySlice(want, f.w, f.dense)
+			}
+			vi, vv, vd := vec.Window()
+			ri2, rv, rd := run.Window()
+			if vd != rd || !slices.Equal(vi, ri2) || !sameBits(vv, rv) {
+				t.Fatalf("%s: windows differ (dense %v / %v, %d / %d coordinates)", what, vd, rd, len(vv), len(rv))
+			}
+			if vd && !sameBits(vv, want) {
+				t.Fatalf("%s: dense window is not the cleared fold", what)
+			}
+			scale := float32(1 / total)
+			tensor.ScaleSlice(want, scale)
+			gotVec, gotRun := vec.Merge(scale), run.Merge(scale)
+			if !sameBits(gotVec, want) || !sameBits(gotRun, want) {
+				t.Fatalf("%s: merges differ from clear → axpy → scale", what)
+			}
+			if sv, sr := vec.Support(), run.Support(); (sv == nil) != (sr == nil) || !slices.Equal(sv, sr) {
+				t.Fatalf("%s: supports differ (%d / %d coordinates)", what, len(sv), len(sr))
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
 // BenchmarkReducerFoldSparse is one commit window of the sparse ingest
 // workload: two folds of distinct ρ = 10 % masks over 2¹⁸ coordinates, the
 // merge, and the support the broadcast encodes from.

@@ -2,10 +2,10 @@
 
 package tensor
 
-// The per-element kernels of elementwise.go and of tensor.go's AxpySlice and
-// ScaleSlice, implemented in elementwise_amd64.s. Each runs n elements, n a
-// positive multiple of 8, with the arithmetic of its Go loop: no fused
-// multiply-add, the operations in the loop's order.
+// The per-element kernels of elementwise.go and of tensor.go's AxpySlice,
+// AxpyWriteSlice and ScaleSlice, implemented in elementwise_amd64.s. Each
+// runs n elements, n a positive multiple of 8, with the arithmetic of its Go
+// loop: no fused multiply-add, the operations in the loop's order.
 
 //go:noescape
 func bnNormAVX(xhat, y, x *float32, n int, mean, invStd, gamma, beta float64)
@@ -27,6 +27,9 @@ func addAVX(dst, a, b *float32, n int)
 
 //go:noescape
 func axpyAVX(dst, x *float32, n int, a float32)
+
+//go:noescape
+func axpyWriteAVX(dst, x *float32, n int, a float32)
 
 //go:noescape
 func scaleAVX(dst *float32, n int, s float32)

@@ -196,6 +196,7 @@ add8:
 //
 // dst[j] = dst[j] + a*x[j], the product rounded before the add: AxpySlice's
 // arithmetic, the aggregation fold's, which must stay unfused.
+// float32le_amd64.s's axpyLEAVX runs this body on a little-endian run.
 TEXT ·axpyAVX(SB), NOSPLIT, $0-28
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
@@ -212,6 +213,31 @@ axpy8:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     axpy8
+	VZEROUPPER
+	RET
+
+// func axpyWriteAVX(dst, x *float32, n int, a float32)
+//
+// dst[j] = 0 + a*x[j], the product rounded before the add: axpyAVX onto a
+// cleared dst, bit for bit (the adds take their operands in the same order),
+// without reading dst. float32le_amd64.s's axpyWriteLEAVX runs this body on
+// a little-endian run.
+TEXT ·axpyWriteAVX(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS a+24(FP), Y15
+	VXORPS       Y14, Y14, Y14
+	SHLQ         $2, CX
+	XORQ         AX, AX
+
+axpyWrite8:
+	VMULPS  (SI)(AX*1), Y15, Y1
+	VADDPS  Y1, Y14, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpyWrite8
 	VZEROUPPER
 	RET
 

@@ -33,6 +33,10 @@ func axpyAVX(dst, x *float32, n int, a float32) {
 	panic("tensor: axpyAVX without hardware support")
 }
 
+func axpyWriteAVX(dst, x *float32, n int, a float32) {
+	panic("tensor: axpyWriteAVX without hardware support")
+}
+
 func scaleAVX(dst *float32, n int, s float32) {
 	panic("tensor: scaleAVX without hardware support")
 }

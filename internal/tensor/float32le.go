@@ -12,7 +12,9 @@ import (
 // build without AVX2 runs. amd64 is little-endian by ISA, so its AVX2 forms
 // (float32le_amd64.s, behind hasDot4) move the same bytes 32 at a time; no
 // path reinterprets a []byte as a []float32, so the format cannot come to
-// depend on a host's byte order.
+// depend on a host's byte order. The server's fold reads a dense upload's
+// run where it arrived (AxpyFloat32sLE and its write form): AxpySlice's
+// arithmetic, its x taken from the run.
 
 // PutFloat32sLE encodes src as a little-endian float32 run at the front of
 // dst, which must hold at least 4·len(src) bytes, and tests what it writes
@@ -43,6 +45,51 @@ func GetFloat32sLE(dst []float32, src []byte) {
 		dst, src = dst[n8:], src[4*n8:]
 	}
 	getF32s(dst, src)
+}
+
+// AxpyFloat32sLE is AxpySlice with x read from the little-endian float32 run
+// at the front of src: dst[i] += a·x[i], the product rounded before its add,
+// bit for bit GetFloat32sLE into a buffer and AxpySlice from it, with no
+// buffer. src must hold at least 4·len(dst) bytes.
+func AxpyFloat32sLE(dst []float32, a float32, src []byte) {
+	src = src[:4*len(dst)]
+	if n8 := len(dst) &^ 7; hasDot4 && n8 > 0 {
+		axpyLEAVX(&dst[0], &src[0], n8, a)
+		dst, src = dst[n8:], src[4*n8:]
+	}
+	for len(dst) >= 4 && len(src) >= 16 {
+		d, s := dst[:4], src[:16]
+		d[0] += float32(a * math.Float32frombits(binary.LittleEndian.Uint32(s[0:])))
+		d[1] += float32(a * math.Float32frombits(binary.LittleEndian.Uint32(s[4:])))
+		d[2] += float32(a * math.Float32frombits(binary.LittleEndian.Uint32(s[8:])))
+		d[3] += float32(a * math.Float32frombits(binary.LittleEndian.Uint32(s[12:])))
+		dst, src = dst[4:], src[16:]
+	}
+	for i := range dst {
+		dst[i] += float32(a * math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+	}
+}
+
+// AxpyWriteFloat32sLE is AxpyFloat32sLE's write form, AxpyWriteSlice with x
+// read from the run: dst[i] = 0 + a·x[i], bit for bit clearing dst and then
+// AxpyFloat32sLE, without reading dst (the +0 turns a -0 product into +0).
+func AxpyWriteFloat32sLE(dst []float32, a float32, src []byte) {
+	src = src[:4*len(dst)]
+	if n8 := len(dst) &^ 7; hasDot4 && n8 > 0 {
+		axpyWriteLEAVX(&dst[0], &src[0], n8, a)
+		dst, src = dst[n8:], src[4*n8:]
+	}
+	for len(dst) >= 4 && len(src) >= 16 {
+		d, s := dst[:4], src[:16]
+		d[0] = 0 + float32(a*math.Float32frombits(binary.LittleEndian.Uint32(s[0:])))
+		d[1] = 0 + float32(a*math.Float32frombits(binary.LittleEndian.Uint32(s[4:])))
+		d[2] = 0 + float32(a*math.Float32frombits(binary.LittleEndian.Uint32(s[8:])))
+		d[3] = 0 + float32(a*math.Float32frombits(binary.LittleEndian.Uint32(s[12:])))
+		dst, src = dst[4:], src[16:]
+	}
+	for i := range dst {
+		dst[i] = 0 + float32(a*math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+	}
 }
 
 // getF32s is GetFloat32sLE's Go form. It moves four coordinates a step, each

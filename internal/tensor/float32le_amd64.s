@@ -138,3 +138,16 @@ get32:
 got:
 	VZEROUPPER
 	RET
+
+// func axpyLEAVX(dst *float32, src *byte, n int, a float32)
+//
+// AxpyFloat32sLE's kernel: a little-endian run's bytes are its floats, so it
+// is axpyAVX (elementwise_amd64.s) itself, whose frame it shares.
+TEXT ·axpyLEAVX(SB), NOSPLIT, $0-28
+	JMP ·axpyAVX(SB)
+
+// func axpyWriteLEAVX(dst *float32, src *byte, n int, a float32)
+//
+// AxpyWriteFloat32sLE's kernel: axpyWriteAVX on the run's bytes.
+TEXT ·axpyWriteLEAVX(SB), NOSPLIT, $0-28
+	JMP ·axpyWriteAVX(SB)

@@ -12,3 +12,11 @@ func putF32sAVX(dst *byte, src *float32, n int) int {
 func getF32sAVX(dst *float32, src *byte, n int) {
 	panic("tensor: getF32sAVX without hardware support")
 }
+
+func axpyLEAVX(dst *float32, src *byte, n int, a float32) {
+	panic("tensor: axpyLEAVX without hardware support")
+}
+
+func axpyWriteLEAVX(dst *float32, src *byte, n int, a float32) {
+	panic("tensor: axpyWriteLEAVX without hardware support")
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,4 +148,50 @@ func randomBytes(rng *RNG, n int) []byte {
 		b[i] = byte(rng.Uint64())
 	}
 	return b
+}
+
+// TestAxpyFloat32sLEMatchesReference holds the fold's kernels to what they
+// replace, bit for bit, on every kernel tier the CPU has: AxpyFloat32sLE to
+// GetFloat32sLE into a buffer and AxpySlice from it, and the write forms,
+// AxpyWriteFloat32sLE and AxpyWriteSlice, to that over a cleared dst. Every
+// length 0–300 and 2¹⁸; x carries NaNs of both signs with payloads, ±Inf, -0
+// and denormals (leOddBits), so some products are NaN or infinite and some
+// round to -0, which the write forms must turn into +0 as the add onto a
+// cleared coordinate does; dst starts out random with NaNs and infinities
+// among it. Nothing past dst is written.
+func TestAxpyFloat32sLEMatchesReference(t *testing.T) {
+	forEachKernelGate(t, func(t *testing.T) {
+		rng := NewRNG(52)
+		lengths := make([]int, 0, 302)
+		for n := 0; n <= 300; n++ {
+			lengths = append(lengths, n)
+		}
+		lengths = append(lengths, 1<<18)
+		for _, n := range lengths {
+			x := leVector(rng, n)
+			run := make([]byte, 4*n)
+			PutFloat32sLE(run, x)
+			start := leVector(rng, n+1)
+			for _, a := range []float32{0.75, -3, 1e-30, 0} {
+				what := fmt.Sprintf("n=%d a=%g", n, a)
+				dec := make([]float32, n)
+				GetFloat32sLE(dec, run)
+
+				want := slices.Clone(start)
+				AxpySlice(want[:n], a, dec)
+				got := slices.Clone(start)
+				AxpyFloat32sLE(got[:n], a, run)
+				requireBits32(t, what+" AxpyFloat32sLE", got, want, false)
+
+				clear(want[:n])
+				AxpySlice(want[:n], a, dec)
+				got = slices.Clone(start)
+				AxpyWriteFloat32sLE(got[:n], a, run)
+				requireBits32(t, what+" AxpyWriteFloat32sLE", got, want, false)
+				got = slices.Clone(start)
+				AxpyWriteSlice(got[:n], a, x)
+				requireBits32(t, what+" AxpyWriteSlice", got, want, false)
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -438,8 +439,8 @@ func checkInsideOperands(t *testing.T, g convGeom, alloc func(*testing.T, int) [
 }
 
 // TestElementwiseKernelsStayInsideOperands runs every per-element kernel, and
-// the little-endian run kernels, with every operand flush against a guard
-// page, behind it and then in front of it: the AVX2 forms step eight floats
+// the little-endian run kernels and the fold's kernels over them, with every
+// operand flush against a guard page, behind it and then in front of it: the AVX2 forms step eight floats
 // (a reduction, four floats of eight rows) up to the last whole step and
 // leave the rest to Go, so a step that ran one element long, or a row
 // pointer one row too far, would fault here. The results are held to the
@@ -543,6 +544,19 @@ func TestElementwiseKernelsStayInsideOperands(t *testing.T) {
 				got := alloc(t, n)
 				GetFloat32sLE(got, dst)
 				requireBits32(t, what+" GetFloat32sLE", got, src, false)
+				// The fold's kernels read the run flush against the page
+				// and fold into a dst flush against one too.
+				acc := filled(n)
+				folded := slices.Clone(acc)
+				AxpySlice(folded, 0.5, src)
+				AxpyFloat32sLE(acc, 0.5, dst)
+				requireBits32(t, what+" AxpyFloat32sLE", acc, folded, false)
+				clear(folded)
+				AxpySlice(folded, 0.5, src)
+				AxpyWriteFloat32sLE(acc, 0.5, dst)
+				requireBits32(t, what+" AxpyWriteFloat32sLE", acc, folded, false)
+				AxpyWriteSlice(acc, 0.5, src)
+				requireBits32(t, what+" AxpyWriteSlice", acc, folded, false)
 			}
 		}
 	}

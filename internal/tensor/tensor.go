@@ -165,6 +165,23 @@ func AxpySlice(dst []float32, a float32, x []float32) {
 	}
 }
 
+// AxpyWriteSlice is AxpySlice's write form: dst = 0 + a*x, bit for bit what
+// clearing dst and then AxpySlice leave, without reading dst. The +0 is
+// added, not implied: it turns a product that rounds to -0 into +0, as the
+// add onto a cleared coordinate does.
+func AxpyWriteSlice(dst []float32, a float32, x []float32) {
+	if len(dst) != len(x) {
+		panic("tensor: AxpyWriteSlice size mismatch")
+	}
+	if n8 := len(x) &^ 7; hasDot4 && n8 > 0 {
+		axpyWriteAVX(&dst[0], &x[0], n8, a)
+		dst, x = dst[n8:], x[n8:]
+	}
+	for i, v := range x {
+		dst[i] = 0 + float32(a*v)
+	}
+}
+
 // axpyRowsBlock is AxpyRows' pure-Go coordinate block, in floats: dst's
 // block stays in L1 while every row's block is added to it.
 const axpyRowsBlock = 1024
